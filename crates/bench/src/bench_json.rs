@@ -123,7 +123,7 @@ pub struct BenchResult {
     /// Thread count the warm executor ran with.
     pub nthreads: usize,
     /// Work-stealing scheduler counters from the warm executor's pool
-    /// (`None` when the run stayed serial or used `SDFG_SCHED=static`).
+    /// (`None` when the run stayed serial).
     pub sched: Option<sdfg_exec::SchedStats>,
     /// Growth of the global core metric counters over this kernel's
     /// measurement (launches, cache hits, bytes moved, ...).

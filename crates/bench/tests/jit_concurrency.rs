@@ -12,6 +12,12 @@ fn concurrent_invokes_share_one_compiled_artifact() {
     if jit::cc().is_none() {
         return; // no system C compiler: nothing to share
     }
+    // A private, empty artifact cache: every kernel this process needs is
+    // compiled here, so artifacts on disk count distinct kernels exactly.
+    // (Single-threaded at this point; `cache_dir` is read per compile.)
+    let cache = std::env::temp_dir().join(format!("sdfg-jit-conc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache);
+    std::env::set_var("SDFG_JIT_CACHE", &cache);
     let k = polybench::all()
         .into_iter()
         .find(|k| k.name == "gemm")
@@ -29,17 +35,20 @@ fn concurrent_invokes_share_one_compiled_artifact() {
     });
     let after_cold = jit::stats();
     let cold = after_cold.compiles - before.compiles;
-    let loaded = after_cold.cache_hits - before.cache_hits;
+    let artifacts = std::fs::read_dir(&cache)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().extension().is_some_and(|x| x == "so"))
+        .count() as u64;
     // gemm lowers a handful of map bodies (the beta scale, the
-    // contraction); eight concurrent cold invokes must materialize each
-    // exactly once — by compiling, or by loading a prior run's artifact
-    // from the on-disk cache — and share the handle. If the registry
-    // failed to dedup, every racing thread would do its own work (8× the
-    // kernels).
-    assert!(cold + loaded >= 1, "no kernel was JIT-compiled or loaded");
-    assert!(
-        cold + loaded <= 4,
-        "concurrent invokes materialized {cold} compiles + {loaded} loads \
+    // contraction); eight concurrent cold invokes must compile each
+    // exactly once and share the handle. If the registry failed to dedup,
+    // racing threads would compile the same source again (more compiles
+    // than artifacts).
+    assert!(cold >= 1, "no kernel was JIT-compiled");
+    assert_eq!(
+        cold, artifacts,
+        "concurrent invokes ran {cold} compiles for {artifacts} distinct kernels \
          — registry dedup failed"
     );
     for o in &outs {
@@ -71,4 +80,5 @@ fn concurrent_invokes_share_one_compiled_artifact() {
         after_cold.compiles,
         "a second session recompiled an already-shared artifact"
     );
+    let _ = std::fs::remove_dir_all(&cache);
 }

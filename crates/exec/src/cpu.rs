@@ -5,8 +5,8 @@ use crate::buffer::SharedBuffer;
 use crate::copy::{exec_access, gather_symbolic, scatter_symbolic, scope_owns_container, wcr_fn};
 use crate::engine::Executor;
 use crate::engine::{Ctx, ExecError, Worker};
-use crate::lower::{try_jit_loop, Lowered};
-use crate::tasklet::{run_tasklet_point, try_native_loop, try_vm_loop, BodyTasklet, WindowPlan};
+use crate::lower::{run_inner_span, Lowered};
+use crate::tasklet::{run_tasklet_point, BodyTasklet, WindowPlan};
 use parking_lot::Mutex;
 use sdfg_core::desc::DataDesc;
 use sdfg_core::scope::ScopeTree;
@@ -322,152 +322,68 @@ pub(crate) fn exec_map(
         prof_close(worker);
         return Ok(());
     }
-    // --- work-stealing path (the default) -----------------------------------------
-    if let Some(pool) = ctx.sched.clone().filter(|_| eligible) {
+    // Parallel launches go through the work-stealing pool: the adaptive
+    // tuner decides per launch whether tiling pays off, and the
+    // determinism gate keeps order-sensitive bodies serial.
+    let pool = ctx.sched.as_ref().filter(|_| eligible);
+    // Estimated volume and start time: the tuner's inputs, taken only
+    // where it is consulted.
+    let sample = pool.map(|_| {
         let volume = (n0 as u64).saturating_mul(inner_points_estimate(&plan, n0));
+        (volume, std::time::Instant::now())
+    });
+    let tiles = pool.zip(sample).and_then(|(pool, (volume, _))| {
         let decision = ctx
             .plan
             .tuning
             .decide(pkey, volume, pool.nworkers(), ctx.grain_ns);
-        let tiles = if decision.parallel && steal_deterministic(&plan.body) {
+        if decision.parallel && steal_deterministic(&plan.body) {
             build_tiles(&plan, worker, (d0s, d0e, d0st), n0, decision.tiles)
         } else {
             None
-        };
-        let t0 = std::time::Instant::now();
-        let (r, workers) = match &tiles {
-            Some(ts) => {
-                ctx.stats.parallel_regions.fetch_add(1, Ordering::Relaxed);
-                // Whole-nest fast path: one native call per tile running
-                // the full inner nest; falls through to the per-row steal
-                // path on any decline.
-                let r = match crate::nest::try_map_nest_steal(
-                    ctx, &plan, worker, base, pkey, ts, &pool,
-                ) {
-                    Some(r) => r,
-                    None => {
-                        run_map_steal(ctx, sid, tree, &plan, worker, base, ts, &pool, pmode, pkey)
-                    }
-                };
-                (r, pool.nworkers())
-            }
-            None => {
-                let was_nested = worker.nested;
-                worker.nested = true;
-                let r = if let Some(bounds) = env_free_bounds(&plan, worker) {
-                    run_map_fast(ctx, sid, &plan, worker, base, &bounds)
-                } else {
-                    run_map_serial(
-                        ctx, sid, tree, params, ranges, body, worker, base, d0s, d0e, d0st,
-                    )
-                };
-                worker.nested = was_nested;
-                (r, 1)
-            }
-        };
-        if r.is_ok() {
-            // Per-launch timing feedback. Serial samples are exact
-            // per-point costs; parallel samples divide ideal speedup back
-            // out, so they can only demote launches that are cheap even
-            // under perfect scaling.
-            ctx.plan
-                .tuning
-                .observe(pkey, volume, t0.elapsed().as_nanos() as u64, workers);
-        }
-        pop(worker);
-        return r.map(|()| prof_close(worker));
-    }
-    // --- legacy paths: serial, or `SDFG_SCHED=static` spawn-per-launch chunking ----
-    if !eligible || n0 == 1 {
-        let was_nested = worker.nested;
-        worker.nested = true;
-        // Env-free fast nest: constant bounds + fully-affine tasklet body
-        // lets the whole iteration space run on integer loops without
-        // symbolic evaluation or environment updates per point.
-        let r = if let Some(bounds) = env_free_bounds(&plan, worker) {
-            run_map_fast(ctx, sid, &plan, worker, base, &bounds)
-        } else {
-            run_map_serial(
-                ctx, sid, tree, params, ranges, body, worker, base, d0s, d0e, d0st,
-            )
-        };
-        worker.nested = was_nested;
-        pop(worker);
-        if r.is_ok() {
-            prof_close(worker);
-        }
-        return r;
-    }
-    ctx.stats.parallel_regions.fetch_add(1, Ordering::Relaxed);
-    // Chunk dim 0 across threads.
-    let nthreads = ctx.nthreads.min(n0);
-    let chunk = n0.div_ceil(nthreads);
-    let base_env = worker.env.clone();
-    let mut first_err: Mutex<Option<ExecError>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for t in 0..nthreads {
-            let lo = d0s + (t * chunk) as i64 * d0st;
-            let hi = (d0s + ((t + 1) * chunk) as i64 * d0st).min(d0e);
-            if lo >= d0e {
-                break;
-            }
-            let env = base_env.clone();
-            let body = &plan.body;
-            let params = &plan.params;
-            let ranges = &plan.ranges;
-            let first_err = &first_err;
-            let pstack = worker.pstack.clone();
-            let pcounts = worker.pcounts.clone();
-            scope.spawn(move || {
-                let mut w = Worker::new(ctx, env);
-                w.nested = true;
-                w.pstack = pstack;
-                w.pcounts = pcounts;
-                w.chunk_param = Some(base);
-                w.point = vec![0; w.pstack.len()];
-                // Timeline span per worker chunk (the parent records the
-                // aggregate launch; tiers attribute to this map here too).
-                let cstart = match (pmode, &ctx.prof) {
-                    (ProfMode::Timer, Some(p)) => {
-                        w.cur_map = Some(pkey);
-                        Some(p.collector.now_ns())
-                    }
-                    _ => None,
-                };
-                if let Err(e) = run_map_serial(
-                    ctx, sid, tree, params, ranges, body, &mut w, base, lo, hi, d0st,
-                ) {
-                    let mut slot = first_err.lock();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                }
-                if let (Some(s), Some(p)) = (cstart, &ctx.prof) {
-                    let dur = p.collector.now_ns().saturating_sub(s);
-                    if let Some(wp) = w.prof.as_mut() {
-                        wp.timeline.push(Span {
-                            key: SpanKey::Map {
-                                state: pkey.0,
-                                node: pkey.1,
-                            },
-                            worker: wp.worker,
-                            start_ns: s,
-                            dur_ns: dur,
-                        });
-                    }
-                }
-                w.flush_stats();
-            });
         }
     });
-    pop(worker);
-    match first_err.get_mut().take() {
-        Some(e) => Err(e),
-        None => {
-            prof_close(worker);
-            Ok(())
+    let (r, workers) = match (pool, &tiles) {
+        (Some(pool), Some(ts)) => {
+            ctx.stats.parallel_regions.fetch_add(1, Ordering::Relaxed);
+            // Whole-nest fast path: one native call per tile running the
+            // full inner nest; falls through to the per-row steal path on
+            // any decline.
+            let r = match crate::nest::try_map_nest_steal(ctx, &plan, worker, base, pkey, ts, pool)
+            {
+                Some(r) => r,
+                None => run_map_steal(ctx, sid, tree, &plan, worker, base, ts, pool, pmode, pkey),
+            };
+            (r, pool.nworkers())
         }
+        _ => {
+            let was_nested = worker.nested;
+            worker.nested = true;
+            // Env-free fast nest: constant bounds + fully-affine tasklet
+            // body lets the whole iteration space run on integer loops
+            // without symbolic evaluation or environment updates per point.
+            let r = if let Some(bounds) = env_free_bounds(&plan, worker) {
+                run_map_fast(ctx, sid, &plan, worker, base, &bounds)
+            } else {
+                run_map_serial(
+                    ctx, sid, tree, params, ranges, body, worker, base, d0s, d0e, d0st,
+                )
+            };
+            worker.nested = was_nested;
+            (r, 1)
+        }
+    };
+    if let (Ok(()), Some((volume, t0))) = (&r, sample) {
+        // Per-launch timing feedback. Serial samples are exact per-point
+        // costs; parallel samples divide ideal speedup back out, so they
+        // can only demote launches that are cheap even under perfect
+        // scaling.
+        ctx.plan
+            .tuning
+            .observe(pkey, volume, t0.elapsed().as_nanos() as u64, workers);
     }
+    pop(worker);
+    r.map(|()| prof_close(worker))
 }
 
 /// Estimated points per dim-0 iteration from the plan's static iteration
@@ -496,8 +412,7 @@ fn inner_points_estimate(plan: &MapPlan, n0: usize) -> u64 {
 /// arrival order. Generic subgraph bodies can lazily compile atomic
 /// tasklets inside a tile, so they are excluded wholesale. Launches that
 /// fail the gate run serially, keeping repeated runs bitwise identical
-/// regardless of steal timing (`SDFG_SCHED=static` retains the old
-/// opportunistic behaviour).
+/// regardless of steal timing.
 fn steal_deterministic(body: &MapBody) -> bool {
     match body {
         MapBody::Tasklets(ts, _) => ts
@@ -512,8 +427,7 @@ fn steal_deterministic(body: &MapBody) -> bool {
 pub(crate) enum TileSet {
     /// Dim-0 tiling: each tile is a `[lo, hi)` value range on the map's
     /// own step grid. The general case — any body, WCR included, since
-    /// disjoint dim-0 ranges preserve the chunk-dominance race analysis
-    /// exactly like the legacy static chunks did.
+    /// disjoint dim-0 ranges preserve the chunk-dominance race analysis.
     Dim0 {
         /// Dim-0 step.
         step: i64,
@@ -876,20 +790,10 @@ pub(crate) fn run_map_fast(
         // Innermost dimension through the fast loops; fall back to
         // per-point execution (still env-light: env only consulted by
         // Symbolic plans, which env_free_bounds excluded).
-        let mut handled = false;
-        if let Some(t) = &single {
-            let t0 = worker.tier_clock();
-            if try_jit_loop(ctx, lowered, t, worker, base + nd - 1, is_, ie_, ist)?.is_some() {
-                worker.tier_record(t0, Tier::Jit);
-                handled = true;
-            } else if try_native_loop(ctx, t, worker, base + nd - 1, is_, ie_, ist)?.is_some() {
-                worker.tier_record(t0, Tier::NativeKernel);
-                handled = true;
-            } else if try_vm_loop(ctx, t, worker, base + nd - 1, is_, ie_, ist)?.is_some() {
-                worker.tier_record(t0, Tier::AffineVm);
-                handled = true;
-            }
-        }
+        let handled = match &single {
+            Some(t) => run_inner_span(ctx, lowered, t, worker, base + nd - 1, is_, ie_, ist)?,
+            None => false,
+        };
         if !handled {
             let t0 = worker.tier_clock();
             let mut v = is_;
@@ -997,23 +901,12 @@ pub(crate) fn run_dim_span(
     hi: i64,
     step: i64,
 ) -> Result<(), ExecError> {
-    // Innermost dimension with a tasklet-only body: attempt the native
-    // loop, then the allocation-free VM loop.
+    // Innermost dimension with a single-tasklet body: the whole span runs
+    // on the fastest tier that takes it.
     if dim == params.len() - 1 {
         if let MapBody::Tasklets(ts, lowered) = body {
-            if ts.len() == 1 {
-                let t = ts[0].1.clone();
-                let t0 = worker.tier_clock();
-                if try_jit_loop(ctx, lowered, &t, worker, base + dim, lo, hi, step)?.is_some() {
-                    worker.tier_record(t0, Tier::Jit);
-                    return Ok(());
-                }
-                if try_native_loop(ctx, &t, worker, base + dim, lo, hi, step)?.is_some() {
-                    worker.tier_record(t0, Tier::NativeKernel);
-                    return Ok(());
-                }
-                if try_vm_loop(ctx, &t, worker, base + dim, lo, hi, step)?.is_some() {
-                    worker.tier_record(t0, Tier::AffineVm);
+            if let [(_, t)] = &ts[..] {
+                if run_inner_span(ctx, lowered, t, worker, base + dim, lo, hi, step)? {
                     return Ok(());
                 }
             }

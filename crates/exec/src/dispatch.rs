@@ -139,8 +139,9 @@ pub(crate) fn drive_loop(
             return Err(ExecError::StepLimit(max_transitions));
         }
         // Cancellation point: an expired wall-clock deadline aborts the
-        // run *between* states, so the shared plan cache and buffer pool
-        // only ever observe complete state executions.
+        // run *between* states (a collapsed loop checks between slices of
+        // its iterations), so the shared plan cache and buffer pool only
+        // ever observe complete state executions.
         if let Some(d) = ctx.deadline {
             if std::time::Instant::now() >= d {
                 return Err(ExecError::Timeout(ctx.deadline_ms));
@@ -161,7 +162,7 @@ pub(crate) fn drive_loop(
         // loop, run every remaining iteration as one native call and let
         // the normal edge scan below take the exit edge.
         if collapse && ctx.nest_jit {
-            crate::nest::try_collapse_loop(ctx, cur, &mut symbols);
+            crate::nest::try_collapse_loop(ctx, cur, &mut symbols)?;
         }
         // One environment per transition: condition scan and assignments
         // share it, with assigned symbols folded in incrementally. A
@@ -398,8 +399,7 @@ impl<'s> Runtime<'s> {
     /// share lowered plans.
     fn target_tag(&mut self) -> Result<u64, ExecError> {
         use std::hash::{Hash, Hasher};
-        self.exec.ensure_optimized()?;
-        let sdfg = self.exec.active_sdfg();
+        let sdfg = self.exec.sdfg;
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for sid in sdfg.graph.node_ids() {
             let bidx = route_state(&self.backends, sdfg, sid)?;

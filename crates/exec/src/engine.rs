@@ -18,9 +18,7 @@ use sdfg_profile::{
     WorkerProfile,
 };
 use sdfg_symbolic::{Env, EvalError};
-use sdfg_transforms::{
-    optimize_tuned, optimize_with_env, OptLevel, OptimizationReport, TunedConfig, TuningDb,
-};
+use sdfg_transforms::{OptLevel, OptimizationReport, TunedConfig};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -123,7 +121,7 @@ impl From<RuntimeError> for ExecError {
 
 /// The optimizing executor. API mirrors the reference interpreter.
 pub struct Executor<'s> {
-    sdfg: &'s Sdfg,
+    pub(crate) sdfg: &'s Sdfg,
     /// Array storage by name.
     pub arrays: HashMap<String, Vec<f64>>,
     /// Stream contents by name.
@@ -131,8 +129,8 @@ pub struct Executor<'s> {
     /// Symbol bindings.
     pub symbols: Env,
     /// Worker thread count (defaults to `SDFG_NTHREADS` when set, else
-    /// available parallelism); prefer [`Executor::set_nthreads`], which
-    /// also keeps the scheduler pool in sync.
+    /// available parallelism). The scheduler pool is rebuilt to match on
+    /// the next `run`.
     pub nthreads: usize,
     /// Maximum state transitions.
     pub max_transitions: usize,
@@ -150,41 +148,27 @@ pub struct Executor<'s> {
     pub(crate) pool: std::sync::Arc<BufferPool>,
     /// The persistent work-stealing scheduler pool: built lazily on the
     /// first `run` with `nthreads > 1` (and rebuilt if the thread count
-    /// changes), shared with nested-SDFG executors. `None` while serial
-    /// or under `SDFG_SCHED=static`.
+    /// changes), shared with nested-SDFG executors. `None` while serial.
     pub(crate) sched: Option<std::sync::Arc<crate::sched::SchedPool>>,
-    /// Memoized content hash of the *active* graph — sound to compute once
-    /// because the caller's SDFG sits behind an immutable borrow for the
-    /// executor's whole lifetime, and the optimized copy is rebuilt (and
-    /// this memo cleared) whenever the opt level changes.
+    /// Memoized content hash of the graph — sound to compute once because
+    /// the caller's SDFG sits behind an immutable borrow for the
+    /// executor's whole lifetime.
     pub(crate) sdfg_hash: Option<u64>,
-    /// Requested optimization level for `run` (default: none).
+    /// The executor runs the graph it borrows as-is; optimization is the
+    /// job of [`crate::session::Session`], which hands over the pipeline's
+    /// output and describes the pipeline that produced it in the four
+    /// fields below (for reports, the run ledger and the JIT/grain knobs).
     pub(crate) opt_level: OptLevel,
-    /// The optimized copy of the SDFG, built lazily on the first `run`
-    /// after [`Executor::set_opt_level`]. `None` means "execute the
-    /// caller's graph as-is". Boxed so the executor stays cheap to move.
-    opt_sdfg: Option<Box<Sdfg>>,
-    /// Report from the pipeline run that produced `opt_sdfg`.
+    /// Report from the pipeline run that produced the borrowed graph.
     pub(crate) opt_report: Option<OptimizationReport>,
-    /// Tuning database consulted under [`OptLevel::Tuned`] (set via
-    /// [`Executor::set_tuning_db`]; defaults to the `SDFG_TUNED_DB`
-    /// environment variable when unset).
-    tuning_db_path: Option<std::path::PathBuf>,
-    /// Explicit tuned configuration ([`Executor::set_tuned_config`]);
-    /// takes precedence over any database lookup.
+    /// Tuned configuration the pipeline ran under, if any.
     pub(crate) tuned_cfg: Option<TunedConfig>,
-    /// Scheduler grain override from the tuned configuration in effect
-    /// (resolved together with `opt_sdfg`).
+    /// Scheduler grain override from that tuned configuration.
     pub(crate) grain_ns: Option<u64>,
-    /// Set by [`crate::session::Session`] when the borrowed graph is
-    /// *already* the output of the optimization pipeline: `run` must not
-    /// optimize again, but `opt_level`/`opt_report`/`tuned_cfg` still
-    /// describe the pipeline that produced it (for reports and the run
-    /// ledger).
-    pub(crate) preoptimized: bool,
     /// Wall-clock deadline for the next `run`: checked between state
-    /// executions, so an expired deadline cancels the run with
-    /// [`ExecError::Timeout`] without tearing down mid-state.
+    /// executions and between slices of a collapsed loop, so an expired
+    /// deadline cancels the run with [`ExecError::Timeout`] without
+    /// tearing down mid-state.
     pub(crate) deadline: Option<std::time::Instant>,
     /// Millisecond budget behind `deadline` (for the error message).
     pub(crate) deadline_ms: u64,
@@ -295,8 +279,7 @@ pub(crate) struct Ctx<'s> {
     /// executor's transient storage.
     pub(crate) pool: std::sync::Arc<BufferPool>,
     /// Work-stealing scheduler for parallel map launches (`None` while
-    /// serial or under `SDFG_SCHED=static`, which selects the legacy
-    /// spawn-per-launch path).
+    /// serial).
     pub(crate) sched: Option<std::sync::Arc<crate::sched::SchedPool>>,
     /// Per-tile time-target override for the steal scheduler's grain
     /// controller, from the active tuned configuration. Carried per run
@@ -304,7 +287,8 @@ pub(crate) struct Ctx<'s> {
     /// serve executors with different tunings.
     pub(crate) grain_ns: Option<u64>,
     /// Wall-clock deadline for this run; the drive loop checks it between
-    /// state executions and cancels with [`ExecError::Timeout`].
+    /// state executions (and between slices of a collapsed loop) and
+    /// cancels with [`ExecError::Timeout`].
     pub(crate) deadline: Option<std::time::Instant>,
     /// Millisecond budget behind `deadline` (for the error message).
     pub(crate) deadline_ms: u64,
@@ -372,6 +356,7 @@ pub(crate) struct Worker<'c, 's> {
     pub(crate) st_points: u64,
     pub(crate) st_native: u64,
     pub(crate) st_jit: u64,
+    pub(crate) st_nest_calls: u64,
     /// Lock-free profile, absorbed by the collector at `flush_stats`.
     /// `None` when profiling is off.
     pub(crate) prof: Option<Box<WorkerProfile>>,
@@ -402,6 +387,7 @@ impl<'c, 's> Worker<'c, 's> {
             st_points: 0,
             st_native: 0,
             st_jit: 0,
+            st_nest_calls: 0,
             prof,
             cur_map: None,
         }
@@ -425,11 +411,12 @@ impl<'c, 's> Worker<'c, 's> {
             self.st_native = 0;
         }
         if self.st_jit > 0 {
-            self.ctx
-                .stats
-                .jit_points
-                .fetch_add(self.st_jit, Ordering::Relaxed);
+            let st = &self.ctx.stats;
+            st.jit_points.fetch_add(self.st_jit, Ordering::Relaxed);
+            st.nest_calls
+                .fetch_add(self.st_nest_calls, Ordering::Relaxed);
             self.st_jit = 0;
+            self.st_nest_calls = 0;
         }
         if let (Some(wp), Some(p)) = (self.prof.take(), self.ctx.prof.as_ref()) {
             if !wp.is_empty() {
@@ -607,12 +594,9 @@ impl<'s> Executor<'s> {
             sched: None,
             sdfg_hash: None,
             opt_level: OptLevel::None,
-            opt_sdfg: None,
             opt_report: None,
-            tuning_db_path: None,
             tuned_cfg: None,
             grain_ns: None,
-            preoptimized: false,
             deadline: None,
             deadline_ms: 0,
             owned_transients: HashSet::new(),
@@ -622,136 +606,21 @@ impl<'s> Executor<'s> {
         }
     }
 
-    /// Selects the optimization level for subsequent `run`s. The pipeline
-    /// runs once, lazily, at the start of the next `run` (so cost hints see
-    /// the symbol bindings in effect then); changing the level discards the
-    /// optimized copy and the content-hash memo, so the plan cache re-keys
-    /// on the optimized graph's hash.
-    ///
-    /// **Deprecated** in favor of
-    /// [`SessionBuilder::opt_level`](crate::session::SessionBuilder::opt_level):
-    /// the session facade configures everything up front and compiles
-    /// once, where this mutate-after-construct path invalidates state.
-    /// Kept (hidden) for the engine's own internals.
-    #[doc(hidden)]
-    pub fn set_opt_level(&mut self, level: OptLevel) -> &mut Self {
-        if level != self.opt_level {
-            self.opt_level = level;
-            self.discard_optimized();
-        }
-        self
-    }
-
-    /// The optimization level in effect.
+    /// The optimization level of the pipeline that produced this graph
+    /// (`None` unless a [`crate::session::Session`] drives the executor).
     pub fn opt_level(&self) -> OptLevel {
         self.opt_level
     }
 
-    /// Report from the optimization pipeline, once a `run` has triggered it.
+    /// Report from that optimization pipeline, if one ran.
     pub fn opt_report(&self) -> Option<&OptimizationReport> {
         self.opt_report.as_ref()
     }
 
-    /// Points [`OptLevel::Tuned`] runs at a tuning database
-    /// (`bench/tuned.json`). Implies `set_opt_level(OptLevel::Tuned)`.
-    /// Without this (or the `SDFG_TUNED_DB` environment variable), tuned
-    /// runs always miss and fall back to `Aggressive`.
-    ///
-    /// **Deprecated** in favor of
-    /// [`SessionBuilder::tuning_db`](crate::session::SessionBuilder::tuning_db).
-    #[doc(hidden)]
-    pub fn set_tuning_db(&mut self, path: impl Into<std::path::PathBuf>) -> &mut Self {
-        self.tuning_db_path = Some(path.into());
-        self.opt_level = OptLevel::Tuned;
-        self.discard_optimized();
-        self
-    }
-
-    /// Installs an explicit tuned configuration, bypassing any database
-    /// lookup (the search driver uses this to measure candidates). Implies
-    /// `set_opt_level(OptLevel::Tuned)`.
-    ///
-    /// **Deprecated** in favor of
-    /// [`SessionBuilder::tuned_config`](crate::session::SessionBuilder::tuned_config).
-    #[doc(hidden)]
-    pub fn set_tuned_config(&mut self, cfg: TunedConfig) -> &mut Self {
-        self.tuned_cfg = Some(cfg);
-        self.opt_level = OptLevel::Tuned;
-        self.discard_optimized();
-        self
-    }
-
-    /// The tuned configuration a `run` resolved (explicit or from the
-    /// database); `None` before the first tuned run or after a miss.
+    /// The tuned configuration that pipeline resolved (explicit or from
+    /// the database); `None` for untuned runs or after a database miss.
     pub fn tuned_config(&self) -> Option<&TunedConfig> {
         self.tuned_cfg.as_ref()
-    }
-
-    /// Drops the optimized copy (and everything keyed off it) so the next
-    /// `run` rebuilds it under the current level/config/thread count.
-    fn discard_optimized(&mut self) {
-        self.opt_sdfg = None;
-        self.opt_report = None;
-        self.sdfg_hash = None;
-        self.grain_ns = None;
-    }
-
-    /// Builds the optimized copy if the opt level asks for one and it does
-    /// not exist yet. On pipeline failure the original SDFG stays active.
-    ///
-    /// Under [`OptLevel::Tuned`] the measured configuration is resolved
-    /// first — an explicit [`Executor::set_tuned_config`] wins, otherwise
-    /// the tuning database is consulted with the *unoptimized* graph's
-    /// content hash, the run target and the thread count. A database miss
-    /// (or no database at all) degrades to the `Aggressive` pipeline; an
-    /// unreadable or schema-incompatible database is an error.
-    pub(crate) fn ensure_optimized(&mut self) -> Result<(), ExecError> {
-        if self.preoptimized || self.opt_level == OptLevel::None || self.opt_sdfg.is_some() {
-            return Ok(());
-        }
-        let mut opt = Box::new(self.sdfg.clone());
-        let report = if self.opt_level == OptLevel::Tuned {
-            match self.resolve_tuned_config()? {
-                Some(cfg) => {
-                    let r = optimize_tuned(&mut opt, &cfg, &self.symbols)
-                        .map_err(|e| ExecError::Optimization(e.to_string()))?;
-                    self.grain_ns = (cfg.grain_ns > 0).then_some(cfg.grain_ns);
-                    self.tuned_cfg = Some(cfg);
-                    r
-                }
-                None => optimize_with_env(&mut opt, OptLevel::Aggressive, &self.symbols)
-                    .map_err(|e| ExecError::Optimization(e.to_string()))?,
-            }
-        } else {
-            optimize_with_env(&mut opt, self.opt_level, &self.symbols)
-                .map_err(|e| ExecError::Optimization(e.to_string()))?
-        };
-        self.sdfg_hash = None;
-        self.opt_report = Some(report);
-        self.opt_sdfg = Some(opt);
-        Ok(())
-    }
-
-    /// The tuned configuration for this run: explicit config, else a
-    /// database lookup keyed by `(content_hash, target, nthreads)`.
-    fn resolve_tuned_config(&self) -> Result<Option<TunedConfig>, ExecError> {
-        if let Some(cfg) = &self.tuned_cfg {
-            return Ok(Some(cfg.clone()));
-        }
-        let path = match &self.tuning_db_path {
-            Some(p) => p.clone(),
-            None => match std::env::var_os("SDFG_TUNED_DB").filter(|v| !v.is_empty()) {
-                Some(v) => std::path::PathBuf::from(v),
-                None => return Ok(None),
-            },
-        };
-        let db = TuningDb::load(&path)
-            .map_err(ExecError::Optimization)?
-            .unwrap_or_default();
-        let chash = sdfg_core::serialize::content_hash(self.sdfg);
-        Ok(db
-            .lookup(chash, &self.run_target, self.nthreads.max(1) as u32)
-            .map(|e| e.config.clone()))
     }
 
     /// Shares a plan cache with other executors, so lowering one SDFG once
@@ -824,14 +693,10 @@ impl<'s> Executor<'s> {
         sdfg_profile::counters_footer(&self.exec_counters(), &sched)
     }
 
-    /// Stable content hash of the *active* graph — the optimized copy when
-    /// one exists, the caller's SDFG otherwise (memoized after the first
-    /// call). This is the plan-cache key, so optimizing re-keys the cache.
+    /// Stable content hash of the graph (memoized after the first call).
+    /// This is the plan-cache key.
     pub fn content_hash(&mut self) -> u64 {
-        let sdfg: &Sdfg = match &self.opt_sdfg {
-            Some(b) => b,
-            None => self.sdfg,
-        };
+        let sdfg = self.sdfg;
         *self
             .sdfg_hash
             .get_or_insert_with(|| sdfg_core::serialize::content_hash(sdfg))
@@ -843,29 +708,10 @@ impl<'s> Executor<'s> {
         self
     }
 
-    /// Pins the worker-thread count for subsequent `run`s, overriding both
-    /// the `SDFG_NTHREADS` environment variable and the default of
-    /// available parallelism. The scheduler pool is rebuilt to match on
-    /// the next `run`.
-    ///
-    /// **Deprecated** in favor of
-    /// [`SessionBuilder::nthreads`](crate::session::SessionBuilder::nthreads).
-    #[doc(hidden)]
-    pub fn set_nthreads(&mut self, n: usize) -> &mut Self {
-        let n = n.max(1);
-        if n != self.nthreads && self.opt_level == OptLevel::Tuned && self.tuned_cfg.is_none() {
-            // The tuning-DB key includes the thread count; re-resolve on
-            // the next run. An explicit config is thread-count-agnostic.
-            self.discard_optimized();
-        }
-        self.nthreads = n;
-        self
-    }
-
     /// Work-stealing scheduler counters: per-worker tiles/steals/idle plus
     /// launch totals, cumulative for the pool (which nested executors
     /// share). `None` until a `run` has built the pool — i.e. while
-    /// serial or under `SDFG_SCHED=static`.
+    /// serial.
     pub fn sched_stats(&self) -> Option<crate::sched::SchedStats> {
         self.sched.as_ref().map(|p| p.stats())
     }
@@ -900,14 +746,6 @@ impl<'s> Executor<'s> {
         self.arrays.get(name).map(|v| v.as_slice())
     }
 
-    /// The graph `run` executes: the optimized copy when one exists.
-    pub(crate) fn active_sdfg(&self) -> &Sdfg {
-        match &self.opt_sdfg {
-            Some(b) => b,
-            None => self.sdfg,
-        }
-    }
-
     /// Runs the SDFG; returns execution statistics.
     ///
     /// Repeat runs reuse the lowered plan: the plan cache is keyed by the
@@ -916,19 +754,6 @@ impl<'s> Executor<'s> {
     /// and map planning entirely.
     pub fn run(&mut self) -> Result<Stats, ExecError> {
         self.run_with(0, |ex, ctx| ex.drive(ctx))
-    }
-
-    /// Enables or disables the JIT native-code lowering tier for
-    /// subsequent runs, overriding the tuned configuration. The `SDFG_JIT`
-    /// environment variable still gates the tier globally.
-    ///
-    /// **Deprecated** in favor of
-    /// [`SessionBuilder::jit`](crate::session::SessionBuilder::jit); kept
-    /// (hidden) for the engine's own internals.
-    #[doc(hidden)]
-    pub fn set_jit(&mut self, on: bool) -> &mut Self {
-        self.jit = Some(on);
-        self
     }
 
     /// Per-map lowering decisions recorded by the last `run`: which tier
@@ -942,7 +767,7 @@ impl<'s> Executor<'s> {
             .unwrap_or_default()
     }
 
-    /// Shared run protocol: optimize, allocate, lay out buffers, build the
+    /// Shared run protocol: allocate, lay out buffers, build the
     /// run context, hand control to `drive`, then tear down and snapshot
     /// statistics. [`Executor::run`] drives every state on the host;
     /// [`crate::dispatch::Runtime`] substitutes its own per-backend drive
@@ -953,7 +778,6 @@ impl<'s> Executor<'s> {
     {
         use sdfg_profile::flight;
         let run_t0 = std::time::Instant::now();
-        self.ensure_optimized()?;
         self.prepare()?;
         let chash = self.content_hash();
         if flight::enabled() {
@@ -963,11 +787,10 @@ impl<'s> Executor<'s> {
         // cumulative (and possibly shared across executors).
         let cache_before = self.plan_cache.stats();
         let pool_before = self.pool.stats();
-        // Keep the scheduler pool in sync with the requested thread count;
-        // `SDFG_SCHED=static` (or a serial run) disables it, which routes
-        // parallel maps down the legacy spawn-per-launch path.
+        // Keep the scheduler pool in sync with the requested thread count
+        // (a serial run has none).
         let nthreads = self.nthreads.max(1);
-        if nthreads > 1 && crate::sched::sched_mode() == crate::sched::SchedMode::Steal {
+        if nthreads > 1 {
             let rebuild = match &self.sched {
                 Some(p) => p.nworkers() != nthreads,
                 None => true,
@@ -988,13 +811,7 @@ impl<'s> Executor<'s> {
             && self
                 .jit
                 .unwrap_or_else(|| self.tuned_cfg.as_ref().is_none_or(|c| c.jit));
-        // The graph this run executes: the optimized copy when one exists.
-        // Borrowing the `opt_sdfg` field directly (not through a helper)
-        // keeps the later per-field writes below legal.
-        let sdfg: &Sdfg = match &self.opt_sdfg {
-            Some(b) => b,
-            None => self.sdfg,
-        };
+        let sdfg = self.sdfg;
         // Move arrays into shared buffers (slot-indexed for hot paths).
         // Slots are assigned in sorted-name order so they are deterministic
         // run to run; `ensure_layout` drops slot-dependent plan artifacts
@@ -1213,13 +1030,7 @@ impl<'s> Executor<'s> {
     }
 
     fn prepare(&mut self) -> Result<(), ExecError> {
-        // Allocate per the active graph: the optimizer may have removed
-        // transients (RedundantArray) the original graph would allocate.
-        let sdfg: &Sdfg = match &self.opt_sdfg {
-            Some(b) => b,
-            None => self.sdfg,
-        };
-        for (name, desc) in &sdfg.data {
+        for (name, desc) in &self.sdfg.data {
             match desc {
                 DataDesc::Array(a) => {
                     let mut size = 1i64;

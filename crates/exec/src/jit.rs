@@ -42,25 +42,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub const CFLAGS: &[&str] = &["-O2", "-fPIC", "-shared", "-ffp-contract=off"];
 
 /// ABI generation tag mixed into every [`kernel_hash`]: bumping it
-/// invalidates all cached artifacts at once (v2 added the nest entry
-/// point and its widened signature).
+/// invalidates all cached artifacts at once.
 const ABI_TAG: &str = "sdfg-jit-abi-v2";
 
-/// The fixed per-body kernel ABI (see `sdfg_codegen::jit` for the
+/// The kernel ABI (see `sdfg_codegen::jit` for the `geo`/`bnd` layout
 /// contract).
-pub type JitFn = unsafe extern "C" fn(
-    ins: *const *const f64,
-    in_off: *const i64,
-    in_stp: *const i64,
-    outs: *const *mut f64,
-    out_off: *const i64,
-    out_stp: *const i64,
-    syms: *const f64,
-    n: i64,
-);
-
-/// The whole-nest kernel ABI (v2; see `sdfg_codegen::jit` for the
-/// `geo`/`bnd` layout contract).
 pub type NestFn = unsafe extern "C" fn(
     bufs: *const *mut f64,
     geo: *const i64,
@@ -72,12 +58,8 @@ pub type NestFn = unsafe extern "C" fn(
 );
 
 /// A loaded, callable kernel. The underlying shared object stays mapped
-/// for the life of the process. Holds the raw entry-point address; the
-/// typed accessors transmute it to the ABI the kernel was compiled for
-/// (the loader resolves [`sdfg_codegen::jit::JIT_ENTRY`] or
-/// [`sdfg_codegen::jit::NEST_ENTRY`], so a given kernel only ever has one
-/// valid accessor — callers keep body kernels and nest kernels in
-/// separate plan fields).
+/// for the life of the process. Holds the raw address the loader resolved
+/// for [`sdfg_codegen::jit::NEST_ENTRY`].
 pub struct JitKernel {
     /// Content hash the artifact was cached under.
     pub hash: u64,
@@ -90,29 +72,16 @@ unsafe impl Send for JitKernel {}
 unsafe impl Sync for JitKernel {}
 
 impl JitKernel {
-    /// The per-body kernel entry point.
+    /// The kernel entry point.
     ///
     /// # Safety contract (for callers)
     ///
-    /// The generated code performs no bounds checks: every
-    /// `off + k*stp` for `k ∈ [0, n)` must be a valid index into the
-    /// corresponding slice, and `syms` must hold one value per program
-    /// symbol. Only valid on kernels loaded through [`JIT_ENTRY`]'s
-    /// compile path ([`get_or_compile`]).
-    ///
-    /// [`JIT_ENTRY`]: sdfg_codegen::jit::JIT_ENTRY
-    pub fn func(&self) -> JitFn {
+    /// The generated code performs no bounds checks: the caller must
+    /// pre-validate every address the nest can reach through its `geo` and
+    /// `bnd` rows, and `syms` must hold one value per program symbol.
+    pub fn func(&self) -> NestFn {
         // SAFETY: the loader resolved this symbol from a kernel emitted
-        // against the v1 signature.
-        unsafe { std::mem::transmute::<*mut std::os::raw::c_void, JitFn>(self.sym) }
-    }
-
-    /// The whole-nest entry point. Only valid on kernels loaded through
-    /// [`get_or_compile_nest`]; the caller must pre-validate every
-    /// address the nest can reach (the kernel performs no bounds checks).
-    pub fn nest_func(&self) -> NestFn {
-        // SAFETY: the loader resolved this symbol from a kernel emitted
-        // against the v2 nest signature.
+        // against the `NestFn` signature.
         unsafe { std::mem::transmute::<*mut std::os::raw::c_void, NestFn>(self.sym) }
     }
 }
@@ -253,9 +222,75 @@ pub fn stats() -> JitStats {
     }
 }
 
+/// Why a map body, map nest or state-machine loop did not reach native
+/// code — chosen at the site that declines, never recovered from the
+/// detail text.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DeclineKind {
+    /// Guard/edge/state shape, schedule, or node kind outside the
+    /// recognizer.
+    Structure,
+    /// A bound, step or memlet offset that is not affine in the nest's
+    /// iteration variables.
+    Bounds,
+    /// A tasklet body or port the emitter cannot mirror bitwise.
+    Body,
+    /// No system C compiler was found.
+    NoCompiler,
+    /// The compiler ran and failed (or could not be spawned).
+    CompileFailed,
+    /// The artifact compiled but could not be loaded.
+    DlopenFailed,
+}
+
+impl DeclineKind {
+    /// Reason name for the fallback ledger and `sdfg_jit_fallbacks_total`.
+    /// Whole-nest sites (`nest`: collapsed loops, scheduler tiles) and the
+    /// per-map innermost-span decision keep the two spellings their
+    /// records have always used.
+    pub fn reason(self, nest: bool) -> &'static str {
+        use DeclineKind::*;
+        match (self, nest) {
+            (Structure, true) => "nest-unsupported-structure",
+            (Bounds, true) => "nest-nonaffine-bounds",
+            (Body, true) => "nest-unsupported-body",
+            (NoCompiler | CompileFailed | DlopenFailed, true) => "nest-compile-failed",
+            (Structure | Bounds | Body, false) => "unsupported_body",
+            (NoCompiler, false) => "no_compiler",
+            (CompileFailed, false) => "compile_failed",
+            (DlopenFailed, false) => "dlopen_failed",
+        }
+    }
+}
+
+/// A typed decline: the kind plus a human-readable detail.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Decline {
+    /// What category of obstacle was hit.
+    pub kind: DeclineKind,
+    /// Free-form explanation for reports and the ledger's `detail` field.
+    pub detail: String,
+}
+
+impl Decline {
+    /// Builds a decline of `kind`.
+    pub fn new(kind: DeclineKind, detail: impl Into<String>) -> Decline {
+        Decline {
+            kind,
+            detail: detail.into(),
+        }
+    }
+
+    /// Records this decline as a JIT fallback of `map` (see
+    /// [`record_fallback`]; `nest` picks the reason spelling).
+    pub fn record(&self, content_hash: u64, map: &str, nest: bool) {
+        record_fallback(content_hash, map, self.kind.reason(nest), &self.detail);
+    }
+}
+
 /// Records one JIT fallback: bumps the counters and appends a
-/// `jit_fallback` ledger record (reason ∈ `disabled`, `no_compiler`,
-/// `compile_failed`, `dlopen_failed`, `unsupported_body`, ...).
+/// `jit_fallback` ledger record (`reason` is a [`DeclineKind::reason`]
+/// name).
 pub fn record_fallback(content_hash: u64, map: &str, reason: &str, detail: &str) {
     cells().fallbacks.fetch_add(1, Ordering::Relaxed);
     sdfg_profile::metrics::core().jit_fallbacks.inc();
@@ -277,7 +312,7 @@ pub fn record_fallback(content_hash: u64, map: &str, reason: &str, detail: &str)
 
 // --- registry -----------------------------------------------------------------
 
-type Slot = Arc<OnceLock<Result<Arc<JitKernel>, String>>>;
+type Slot = Arc<OnceLock<Result<Arc<JitKernel>, Decline>>>;
 
 fn registry() -> &'static Mutex<HashMap<u64, Slot>> {
     static REG: OnceLock<Mutex<HashMap<u64, Slot>>> = OnceLock::new();
@@ -288,20 +323,13 @@ fn registry() -> &'static Mutex<HashMap<u64, Slot>> {
 /// process per hash (concurrent callers for the same hash block on the
 /// first compilation and share its result — including its failure, so a
 /// broken kernel is not retried every launch).
-pub fn get_or_compile(source: &str) -> Result<Arc<JitKernel>, String> {
-    get_or_compile_entry(source, sdfg_codegen::jit::JIT_ENTRY)
-}
-
-/// [`get_or_compile`] for whole-nest kernels: same registry and artifact
-/// cache, but the loader resolves the v2 [`NEST_ENTRY`] symbol.
-///
-/// [`NEST_ENTRY`]: sdfg_codegen::jit::NEST_ENTRY
-pub fn get_or_compile_nest(source: &str) -> Result<Arc<JitKernel>, String> {
-    get_or_compile_entry(source, sdfg_codegen::jit::NEST_ENTRY)
-}
-
-fn get_or_compile_entry(source: &str, entry: &str) -> Result<Arc<JitKernel>, String> {
-    let cc = cc().ok_or_else(|| "no C compiler found (cc/gcc/clang)".to_string())?;
+pub fn get_or_compile(source: &str) -> Result<Arc<JitKernel>, Decline> {
+    let cc = cc().ok_or_else(|| {
+        Decline::new(
+            DeclineKind::NoCompiler,
+            "no C compiler found (cc/gcc/clang)",
+        )
+    })?;
     let hash = kernel_hash(source, cc);
     let slot: Slot = {
         let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
@@ -310,7 +338,7 @@ fn get_or_compile_entry(source: &str, entry: &str) -> Result<Arc<JitKernel>, Str
     let mut fresh = false;
     let res = slot.get_or_init(|| {
         fresh = true;
-        load_or_compile_in(&cache_dir(), source, cc, hash, entry)
+        load_or_compile_in(&cache_dir(), source, cc, hash)
     });
     if !fresh && res.is_ok() {
         cells().cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -327,11 +355,10 @@ pub(crate) fn load_or_compile_in(
     source: &str,
     cc: &CcInfo,
     hash: u64,
-    entry: &str,
-) -> Result<Arc<JitKernel>, String> {
+) -> Result<Arc<JitKernel>, Decline> {
     let so_path = dir.join(format!("{hash:016x}.so"));
     if so_path.exists() {
-        match load_kernel(&so_path, hash, entry) {
+        match load_kernel(&so_path, hash) {
             Ok(k) => {
                 cells().cache_hits.fetch_add(1, Ordering::Relaxed);
                 sdfg_profile::metrics::core().jit_cache_hits.inc();
@@ -343,12 +370,14 @@ pub(crate) fn load_or_compile_in(
             }
         }
     }
-    compile_into(dir, source, cc, hash)?;
-    load_kernel(&so_path, hash, entry)
-        .inspect_err(|_| {
-            let _ = std::fs::remove_file(&so_path);
-        })
-        .map_err(|e| format!("dlopen of freshly compiled kernel failed: {e}"))
+    compile_into(dir, source, cc, hash).map_err(|e| Decline::new(DeclineKind::CompileFailed, e))?;
+    load_kernel(&so_path, hash).map_err(|e| {
+        let _ = std::fs::remove_file(&so_path);
+        Decline::new(
+            DeclineKind::DlopenFailed,
+            format!("dlopen of freshly compiled kernel failed: {e}"),
+        )
+    })
 }
 
 /// Compiles `source` into `dir/<hash>.so` (atomic rename; also drops the
@@ -403,8 +432,9 @@ mod dl {
 }
 
 #[cfg(unix)]
-fn load_kernel(so_path: &Path, hash: u64, entry: &str) -> Result<Arc<JitKernel>, String> {
+fn load_kernel(so_path: &Path, hash: u64) -> Result<Arc<JitKernel>, String> {
     use std::ffi::{CStr, CString};
+    let entry = sdfg_codegen::jit::NEST_ENTRY;
     let path = CString::new(so_path.to_string_lossy().as_bytes())
         .map_err(|_| "NUL in artifact path".to_string())?;
     let entry_c = CString::new(entry).map_err(|_| "NUL in entry name".to_string())?;
@@ -439,7 +469,7 @@ fn dl_error_string() -> String {
 }
 
 #[cfg(not(unix))]
-fn load_kernel(_so_path: &Path, _hash: u64, _entry: &str) -> Result<Arc<JitKernel>, String> {
+fn load_kernel(_so_path: &Path, _hash: u64) -> Result<Arc<JitKernel>, String> {
     Err("dynamic loading unsupported on this platform".to_string())
 }
 
@@ -447,6 +477,13 @@ fn load_kernel(_so_path: &Path, _hash: u64, _entry: &str) -> Result<Arc<JitKerne
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// The compile counters are process-global and these tests assert
+    /// exact deltas, so every test that can invoke the compiler holds this.
+    fn counters() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
     fn test_dir(tag: &str) -> PathBuf {
         static N: AtomicUsize = AtomicUsize::new(0);
@@ -460,36 +497,38 @@ mod tests {
         d
     }
 
-    /// A trivial kernel: out[k] = 2*in[k] + 1 over the ABI.
+    /// A trivial hand-written 1-D nest over the ABI: port 0 → port 1,
+    /// `out[i0] = 2*in[i0] + 1`.
     const SRC: &str = "#include <math.h>\n\
-        void sdfg_kernel(const double *const *ins, const long long *in_off,\n\
-                         const long long *in_stp, double *const *outs,\n\
-                         const long long *out_off, const long long *out_stp,\n\
-                         const double *syms, long long n) {\n\
-          (void)syms;\n\
-          for (long long k = 0; k < n; ++k)\n\
-            outs[0][out_off[0] + k * out_stp[0]] =\n\
-              2.0 * ins[0][in_off[0] + k * in_stp[0]] + 1.0;\n\
+        void sdfg_nest(double *const *bufs, const long long *geo,\n\
+                       const double *syms, const long long *bnd,\n\
+                       long long lo0, long long hi0, long long *npts) {\n\
+          (void)syms; (void)bnd;\n\
+          for (long long i0 = lo0; i0 < hi0; ++i0)\n\
+            bufs[geo[3]][geo[4] + i0 * geo[5]] =\n\
+              2.0 * bufs[geo[0]][geo[1] + i0 * geo[2]] + 1.0;\n\
+          *npts = hi0 - lo0;\n\
         }\n";
 
     fn call(kern: &JitKernel, input: &[f64], out: &mut [f64]) {
-        let ins = [input.as_ptr()];
-        let outs = [out.as_mut_ptr()];
-        let zero = [0i64];
-        let one = [1i64];
-        // SAFETY: offsets/strides stay within the slices for n = len.
+        let bufs = [input.as_ptr() as *mut f64, out.as_mut_ptr()];
+        // Two geo rows of width 3: [buf, base, c0].
+        let geo = [0i64, 0, 1, 1, 0, 1];
+        let mut npts = 0i64;
+        // SAFETY: unit-stride offsets stay within the slices for
+        // i0 ∈ [0, len); the input is only read.
         unsafe {
             (kern.func())(
-                ins.as_ptr(),
-                zero.as_ptr(),
-                one.as_ptr(),
-                outs.as_ptr(),
-                zero.as_ptr(),
-                one.as_ptr(),
+                bufs.as_ptr(),
+                geo.as_ptr(),
                 std::ptr::null(),
+                std::ptr::null(),
+                0,
                 input.len() as i64,
+                &mut npts,
             );
         }
+        assert_eq!(npts, input.len() as i64);
     }
 
     #[test]
@@ -511,9 +550,10 @@ mod tests {
     #[test]
     fn compile_load_call_roundtrip() {
         let Some(cc) = cc() else { return };
+        let _g = counters();
         let dir = test_dir("abi");
         let hash = kernel_hash(SRC, cc);
-        let kern = load_or_compile_in(&dir, SRC, cc, hash, sdfg_codegen::jit::JIT_ENTRY).unwrap();
+        let kern = load_or_compile_in(&dir, SRC, cc, hash).unwrap();
         let input = [0.0, 1.0, 2.5, -3.0];
         let mut out = [0.0; 4];
         call(&kern, &input, &mut out);
@@ -524,6 +564,7 @@ mod tests {
     #[test]
     fn artifact_cache_hit_miss_and_corrupt_recovery() {
         let Some(cc) = cc() else { return };
+        let _g = counters();
         let dir = test_dir("cache");
         let hash = kernel_hash(SRC, cc);
         let so = dir.join(format!("{hash:016x}.so"));
@@ -536,7 +577,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(&so, b"not a shared object").unwrap();
         let before = stats();
-        let kern = load_or_compile_in(&dir, SRC, cc, hash, sdfg_codegen::jit::JIT_ENTRY).unwrap();
+        let kern = load_or_compile_in(&dir, SRC, cc, hash).unwrap();
         let mut out = [0.0];
         call(&kern, &[4.0], &mut out);
         assert_eq!(out, [9.0]);
@@ -549,7 +590,7 @@ mod tests {
         assert!(so.exists(), "artifact persisted");
 
         // Warm hit: the artifact is mapped without invoking the compiler.
-        load_or_compile_in(&dir, SRC, cc, hash, sdfg_codegen::jit::JIT_ENTRY).unwrap();
+        load_or_compile_in(&dir, SRC, cc, hash).unwrap();
         let after_hit = stats();
         assert_eq!(after_hit.compiles, after_miss.compiles, "hit: no compile");
         assert_eq!(after_hit.cache_hits, after_miss.cache_hits + 1);
@@ -561,6 +602,7 @@ mod tests {
         if cc().is_none() {
             return;
         }
+        let _g = counters();
         // A source unique to this test so the registry slot is fresh.
         let src = format!("{SRC}/* registry-test-{} */\n", std::process::id());
         let before = stats().compiles;
@@ -590,7 +632,7 @@ mod tests {
 
     #[test]
     fn nest_kernel_roundtrip_triangular() {
-        // Emit a real triangular nest through the v2 emitter, compile it,
+        // Emit a real triangular nest through the emitter, compile it,
         // and run one tile: for i ∈ [0,4), for j ∈ [0,i): A[4i+j] += 1·1.
         use sdfg_codegen::jit::{
             emit_nest_kernel, JitBody, JitOutMode, JitWcrOp, NestItem, NestOut, NestSpec,
@@ -621,7 +663,8 @@ mod tests {
             }],
         };
         let src = emit_nest_kernel(&spec).unwrap();
-        let kern = get_or_compile_nest(&src).unwrap();
+        let _g = counters();
+        let kern = get_or_compile(&src).unwrap();
         let mut a = [0.0f64; 16];
         let bufs = [a.as_mut_ptr()];
         // geo row (width 4): buf 0, base 0, coeffs (4, 1) → A[4i+j].
@@ -631,7 +674,7 @@ mod tests {
         let mut npts = 0i64;
         // SAFETY: geometry above stays inside `a` for i ∈ [0,4).
         unsafe {
-            (kern.nest_func())(
+            (kern.func())(
                 bufs.as_ptr(),
                 geo.as_ptr(),
                 std::ptr::null(),

@@ -3,22 +3,25 @@
 //! This crate is the Rust analogue of the paper's CPU code-generation path
 //! (§4.3 steps ❷–❸): where DaCe emits OpenMP-parallel C++ loop nests that a
 //! platform compiler vectorizes, this executor lowers each map scope into a
-//! compiled loop nest and runs it on worker threads, with three execution
-//! tiers per tasklet body:
+//! compiled loop nest and runs it on worker threads, choosing one
+//! execution tier per map body at plan time ([`lower`]):
 //!
-//! 1. **Native kernels** — when the tasklet matches a canonical form
+//! 1. **JIT** — hot affine nests are emitted as C (`sdfg_codegen::jit`),
+//!    compiled by the system compiler and called through one kernel ABI
+//!    ([`jit`]): whole state-machine loops, scheduler tiles, or the
+//!    innermost dimension of a single map.
+//! 2. **Native kernels** — when the tasklet matches a canonical form
 //!    ([`mod@sdfg_lang::recognize`]) and its memlets are affine, the inner loop
 //!    is a tight Rust loop over raw strides that LLVM auto-vectorizes.
-//! 2. **Affine VM loops** — otherwise, memlet subsets are pre-solved into
+//! 3. **Affine VM loops** — otherwise, memlet subsets are pre-solved into
 //!    affine functions of the map parameters ([`affine`]) and the bytecode
 //!    VM runs once per point with O(1) offset computation.
-//! 3. **Symbolic fallback** — non-affine accesses (`t % 2` indexing,
+//! 4. **Symbolic fallback** — non-affine accesses (`t % 2` indexing,
 //!    data-dependent ranges) re-evaluate subsets per point.
 //!
 //! Concurrency follows the SDFG semantics: CPU-multicore maps are tiled
 //! over their iteration space and scheduled on a persistent work-stealing
-//! pool ([`sched`]) with an adaptive grain size (set `SDFG_SCHED=static`
-//! for the legacy spawn-per-launch dim-0 chunking); write-conflict
+//! pool ([`sched`]) with an adaptive grain size; write-conflict
 //! resolution lowers to atomic compare-exchange loops (the analogue of
 //! `#pragma omp atomic`); consume scopes drain a shared queue with
 //! termination detection. Correctness relies on the IR contract that map

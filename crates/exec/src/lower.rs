@@ -6,10 +6,10 @@
 //! launch. This module makes the decision *once per map plan*, at compile
 //! time, and records it as a `Lowered` value stored in the plan:
 //!
-//! 1. **JIT** — a recognized affine body is emitted as standalone C
-//!    (`sdfg_codegen::jit`), compiled by the probed system compiler and
-//!    `dlopen`ed ([`crate::jit`]); the inner loop becomes one native call
-//!    per tile.
+//! 1. **JIT** — the body's innermost dimension becomes a 1-D nest
+//!    (`crate::nest`), emitted as C, compiled by the probed system
+//!    compiler and `dlopen`ed ([`crate::jit`]); the inner loop becomes one
+//!    native call per row.
 //! 2. **Micro-kernel** — the hand-written Rust loops in `crate::tasklet`
 //!    for recognized patterns.
 //! 3. **Affine VM** — the bytecode VM over pre-solved affine offsets.
@@ -24,7 +24,7 @@
 //! flag — so cached plans never alias across lowering configurations.
 //!
 //! Bitwise discipline: a JIT launch must produce bit-identical results to
-//! the tier it replaces. The emitters mirror the Rust loops statement for
+//! the tier it replaces. The emitter mirrors the Rust loops statement for
 //! statement, kernels compile with `-ffp-contract=off`, atomic WCR
 //! combines are never mirrored in C (the final combine of a register
 //! accumulation happens back in Rust, atomically when required), and any
@@ -32,15 +32,12 @@
 //! reason.
 
 use crate::engine::{Ctx, ExecError, Worker};
-use crate::jit;
-use crate::tasklet::{BodyTasklet, InPort, WindowPlan};
+use crate::nest::{self, NestCore};
+use crate::tasklet::{try_native_loop, try_vm_loop, BodyTasklet, InPort, WindowPlan};
 use sdfg_core::Wcr;
 use sdfg_graph::NodeId;
-use sdfg_symbolic::Env;
-use sdfg_symbolic::EvalError;
+use sdfg_profile::Tier;
 use std::sync::Arc;
-
-use sdfg_codegen::jit::{emit_jit_kernel, JitBody, JitOutMode, JitSpec, JitWcrOp};
 
 /// Maps whose estimated trip count (enclosing scopes included) is below
 /// this are not worth a compiler invocation: they keep their static tier
@@ -72,19 +69,12 @@ impl LowerTier {
     }
 }
 
-/// A compiled-and-loaded JIT kernel plus its marshalling recipe.
-pub(crate) struct JitLowered {
-    pub(crate) kernel: Arc<jit::JitKernel>,
-    /// Update mode per output port, fixed at lowering time.
-    pub(crate) outs: Vec<JitOutMode>,
-}
-
 /// The lowering decision for one map body, stored in the cached plan.
 pub(crate) struct Lowered {
     /// Chosen tier (a ceiling — run time may still fall through).
     pub(crate) tier: LowerTier,
-    /// Loaded kernel when `tier == Jit`.
-    pub(crate) jit: Option<Arc<JitLowered>>,
+    /// The innermost dimension as a compiled 1-D nest when `tier == Jit`.
+    pub(crate) jit: Option<NestCore>,
     /// Why the JIT tier was not chosen, when it was enabled but declined
     /// (unsupported body, cold map, compile failure, ...).
     pub(crate) jit_reason: Option<String>,
@@ -115,26 +105,6 @@ pub struct MapLowering {
     pub tier: &'static str,
     /// Why the JIT tier was declined, when it was.
     pub jit_reason: Option<String>,
-}
-
-fn wcr_jit_op(w: &Wcr) -> Option<JitWcrOp> {
-    match w {
-        Wcr::Sum => Some(JitWcrOp::Sum),
-        Wcr::Product => Some(JitWcrOp::Product),
-        Wcr::Min => Some(JitWcrOp::Min),
-        Wcr::Max => Some(JitWcrOp::Max),
-        Wcr::Custom(_) => None,
-    }
-}
-
-fn wcr_identity(w: &Wcr) -> f64 {
-    match w {
-        Wcr::Sum => 0.0,
-        Wcr::Product => 1.0,
-        Wcr::Min => f64::INFINITY,
-        Wcr::Max => f64::NEG_INFINITY,
-        Wcr::Custom(_) => 0.0, // unreachable: rejected at lowering time
-    }
 }
 
 /// The static (pre-JIT) tier of a single-tasklet map body: the tier the
@@ -178,99 +148,6 @@ fn vm_eligible(bt: &BodyTasklet, innermost: Option<&String>) -> bool {
     })
 }
 
-/// Builds the kernel source + marshalling recipe for a JIT candidate, or
-/// the reason it is not one.
-fn jit_candidate(
-    bt: &BodyTasklet,
-    innermost_dim: usize,
-    innermost: Option<&String>,
-) -> Result<(String, Vec<JitOutMode>), String> {
-    if bt.outs.is_empty() {
-        return Err("no output ports".into());
-    }
-    // Every port must resolve to an affine scalar (base, stride) pair at
-    // launch time — the kernel ABI is strided, nothing else.
-    for p in &bt.ins {
-        if p.stream {
-            return Err("stream input".into());
-        }
-        if !p.window.is_scalar_fast() {
-            return Err("non-scalar input window".into());
-        }
-    }
-    let mut modes = Vec::with_capacity(bt.outs.len());
-    for o in &bt.outs {
-        if o.stream {
-            return Err("stream output".into());
-        }
-        if o.log {
-            return Err("write-log output".into());
-        }
-        let WindowPlan::Scalar(sv) = &o.window else {
-            return Err("non-scalar output window".into());
-        };
-        let Some(coeff) = sv.coeff(innermost_dim) else {
-            return Err("symbolic output offset".into());
-        };
-        let mode = match &o.wcr {
-            None => {
-                if bt.native.is_some() {
-                    JitOutMode::Write
-                } else {
-                    // The VM seeds plain scalar outputs from memory.
-                    JitOutMode::ReadModifyWrite
-                }
-            }
-            Some(w) => {
-                let op = wcr_jit_op(w).ok_or("custom WCR")?;
-                let accumulates = coeff == 0
-                    && matches!(
-                        bt.native,
-                        Some(crate::tasklet::NativePlan::Pattern(_))
-                            | Some(crate::tasklet::NativePlan::MulChain(_))
-                    );
-                if accumulates {
-                    // Final (possibly atomic) combine happens in Rust.
-                    JitOutMode::Accumulate(op)
-                } else if o.atomic {
-                    return Err("atomic WCR combine".into());
-                } else {
-                    JitOutMode::CombinePerPoint(op)
-                }
-            }
-        };
-        modes.push(mode);
-    }
-    let body = match &bt.native {
-        Some(crate::tasklet::NativePlan::Pattern(p)) => JitBody::Pattern(*p),
-        Some(crate::tasklet::NativePlan::LinComb(lc)) => JitBody::LinComb(lc),
-        Some(crate::tasklet::NativePlan::MulChain(mc)) => JitBody::MulChain(mc),
-        None => {
-            if bt.prog.symbols.iter().any(|s| Some(s) == innermost) {
-                return Err("body reads the loop parameter as a symbol".into());
-            }
-            JitBody::Program(&bt.prog)
-        }
-    };
-    let src = emit_jit_kernel(&JitSpec {
-        body,
-        n_inputs: bt.ins.len(),
-        outs: &modes,
-    })?;
-    Ok((src, modes))
-}
-
-/// Classifies a [`crate::jit::get_or_compile`] error for the ledger.
-fn compile_error_kind(e: &str) -> &'static str {
-    if e.contains("no C compiler") {
-        "no_compiler"
-    } else if e.contains("dlopen") || e.contains("loading unsupported") {
-        "dlopen_failed"
-    } else {
-        "compile_failed"
-    }
-}
-
 /// Decides the lowering tier for a single-tasklet map body at plan-build
 /// time. `map_pcounts` are this map's own iteration counts; the enclosing
 /// scopes' counts come from the worker's stack.
@@ -304,41 +181,30 @@ pub(crate) fn decide_lowering(
             jit_reason: Some(format!("cold map (~{volume} points < {JIT_MIN_POINTS})")),
         };
     }
-    let innermost_dim = worker.pstack.len().saturating_sub(1);
-    match jit_candidate(bt, innermost_dim, innermost) {
-        Err(reason) => {
-            jit::record_fallback(ctx.chash, label, "unsupported_body", &reason);
+    match nest::build_span_nest(ctx, &worker.pstack, bt) {
+        Ok(core) => Lowered {
+            tier: LowerTier::Jit,
+            jit: Some(core),
+            jit_reason: None,
+        },
+        Err(d) => {
+            d.record(ctx.chash, label, false);
             Lowered {
                 tier,
                 jit: None,
-                jit_reason: Some(reason),
+                jit_reason: Some(d.detail),
             }
         }
-        Ok((src, outs)) => match jit::get_or_compile(&src) {
-            Ok(kernel) => Lowered {
-                tier: LowerTier::Jit,
-                jit: Some(Arc::new(JitLowered { kernel, outs })),
-                jit_reason: None,
-            },
-            Err(e) => {
-                jit::record_fallback(ctx.chash, label, compile_error_kind(&e), &e);
-                Lowered {
-                    tier,
-                    jit: None,
-                    jit_reason: Some(e),
-                }
-            }
-        },
     }
 }
 
-/// Runs the innermost dimension through the lowered JIT kernel. Returns
-/// `Ok(None)` — fall through to the next tier — whenever a launch-time
-/// precondition fails: a window that does not resolve, an offset outside
-/// its buffer (the legacy tiers clamp with `.max(0)`, which the kernel
-/// cannot mirror), a missing buffer slot.
+/// Runs the innermost dimension `dim` of a single-tasklet map over
+/// `[s, e)` on step `st`, starting at the tier recorded at plan time and
+/// falling through in monotone order (`jit` → `native` → `affine-vm`)
+/// whenever a launch-time precondition fails. `Ok(false)` leaves the span
+/// to the caller's per-point symbolic loop.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn try_jit_loop(
+pub(crate) fn run_inner_span(
     ctx: &Ctx,
     lowered: &Lowered,
     bt: &BodyTasklet,
@@ -347,143 +213,35 @@ pub(crate) fn try_jit_loop(
     s: i64,
     e: i64,
     st: i64,
-) -> Result<Option<()>, ExecError> {
-    let Some(jl) = &lowered.jit else {
-        return Ok(None);
-    };
-    // Program-mirror bodies resolve symbols exactly like `try_vm_loop`:
-    // before the empty-range early-out, erroring on an unbound name.
-    let mut syms: Vec<f64> = Vec::new();
-    if bt.native.is_none() {
-        syms.reserve(bt.prog.symbols.len());
-        for name in &bt.prog.symbols {
-            let v = worker
-                .env
-                .get(name)
-                .copied()
-                .ok_or_else(|| EvalError::UnboundSymbol(name.clone()))?;
-            syms.push(v as f64);
-        }
-    }
-    if st <= 0 || s >= e {
-        return Ok(if s >= e { Some(()) } else { None });
-    }
-    let n = ((e - s) + st - 1) / st;
-    worker.point[dim] = s;
-    let mut point_buf = [0i64; 24];
-    let np = worker.point.len().min(24);
-    point_buf[..np].copy_from_slice(&worker.point[..np]);
-    let point: &[i64] = &point_buf[..np];
-    let resolve = |w: &WindowPlan| -> Option<(i64, i64)> {
-        match w {
-            WindowPlan::Scalar(sv) => {
-                let base = sv.eval(point, &Env::new()).ok()?;
-                let coeff = sv.coeff(dim)?;
-                Some((base, coeff * st))
-            }
-            _ => None,
-        }
-    };
-    worker.st_points += n as u64;
-    worker.st_jit += n as u64;
-    let wk = &mut *worker;
-    let locals = &wk.locals;
-    let getbuf =
-        |slot: Option<usize>, name: &str| -> Result<&crate::buffer::SharedBuffer, ExecError> {
-            if locals.is_empty() {
-                if let Some(i) = slot {
-                    return Ok(&ctx.bufs[i]);
-                }
-            }
-            if let Some(b) = locals.get(name) {
-                Ok(b)
-            } else {
-                ctx.buf(name)
-            }
+) -> Result<bool, ExecError> {
+    let t0 = worker.tier_clock();
+    let mut tier = lowered.tier;
+    loop {
+        let (ran, prof, next) = match tier {
+            LowerTier::Jit => (
+                lowered
+                    .jit
+                    .as_ref()
+                    .and_then(|core| nest::run_span(ctx, core, worker, dim, s, e, st)),
+                Tier::Jit,
+                LowerTier::MicroKernel,
+            ),
+            LowerTier::MicroKernel => (
+                try_native_loop(ctx, bt, worker, dim, s, e, st)?,
+                Tier::NativeKernel,
+                LowerTier::AffineVm,
+            ),
+            LowerTier::AffineVm => (
+                try_vm_loop(ctx, bt, worker, dim, s, e, st)?,
+                Tier::AffineVm,
+                LowerTier::Symbolic,
+            ),
+            LowerTier::Symbolic => return Ok(false),
         };
-    // Every strided range the kernel will touch must be in bounds: the
-    // generated code has no checks and no clamping.
-    let span_ok = |b: i64, stp: i64, len: usize| -> bool {
-        let last = b + (n - 1) * stp;
-        b >= 0 && last >= 0 && (b.max(last) as usize) < len
-    };
-    let nin = bt.ins.len();
-    let mut in_ptrs: Vec<*const f64> = Vec::with_capacity(nin);
-    let mut in_offs: Vec<i64> = Vec::with_capacity(nin);
-    let mut in_stps: Vec<i64> = Vec::with_capacity(nin);
-    for p in &bt.ins {
-        let Some((b, stp)) = resolve(&p.window) else {
-            return Ok(None);
-        };
-        let buf = getbuf(p.slot, &p.data)?;
-        let slice = buf.as_slice();
-        if !span_ok(b, stp, slice.len()) {
-            return Ok(None);
+        if ran.is_some() {
+            worker.tier_record(t0, prof);
+            return Ok(true);
         }
-        in_ptrs.push(slice.as_ptr());
-        in_offs.push(b);
-        in_stps.push(stp);
+        tier = next;
     }
-    let nout = bt.outs.len();
-    let mut out_ptrs: Vec<*mut f64> = Vec::with_capacity(nout);
-    let mut out_offs: Vec<i64> = Vec::with_capacity(nout);
-    let mut out_stps: Vec<i64> = Vec::with_capacity(nout);
-    // Register-accumulation target: (port index, final offset). The kernel
-    // folds into a stack cell; the final combine happens below, in Rust.
-    let mut acc_cell = [0.0f64];
-    let mut acc_target: Option<(usize, i64)> = None;
-    for (j, o) in bt.outs.iter().enumerate() {
-        let Some((b, stp)) = resolve(&o.window) else {
-            return Ok(None);
-        };
-        let buf = getbuf(o.slot, &o.data)?;
-        let len = buf.as_slice().len();
-        if let JitOutMode::Accumulate(_) = jl.outs[j] {
-            if b < 0 || (b as usize) >= len {
-                return Ok(None);
-            }
-            acc_cell[0] = wcr_identity(o.wcr.as_ref().expect("accumulate implies WCR"));
-            acc_target = Some((j, b));
-            out_ptrs.push(acc_cell.as_mut_ptr());
-            out_offs.push(0);
-            out_stps.push(0);
-        } else {
-            if !span_ok(b, stp, len) {
-                return Ok(None);
-            }
-            // SAFETY: the pointer is only dereferenced inside the kernel
-            // call below, within the validated range.
-            out_ptrs.push(unsafe { buf.as_mut_slice().as_mut_ptr() });
-            out_offs.push(b);
-            out_stps.push(stp);
-        }
-    }
-    // SAFETY: every `off + k*stp` for `k < n` was validated in bounds
-    // above; pointer arrays outlive the call; `syms` holds one value per
-    // program symbol (resolved above). Aliasing between ins and outs is
-    // allowed — the kernel takes no `restrict` and mirrors the Rust tier's
-    // per-iteration read-then-write order.
-    unsafe {
-        (jl.kernel.func())(
-            in_ptrs.as_ptr(),
-            in_offs.as_ptr(),
-            in_stps.as_ptr(),
-            out_ptrs.as_ptr(),
-            out_offs.as_ptr(),
-            out_stps.as_ptr(),
-            syms.as_ptr(),
-            n,
-        );
-    }
-    if let Some((j, b)) = acc_target {
-        let o = &bt.outs[j];
-        let f = crate::copy::wcr_fn(o.wcr.as_ref().expect("accumulate implies WCR"))?;
-        let buf = getbuf(o.slot, &o.data)?;
-        if o.atomic {
-            buf.atomic_combine(b as usize, acc_cell[0], f);
-        } else {
-            buf.combine_plain(b as usize, acc_cell[0], f);
-        }
-    }
-    Ok(Some(()))
 }

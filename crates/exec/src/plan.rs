@@ -202,9 +202,12 @@ pub(crate) struct StatePlan {
     pub order: Vec<NodeId>,
 }
 
-/// Cache of whole-nest lowerings keyed by `K`; `Err` caches a decline
-/// reason so each recognizer runs once per plan.
-type NestCache<K, P> = Mutex<HashMap<K, Result<Arc<P>, String>>>;
+/// A whole-nest lowering, or the decline that stopped it.
+type NestResult<P> = Result<Arc<P>, crate::jit::Decline>;
+
+/// Cache of whole-nest lowerings keyed by `K`; `Err` caches a decline so
+/// each recognizer runs once per plan.
+type NestCache<K, P> = Mutex<HashMap<K, NestResult<P>>>;
 
 /// The cached lowering of one (SDFG, symbol bindings) pair.
 #[derive(Default)]
@@ -308,10 +311,7 @@ impl ExecutionPlan {
     }
 
     /// Cached whole-nest lowering (or decline) of a state-machine loop.
-    pub(crate) fn loop_nest(
-        &self,
-        sid: u32,
-    ) -> Option<Result<Arc<crate::nest::LoopNestPlan>, String>> {
+    pub(crate) fn loop_nest(&self, sid: u32) -> Option<NestResult<crate::nest::LoopNestPlan>> {
         self.loop_nests.lock().get(&sid).cloned()
     }
 
@@ -319,16 +319,13 @@ impl ExecutionPlan {
     pub(crate) fn insert_loop_nest(
         &self,
         sid: u32,
-        res: Result<Arc<crate::nest::LoopNestPlan>, String>,
-    ) -> Result<Arc<crate::nest::LoopNestPlan>, String> {
+        res: NestResult<crate::nest::LoopNestPlan>,
+    ) -> NestResult<crate::nest::LoopNestPlan> {
         self.loop_nests.lock().entry(sid).or_insert(res).clone()
     }
 
     /// Cached whole-nest lowering (or decline) of a standalone map.
-    pub(crate) fn map_nest(
-        &self,
-        key: (u32, u32),
-    ) -> Option<Result<Arc<crate::nest::MapNestPlan>, String>> {
+    pub(crate) fn map_nest(&self, key: (u32, u32)) -> Option<NestResult<crate::nest::MapNestPlan>> {
         self.map_nests.lock().get(&key).cloned()
     }
 
@@ -336,8 +333,8 @@ impl ExecutionPlan {
     pub(crate) fn insert_map_nest(
         &self,
         key: (u32, u32),
-        res: Result<Arc<crate::nest::MapNestPlan>, String>,
-    ) -> Result<Arc<crate::nest::MapNestPlan>, String> {
+        res: NestResult<crate::nest::MapNestPlan>,
+    ) -> NestResult<crate::nest::MapNestPlan> {
         self.map_nests.lock().entry(key).or_insert(res).clone()
     }
 

@@ -62,25 +62,6 @@ pub(crate) fn env_nthreads() -> Option<usize> {
         .and_then(|v| parse_nthreads(&v))
 }
 
-/// Scheduling strategy for parallel maps (the `SDFG_SCHED` env var).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SchedMode {
-    /// Persistent pool, adaptive tiles, work stealing (the default).
-    Steal,
-    /// The legacy path: fresh OS threads per launch, dim-0 split into
-    /// `nthreads` equal chunks. Kept as the benchmarking baseline.
-    Static,
-}
-
-/// Reads `SDFG_SCHED` once; anything other than `static` means stealing.
-pub(crate) fn sched_mode() -> SchedMode {
-    static MODE: std::sync::OnceLock<SchedMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("SDFG_SCHED") {
-        Ok(v) if v.eq_ignore_ascii_case("static") => SchedMode::Static,
-        _ => SchedMode::Steal,
-    })
-}
-
 std::thread_local! {
     static IN_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }

@@ -102,6 +102,7 @@ pub struct Outputs {
     symbols: Env,
     stats: Stats,
     report: Option<InstrumentationReport>,
+    plan: Option<Arc<crate::plan::ExecutionPlan>>,
 }
 
 impl Outputs {
@@ -144,6 +145,15 @@ impl Outputs {
     /// The instrumentation report, when the session profiles.
     pub fn report(&self) -> Option<&InstrumentationReport> {
         self.report.as_ref()
+    }
+
+    /// Per-map lowering decisions of the plan this run consulted (see
+    /// [`Executor::lowering_report`]).
+    pub fn lowering_report(&self) -> Vec<crate::lower::MapLowering> {
+        self.plan
+            .as_ref()
+            .map(|p| p.lowerings())
+            .unwrap_or_default()
     }
 
     /// Re-wraps the outputs as the next invoke's bindings without copying
@@ -317,13 +327,10 @@ impl SessionBuilder {
 }
 
 /// Builds a steal-scheduler pool suitable for sharing across sessions
-/// with the same thread count. `None` when `nthreads <= 1` or the
-/// `SDFG_SCHED=static` escape hatch selects the legacy spawn-per-launch
-/// path — sessions then run without a persistent pool, exactly like the
-/// executor would.
+/// with the same thread count. `None` when `nthreads <= 1`: serial
+/// sessions run without a pool.
 pub fn shared_scheduler(nthreads: usize) -> Option<Arc<SchedPool>> {
-    (nthreads > 1 && crate::sched::sched_mode() == crate::sched::SchedMode::Steal)
-        .then(|| Arc::new(SchedPool::new(nthreads)))
+    (nthreads > 1).then(|| Arc::new(SchedPool::new(nthreads)))
 }
 
 /// A compiled, immutable, `Sync`-shareable program: the compile-once/
@@ -358,10 +365,11 @@ impl Session {
     }
 
     /// Runs the program under a wall-clock budget measured from this
-    /// call. The deadline is checked between state executions — an
-    /// expired budget cancels with [`SdfgError::Timeout`] (`SDFG-X004`)
-    /// without tearing down mid-state, so the shared plan cache and
-    /// buffer pool stay consistent.
+    /// call. The deadline is checked between state executions and between
+    /// slices of a loop collapsed into native code — an expired budget
+    /// cancels with [`SdfgError::Timeout`] (`SDFG-X004`) without tearing
+    /// down mid-state, so the shared plan cache and buffer pool stay
+    /// consistent.
     pub fn run_deadline(&self, bindings: Bindings, budget: Duration) -> Result<Outputs, SdfgError> {
         self.invoke(bindings, Some(budget))
     }
@@ -382,7 +390,6 @@ impl Session {
         // pipeline's products over so reports and the run ledger describe
         // the real optimization level, and pre-seed the hash memo so warm
         // invokes never re-serialize the graph.
-        ex.preoptimized = true;
         ex.opt_level = self.opt;
         ex.opt_report = compiled.report.clone();
         ex.tuned_cfg = compiled.tuned.clone();
@@ -415,6 +422,7 @@ impl Session {
             symbols: bindings.symbols,
             stats,
             report: ex.last_report.take(),
+            plan: ex.last_plan.take(),
         })
     }
 
@@ -600,7 +608,7 @@ impl Session {
     }
 
     /// Work-stealing scheduler counters, cumulative for the shared pool;
-    /// `None` while serial or under `SDFG_SCHED=static`.
+    /// `None` while serial.
     pub fn sched_stats(&self) -> Option<SchedStats> {
         self.sched.as_ref().map(|p| p.stats())
     }

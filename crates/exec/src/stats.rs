@@ -13,11 +13,13 @@ pub struct Stats {
     pub native_points: u64,
     /// Points executed through JIT-compiled native code.
     pub jit_points: u64,
-    /// Whole-nest native calls (collapsed state-machine loops and
-    /// tile-dispatched map nests).
+    /// Native nest-kernel calls: collapsed state-machine loops (one per
+    /// loop, or per deadline slice), tile-dispatched map nests (one per
+    /// tile) and innermost spans (one per row).
     pub nest_calls: u64,
-    /// Points executed inside whole-nest native calls (subset of
-    /// `jit_points`).
+    /// Points executed inside nest-kernel calls. Every JIT point runs in
+    /// one, so `nest_points == jit_points`; the field stays for the
+    /// ledger, metrics and bench schemas that read it.
     pub nest_points: u64,
     /// Interstate edge condition evaluations performed by the drive loop.
     pub interstate_evals: u64,
@@ -48,7 +50,6 @@ pub(crate) struct AtomicStats {
     pub(crate) native_points: AtomicU64,
     pub(crate) jit_points: AtomicU64,
     pub(crate) nest_calls: AtomicU64,
-    pub(crate) nest_points: AtomicU64,
     pub(crate) interstate_evals: AtomicU64,
     pub(crate) elements_copied: AtomicU64,
     pub(crate) map_launches: AtomicU64,
@@ -61,12 +62,13 @@ pub(crate) struct AtomicStats {
 
 impl AtomicStats {
     pub(crate) fn snapshot(&self) -> Stats {
+        let jit_points = self.jit_points.load(Ordering::Relaxed);
         Stats {
             tasklet_points: self.tasklet_points.load(Ordering::Relaxed),
             native_points: self.native_points.load(Ordering::Relaxed),
-            jit_points: self.jit_points.load(Ordering::Relaxed),
+            jit_points,
             nest_calls: self.nest_calls.load(Ordering::Relaxed),
-            nest_points: self.nest_points.load(Ordering::Relaxed),
+            nest_points: jit_points,
             interstate_evals: self.interstate_evals.load(Ordering::Relaxed),
             elements_copied: self.elements_copied.load(Ordering::Relaxed),
             map_launches: self.map_launches.load(Ordering::Relaxed),

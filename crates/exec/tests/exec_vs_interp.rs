@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sdfg_core::{DType, Schedule, Wcr};
-use sdfg_exec::Executor;
+use sdfg_exec::{Bindings, Executor, Session};
 use sdfg_frontend::{parse_program, SdfgBuilder};
 use sdfg_interp::Interpreter;
 
@@ -270,20 +270,24 @@ fn stats_report_native_points() {
     assert!(ex.array("C").iter().all(|&v| v == 3.0));
 
     // With the JIT tier disabled the same map lands on the micro-kernel.
-    let mut ex2 = Executor::new(&sdfg);
-    ex2.set_jit(false);
-    ex2.set_symbol("N", 4096);
-    ex2.set_array("A", vec![1.0; 4096]);
-    ex2.set_array("B", vec![2.0; 4096]);
-    ex2.set_array("C", vec![0.0; 4096]);
-    let stats2 = ex2.run().unwrap();
-    assert_eq!(stats2.jit_points, 0, "set_jit(false) disables the JIT tier");
+    let session = Session::builder(sdfg.clone()).jit(false).build().unwrap();
+    let out = session
+        .run(
+            Bindings::new()
+                .symbol("N", 4096)
+                .array_vec("A", vec![1.0; 4096])
+                .array_vec("B", vec![2.0; 4096])
+                .array_vec("C", vec![0.0; 4096]),
+        )
+        .unwrap();
+    let stats2 = out.stats();
+    assert_eq!(stats2.jit_points, 0, "jit(false) disables the JIT tier");
     assert_eq!(
         stats2.native_points, 4096,
         "simple add must take the native path"
     );
-    assert!(ex2.array("C").iter().all(|&v| v == 3.0));
-    let report = ex2.lowering_report();
+    assert!(out.array("C").unwrap().iter().all(|&v| v == 3.0));
+    let report = out.lowering_report();
     assert_eq!(report.len(), 1);
     assert_eq!(report[0].tier, "native");
 }

@@ -8,7 +8,7 @@
 //! processes and cannot interleave records).
 
 use sdfg_core::{Instrument, Sdfg};
-use sdfg_exec::Profiling;
+use sdfg_exec::{Bindings, Profiling, Session};
 use sdfg_workloads::polybench;
 use sdfg_workloads::workload::Workload;
 use std::sync::{Mutex, MutexGuard};
@@ -38,13 +38,17 @@ fn annotate_state_timers(sdfg: &mut Sdfg) {
     }
 }
 
-/// Best-of-`reps` warm time in milliseconds on an already-warm executor.
-fn best_warm_ms(ex: &mut sdfg_exec::Executor, reps: usize) -> f64 {
+/// Best-of-`reps` warm time in milliseconds on an already-warm session;
+/// each run's outputs are the next run's bindings.
+fn best_warm_ms(session: &Session, bindings: &mut Option<Bindings>, reps: usize) -> f64 {
     (0..reps)
         .map(|_| {
+            let b = bindings.take().expect("bindings");
             let t0 = Instant::now();
-            ex.run().expect("warm run");
-            t0.elapsed().as_secs_f64() * 1e3
+            let out = session.run(b).expect("warm run");
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            *bindings = Some(out.into_bindings());
+            ms
         })
         .fold(f64::INFINITY, f64::min)
 }
@@ -116,26 +120,28 @@ fn annotated_profiling_overhead_stays_under_two_percent() {
     let mut annotated_w = build_kernel("gemm", 32);
     annotate_state_timers(&mut annotated_w.sdfg);
 
-    let mut base_ex = base_w.executor();
-    let mut ann_ex = annotated_w.executor();
     // Pin both runs to the interpreted tiers: the JIT shrinks gemm's warm
     // time several-fold, which turns this 2% relative bound into a
     // few-microsecond absolute one — pure scheduler noise under parallel
     // test load. Instrumentation overhead is tier-independent.
-    base_ex.set_jit(false);
-    ann_ex.set_jit(false);
-    ann_ex.enable_profiling(Profiling::Annotated);
-    for _ in 0..3 {
-        base_ex.run().expect("warmup");
-        ann_ex.run().expect("warmup");
-    }
+    let base_s = base_w.session().jit(false).build().expect("session");
+    let ann_s = annotated_w
+        .session()
+        .jit(false)
+        .profiling(Profiling::Annotated)
+        .build()
+        .expect("session");
+    let mut base_b = Some(base_w.bindings());
+    let mut ann_b = Some(annotated_w.bindings());
+    best_warm_ms(&base_s, &mut base_b, 3);
+    best_warm_ms(&ann_s, &mut ann_b, 3);
 
     let mut last = (0.0, 0.0);
     for _attempt in 0..5 {
         let (mut base, mut ann) = (Vec::new(), Vec::new());
         for _ in 0..5 {
-            base.push(best_warm_ms(&mut base_ex, 8));
-            ann.push(best_warm_ms(&mut ann_ex, 8));
+            base.push(best_warm_ms(&base_s, &mut base_b, 8));
+            ann.push(best_warm_ms(&ann_s, &mut ann_b, 8));
         }
         let (b, a) = (median(base), median(ann));
         if a <= b * 1.02 {
