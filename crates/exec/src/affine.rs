@@ -61,6 +61,76 @@ impl Solved {
     }
 }
 
+/// A compile site: everything a memlet subset or stride is solved against.
+///
+/// `names` are solved as affine variables — iteration variables and
+/// launch-time constants alike — and `env0` holds the launch-invariant
+/// bindings, the only values that may be folded into a cached artifact.
+/// A launch-time constant is a name whose value is fixed for one launch
+/// but differs between launches of the same program point: a mutable
+/// interstate symbol, or (for an innermost-span kernel) an enclosing map
+/// parameter. Carried as a coefficient, `Σ coeff·value` is added to the
+/// base when the launch resolves its offsets, so one artifact serves every
+/// launch.
+///
+/// The one exception is an expression that is *not* affine in a
+/// launch-time constant (`A[(k*k) % N]`): when `fold` supplies the current
+/// values of the leading names, such an expression is re-solved with those
+/// names bound to their values, and each value folded that way is recorded
+/// in `folded` — the artifact is then valid only where they recur.
+pub(crate) struct Solver<'a> {
+    /// Names solved as affine variables.
+    pub(crate) names: &'a [String],
+    /// Launch-invariant bindings.
+    pub(crate) env0: &'a Env,
+    /// Current values of the leading `fold.len()` names, the launch-time
+    /// constants that may be folded; empty forbids folding.
+    pub(crate) fold: &'a [i64],
+    /// `(index into names, value)` of every constant folded so far.
+    pub(crate) folded: Vec<(usize, i64)>,
+}
+
+impl<'a> Solver<'a> {
+    /// A solver that never folds a launch-time constant.
+    pub(crate) fn new(names: &'a [String], env0: &'a Env) -> Solver<'a> {
+        Solver {
+            names,
+            env0,
+            fold: &[],
+            folded: Vec::new(),
+        }
+    }
+
+    /// Solves `expr` at this site (see [`solve`]).
+    pub(crate) fn solve(&mut self, expr: &Expr) -> Solved {
+        let solved = solve(expr, self.names, self.env0);
+        if solved.is_fast() || self.fold.is_empty() {
+            return solved;
+        }
+        let free = expr.free_symbols();
+        let hit: Vec<usize> = (0..self.fold.len())
+            .filter(|&i| free.contains(&self.names[i]))
+            .collect();
+        if hit.is_empty() {
+            return solved;
+        }
+        // Bind the constants the expression reads and hide their names from
+        // the probe (the empty string is no identifier).
+        let mut env = self.env0.clone();
+        let mut names = self.names.to_vec();
+        for &i in &hit {
+            env.insert(std::mem::take(&mut names[i]), self.fold[i]);
+        }
+        let refolded = solve(expr, &names, &env);
+        if !refolded.is_fast() {
+            return solved;
+        }
+        self.folded
+            .extend(hit.into_iter().map(|i| (i, self.fold[i])));
+        refolded
+    }
+}
+
 /// Probes `expr` for affinity in `params`, with all other symbols bound by
 /// `env`. Returns `Solved::Symbolic` when the expression is not affine or
 /// references unbound symbols at probe points.

@@ -4,13 +4,13 @@
 use crate::buffer::SharedBuffer;
 use crate::copy::{exec_access, gather_symbolic, scatter_symbolic, scope_owns_container, wcr_fn};
 use crate::engine::Executor;
-use crate::engine::{Ctx, ExecError, Worker};
+use crate::engine::{bind, unbind, Ctx, ExecError, Worker};
 use crate::lower::{run_inner_span, Lowered};
 use crate::tasklet::{run_tasklet_point, BodyTasklet, WindowPlan};
 use parking_lot::Mutex;
 use sdfg_core::desc::DataDesc;
 use sdfg_core::scope::ScopeTree;
-use sdfg_core::{Node, Schedule, StateId, Wcr};
+use sdfg_core::{Node, Schedule, StateId, Subset, Wcr};
 use sdfg_graph::{EdgeId, NodeId};
 use sdfg_profile::{Mode as ProfMode, Span, SpanKey, Tier};
 use std::sync::atomic::Ordering;
@@ -26,11 +26,19 @@ pub(crate) enum MapBody {
     Generic {
         children: Vec<NodeId>,
         /// Transients local to this scope → zeroed per iteration, allocated
-        /// thread-locally.
-        local_transients: Vec<(String, usize)>,
+        /// thread-locally (sized when a launch allocates them).
+        local_transients: Vec<String>,
         /// Access→exit write-back edges processed at iteration end.
         writebacks: Vec<EdgeId>,
     },
+}
+
+/// A dynamic-range connector of a map entry: each launch binds `conn` to
+/// the (rounded) element of `data` at `subset`.
+pub(crate) struct DynEdge {
+    conn: String,
+    data: String,
+    subset: Subset,
 }
 
 /// Everything launch-invariant about one map scope, cached per worker and
@@ -42,10 +50,15 @@ pub(crate) struct MapPlan {
     pub(crate) ranges: Vec<sdfg_symbolic::SymRange>,
     #[allow(dead_code)] // kept for diagnostics/debug printing
     pub(crate) schedule: Schedule,
-    /// Dynamic-range connector edges (gathered per launch).
-    pub(crate) dyn_edges: Vec<EdgeId>,
-    /// Iteration counts for the race analysis.
+    /// Dynamic-range connectors (gathered per launch).
+    pub(crate) dyn_edges: Vec<DynEdge>,
+    /// Static iteration counts for the race analysis: the trip count of a
+    /// launch-invariant range, `i64::MAX/4` for anything else.
     pub(crate) pcounts: Vec<i64>,
+    /// Dimensions whose extent reads launch-time constants and nothing
+    /// else that varies: each launch measures them for the scheduler's
+    /// volume estimate and the JIT hotness gate.
+    per_launch: Vec<usize>,
     pub(crate) body: MapBody,
 }
 
@@ -53,7 +66,7 @@ impl MapPlan {
     /// The lowering-report row for this plan.
     pub(crate) fn lowering_entry(&self, sid: u32, nid: u32) -> crate::lower::MapLowering {
         let (tier, jit_reason) = match &self.body {
-            MapBody::Tasklets(_, l) => (l.tier.name(), l.jit_reason.clone()),
+            MapBody::Tasklets(_, l) => l.report(),
             MapBody::Generic { .. } => (crate::lower::LowerTier::Symbolic.name(), None),
         };
         crate::lower::MapLowering {
@@ -64,6 +77,23 @@ impl MapPlan {
             jit_reason,
         }
     }
+
+    /// Trip count per dimension for this launch: the static counts, with
+    /// the per-launch dimensions measured (dim 0 from the `n0` the caller
+    /// already has).
+    fn extents(&self, worker: &Worker, n0: usize) -> std::borrow::Cow<'_, [i64]> {
+        if self.per_launch.is_empty() {
+            return std::borrow::Cow::Borrowed(&self.pcounts);
+        }
+        let mut counts = self.pcounts.clone();
+        for &d in &self.per_launch {
+            counts[d] = match d {
+                0 => n0 as i64,
+                _ => self.ranges[d].eval_len(&worker.env).unwrap_or(i64::MAX / 4),
+            };
+        }
+        std::borrow::Cow::Owned(counts)
+    }
 }
 
 pub(crate) fn build_map_plan(
@@ -73,16 +103,18 @@ pub(crate) fn build_map_plan(
     entry: NodeId,
     worker: &mut Worker,
 ) -> Result<std::sync::Arc<MapPlan>, ExecError> {
-    if let Some(p) = worker.map_cache.get(&(sid.0, entry.0)) {
-        return Ok(p.clone());
-    }
-    // Shared cache probe: a map plan bakes in environment-derived values
-    // (iteration counts, window offsets, local-transient sizes, atomic
-    // flags), so reuse is gated on an equal compile context.
     let shared_key = (sid.0, entry.0);
-    let cctx = worker.compile_ctx();
-    if let Some(p) = ctx.plan.map(shared_key, &cctx) {
-        worker.map_cache.insert(shared_key, p.clone());
+    if let Some((c, p)) = worker.map_cache.get(&shared_key) {
+        if c.matches(worker) {
+            return Ok(p.clone());
+        }
+    }
+    // Shared cache probe: a map plan bakes in context-derived values
+    // (enclosing iteration counts, atomic flags, folded constants), so
+    // reuse is gated on a matching compile context.
+    if let Some(cached) = ctx.plan.map(shared_key, worker) {
+        let p = cached.1.clone();
+        worker.map_cache.insert(shared_key, cached);
         return Ok(p);
     }
     let state = ctx.sdfg.state(sid);
@@ -92,35 +124,39 @@ pub(crate) fn build_map_plan(
     let params = scope.params.clone();
     let ranges = scope.ranges.clone();
     let schedule = scope.schedule;
-    // Iteration counts for the race analysis: dynamic (parameter-dependent
-    // or connector-fed) ranges are treated as unbounded.
+    let inv = &*ctx.inv;
     let mut pcounts = Vec::with_capacity(ranges.len());
-    for r in &ranges {
-        let dynamic = {
-            let mut syms = std::collections::BTreeSet::new();
-            r.collect_symbols(&mut syms);
-            syms.iter()
-                .any(|s| worker.pstack.contains(s) || !worker.env.contains_key(s))
-        };
-        // Static ranges must evaluate: a failure here is a real error
-        // (unbound symbol, malformed bound), not a reason to silently
-        // treat the dimension as unbounded and flip scheduling decisions.
-        let count = if dynamic {
-            i64::MAX / 4
-        } else {
-            r.eval_len(&worker.env)?
-        };
-        pcounts.push(count);
+    let mut per_launch = Vec::new();
+    for (d, r) in ranges.iter().enumerate() {
+        let mut syms = std::collections::BTreeSet::new();
+        r.collect_symbols(&mut syms);
+        // Launch-invariant ranges must evaluate: a failure here is a real
+        // error (malformed bound), not a reason to silently treat the
+        // dimension as unbounded and flip scheduling decisions.
+        if syms.iter().all(|s| inv.env0.contains_key(s)) {
+            pcounts.push(r.eval_len(&inv.env0)?);
+            continue;
+        }
+        pcounts.push(i64::MAX / 4);
+        let map_params = &worker.pstack[worker.nconst..];
+        if syms
+            .iter()
+            .all(|s| !map_params.contains(s) && (inv.env0.contains_key(s) || inv.muts.contains(s)))
+        {
+            per_launch.push(d);
+        }
     }
-    let dyn_edges: Vec<EdgeId> = state
+    let dyn_edges: Vec<DynEdge> = state
         .graph
         .in_edges(entry)
-        .filter(|&e| {
+        .filter_map(|e| {
             let df = state.graph.edge(e);
-            df.dst_conn
-                .as_deref()
-                .is_some_and(|c| !c.starts_with("IN_"))
-                && !df.memlet.is_empty()
+            let conn = df.dst_conn.as_deref()?;
+            (!conn.starts_with("IN_") && !df.memlet.is_empty()).then(|| DynEdge {
+                conn: conn.to_string(),
+                data: df.memlet.data_name().to_string(),
+                subset: df.memlet.subset.clone(),
+            })
         })
         .collect();
     // Children.
@@ -132,12 +168,16 @@ pub(crate) fn build_map_plan(
     let all_tasklets = children
         .iter()
         .all(|&c| matches!(state.graph.node(c), Node::Tasklet { .. }));
+    // Constants folded into the body's tasklets gate this plan as well.
+    let mut folded: Vec<(usize, i64)> = Vec::new();
     let body = if all_tasklets && !children.is_empty() {
         let mut ts = Vec::new();
         for &c in &children {
-            ts.push((c, worker.tasklet(sid, c)?));
+            let (cctx, bt) = worker.tasklet_cached(sid, c)?;
+            folded.extend(&cctx.folded);
+            ts.push((c, bt));
         }
-        let lowered = crate::lower::decide_lowering(ctx, worker, &scope.label, &ts, &pcounts);
+        let lowered = crate::lower::decide_lowering(ctx, worker, &ts);
         MapBody::Tasklets(ts, lowered)
     } else {
         // Thread-local transients: transient containers whose lifetime is
@@ -152,14 +192,10 @@ pub(crate) fn build_map_plan(
                     .desc(data)
                     .ok_or_else(|| ExecError::MissingArray(data.to_string()))?;
                 if desc.transient()
-                    && !local_transients.iter().any(|(n, _)| n == data)
+                    && !local_transients.iter().any(|n| n == data)
                     && scope_owns_container(ctx.sdfg, sid, &members, data)
                 {
-                    let mut size = 1i64;
-                    for d in desc.shape() {
-                        size = size.saturating_mul(d.eval(&worker.env)?.max(0));
-                    }
-                    local_transients.push((data.to_string(), size as usize));
+                    local_transients.push(data.to_string());
                 }
                 for e in state.graph.out_edges(c) {
                     let dst = state.graph.edge_dst(e);
@@ -185,10 +221,15 @@ pub(crate) fn build_map_plan(
         schedule,
         dyn_edges,
         pcounts,
+        per_launch,
         body,
     });
-    ctx.plan.insert_map(shared_key, cctx, plan.clone());
-    worker.map_cache.insert(shared_key, plan.clone());
+    ctx.plan_cache.note_point_compile();
+    let cached = ctx
+        .plan
+        .insert_map(shared_key, worker.compile_ctx(folded), plan);
+    let plan = cached.1.clone();
+    worker.map_cache.insert(shared_key, cached);
     Ok(plan)
 }
 
@@ -296,18 +337,22 @@ pub(crate) fn exec_map(
     let ranges = &plan.ranges;
     let body = &plan.body;
     worker.pcounts.extend(plan.pcounts.iter().copied());
-    // Dynamic-range connectors (per launch).
-    for &e in &plan.dyn_edges {
-        let df = state.graph.edge(e);
-        let conn = df.dst_conn.clone().unwrap();
-        let m = df.memlet.clone();
-        let w = gather_symbolic(worker, m.data_name(), &m.subset)?;
-        worker.env.insert(conn, w[0].round() as i64);
+    // Dynamic-range connectors (per launch), bound over whatever they
+    // shadow until the launch ends.
+    let mut shadowed = Vec::with_capacity(plan.dyn_edges.len());
+    for de in &plan.dyn_edges {
+        let w = gather_symbolic(worker, &de.data, &de.subset)?;
+        shadowed.push(bind(&mut worker.env, &de.conn, w[0].round() as i64));
     }
+    let saved_volume = worker.volume;
     let pop = |w: &mut Worker| {
+        for (de, prev) in plan.dyn_edges.iter().zip(&shadowed) {
+            unbind(&mut w.env, &de.conn, *prev);
+        }
         w.pstack.truncate(base);
         w.point.truncate(base);
         w.pcounts.truncate(base);
+        w.volume = saved_volume;
         w.chunk_param = saved_chunk;
         w.cur_map = saved_cur_map;
     };
@@ -322,6 +367,16 @@ pub(crate) fn exec_map(
         prof_close(worker);
         return Ok(());
     }
+    // What this launch really iterates: feeds the scheduler's volume
+    // estimate and the JIT hotness gate, which a body of this map reads
+    // off the worker.
+    let extents = plan.extents(worker, n0);
+    for &c in extents.iter() {
+        worker.volume = worker.volume.saturating_mul(c.max(1));
+    }
+    if let MapBody::Tasklets(ts, lowered) = &plan.body {
+        lowered.prepare(ctx, worker, &plan.label, &ts[0].1);
+    }
     // Parallel launches go through the work-stealing pool: the adaptive
     // tuner decides per launch whether tiling pays off, and the
     // determinism gate keeps order-sensitive bodies serial.
@@ -329,7 +384,7 @@ pub(crate) fn exec_map(
     // Estimated volume and start time: the tuner's inputs, taken only
     // where it is consulted.
     let sample = pool.map(|_| {
-        let volume = (n0 as u64).saturating_mul(inner_points_estimate(&plan, n0));
+        let volume = (n0 as u64).saturating_mul(inner_points_estimate(&extents, n0));
         (volume, std::time::Instant::now())
     });
     let tiles = pool.zip(sample).and_then(|(pool, (volume, _))| {
@@ -386,14 +441,14 @@ pub(crate) fn exec_map(
     r.map(|()| prof_close(worker))
 }
 
-/// Estimated points per dim-0 iteration from the plan's static iteration
-/// counts. Dynamic dimensions (data-dependent or parameter-dependent
-/// bounds, marked with the unbounded sentinel) are estimated at half the
-/// outer extent — exact on average for the triangular nests this feeds
+/// Estimated points per dim-0 iteration from the launch's extents.
+/// Dynamic dimensions (data-dependent or parameter-dependent bounds,
+/// marked with the unbounded sentinel) are estimated at half the outer
+/// extent — exact on average for the triangular nests this feeds
 /// (cholesky, lu, trisolv).
-fn inner_points_estimate(plan: &MapPlan, n0: usize) -> u64 {
+fn inner_points_estimate(extents: &[i64], n0: usize) -> u64 {
     let mut prod = 1u64;
-    for &c in plan.pcounts.iter().skip(1) {
+    for &c in extents.iter().skip(1) {
         let est = if c >= i64::MAX / 8 {
             (n0 as u64 / 2).max(1)
         } else {
@@ -550,9 +605,9 @@ fn try_collapse(
 /// Runs one parallel launch through the work-stealing pool. Per-slot
 /// workers are built lazily on first tile — reusing the pool's resident
 /// VM register file and env hash-map allocation — execute tiles as the
-/// deques drain, and are merged back on completion. The launcher's env,
-/// snapshotted once per launch, is the copy-on-write base; each tile
-/// writes only its own parameter bindings on top.
+/// deques drain, and are merged back on completion. Each slot works on its
+/// own copy of the launcher's env (which is unchanged while the launch
+/// runs) and writes only its own parameter bindings on top.
 #[allow(clippy::too_many_arguments)]
 fn run_map_steal(
     ctx: &Ctx,
@@ -570,9 +625,6 @@ fn run_map_steal(
         w: Worker<'c, 's>,
         start_ns: Option<u64>,
     }
-    let base_env = worker.env.clone();
-    let pstack = worker.pstack.clone();
-    let pcounts = worker.pcounts.clone();
     let nslots = pool.nworkers();
     let slots: Vec<Mutex<Option<SlotState>>> = (0..nslots).map(|_| Mutex::new(None)).collect();
     let first_err: Mutex<Option<ExecError>> = Mutex::new(None);
@@ -589,16 +641,11 @@ fn run_map_steal(
             let vm = res.vm.take();
             let mut env = std::mem::take(&mut res.env);
             drop(res);
-            env.clone_from(&base_env);
-            let mut w = Worker::new(ctx, env);
+            env.clone_from(&worker.env);
+            let mut w = Worker::for_tile(worker, env, base);
             if let Some(vm) = vm {
                 w.vm = vm;
             }
-            w.nested = true;
-            w.pstack = pstack.clone();
-            w.pcounts = pcounts.clone();
-            w.chunk_param = Some(base);
-            w.point = vec![0; pstack.len()];
             let start_ns = match (pmode, &ctx.prof) {
                 (ProfMode::Timer, Some(p)) => {
                     w.cur_map = Some(pkey);
@@ -687,7 +734,7 @@ fn exec_tile(
                 let jend = n1.min(j0 + (fhi - f));
                 let v0 = d0s + i0 as i64 * d0st;
                 w.point[base] = v0;
-                w.env.insert(plan.params[0].clone(), v0);
+                bind(&mut w.env, &plan.params[0], v0);
                 run_dim_span(
                     ctx,
                     sid,
@@ -846,9 +893,13 @@ pub(crate) fn run_map_serial(
         local_transients, ..
     } = body
     {
-        for (name, size) in local_transients {
+        for name in local_transients {
             if !worker.locals.contains_key(name) {
-                let buf = SharedBuffer::new(worker.ctx.pool.acquire(*size));
+                let mut size = 1i64;
+                for d in ctx.sdfg.desc(name).map_or(&[][..], |d| d.shape()) {
+                    size = size.saturating_mul(d.eval(&worker.env)?.max(0));
+                }
+                let buf = SharedBuffer::new(worker.ctx.pool.acquire(size as usize));
                 worker.locals.insert(name.clone(), buf);
             }
         }
@@ -919,13 +970,17 @@ pub(crate) fn run_dim_span(
     } else {
         None
     };
+    // The parameter is a symbol to everything evaluated per point; it
+    // gives way again to whatever it shadowed once the span is done.
+    let shadowed = bind(&mut worker.env, &params[dim], lo);
     let mut v = lo;
     while v < hi {
         worker.point[base + dim] = v;
-        worker.env.insert(params[dim].clone(), v);
+        bind(&mut worker.env, &params[dim], v);
         map_inner_dims(ctx, sid, tree, params, ranges, body, worker, base, dim + 1)?;
         v += step;
     }
+    unbind(&mut worker.env, &params[dim], shadowed);
     worker.tier_record(t0, Tier::Symbolic);
     Ok(())
 }
@@ -950,7 +1005,7 @@ pub(crate) fn run_map_body(
             writebacks,
         } => {
             // Fresh scope-local transients per iteration.
-            for (name, _) in local_transients {
+            for name in local_transients {
                 if let Some(b) = worker.locals.get(name) {
                     unsafe {
                         b.as_mut_slice().fill(0.0);
@@ -1053,6 +1108,7 @@ pub(crate) fn exec_consume(
         .into_iter()
         .filter(|&c| tree.scope_of(c) == Some(entry))
         .collect();
+    let shadowed = bind(&mut worker.env, &pe_param, 0);
     let mut iter = 0i64;
     loop {
         let v = {
@@ -1064,7 +1120,7 @@ pub(crate) fn exec_consume(
             q.pop_front()
         };
         let Some(v) = v else { break };
-        worker.env.insert(pe_param.clone(), iter);
+        bind(&mut worker.env, &pe_param, iter);
         iter += 1;
         for &c in &children {
             match ctx.sdfg.state(sid).graph.node(c) {
@@ -1076,6 +1132,7 @@ pub(crate) fn exec_consume(
             }
         }
     }
+    unbind(&mut worker.env, &pe_param, shadowed);
     Ok(())
 }
 
@@ -1238,14 +1295,15 @@ impl crate::dispatch::Backend for CpuBackend {
 
     fn run_scope(
         &self,
-        rcx: &crate::dispatch::RunCtx<'_, '_>,
+        rcx: &mut crate::dispatch::RunCtx<'_, '_, '_>,
         sid: StateId,
     ) -> Result<crate::dispatch::ScopeStats, ExecError> {
-        let before = rcx.ctx.stats.map_launches.load(Ordering::Relaxed);
+        let launches = &rcx.worker.ctx.stats.map_launches;
+        let before = launches.load(Ordering::Relaxed);
         let t0 = std::time::Instant::now();
         rcx.run_functional(sid)?;
         Ok(crate::dispatch::ScopeStats {
-            scopes: rcx.ctx.stats.map_launches.load(Ordering::Relaxed) - before,
+            scopes: launches.load(Ordering::Relaxed) - before,
             compute_s: t0.elapsed().as_secs_f64(),
             ..crate::dispatch::ScopeStats::default()
         })

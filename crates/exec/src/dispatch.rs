@@ -2,8 +2,7 @@
 
 use crate::copy::exec_access;
 use crate::cpu::{exec_consume, exec_map, exec_nested, exec_reduce};
-use crate::engine::{Ctx, ExecError, Executor, Worker};
-use crate::plan::StatePlan;
+use crate::engine::{bind, Ctx, ExecError, Executor, Worker};
 use crate::stats::Stats;
 use crate::tasklet::run_tasklet_point;
 use sdfg_core::desc::DataDesc;
@@ -13,38 +12,33 @@ use sdfg_graph::NodeId;
 use sdfg_profile::{Mode as ProfMode, Span, SpanKey};
 use sdfg_symbolic::Env;
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 
-pub(crate) fn interstate_env(ctx: &Ctx, symbols: &Env) -> Env {
-    let mut env = symbols.clone();
-    for (name, q) in &ctx.streams {
-        env.insert(format!("len_{name}"), q.lock().len() as i64);
+/// Refreshes what interstate edges read beside the symbol table — stream
+/// lengths and scalarish container values — in `env`, in place.
+fn refresh_overlay(ctx: &Ctx, env: &mut Env) {
+    for (key, name) in &ctx.stream_lens {
+        if let Some(q) = ctx.streams.get(name) {
+            bind(env, key, q.lock().len() as i64);
+        }
     }
     // Scalarish containers were classified once at run setup
     // (`Ctx::scalarish`); only their current values are read here.
     for (name, slot) in &ctx.scalarish {
         let b = &ctx.bufs[*slot];
         if !b.is_empty() {
-            env.insert(name.clone(), b.read(0).round() as i64);
+            bind(env, name, b.read(0).round() as i64);
         }
     }
-    env
 }
 
-pub(crate) fn exec_state(ctx: &Ctx, sid: StateId, symbols: &Env) -> Result<(), ExecError> {
-    let state = ctx.sdfg.state(sid);
+/// Executes one state on the run's worker.
+pub(crate) fn exec_state(ctx: &Ctx, sid: StateId, worker: &mut Worker) -> Result<(), ExecError> {
     // Structural plan (scope tree + topological order): derived once per
     // (SDFG, bindings) pair, reused on every later execution of the state.
-    let splan = match ctx.plan.state(sid.0) {
-        Some(p) => p,
-        None => {
-            let tree = sdfg_core::scope::scope_tree(state)
-                .map_err(|e| ExecError::BadGraph(e.to_string()))?;
-            let order = state.topological_order();
-            ctx.plan.insert_state(sid.0, StatePlan { tree, order })
-        }
-    };
+    let splan = worker.state_plan(sid)?;
     let tree = &splan.tree;
-    let mut worker = Worker::new(ctx, symbols.clone());
+    worker.enter_state(&splan);
     let mode = match &ctx.prof {
         Some(p) => p.state_mode(sid.0),
         None => ProfMode::Off,
@@ -56,7 +50,7 @@ pub(crate) fn exec_state(ctx: &Ctx, sid: StateId, symbols: &Env) -> Result<(), E
     let mut result = Ok(());
     for &n in &splan.order {
         if tree.scope_of(n).is_none() {
-            let r = exec_node(ctx, sid, tree, n, &mut worker, None);
+            let r = exec_node(ctx, sid, tree, n, worker, None);
             if r.is_err() {
                 result = r;
                 break;
@@ -85,7 +79,8 @@ pub(crate) fn exec_state(ctx: &Ctx, sid: StateId, symbols: &Env) -> Result<(), E
             }
         }
     }
-    worker.flush_stats();
+    // Thread-local transients live for one state execution.
+    worker.release_locals();
     result
 }
 
@@ -116,26 +111,70 @@ pub(crate) fn exec_node(
 
 // --- the backend-agnostic heterogeneous runtime -----------------------------
 
+/// What the driver counts as it goes, in plain integers: flushed to the
+/// shared statistics once, when the run ends.
+#[derive(Default)]
+struct DriveCounts {
+    states: u64,
+    evals: u64,
+    /// Visits by state id.
+    visits: Vec<u64>,
+}
+
 /// Walks the state machine, calling `visit` on every state execution and
 /// evaluating interstate conditions/assignments between them. This is the
 /// single driver both [`crate::Executor::run`] (CPU-only) and [`Runtime`]
-/// (heterogeneous dispatch) run on.
+/// (heterogeneous dispatch) run on. The whole walk shares one [`Worker`],
+/// whose environment is the run's symbol table.
 pub(crate) fn drive_loop(
     max_transitions: usize,
     init_symbols: &Env,
     ctx: &Ctx<'_>,
     collapse: bool,
-    mut visit: impl FnMut(&Ctx<'_>, StateId, &Env) -> Result<(), ExecError>,
+    visit: impl FnMut(&Ctx<'_>, StateId, &mut Worker) -> Result<(), ExecError>,
+) -> Result<(), ExecError> {
+    let mut worker = Worker::new(ctx, init_symbols.clone());
+    let mut counts = DriveCounts::default();
+    let result = drive_states(
+        max_transitions,
+        ctx,
+        collapse,
+        &mut worker,
+        &mut counts,
+        visit,
+    );
+    worker.flush_stats();
+    let st = &ctx.stats;
+    st.states_executed
+        .fetch_add(counts.states, Ordering::Relaxed);
+    st.interstate_evals
+        .fetch_add(counts.evals, Ordering::Relaxed);
+    let mut visits = st.state_visits.lock();
+    for (sid, &n) in counts.visits.iter().enumerate().filter(|(_, &n)| n > 0) {
+        *visits.entry(sid as u32).or_insert(0) += n;
+    }
+    result
+}
+
+fn drive_states(
+    max_transitions: usize,
+    ctx: &Ctx<'_>,
+    collapse: bool,
+    worker: &mut Worker,
+    counts: &mut DriveCounts,
+    mut visit: impl FnMut(&Ctx<'_>, StateId, &mut Worker) -> Result<(), ExecError>,
 ) -> Result<(), ExecError> {
     let Some(start) = ctx.sdfg.start else {
         return Ok(());
     };
-    let mut symbols = init_symbols.clone();
+    // Interstate edges read the symbol table; when the program has streams
+    // or scalarish containers they read those too, through a second
+    // environment kept beside it: symbols are written to both, the
+    // overlaid values refreshed in place before each scan.
+    let mut overlaid: Option<Env> = (!ctx.shadow.is_empty()).then(|| worker.env.clone());
     let mut cur: StateId = start;
-    let mut steps = 0usize;
     loop {
-        steps += 1;
-        if steps > max_transitions {
+        if counts.states as usize >= max_transitions {
             return Err(ExecError::StepLimit(max_transitions));
         }
         // Cancellation point: an expired wall-clock deadline aborts the
@@ -147,90 +186,93 @@ pub(crate) fn drive_loop(
                 return Err(ExecError::Timeout(ctx.deadline_ms));
             }
         }
-        visit(ctx, cur, &symbols)?;
-        ctx.stats
-            .states_executed
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        visit(ctx, cur, worker)?;
+        counts.states += 1;
         {
             use sdfg_profile::flight;
             if flight::enabled() {
                 flight::record(flight::EventKind::StateRun, cur.0 as u64, 0);
             }
         }
-        *ctx.stats.state_visits.lock().entry(cur.0).or_insert(0) += 1;
+        let slot = cur.0 as usize;
+        if counts.visits.len() <= slot {
+            counts.visits.resize(slot + 1, 0);
+        }
+        counts.visits[slot] += 1;
         // Whole-nest collapse: if `cur` guards a recognized state-machine
         // loop, run every remaining iteration as one native call and let
         // the normal edge scan below take the exit edge.
         if collapse && ctx.nest_jit {
-            crate::nest::try_collapse_loop(ctx, cur, &mut symbols)?;
+            if let Some(ran) = crate::nest::try_collapse_loop(ctx, cur, &mut worker.env)? {
+                if let Some(env) = overlaid.as_mut() {
+                    // A collapsible loop's variable is never overlaid.
+                    bind(env, &ran.var, worker.env[&ran.var]);
+                }
+            }
         }
-        // One environment per transition: condition scan and assignments
-        // share it, with assigned symbols folded in incrementally. A
-        // rebuild is only needed when an assignment target is shadowed by
-        // a container value in the interstate environment.
-        let mut env = interstate_env(ctx, &symbols);
+        if let Some(env) = overlaid.as_mut() {
+            refresh_overlay(ctx, env);
+        }
         let mut next = None;
-        let mut evals = 0u64;
         for e in ctx.sdfg.graph.out_edges(cur) {
-            let t = ctx.sdfg.graph.edge(e);
-            evals += 1;
-            if t.condition.eval(&env)? {
-                next = Some((ctx.sdfg.graph.edge_dst(e), t.assignments.clone()));
+            counts.evals += 1;
+            let env = overlaid.as_ref().unwrap_or(&worker.env);
+            if ctx.sdfg.graph.edge(e).condition.eval(env)? {
+                next = Some(e);
                 break;
             }
         }
-        ctx.stats
-            .interstate_evals
-            .fetch_add(evals, std::sync::atomic::Ordering::Relaxed);
-        let Some((dst, assigns)) = next else {
+        let Some(taken) = next else {
             return Ok(());
         };
-        for (sym, expr) in &assigns {
-            let v = expr.eval(&env)?;
-            symbols.insert(sym.clone(), v);
-            if ctx.shadow.contains(sym) {
-                env = interstate_env(ctx, &symbols);
-            } else {
-                env.insert(sym.clone(), v);
+        // Assignments apply in order, each seeing the ones before it. An
+        // assigned name that a container or stream length overlays keeps
+        // reading as that value on interstate edges.
+        for (sym, expr) in &ctx.sdfg.graph.edge(taken).assignments {
+            let v = expr.eval(overlaid.as_ref().unwrap_or(&worker.env))?;
+            bind(&mut worker.env, sym, v);
+            if let Some(env) = overlaid.as_mut() {
+                if !ctx.shadow.contains(sym) {
+                    bind(env, sym, v);
+                }
             }
         }
-        cur = dst;
+        cur = ctx.sdfg.graph.edge_dst(taken);
     }
 }
 
 /// Opaque view of the engine's run context handed to [`Backend`]
 /// implementations (the internal `Ctx` stays crate-private).
-pub struct RunCtx<'r, 's> {
-    pub(crate) ctx: &'r Ctx<'s>,
-    pub(crate) env: &'r Env,
+pub struct RunCtx<'r, 'c, 's> {
+    pub(crate) worker: &'r mut Worker<'c, 's>,
 }
 
-impl RunCtx<'_, '_> {
+impl RunCtx<'_, '_, '_> {
     /// The SDFG being executed (the optimized copy when one is active).
     pub fn sdfg(&self) -> &Sdfg {
-        self.ctx.sdfg
+        self.worker.ctx.sdfg
     }
 
     /// Symbol environment in effect for the current state execution.
     pub fn env(&self) -> &Env {
-        self.env
+        &self.worker.env
     }
 
     /// Worker thread count of the host pool.
     pub fn nthreads(&self) -> usize {
-        self.ctx.nthreads
+        self.worker.ctx.nthreads
     }
 
     /// Executes one state functionally on the host engine (bit-exact).
     /// Simulator backends call this first so results are always real, then
     /// layer their timing model on top.
-    pub fn run_functional(&self, sid: StateId) -> Result<(), ExecError> {
-        exec_state(self.ctx, sid, self.env)
+    pub fn run_functional(&mut self, sid: StateId) -> Result<(), ExecError> {
+        exec_state(self.worker.ctx, sid, self.worker)
     }
 
     /// Element count of a bound container, if present.
     pub fn container_len(&self, name: &str) -> Option<usize> {
-        self.ctx.buf(name).ok().map(|b| b.len())
+        self.worker.ctx.buf(name).ok().map(|b| b.len())
     }
 }
 
@@ -285,13 +327,17 @@ pub trait Backend {
     }
 
     /// Per-state hook before the first `run_scope` of a state execution.
-    fn prepare(&self, rcx: &RunCtx<'_, '_>, sid: StateId) -> Result<(), ExecError> {
+    fn prepare(&self, rcx: &RunCtx<'_, '_, '_>, sid: StateId) -> Result<(), ExecError> {
         let _ = (rcx, sid);
         Ok(())
     }
 
     /// Executes one state's top-level scopes and reports what it cost.
-    fn run_scope(&self, rcx: &RunCtx<'_, '_>, sid: StateId) -> Result<ScopeStats, ExecError>;
+    fn run_scope(
+        &self,
+        rcx: &mut RunCtx<'_, '_, '_>,
+        sid: StateId,
+    ) -> Result<ScopeStats, ExecError>;
 }
 
 /// Aggregated per-backend totals for one [`Runtime::run`].
@@ -436,30 +482,36 @@ impl<'s> Runtime<'s> {
             // No loop collapse here: the heterogeneous runtime routes
             // states to backends per schedule, and a collapsed loop could
             // span states belonging to different targets.
-            drive_loop(max_transitions, &ex.symbols, ctx, false, |ctx, sid, env| {
-                let bidx = match routes.get(&sid.0) {
-                    Some(&i) => i,
-                    None => {
-                        let i = route_state(backends, ctx.sdfg, sid)?;
-                        routes.insert(sid.0, i);
-                        i
-                    }
-                };
-                account_transfers(backends, ctx, sid, env, bidx, rep)?;
-                let rcx = RunCtx { ctx, env };
-                backends[bidx].prepare(&rcx, sid)?;
-                let ss = backends[bidx].run_scope(&rcx, sid)?;
-                let bs = &mut rep.backends[bidx];
-                bs.state_visits += 1;
-                bs.scope.scopes += ss.scopes;
-                bs.scope.compute_s += ss.compute_s;
-                bs.scope.copy_s += ss.copy_s;
-                bs.scope.flops += ss.flops;
-                bs.scope.bytes += ss.bytes;
-                bs.scope.cycles += ss.cycles;
-                bs.scope.pes = bs.scope.pes.max(ss.pes);
-                Ok(())
-            })
+            drive_loop(
+                max_transitions,
+                &ex.symbols,
+                ctx,
+                false,
+                |ctx, sid, worker| {
+                    let bidx = match routes.get(&sid.0) {
+                        Some(&i) => i,
+                        None => {
+                            let i = route_state(backends, ctx.sdfg, sid)?;
+                            routes.insert(sid.0, i);
+                            i
+                        }
+                    };
+                    account_transfers(backends, ctx, sid, &worker.env, bidx, rep)?;
+                    let mut rcx = RunCtx { worker };
+                    backends[bidx].prepare(&rcx, sid)?;
+                    let ss = backends[bidx].run_scope(&mut rcx, sid)?;
+                    let bs = &mut rep.backends[bidx];
+                    bs.state_visits += 1;
+                    bs.scope.scopes += ss.scopes;
+                    bs.scope.compute_s += ss.compute_s;
+                    bs.scope.copy_s += ss.copy_s;
+                    bs.scope.flops += ss.flops;
+                    bs.scope.bytes += ss.bytes;
+                    bs.scope.cycles += ss.cycles;
+                    bs.scope.pes = bs.scope.pes.max(ss.pes);
+                    Ok(())
+                },
+            )
         })?;
         report.wall_s = t0.elapsed().as_secs_f64();
         report.stats = stats;

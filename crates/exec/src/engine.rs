@@ -1,10 +1,14 @@
 //! The execution engine: state machine driver, map compilation, parallel
 //! loop nests, native kernels.
 
+use crate::affine::Solver;
 use crate::buffer::SharedBuffer;
 use crate::cpu::MapPlan;
 use crate::dispatch::exec_state;
-use crate::plan::{CompileCtx, ExecutionPlan, PlanCache, PlanKey};
+use crate::plan::{
+    Cached, CompileCtx, ExecutionPlan, Invariants, PlanCache, PlanKey, StatePlan,
+    MAX_FOLDED_VARIANTS,
+};
 use crate::pool::BufferPool;
 use crate::stats::{AtomicStats, Stats};
 use crate::tasklet::{compile_body_tasklet, BodyTasklet, OutPortPlan, WindowPlan};
@@ -308,8 +312,14 @@ pub(crate) struct Ctx<'s> {
     pub(crate) scalarish: Vec<(String, usize)>,
     /// Names the interstate environment overrides on top of the symbol
     /// table (scalarish containers and stream lengths): an interstate
-    /// assignment to one of these forces an environment rebuild.
+    /// assignment to one of these leaves the override in place.
     pub(crate) shadow: std::collections::HashSet<String>,
+    /// `(len_<stream>, <stream>)` per stream: the pseudo-symbols through
+    /// which interstate edges read queue lengths.
+    pub(crate) stream_lens: Vec<(String, String)>,
+    /// What this plan's artifacts may fold: the launch-invariant bindings,
+    /// and the mutable symbols they must not.
+    pub(crate) inv: std::sync::Arc<Invariants>,
 }
 
 impl Ctx<'_> {
@@ -321,11 +331,39 @@ impl Ctx<'_> {
     }
 }
 
-/// Per-worker state: VM, scratch env for symbolic fallbacks, thread-local
-/// transient overlays.
+/// Binds `name` in an environment and returns the value it shadowed.
+/// Rebinding a bound name does not allocate.
+pub(crate) fn bind(env: &mut Env, name: &str, v: i64) -> Option<i64> {
+    match env.get_mut(name) {
+        Some(slot) => Some(std::mem::replace(slot, v)),
+        None => {
+            env.insert(name.to_string(), v);
+            None
+        }
+    }
+}
+
+/// Undoes a [`bind`]: restores the shadowed value, or unbinds the name.
+pub(crate) fn unbind(env: &mut Env, name: &str, shadowed: Option<i64>) {
+    match shadowed {
+        Some(v) => {
+            bind(env, name, v);
+        }
+        None => {
+            env.remove(name);
+        }
+    }
+}
+
+/// Per-worker state: VM, the live symbol environment, thread-local
+/// transient overlays. The state-machine driver runs a whole invoke on one
+/// worker; every scheduler tile gets its own.
 pub(crate) struct Worker<'c, 's> {
     pub(crate) ctx: &'c Ctx<'s>,
     pub(crate) vm: TaskletVm,
+    /// Symbol bindings in effect. On the driver's worker this *is* the
+    /// run's symbol table (interstate assignments write it); scopes bind
+    /// their parameters on top and restore what they shadowed.
     pub(crate) env: Env,
     pub(crate) locals: HashMap<String, SharedBuffer>,
     pub(crate) log: Vec<(u32, f64)>,
@@ -334,23 +372,30 @@ pub(crate) struct Worker<'c, 's> {
     /// context is provably safe (serial outer region, no thread-local
     /// transient overlays) — see the eligibility gate in `exec_map`.
     pub(crate) nested: bool,
-    /// Stack of enclosing map parameters (names) and their current values.
+    /// The parameter stack bodies are solved against, and the current
+    /// value of each entry: the state's launch-time constants (mutable
+    /// interstate symbols its memlets read — `nconst` of them, fixed while
+    /// the state runs), then the enclosing map parameters.
     pub(crate) pstack: Vec<String>,
     pub(crate) point: Vec<i64>,
-    /// Iteration counts per stacked parameter (`i64::MAX/4` when dynamic),
-    /// used by the WCR race analysis.
+    pub(crate) nconst: usize,
+    /// Static iteration counts per stacked parameter (1 for a constant,
+    /// `i64::MAX/4` for any extent that is not launch-invariant), used by
+    /// the WCR race analysis.
     pub(crate) pcounts: Vec<i64>,
+    /// Points of the enclosing map launches, from their actual extents:
+    /// what the JIT hotness gate compares with its threshold.
+    pub(crate) volume: i64,
     /// Index (into `pstack`) of the chunk-partitioned parameter when this
     /// worker runs inside a parallel region; `None` = no concurrent writers.
     pub(crate) chunk_param: Option<usize>,
-    /// Per-worker compiled-tasklet cache, keyed by (state, node). Sound
-    /// because interstate symbols are fixed for the lifetime of a worker
-    /// (one state execution / one parallel chunk) and map parameters are
-    /// compiled *as parameters*.
-    pub(crate) prog_cache: HashMap<(u32, u32), std::sync::Arc<BodyTasklet>>,
-    /// Per-worker map-plan cache (same soundness argument): avoids
-    /// re-deriving scope structure per launch of a nested map.
-    pub(crate) map_cache: HashMap<(u32, u32), std::sync::Arc<MapPlan>>,
+    /// Per-worker caches in front of the shared plan, keyed by (state,
+    /// node) — lock-free on the hot path. An entry is reused only while
+    /// its compile context still matches where the worker stands.
+    pub(crate) prog_cache: HashMap<(u32, u32), Cached<BodyTasklet>>,
+    pub(crate) map_cache: HashMap<(u32, u32), Cached<MapPlan>>,
+    /// Structural state plans by state id.
+    splans: Vec<Option<std::sync::Arc<StatePlan>>>,
     /// Locally-accumulated statistics, flushed once per worker lifetime
     /// (keeps atomics out of inner loops).
     pub(crate) st_points: u64,
@@ -380,16 +425,85 @@ impl<'c, 's> Worker<'c, 's> {
             nested: false,
             pstack: Vec::new(),
             point: Vec::new(),
+            nconst: 0,
             pcounts: Vec::new(),
+            volume: 1,
             chunk_param: None,
             prog_cache: HashMap::new(),
             map_cache: HashMap::new(),
+            splans: Vec::new(),
             st_points: 0,
             st_native: 0,
             st_jit: 0,
             st_nest_calls: 0,
             prof,
             cur_map: None,
+        }
+    }
+
+    /// A tile worker standing where `launcher` stands: same parameter
+    /// stack, point and counts, inside the parallel region over the
+    /// parameter at `chunk`.
+    pub(crate) fn for_tile(launcher: &Worker<'c, 's>, env: Env, chunk: usize) -> Self {
+        let mut w = Worker::new(launcher.ctx, env);
+        w.nested = true;
+        w.pstack = launcher.pstack.clone();
+        w.point = launcher.point.clone();
+        w.nconst = launcher.nconst;
+        w.pcounts = launcher.pcounts.clone();
+        w.volume = launcher.volume;
+        w.chunk_param = Some(chunk);
+        w
+    }
+
+    /// The structural plan of a state (worker cache, then the shared plan,
+    /// then derived from the graph).
+    pub(crate) fn state_plan(
+        &mut self,
+        sid: StateId,
+    ) -> Result<std::sync::Arc<StatePlan>, ExecError> {
+        let i = sid.0 as usize;
+        if let Some(Some(p)) = self.splans.get(i) {
+            return Ok(p.clone());
+        }
+        let ctx = self.ctx;
+        let p = match ctx.plan.state(sid.0) {
+            Some(p) => p,
+            None => {
+                let built = StatePlan::build(ctx.sdfg.state(sid), &ctx.inv.muts)
+                    .map_err(ExecError::BadGraph)?;
+                ctx.plan.insert_state(sid.0, built)
+            }
+        };
+        if self.splans.len() <= i {
+            self.splans.resize(i + 1, None);
+        }
+        self.splans[i] = Some(p.clone());
+        Ok(p)
+    }
+
+    /// Stands the worker at the top level of a state: the parameter stack
+    /// holds exactly the state's launch-time constants that are bound, at
+    /// their current values. (An unbound one stays a plain symbol, so
+    /// reading it fails the way it always has.)
+    pub(crate) fn enter_state(&mut self, splan: &StatePlan) {
+        let env = &self.env;
+        let bound = splan.muts.iter().filter(|m| env.contains_key(*m));
+        if !self.pstack.iter().eq(bound.clone()) {
+            self.pstack = bound.cloned().collect();
+        }
+        self.point.clear();
+        self.point.extend(self.pstack.iter().map(|m| env[m]));
+        self.nconst = self.pstack.len();
+        self.pcounts.clear();
+        self.pcounts.resize(self.nconst, 1);
+    }
+
+    /// Parks the thread-local transient buffers for the next launch
+    /// (zeroed again on acquire).
+    pub(crate) fn release_locals(&mut self) {
+        for (_, buf) in self.locals.drain() {
+            self.ctx.pool.release(buf.into_inner());
         }
     }
 
@@ -423,11 +537,7 @@ impl<'c, 's> Worker<'c, 's> {
                 p.collector.absorb(*wp);
             }
         }
-        // The worker's lifetime is over: park its thread-local transient
-        // buffers for the next launch (zeroed again on acquire).
-        for (_, buf) in self.locals.drain() {
-            self.ctx.pool.release(buf.into_inner());
-        }
+        self.release_locals();
     }
 
     /// Starts a tier measurement: `Some((start_ns, tasklet points so
@@ -461,42 +571,64 @@ impl<'c, 's> Worker<'c, 's> {
         sid: StateId,
         n: NodeId,
     ) -> Result<std::sync::Arc<BodyTasklet>, ExecError> {
-        if let Some(bt) = self.prog_cache.get(&(sid.0, n.0)) {
-            return Ok(bt.clone());
+        if let Some((c, bt)) = self.prog_cache.get(&(sid.0, n.0)) {
+            if c.matches(self) {
+                return Ok(bt.clone());
+            }
         }
-        // Shared (cross-run, cross-worker) cache: reused only under an
-        // equal compile context, so a hit is always semantics-preserving.
-        let key = (sid.0, n.0);
-        let cctx = self.compile_ctx();
-        if let Some(bt) = self.ctx.plan.tasklet(key, &cctx) {
-            self.prog_cache.insert(key, bt.clone());
-            return Ok(bt);
-        }
-        let mut bt = compile_body_tasklet(self.ctx, sid, n, &self.pstack.clone(), &self.env)?;
-        for o in bt.outs.iter_mut() {
-            o.atomic = self.needs_atomic(o);
-        }
-        let bt = std::sync::Arc::new(bt);
-        self.ctx.plan.insert_tasklet(key, cctx, bt.clone());
-        self.prog_cache.insert(key, bt.clone());
-        Ok(bt)
+        self.tasklet_cached(sid, n).map(|(_, bt)| bt)
     }
 
-    /// Fingerprint of everything compilation reads beyond the graph (see
-    /// [`CompileCtx`]): the symbol environment, parameter stack, iteration
-    /// counts, chunked parameter and local-transient overlays.
-    pub(crate) fn compile_ctx(&self) -> CompileCtx {
-        let mut env: Vec<(String, i64)> = self.env.iter().map(|(k, &v)| (k.clone(), v)).collect();
-        env.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    /// [`Worker::tasklet`] past the worker's own cache, together with the
+    /// context the body was compiled under.
+    pub(crate) fn tasklet_cached(
+        &mut self,
+        sid: StateId,
+        n: NodeId,
+    ) -> Result<Cached<BodyTasklet>, ExecError> {
+        let key = (sid.0, n.0);
+        // Shared (cross-run, cross-worker) cache: reused only under a
+        // matching compile context, so a hit is always
+        // semantics-preserving.
+        let ctx = self.ctx;
+        let cached = match ctx.plan.tasklet(key, self) {
+            Some(c) => c,
+            None => {
+                let fold = ctx.plan.folded_tasklets(key) < MAX_FOLDED_VARIANTS;
+                let mut solver = Solver::new(&self.pstack, &ctx.inv.env0);
+                if fold {
+                    solver.fold = &self.point[..self.nconst];
+                }
+                let mut bt = compile_body_tasklet(ctx, sid, n, &mut solver)?;
+                let folded = solver.folded;
+                for o in bt.outs.iter_mut() {
+                    o.atomic = self.needs_atomic(o);
+                }
+                ctx.plan_cache.note_point_compile();
+                let cctx = self.compile_ctx(folded);
+                ctx.plan.insert_tasklet(key, cctx, std::sync::Arc::new(bt))
+            }
+        };
+        self.prog_cache.insert(key, cached.clone());
+        Ok(cached)
+    }
+
+    /// Fingerprint of everything compilation reads beyond the graph and
+    /// the launch-invariant bindings (see [`CompileCtx`]), for an artifact
+    /// that folded the constants in `folded`. Allocates; only built when
+    /// something was compiled.
+    pub(crate) fn compile_ctx(&self, mut folded: Vec<(usize, i64)>) -> CompileCtx {
+        folded.sort_unstable();
+        folded.dedup();
         let mut locals: Vec<String> = self.locals.keys().cloned().collect();
         locals.sort_unstable();
         CompileCtx {
-            env,
             pstack: self.pstack.clone(),
             pcounts: self.pcounts.clone(),
             chunk: self.chunk_param,
             locals,
             jit: self.ctx.jit,
+            folded,
         }
     }
 
@@ -826,7 +958,7 @@ impl<'s> Executor<'s> {
             bufs.push(SharedBuffer::new(self.arrays.remove(k).unwrap()));
         }
         // Containers the interstate environment exposes as pseudo-symbols
-        // (mirrors `dispatch::interstate_env`'s per-call classification).
+        // (the classification the reference interpreter makes per transition).
         let mut scalarish: Vec<(String, usize)> = Vec::new();
         for (name, desc) in &sdfg.data {
             let is_scalarish = match desc {
@@ -842,9 +974,13 @@ impl<'s> Executor<'s> {
         }
         let mut shadow: std::collections::HashSet<String> =
             scalarish.iter().map(|(n, _)| n.clone()).collect();
-        for name in self.streams.keys() {
-            shadow.insert(format!("len_{name}"));
-        }
+        let stream_lens: Vec<(String, String)> = self
+            .streams
+            .keys()
+            .map(|name| (format!("len_{name}"), name.clone()))
+            .collect();
+        shadow.extend(stream_lens.iter().map(|(key, _)| key.clone()));
+        let inv = plan.invariants(sdfg, &self.symbols);
         let nest_jit = jit && self.tuned_cfg.as_ref().is_none_or(|c| c.nest_jit);
         let mut ctx = Ctx {
             sdfg,
@@ -870,6 +1006,8 @@ impl<'s> Executor<'s> {
             chash,
             scalarish,
             shadow,
+            stream_lens,
+            inv,
         };
         let result = drive(self, &ctx);
         // Move storage back even on error.

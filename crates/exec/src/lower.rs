@@ -19,9 +19,12 @@
 //! through to tier N+1 at run time (a window that fails to resolve for a
 //! particular launch, an out-of-bounds offset the legacy tiers clamp), so
 //! the chosen tier is a ceiling, never a promise that skips correctness
-//! checks. Everything the decision reads is part of the plan's
-//! `crate::plan::CompileCtx` fingerprint — including the JIT enable
-//! flag — so cached plans never alias across lowering configurations.
+//! checks. The static tier is decided at plan time from the body alone;
+//! whether a launch is hot enough for the JIT tier is decided per launch
+//! from the launch's actual extents (`Worker::volume`), so a map whose
+//! range follows a loop symbol (`0:k`) shares one plan across the loop and
+//! still crosses the gate exactly where a plan per iteration would have.
+//! The kernel is built by the first hot launch and kept in the plan.
 //!
 //! Bitwise discipline: a JIT launch must produce bit-identical results to
 //! the tier it replaces. The emitter mirrors the Rust loops statement for
@@ -37,11 +40,11 @@ use crate::tasklet::{try_native_loop, try_vm_loop, BodyTasklet, InPort, WindowPl
 use sdfg_core::Wcr;
 use sdfg_graph::NodeId;
 use sdfg_profile::Tier;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Maps whose estimated trip count (enclosing scopes included) is below
-/// this are not worth a compiler invocation: they keep their static tier
-/// with a "cold" reason. Dynamic extents count as hot.
+/// Launches whose trip count (enclosing scopes included) is below this are
+/// not worth a compiler invocation: they run on the static tier. Extents
+/// that depend on a map parameter or a connector count as hot.
 pub(crate) const JIT_MIN_POINTS: i64 = 256;
 
 /// The execution tier a map body was lowered to.
@@ -71,22 +74,57 @@ impl LowerTier {
 
 /// The lowering decision for one map body, stored in the cached plan.
 pub(crate) struct Lowered {
-    /// Chosen tier (a ceiling — run time may still fall through).
+    /// The static tier: where launches below the hotness gate start, and
+    /// where hot ones land when the JIT tier declines.
     pub(crate) tier: LowerTier,
-    /// The innermost dimension as a compiled 1-D nest when `tier == Jit`.
-    pub(crate) jit: Option<NestCore>,
-    /// Why the JIT tier was not chosen, when it was enabled but declined
-    /// (unsupported body, cold map, compile failure, ...).
-    pub(crate) jit_reason: Option<String>,
+    /// The innermost dimension as a compiled 1-D nest, or why it could not
+    /// be one — set by the first hot launch. `None` when the JIT tier does
+    /// not apply (disabled, or a multi-tasklet body).
+    jit: Option<OnceLock<Result<NestCore, String>>>,
 }
 
 impl Lowered {
-    /// A plain decision with no JIT involvement.
-    pub(crate) fn tier(tier: LowerTier) -> Lowered {
+    fn new(tier: LowerTier, jit: bool) -> Lowered {
         Lowered {
             tier,
-            jit: None,
-            jit_reason: None,
+            jit: jit.then(OnceLock::new),
+        }
+    }
+
+    /// Called once per launch of the map, on the launching worker, before
+    /// any row runs: builds the kernel if this is the first hot launch.
+    pub(crate) fn prepare(&self, ctx: &Ctx, worker: &Worker, label: &str, bt: &Arc<BodyTasklet>) {
+        let Some(cell) = &self.jit else { return };
+        if worker.volume < JIT_MIN_POINTS {
+            return;
+        }
+        cell.get_or_init(|| {
+            nest::build_span_nest(ctx, &worker.pstack, bt).map_err(|d| {
+                d.record(ctx.chash, label, false);
+                d.detail
+            })
+        });
+    }
+
+    /// The kernel a launch of `volume` points starts on, if any.
+    fn kernel(&self, volume: i64) -> Option<&NestCore> {
+        if volume < JIT_MIN_POINTS {
+            return None;
+        }
+        self.jit.as_ref()?.get()?.as_ref().ok()
+    }
+
+    /// `(tier name, why the JIT tier was not chosen)` for the lowering
+    /// report.
+    pub(crate) fn report(&self) -> (&'static str, Option<String>) {
+        match self.jit.as_ref().map(OnceLock::get) {
+            None => (self.tier.name(), None),
+            Some(Some(Ok(_))) => (LowerTier::Jit.name(), None),
+            Some(Some(Err(detail))) => (self.tier.name(), Some(detail.clone())),
+            Some(None) => {
+                let reason = format!("cold map (no launch reached {JIT_MIN_POINTS} points)");
+                (self.tier.name(), Some(reason))
+            }
         }
     }
 }
@@ -148,60 +186,25 @@ fn vm_eligible(bt: &BodyTasklet, innermost: Option<&String>) -> bool {
     })
 }
 
-/// Decides the lowering tier for a single-tasklet map body at plan-build
-/// time. `map_pcounts` are this map's own iteration counts; the enclosing
-/// scopes' counts come from the worker's stack.
+/// Decides the static lowering tier of a map body at plan-build time.
 pub(crate) fn decide_lowering(
     ctx: &Ctx,
     worker: &Worker,
-    label: &str,
     ts: &[(NodeId, Arc<BodyTasklet>)],
-    map_pcounts: &[i64],
 ) -> Lowered {
-    if ts.len() != 1 {
+    let [(_, bt)] = ts else {
         // Multi-tasklet bodies run per point; each tasklet may still use
         // its own fast path inside `run_tasklet_point`.
-        return Lowered::tier(LowerTier::Symbolic);
-    }
-    let bt = &ts[0].1;
-    let innermost = worker.pstack.last();
-    let tier = static_tier(bt, innermost);
-    if !ctx.jit {
-        return Lowered::tier(tier);
-    }
-    // Hotness gate: a compiler invocation only pays off on hot bodies.
-    let mut volume: i64 = 1;
-    for &c in worker.pcounts.iter().chain(map_pcounts) {
-        volume = volume.saturating_mul(c.max(1));
-    }
-    if volume < JIT_MIN_POINTS {
-        return Lowered {
-            tier,
-            jit: None,
-            jit_reason: Some(format!("cold map (~{volume} points < {JIT_MIN_POINTS})")),
-        };
-    }
-    match nest::build_span_nest(ctx, &worker.pstack, bt) {
-        Ok(core) => Lowered {
-            tier: LowerTier::Jit,
-            jit: Some(core),
-            jit_reason: None,
-        },
-        Err(d) => {
-            d.record(ctx.chash, label, false);
-            Lowered {
-                tier,
-                jit: None,
-                jit_reason: Some(d.detail),
-            }
-        }
-    }
+        return Lowered::new(LowerTier::Symbolic, false);
+    };
+    Lowered::new(static_tier(bt, worker.pstack.last()), ctx.jit)
 }
 
 /// Runs the innermost dimension `dim` of a single-tasklet map over
-/// `[s, e)` on step `st`, starting at the tier recorded at plan time and
-/// falling through in monotone order (`jit` → `native` → `affine-vm`)
-/// whenever a launch-time precondition fails. `Ok(false)` leaves the span
+/// `[s, e)` on step `st`, starting at the JIT tier when the launch is hot
+/// and its kernel exists, at the static tier otherwise, and falling
+/// through in monotone order (`jit` → `native` → `affine-vm`) whenever a
+/// launch-time precondition fails. `Ok(false)` leaves the span
 /// to the caller's per-point symbolic loop.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_inner_span(
@@ -215,16 +218,18 @@ pub(crate) fn run_inner_span(
     st: i64,
 ) -> Result<bool, ExecError> {
     let t0 = worker.tier_clock();
-    let mut tier = lowered.tier;
+    let kernel = lowered.kernel(worker.volume);
+    let mut tier = if kernel.is_some() {
+        LowerTier::Jit
+    } else {
+        lowered.tier
+    };
     loop {
         let (ran, prof, next) = match tier {
             LowerTier::Jit => (
-                lowered
-                    .jit
-                    .as_ref()
-                    .and_then(|core| nest::run_span(ctx, core, worker, dim, s, e, st)),
+                kernel.and_then(|core| nest::run_span(ctx, core, worker, dim, s, e, st)),
                 Tier::Jit,
-                LowerTier::MicroKernel,
+                lowered.tier,
             ),
             LowerTier::MicroKernel => (
                 try_native_loop(ctx, bt, worker, dim, s, e, st)?,

@@ -26,7 +26,7 @@
 //! candidate is only admitted when the interpreter would have executed
 //! the same statements in the same order (see the serial-collapse gate).
 
-use crate::affine::{solve, Solved};
+use crate::affine::{solve, Solved, Solver};
 use crate::buffer::SharedBuffer;
 use crate::cpu::{MapBody, MapPlan, TileSet};
 use crate::engine::{Ctx, ExecError, Worker};
@@ -39,7 +39,7 @@ use sdfg_codegen::jit::{
     emit_nest_kernel, JitBody, JitOutMode, JitWcrOp, NestItem, NestOut, NestSpec, NestTasklet,
 };
 use sdfg_core::cond::{BoolExpr, CmpOp};
-use sdfg_core::{DType, InterstateEdge, Node, Schedule, Sdfg, State, StateId, Wcr};
+use sdfg_core::{DType, InterstateEdge, Node, Schedule, State, StateId, Wcr};
 use sdfg_graph::{EdgeId, NodeId};
 use sdfg_symbolic::{Env, Expr, SymRange};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -124,28 +124,13 @@ impl NestAffine {
     }
 }
 
-/// A compile site: the parameter list tasklets and bounds are solved
-/// against — nest dims and launch-time constants — so affine dependence
-/// on either kind is captured as a coefficient instead of being baked in
-/// from the current environment.
+/// Where the names of a compile site (see [`Solver`]) land in a kernel:
+/// nest dims become coefficient-table columns, launch-time constants are
+/// folded into the base per launch.
 struct Site {
     names: Vec<String>,
     /// Global dim per parameter position; `None` = launch-time constant.
     dim_of: Vec<Option<usize>>,
-}
-
-/// Every symbol assigned by any interstate edge: these change during a
-/// run, so their values must never be folded into cached artifacts.
-fn mutable_symbols(sdfg: &Sdfg) -> BTreeSet<String> {
-    let mut m = BTreeSet::new();
-    for sid in sdfg.graph.node_ids() {
-        for e in sdfg.graph.out_edges(sid) {
-            for (name, _) in &sdfg.graph.edge(e).assignments {
-                m.insert(name.clone());
-            }
-        }
-    }
-    m
 }
 
 // --- nest plans --------------------------------------------------------------
@@ -268,11 +253,10 @@ unsafe impl Sync for NestArgs<'_> {}
 
 struct NestBuilder<'c, 's> {
     ctx: &'c Ctx<'s>,
-    /// Interstate environment minus every mutable symbol: exactly the
-    /// launch-invariant bindings, safe to bake into cached plans.
-    env0: Env,
+    /// The launch-invariant bindings, safe to bake into cached plans.
+    env0: &'c Env,
     /// Names every compile site carries as launch-time constants.
-    muts: BTreeSet<String>,
+    muts: &'c BTreeSet<String>,
     /// Global dim names, outermost first (`dims[0]` = tile dimension).
     dims: Vec<String>,
     /// Dims enclosing every body state (the loop variable for collapsed
@@ -291,18 +275,12 @@ struct NestBuilder<'c, 's> {
 
 impl<'c, 's> NestBuilder<'c, 's> {
     /// A builder whose sites carry every mutable interstate symbol as a
-    /// launch-time constant (the state-machine-level sites, which build
-    /// from the interstate environment).
-    fn over_interstate(ctx: &'c Ctx<'s>, symbols: &Env, serial_gate: bool) -> Self {
-        let muts = mutable_symbols(ctx.sdfg);
-        let mut env0 = symbols.clone();
-        for m in &muts {
-            env0.remove(m);
-        }
-        NestBuilder::new(ctx, env0, muts, serial_gate)
+    /// launch-time constant (the state-machine-level sites).
+    fn over_interstate(ctx: &'c Ctx<'s>, serial_gate: bool) -> Self {
+        NestBuilder::new(ctx, &ctx.inv.env0, &ctx.inv.muts, serial_gate)
     }
 
-    fn new(ctx: &'c Ctx<'s>, env0: Env, muts: BTreeSet<String>, serial_gate: bool) -> Self {
+    fn new(ctx: &'c Ctx<'s>, env0: &'c Env, muts: &'c BTreeSet<String>, serial_gate: bool) -> Self {
         NestBuilder {
             ctx,
             env0,
@@ -331,7 +309,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
     fn site(&self, scope: &[usize]) -> Site {
         let mut names: Vec<String> = scope.iter().map(|&d| self.dims[d].clone()).collect();
         let mut dim_of: Vec<Option<usize>> = scope.iter().map(|&d| Some(d)).collect();
-        for m in &self.muts {
+        for m in self.muts {
             if !names.iter().any(|n| n == m) {
                 names.push(m.clone());
                 dim_of.push(None);
@@ -342,10 +320,10 @@ impl<'c, 's> NestBuilder<'c, 's> {
 
     /// The nest loops step by one over untiled ranges.
     fn check_unit_step(&self, r: &SymRange, site: &Site) -> Result<(), Decline> {
-        if !matches!(solve(&r.step, &site.names, &self.env0), Solved::Const(1)) {
+        if !matches!(solve(&r.step, &site.names, self.env0), Solved::Const(1)) {
             return Err(nonaffine("non-unit map step"));
         }
-        if !matches!(solve(&r.tile, &site.names, &self.env0), Solved::Const(1)) {
+        if !matches!(solve(&r.tile, &site.names, self.env0), Solved::Const(1)) {
             return Err(nonaffine("tiled map range"));
         }
         Ok(())
@@ -358,7 +336,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
         site: &Site,
     ) -> Result<(NestAffine, NestAffine), Decline> {
         let bound = |e: &Expr| {
-            NestAffine::from_solved(&solve(e, &site.names, &self.env0), site)
+            NestAffine::from_solved(&solve(e, &site.names, self.env0), site)
                 .ok_or_else(|| nonaffine("non-affine map bound"))
         };
         Ok((bound(&r.start)?, bound(&r.end)?))
@@ -449,10 +427,8 @@ impl<'c, 's> NestBuilder<'c, 's> {
         let splan = match self.ctx.plan.state(sid.0) {
             Some(p) => p,
             None => {
-                let tree =
-                    sdfg_core::scope::scope_tree(state).map_err(|e| structure(e.to_string()))?;
-                let order = state.topological_order();
-                self.ctx.plan.insert_state(sid.0, StatePlan { tree, order })
+                let built = StatePlan::build(state, &self.ctx.inv.muts).map_err(structure)?;
+                self.ctx.plan.insert_state(sid.0, built)
             }
         };
         let mut tasklets = Vec::new();
@@ -485,7 +461,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
     /// a VM body (the interpreter always runs these through the VM).
     fn add_point_tasklet(&mut self, sid: StateId, n: NodeId) -> Result<(), Decline> {
         let site = self.site(&self.outer.clone());
-        let bt = compile_body_tasklet(self.ctx, sid, n, &site.names, &self.env0)
+        let bt = compile_body_tasklet(self.ctx, sid, n, &mut Solver::new(&site.names, self.env0))
             .map_err(|e| body(e.to_string()))?;
         let modes = point_modes(&bt)?;
         let idx = self.push_call(Arc::new(bt), true, modes, &site)?;
@@ -558,8 +534,9 @@ impl<'c, 's> NestBuilder<'c, 's> {
         let site = self.site(&sc);
         let mut bts = Vec::with_capacity(children.len());
         for &c in &children {
-            let bt = compile_body_tasklet(self.ctx, sid, c, &site.names, &self.env0)
-                .map_err(|e| body(e.to_string()))?;
+            let bt =
+                compile_body_tasklet(self.ctx, sid, c, &mut Solver::new(&site.names, self.env0))
+                    .map_err(|e| body(e.to_string()))?;
             bts.push(Arc::new(bt));
         }
         if self.serial_gate {
@@ -792,7 +769,7 @@ fn loop_edge(e: &InterstateEdge) -> Option<(String, Expr)> {
     None
 }
 
-fn build_loop_nest(ctx: &Ctx, guard: StateId, symbols: &Env) -> Result<LoopNestPlan, Decline> {
+fn build_loop_nest(ctx: &Ctx, guard: StateId) -> Result<LoopNestPlan, Decline> {
     let sdfg = ctx.sdfg;
     let edges: Vec<EdgeId> = sdfg.graph.out_edges(guard).collect();
     let [e0, e1] = edges[..] else {
@@ -867,7 +844,7 @@ fn build_loop_nest(ctx: &Ctx, guard: StateId, symbols: &Env) -> Result<LoopNestP
     if probe(0) != Some(1) || probe(3) != Some(4) || probe(7) != Some(8) {
         return Err(nonaffine("non-unit loop increment"));
     }
-    let mut b = NestBuilder::over_interstate(ctx, symbols, true);
+    let mut b = NestBuilder::over_interstate(ctx, true);
     b.alloc_dim(&var)?;
     b.outer = vec![0];
     for sid in body_states {
@@ -883,8 +860,9 @@ fn build_loop_nest(ctx: &Ctx, guard: StateId, symbols: &Env) -> Result<LoopNestP
 /// Collapse hook, called by the drive loop after executing `cur` (when
 /// the JIT tier is enabled): if `cur` is the guard of a recognized loop,
 /// run every remaining iteration as one native call and advance the loop
-/// variable to its exit value. On any decline — structural, compile, or
-/// launch-time — the interpreter path proceeds unchanged.
+/// variable to its exit value, returning the loop it ran. On any decline —
+/// structural, compile, or launch-time — it returns `None` and the
+/// interpreter path proceeds unchanged.
 ///
 /// Under a run deadline the loop runs as consecutive `[lo0, hi0)` slices
 /// of the same kernel — bitwise the same execution order — with the
@@ -894,37 +872,37 @@ pub(crate) fn try_collapse_loop(
     ctx: &Ctx,
     cur: StateId,
     symbols: &mut Env,
-) -> Result<(), ExecError> {
+) -> Result<Option<Arc<LoopNestPlan>>, ExecError> {
     // Loop guards are empty states with exactly two successors (body and
     // exit); everything else leaves immediately — without recording a
     // fallback, so init/exit glue states do not pollute the ledger.
     if ctx.sdfg.state(cur).graph.node_count() != 0 || ctx.sdfg.graph.out_edges(cur).count() != 2 {
-        return Ok(());
+        return Ok(None);
     }
     let cached = ctx.plan.loop_nest(cur.0);
     let plan = match cached {
         Some(Ok(p)) => p,
-        Some(Err(_)) => return Ok(()),
+        Some(Err(_)) => return Ok(None),
         None => {
-            let res = build_loop_nest(ctx, cur, symbols).map(Arc::new);
+            let res = build_loop_nest(ctx, cur).map(Arc::new);
             if let Err(d) = &res {
                 let label = format!("loop@{}", ctx.sdfg.state(cur).label);
                 d.record(ctx.chash, &label, true);
             }
             match ctx.plan.insert_loop_nest(cur.0, res) {
                 Ok(p) => p,
-                Err(_) => return Ok(()),
+                Err(_) => return Ok(None),
             }
         }
     };
     let Some(&lo0) = symbols.get(&plan.var) else {
-        return Ok(());
+        return Ok(None);
     };
     let Ok(hi0) = plan.end.eval(symbols) else {
-        return Ok(());
+        return Ok(None);
     };
     if lo0 >= hi0 {
-        return Ok(());
+        return Ok(None);
     }
     let launch = Launch {
         consts: &|name| symbols.get(name).copied(),
@@ -934,7 +912,7 @@ pub(crate) fn try_collapse_loop(
         step: 1,
     };
     let Some(args) = marshal(ctx, &plan.core, &launch, lo0, hi0) else {
-        return Ok(());
+        return Ok(None);
     };
     let (mut npts, mut calls) = (0i64, 0u64);
     let mut done = lo0;
@@ -973,24 +951,19 @@ pub(crate) fn try_collapse_loop(
     if done < hi0 {
         return Err(ExecError::Timeout(ctx.deadline_ms));
     }
-    Ok(())
+    Ok(Some(plan))
 }
 
 // --- standalone map nests ----------------------------------------------------
 
-fn build_map_nest(
-    ctx: &Ctx,
-    pkey: (u32, u32),
-    plan: &MapPlan,
-    env: &Env,
-) -> Result<MapNestPlan, Decline> {
+fn build_map_nest(ctx: &Ctx, pkey: (u32, u32), plan: &MapPlan) -> Result<MapNestPlan, Decline> {
     let MapBody::Tasklets(ts, _) = &plan.body else {
         return Err(body("generic map body"));
     };
     let [(tnode, _)] = &ts[..] else {
         return Err(body("multi-tasklet standalone map"));
     };
-    let mut b = NestBuilder::over_interstate(ctx, env, false);
+    let mut b = NestBuilder::over_interstate(ctx, false);
     for p in &plan.params {
         b.alloc_dim(p)?;
     }
@@ -1005,8 +978,13 @@ fn build_map_nest(
     }
     let sc: Vec<usize> = (0..plan.params.len()).collect();
     let site = b.site(&sc);
-    let bt = compile_body_tasklet(ctx, NodeId(pkey.0), *tnode, &site.names, &b.env0)
-        .map_err(|e| body(e.to_string()))?;
+    let bt = compile_body_tasklet(
+        ctx,
+        NodeId(pkey.0),
+        *tnode,
+        &mut Solver::new(&site.names, b.env0),
+    )
+    .map_err(|e| body(e.to_string()))?;
     let (program, modes) = innermost_modes(&bt, plan.params.len() - 1)?;
     let idx = b.push_call(Arc::new(bt), program, modes, &site)?;
     let mut items = vec![NestItem::Call(idx)];
@@ -1052,7 +1030,11 @@ pub(crate) fn try_map_nest_steal(
     let TileSet::Dim0 { step: 1, ranges } = tiles else {
         return None;
     };
-    if ranges.is_empty() || base != 0 || !worker.locals.is_empty() || !plan.dyn_edges.is_empty() {
+    if ranges.is_empty()
+        || base != worker.nconst
+        || !worker.locals.is_empty()
+        || !plan.dyn_edges.is_empty()
+    {
         return None;
     }
     let MapBody::Tasklets(ts, _) = &plan.body else {
@@ -1065,7 +1047,7 @@ pub(crate) fn try_map_nest_steal(
         Some(Ok(p)) => p,
         Some(Err(_)) => return None,
         None => {
-            let res = build_map_nest(ctx, pkey, plan, &worker.env).map(Arc::new);
+            let res = build_map_nest(ctx, pkey, plan).map(Arc::new);
             if let Err(d) = &res {
                 d.record(ctx.chash, &plan.label, true);
             }
@@ -1125,7 +1107,10 @@ pub(crate) fn build_span_nest(
     if outer.contains(inner) || (1..outer.len()).any(|i| outer[..i].contains(&outer[i])) {
         return Err(structure("shadowed iteration variable"));
     }
-    let mut b = NestBuilder::new(ctx, Env::new(), BTreeSet::new(), false);
+    // Every name a span is solved against is on the stack; nothing is read
+    // from an environment.
+    let (env0, muts) = (Env::new(), BTreeSet::new());
+    let mut b = NestBuilder::new(ctx, &env0, &muts, false);
     b.alloc_dim(inner)?;
     let mut dim_of = vec![None; outer.len()];
     dim_of.push(Some(0));

@@ -19,33 +19,46 @@
 //!   part of the key because lowering constant-folds them into window
 //!   offsets and iteration counts.
 //! * **The compile context.** Tasklet and map compilation additionally
-//!   read per-worker state that is not part of the key: the evolving
-//!   symbol environment (interstate assignments, dynamic-range
-//!   connectors), the enclosing map-parameter stack, iteration counts and
-//!   the chunked parameter feeding the WCR race analysis, and the set of
-//!   thread-local transient overlays. Each cached artifact therefore
-//!   stores the `CompileCtx` it was compiled under, and is only reused
-//!   on an *equal* context — equality, not hashing, so collisions cannot
-//!   change semantics. A mismatch silently falls back to compiling, which
-//!   is always correct.
+//!   read per-worker state that is not part of the key: the parameter
+//!   stack (launch-time constants first, then the enclosing map
+//!   parameters), static iteration counts and the chunked parameter
+//!   feeding the WCR race analysis, and the set of thread-local transient
+//!   overlays. Each cached artifact therefore stores the `CompileCtx` it
+//!   was compiled under, and is only reused on an *equal* context —
+//!   equality, not hashing, so collisions cannot change semantics. A
+//!   mismatch silently falls back to compiling, which is always correct.
+//!
+//! Nothing that changes *during* a run is part of either. Mutable
+//! interstate symbols are solved as launch-time constants
+//! (`affine::Solver`): an artifact carries their coefficients and
+//! a launch adds `Σ coeff·value` to its offsets, so a loop of any length
+//! holds one variant per program point. Only an expression that is not
+//! affine in such a symbol folds its value, and the context then records
+//! `(symbol, value)` — the point gets a second variant when, and only
+//! when, that symbol takes a second value there.
 //!
 //! Plans also record the deterministic container→slot layout of the run
 //! that populated them; if a later run binds a different set of arrays,
 //! slot-dependent artifacts are dropped (see `ExecutionPlan::ensure_layout`).
 
 use crate::cpu::MapPlan;
+use crate::engine::Worker;
 use crate::tasklet::BodyTasklet;
 use parking_lot::Mutex;
 use sdfg_core::scope::ScopeTree;
+use sdfg_core::{Node, Sdfg, State};
 use sdfg_graph::NodeId;
 use sdfg_symbolic::Env;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Variants retained per (state, node): bounds memory when a program point
-/// is compiled under many distinct contexts (e.g. a long interstate loop).
-const MAX_VARIANTS: usize = 64;
+/// Variants of one tasklet that may fold a launch-time constant's value
+/// (see [`CompileCtx::folded`]). A point that reaches the cap is compiled
+/// without folding from then on — its non-affine accesses are evaluated
+/// per point — so a long loop over `A[(k*k) % N]` holds a bounded number
+/// of variants instead of one per iteration.
+pub(crate) const MAX_FOLDED_VARIANTS: usize = 64;
 
 /// Identity of a lowered plan: program content hash + initial symbol
 /// bindings (sorted for a canonical representation).
@@ -89,6 +102,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that created a fresh plan.
     pub misses: u64,
+    /// Tasklet bodies and map plans built, over every plan in the cache. A
+    /// warm run of a program whose plan is cached builds none; a non-zero
+    /// delta means a program point was compiled again.
+    pub point_compiles: u64,
 }
 
 impl CacheStats {
@@ -113,6 +130,7 @@ pub struct PlanCache {
     plans: Mutex<HashMap<PlanKey, Arc<ExecutionPlan>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    point_compiles: AtomicU64,
 }
 
 impl PlanCache {
@@ -163,24 +181,41 @@ impl PlanCache {
         self.plans.lock().clear();
     }
 
-    /// Snapshot of the hit/miss counters.
+    /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            point_compiles: self.point_compiles.load(Ordering::Relaxed),
         }
+    }
+
+    /// Counts one tasklet body or map plan built. This is the counter's
+    /// only declaration: [`CacheStats::point_compiles`] reads it per
+    /// cache, and the process-wide `sdfg_plan_point_compiles_total` is
+    /// registered here, by name, off the hot path.
+    pub(crate) fn note_point_compile(&self) {
+        self.point_compiles.fetch_add(1, Ordering::Relaxed);
+        sdfg_profile::metrics::global()
+            .counter(
+                "sdfg_plan_point_compiles_total",
+                "Tasklet bodies and map plans built by the executor.",
+                &[],
+            )
+            .inc();
     }
 }
 
-/// Everything tasklet/map compilation reads beyond the graph structure:
-/// reuse of a cached artifact is gated on equality of this fingerprint.
+/// Everything tasklet/map compilation reads beyond the graph structure and
+/// the launch-invariant bindings: reuse of a cached artifact is gated on
+/// equality of this fingerprint.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct CompileCtx {
-    /// Worker symbol environment (sorted snapshot).
-    pub env: Vec<(String, i64)>,
-    /// Enclosing map-parameter names, outermost first.
+    /// Parameter stack the artifact was solved against: launch-time
+    /// constants first, then enclosing map parameters, outermost first.
     pub pstack: Vec<String>,
-    /// Iteration counts per stacked parameter (WCR race analysis input).
+    /// Static iteration counts per stacked parameter (WCR race analysis
+    /// input).
     pub pcounts: Vec<i64>,
     /// Index of the chunk-partitioned parameter, if inside a parallel region.
     pub chunk: Option<usize>,
@@ -189,17 +224,108 @@ pub(crate) struct CompileCtx {
     /// Whether the JIT lowering tier was enabled for this run: plans
     /// lowered with and without compiled kernels must not alias.
     pub jit: bool,
+    /// `(index into pstack, value)` of every launch-time constant whose
+    /// value is folded into the artifact, sorted by index.
+    pub folded: Vec<(usize, i64)>,
 }
 
-/// Compiled variants for one program point, each tagged with the context
-/// it was compiled under.
-type Variants<T> = Mutex<HashMap<(u32, u32), Vec<(CompileCtx, Arc<T>)>>>;
+impl CompileCtx {
+    /// Whether an artifact compiled under this context serves the worker
+    /// where it stands now. Allocation-free: this runs on every cached
+    /// fetch.
+    pub(crate) fn matches(&self, w: &Worker) -> bool {
+        self.chunk == w.chunk_param
+            && self.jit == w.ctx.jit
+            && self.pcounts == w.pcounts
+            && self.folded.iter().all(|&(i, v)| w.point.get(i) == Some(&v))
+            && self.pstack == w.pstack
+            && self.locals.len() == w.locals.len()
+            && self.locals.iter().all(|l| w.locals.contains_key(l))
+    }
+}
+
+/// A cached artifact and the context it was compiled under.
+pub(crate) type Cached<T> = (Arc<CompileCtx>, Arc<T>);
+
+/// Compiled variants for one program point.
+type Variants<T> = Mutex<HashMap<(u32, u32), Vec<Cached<T>>>>;
+
+fn find_variant<T>(variants: &Variants<T>, key: (u32, u32), w: &Worker) -> Option<Cached<T>> {
+    let map = variants.lock();
+    map.get(&key)?.iter().find(|(c, _)| c.matches(w)).cloned()
+}
+
+fn insert_variant<T>(
+    variants: &Variants<T>,
+    key: (u32, u32),
+    ctx: CompileCtx,
+    art: Arc<T>,
+) -> Cached<T> {
+    let mut map = variants.lock();
+    let list = map.entry(key).or_default();
+    // Two workers may race to compile one point; the first entry wins.
+    if let Some(found) = list.iter().find(|(c, _)| **c == ctx) {
+        return found.clone();
+    }
+    list.push((Arc::new(ctx), art));
+    list.last().expect("just pushed").clone()
+}
 
 /// Structural plan for one state: scope tree + topological order. Depends
 /// only on the graph, so it is valid for the plan's whole lifetime.
 pub(crate) struct StatePlan {
     pub tree: ScopeTree,
     pub order: Vec<NodeId>,
+    /// Mutable interstate symbols this state's memlets read, sorted: the
+    /// launch-time constants its bodies are solved against. Names that a
+    /// scope of the state rebinds as its own parameter are left out (the
+    /// parameter shadows the symbol inside the scope); a reference that
+    /// still means the symbol is then evaluated per point.
+    pub muts: Vec<String>,
+}
+
+impl StatePlan {
+    pub(crate) fn build(state: &State, muts: &BTreeSet<String>) -> Result<StatePlan, String> {
+        let tree = sdfg_core::scope::scope_tree(state).map_err(|e| e.to_string())?;
+        let order = state.topological_order();
+        let mut read = BTreeSet::new();
+        if !muts.is_empty() {
+            for e in state.graph.edge_ids() {
+                for r in &state.graph.edge(e).memlet.subset.dims {
+                    r.collect_symbols(&mut read);
+                }
+            }
+            read.retain(|s| muts.contains(s));
+            for n in state.graph.node_ids() {
+                match state.graph.node(n) {
+                    Node::MapEntry(m) => m.params.iter().for_each(|p| {
+                        read.remove(p);
+                    }),
+                    Node::ConsumeEntry(c) => {
+                        read.remove(&c.pe_param);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(StatePlan {
+            tree,
+            order,
+            muts: read.into_iter().collect(),
+        })
+    }
+}
+
+/// What a plan's artifacts may and may not fold, derived once from the
+/// program and the initial bindings the plan is keyed by.
+pub(crate) struct Invariants {
+    /// Every symbol assigned by an interstate edge: these change during a
+    /// run, so their values are never folded into a cached artifact
+    /// unrecorded.
+    pub muts: BTreeSet<String>,
+    /// The initial bindings minus `muts`: the launch-invariant
+    /// environment every body is compiled in.
+    pub env0: Env,
 }
 
 /// A whole-nest lowering, or the decline that stopped it.
@@ -214,6 +340,8 @@ type NestCache<K, P> = Mutex<HashMap<K, NestResult<P>>>;
 pub(crate) struct ExecutionPlan {
     /// Container→slot layout (sorted names) of the populating run.
     layout: Mutex<Option<Vec<String>>>,
+    /// See [`Invariants`].
+    invariants: OnceLock<Arc<Invariants>>,
     /// Per-state structural plans, keyed by state id.
     states: Mutex<HashMap<u32, Arc<StatePlan>>>,
     /// Compiled tasklet bodies, keyed by (state, node), with the context
@@ -223,9 +351,8 @@ pub(crate) struct ExecutionPlan {
     maps: Variants<MapPlan>,
     /// Whole-nest lowerings of state-machine loops, keyed by guard state
     /// id. `Err` caches a decline so the recognizer runs once per plan.
-    /// Built from launch-invariant bindings only (mutable interstate
-    /// symbols are carried as coefficients), so no per-context variants
-    /// are needed; only JIT-enabled runs consult these.
+    /// Top-level sites have one context, so no variants are needed; only
+    /// JIT-enabled runs consult these.
     loop_nests: NestCache<u32, crate::nest::LoopNestPlan>,
     /// Whole-nest lowerings of standalone maps, keyed by (state, node).
     map_nests: NestCache<(u32, u32), crate::nest::MapNestPlan>,
@@ -258,6 +385,26 @@ impl ExecutionPlan {
         }
     }
 
+    /// The plan's invariants, derived on first use. `symbols` are the
+    /// initial bindings of the run — the same for every run this plan
+    /// serves, since they are part of its key.
+    pub fn invariants(&self, sdfg: &Sdfg, symbols: &Env) -> Arc<Invariants> {
+        let derive = || {
+            let mut muts = BTreeSet::new();
+            for sid in sdfg.graph.node_ids() {
+                for e in sdfg.graph.out_edges(sid) {
+                    for (name, _) in &sdfg.graph.edge(e).assignments {
+                        muts.insert(name.clone());
+                    }
+                }
+            }
+            let mut env0 = symbols.clone();
+            env0.retain(|name, _| !muts.contains(name));
+            Arc::new(Invariants { muts, env0 })
+        };
+        self.invariants.get_or_init(derive).clone()
+    }
+
     /// Cached structural plan for a state.
     pub fn state(&self, sid: u32) -> Option<Arc<StatePlan>> {
         self.states.lock().get(&sid).cloned()
@@ -272,42 +419,42 @@ impl ExecutionPlan {
             .clone()
     }
 
-    /// Cached tasklet body compiled under an equal context.
-    pub fn tasklet(&self, key: (u32, u32), ctx: &CompileCtx) -> Option<Arc<BodyTasklet>> {
-        let map = self.tasklets.lock();
-        let variants = map.get(&key)?;
-        variants
-            .iter()
-            .find(|(c, _)| c == ctx)
-            .map(|(_, bt)| bt.clone())
+    /// Cached tasklet body that serves the worker's current context.
+    pub fn tasklet(&self, key: (u32, u32), w: &Worker) -> Option<Cached<BodyTasklet>> {
+        find_variant(&self.tasklets, key, w)
     }
 
-    /// Records a compiled tasklet body (skipped past the variant cap).
-    pub fn insert_tasklet(&self, key: (u32, u32), ctx: CompileCtx, body: Arc<BodyTasklet>) {
-        let mut map = self.tasklets.lock();
-        let variants = map.entry(key).or_default();
-        if variants.len() < MAX_VARIANTS && !variants.iter().any(|(c, _)| *c == ctx) {
-            variants.push((ctx, body));
-        }
+    /// Records a compiled tasklet body.
+    pub fn insert_tasklet(
+        &self,
+        key: (u32, u32),
+        ctx: CompileCtx,
+        body: Arc<BodyTasklet>,
+    ) -> Cached<BodyTasklet> {
+        insert_variant(&self.tasklets, key, ctx, body)
     }
 
-    /// Cached map plan compiled under an equal context.
-    pub fn map(&self, key: (u32, u32), ctx: &CompileCtx) -> Option<Arc<MapPlan>> {
-        let map = self.maps.lock();
-        let variants = map.get(&key)?;
-        variants
-            .iter()
-            .find(|(c, _)| c == ctx)
-            .map(|(_, p)| p.clone())
+    /// Variants of a tasklet holding a folded constant (see
+    /// [`MAX_FOLDED_VARIANTS`]).
+    pub fn folded_tasklets(&self, key: (u32, u32)) -> usize {
+        self.tasklets.lock().get(&key).map_or(0, |l| {
+            l.iter().filter(|(c, _)| !c.folded.is_empty()).count()
+        })
     }
 
-    /// Records a compiled map plan (skipped past the variant cap).
-    pub fn insert_map(&self, key: (u32, u32), ctx: CompileCtx, plan: Arc<MapPlan>) {
-        let mut map = self.maps.lock();
-        let variants = map.entry(key).or_default();
-        if variants.len() < MAX_VARIANTS && !variants.iter().any(|(c, _)| *c == ctx) {
-            variants.push((ctx, plan));
-        }
+    /// Cached map plan that serves the worker's current context.
+    pub fn map(&self, key: (u32, u32), w: &Worker) -> Option<Cached<MapPlan>> {
+        find_variant(&self.maps, key, w)
+    }
+
+    /// Records a compiled map plan.
+    pub fn insert_map(
+        &self,
+        key: (u32, u32),
+        ctx: CompileCtx,
+        plan: Arc<MapPlan>,
+    ) -> Cached<MapPlan> {
+        insert_variant(&self.maps, key, ctx, plan)
     }
 
     /// Cached whole-nest lowering (or decline) of a state-machine loop.
@@ -436,29 +583,31 @@ mod tests {
             StatePlan {
                 tree: ScopeTree::default(),
                 order: Vec::new(),
+                muts: Vec::new(),
             },
         );
         let ctx = CompileCtx {
-            env: Vec::new(),
             pstack: Vec::new(),
             pcounts: Vec::new(),
             chunk: None,
             locals: Vec::new(),
             jit: false,
+            folded: Vec::new(),
         };
         plan.insert_tasklet(
             (0, 1),
-            ctx.clone(),
+            ctx,
             Arc::new(crate::tasklet::BodyTasklet::test_dummy()),
         );
-        assert!(plan.tasklet((0, 1), &ctx).is_some());
+        let cached = |plan: &ExecutionPlan| plan.tasklets.lock().get(&(0, 1)).map_or(0, Vec::len);
+        assert_eq!(cached(&plan), 1);
         // Same layout: artifacts survive.
         plan.ensure_layout(&names);
-        assert!(plan.tasklet((0, 1), &ctx).is_some());
+        assert_eq!(cached(&plan), 1);
         // New array bound → slots shift → compiled artifacts are dropped,
         // structural state plans survive.
         plan.ensure_layout(&["A".to_string(), "B".to_string(), "C".to_string()]);
-        assert!(plan.tasklet((0, 1), &ctx).is_none());
+        assert_eq!(cached(&plan), 0);
         assert!(plan.state(0).is_some());
     }
 }

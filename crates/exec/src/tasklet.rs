@@ -1,7 +1,7 @@
 //! Tasklet compilation and execution: window planning, the three-tier
 //! point path (native kernels, affine VM loops, symbolic fallback).
 
-use crate::affine::{solve, Solved};
+use crate::affine::{Solved, Solver};
 use crate::buffer::SharedBuffer;
 use crate::copy::{count_elems, desc_strides, for_each_offset, gather_symbolic, wcr_fn};
 use crate::engine::{Ctx, ExecError, Worker};
@@ -98,13 +98,14 @@ impl BodyTasklet {
     }
 }
 
-/// Compiles a tasklet node's ports against the given map parameters.
+/// Compiles a tasklet node's ports at a compile site: windows become
+/// affine functions of the solver's names, over its launch-invariant
+/// bindings.
 pub(crate) fn compile_body_tasklet(
     ctx: &Ctx,
     sid: StateId,
     n: NodeId,
-    params: &[String],
-    env: &Env,
+    solver: &mut Solver,
 ) -> Result<BodyTasklet, ExecError> {
     let state = ctx.sdfg.state(sid);
     let Node::Tasklet {
@@ -126,7 +127,7 @@ pub(crate) fn compile_body_tasklet(
         let Some(conn) = &df.dst_conn else { continue };
         let data = df.memlet.data_name().to_string();
         let stream = matches!(ctx.sdfg.desc(&data), Some(DataDesc::Stream(_)));
-        let window = plan_window(ctx, &data, &df.memlet.subset, params, env, stream)?;
+        let window = plan_window(ctx, &data, &df.memlet.subset, solver, stream)?;
         in_conns.push(conn.clone());
         let slot = ctx.buf_index.get(&data).copied();
         ins.push(InPort {
@@ -151,7 +152,7 @@ pub(crate) fn compile_body_tasklet(
         }
         let data = df.memlet.data_name().to_string();
         let stream = matches!(ctx.sdfg.desc(&data), Some(DataDesc::Stream(_)));
-        let window = plan_window(ctx, &data, &df.memlet.subset, params, env, stream)?;
+        let window = plan_window(ctx, &data, &df.memlet.subset, solver, stream)?;
         // Sparse WCR: conflict resolution over a multi-element window.
         let window_big = !matches!(window, WindowPlan::Scalar(_));
         let log = df.memlet.wcr.is_some() && window_big;
@@ -217,14 +218,13 @@ pub(crate) fn plan_window(
     ctx: &Ctx,
     data: &str,
     subset: &Subset,
-    params: &[String],
-    env: &Env,
+    solver: &mut Solver,
     stream: bool,
 ) -> Result<WindowPlan, ExecError> {
     if stream {
         return Ok(WindowPlan::Scalar(Solved::Const(0)));
     }
-    let strides = match desc_strides(ctx, data, env) {
+    let strides = match desc_strides(ctx, data, solver.env0) {
         Ok(s) => s,
         Err(_) => return Ok(WindowPlan::Dynamic(subset.clone())),
     };
@@ -251,10 +251,10 @@ pub(crate) fn plan_window(
     if is_index && subset.dims.len() == strides.len() {
         // flat = Σ start_d * stride_d — combine solved starts.
         let mut base = 0i64;
-        let mut coeffs = vec![0i64; params.len()];
+        let mut coeffs = vec![0i64; solver.names.len()];
         let mut ok = true;
         for (d, r) in subset.dims.iter().enumerate() {
-            match solve(&r.start, params, env) {
+            match solver.solve(&r.start) {
                 Solved::Const(v) => base += v * strides[d],
                 Solved::Affine { base: b, coeffs: c } => {
                     base += b * strides[d];
@@ -280,13 +280,13 @@ pub(crate) fn plan_window(
     let mut dims = Vec::with_capacity(subset.dims.len());
     let mut tile = 1i64;
     for r in &subset.dims {
-        let s = solve(&r.start, params, env);
-        let e = solve(&r.end, params, env);
-        let st = solve(&r.step, params, env);
+        let s = solver.solve(&r.start);
+        let e = solver.solve(&r.end);
+        let st = solver.solve(&r.step);
         if !(s.is_fast() && e.is_fast() && st.is_fast()) {
             return Ok(WindowPlan::Dynamic(subset.clone()));
         }
-        match solve(&r.tile, params, env) {
+        match solver.solve(&r.tile) {
             Solved::Const(t) => tile = tile.max(t),
             _ => return Ok(WindowPlan::Dynamic(subset.clone())),
         }

@@ -142,7 +142,7 @@ impl Backend for GpuSimBackend {
 
     fn run_scope(
         &self,
-        rcx: &RunCtx<'_, '_>,
+        rcx: &mut RunCtx<'_, '_, '_>,
         sid: sdfg_core::StateId,
     ) -> Result<ScopeStats, ExecError> {
         rcx.run_functional(sid)?;
