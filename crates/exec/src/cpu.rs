@@ -78,21 +78,17 @@ impl MapPlan {
         }
     }
 
-    /// Trip count per dimension for this launch: the static counts, with
-    /// the per-launch dimensions measured (dim 0 from the `n0` the caller
-    /// already has).
-    fn extents(&self, worker: &Worker, n0: usize) -> std::borrow::Cow<'_, [i64]> {
-        if self.per_launch.is_empty() {
-            return std::borrow::Cow::Borrowed(&self.pcounts);
+    /// Trip count of dimension `d` for this launch: the static count, or
+    /// the measured one for a per-launch dimension (dim 0 from the `n0`
+    /// the caller already has).
+    fn extent(&self, worker: &Worker, d: usize, n0: usize) -> i64 {
+        if !self.per_launch.contains(&d) {
+            return self.pcounts[d];
         }
-        let mut counts = self.pcounts.clone();
-        for &d in &self.per_launch {
-            counts[d] = match d {
-                0 => n0 as i64,
-                _ => self.ranges[d].eval_len(&worker.env).unwrap_or(i64::MAX / 4),
-            };
+        match d {
+            0 => n0 as i64,
+            _ => self.ranges[d].eval_len(&worker.env).unwrap_or(i64::MAX / 4),
         }
-        std::borrow::Cow::Owned(counts)
     }
 }
 
@@ -105,7 +101,7 @@ pub(crate) fn build_map_plan(
 ) -> Result<std::sync::Arc<MapPlan>, ExecError> {
     let shared_key = (sid.0, entry.0);
     if let Some((c, p)) = worker.map_cache.get(&shared_key) {
-        if c.matches(worker) {
+        if c.matches_local(worker) {
             return Ok(p.clone());
         }
     }
@@ -114,7 +110,9 @@ pub(crate) fn build_map_plan(
     // reuse is gated on a matching compile context.
     if let Some(cached) = ctx.plan.map(shared_key, worker) {
         let p = cached.1.clone();
-        worker.map_cache.insert(shared_key, cached);
+        if worker.stable {
+            worker.map_cache.insert(shared_key, cached);
+        }
         return Ok(p);
     }
     let state = ctx.sdfg.state(sid);
@@ -225,11 +223,16 @@ pub(crate) fn build_map_plan(
         body,
     });
     ctx.plan_cache.note_point_compile();
-    let cached = ctx
+    let (cached, capped) = ctx
         .plan
         .insert_map(shared_key, worker.compile_ctx(folded), plan);
+    if capped {
+        crate::plan::record_variant_cap(ctx.chash, &scope.label);
+    }
     let plan = cached.1.clone();
-    worker.map_cache.insert(shared_key, cached);
+    if worker.stable {
+        worker.map_cache.insert(shared_key, cached);
+    }
     Ok(plan)
 }
 
@@ -339,15 +342,16 @@ pub(crate) fn exec_map(
     worker.pcounts.extend(plan.pcounts.iter().copied());
     // Dynamic-range connectors (per launch), bound over whatever they
     // shadow until the launch ends.
-    let mut shadowed = Vec::with_capacity(plan.dyn_edges.len());
+    let shadow_base = worker.shadowed.len();
     for de in &plan.dyn_edges {
         let w = gather_symbolic(worker, &de.data, &de.subset)?;
-        shadowed.push(bind(&mut worker.env, &de.conn, w[0].round() as i64));
+        let prev = bind(&mut worker.env, &de.conn, w[0].round() as i64);
+        worker.shadowed.push(prev);
     }
     let saved_volume = worker.volume;
     let pop = |w: &mut Worker| {
-        for (de, prev) in plan.dyn_edges.iter().zip(&shadowed) {
-            unbind(&mut w.env, &de.conn, *prev);
+        for (de, prev) in plan.dyn_edges.iter().zip(w.shadowed.drain(shadow_base..)) {
+            unbind(&mut w.env, &de.conn, prev);
         }
         w.pstack.truncate(base);
         w.point.truncate(base);
@@ -367,12 +371,16 @@ pub(crate) fn exec_map(
         prof_close(worker);
         return Ok(());
     }
-    // What this launch really iterates: feeds the scheduler's volume
-    // estimate and the JIT hotness gate, which a body of this map reads
-    // off the worker.
-    let extents = plan.extents(worker, n0);
-    for &c in extents.iter() {
+    // What this launch really iterates: the JIT hotness gate (which a
+    // body of this map reads off the worker) and the scheduler's estimate
+    // of points per dim-0 iteration.
+    let mut inner_points = 1u64;
+    for d in 0..ranges.len() {
+        let c = plan.extent(worker, d, n0);
         worker.volume = worker.volume.saturating_mul(c.max(1));
+        if d > 0 {
+            inner_points = inner_points.saturating_mul(inner_extent_estimate(c, n0));
+        }
     }
     if let MapBody::Tasklets(ts, lowered) = &plan.body {
         lowered.prepare(ctx, worker, &plan.label, &ts[0].1);
@@ -384,7 +392,7 @@ pub(crate) fn exec_map(
     // Estimated volume and start time: the tuner's inputs, taken only
     // where it is consulted.
     let sample = pool.map(|_| {
-        let volume = (n0 as u64).saturating_mul(inner_points_estimate(&extents, n0));
+        let volume = (n0 as u64).saturating_mul(inner_points);
         (volume, std::time::Instant::now())
     });
     let tiles = pool.zip(sample).and_then(|(pool, (volume, _))| {
@@ -441,22 +449,16 @@ pub(crate) fn exec_map(
     r.map(|()| prof_close(worker))
 }
 
-/// Estimated points per dim-0 iteration from the launch's extents.
-/// Dynamic dimensions (data-dependent or parameter-dependent bounds,
-/// marked with the unbounded sentinel) are estimated at half the outer
-/// extent — exact on average for the triangular nests this feeds
-/// (cholesky, lu, trisolv).
-fn inner_points_estimate(extents: &[i64], n0: usize) -> u64 {
-    let mut prod = 1u64;
-    for &c in extents.iter().skip(1) {
-        let est = if c >= i64::MAX / 8 {
-            (n0 as u64 / 2).max(1)
-        } else {
-            c.max(1) as u64
-        };
-        prod = prod.saturating_mul(est);
+/// Estimated trip count of an inner dimension of extent `c`. A dynamic
+/// one (data-dependent or parameter-dependent bounds, marked with the
+/// unbounded sentinel) is estimated at half the outer extent — exact on
+/// average for the triangular nests this feeds (cholesky, lu, trisolv).
+fn inner_extent_estimate(c: i64, n0: usize) -> u64 {
+    if c >= i64::MAX / 8 {
+        (n0 as u64 / 2).max(1)
+    } else {
+        c.max(1) as u64
     }
-    prod
 }
 
 /// Bitwise-determinism gate for the work-stealing path. Tiling reorders

@@ -6,8 +6,8 @@ use crate::buffer::SharedBuffer;
 use crate::cpu::MapPlan;
 use crate::dispatch::exec_state;
 use crate::plan::{
-    Cached, CompileCtx, ExecutionPlan, Invariants, PlanCache, PlanKey, StatePlan,
-    MAX_FOLDED_VARIANTS,
+    record_variant_cap, Cached, CompileCtx, ExecutionPlan, Invariants, PlanCache, PlanKey,
+    StatePlan,
 };
 use crate::pool::BufferPool;
 use crate::stats::{AtomicStats, Stats};
@@ -379,6 +379,13 @@ pub(crate) struct Worker<'c, 's> {
     pub(crate) pstack: Vec<String>,
     pub(crate) point: Vec<i64>,
     pub(crate) nconst: usize,
+    /// Every launch-time constant of the state is bound, so each of its
+    /// points has one compile context and the worker's own caches apply
+    /// (see `CompileCtx::matches_local`).
+    pub(crate) stable: bool,
+    /// What each dynamic-range connector bound by the enclosing launches
+    /// shadowed, innermost last (restored when its launch ends).
+    pub(crate) shadowed: Vec<Option<i64>>,
     /// Static iteration counts per stacked parameter (1 for a constant,
     /// `i64::MAX/4` for any extent that is not launch-invariant), used by
     /// the WCR race analysis.
@@ -426,6 +433,8 @@ impl<'c, 's> Worker<'c, 's> {
             pstack: Vec::new(),
             point: Vec::new(),
             nconst: 0,
+            stable: true,
+            shadowed: Vec::new(),
             pcounts: Vec::new(),
             volume: 1,
             chunk_param: None,
@@ -450,6 +459,7 @@ impl<'c, 's> Worker<'c, 's> {
         w.pstack = launcher.pstack.clone();
         w.point = launcher.point.clone();
         w.nconst = launcher.nconst;
+        w.stable = launcher.stable;
         w.pcounts = launcher.pcounts.clone();
         w.volume = launcher.volume;
         w.chunk_param = Some(chunk);
@@ -495,6 +505,7 @@ impl<'c, 's> Worker<'c, 's> {
         self.point.clear();
         self.point.extend(self.pstack.iter().map(|m| env[m]));
         self.nconst = self.pstack.len();
+        self.stable = self.nconst == splan.muts.len();
         self.pcounts.clear();
         self.pcounts.resize(self.nconst, 1);
     }
@@ -572,7 +583,7 @@ impl<'c, 's> Worker<'c, 's> {
         n: NodeId,
     ) -> Result<std::sync::Arc<BodyTasklet>, ExecError> {
         if let Some((c, bt)) = self.prog_cache.get(&(sid.0, n.0)) {
-            if c.matches(self) {
+            if c.matches_local(self) {
                 return Ok(bt.clone());
             }
         }
@@ -594,11 +605,8 @@ impl<'c, 's> Worker<'c, 's> {
         let cached = match ctx.plan.tasklet(key, self) {
             Some(c) => c,
             None => {
-                let fold = ctx.plan.folded_tasklets(key) < MAX_FOLDED_VARIANTS;
                 let mut solver = Solver::new(&self.pstack, &ctx.inv.env0);
-                if fold {
-                    solver.fold = &self.point[..self.nconst];
-                }
+                solver.fold = &self.point[..self.nconst];
                 let mut bt = compile_body_tasklet(ctx, sid, n, &mut solver)?;
                 let folded = solver.folded;
                 for o in bt.outs.iter_mut() {
@@ -606,10 +614,17 @@ impl<'c, 's> Worker<'c, 's> {
                 }
                 ctx.plan_cache.note_point_compile();
                 let cctx = self.compile_ctx(folded);
-                ctx.plan.insert_tasklet(key, cctx, std::sync::Arc::new(bt))
+                let (cached, capped) = ctx.plan.insert_tasklet(key, cctx, std::sync::Arc::new(bt));
+                if capped {
+                    let label = ctx.sdfg.state(sid).graph.node(n).label();
+                    record_variant_cap(ctx.chash, &label);
+                }
+                cached
             }
         };
-        self.prog_cache.insert(key, cached.clone());
+        if self.stable {
+            self.prog_cache.insert(key, cached.clone());
+        }
         Ok(cached)
     }
 

@@ -53,12 +53,25 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Variants of one tasklet that may fold a launch-time constant's value
-/// (see [`CompileCtx::folded`]). A point that reaches the cap is compiled
-/// without folding from then on — its non-affine accesses are evaluated
-/// per point — so a long loop over `A[(k*k) % N]` holds a bounded number
-/// of variants instead of one per iteration.
-pub(crate) const MAX_FOLDED_VARIANTS: usize = 64;
+/// Variants of one program point that may fold a launch-time constant's
+/// value (see [`CompileCtx::folded`]). Past the cap a new value is still
+/// compiled — its launch runs on the same tier as the others — but the
+/// artifact is not kept, so each such visit compiles again. The first
+/// time that happens at a point is recorded in the fallback ledger
+/// (`plan-variant-cap`), every time in `CacheStats::point_compiles`. The
+/// cap bounds what a long loop over `A[(k*k) % N]` holds; jacobi-2d's
+/// `A[t % 2, i, j]` keeps one variant per time step for its first 64.
+const MAX_FOLDED_VARIANTS: usize = 64;
+
+/// Records that the point labelled `label` dropped its first variant at
+/// [`MAX_FOLDED_VARIANTS`].
+pub(crate) fn record_variant_cap(chash: u64, label: &str) {
+    let detail = format!(
+        "more than {MAX_FOLDED_VARIANTS} values of a folded launch-time constant: \
+         further values are compiled on every visit"
+    );
+    crate::jit::record_fallback(chash, label, "plan-variant-cap", &detail);
+}
 
 /// Identity of a lowered plan: program content hash + initial symbol
 /// bindings (sorted for a canonical representation).
@@ -231,44 +244,78 @@ pub(crate) struct CompileCtx {
 
 impl CompileCtx {
     /// Whether an artifact compiled under this context serves the worker
-    /// where it stands now. Allocation-free: this runs on every cached
-    /// fetch.
+    /// where it stands now. Allocation-free: this runs on every fetch from
+    /// the shared plan.
     pub(crate) fn matches(&self, w: &Worker) -> bool {
         self.chunk == w.chunk_param
             && self.jit == w.ctx.jit
             && self.pcounts == w.pcounts
-            && self.folded.iter().all(|&(i, v)| w.point.get(i) == Some(&v))
+            && self.folded_match(w)
             && self.pstack == w.pstack
             && self.locals.len() == w.locals.len()
             && self.locals.iter().all(|l| w.locals.contains_key(l))
+    }
+
+    fn folded_match(&self, w: &Worker) -> bool {
+        self.folded.iter().all(|&(i, v)| w.point.get(i) == Some(&v))
+    }
+
+    /// [`CompileCtx::matches`] for an artifact from the worker's own
+    /// cache, which runs once per map point for generic bodies. One worker
+    /// reaches a program point under one parameter stack, chunk axis and
+    /// overlay set — they follow from the scopes around the point — as
+    /// long as every launch-time constant of the state is bound
+    /// (`Worker::stable`; otherwise the worker's caches are bypassed). So
+    /// only the folded values can differ between two visits.
+    pub(crate) fn matches_local(&self, w: &Worker) -> bool {
+        let serves = w.stable && self.folded_match(w);
+        debug_assert!(!serves || self.matches(w), "one context per point");
+        serves
     }
 }
 
 /// A cached artifact and the context it was compiled under.
 pub(crate) type Cached<T> = (Arc<CompileCtx>, Arc<T>);
 
-/// Compiled variants for one program point.
-type Variants<T> = Mutex<HashMap<(u32, u32), Vec<Cached<T>>>>;
+/// Compiled variants of one program point.
+struct VariantList<T> {
+    list: Vec<Cached<T>>,
+    /// A variant was dropped at [`MAX_FOLDED_VARIANTS`] before.
+    overflowed: bool,
+}
+
+type Variants<T> = Mutex<HashMap<(u32, u32), VariantList<T>>>;
 
 fn find_variant<T>(variants: &Variants<T>, key: (u32, u32), w: &Worker) -> Option<Cached<T>> {
     let map = variants.lock();
-    map.get(&key)?.iter().find(|(c, _)| c.matches(w)).cloned()
+    let list = &map.get(&key)?.list;
+    list.iter().find(|(c, _)| c.matches(w)).cloned()
 }
 
+/// Records a variant; the flag is set when this is the first variant of
+/// the point dropped at the cap.
 fn insert_variant<T>(
     variants: &Variants<T>,
     key: (u32, u32),
     ctx: CompileCtx,
     art: Arc<T>,
-) -> Cached<T> {
+) -> (Cached<T>, bool) {
     let mut map = variants.lock();
-    let list = map.entry(key).or_default();
+    let v = map.entry(key).or_insert_with(|| VariantList {
+        list: Vec::new(),
+        overflowed: false,
+    });
     // Two workers may race to compile one point; the first entry wins.
-    if let Some(found) = list.iter().find(|(c, _)| **c == ctx) {
-        return found.clone();
+    if let Some(found) = v.list.iter().find(|(c, _)| **c == ctx) {
+        return (found.clone(), false);
     }
-    list.push((Arc::new(ctx), art));
-    list.last().expect("just pushed").clone()
+    let folded = |l: &[Cached<T>]| l.iter().filter(|(c, _)| !c.folded.is_empty()).count();
+    if !ctx.folded.is_empty() && folded(&v.list) >= MAX_FOLDED_VARIANTS {
+        let first = !std::mem::replace(&mut v.overflowed, true);
+        return ((Arc::new(ctx), art), first);
+    }
+    v.list.push((Arc::new(ctx), art));
+    (v.list.last().expect("just pushed").clone(), false)
 }
 
 /// Structural plan for one state: scope tree + topological order. Depends
@@ -278,9 +325,10 @@ pub(crate) struct StatePlan {
     pub order: Vec<NodeId>,
     /// Mutable interstate symbols this state's memlets read, sorted: the
     /// launch-time constants its bodies are solved against. Names that a
-    /// scope of the state rebinds as its own parameter are left out (the
-    /// parameter shadows the symbol inside the scope); a reference that
-    /// still means the symbol is then evaluated per point.
+    /// scope of the state rebinds — as its own parameter or as a
+    /// dynamic-range connector — are left out (the binding shadows the
+    /// symbol inside the scope); a reference that still means the symbol
+    /// is then evaluated per point.
     pub muts: Vec<String>,
 }
 
@@ -298,9 +346,19 @@ impl StatePlan {
             read.retain(|s| muts.contains(s));
             for n in state.graph.node_ids() {
                 match state.graph.node(n) {
-                    Node::MapEntry(m) => m.params.iter().for_each(|p| {
-                        read.remove(p);
-                    }),
+                    Node::MapEntry(m) => {
+                        for p in &m.params {
+                            read.remove(p);
+                        }
+                        // Dynamic-range connectors are bound per launch.
+                        for e in state.graph.in_edges(n) {
+                            if let Some(conn) = &state.graph.edge(e).dst_conn {
+                                if !conn.starts_with("IN_") {
+                                    read.remove(conn);
+                                }
+                            }
+                        }
+                    }
                     Node::ConsumeEntry(c) => {
                         read.remove(&c.pe_param);
                     }
@@ -424,22 +482,14 @@ impl ExecutionPlan {
         find_variant(&self.tasklets, key, w)
     }
 
-    /// Records a compiled tasklet body.
+    /// Records a compiled tasklet body (see [`insert_variant`]).
     pub fn insert_tasklet(
         &self,
         key: (u32, u32),
         ctx: CompileCtx,
         body: Arc<BodyTasklet>,
-    ) -> Cached<BodyTasklet> {
+    ) -> (Cached<BodyTasklet>, bool) {
         insert_variant(&self.tasklets, key, ctx, body)
-    }
-
-    /// Variants of a tasklet holding a folded constant (see
-    /// [`MAX_FOLDED_VARIANTS`]).
-    pub fn folded_tasklets(&self, key: (u32, u32)) -> usize {
-        self.tasklets.lock().get(&key).map_or(0, |l| {
-            l.iter().filter(|(c, _)| !c.folded.is_empty()).count()
-        })
     }
 
     /// Cached map plan that serves the worker's current context.
@@ -447,13 +497,13 @@ impl ExecutionPlan {
         find_variant(&self.maps, key, w)
     }
 
-    /// Records a compiled map plan.
+    /// Records a compiled map plan (see [`insert_variant`]).
     pub fn insert_map(
         &self,
         key: (u32, u32),
         ctx: CompileCtx,
         plan: Arc<MapPlan>,
-    ) -> Cached<MapPlan> {
+    ) -> (Cached<MapPlan>, bool) {
         insert_variant(&self.maps, key, ctx, plan)
     }
 
@@ -495,7 +545,7 @@ impl ExecutionPlan {
         let mut rows: HashMap<(u32, u32), crate::lower::MapLowering> = map
             .iter()
             .filter_map(|(&(sid, nid), variants)| {
-                let (_, plan) = variants.last()?;
+                let (_, plan) = variants.list.last()?;
                 Some(((sid, nid), plan.lowering_entry(sid, nid)))
             })
             .collect();
@@ -599,7 +649,12 @@ mod tests {
             ctx,
             Arc::new(crate::tasklet::BodyTasklet::test_dummy()),
         );
-        let cached = |plan: &ExecutionPlan| plan.tasklets.lock().get(&(0, 1)).map_or(0, Vec::len);
+        let cached = |plan: &ExecutionPlan| {
+            plan.tasklets
+                .lock()
+                .get(&(0, 1))
+                .map_or(0, |v| v.list.len())
+        };
         assert_eq!(cached(&plan), 1);
         // Same layout: artifacts survive.
         plan.ensure_layout(&names);

@@ -4,9 +4,10 @@
 //! timed-out invoke comes back 504 without poisoning the registry; and
 //! the `/metrics` endpoint passes the exposition validator.
 
+use sdfg_core::node::MapScope;
 use sdfg_core::sdfg::InterstateEdge;
 use sdfg_core::serialize::{parse_json, to_json, Json};
-use sdfg_core::Sdfg;
+use sdfg_core::{DType, Memlet, Sdfg, SymRange};
 use sdfg_exec::{OptLevel, Session};
 use sdfg_profile::metrics;
 use sdfg_serve::{RegistryConfig, Server, ServerConfig};
@@ -27,14 +28,52 @@ fn kernel(name: &str) -> Workload {
     (k.build)(SCALE)
 }
 
-/// A program that spins through interstate transitions forever (the
-/// bound is far beyond the transition limit), so only the wall-clock
-/// deadline can stop it with a typed timeout.
+/// A program that spins through interstate transitions for far longer
+/// than any deadline used here: the bound is out of reach, and each
+/// transition launches a 1024-point map, so the executor's 10 M
+/// transition limit is tens of seconds away however cheap an empty
+/// transition becomes. Only the wall-clock deadline stops it in time.
 fn spin_sdfg() -> Sdfg {
     let mut s = Sdfg::new("spin");
     s.add_symbol("t");
     s.add_symbol("T");
+    s.add_transient("buf", &["1024"], DType::F64);
     let a = s.add_state("body");
+    {
+        let st = s.state_mut(a);
+        let (src, dst) = (st.add_access("buf"), st.add_access("buf"));
+        let touch = MapScope::new("touch", vec!["i".into()], vec![SymRange::new(0, 1024)]);
+        let (me, mx) = st.add_map(touch);
+        let inc = st.add_tasklet("inc", &["x"], &["y"], "y = x + 1");
+        st.add_edge(
+            src,
+            None,
+            me,
+            Some("IN_buf"),
+            Memlet::parse("buf", "0:1024"),
+        );
+        st.add_edge(
+            me,
+            Some("OUT_buf"),
+            inc,
+            Some("x"),
+            Memlet::parse("buf", "i"),
+        );
+        st.add_edge(
+            inc,
+            Some("y"),
+            mx,
+            Some("IN_buf"),
+            Memlet::parse("buf", "i"),
+        );
+        st.add_edge(
+            mx,
+            Some("OUT_buf"),
+            dst,
+            None,
+            Memlet::parse("buf", "0:1024"),
+        );
+    }
     s.add_transition(a, a, InterstateEdge::when("t < T").assign("t", "t + 1"));
     s
 }
