@@ -37,14 +37,8 @@ pub fn emit_invoke(kernel: &str, scale: usize) -> Result<String, String> {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\n    \"{name}\": ["));
-        for (j, v) in data.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{v}"));
-        }
-        out.push(']');
+        out.push_str(&format!("\n    \"{name}\": "));
+        sdfg_core::serialize::write_f64_array(&mut out, data);
     }
     out.push_str("\n  }\n}\n");
     Ok(out)

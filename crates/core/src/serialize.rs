@@ -69,6 +69,69 @@ fn q(s: &str) -> String {
     format!("\"{}\"", json_escape(s))
 }
 
+/// Appends `data` as a JSON array. Every finite value is written with the
+/// bytes of `format!("{x}")` — Rust's shortest round-trip form, so a
+/// reader gets bitwise-identical doubles back — and every non-finite one
+/// (unrepresentable in JSON) as `null`.
+///
+/// Fast path, for `|x| < 2^22`: probe `m = round(|x| * 1e9)` and accept
+/// when `m / 1e9` is bit-equal to `|x|`. `m < 2^53` and `1e9` are exact
+/// doubles, so the division is correctly rounded and equality means the
+/// decimal `m * 10^-9` lies in `|x|`'s rounding interval. That interval is
+/// at most one ulp wide, `2^-31 < 1e-9` here, so it holds no other
+/// decimal with nine or fewer fractional digits; one with more would have
+/// more significant digits. `m * 10^-9` without its trailing zeros is
+/// therefore the unique shortest decimal that reads back as `x`: what
+/// `Display` prints. Everything else goes through `Display` itself.
+pub fn write_f64_array(out: &mut String, data: &[f64]) {
+    out.reserve(data.len() * 12 + 2);
+    out.push('[');
+    for (i, &x) in data.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let a = x.abs();
+        let m = (a * 1e9).round();
+        if a < (1u32 << 22) as f64 && m / 1e9 == a {
+            let m = m as u64;
+            // "-", seven integer digits, ".", nine fractional digits.
+            let mut buf = [b'0'; 18];
+            let (mut int, mut frac) = (m / 1_000_000_000, (m % 1_000_000_000) as u32);
+            let mut end = 8;
+            if frac != 0 {
+                buf[8] = b'.';
+                end = 18;
+                for slot in buf[9..].iter_mut().rev() {
+                    *slot = b'0' + (frac % 10) as u8;
+                    frac /= 10;
+                }
+                while buf[end - 1] == b'0' {
+                    end -= 1;
+                }
+            }
+            let mut at = 8;
+            loop {
+                at -= 1;
+                buf[at] = b'0' + (int % 10) as u8;
+                int /= 10;
+                if int == 0 {
+                    break;
+                }
+            }
+            if x.is_sign_negative() {
+                at -= 1;
+                buf[at] = b'-';
+            }
+            out.push_str(std::str::from_utf8(&buf[at..end]).expect("ASCII digits"));
+        } else if x.is_finite() {
+            let _ = write!(out, "{x}");
+        } else {
+            out.push_str("null");
+        }
+    }
+    out.push(']');
+}
+
 fn write_sdfg(w: &mut JsonWriter, sdfg: &Sdfg) {
     w.line("{");
     w.indent += 1;
@@ -449,12 +512,9 @@ impl Json {
 /// the offending input, so callers can surface actionable diagnostics for
 /// documents received over the wire.
 pub fn parse_json(src: &str) -> Result<Json, String> {
-    let mut p = JsonParser::new(src);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.src.len() {
-        return Err(p.err_at(p.pos, "trailing garbage"));
-    }
+    let mut r = JsonReader::new(src);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
@@ -490,16 +550,34 @@ pub fn from_json_limited(src: &str, max_bytes: usize) -> Result<Sdfg, crate::Sdf
     from_json(src).map_err(|message| crate::SdfgError::Serialize { message })
 }
 
-struct JsonParser<'a> {
+/// `10^k` for `k <= 22`: every entry is an exact `f64`.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// A pull reader over one JSON document: the grammar's primitives, for
+/// consumers that know the shape they expect and want no intermediate
+/// value. [`parse_json`] is the generic consumer (it builds the [`Json`]
+/// tree); `sdfg-serve` reads invoke bodies straight into `Vec<f64>`.
+/// Every error carries the byte offset and 1-based line/column.
+pub struct JsonReader<'a> {
     src: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
-impl<'a> JsonParser<'a> {
-    fn new(src: &'a str) -> Self {
-        JsonParser {
+/// How deep arrays and objects may nest. Reading recurses once per level,
+/// so without a bound a few hundred kilobytes of `[` overflow the stack.
+const MAX_DEPTH: usize = 128;
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        JsonReader {
             src: src.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -526,12 +604,21 @@ impl<'a> JsonParser<'a> {
         format!("{msg} at byte {pos} (line {line}, column {col})")
     }
 
-    fn peek(&mut self) -> Option<u8> {
+    /// The next non-whitespace byte, not consumed: `{`, `[`, `"`, `-` or
+    /// a digit tell a consumer which primitive to call.
+    pub fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
         self.src.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    /// Whether a number comes next: a value that starts with `-` or a
+    /// digit is one (so `-.5` is a number and `.5` is not a value).
+    pub fn at_number(&mut self) -> bool {
+        matches!(self.peek(), Some(b'-' | b'0'..=b'9'))
+    }
+
+    /// Consumes the punctuation byte `b`.
+    pub fn expect(&mut self, b: u8) -> Result<(), String> {
         match self.peek() {
             Some(c) if c == b => {
                 self.pos += 1;
@@ -548,21 +635,109 @@ impl<'a> JsonParser<'a> {
         }
     }
 
+    /// Consumes the `[` or `{` that opens an array or object, one level
+    /// deeper; [`JsonReader::next_item`] steps through it and closes it.
+    pub fn open(&mut self, bracket: u8) -> Result<(), String> {
+        self.expect(bracket)?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.err_at(
+                self.pos - 1,
+                &format!("nesting deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Steps through the items of an array (`close` = `]`) or object
+    /// (`}`) after [`JsonReader::open`]: `true` when an item follows,
+    /// `false` once `close` has been consumed. `first` starts `true`; the
+    /// reader clears it.
+    pub fn next_item(&mut self, close: u8, first: &mut bool) -> Result<bool, String> {
+        let c = self.peek();
+        if c == Some(close) {
+            self.pos += 1;
+            self.depth = self.depth.saturating_sub(1);
+            return Ok(false);
+        }
+        if std::mem::take(first) {
+            return Ok(true);
+        }
+        if c == Some(b',') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        Err(self.err_at(
+            self.pos,
+            &format!("expected `,` or `{}`, found {c:?}", close as char),
+        ))
+    }
+
+    /// Succeeds at the end of the document; anything but whitespace left
+    /// is an error.
+    pub fn finish(&mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.err_at(self.pos, "trailing garbage")),
+        }
+    }
+
+    /// Reads any value into a [`Json`] tree.
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => {
+                self.open(b'{')?;
+                let (mut out, mut first) = (Vec::new(), true);
+                while self.next_item(b'}', &mut first)? {
+                    out.push((self.key()?, self.value()?));
+                }
+                Ok(Json::Obj(out))
+            }
+            Some(b'[') => {
+                self.open(b'[')?;
+                let (mut out, mut first) = (Vec::new(), true);
+                while self.next_item(b']', &mut first)? {
+                    out.push(self.value()?);
+                }
+                Ok(Json::Arr(out))
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(_) if self.at_number() => Ok(Json::Num(self.number()?)),
             other => Err(self.err_at(self.pos, &format!("unexpected {other:?}"))),
         }
     }
 
+    /// Reads any value and discards it: accepts and rejects exactly what
+    /// [`parse_json`] does, without building the tree.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => {
+                self.open(b'{')?;
+                let mut first = true;
+                while self.next_item(b'}', &mut first)? {
+                    self.key()?;
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+            Some(b'[') => {
+                self.open(b'[')?;
+                let mut first = true;
+                while self.next_item(b']', &mut first)? {
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+            Some(b'"') => self.string().map(drop),
+            Some(_) if self.at_number() => self.number().map(drop),
+            _ => self.value().map(drop),
+        }
+    }
+
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
         if self.src[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -571,25 +746,63 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Reads a number. The grammar is the run of `[-+.eE0-9]` bytes that
+    /// `str::parse::<f64>` accepts (a superset of JSON's: `-.5` and `01`
+    /// pass), and so is the value, bit for bit.
+    ///
+    /// Fast path: a plain decimal — no exponent, at most 19 digits, so the
+    /// digits fit a `u64` — whose digits `m` are at most 2^53 with at most
+    /// 22 of them after the point. Then `m` and `10^k` are both exact
+    /// doubles and IEEE division rounds their quotient correctly, which is
+    /// the definition of the nearest double to `m / 10^k`. Anything else
+    /// goes through `str::parse` on the scanned slice.
+    pub fn number(&mut self) -> Result<f64, String> {
         self.skip_ws();
         let start = self.pos;
-        while self.pos < self.src.len()
-            && matches!(
-                self.src[self.pos],
-                b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'
-            )
-        {
-            self.pos += 1;
+        let rest = &self.src[start..];
+        let negative = rest.first() == Some(&b'-');
+        let (mut m, mut digits, mut frac, mut dot) = (0u64, 0u32, 0u32, false);
+        let mut i = usize::from(negative);
+        while let Some(&b) = rest.get(i) {
+            match b {
+                b'0'..=b'9' => {
+                    m = m.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+                    digits += 1;
+                    frac += u32::from(dot);
+                }
+                b'.' if !dot => dot = true,
+                _ => break,
+            }
+            i += 1;
         }
-        std::str::from_utf8(&self.src[start..self.pos])
+        let plain = !matches!(rest.get(i), Some(b'-' | b'+' | b'.' | b'e' | b'E'));
+        if plain && (1..=19).contains(&digits) && m <= 1 << 53 && frac <= 22 {
+            self.pos = start + i;
+            let x = m as f64 / POW10[frac as usize];
+            return Ok(if negative { -x } else { x });
+        }
+        while matches!(
+            rest.get(i),
+            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+        ) {
+            i += 1;
+        }
+        self.pos = start + i;
+        std::str::from_utf8(&rest[..i])
             .ok()
             .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
             .ok_or_else(|| self.err_at(start, "invalid number"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Reads an object key and the `:` after it.
+    pub fn key(&mut self) -> Result<String, String> {
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok(key)
+    }
+
+    /// Reads a string, unescaped.
+    pub fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -647,57 +860,6 @@ impl<'a> JsonParser<'a> {
                             .map_err(|_| self.err_at(start, "invalid UTF-8"))?,
                     );
                     self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                other => {
-                    return Err(
-                        self.err_at(self.pos, &format!("expected `,` or `]`, found {other:?}"))
-                    )
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            out.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                other => {
-                    return Err(
-                        self.err_at(self.pos, &format!("expected `,` or `}}`, found {other:?}"))
-                    )
                 }
             }
         }
@@ -1389,5 +1551,25 @@ mod tests {
         assert_eq!(v.arr_field("b").unwrap().len(), 2);
         assert_eq!(v.str_field("c").unwrap(), "x");
         assert!(parse_json("{} junk").is_err());
+    }
+
+    /// Nesting is bounded, for the tree builder and for `skip_value`
+    /// alike: a megabyte of `[` is an error, not a stack overflow.
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        assert!(JsonReader::new(&nested(MAX_DEPTH)).skip_value().is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            "nesting deeper than 128 levels at byte 128 (line 1, column 129)"
+        );
+        let hostile = "[{\"k\":".repeat(1 << 17);
+        assert!(parse_json(&hostile).is_err());
+        assert!(JsonReader::new(&hostile).skip_value().is_err());
+        // Levels closed are levels given back.
+        let wide = format!("[{}[]]", "[[]],".repeat(1000));
+        assert!(parse_json(&wide).is_ok());
     }
 }

@@ -582,6 +582,10 @@ pub struct ServeMetrics {
     pub inflight: Gauge,
     /// `sdfg_serve_request_duration_ms` — end-to-end invoke latency.
     pub request_duration_ms: Histogram,
+    /// `sdfg_serve_decode_ms` — invoke body to bindings.
+    pub decode_ms: Histogram,
+    /// `sdfg_serve_encode_ms` — result arrays to response body.
+    pub encode_ms: Histogram,
 }
 
 /// The process-global serving-layer handles.
@@ -618,6 +622,18 @@ pub fn serve() -> &'static ServeMetrics {
             request_duration_ms: r.histogram(
                 "sdfg_serve_request_duration_ms",
                 "End-to-end invoke latency at the serving layer, milliseconds.",
+                &[],
+                &default_duration_buckets_ms(),
+            ),
+            decode_ms: r.histogram(
+                "sdfg_serve_decode_ms",
+                "Time to decode an invoke request body into bindings, milliseconds.",
+                &[],
+                &default_duration_buckets_ms(),
+            ),
+            encode_ms: r.histogram(
+                "sdfg_serve_encode_ms",
+                "Time to encode an invoke's result arrays as the response body, milliseconds.",
                 &[],
                 &default_duration_buckets_ms(),
             ),

@@ -55,6 +55,25 @@ impl From<std::io::Error> for ParseError {
     }
 }
 
+/// Reads one line of the request head, at most `budget` bytes of it: a
+/// peer that never sends a newline costs what is left of the head cap, not
+/// memory without bound.
+fn read_head_line(
+    reader: &mut BufReader<TcpStream>,
+    budget: &mut usize,
+) -> Result<String, ParseError> {
+    let mut line = Vec::new();
+    let n = reader
+        .by_ref()
+        .take(*budget as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    if n > *budget {
+        return Err(ParseError::Bad("headers exceed the 16 KiB cap".into()));
+    }
+    *budget -= n;
+    String::from_utf8(line).map_err(|_| ParseError::Bad("request head is not UTF-8".into()))
+}
+
 /// Reads one request off the connection. `max_body` caps the declared
 /// `Content-Length`; anything bigger is rejected *before* reading the
 /// body, so a hostile payload costs nothing but its headers.
@@ -62,9 +81,9 @@ pub fn read_request(
     reader: &mut BufReader<TcpStream>,
     max_body: usize,
 ) -> Result<Request, ParseError> {
-    let mut head = String::new();
-    let n = reader.read_line(&mut head)?;
-    if n == 0 {
+    let mut budget = MAX_HEAD_BYTES;
+    let head = read_head_line(reader, &mut budget)?;
+    if head.is_empty() {
         return Err(ParseError::Eof);
     }
     let line = head.trim_end();
@@ -86,16 +105,10 @@ pub fn read_request(
     let mut headers = Vec::new();
     let mut content_length = 0usize;
     let mut connection = String::new();
-    let mut head_bytes = line.len();
     loop {
-        let mut hl = String::new();
-        let n = reader.read_line(&mut hl)?;
-        if n == 0 {
+        let hl = read_head_line(reader, &mut budget)?;
+        if hl.is_empty() {
             return Err(ParseError::Bad("connection closed mid-headers".into()));
-        }
-        head_bytes += n;
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ParseError::Bad("headers exceed the 16 KiB cap".into()));
         }
         let hl = hl.trim_end();
         if hl.is_empty() {
@@ -122,8 +135,15 @@ pub fn read_request(
             got: content_length,
         });
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    // Capacity without the zero fill `read_exact` would need first.
+    let mut body = Vec::with_capacity(content_length);
+    reader
+        .by_ref()
+        .take(content_length as u64)
+        .read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
     let keep_alive = match connection.as_str() {
         "close" => false,
         "keep-alive" => true,

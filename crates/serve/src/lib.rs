@@ -29,14 +29,14 @@
 pub mod admission;
 pub mod http;
 pub mod registry;
+mod wire;
 
 pub use admission::{Admission, Permit, Reject};
 pub use registry::{ProgramEntry, Registry, RegistryConfig, Submitted};
 
 use http::{ParseError, Request, Response};
-use sdfg_core::serialize::{parse_json_limited, Json};
+use sdfg_core::serialize::json_escape;
 use sdfg_core::SdfgError;
-use sdfg_exec::Bindings;
 use sdfg_profile::{ledger, metrics};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -270,9 +270,9 @@ fn submit(req: &Request, shared: &Shared) -> Response {
             Response::json(
                 status,
                 format!(
-                    "{{\"program\":\"{:016x}\",\"name\":{},\"existing\":{}}}",
+                    "{{\"program\":\"{:016x}\",\"name\":\"{}\",\"existing\":{}}}",
                     sub.hash,
-                    json_str(&sub.name),
+                    json_escape(&sub.name),
                     sub.existing
                 ),
             )
@@ -290,9 +290,9 @@ fn list_programs(shared: &Shared) -> Response {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"program\":\"{hash:016x}\",\"name\":{},\"invokes\":{invokes},\
+            "{{\"program\":\"{hash:016x}\",\"name\":\"{}\",\"invokes\":{invokes},\
              \"errors\":{errors},\"submit_hits\":{submit_hits},\"avg_ms\":{avg_ms}}}",
-            json_str(&name),
+            json_escape(&name),
         ));
     }
     out.push_str("]}");
@@ -315,11 +315,13 @@ fn invoke(req: &Request, shared: &Shared, hash_str: &str) -> Response {
             &format!("no program {hash:016x} registered"),
         );
     };
-    let (bindings, timeout_ms, outputs_filter) =
-        match decode_invoke_body(&req.body, shared.max_body_bytes) {
-            Ok(parts) => parts,
-            Err(resp) => return resp,
-        };
+    let t_decode = Instant::now();
+    let decoded = wire::decode_invoke_body(&req.body);
+    m.decode_ms.observe(t_decode.elapsed().as_secs_f64() * 1e3);
+    let (bindings, timeout_ms, outputs_filter) = match decoded {
+        Ok(parts) => parts,
+        Err(msg) => return error_response(400, "SDFG-S002", &msg),
+    };
     let tenant = tenant_of(req);
     let request_id = format!(
         "req-{}",
@@ -361,31 +363,17 @@ fn invoke(req: &Request, shared: &Shared, hash_str: &str) -> Response {
         Ok(out) => out,
         Err(resp) => return resp.with_header("x-request-id", request_id),
     };
-    let arrays = out.into_arrays();
-    let mut body = format!("{{\"program\":\"{hash:016x}\",\"outputs\":{{");
-    let mut names: Vec<&String> = match &outputs_filter {
-        Some(want) => {
-            for name in want {
-                if !arrays.contains_key(name) {
-                    let err = SdfgError::UnknownData { name: name.clone() };
-                    return sdfg_error_response(&err).with_header("x-request-id", request_id);
-                }
-            }
-            want.iter().collect()
+    let t_encode = Instant::now();
+    let encoded = wire::encode_outputs(hash, &out.into_arrays(), outputs_filter.as_deref());
+    m.encode_ms.observe(t_encode.elapsed().as_secs_f64() * 1e3);
+    let resp = match encoded {
+        Ok(mut body) => {
+            body.push_str(&format!(",\"wall_ms\":{wall_ms}}}"));
+            Response::json(200, body)
         }
-        None => arrays.keys().collect(),
+        Err(err) => sdfg_error_response(&err),
     };
-    names.sort();
-    for (i, name) in names.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&json_str(name));
-        body.push(':');
-        json_f64_array(&mut body, &arrays[*name]);
-    }
-    body.push_str(&format!("}},\"wall_ms\":{wall_ms}}}"));
-    Response::json(200, body).with_header("x-request-id", request_id)
+    resp.with_header("x-request-id", request_id)
 }
 
 fn reject_response(reject: Reject) -> Response {
@@ -417,119 +405,16 @@ fn reject_response(reject: Reject) -> Response {
 }
 
 // ---------------------------------------------------------------------------
-// Wire JSON
+// Error bodies (the invoke codec is in `wire`)
 // ---------------------------------------------------------------------------
-
-type InvokeParts = (Bindings, Option<u64>, Option<Vec<String>>);
-
-/// Decodes an invoke body: `{"symbols": {..}, "arrays": {..},
-/// "timeout_ms": N, "outputs": [..]}`; every field optional.
-fn decode_invoke_body(body: &[u8], max_bytes: usize) -> Result<InvokeParts, Response> {
-    if body.is_empty() {
-        return Ok((Bindings::new(), None, None));
-    }
-    let src = std::str::from_utf8(body)
-        .map_err(|_| error_response(400, "SDFG-S002", "request body is not UTF-8"))?;
-    let doc = parse_json_limited(src, max_bytes)
-        .map_err(|msg| error_response(400, "SDFG-S002", &format!("deserialization: {msg}")))?;
-    let mut bindings = Bindings::new();
-    if let Some(Json::Obj(pairs)) = doc.get("symbols") {
-        for (name, v) in pairs {
-            let Json::Num(x) = v else {
-                return Err(bad_field(&format!("symbol `{name}` must be a number")));
-            };
-            if x.fract() != 0.0 {
-                return Err(bad_field(&format!("symbol `{name}` must be an integer")));
-            }
-            bindings = bindings.symbol(name, *x as i64);
-        }
-    }
-    if let Some(Json::Obj(pairs)) = doc.get("arrays") {
-        for (name, v) in pairs {
-            let Json::Arr(items) = v else {
-                return Err(bad_field(&format!("array `{name}` must be a JSON array")));
-            };
-            let mut data = Vec::with_capacity(items.len());
-            for item in items {
-                let Json::Num(x) = item else {
-                    return Err(bad_field(&format!("array `{name}` must hold only numbers")));
-                };
-                data.push(*x);
-            }
-            bindings = bindings.array_vec(name, data);
-        }
-    }
-    let timeout_ms = match doc.get("timeout_ms") {
-        Some(Json::Num(x)) if *x >= 0.0 => Some(*x as u64),
-        Some(_) => return Err(bad_field("timeout_ms must be a non-negative number")),
-        None => None,
-    };
-    let outputs = match doc.get("outputs") {
-        Some(Json::Arr(items)) => {
-            let mut names = Vec::with_capacity(items.len());
-            for item in items {
-                let Json::Str(s) = item else {
-                    return Err(bad_field("outputs must be an array of names"));
-                };
-                names.push(s.clone());
-            }
-            Some(names)
-        }
-        Some(_) => return Err(bad_field("outputs must be an array of names")),
-        None => None,
-    };
-    Ok((bindings, timeout_ms, outputs))
-}
-
-fn bad_field(msg: &str) -> Response {
-    error_response(400, "SDFG-S002", msg)
-}
-
-/// Escapes a string for JSON output.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Serializes an `f64` array. Finite values use Rust's shortest
-/// round-trip representation, so a client that reparses them gets
-/// bitwise-identical doubles; non-finite values (unrepresentable in
-/// JSON) are emitted as `null`.
-fn json_f64_array(out: &mut String, data: &[f64]) {
-    out.push('[');
-    for (i, x) in data.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if x.is_finite() {
-            out.push_str(&format!("{x}"));
-        } else {
-            out.push_str("null");
-        }
-    }
-    out.push(']');
-}
 
 fn error_response(status: u16, code: &str, message: &str) -> Response {
     Response::json(
         status,
         format!(
-            "{{\"error\":{{\"code\":{},\"message\":{}}}}}",
-            json_str(code),
-            json_str(message)
+            "{{\"error\":{{\"code\":\"{}\",\"message\":\"{}\"}}}}",
+            json_escape(code),
+            json_escape(message)
         ),
     )
 }
@@ -563,41 +448,5 @@ mod tests {
         assert_eq!(invoke_target("/v1/programs/abc"), None);
         assert_eq!(invoke_target("/v1/programs//invoke"), None);
         assert_eq!(invoke_target("/v1/other/abc/invoke"), None);
-    }
-
-    #[test]
-    fn json_str_escapes() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-    }
-
-    #[test]
-    fn f64_array_round_trips_bitwise() {
-        let vals = [0.1, -1.5e-300, 3.0, f64::MAX, 1.0 / 3.0];
-        let mut s = String::new();
-        json_f64_array(&mut s, &vals);
-        let doc = sdfg_core::serialize::parse_json(&s).unwrap();
-        let Json::Arr(items) = doc else { panic!() };
-        for (item, want) in items.iter().zip(vals) {
-            let Json::Num(got) = item else { panic!() };
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
-    fn decode_invoke_body_full() {
-        let body =
-            br#"{"symbols":{"N":8},"arrays":{"A":[1.0,2.5]},"timeout_ms":250,"outputs":["A"]}"#;
-        let Ok((b, timeout, outputs)) = decode_invoke_body(body, 1 << 20) else {
-            panic!("body should decode");
-        };
-        assert_eq!(b.array_names().collect::<Vec<_>>(), vec!["A"]);
-        assert_eq!(timeout, Some(250));
-        assert_eq!(outputs, Some(vec!["A".to_string()]));
-    }
-
-    #[test]
-    fn decode_invoke_body_rejects_junk() {
-        assert!(decode_invoke_body(b"{\"symbols\":{\"N\":1.5}}", 1 << 20).is_err());
-        assert!(decode_invoke_body(b"not json", 1 << 20).is_err());
     }
 }

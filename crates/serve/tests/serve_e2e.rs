@@ -314,6 +314,17 @@ fn two_tenants_share_one_registry_and_plan_cache() {
         "serve families missing from exposition"
     );
     assert!(text.contains("sdfg_plan_cache_hits_total"));
+
+    // Both halves of the wire codec were timed for the invokes above.
+    for family in ["sdfg_serve_decode_ms", "sdfg_serve_encode_ms"] {
+        let count: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{family}_count ")))
+            .unwrap_or_else(|| panic!("`{family}` missing from exposition"))
+            .parse()
+            .expect("histogram count");
+        assert!(count > 0, "`{family}` observed nothing");
+    }
 }
 
 /// Overflow and timeout behavior: with one execution slot and no queue,
@@ -440,8 +451,61 @@ fn bad_requests_get_typed_errors() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("SDFG-X002"), "{body}");
 
+    // A body of nothing but `[`: a typed 400 from a bounded reader, not a
+    // connection thread that overflows its stack and takes the server down.
+    let deep = "[".repeat(1 << 18);
+    for path in [
+        "/v1/programs".to_string(),
+        format!("/v1/programs/{handle}/invoke"),
+    ] {
+        let (status, _, body) = http(addr, "POST", &path, &[], deep.as_bytes());
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("SDFG-S002"), "{body}");
+        assert!(body.contains("nesting deeper than"), "{body}");
+    }
+
     // Health endpoint stays green through all of it.
     let (status, _, body) = http(addr, "GET", "/healthz", &[], b"");
     assert_eq!(status, 200);
     assert_eq!(body, "ok\n");
+}
+
+/// A request head that never ends: 1 MiB of `x` with no newline. The
+/// server stops reading at the 16 KiB head cap, answers 400 and closes;
+/// no admission permit was ever taken.
+#[test]
+fn newline_less_head_gets_400_and_close() {
+    let server = start_server(2, 4, 2);
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    // The server closes mid-stream, so the writes may fail: that is the point.
+    let flood = std::thread::spawn(move || {
+        let chunk = [b'x'; 64 << 10];
+        for _ in 0..16 {
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    // Returns only once the server has closed the connection (EOF, or a
+    // reset because it closed with our flood unread).
+    let mut raw = Vec::new();
+    if let Err(e) = stream.read_to_end(&mut raw) {
+        assert_eq!(
+            e.kind(),
+            std::io::ErrorKind::ConnectionReset,
+            "connection must be closed, not left open: {e}"
+        );
+    }
+    flood.join().expect("flood thread");
+    let text = String::from_utf8_lossy(&raw);
+    assert!(text.starts_with("HTTP/1.1 400"), "got `{text}`");
+    assert_eq!(server.inflight(), 0);
+
+    // The server still answers.
+    let (status, _, _) = http(server.addr(), "GET", "/healthz", &[], b"");
+    assert_eq!(status, 200);
 }
