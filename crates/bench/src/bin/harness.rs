@@ -12,50 +12,14 @@
 //! `chrome://tracing`). Pass a kernel name as the experiment (e.g.
 //! `harness gemm --profile`) to profile just that kernel.
 //!
-//! With `--bench`, the harness runs the warm/cold plan-cache benchmark:
-//!
-//! ```text
-//! harness --bench [--kernels gemm,atax,bicg] [--scale S] [--reps R]
-//!         [--warmup W] [--repeat N] [--json] [--baseline FILE]
-//!         [--write-baseline FILE]
-//! ```
-//!
-//! `--repeat N` runs N independent warm batches and reports both the
-//! overall minimum (`warm_ms`) and the median of per-batch minima
-//! (`warm_median_ms`); `--json` writes one `BENCH_<kernel>.json` per
-//! kernel — including the work-stealing scheduler's per-worker
-//! tiles/steals counters when the run went parallel; `--baseline` gates
-//! warm medians against the committed baseline and exits non-zero on
-//! regression (what CI's smoke job does); `--update-baseline` rewrites
-//! `bench/baseline.json` in canonical sorted-key form from this run.
-//! `harness baseline-check` validates the committed baseline and
-//! `BENCH_*.json` artifacts against the current schema.
-//!
-//! With `--autotune`, the harness runs the measurement-driven autotuner
-//! over the named kernels instead:
-//!
-//! ```text
-//! harness atax trisolv --autotune [--budget N] [--db bench/tuned.json]
-//!         [--scale S] [--reps R] [--warmup W] [--repeat N]
-//! ```
-//!
-//! Each kernel's knob search is scored by the warm-median protocol,
-//! candidates are verified bitwise against the untuned executor, and the
-//! winner (never slower than `aggressive`) is persisted into the tuning
-//! database, where `--opt=tuned` runs pick it up.
-//!
-//! With `--opt[=strict|aggressive|tuned]`, runs go through the automatic
+//! With `--opt[=none|strict|aggressive]`, runs go through the automatic
 //! optimization pipeline (strict fixpoint, then cost-hint-driven
-//! heuristics at `aggressive`, the default level; `tuned` replays the
-//! tuning-database entry for the graph, falling back to `aggressive` on
-//! a miss):
+//! heuristics at `aggressive`, the default level):
 //!
 //! ```text
 //! harness atax bicg --opt            # print optimization reports,
 //!                                    # verify vs the interpreter
 //! harness atax bicg --opt --profile  # + hot-path table per kernel
-//! harness atax bicg --opt --bench    # + optimized-warm vs unoptimized-
-//!                                    # warm gate (CI's `opt-smoke` job)
 //! ```
 //!
 //! With `--target cpu|gpu|fpga|hetero`, kernels run through the
@@ -67,7 +31,7 @@
 //!
 //! ```text
 //! harness gemm --target gpu          # GPUTransform + GPU-sim dispatch
-//! harness --bench --target fpga      # warm/cold protocol + target gate
+//! harness --target fpga              # every kernel through the FPGA model
 //! ```
 //!
 //! Kernel names may be given positionally or via `--kernels a,b`.
@@ -127,15 +91,6 @@ fn main() {
             }
         }
     }
-    if args.first().map(String::as_str) == Some("baseline-check") {
-        let baseline = args
-            .get(1)
-            .map(String::as_str)
-            .unwrap_or("bench/baseline.json");
-        let dir = args.get(2).map(String::as_str).unwrap_or("bench");
-        let ok = x::bench_json::run_baseline_check(baseline, dir);
-        std::process::exit(if ok { 0 } else { 1 });
-    }
     let get_str = |flag: &str| -> Option<String> {
         args.iter()
             .position(|a| a == flag)
@@ -177,28 +132,22 @@ fn dispatch(args: &[String]) -> i32 {
         } else {
             a.strip_prefix("--opt=").map(|lvl| {
                 OptLevel::parse(lvl).unwrap_or_else(|| {
-                    eprintln!("unknown opt level `{lvl}` (none|strict|aggressive|tuned)");
+                    eprintln!("unknown opt level `{lvl}` (none|strict|aggressive)");
                     std::process::exit(2);
                 })
             })
         }
     });
     // Positional (non-flag, non-flag-value) args are kernel names in the
-    // bench/opt modes and the experiment name otherwise.
-    const VALUE_FLAGS: [&str; 13] = [
+    // target/opt modes and the experiment name otherwise.
+    const VALUE_FLAGS: [&str; 7] = [
         "--scale",
         "--reps",
-        "--warmup",
-        "--repeat",
         "--kernels",
-        "--baseline",
-        "--write-baseline",
         "--target",
         "--metrics-out",
         "--ledger",
         "--trace-out",
-        "--budget",
-        "--db",
     ];
     let positionals: Vec<String> = args
         .iter()
@@ -217,57 +166,6 @@ fn dispatch(args: &[String]) -> i32 {
             std::process::exit(2);
         })
     });
-    if args.iter().any(|a| a == "--autotune") {
-        let mut cfg = x::autotune::TuneConfig::default();
-        if let Some(list) = get_str("--kernels") {
-            cfg.kernels = list.split(',').map(str::to_string).collect();
-        } else if !positionals.is_empty() {
-            cfg.kernels = positionals.clone();
-        }
-        if scale > 0 {
-            cfg.scale = scale;
-        }
-        cfg.reps = get("--reps", cfg.reps);
-        cfg.warmup = get("--warmup", cfg.warmup);
-        cfg.repeat = get("--repeat", cfg.repeat);
-        cfg.budget = get("--budget", cfg.budget);
-        if let Some(db) = get_str("--db") {
-            cfg.db = db;
-        }
-        return if x::autotune::run_autotune(&cfg) {
-            0
-        } else {
-            1
-        };
-    }
-    if args.iter().any(|a| a == "--bench") {
-        let mut cfg = x::bench_json::BenchConfig::default();
-        if let Some(list) = get_str("--kernels") {
-            cfg.kernels = list.split(',').map(str::to_string).collect();
-        } else if !positionals.is_empty() {
-            cfg.kernels = positionals.clone();
-        }
-        if scale > 0 {
-            cfg.scale = scale;
-        }
-        cfg.reps = get("--reps", cfg.reps);
-        cfg.warmup = get("--warmup", cfg.warmup);
-        cfg.repeat = get("--repeat", cfg.repeat);
-        cfg.json = args.iter().any(|a| a == "--json");
-        cfg.baseline = get_str("--baseline");
-        cfg.write_baseline = get_str("--write-baseline");
-        if args.iter().any(|a| a == "--update-baseline") {
-            cfg.write_baseline = Some("bench/baseline.json".into());
-        }
-        cfg.tuned_db = get_str("--db");
-        if let Some(level) = opt {
-            cfg.opt = level;
-        }
-        if let Some(t) = target {
-            cfg.target = t;
-        }
-        return if x::bench_json::run_bench(&cfg) { 0 } else { 1 };
-    }
     if let Some(t) = target {
         let kernels = if let Some(list) = get_str("--kernels") {
             list.split(',').map(str::to_string).collect()

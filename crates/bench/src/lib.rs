@@ -21,23 +21,15 @@
 //! The Criterion benches under `benches/` cover the same workloads with
 //! statistical rigor for regression tracking.
 //!
-//! `harness --bench` runs the warm/cold plan-cache protocol instead (see
-//! [`bench_json`]): JSON results per kernel plus a perf-regression gate
-//! against `bench/baseline.json` — the mode CI's `bench-smoke` job runs.
+//! Performance is measured by the hermetic `benchmark/` package
+//! (`benchmark/run.sh`), which runs the configuration users run; this
+//! crate reproduces the paper's figures and verifies results.
 //!
 //! Any mode accepts the observability flags (see [`obs`]):
 //! `--metrics-out` (Prometheus exposition), `--ledger` (JSONL run
 //! records), `--trace-out` (flight-recorder Chrome trace); `harness
 //! obs-check` validates the artifacts — CI's smoke job.
-//!
-//! `harness <kernels> --autotune` runs the measurement-driven autotuner
-//! (see [`autotune`]): a knob search scored by the warm-median protocol,
-//! persisting winners into `bench/tuned.json` for `--opt=tuned` runs.
-//! `harness baseline-check` validates the committed baseline and
-//! `BENCH_*.json` artifacts against the current schema.
 
-pub mod autotune;
-pub mod bench_json;
 pub mod emit;
 pub mod experiments;
 pub mod obs;

@@ -56,18 +56,6 @@ const LEDGER_NUM_FIELDS: [&str; 13] = [
 ];
 const LEDGER_STR_FIELDS: [&str; 3] = ["content_hash", "target", "opt_level"];
 
-/// Fields an `"record":"autotune_trial"` ledger line must carry (the
-/// autotuner shares the run ledger's file and sequence space).
-const TRIAL_NUM_FIELDS: [&str; 4] = ["seq", "nthreads", "warm_ms", "best_ms"];
-const TRIAL_STR_FIELDS: [&str; 6] = [
-    "kernel",
-    "content_hash",
-    "target",
-    "stage",
-    "candidate",
-    "outcome",
-];
-
 /// Fields a `"record":"jit_fallback"` ledger line must carry (appended by
 /// the executor when the JIT tier declines or fails to compile a map).
 const JIT_FALLBACK_NUM_FIELDS: [&str; 1] = ["seq"];
@@ -118,99 +106,6 @@ impl ObsConfig {
     }
 }
 
-/// A snapshot of the global core counters, used to attribute per-kernel
-/// deltas in `BENCH_<kernel>.json` (the counters themselves are
-/// process-cumulative).
-#[derive(Default, Clone, Copy)]
-pub struct CoreSnapshot {
-    pub launches: u64,
-    pub plan_cache_hits: u64,
-    pub plan_cache_misses: u64,
-    pub pool_acquires: u64,
-    pub pool_reuses: u64,
-    pub bytes_local: u64,
-    pub bytes_h2d: u64,
-    pub bytes_d2h: u64,
-    pub sched_tiles: u64,
-    pub sched_steals: u64,
-    pub states_executed: u64,
-    pub nest_calls: u64,
-    pub nest_points: u64,
-    pub interstate_evals: u64,
-}
-
-/// Reads the current totals of the global core metric handles.
-pub fn core_snapshot() -> CoreSnapshot {
-    let c = metrics::core();
-    CoreSnapshot {
-        launches: c.launches.get(),
-        plan_cache_hits: c.plan_cache_hits.get(),
-        plan_cache_misses: c.plan_cache_misses.get(),
-        pool_acquires: c.pool_acquires.get(),
-        pool_reuses: c.pool_reuses.get(),
-        bytes_local: c.bytes_local.get(),
-        bytes_h2d: c.bytes_h2d.get(),
-        bytes_d2h: c.bytes_d2h.get(),
-        sched_tiles: c.sched_tiles.get(),
-        sched_steals: c.sched_steals.get(),
-        states_executed: c.states_executed.get(),
-        nest_calls: c.nest_calls.get(),
-        nest_points: c.nest_points.get(),
-        interstate_evals: c.interstate_evals.get(),
-    }
-}
-
-impl CoreSnapshot {
-    /// Counter growth since `before` (saturating, counters only go up).
-    pub fn delta(&self, before: &CoreSnapshot) -> CoreSnapshot {
-        CoreSnapshot {
-            launches: self.launches.saturating_sub(before.launches),
-            plan_cache_hits: self.plan_cache_hits.saturating_sub(before.plan_cache_hits),
-            plan_cache_misses: self
-                .plan_cache_misses
-                .saturating_sub(before.plan_cache_misses),
-            pool_acquires: self.pool_acquires.saturating_sub(before.pool_acquires),
-            pool_reuses: self.pool_reuses.saturating_sub(before.pool_reuses),
-            bytes_local: self.bytes_local.saturating_sub(before.bytes_local),
-            bytes_h2d: self.bytes_h2d.saturating_sub(before.bytes_h2d),
-            bytes_d2h: self.bytes_d2h.saturating_sub(before.bytes_d2h),
-            sched_tiles: self.sched_tiles.saturating_sub(before.sched_tiles),
-            sched_steals: self.sched_steals.saturating_sub(before.sched_steals),
-            states_executed: self.states_executed.saturating_sub(before.states_executed),
-            nest_calls: self.nest_calls.saturating_sub(before.nest_calls),
-            nest_points: self.nest_points.saturating_sub(before.nest_points),
-            interstate_evals: self
-                .interstate_evals
-                .saturating_sub(before.interstate_evals),
-        }
-    }
-
-    /// The `"metrics": {...}` JSON object embedded per kernel.
-    pub fn json_block(&self) -> String {
-        format!(
-            "{{\"launches\": {}, \"plan_cache_hits\": {}, \"plan_cache_misses\": {}, \
-             \"pool_acquires\": {}, \"pool_reuses\": {}, \"states_executed\": {}, \
-             \"sched_tiles\": {}, \"sched_steals\": {}, \
-             \"nest_calls\": {}, \"nest_points\": {}, \"interstate_evals\": {}, \
-             \"bytes_moved\": {{\"local\": {}, \"h2d\": {}, \"d2h\": {}}}}}",
-            self.launches,
-            self.plan_cache_hits,
-            self.plan_cache_misses,
-            self.pool_acquires,
-            self.pool_reuses,
-            self.states_executed,
-            self.sched_tiles,
-            self.sched_steals,
-            self.nest_calls,
-            self.nest_points,
-            self.interstate_evals,
-            self.bytes_local,
-            self.bytes_h2d,
-            self.bytes_d2h,
-        )
-    }
-}
-
 /// Validates a Prometheus exposition: structurally well-formed and
 /// containing every [`REQUIRED_FAMILIES`] entry. Returns the failure
 /// messages (empty = pass).
@@ -227,9 +122,9 @@ pub fn check_metrics(src: &str) -> Vec<String> {
 
 /// Validates a run-ledger JSONL file: every non-empty line must parse as
 /// a JSON object carrying the full record schema — the run-record schema
-/// by default, or the autotune-trial schema when the line carries the
-/// `"record":"autotune_trial"` discriminator. Returns the failure
-/// messages plus the number of valid records (runs + trials).
+/// by default, or the JIT-fallback schema when the line carries the
+/// `"record":"jit_fallback"` discriminator. Returns the failure messages
+/// plus the number of valid records.
 pub fn check_ledger(src: &str) -> (Vec<String>, usize) {
     let mut failures = Vec::new();
     let mut records = 0usize;
@@ -245,15 +140,12 @@ pub fn check_ledger(src: &str) -> (Vec<String>, usize) {
             }
         };
         let mut ok = true;
-        let is_trial = rec.str_field("record") == Ok("autotune_trial");
-        let is_jit_fallback = rec.str_field("record") == Ok("jit_fallback");
-        let (num_fields, str_fields): (&[&str], &[&str]) = if is_trial {
-            (&TRIAL_NUM_FIELDS, &TRIAL_STR_FIELDS)
-        } else if is_jit_fallback {
-            (&JIT_FALLBACK_NUM_FIELDS, &JIT_FALLBACK_STR_FIELDS)
-        } else {
-            (&LEDGER_NUM_FIELDS, &LEDGER_STR_FIELDS)
-        };
+        let (num_fields, str_fields): (&[&str], &[&str]) =
+            if rec.str_field("record") == Ok("jit_fallback") {
+                (&JIT_FALLBACK_NUM_FIELDS, &JIT_FALLBACK_STR_FIELDS)
+            } else {
+                (&LEDGER_NUM_FIELDS, &LEDGER_STR_FIELDS)
+            };
         for f in num_fields {
             if rec.num_field(f).is_err() {
                 failures.push(format!("ledger line {}: missing numeric `{f}`", ln + 1));
@@ -265,13 +157,6 @@ pub fn check_ledger(src: &str) -> (Vec<String>, usize) {
                 failures.push(format!("ledger line {}: missing string `{f}`", ln + 1));
                 ok = false;
             }
-        }
-        if is_trial && rec.obj_field("config").is_err() {
-            failures.push(format!(
-                "ledger line {}: trial record missing `config` object",
-                ln + 1
-            ));
-            ok = false;
         }
         if ok {
             records += 1;
@@ -381,43 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_run_and_trial_records_pass_check_ledger() {
-        let run = ledger::RunRecord {
-            content_hash: "00c0ffee".into(),
-            target: "cpu".into(),
-            opt_level: "tuned".into(),
-            nthreads: 4,
-            ..Default::default()
-        };
-        let trial = ledger::TrialRecord {
-            kernel: "atax".into(),
-            content_hash: "00c0ffee".into(),
-            target: "cpu".into(),
-            nthreads: 4,
-            stage: "fusion".into(),
-            candidate: "fusion=off".into(),
-            config_json: "{\"fusion\":false}".into(),
-            warm_ms: 0.5,
-            best_ms: 0.4,
-            outcome: "no_gain".into(),
-            ..Default::default()
-        };
-        let src = format!("{}\n{}\n", run.to_json(), trial.to_json());
-        let (failures, records) = check_ledger(&src);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(records, 2);
-        // A trial line missing its config object fails.
-        let bad = trial
-            .to_json()
-            .replace(",\"config\":{\"fusion\":false}", "");
-        let (failures, _) = check_ledger(&bad);
-        assert!(
-            failures.iter().any(|f| f.contains("config")),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
     fn jit_fallback_records_pass_check_ledger() {
         let rec = ledger::JitFallbackRecord {
             seq: 0,
@@ -469,27 +317,5 @@ mod tests {
         let (failures, events) = check_trace("{\"traceEvents\": [{\"ph\": \"M\"}]}");
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(events, 1);
-    }
-
-    #[test]
-    fn snapshot_delta_subtracts_fieldwise() {
-        let before = CoreSnapshot {
-            launches: 2,
-            bytes_local: 100,
-            ..Default::default()
-        };
-        let after = CoreSnapshot {
-            launches: 5,
-            bytes_local: 350,
-            sched_tiles: 7,
-            ..Default::default()
-        };
-        let d = after.delta(&before);
-        assert_eq!(d.launches, 3);
-        assert_eq!(d.bytes_local, 250);
-        assert_eq!(d.sched_tiles, 7);
-        let j = d.json_block();
-        sdfg_core::serialize::parse_json(&j).unwrap();
-        assert!(j.contains("\"local\": 250"), "{j}");
     }
 }

@@ -1,10 +1,11 @@
 //! Integration tests for the automatic optimization pipeline across the
 //! bundled Polybench kernels: fixpoint termination, semantic equivalence
-//! of optimized SDFGs against the reference interpreter, and plan-cache
-//! re-keying on the optimized graph's content hash.
+//! of optimized SDFGs against the reference interpreter, plan-cache
+//! re-keying on the optimized graph's content hash, and the exact
+//! decisions the pipeline makes on the kernels CI reports.
 
 use sdfg_exec::{OptLevel, PlanCache};
-use sdfg_transforms::optimize_with_env;
+use sdfg_transforms::{optimize_with_env, SkippedMatch};
 use sdfg_workloads::polybench;
 use sdfg_workloads::workload::assert_allclose;
 use std::collections::HashMap;
@@ -137,4 +138,53 @@ fn plan_cache_misses_and_rekeys_after_optimization() {
     // The session's public handle stays the *submitted* graph's hash no
     // matter what level it compiles at — that is the registry key.
     assert_eq!(opt.content_hash(), unopt_hash);
+}
+
+/// The pipeline's decisions on atax and bicg at scale 24, pinned exactly:
+/// the two states fuse, both maps vectorize, MapToForLoop's volume hint
+/// sequentializes both (too small to amortize a parallel launch), and
+/// MapTiling's cost hint declines twice. A change to any cost hint shows
+/// up here as a diff, not as a wall-clock drift.
+#[test]
+fn aggressive_report_on_atax_and_bicg_is_exact() {
+    for name in ["atax", "bicg"] {
+        let kernel = polybench::all()
+            .into_iter()
+            .find(|k| k.name == name)
+            .expect("kernel is bundled");
+        let w = (kernel.build)(24);
+        let mut sdfg = w.sdfg.clone();
+        let report = optimize_with_env(&mut sdfg, OptLevel::Aggressive, &env_of(&w)).unwrap();
+        let applied: Vec<&str> = report
+            .applied
+            .steps
+            .iter()
+            .map(|s| s.transform.as_str())
+            .collect();
+        assert_eq!(
+            applied,
+            [
+                "StateFusion",
+                "Vectorization",
+                "Vectorization",
+                "MapToForLoop",
+                "MapToForLoop"
+            ],
+            "{name}: {report}"
+        );
+        assert_eq!(
+            (report.states_before, report.states_after),
+            (2, 1),
+            "{name}"
+        );
+        assert_eq!(
+            report.skipped,
+            [SkippedMatch {
+                transform: "MapTiling".into(),
+                reason: "cost hint: unprofitable".into(),
+                count: 2,
+            }],
+            "{name}: {report}"
+        );
+    }
 }

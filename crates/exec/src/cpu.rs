@@ -396,10 +396,7 @@ pub(crate) fn exec_map(
         (volume, std::time::Instant::now())
     });
     let tiles = pool.zip(sample).and_then(|(pool, (volume, _))| {
-        let decision = ctx
-            .plan
-            .tuning
-            .decide(pkey, volume, pool.nworkers(), ctx.grain_ns);
+        let decision = ctx.plan.tuning.decide(pkey, volume, pool.nworkers());
         if decision.parallel && steal_deterministic(&plan.body) {
             build_tiles(&plan, worker, (d0s, d0e, d0st), n0, decision.tiles)
         } else {
@@ -1230,7 +1227,7 @@ pub(crate) fn exec_nested(
     let mut sub = Executor::new(nested);
     // The nested run inherits the enclosing run's JIT decision, so a
     // JIT-off differential run stays JIT-off all the way down.
-    sub.jit = Some(ctx.jit);
+    sub.jit = ctx.jit;
     // Nested SDFGs share the caller's scheduler pool when the enclosing
     // context is provably safe (same gate as nested maps): outside any
     // parallel region, no thread-local overlays, not inside a pool tile.

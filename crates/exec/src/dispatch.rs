@@ -202,7 +202,7 @@ fn drive_states(
         // Whole-nest collapse: if `cur` guards a recognized state-machine
         // loop, run every remaining iteration as one native call and let
         // the normal edge scan below take the exit edge.
-        if collapse && ctx.nest_jit {
+        if collapse && ctx.jit {
             if let Some(ran) = crate::nest::try_collapse_loop(ctx, cur, &mut worker.env)? {
                 if let Some(env) = overlaid.as_mut() {
                     // A collapsible loop's variable is never overlaid.

@@ -22,7 +22,7 @@ use sdfg_profile::{
     WorkerProfile,
 };
 use sdfg_symbolic::{Env, EvalError};
-use sdfg_transforms::{OptLevel, OptimizationReport, TunedConfig};
+use sdfg_transforms::{OptLevel, OptimizationReport};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -160,15 +160,11 @@ pub struct Executor<'s> {
     pub(crate) sdfg_hash: Option<u64>,
     /// The executor runs the graph it borrows as-is; optimization is the
     /// job of [`crate::session::Session`], which hands over the pipeline's
-    /// output and describes the pipeline that produced it in the four
-    /// fields below (for reports, the run ledger and the JIT/grain knobs).
+    /// output and describes the pipeline that produced it in the two
+    /// fields below (for reports and the run ledger).
     pub(crate) opt_level: OptLevel,
     /// Report from the pipeline run that produced the borrowed graph.
     pub(crate) opt_report: Option<OptimizationReport>,
-    /// Tuned configuration the pipeline ran under, if any.
-    pub(crate) tuned_cfg: Option<TunedConfig>,
-    /// Scheduler grain override from that tuned configuration.
-    pub(crate) grain_ns: Option<u64>,
     /// Wall-clock deadline for the next `run`: checked between state
     /// executions and between slices of a collapsed loop, so an expired
     /// deadline cancels the run with [`ExecError::Timeout`] without
@@ -184,10 +180,9 @@ pub struct Executor<'s> {
     /// registry and the run ledger (`"cpu"` unless a heterogeneous
     /// [`crate::dispatch::Runtime`] drives it).
     pub(crate) run_target: String,
-    /// JIT tier request for subsequent runs: `None` follows the tuned
-    /// configuration (default on), `Some` overrides it. The `SDFG_JIT`
+    /// JIT tier request for subsequent runs (default on). The `SDFG_JIT`
     /// environment variable gates the tier globally either way.
-    pub(crate) jit: Option<bool>,
+    pub(crate) jit: bool,
     /// The execution plan consulted by the last `run` (feeds
     /// [`Executor::lowering_report`]).
     pub(crate) last_plan: Option<std::sync::Arc<ExecutionPlan>>,
@@ -285,24 +280,17 @@ pub(crate) struct Ctx<'s> {
     /// Work-stealing scheduler for parallel map launches (`None` while
     /// serial).
     pub(crate) sched: Option<std::sync::Arc<crate::sched::SchedPool>>,
-    /// Per-tile time-target override for the steal scheduler's grain
-    /// controller, from the active tuned configuration. Carried per run
-    /// (not stored in the shared `ExecutionPlan`) so a cached plan can
-    /// serve executors with different tunings.
-    pub(crate) grain_ns: Option<u64>,
     /// Wall-clock deadline for this run; the drive loop checks it between
     /// state executions (and between slices of a collapsed loop) and
     /// cancels with [`ExecError::Timeout`].
     pub(crate) deadline: Option<std::time::Instant>,
     /// Millisecond budget behind `deadline` (for the error message).
     pub(crate) deadline_ms: u64,
-    /// Whether the JIT lowering tier is enabled for this run (also part of
-    /// the plan's compile fingerprint, so lowerings never alias across
-    /// configurations).
+    /// Whether the JIT lowering tier — per-map kernels and whole-nest
+    /// lowering (loop collapse, tile→nest-call dispatch) alike — is enabled
+    /// for this run (also part of the plan's compile fingerprint, so
+    /// lowerings never alias across configurations).
     pub(crate) jit: bool,
-    /// Whether whole-nest JIT lowering (loop collapse, tile→nest-call
-    /// dispatch) is enabled: `jit` plus the tuned nest knob.
-    pub(crate) nest_jit: bool,
     /// Content hash of the executed SDFG, for fallback-ledger records.
     pub(crate) chash: u64,
     /// Containers whose values the interstate environment exposes as
@@ -742,13 +730,11 @@ impl<'s> Executor<'s> {
             sdfg_hash: None,
             opt_level: OptLevel::None,
             opt_report: None,
-            tuned_cfg: None,
-            grain_ns: None,
             deadline: None,
             deadline_ms: 0,
             owned_transients: HashSet::new(),
             run_target: "cpu".to_string(),
-            jit: None,
+            jit: true,
             last_plan: None,
         }
     }
@@ -762,12 +748,6 @@ impl<'s> Executor<'s> {
     /// Report from that optimization pipeline, if one ran.
     pub fn opt_report(&self) -> Option<&OptimizationReport> {
         self.opt_report.as_ref()
-    }
-
-    /// The tuned configuration that pipeline resolved (explicit or from
-    /// the database); `None` for untuned runs or after a database miss.
-    pub fn tuned_config(&self) -> Option<&TunedConfig> {
-        self.tuned_cfg.as_ref()
     }
 
     /// Shares a plan cache with other executors, so lowering one SDFG once
@@ -952,12 +932,8 @@ impl<'s> Executor<'s> {
         let key = PlanKey::new(chash, &self.symbols).with_target(target_tag);
         let (plan, _cached) = self.plan_cache.lookup(key);
         self.last_plan = Some(plan.clone());
-        // JIT tier enablement: the environment gate wins, then the explicit
-        // override, then the tuned configuration (default on).
-        let jit = crate::jit::env_enabled()
-            && self
-                .jit
-                .unwrap_or_else(|| self.tuned_cfg.as_ref().is_none_or(|c| c.jit));
+        // JIT tier enablement: the environment gate wins over the request.
+        let jit = crate::jit::env_enabled() && self.jit;
         let sdfg = self.sdfg;
         // Move arrays into shared buffers (slot-indexed for hot paths).
         // Slots are assigned in sorted-name order so they are deterministic
@@ -996,7 +972,6 @@ impl<'s> Executor<'s> {
             .collect();
         shadow.extend(stream_lens.iter().map(|(key, _)| key.clone()));
         let inv = plan.invariants(sdfg, &self.symbols);
-        let nest_jit = jit && self.tuned_cfg.as_ref().is_none_or(|c| c.nest_jit);
         let mut ctx = Ctx {
             sdfg,
             bufs,
@@ -1013,11 +988,9 @@ impl<'s> Executor<'s> {
             plan_cache: self.plan_cache.clone(),
             pool: self.pool.clone(),
             sched: self.sched.clone(),
-            grain_ns: self.grain_ns,
             deadline: self.deadline,
             deadline_ms: self.deadline_ms,
             jit,
-            nest_jit,
             chash,
             scalarish,
             shadow,

@@ -93,7 +93,7 @@ impl std::fmt::Debug for JitKernel {
 }
 
 /// Process default for the JIT tier: `SDFG_JIT=off|0|false` disables it
-/// entirely. Read once — per-executor/tuned overrides layer on top.
+/// entirely. Read once — per-executor overrides layer on top.
 pub fn env_enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| {

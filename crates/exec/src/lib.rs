@@ -54,9 +54,7 @@ pub use lower::{LowerTier, MapLowering};
 pub use plan::{CacheStats, PlanCache};
 pub use pool::{BufferPool, PoolStats};
 pub use sched::{SchedPool, SchedStats};
-pub use sdfg_transforms::{
-    OptLevel, OptimizationReport, TuneEntry, TuneKey, TunedConfig, TuningDb,
-};
+pub use sdfg_transforms::{OptLevel, OptimizationReport};
 pub use session::{shared_scheduler, Bindings, Outputs, Session, SessionBuilder};
 pub use stats::Stats;
 // Re-export the profiling vocabulary so callers can enable instrumentation

@@ -1024,7 +1024,7 @@ pub(crate) fn try_map_nest_steal(
     tiles: &TileSet,
     pool: &SchedPool,
 ) -> Option<Result<(), ExecError>> {
-    if !ctx.nest_jit {
+    if !ctx.jit {
         return None;
     }
     let TileSet::Dim0 { step: 1, ranges } = tiles else {

@@ -522,17 +522,9 @@ pub(crate) struct Tuning {
 
 impl Tuning {
     /// Decides serial-vs-parallel and the tile count for one launch with
-    /// an estimated volume of `points` iterations. `grain_ns` overrides
-    /// the built-in per-tile time target ([`TILE_TARGET_NS`]) — the
-    /// autotuner plumbs a measured value through here; `None`/`0` keeps
-    /// the default.
-    pub(crate) fn decide(
-        &self,
-        key: (u32, u32),
-        points: u64,
-        nworkers: usize,
-        grain_ns: Option<u64>,
-    ) -> Decision {
+    /// an estimated volume of `points` iterations, aiming each tile at
+    /// [`TILE_TARGET_NS`].
+    pub(crate) fn decide(&self, key: (u32, u32), points: u64, nworkers: usize) -> Decision {
         let point_ns = self
             .inner
             .lock()
@@ -546,11 +538,7 @@ impl Tuning {
                 tiles: 1,
             };
         }
-        let target = match grain_ns {
-            Some(g) if g > 0 => g as f64,
-            _ => TILE_TARGET_NS,
-        };
-        let ideal = (est / target).ceil() as usize;
+        let ideal = (est / TILE_TARGET_NS).ceil() as usize;
         Decision {
             parallel: true,
             tiles: ideal.clamp(nworkers, nworkers * OVERSUB),
@@ -645,24 +633,24 @@ mod tests {
         let key = (0, 1);
         // Cold: 100 points at the default 50 ns estimate is far under the
         // parallel threshold.
-        assert!(!t.decide(key, 100, 8, None).parallel);
+        assert!(!t.decide(key, 100, 8).parallel);
         // A slow serial launch teaches a high per-point cost → promote.
         t.observe(key, 100, 10_000_000, 1); // 100 us/point
-        let d = t.decide(key, 100, 8, None);
+        let d = t.decide(key, 100, 8);
         assert!(d.parallel);
         assert!(d.tiles >= 8 && d.tiles <= 32, "tiles {}", d.tiles);
         // Fast parallel launches (cheap even at perfect speedup) demote.
         for _ in 0..20 {
             t.observe(key, 100, 100, 8);
         }
-        assert!(!t.decide(key, 100, 8, None).parallel);
+        assert!(!t.decide(key, 100, 8).parallel);
     }
 
     #[test]
     fn tuner_tile_count_scales_with_volume() {
         let t = Tuning::default();
         // Huge volume: tile count is clamped to nworkers * OVERSUB.
-        let d = t.decide((0, 0), 100_000_000, 4, None);
+        let d = t.decide((0, 0), 100_000_000, 4);
         assert!(d.parallel);
         assert_eq!(d.tiles, 16);
     }

@@ -1,10 +1,10 @@
 //! The embedding facade: typed, compile-once/invoke-many execution.
 //!
 //! [`Executor`] grew up as a mutate-after-construct object — callers set
-//! the opt level, thread count and tuning database one field at a time,
-//! then `run`, and every embedder (harness, bench, autotuner, and now the
-//! serving layer) repeated the same fragile sequence. The session API
-//! replaces that with two types:
+//! the opt level and thread count one field at a time, then `run`, and
+//! every embedder (harness, bench, and now the serving layer) repeated
+//! the same fragile sequence. The session API replaces that with two
+//! types:
 //!
 //! * [`SessionBuilder`] — all configuration up front, validated once at
 //!   [`SessionBuilder::build`] (the SDFG is structurally checked, so a
@@ -32,9 +32,7 @@ use sdfg_core::desc::DataDesc;
 use sdfg_core::{Sdfg, SdfgError};
 use sdfg_profile::{InstrumentationReport, Profiling};
 use sdfg_symbolic::Env;
-use sdfg_transforms::{
-    optimize_tuned, optimize_with_env, OptLevel, OptimizationReport, TunedConfig, TuningDb,
-};
+use sdfg_transforms::{optimize_with_env, OptLevel, OptimizationReport};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -178,8 +176,6 @@ struct Compiled {
     /// so warm invokes skip re-serializing the graph.
     hash: u64,
     report: Option<OptimizationReport>,
-    tuned: Option<TunedConfig>,
-    grain_ns: Option<u64>,
 }
 
 /// Configures and builds a [`Session`]. Obtained from
@@ -189,9 +185,7 @@ pub struct SessionBuilder {
     opt: OptLevel,
     nthreads: usize,
     max_transitions: usize,
-    tuning_db: Option<std::path::PathBuf>,
-    tuned_cfg: Option<TunedConfig>,
-    jit: Option<bool>,
+    jit: bool,
     profiling: Profiling,
     plan_cache: Option<Arc<PlanCache>>,
     pool: Option<Arc<BufferPool>>,
@@ -209,9 +203,7 @@ impl SessionBuilder {
                     .unwrap_or(1)
             }),
             max_transitions: 10_000_000,
-            tuning_db: None,
-            tuned_cfg: None,
-            jit: None,
+            jit: true,
             profiling: Profiling::default(),
             plan_cache: None,
             pool: None,
@@ -227,31 +219,14 @@ impl SessionBuilder {
         self
     }
 
-    /// Points tuned runs at a tuning database. Implies
-    /// [`OptLevel::Tuned`]; a database miss degrades to `Aggressive`, an
-    /// unreadable or schema-incompatible database fails the invoke.
-    pub fn tuning_db(mut self, path: impl Into<std::path::PathBuf>) -> SessionBuilder {
-        self.tuning_db = Some(path.into());
-        self.opt = OptLevel::Tuned;
-        self
-    }
-
-    /// Installs an explicit tuned configuration, bypassing any database
-    /// lookup. Implies [`OptLevel::Tuned`].
-    pub fn tuned_config(mut self, cfg: TunedConfig) -> SessionBuilder {
-        self.tuned_cfg = Some(cfg);
-        self.opt = OptLevel::Tuned;
-        self
-    }
-
     /// Forces the JIT native-code lowering tier on or off for every
-    /// invoke, overriding the tuned configuration (which defaults to on).
+    /// invoke (default: on).
     /// The `SDFG_JIT` environment variable still gates the tier globally:
     /// `SDFG_JIT=off` wins over `jit(true)`. Disabling the tier never
     /// changes results — lowering falls back to the interpreted tiers,
     /// bit for bit.
     pub fn jit(mut self, on: bool) -> SessionBuilder {
-        self.jit = Some(on);
+        self.jit = on;
         self
     }
 
@@ -314,8 +289,6 @@ impl SessionBuilder {
             opt: self.opt,
             nthreads: self.nthreads,
             max_transitions: self.max_transitions,
-            tuning_db: self.tuning_db,
-            tuned_cfg: self.tuned_cfg,
             jit: self.jit,
             profiling: self.profiling,
             plan_cache: self.plan_cache.unwrap_or_default(),
@@ -338,14 +311,12 @@ pub fn shared_scheduler(nthreads: usize) -> Option<Arc<SchedPool>> {
 pub struct Session {
     sdfg: Sdfg,
     /// Content hash of the *submitted* (unoptimized) graph — the registry
-    /// key and the tuning-database key.
+    /// key.
     chash: u64,
     opt: OptLevel,
     nthreads: usize,
     max_transitions: usize,
-    tuning_db: Option<std::path::PathBuf>,
-    tuned_cfg: Option<TunedConfig>,
-    jit: Option<bool>,
+    jit: bool,
     profiling: Profiling,
     plan_cache: Arc<PlanCache>,
     pool: Arc<BufferPool>,
@@ -392,9 +363,7 @@ impl Session {
         // invokes never re-serialize the graph.
         ex.opt_level = self.opt;
         ex.opt_report = compiled.report.clone();
-        ex.tuned_cfg = compiled.tuned.clone();
         ex.jit = self.jit;
-        ex.grain_ns = compiled.grain_ns;
         ex.sdfg_hash = Some(compiled.hash);
         if let Some((at, ms)) = deadline {
             ex.deadline = Some(at);
@@ -493,63 +462,17 @@ impl Session {
                 sdfg: None,
                 hash: self.chash,
                 report: None,
-                tuned: None,
-                grain_ns: None,
             });
         }
         let mut opt = self.sdfg.clone();
-        let opt_err = |e: SdfgError| SdfgError::optimization("session-compile", e.to_string());
-        let (report, tuned, grain_ns) = if self.opt == OptLevel::Tuned {
-            match self.resolve_tuned_config()? {
-                Some(cfg) => {
-                    let r = optimize_tuned(&mut opt, &cfg, symbols).map_err(opt_err)?;
-                    let grain = (cfg.grain_ns > 0).then_some(cfg.grain_ns);
-                    (r, Some(cfg), grain)
-                }
-                None => (
-                    optimize_with_env(&mut opt, OptLevel::Aggressive, symbols).map_err(opt_err)?,
-                    None,
-                    None,
-                ),
-            }
-        } else {
-            (
-                optimize_with_env(&mut opt, self.opt, symbols).map_err(opt_err)?,
-                None,
-                None,
-            )
-        };
+        let report = optimize_with_env(&mut opt, self.opt, symbols)
+            .map_err(|e| SdfgError::optimization("session-compile", e.to_string()))?;
         let hash = sdfg_core::serialize::content_hash(&opt);
         Ok(Compiled {
             sdfg: Some(Arc::new(opt)),
             hash,
             report: Some(report),
-            tuned,
-            grain_ns,
         })
-    }
-
-    /// The tuned configuration for this session: the explicit config,
-    /// else a database lookup keyed by the *unoptimized* graph's content
-    /// hash, the CPU target and the thread count (the same key the
-    /// executor uses, so tuned entries serve both paths).
-    fn resolve_tuned_config(&self) -> Result<Option<TunedConfig>, SdfgError> {
-        if let Some(cfg) = &self.tuned_cfg {
-            return Ok(Some(cfg.clone()));
-        }
-        let path = match &self.tuning_db {
-            Some(p) => p.clone(),
-            None => match std::env::var_os("SDFG_TUNED_DB").filter(|v| !v.is_empty()) {
-                Some(v) => std::path::PathBuf::from(v),
-                None => return Ok(None),
-            },
-        };
-        let db = TuningDb::load(&path)
-            .map_err(|e| SdfgError::optimization("tuning-db", e))?
-            .unwrap_or_default();
-        Ok(db
-            .lookup(self.chash, "cpu", self.nthreads.max(1) as u32)
-            .map(|e| e.config.clone()))
     }
 
     /// The submitted program.
@@ -577,14 +500,6 @@ impl Session {
     /// first invoke or at [`OptLevel::None`].
     pub fn opt_report(&self) -> Option<OptimizationReport> {
         self.compiled.get().and_then(|c| c.report.clone())
-    }
-
-    /// The tuned configuration the compile resolved (explicit or from the
-    /// database); `None` before the first invoke or after a miss.
-    pub fn tuned_config(&self) -> Option<TunedConfig> {
-        self.tuned_cfg
-            .clone()
-            .or_else(|| self.compiled.get().and_then(|c| c.tuned.clone()))
     }
 
     /// The plan cache invokes consult (possibly shared across sessions).

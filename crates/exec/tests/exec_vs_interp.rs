@@ -282,6 +282,7 @@ fn stats_report_native_points() {
         .unwrap();
     let stats2 = out.stats();
     assert_eq!(stats2.jit_points, 0, "jit(false) disables the JIT tier");
+    assert_eq!(stats2.nest_calls, 0, "jit(false) disables nest sites too");
     assert_eq!(
         stats2.native_points, 4096,
         "simple add must take the native path"

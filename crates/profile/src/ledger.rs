@@ -7,8 +7,8 @@
 //! thread count), how long it took, and the per-run deltas of the cheap
 //! counters (cache hits, pool reuse, bytes moved, scheduler
 //! tiles/steals). The format is one self-contained JSON object per
-//! line, so downstream consumers (the planned autotuner and service
-//! PRs) can tail it without any framing protocol.
+//! line, so downstream consumers (`obs-check`, log shippers) can tail it
+//! without any framing protocol.
 //!
 //! Disabled is the default and costs one relaxed atomic load per run.
 
@@ -113,65 +113,6 @@ impl RunRecord {
         }
         out.push('}');
         out
-    }
-}
-
-/// One autotuner trial's record. Trial lines share the run ledger's file
-/// and sequence space but carry a `"record":"autotune_trial"` discriminator
-/// as their first field (plain run records have no `record` field), so
-/// consumers can split the streams without framing.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TrialRecord {
-    /// Process-wide ledger sequence number (assigned on append).
-    pub seq: u64,
-    /// Kernel under tuning.
-    pub kernel: String,
-    /// Unoptimized-graph content hash (hex) — the tuning-DB key.
-    pub content_hash: String,
-    /// Backend target tag.
-    pub target: String,
-    /// Worker threads.
-    pub nthreads: usize,
-    /// Search stage (knob name) this trial belongs to.
-    pub stage: String,
-    /// Candidate label (e.g. `seq<16384`).
-    pub candidate: String,
-    /// The candidate configuration, as its canonical JSON object text.
-    pub config_json: String,
-    /// Measured warm time of this trial, milliseconds (0 when rejected
-    /// before measurement).
-    pub warm_ms: f64,
-    /// Incumbent-best warm time when the trial ran, milliseconds.
-    pub best_ms: f64,
-    /// Outcome: `improved`, `no_gain`, or `rejected`.
-    pub outcome: String,
-}
-
-impl TrialRecord {
-    /// Renders the record as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let config = if self.config_json.is_empty() {
-            "{}"
-        } else {
-            &self.config_json
-        };
-        format!(
-            "{{\"record\":\"autotune_trial\",\"seq\":{},\"kernel\":\"{}\",\
-             \"content_hash\":\"{}\",\"target\":\"{}\",\"nthreads\":{},\
-             \"stage\":\"{}\",\"candidate\":\"{}\",\"config\":{},\
-             \"warm_ms\":{:.6},\"best_ms\":{:.6},\"outcome\":\"{}\"}}",
-            self.seq,
-            escape(&self.kernel),
-            escape(&self.content_hash),
-            escape(&self.target),
-            self.nthreads,
-            escape(&self.stage),
-            escape(&self.candidate),
-            config,
-            self.warm_ms,
-            self.best_ms,
-            escape(&self.outcome),
-        )
     }
 }
 
@@ -341,34 +282,6 @@ pub fn append(rec: &mut RunRecord) -> Option<u64> {
     Some(rec.seq)
 }
 
-/// Appends one autotuner trial record (assigning its `seq` from the same
-/// sequence as run records), returning the sequence number. No-op when the
-/// ledger is disabled; I/O errors are swallowed like [`append`]'s.
-pub fn append_trial(rec: &mut TrialRecord) -> Option<u64> {
-    let s = sink();
-    if !s.enabled.load(Ordering::Relaxed) {
-        return None;
-    }
-    let path = s.path.lock().unwrap_or_else(|p| p.into_inner()).clone()?;
-    rec.seq = s.seq.fetch_add(1, Ordering::Relaxed);
-    let line = rec.to_json();
-    let res = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| writeln!(f, "{line}"));
-    if let Err(e) = res {
-        static WARNED: AtomicBool = AtomicBool::new(false);
-        if !WARNED.swap(true, Ordering::Relaxed) {
-            eprintln!(
-                "sdfg-profile: run ledger write to {} failed: {e}",
-                path.display()
-            );
-        }
-    }
-    Some(rec.seq)
-}
-
 /// Appends one JIT-fallback record (assigning its `seq` from the shared
 /// sequence), returning the sequence number. No-op when the ledger is
 /// disabled; I/O errors are swallowed like [`append`]'s.
@@ -414,30 +327,6 @@ mod tests {
         assert!(j.starts_with("{\"record\":\"jit_fallback\""));
         assert!(j.contains("\"reason\":\"no_compiler\""));
         assert!(!j.contains('\n'));
-    }
-
-    #[test]
-    fn trial_record_renders_discriminated_json() {
-        let rec = TrialRecord {
-            seq: 0,
-            kernel: "atax".into(),
-            content_hash: "00ff".into(),
-            target: "cpu".into(),
-            nthreads: 8,
-            stage: "seq_threshold".into(),
-            candidate: "seq<16384".into(),
-            config_json: "{\"fusion\":true}".into(),
-            warm_ms: 1.5,
-            best_ms: 1.25,
-            outcome: "no_gain".into(),
-        };
-        let j = rec.to_json();
-        assert!(j.starts_with("{\"record\":\"autotune_trial\""));
-        assert!(j.contains("\"config\":{\"fusion\":true}"));
-        assert!(j.contains("\"outcome\":\"no_gain\""));
-        assert!(!j.contains('\n'));
-        // Empty config text still renders valid JSON.
-        assert!(TrialRecord::default().to_json().contains("\"config\":{}"));
     }
 
     #[test]

@@ -129,8 +129,8 @@ struct HistogramInner {
 }
 
 impl Histogram {
-    /// A standalone histogram (not attached to any registry) — useful
-    /// for local percentile computations, e.g. the bench harness.
+    /// A standalone histogram (not attached to any registry);
+    /// [`MetricsRegistry::histogram`] builds its series with this.
     pub fn with_bounds(bounds: &[f64]) -> Histogram {
         let mut b: Vec<f64> = bounds.iter().copied().filter(|x| x.is_finite()).collect();
         b.sort_by(|x, y| x.partial_cmp(y).expect("finite bounds"));
@@ -181,41 +181,6 @@ impl Histogram {
     pub fn bounds(&self) -> &[f64] {
         &self.inner.bounds
     }
-
-    /// Estimated quantile `q` in `[0, 1]`, linearly interpolated inside
-    /// the containing bucket (the standard Prometheus estimate). Returns
-    /// 0.0 when empty; observations past the last bound clamp to it.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).max(1e-12);
-        let mut cum = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let next = cum + c;
-            if rank <= next as f64 {
-                let lower = if i == 0 {
-                    0.0
-                } else {
-                    self.inner.bounds[i - 1]
-                };
-                let upper = match self.inner.bounds.get(i) {
-                    Some(&b) => b,
-                    // Overflow bucket: clamp to the last finite bound.
-                    None => return self.inner.bounds.last().copied().unwrap_or(0.0),
-                };
-                let frac = (rank - cum as f64) / c as f64;
-                return lower + (upper - lower) * frac;
-            }
-            cum = next;
-        }
-        self.inner.bounds.last().copied().unwrap_or(0.0)
-    }
 }
 
 /// Default millisecond buckets for launch-duration histograms: 10 µs to
@@ -225,18 +190,6 @@ pub fn default_duration_buckets_ms() -> Vec<f64> {
         0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
         1000.0, 2500.0, 5000.0,
     ]
-}
-
-/// `count` log-spaced bounds starting at `start`, each `factor` apart —
-/// for fine-grained local percentiles.
-pub fn log_buckets(start: f64, factor: f64, count: usize) -> Vec<f64> {
-    let mut v = Vec::with_capacity(count);
-    let mut b = start;
-    for _ in 0..count {
-        v.push(b);
-        b *= factor;
-    }
-    v
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -522,15 +475,6 @@ pub struct CoreMetrics {
     pub opt_rolled_back: Counter,
     /// `sdfg_interp_runs_total`.
     pub interp_runs: Counter,
-    /// `sdfg_autotune_trials_total{outcome="improved"}` — trial beat the
-    /// incumbent configuration.
-    pub autotune_improved: Counter,
-    /// `sdfg_autotune_trials_total{outcome="no_gain"}` — trial measured
-    /// correct but not faster.
-    pub autotune_no_gain: Counter,
-    /// `sdfg_autotune_trials_total{outcome="rejected"}` — trial discarded
-    /// (optimization failed or results diverged from the reference).
-    pub autotune_rejected: Counter,
     /// `sdfg_jit_compiles_total` — map bodies compiled to native code by
     /// the JIT tier (cache misses that invoked the system C compiler).
     pub jit_compiles: Counter,
@@ -719,16 +663,6 @@ fn core_handles() -> &'static CoreMetrics {
             "Reference-interpreter run invocations.",
             &[],
         );
-        let autotune = |outcome: &str| {
-            r.counter(
-                "sdfg_autotune_trials_total",
-                "Autotuner trials by outcome (improved, no_gain, rejected).",
-                &[("outcome", outcome)],
-            )
-        };
-        let autotune_improved = autotune("improved");
-        let autotune_no_gain = autotune("no_gain");
-        let autotune_rejected = autotune("rejected");
         let jit_compiles = r.counter(
             "sdfg_jit_compiles_total",
             "Map bodies compiled to native code by the JIT tier.",
@@ -778,9 +712,6 @@ fn core_handles() -> &'static CoreMetrics {
             opt_applied,
             opt_rolled_back,
             interp_runs,
-            autotune_improved,
-            autotune_no_gain,
-            autotune_rejected,
             jit_compiles,
             jit_cache_hits,
             jit_fallbacks,
@@ -940,10 +871,6 @@ mod tests {
         assert_eq!(h.bucket_counts(), vec![2, 1, 1, 1]);
         assert_eq!(h.count(), 5);
         assert!((h.sum() - 23.51).abs() < 1e-6);
-        // Quantiles are monotone and clamp to the last bound.
-        assert!(h.quantile(0.05) <= h.quantile(0.5));
-        assert!(h.quantile(0.5) <= h.quantile(0.95));
-        assert_eq!(h.quantile(1.0), 10.0);
     }
 
     #[test]
@@ -994,11 +921,5 @@ mod tests {
         assert!(validate_exposition(non_cumulative).is_err());
         let no_inf = "# TYPE h histogram\nh_bucket{le=\"1\"} 5\n";
         assert!(validate_exposition(no_inf).is_err());
-    }
-
-    #[test]
-    fn log_buckets_are_geometric() {
-        let b = log_buckets(1.0, 2.0, 4);
-        assert_eq!(b, vec![1.0, 2.0, 4.0, 8.0]);
     }
 }

@@ -14,15 +14,14 @@ const USAGE: &str = "\
 sdfg-serve: multi-tenant SDFG execution server
 
 USAGE:
-  sdfg-serve [--port N] [--nthreads N] [--opt LEVEL] [--db PATH]
-             [--max-inflight N] [--queue-depth N] [--tenant-cap N]
-             [--timeout-ms N] [--ledger PATH]
+  sdfg-serve [--port N] [--nthreads N] [--opt LEVEL] [--max-inflight N]
+             [--queue-depth N] [--tenant-cap N] [--timeout-ms N]
+             [--ledger PATH]
 
 OPTIONS:
   --port N          TCP port on 127.0.0.1 (default 8080; 0 = ephemeral)
   --nthreads N      worker threads per invoke (default: all cores)
-  --opt LEVEL       none | strict | aggressive | tuned (default aggressive)
-  --db PATH         tuning database (implies --opt tuned)
+  --opt LEVEL       none | strict | aggressive (default aggressive)
   --max-inflight N  concurrently executing invokes (default 4)
   --queue-depth N   invokes queued beyond the cap before 429 (default 16)
   --tenant-cap N    per-tenant running+queued cap (default 4)
@@ -50,20 +49,10 @@ fn main() {
             "--port" => config.port = parse(&flag, &value),
             "--nthreads" => config.registry.nthreads = parse::<usize>(&flag, &value).max(1),
             "--opt" => {
-                config.registry.opt = match value.as_str() {
-                    "none" => OptLevel::None,
-                    "strict" => OptLevel::Strict,
-                    "aggressive" => OptLevel::Aggressive,
-                    "tuned" => OptLevel::Tuned,
-                    other => {
-                        eprintln!("error: unknown --opt level `{other}`\n\n{USAGE}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--db" => {
-                config.registry.tuning_db = Some(PathBuf::from(&value));
-                config.registry.opt = OptLevel::Tuned;
+                config.registry.opt = OptLevel::parse(&value).unwrap_or_else(|| {
+                    eprintln!("error: unknown --opt level `{value}`\n\n{USAGE}");
+                    std::process::exit(2);
+                })
             }
             "--max-inflight" => config.max_inflight = parse::<usize>(&flag, &value).max(1),
             "--queue-depth" => config.queue_depth = parse(&flag, &value),

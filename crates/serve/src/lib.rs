@@ -6,7 +6,7 @@
 //! program is validated and optimized at submit time, and every
 //! subsequent invoke binds inputs, runs, and streams outputs back — no
 //! per-request compilation. All resident programs share one plan cache,
-//! buffer pool, tuning database and work-stealing scheduler pool, so
+//! buffer pool and work-stealing scheduler pool, so
 //! tenants transparently benefit from each other's warmed state.
 //!
 //! The wire protocol is deliberately small (std-only HTTP/1.1 with

@@ -1,7 +1,6 @@
 //! The multi-tenant program registry: submitted SDFGs are keyed by
 //! content hash, validated and compiled **once**, and every resident
-//! program shares one plan cache, buffer pool, tuning DB and scheduler
-//! pool. A second tenant submitting a byte-identical program gets the
+//! program shares one plan cache, buffer pool and scheduler pool. A second tenant submitting a byte-identical program gets the
 //! same handle back (and, on invoke, the first tenant's cached plans).
 
 use sdfg_core::serialize::{content_hash, from_json_limited};
@@ -10,7 +9,6 @@ use sdfg_exec::{
     shared_scheduler, Bindings, BufferPool, OptLevel, Outputs, PlanCache, SchedPool, Session,
 };
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -68,9 +66,6 @@ pub struct RegistryConfig {
     pub opt: OptLevel,
     /// Worker threads per invoke.
     pub nthreads: usize,
-    /// Optional tuning database (implies measured configs at `opt`
-    /// level [`OptLevel::Tuned`]).
-    pub tuning_db: Option<PathBuf>,
     /// Size cap for submitted program payloads, bytes.
     pub max_program_bytes: usize,
 }
@@ -82,7 +77,6 @@ impl Default for RegistryConfig {
             nthreads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            tuning_db: None,
             max_program_bytes: sdfg_core::serialize::DEFAULT_MAX_PROGRAM_BYTES,
         }
     }
@@ -145,9 +139,6 @@ impl Registry {
             .buffer_pool(Arc::clone(&self.pool));
         if let Some(s) = &self.sched {
             builder = builder.scheduler(Arc::clone(s));
-        }
-        if let Some(db) = &self.config.tuning_db {
-            builder = builder.tuning_db(db);
         }
         let session = builder.build()?;
         let entry = Arc::new(ProgramEntry {

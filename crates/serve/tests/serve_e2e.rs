@@ -509,3 +509,18 @@ fn newline_less_head_gets_400_and_close() {
     let (status, _, _) = http(server.addr(), "GET", "/healthz", &[], b"");
     assert_eq!(status, 200);
 }
+
+/// `--opt` goes through `OptLevel::parse`: an unknown level (`tuned`
+/// included) exits 2 with the usage text, which no longer lists `--db`.
+#[test]
+fn unknown_opt_level_exits_with_usage() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sdfg-serve"))
+        .args(["--opt", "tuned"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown --opt level `tuned`"), "{stderr}");
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+    assert!(!stderr.contains("--db"), "{stderr}");
+}

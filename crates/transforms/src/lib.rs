@@ -21,7 +21,6 @@
 //! Transformation applications can be recorded into a [`Chain`] and
 //! replayed — the "optimization version control" of DIODE (§4.2).
 
-pub mod autotune;
 pub mod chain;
 pub mod data_transforms;
 pub mod device_transforms;
@@ -31,7 +30,6 @@ pub mod helpers;
 pub mod map_transforms;
 pub mod pipeline;
 
-pub use autotune::{optimize_tuned, TuneEntry, TuneKey, TunedConfig, TuningDb};
 pub use chain::{AppliedStep, ApplyReport, Chain};
 pub use data_transforms::{
     DoubleBuffering, LocalStorage, LocalStream, RedundantArray, Vectorization,

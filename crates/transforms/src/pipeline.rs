@@ -37,7 +37,7 @@ use std::fmt;
 const MAX_STRICT_ROUNDS: usize = 64;
 
 /// Per-transformation application bound in the heuristic phase.
-pub(crate) const MAX_HEURISTIC_APPS: usize = 128;
+const MAX_HEURISTIC_APPS: usize = 128;
 
 /// The heuristic phase, in order. Earlier passes enable later ones:
 /// collapsing widens maps for fusion, fusion exposes innermost maps for
@@ -61,12 +61,6 @@ pub enum OptLevel {
     Strict,
     /// Strict fixpoint plus the cost-hint-driven heuristic phase.
     Aggressive,
-    /// Measurement-tuned: the executor looks up a persisted
-    /// [`crate::autotune::TunedConfig`] for the graph's content hash and
-    /// replays it ([`crate::autotune::optimize_tuned`]); on a database
-    /// miss it falls back to `Aggressive`. Calling the pipeline directly
-    /// with this level (no config in hand) behaves like `Aggressive`.
-    Tuned,
 }
 
 impl OptLevel {
@@ -76,7 +70,6 @@ impl OptLevel {
             "none" | "0" => Some(OptLevel::None),
             "strict" | "1" => Some(OptLevel::Strict),
             "aggressive" | "2" => Some(OptLevel::Aggressive),
-            "tuned" | "3" => Some(OptLevel::Tuned),
             _ => None,
         }
     }
@@ -87,7 +80,6 @@ impl OptLevel {
             OptLevel::None => "none",
             OptLevel::Strict => "strict",
             OptLevel::Aggressive => "aggressive",
-            OptLevel::Tuned => "tuned",
         }
     }
 }
@@ -169,7 +161,7 @@ impl fmt::Display for OptimizationReport {
     }
 }
 
-pub(crate) fn count_nodes(sdfg: &Sdfg) -> usize {
+fn count_nodes(sdfg: &Sdfg) -> usize {
     sdfg.graph
         .node_ids()
         .map(|sid| sdfg.graph.node(sid).graph.node_count())
@@ -178,7 +170,7 @@ pub(crate) fn count_nodes(sdfg: &Sdfg) -> usize {
 
 /// Validates after a rewrite, wrapping failures with the pass name so the
 /// offending transformation is identifiable from the error alone.
-pub(crate) fn validate_after(sdfg: &Sdfg, pass: &str) -> Result<(), SdfgError> {
+fn validate_after(sdfg: &Sdfg, pass: &str) -> Result<(), SdfgError> {
     sdfg.validate().map_err(|es| {
         SdfgError::optimization(
             pass,
@@ -187,7 +179,7 @@ pub(crate) fn validate_after(sdfg: &Sdfg, pass: &str) -> Result<(), SdfgError> {
     })
 }
 
-pub(crate) fn record_skip(skipped: &mut Vec<SkippedMatch>, transform: &str, reason: String) {
+fn record_skip(skipped: &mut Vec<SkippedMatch>, transform: &str, reason: String) {
     if let Some(s) = skipped
         .iter_mut()
         .find(|s| s.transform == transform && s.reason == reason)
@@ -212,7 +204,7 @@ pub fn optimize(sdfg: &mut Sdfg, level: OptLevel) -> Result<OptimizationReport, 
 /// `sdfg_opt_passes_total{outcome=...}` counter and (when sampling)
 /// records a flight-recorder event carrying the pass's position in the
 /// pipeline's applied sequence.
-pub(crate) fn observe_pass(applied: bool, idx: usize) {
+fn observe_pass(applied: bool, idx: usize) {
     use sdfg_profile::{flight, metrics};
     let m = metrics::core();
     if applied {
@@ -296,10 +288,8 @@ pub fn optimize_with_env(
         }
     }
 
-    // Phase 2: cost-hint-driven heuristics. A direct `Tuned` call (no
-    // measured config in hand) degrades to the `Aggressive` behaviour —
-    // the executor substitutes `optimize_tuned` when it has a config.
-    if matches!(level, OptLevel::Aggressive | OptLevel::Tuned) {
+    // Phase 2: cost-hint-driven heuristics.
+    if level == OptLevel::Aggressive {
         for name in HEURISTIC_ORDER {
             let t = by_name(name).expect("heuristic order names a registered transformation");
             let mut apps = 0usize;
@@ -482,6 +472,8 @@ mod tests {
         assert_eq!(OptLevel::parse("strict"), Some(OptLevel::Strict));
         assert_eq!(OptLevel::parse("aggressive"), Some(OptLevel::Aggressive));
         assert_eq!(OptLevel::parse("none"), Some(OptLevel::None));
+        assert_eq!(OptLevel::parse("2"), Some(OptLevel::Aggressive));
+        assert_eq!(OptLevel::parse("tuned"), None);
         assert_eq!(OptLevel::parse("bogus"), None);
     }
 }

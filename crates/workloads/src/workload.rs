@@ -81,7 +81,7 @@ impl Workload {
 
     /// Starts a [`sdfg_exec::SessionBuilder`] over a clone of this
     /// workload's SDFG — the compile-once/invoke-many construction path
-    /// the harness, bench and autotuner share with the serving layer.
+    /// the harness and bench share with the serving layer.
     pub fn session(&self) -> sdfg_exec::SessionBuilder {
         sdfg_exec::Session::builder(self.sdfg.clone())
     }
