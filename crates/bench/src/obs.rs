@@ -274,9 +274,16 @@ mod tests {
             reason: "no_compiler".into(),
             detail: String::new(),
         };
-        let (failures, records) = check_ledger(&format!("{}\n", rec.to_json()));
+        // A launch that ran interpreted while its kernel compiled.
+        let pending = ledger::JitFallbackRecord {
+            reason: "jit-compile-pending".into(),
+            detail: "kernel 00000000deadbeef still compiling".into(),
+            ..rec.clone()
+        };
+        let both = format!("{}\n{}\n", rec.to_json(), pending.to_json());
+        let (failures, records) = check_ledger(&both);
         assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(records, 1);
+        assert_eq!(records, 2);
         // A fallback line without its reason fails.
         let bad = rec.to_json().replace(",\"reason\":\"no_compiler\"", "");
         let (failures, _) = check_ledger(&bad);

@@ -25,6 +25,18 @@ fn concurrent_invokes_share_one_compiled_artifact() {
     let w = (k.build)(24);
     let session = w.session().build().unwrap();
     let before = jit::stats();
+    let cold_outs: Vec<_> = std::thread::scope(|s| {
+        (0..8)
+            .map(|_| s.spawn(|| session.run(w.bindings()).unwrap()))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect()
+    });
+    // The cold invokes queued the compiles and ran on whatever tier was
+    // ready; once the queue drains, every invoke reaches the JIT tier.
+    jit::wait_idle();
+    let after_cold = jit::stats();
     let outs: Vec<_> = std::thread::scope(|s| {
         (0..8)
             .map(|_| s.spawn(|| session.run(w.bindings()).unwrap()))
@@ -33,7 +45,6 @@ fn concurrent_invokes_share_one_compiled_artifact() {
             .map(|h| h.join().unwrap())
             .collect()
     });
-    let after_cold = jit::stats();
     let cold = after_cold.compiles - before.compiles;
     let artifacts = std::fs::read_dir(&cache)
         .unwrap()
@@ -41,7 +52,7 @@ fn concurrent_invokes_share_one_compiled_artifact() {
         .filter(|e| e.path().extension().is_some_and(|x| x == "so"))
         .count() as u64;
     // gemm lowers a handful of map bodies (the beta scale, the
-    // contraction); eight concurrent cold invokes must compile each
+    // contraction); eight concurrent cold invokes must queue each
     // exactly once and share the handle. If the registry failed to dedup,
     // racing threads would compile the same source again (more compiles
     // than artifacts).
@@ -57,9 +68,9 @@ fn concurrent_invokes_share_one_compiled_artifact() {
             "invoke did not reach the JIT tier"
         );
     }
-    // And every invoke saw bit-identical results.
+    // And every invoke, cold or warm, saw bit-identical results.
     let first = outs[0].array("C").unwrap();
-    for o in &outs[1..] {
+    for o in cold_outs.iter().chain(&outs[1..]) {
         let c = o.array("C").unwrap();
         assert!(
             first.iter().zip(c).all(|(a, b)| a.to_bits() == b.to_bits()),

@@ -9,12 +9,24 @@
 //!
 //! 1. an in-process registry keyed by [`kernel_hash`] (shared by every
 //!    executor and session in the process — concurrent requests for the
-//!    same kernel block on one compilation and share the artifact);
+//!    same kernel share one entry, and so one compilation and one
+//!    artifact);
 //! 2. an on-disk artifact cache (`SDFG_JIT_CACHE`, default
 //!    `$TMPDIR/sdfg-jit-cache`) holding `<hash>.so` + `<hash>.c`, written
 //!    atomically (temp file + rename) so concurrent processes are safe;
-//! 3. the lowered plan itself, which stores the `Arc<JitKernel>` in the
-//!    `PlanCache` (see `crate::lower`).
+//! 3. the lowered plan itself, which keeps the kernel's registry handle in
+//!    the `PlanCache` (see `crate::lower`).
+//!
+//! **Compiling never blocks a launch.** A request that finds the artifact
+//! on disk `dlopen`s it on the spot, so restarted processes run native from
+//! their first launch. Otherwise the source is queued for the one compile
+//! thread of the process (started on first use, FIFO, the compiler at
+//! normal priority) and the request returns the still-empty handle. A
+//! launch that finds its kernel empty runs on the interpreted tiers —
+//! bitwise the same result — and the first launch after the entry fills
+//! runs native. [`wait_idle`] blocks until the queue has drained. Each
+//! compiler runs in its own process group, and an exit hook kills the one
+//! in flight, so no compiler outlives the process that started it.
 //!
 //! The cache key hashes the C source, the compiler's `--version` line, and
 //! the flag set — a compiler upgrade or flag change invalidates artifacts
@@ -25,15 +37,16 @@
 //! Everything degrades gracefully: no compiler, a failed compile, or a
 //! failed `dlopen` records a `jit_fallback` ledger record (plus the
 //! `sdfg_jit_fallbacks_total` metric) and the map runs on the next tier.
-//! `SDFG_JIT=off` disables the tier for the whole process. The `dlopen`
-//! binding is a raw `extern "C"` declaration against libdl, keeping the
-//! workspace std-only; loaded handles are intentionally never closed
-//! (kernels may be cached in plans that outlive any one executor).
+//! `SDFG_JIT=off` disables the tier for the whole process. The `dlopen`,
+//! `atexit` and `kill` bindings are raw `extern "C"` declarations against
+//! libc/libdl, keeping the workspace std-only; loaded handles are
+//! intentionally never closed (kernels may be cached in plans that outlive
+//! any one executor).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Compiler flags for kernel compilation. `-ffp-contract=off` is load
 /// bearing: Rust never contracts `a*b + c` into an FMA, so the C compiler
@@ -191,6 +204,7 @@ struct Cells {
     cache_hits: AtomicU64,
     fallbacks: AtomicU64,
     compile_ms: AtomicU64,
+    pending_launches: AtomicU64,
 }
 
 fn cells() -> &'static Cells {
@@ -209,6 +223,9 @@ pub struct JitStats {
     pub fallbacks: u64,
     /// Total wall-clock milliseconds spent inside the C compiler.
     pub compile_ms: u64,
+    /// Nest launches that ran on an interpreted tier because their kernel
+    /// was still compiling.
+    pub pending_launches: u64,
 }
 
 /// Snapshot of the process-wide counters.
@@ -219,7 +236,13 @@ pub fn stats() -> JitStats {
         cache_hits: c.cache_hits.load(Ordering::Relaxed),
         fallbacks: c.fallbacks.load(Ordering::Relaxed),
         compile_ms: c.compile_ms.load(Ordering::Relaxed),
+        pending_launches: c.pending_launches.load(Ordering::Relaxed),
     }
+}
+
+fn count_cache_hit() {
+    cells().cache_hits.fetch_add(1, Ordering::Relaxed);
+    sdfg_profile::metrics::core().jit_cache_hits.inc();
 }
 
 /// Why a map body, map nest or state-machine loop did not reach native
@@ -312,18 +335,61 @@ pub fn record_fallback(content_hash: u64, map: &str, reason: &str, detail: &str)
 
 // --- registry -----------------------------------------------------------------
 
-type Slot = Arc<OnceLock<Result<Arc<JitKernel>, Decline>>>;
+/// Ledger reason of a launch that ran interpreted because its kernel was
+/// still compiling.
+const PENDING_REASON: &str = "jit-compile-pending";
 
-fn registry() -> &'static Mutex<HashMap<u64, Slot>> {
-    static REG: OnceLock<Mutex<HashMap<u64, Slot>>> = OnceLock::new();
+/// One kernel's registry entry, filled exactly once: by a disk hit while
+/// the request is made, or later by the compile thread.
+struct Entry {
+    hash: u64,
+    cell: OnceLock<Result<Arc<JitKernel>, Decline>>,
+    /// Set by the first launch that found the cell empty, so the ledger
+    /// records one pending launch per kernel.
+    pending_seen: AtomicBool,
+}
+
+/// A requested kernel. Every requester of one hash holds the same entry,
+/// so all of them see it fill at the same moment.
+#[derive(Clone)]
+pub(crate) struct KernelHandle(Arc<Entry>);
+
+impl KernelHandle {
+    /// The loaded kernel, the decline its compile or load ended in, or
+    /// `None` while it is still compiling.
+    pub(crate) fn get(&self) -> Option<&Result<Arc<JitKernel>, Decline>> {
+        self.0.cell.get()
+    }
+
+    /// Counts one launch of `map` that found this kernel still compiling;
+    /// the first such launch per kernel also writes a
+    /// [`PENDING_REASON`] fallback record.
+    pub(crate) fn record_pending(&self, content_hash: u64, map: &str) {
+        cells().pending_launches.fetch_add(1, Ordering::Relaxed);
+        sdfg_profile::metrics::core().jit_pending_launches.inc();
+        if !self.0.pending_seen.swap(true, Ordering::Relaxed) {
+            let detail = format!("kernel {:016x} still compiling", self.0.hash);
+            record_fallback(content_hash, map, PENDING_REASON, &detail);
+        }
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+fn registry() -> &'static Mutex<HashMap<u64, Arc<Entry>>> {
+    static REG: OnceLock<Mutex<HashMap<u64, Arc<Entry>>>> = OnceLock::new();
     REG.get_or_init(Mutex::default)
 }
 
-/// Returns the loaded kernel for `source`, compiling at most once per
-/// process per hash (concurrent callers for the same hash block on the
-/// first compilation and share its result — including its failure, so a
-/// broken kernel is not retried every launch).
-pub fn get_or_compile(source: &str) -> Result<Arc<JitKernel>, Decline> {
+/// Requests the kernel for `source`. Compiles at most once per process per
+/// hash, and never on the calling thread: an artifact already on disk is
+/// loaded before this returns, anything else is queued for the compile
+/// thread and the returned handle fills when it is done. A hash whose
+/// compile already failed returns that decline, so a broken kernel is not
+/// retried every launch.
+pub(crate) fn get_or_compile(source: &str) -> Result<KernelHandle, Decline> {
     let cc = cc().ok_or_else(|| {
         Decline::new(
             DeclineKind::NoCompiler,
@@ -331,46 +397,77 @@ pub fn get_or_compile(source: &str) -> Result<Arc<JitKernel>, Decline> {
         )
     })?;
     let hash = kernel_hash(source, cc);
-    let slot: Slot = {
-        let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-        reg.entry(hash).or_default().clone()
-    };
-    let mut fresh = false;
-    let res = slot.get_or_init(|| {
-        fresh = true;
-        load_or_compile_in(&cache_dir(), source, cc, hash)
-    });
-    if !fresh && res.is_ok() {
-        cells().cache_hits.fetch_add(1, Ordering::Relaxed);
-        sdfg_profile::metrics::core().jit_cache_hits.inc();
+    // Held across the disk probe, so a concurrent request for the same
+    // hash finds the loaded kernel rather than a momentarily empty entry.
+    let mut reg = lock(registry());
+    if let Some(entry) = reg.get(&hash).cloned() {
+        drop(reg);
+        return match entry.cell.get() {
+            Some(Err(d)) => Err(d.clone()),
+            Some(Ok(_)) => {
+                count_cache_hit();
+                Ok(KernelHandle(entry))
+            }
+            None => Ok(KernelHandle(entry)),
+        };
     }
-    res.clone()
+    let entry = Arc::new(Entry {
+        hash,
+        cell: OnceLock::new(),
+        pending_seen: AtomicBool::new(false),
+    });
+    reg.insert(hash, Arc::clone(&entry));
+    let dir = cache_dir();
+    let loaded = load_cached(&dir, hash);
+    drop(reg);
+    match loaded {
+        Some(k) => {
+            let _ = entry.cell.set(Ok(k));
+        }
+        None => enqueue(Job {
+            dir,
+            source: source.to_string(),
+            cc,
+            entry: Arc::clone(&entry),
+        }),
+    }
+    Ok(KernelHandle(entry))
+}
+
+/// Maps `hash`'s artifact from `dir` when one is there and loads. A corrupt
+/// one is deleted, so the compile this falls through to replaces it.
+fn load_cached(dir: &Path, hash: u64) -> Option<Arc<JitKernel>> {
+    let so_path = dir.join(format!("{hash:016x}.so"));
+    if !so_path.exists() {
+        return None;
+    }
+    match load_kernel(&so_path, hash) {
+        Ok(k) => {
+            count_cache_hit();
+            Some(k)
+        }
+        Err(_) => {
+            let _ = std::fs::remove_file(&so_path);
+            None
+        }
+    }
 }
 
 /// Loads `hash`'s artifact from `dir`, compiling it there if missing and
 /// recovering (delete + recompile once) when an existing artifact fails to
-/// load. Exposed to unit tests via an explicit directory.
+/// load: the compile thread's job. Exposed to unit tests via an explicit
+/// directory.
 pub(crate) fn load_or_compile_in(
     dir: &Path,
     source: &str,
     cc: &CcInfo,
     hash: u64,
 ) -> Result<Arc<JitKernel>, Decline> {
-    let so_path = dir.join(format!("{hash:016x}.so"));
-    if so_path.exists() {
-        match load_kernel(&so_path, hash) {
-            Ok(k) => {
-                cells().cache_hits.fetch_add(1, Ordering::Relaxed);
-                sdfg_profile::metrics::core().jit_cache_hits.inc();
-                return Ok(k);
-            }
-            Err(_) => {
-                // Corrupt artifact: remove and recompile once.
-                let _ = std::fs::remove_file(&so_path);
-            }
-        }
+    if let Some(k) = load_cached(dir, hash) {
+        return Ok(k);
     }
     compile_into(dir, source, cc, hash).map_err(|e| Decline::new(DeclineKind::CompileFailed, e))?;
+    let so_path = dir.join(format!("{hash:016x}.so"));
     load_kernel(&so_path, hash).map_err(|e| {
         let _ = std::fs::remove_file(&so_path);
         Decline::new(
@@ -380,31 +477,255 @@ pub(crate) fn load_or_compile_in(
     })
 }
 
-/// Compiles `source` into `dir/<hash>.so` (atomic rename; also drops the
-/// `.c` next to it for debuggability).
+// --- compile queue --------------------------------------------------------------
+
+/// A queued compile: the source, where its artifact goes, and the entry
+/// the result fills.
+struct Job {
+    dir: PathBuf,
+    source: String,
+    cc: &'static CcInfo,
+    entry: Arc<Entry>,
+}
+
+/// The compile thread's FIFO. `busy` is set while a popped job runs, so
+/// an empty queue alone does not mean idle.
+struct Queue {
+    jobs: VecDeque<Job>,
+    busy: bool,
+    started: bool,
+}
+
+static QUEUE: Mutex<Queue> = Mutex::new(Queue {
+    jobs: VecDeque::new(),
+    busy: false,
+    started: false,
+});
+
+/// Signalled whenever a job is queued or finishes.
+static QUEUE_CHANGED: Condvar = Condvar::new();
+
+fn enqueue(job: Job) {
+    let mut q = lock(&QUEUE);
+    q.jobs.push_back(job);
+    if !q.started {
+        // Detached on purpose: it serves the process until exit, its jobs
+        // cannot panic out of `run_job`, and `wait_idle` is how callers
+        // wait for it.
+        let thread = std::thread::Builder::new()
+            .name("sdfg-jit-cc".into())
+            .spawn(compile_loop);
+        if thread.is_err() {
+            // No thread to hand it to: compile here, as a blocking request
+            // would have.
+            let job = q.jobs.pop_back().expect("job just queued");
+            drop(q);
+            return run_job(job);
+        }
+        q.started = true;
+        install_exit_hook();
+    }
+    QUEUE_CHANGED.notify_all();
+}
+
+fn run_job(job: Job) {
+    let Job {
+        dir,
+        source,
+        cc,
+        entry,
+    } = job;
+    let hash = entry.hash;
+    let res = std::panic::catch_unwind(|| load_or_compile_in(&dir, &source, cc, hash))
+        .unwrap_or_else(|_| {
+            Err(Decline::new(
+                DeclineKind::CompileFailed,
+                "kernel compile panicked",
+            ))
+        });
+    let _ = entry.cell.set(res);
+}
+
+fn compile_loop() {
+    let mut q = lock(&QUEUE);
+    loop {
+        let Some(job) = q.jobs.pop_front() else {
+            q = QUEUE_CHANGED.wait(q).unwrap_or_else(|p| p.into_inner());
+            continue;
+        };
+        q.busy = true;
+        drop(q);
+        run_job(job);
+        q = lock(&QUEUE);
+        q.busy = false;
+        QUEUE_CHANGED.notify_all();
+    }
+}
+
+/// Blocks until every kernel compile queued so far has finished — loaded
+/// or failed — so the next launch of each runs on its final tier. Returns
+/// at once when nothing is queued.
+pub fn wait_idle() {
+    let mut q = lock(&QUEUE);
+    while q.busy || !q.jobs.is_empty() {
+        q = QUEUE_CHANGED.wait(q).unwrap_or_else(|p| p.into_inner());
+    }
+}
+
+// --- the compiler process --------------------------------------------------------
+
+/// The compiler process group currently running, and whether the process
+/// is exiting (after which no compiler may start).
+struct Inflight {
+    pgid: Option<u32>,
+    exiting: bool,
+}
+
+static INFLIGHT: Mutex<Inflight> = Mutex::new(Inflight {
+    pgid: None,
+    exiting: false,
+});
+
+/// Runs one compiler invocation in a process group of its own, registered
+/// with the exit hook while it runs.
+fn run_compiler(cmd: &mut std::process::Command) -> std::io::Result<std::process::Output> {
+    use std::process::Stdio;
+    cmd.stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
+    #[cfg(unix)]
+    std::os::unix::process::CommandExt::process_group(cmd, 0);
+    let child = {
+        let mut inflight = lock(&INFLIGHT);
+        if inflight.exiting {
+            return Err(std::io::Error::other("process is exiting"));
+        }
+        let child = cmd.spawn()?;
+        inflight.pgid = Some(child.id());
+        child
+    };
+    let out = child.wait_with_output();
+    lock(&INFLIGHT).pgid = None;
+    out
+}
+
+#[cfg(unix)]
+mod sys {
+    use std::os::raw::c_int;
+
+    extern "C" {
+        pub fn atexit(hook: extern "C" fn()) -> c_int;
+        pub fn kill(pid: c_int, sig: c_int) -> c_int;
+    }
+
+    pub const SIGKILL: c_int = 9;
+    pub const ESRCH: i32 = 3;
+}
+
+/// Exit hook: no compiler starts from here on, and the running one is
+/// killed with its whole group (`cc` itself, `cc1`, `as`, `ld`).
+extern "C" fn kill_inflight_compiler() {
+    let mut inflight = lock(&INFLIGHT);
+    inflight.exiting = true;
+    #[cfg(unix)]
+    if let Some(pgid) = inflight.pgid.and_then(|p| i32::try_from(p).ok()) {
+        // SAFETY: signals the group this process created for its compiler.
+        unsafe {
+            sys::kill(-pgid, sys::SIGKILL);
+        }
+    }
+}
+
+fn install_exit_hook() {
+    // SAFETY: registers a plain `extern "C"` function that never unwinds.
+    #[cfg(unix)]
+    unsafe {
+        sys::atexit(kill_inflight_compiler);
+    };
+}
+
+/// Whether `pid` names a live process (assumed so where that cannot be
+/// asked).
+fn process_alive(pid: u32) -> bool {
+    #[cfg(unix)]
+    {
+        let Ok(pid) = i32::try_from(pid) else {
+            return false;
+        };
+        // SAFETY: signal 0 only checks that the process exists.
+        if unsafe { sys::kill(pid, 0) } == 0 {
+            return true;
+        }
+        std::io::Error::last_os_error().raw_os_error() != Some(sys::ESRCH)
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = pid;
+        true
+    }
+}
+
+/// Removes `stem`'s compile directories (`<stem>.tmp.<pid>`) left by
+/// processes that exited mid-compile.
+fn remove_dead_leftovers(dir: &Path, stem: &str) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for e in entries.flatten() {
+        let name = e.file_name();
+        let pid = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(stem))
+            .and_then(|rest| rest.strip_prefix(".tmp."));
+        if pid.is_some_and(|pid| pid.parse().is_ok_and(|pid| !process_alive(pid))) {
+            let _ = std::fs::remove_dir_all(e.path());
+        }
+    }
+}
+
+/// Compiles `source` into `dir/<hash>.so`, dropping the `.c` next to it
+/// for debuggability. The compiler works in a directory of its own,
+/// `<hash>.tmp.<pid>`, which is also its `TMPDIR`: whatever a compile
+/// killed at exit leaves behind stays there until the next compile of the
+/// hash removes it, and the source and the artifact are renamed into place
+/// from it.
 fn compile_into(dir: &Path, source: &str, cc: &CcInfo, hash: u64) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("cache dir {}: {e}", dir.display()))?;
     let stem = format!("{hash:016x}");
-    let tag = format!("tmp.{}", std::process::id());
-    let c_tmp = dir.join(format!("{stem}.c.{tag}"));
+    let work = dir.join(format!("{stem}.tmp.{}", std::process::id()));
+    std::fs::create_dir_all(&work).map_err(|e| format!("cache dir {}: {e}", dir.display()))?;
+    remove_dead_leftovers(dir, &stem);
+    let res = compile_in(&work, dir, &stem, source, cc);
+    let _ = std::fs::remove_dir_all(&work);
+    res
+}
+
+fn compile_in(
+    work: &Path,
+    dir: &Path,
+    stem: &str,
+    source: &str,
+    cc: &CcInfo,
+) -> Result<(), String> {
+    let c_tmp = work.join("kernel.c");
+    let so_tmp = work.join("kernel.so");
     let c_path = dir.join(format!("{stem}.c"));
-    let so_tmp = dir.join(format!("{stem}.so.{tag}"));
     let so_path = dir.join(format!("{stem}.so"));
     std::fs::write(&c_tmp, source).map_err(|e| format!("write {}: {e}", c_tmp.display()))?;
     let _ = std::fs::rename(&c_tmp, &c_path);
     let t0 = std::time::Instant::now();
-    let out = std::process::Command::new(&cc.path)
-        .args(CFLAGS)
-        .arg("-o")
-        .arg(&so_tmp)
-        .arg(&c_path)
-        .arg("-lm")
-        .output()
-        .map_err(|e| format!("spawn {}: {e}", cc.path))?;
+    let out = run_compiler(
+        std::process::Command::new(&cc.path)
+            .args(CFLAGS)
+            .arg("-o")
+            .arg(&so_tmp)
+            .arg(&c_path)
+            .arg("-lm")
+            .env("TMPDIR", work),
+    )
+    .map_err(|e| format!("spawn {}: {e}", cc.path))?;
     let ms = t0.elapsed().as_millis() as u64;
     cells().compile_ms.fetch_add(ms, Ordering::Relaxed);
     if !out.status.success() {
-        let _ = std::fs::remove_file(&so_tmp);
         let stderr = String::from_utf8_lossy(&out.stderr);
         let head: String = stderr.lines().take(4).collect::<Vec<_>>().join("; ");
         return Err(format!("{} failed ({}): {head}", cc.path, out.status));
@@ -510,6 +831,14 @@ mod tests {
           *npts = hi0 - lo0;\n\
         }\n";
 
+    /// Requests `src` and waits for its compile: the loaded kernel.
+    fn compiled(src: &str) -> Arc<JitKernel> {
+        let handle = get_or_compile(src).unwrap();
+        wait_idle();
+        let done = handle.get().expect("compile finished after wait_idle");
+        done.clone().unwrap()
+    }
+
     fn call(kern: &JitKernel, input: &[f64], out: &mut [f64]) {
         let bufs = [input.as_ptr() as *mut f64, out.as_mut_ptr()];
         // Two geo rows of width 3: [buf, base, c0].
@@ -606,7 +935,7 @@ mod tests {
         // A source unique to this test so the registry slot is fresh.
         let src = format!("{SRC}/* registry-test-{} */\n", std::process::id());
         let before = stats().compiles;
-        let kernels: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = std::thread::scope(|s| {
             (0..8)
                 .map(|_| s.spawn(|| get_or_compile(&src).unwrap()))
                 .collect::<Vec<_>>()
@@ -614,13 +943,50 @@ mod tests {
                 .map(|h| h.join().unwrap())
                 .collect()
         });
-        let first = kernels[0].hash;
-        assert!(kernels.iter().all(|k| k.hash == first));
+        wait_idle();
+        let kernels: Vec<_> = handles
+            .iter()
+            .map(|h| h.get().expect("compiled").clone().unwrap())
+            .collect();
+        assert!(kernels.iter().all(|k| Arc::ptr_eq(k, &kernels[0])));
         assert_eq!(
             stats().compiles,
             before + 1,
             "eight concurrent requests, one compilation"
         );
+    }
+
+    #[test]
+    fn compile_removes_dead_processes_leftovers() {
+        let Some(cc) = cc() else { return };
+        let _g = counters();
+        let dir = test_dir("leftovers");
+        let hash = kernel_hash(SRC, cc);
+        let stem = format!("{hash:016x}");
+        // A pid that has certainly exited: a reaped child of ours.
+        let mut child = std::process::Command::new(&cc.path)
+            .arg("--version")
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .unwrap();
+        child.wait().unwrap();
+        let dead = child.id();
+        // The compile directory of a process killed mid-compile, one of a
+        // live process (pid 1), and another kernel's.
+        let dead_dir = dir.join(format!("{stem}.tmp.{dead}"));
+        let live_dir = dir.join(format!("{stem}.tmp.1"));
+        let other = dir.join(format!("{:016x}.tmp.{dead}", hash ^ 1));
+        for d in [&dead_dir, &live_dir, &other] {
+            std::fs::create_dir_all(d).unwrap();
+            std::fs::write(d.join("ccq8Wx1v.s"), b"partial").unwrap();
+        }
+        load_or_compile_in(&dir, SRC, cc, hash).unwrap();
+        assert!(!dead_dir.exists(), "a dead process's leftovers were kept");
+        assert!(live_dir.exists(), "a live process's directory was removed");
+        assert!(other.exists(), "another kernel's directory was removed");
+        let own = dir.join(format!("{stem}.tmp.{}", std::process::id()));
+        assert!(!own.exists(), "the compile left its own directory behind");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -664,7 +1030,7 @@ mod tests {
         };
         let src = emit_nest_kernel(&spec).unwrap();
         let _g = counters();
-        let kern = get_or_compile(&src).unwrap();
+        let kern = compiled(&src);
         let mut a = [0.0f64; 16];
         let bufs = [a.as_mut_ptr()];
         // geo row (width 4): buf 0, base 0, coeffs (4, 1) → A[4i+j].

@@ -24,7 +24,8 @@
 //! from the launch's actual extents (`Worker::volume`), so a map whose
 //! range follows a loop symbol (`0:k`) shares one plan across the loop and
 //! still crosses the gate exactly where a plan per iteration would have.
-//! The kernel is built by the first hot launch and kept in the plan.
+//! The kernel is requested by the first hot launch and kept in the plan;
+//! launches run on the static tier until its compile finishes.
 //!
 //! Bitwise discipline: a JIT launch must produce bit-identical results to
 //! the tier it replaces. The emitter mirrors the Rust loops statement for
@@ -77,9 +78,10 @@ pub(crate) struct Lowered {
     /// The static tier: where launches below the hotness gate start, and
     /// where hot ones land when the JIT tier declines.
     pub(crate) tier: LowerTier,
-    /// The innermost dimension as a compiled 1-D nest, or why it could not
-    /// be one — set by the first hot launch. `None` when the JIT tier does
-    /// not apply (disabled, or a multi-tasklet body).
+    /// The innermost dimension as a 1-D nest (whose kernel may still be
+    /// compiling), or why it could not be one — set by the first hot
+    /// launch. `None` when the JIT tier does not apply (disabled, or a
+    /// multi-tasklet body).
     jit: Option<OnceLock<Result<NestCore, String>>>,
 }
 
@@ -92,14 +94,14 @@ impl Lowered {
     }
 
     /// Called once per launch of the map, on the launching worker, before
-    /// any row runs: builds the kernel if this is the first hot launch.
+    /// any row runs: requests the kernel if this is the first hot launch.
     pub(crate) fn prepare(&self, ctx: &Ctx, worker: &Worker, label: &str, bt: &Arc<BodyTasklet>) {
         let Some(cell) = &self.jit else { return };
         if worker.volume < JIT_MIN_POINTS {
             return;
         }
         cell.get_or_init(|| {
-            nest::build_span_nest(ctx, &worker.pstack, bt).map_err(|d| {
+            nest::build_span_nest(ctx, label, &worker.pstack, bt).map_err(|d| {
                 d.record(ctx.chash, label, false);
                 d.detail
             })
@@ -119,7 +121,11 @@ impl Lowered {
     pub(crate) fn report(&self) -> (&'static str, Option<String>) {
         match self.jit.as_ref().map(OnceLock::get) {
             None => (self.tier.name(), None),
-            Some(Some(Ok(_))) => (LowerTier::Jit.name(), None),
+            Some(Some(Ok(core))) => match core.compiled() {
+                Some(Ok(_)) => (LowerTier::Jit.name(), None),
+                Some(Err(d)) => (self.tier.name(), Some(d.detail.clone())),
+                None => (self.tier.name(), Some("compile pending".to_string())),
+            },
             Some(Some(Err(detail))) => (self.tier.name(), Some(detail.clone())),
             Some(None) => {
                 let reason = format!("cold map (no launch reached {JIT_MIN_POINTS} points)");

@@ -25,12 +25,18 @@
 //! emitter mirrors the interpreter statement for statement, and every
 //! candidate is only admitted when the interpreter would have executed
 //! the same statements in the same order (see the serial-collapse gate).
+//!
+//! That discipline is also what lets a run switch tiers between any two
+//! launches: kernels compile in the background (`crate::jit`), `marshal`
+//! treats a kernel still compiling as one more unmet launch-time
+//! precondition, and the first launch after its compile finishes runs
+//! native. No cache records "still compiling" as a decline.
 
 use crate::affine::{solve, Solved, Solver};
 use crate::buffer::SharedBuffer;
 use crate::cpu::{MapBody, MapPlan, TileSet};
 use crate::engine::{Ctx, ExecError, Worker};
-use crate::jit::{Decline, DeclineKind};
+use crate::jit::{Decline, DeclineKind, JitKernel, KernelHandle, NestFn};
 use crate::lower::MapLowering;
 use crate::plan::StatePlan;
 use crate::sched::SchedPool;
@@ -43,7 +49,7 @@ use sdfg_core::{DType, InterstateEdge, Node, Schedule, State, StateId, Wcr};
 use sdfg_graph::{EdgeId, NodeId};
 use sdfg_symbolic::{Env, Expr, SymRange};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn structure(detail: impl Into<String>) -> Decline {
@@ -170,7 +176,7 @@ impl NestCall {
     }
 }
 
-/// A compiled nest kernel plus everything needed to marshal a launch.
+/// A nest kernel plus everything needed to marshal a launch.
 pub(crate) struct NestCore {
     pub(crate) ndims: usize,
     ports: Vec<NestPort>,
@@ -186,9 +192,44 @@ pub(crate) struct NestCore {
     acc0: Option<usize>,
     /// Common symbol table of every VM-mirror body, resolved per launch.
     syms: Vec<String>,
-    kernel: Arc<crate::jit::JitKernel>,
+    /// The kernel, filled when its compile finishes; until then every
+    /// launch falls back to the interpreter (see [`NestCore::kernel`]).
+    kernel: KernelHandle,
+    /// Label for fallback records, and which spelling they use (see
+    /// [`crate::jit::DeclineKind::reason`]).
+    label: String,
+    whole_nest: bool,
+    /// Set once a launch has recorded the failure of the kernel's compile.
+    declined: AtomicBool,
     /// Lowering-report rows for the maps this nest absorbed.
     pub(crate) rows: Vec<MapLowering>,
+}
+
+impl NestCore {
+    /// The compiled kernel, or how far its compile got: `None` while it is
+    /// still running.
+    pub(crate) fn compiled(&self) -> Option<&Result<Arc<JitKernel>, Decline>> {
+        self.kernel.get()
+    }
+
+    /// The kernel a launch may call. A launch that finds it still compiling
+    /// is recorded as pending; the first to find its compile failed records
+    /// that decline, as a build that failed would have.
+    fn kernel(&self, chash: u64) -> Option<&JitKernel> {
+        match self.kernel.get() {
+            Some(Ok(k)) => Some(k),
+            None => {
+                self.kernel.record_pending(chash, &self.label);
+                None
+            }
+            Some(Err(d)) => {
+                if !self.declined.swap(true, Ordering::Relaxed) {
+                    d.record(chash, &self.label, self.whole_nest);
+                }
+                None
+            }
+        }
+    }
 }
 
 /// A collapsible state-machine loop: guard state, loop variable, end
@@ -232,6 +273,7 @@ struct Acc0<'a> {
 /// Marshalled launch arguments, shared by every call of one launch (only
 /// the `[lo0, hi0)` range varies per call).
 pub(crate) struct NestArgs<'a> {
+    func: NestFn,
     bufs: Vec<*mut f64>,
     geo: Vec<i64>,
     syms: Vec<f64>,
@@ -593,7 +635,9 @@ impl<'c, 's> NestBuilder<'c, 's> {
         Ok(())
     }
 
-    fn finish(self) -> Result<NestCore, Decline> {
+    /// Emits the kernel and requests its compile; `label` and `whole_nest`
+    /// name the site in fallback records.
+    fn finish(self, label: String, whole_nest: bool) -> Result<NestCore, Decline> {
         let NestBuilder {
             dims,
             bounds,
@@ -646,6 +690,9 @@ impl<'c, 's> NestBuilder<'c, 's> {
             acc0,
             syms: syms.unwrap_or_default(),
             kernel,
+            label,
+            whole_nest,
+            declined: AtomicBool::new(false),
             rows,
         })
     }
@@ -769,7 +816,7 @@ fn loop_edge(e: &InterstateEdge) -> Option<(String, Expr)> {
     None
 }
 
-fn build_loop_nest(ctx: &Ctx, guard: StateId) -> Result<LoopNestPlan, Decline> {
+fn build_loop_nest(ctx: &Ctx, guard: StateId, label: String) -> Result<LoopNestPlan, Decline> {
     let sdfg = ctx.sdfg;
     let edges: Vec<EdgeId> = sdfg.graph.out_edges(guard).collect();
     let [e0, e1] = edges[..] else {
@@ -850,7 +897,7 @@ fn build_loop_nest(ctx: &Ctx, guard: StateId) -> Result<LoopNestPlan, Decline> {
     for sid in body_states {
         b.add_state(sid)?;
     }
-    let core = b.finish()?;
+    let core = b.finish(label, true)?;
     // Every map dim sits below the loop variable, so no reduction can land
     // on dim 0 — the dimension this site slices.
     debug_assert!(core.acc0.is_none());
@@ -861,8 +908,9 @@ fn build_loop_nest(ctx: &Ctx, guard: StateId) -> Result<LoopNestPlan, Decline> {
 /// the JIT tier is enabled): if `cur` is the guard of a recognized loop,
 /// run every remaining iteration as one native call and advance the loop
 /// variable to its exit value, returning the loop it ran. On any decline —
-/// structural, compile, or launch-time — it returns `None` and the
-/// interpreter path proceeds unchanged.
+/// structural, compile, or launch-time, including a kernel still compiling
+/// — it returns `None` and the interpreter path proceeds unchanged; a loop
+/// whose kernel arrives mid-run collapses from its next guard visit on.
 ///
 /// Under a run deadline the loop runs as consecutive `[lo0, hi0)` slices
 /// of the same kernel — bitwise the same execution order — with the
@@ -884,9 +932,9 @@ pub(crate) fn try_collapse_loop(
         Some(Ok(p)) => p,
         Some(Err(_)) => return Ok(None),
         None => {
-            let res = build_loop_nest(ctx, cur).map(Arc::new);
+            let label = format!("loop@{}", ctx.sdfg.state(cur).label);
+            let res = build_loop_nest(ctx, cur, label.clone()).map(Arc::new);
             if let Err(d) = &res {
-                let label = format!("loop@{}", ctx.sdfg.state(cur).label);
                 d.record(ctx.chash, &label, true);
             }
             match ctx.plan.insert_loop_nest(cur.0, res) {
@@ -918,7 +966,7 @@ pub(crate) fn try_collapse_loop(
     let mut done = lo0;
     match ctx.deadline {
         None => {
-            npts = run_nest(&plan.core, &args, lo0, hi0);
+            npts = run_nest(&args, lo0, hi0);
             (calls, done) = (1, hi0);
         }
         Some(deadline) => {
@@ -929,7 +977,7 @@ pub(crate) fn try_collapse_loop(
             while done < hi0 && std::time::Instant::now() < deadline {
                 let hi = done.saturating_add(len).min(hi0);
                 let t0 = std::time::Instant::now();
-                npts += run_nest(&plan.core, &args, done, hi);
+                npts += run_nest(&args, done, hi);
                 calls += 1;
                 done = hi;
                 let us = t0.elapsed().as_micros();
@@ -1002,7 +1050,7 @@ fn build_map_nest(ctx: &Ctx, pkey: (u32, u32), plan: &MapPlan) -> Result<MapNest
         tier: "jit",
         jit_reason: None,
     });
-    let core = b.finish()?;
+    let core = b.finish(plan.label.clone(), true)?;
     // The hook below only takes maps of two or more dims, whose innermost
     // (accumulating) dimension is never the tiled dim 0.
     debug_assert!(core.acc0.is_none());
@@ -1071,11 +1119,10 @@ pub(crate) fn try_map_nest_steal(
         return None;
     }
     let total = std::sync::atomic::AtomicI64::new(0);
-    let core_ref = &core.core;
     let args_ref = &args;
     let tile_fn = |_slot: usize, t: usize| {
         let (lo, hi) = ranges[t];
-        let n = run_nest(core_ref, args_ref, lo, hi);
+        let n = run_nest(args_ref, lo, hi);
         total.fetch_add(n, Ordering::Relaxed);
     };
     pool.run(ranges.len(), &tile_fn);
@@ -1097,6 +1144,7 @@ pub(crate) fn try_map_nest_steal(
 /// current point by [`run_span`].
 pub(crate) fn build_span_nest(
     ctx: &Ctx,
+    label: &str,
     pstack: &[String],
     bt: &Arc<BodyTasklet>,
 ) -> Result<NestCore, Decline> {
@@ -1131,7 +1179,7 @@ pub(crate) fn build_span_nest(
     }
     let idx = b.push_call(bt.clone(), program, modes, &site)?;
     b.body = vec![NestItem::Call(idx)];
-    b.finish()
+    b.finish(label.to_string(), false)
 }
 
 /// Runs dimension `dim` (the innermost) over `[s, e)` on step `st` through
@@ -1164,7 +1212,7 @@ pub(crate) fn run_span(
         step: st,
     };
     let args = marshal(ctx, core, &launch, 0, n)?;
-    let npts = run_nest(core, &args, 0, n) as u64;
+    let npts = run_nest(&args, 0, n) as u64;
     worker.st_points += npts;
     worker.st_jit += npts;
     worker.st_nest_calls += 1;
@@ -1192,12 +1240,12 @@ fn affine_interval(base: i128, a: &NestAffine, ivals: &[(i128, i128)]) -> (i128,
 }
 
 /// Resolves launch-time constants and validates the launch over kernel
-/// indices `[lo0, hi0)` of dim 0: every port offset must stay in bounds
-/// over a conservative superset of the iteration space (so the
-/// interpreter's defensive clamps can never fire on an admitted launch),
-/// every symbol must be bound, and the write-disjointness of dim-0 tiles
-/// is established for the parallel path. `None` falls back to the
-/// interpreter bitwise-identically.
+/// indices `[lo0, hi0)` of dim 0: the kernel must have finished compiling,
+/// every port offset must stay in bounds over a conservative superset of
+/// the iteration space (so the interpreter's defensive clamps can never
+/// fire on an admitted launch), every symbol must be bound, and the
+/// write-disjointness of dim-0 tiles is established for the parallel path.
+/// `None` falls back to the interpreter bitwise-identically.
 fn marshal<'a>(
     ctx: &'a Ctx,
     core: &NestCore,
@@ -1205,6 +1253,7 @@ fn marshal<'a>(
     lo0: i64,
     hi0: i64,
 ) -> Option<NestArgs<'a>> {
+    let func = core.kernel(ctx.chash)?.func();
     let ndims = core.ndims;
     let Launch { origin, step, .. } = *launch;
     // Per-dim intervals of iteration *values*, ascending: dim d's bounds
@@ -1305,6 +1354,7 @@ fn marshal<'a>(
         })
     });
     Some(NestArgs {
+        func,
         bufs,
         geo,
         syms,
@@ -1316,7 +1366,7 @@ fn marshal<'a>(
 
 /// One native call: runs the full inner nest for dim-0 kernel indices
 /// `[lo0, hi0)` and returns the number of tasklet executions.
-fn run_nest(core: &NestCore, args: &NestArgs, lo0: i64, hi0: i64) -> i64 {
+fn run_nest(args: &NestArgs, lo0: i64, hi0: i64) -> i64 {
     let mut npts: i64 = 0;
     let mut call = |bufs: &[*mut f64]| {
         // SAFETY: `marshal` validated every address the nest reaches over
@@ -1325,7 +1375,7 @@ fn run_nest(core: &NestCore, args: &NestArgs, lo0: i64, hi0: i64) -> i64 {
         // ports is allowed — the kernel takes no `restrict` and mirrors
         // the interpreted tiers' per-point read-then-write order.
         unsafe {
-            (core.kernel.func())(
+            (args.func)(
                 bufs.as_ptr(),
                 args.geo.as_ptr(),
                 args.syms.as_ptr(),

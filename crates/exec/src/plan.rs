@@ -538,8 +538,8 @@ impl ExecutionPlan {
     /// Lowering decisions of every cached map plan, sorted by (state,
     /// node). When a map was compiled under several contexts, the most
     /// recently recorded variant speaks for it; maps absorbed into a
-    /// whole-nest kernel report the `jit` tier regardless of (or in the
-    /// absence of) their per-map plan.
+    /// whole-nest kernel that has compiled report the `jit` tier
+    /// regardless of (or in the absence of) their per-map plan.
     pub fn lowerings(&self) -> Vec<crate::lower::MapLowering> {
         let map = self.maps.lock();
         let mut rows: HashMap<(u32, u32), crate::lower::MapLowering> = map
@@ -550,25 +550,18 @@ impl ExecutionPlan {
             })
             .collect();
         drop(map);
-        for nest in self
-            .loop_nests
-            .lock()
-            .values()
-            .filter_map(|r| r.as_ref().ok())
-        {
-            for row in &nest.core.rows {
-                rows.insert((row.state, row.node), row.clone());
+        let mut absorb = |core: &crate::nest::NestCore| {
+            if matches!(core.compiled(), Some(Ok(_))) {
+                for row in &core.rows {
+                    rows.insert((row.state, row.node), row.clone());
+                }
             }
+        };
+        for nest in self.loop_nests.lock().values().flatten() {
+            absorb(&nest.core);
         }
-        for nest in self
-            .map_nests
-            .lock()
-            .values()
-            .filter_map(|r| r.as_ref().ok())
-        {
-            for row in &nest.core.rows {
-                rows.insert((row.state, row.node), row.clone());
-            }
+        for nest in self.map_nests.lock().values().flatten() {
+            absorb(&nest.core);
         }
         let mut out: Vec<crate::lower::MapLowering> = rows.into_values().collect();
         out.sort_by_key(|e| (e.state, e.node));

@@ -1136,27 +1136,43 @@ pub(crate) fn try_vm_loop(
     let mut stream_bufs: Vec<Vec<f64>> = vec![Vec::new(); nout];
     let mut log_bufs: Vec<Vec<(u32, f64)>> = vec![Vec::new(); nout];
     let prog = &bt.prog;
-    for k in 0..n {
-        for (i, buf) in in_bufs.iter().enumerate() {
-            if in_full[i] {
-                continue;
-            }
-            let (b, stp) = in_off[i];
-            in_vals[i] = buf.read((b + k as i64 * stp).max(0) as usize);
-        }
-        // Plain (non-WCR) scalar outputs keep read-modify-write semantics.
-        for (i, (buf, _, plain, _)) in out_bufs.iter().enumerate() {
-            if out_kind[i] != OutKind::Scalar {
-                continue;
-            }
-            let (b, stp) = out_off[i];
-            out_vals[i][0] = if *plain {
-                buf.unwrap().read((b + k as i64 * stp).max(0) as usize)
-            } else {
-                0.0
+    {
+        // The VM's output ports, built once for the whole span: every
+        // per-point read and write of an output goes through them.
+        let mut ports: [OutPort; MAX_PORTS] = std::array::from_fn(|_| OutPort::Mem(&mut []));
+        let targets = out_vals.iter_mut().zip(&mut stream_bufs).zip(&mut log_bufs);
+        for ((port, ((ov, sb), lb)), kind) in ports.iter_mut().zip(targets).zip(out_kind) {
+            *port = match kind {
+                OutKind::Scalar => OutPort::Mem(ov),
+                OutKind::Stream => OutPort::Stream(sb),
+                OutKind::Log => OutPort::Log(lb),
             };
         }
-        {
+        let ports = &mut ports[..nout];
+        for k in 0..n {
+            for (i, buf) in in_bufs.iter().enumerate() {
+                if in_full[i] {
+                    continue;
+                }
+                let (b, stp) = in_off[i];
+                in_vals[i] = buf.read((b + k as i64 * stp).max(0) as usize);
+            }
+            // Plain (non-WCR) scalar outputs keep read-modify-write
+            // semantics; logs start empty at every point.
+            for (i, (port, (buf, _, plain, _))) in ports.iter_mut().zip(&out_bufs).enumerate() {
+                match port {
+                    OutPort::Mem(v) => {
+                        let (b, stp) = out_off[i];
+                        v[0] = if *plain {
+                            buf.unwrap().read((b + k as i64 * stp).max(0) as usize)
+                        } else {
+                            0.0
+                        };
+                    }
+                    OutPort::Log(lb) => lb.clear(),
+                    OutPort::Stream(_) => {}
+                }
+            }
             let mut in_refs = [&[][..]; MAX_PORTS];
             for i in 0..nin {
                 in_refs[i] = if in_full[i] {
@@ -1165,45 +1181,30 @@ pub(crate) fn try_vm_loop(
                     std::slice::from_ref(&in_vals[i])
                 };
             }
-            let mut ports_buf: Vec<OutPort> = Vec::with_capacity(nout);
-            let mut sb_iter = stream_bufs.iter_mut();
-            let mut lb_iter = log_bufs.iter_mut();
-            for (i, ov) in out_vals.iter_mut().enumerate().take(nout) {
-                let sb = sb_iter.next().unwrap();
-                let lb = lb_iter.next().unwrap();
-                match out_kind[i] {
-                    OutKind::Scalar => ports_buf.push(OutPort::Mem(&mut ov[..])),
-                    OutKind::Stream => ports_buf.push(OutPort::Stream(sb)),
-                    OutKind::Log => {
-                        lb.clear();
-                        ports_buf.push(OutPort::Log(lb));
+            vm.run_with_syms(prog, &in_refs[..nin], ports, &symvals)?;
+            for (i, (port, (buf, f, _, atomic))) in ports.iter().zip(&out_bufs).enumerate() {
+                match port {
+                    OutPort::Mem(v) => {
+                        let buf = buf.unwrap();
+                        let (b, stp) = out_off[i];
+                        let off = (b + k as i64 * stp).max(0) as usize;
+                        match f {
+                            None => buf.write(off, v[0]),
+                            Some(f) if *atomic => buf.atomic_combine(off, v[0], f),
+                            Some(f) => buf.combine_plain(off, v[0], f),
+                        }
                     }
-                }
-            }
-            vm.run_with_syms(prog, &in_refs[..nin], &mut ports_buf, &symvals)?;
-        }
-        for (i, (buf, f, _, atomic)) in out_bufs.iter().enumerate() {
-            match out_kind[i] {
-                OutKind::Scalar => {
-                    let buf = buf.unwrap();
-                    let (b, stp) = out_off[i];
-                    let off = (b + k as i64 * stp).max(0) as usize;
-                    match f {
-                        None => buf.write(off, out_vals[i][0]),
-                        Some(f) if *atomic => buf.atomic_combine(off, out_vals[i][0], f),
-                        Some(f) => buf.combine_plain(off, out_vals[i][0], f),
-                    }
-                }
-                OutKind::Stream => {} // flushed after the loop
-                OutKind::Log => {
-                    // Whole-container logs: relative == absolute offsets.
-                    let buf = buf.unwrap();
-                    if let Some(f) = f {
-                        for &(rel, v) in &log_bufs[i] {
-                            if *atomic {
-                                buf.atomic_combine(rel as usize, v, f);
-                            } else {
-                                buf.combine_plain(rel as usize, v, f);
+                    OutPort::Stream(_) => {} // flushed after the loop
+                    OutPort::Log(lb) => {
+                        // Whole-container logs: relative == absolute offsets.
+                        let buf = buf.unwrap();
+                        if let Some(f) = f {
+                            for &(rel, v) in lb.iter() {
+                                if *atomic {
+                                    buf.atomic_combine(rel as usize, v, f);
+                                } else {
+                                    buf.combine_plain(rel as usize, v, f);
+                                }
                             }
                         }
                     }

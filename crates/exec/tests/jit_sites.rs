@@ -25,6 +25,8 @@ fn data(n: usize, seed: u64) -> Vec<f64> {
 
 /// Runs `sdfg` with the JIT on and off at each thread count, asserts every
 /// `check` array matches bitwise, and returns the 8-thread JIT-on outputs.
+/// The JIT runs twice: cold, while its kernels compile, and again once
+/// they all have — the run whose outputs are returned.
 fn assert_jit_bitwise(sdfg: &Sdfg, bindings: impl Fn() -> Bindings, check: &[&str]) -> Outputs {
     let run = |jit: bool, nthreads: usize| {
         Session::builder(sdfg.clone())
@@ -37,17 +39,21 @@ fn assert_jit_bitwise(sdfg: &Sdfg, bindings: impl Fn() -> Bindings, check: &[&st
     };
     let mut last = None;
     for nthreads in [1, 2, 8] {
+        let cold = run(true, nthreads);
+        sdfg_exec::jit::wait_idle();
         let (on, off) = (run(true, nthreads), run(false, nthreads));
         assert_eq!(off.stats().jit_points, 0);
-        for name in check {
-            let (a, b) = (on.array(name).unwrap(), off.array(name).unwrap());
-            assert_eq!(a.len(), b.len(), "{name} length");
-            for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{name}[{i}] at {nthreads} threads: jit={x} interpreted={y}"
-                );
+        for (when, on) in [("cold", &cold), ("warm", &on)] {
+            for name in check {
+                let (a, b) = (on.array(name).unwrap(), off.array(name).unwrap());
+                assert_eq!(a.len(), b.len(), "{name} length");
+                for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{name}[{i}] at {nthreads} threads ({when}): jit={x} interpreted={y}"
+                    );
+                }
             }
         }
         last = Some(on);
@@ -233,7 +239,7 @@ fn out_of_bounds_last_row_falls_through() {
     assert!(last_row.iter().all(|&v| v == 0.0), "zeros past the end");
     if jit_available() {
         // Serial runs launch one span per row; every row but the last is
-        // admitted.
+        // admitted. (The span kernel compiled for the runs above.)
         let serial = Session::builder(sdfg.clone())
             .nthreads(1)
             .build()
@@ -262,6 +268,12 @@ def tri(A: dace.float64[N], acc: dace.float64[N]):
         .nthreads(1)
         .build()
         .unwrap();
+    let bindings_small = Bindings::new()
+        .symbol("N", 64)
+        .array_vec("A", data(64, 6))
+        .array_vec("acc", vec![0.0; 64]);
+    session.run(bindings_small).unwrap();
+    sdfg_exec::jit::wait_idle();
     // Self-calibrating: grow the problem until one warm, un-deadlined run
     // is long enough that a twentieth of it is still a sane budget.
     let mut n = 8192usize;

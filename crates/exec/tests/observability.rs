@@ -90,7 +90,11 @@ fn every_run_appends_one_well_formed_ledger_record() {
     ex.run().expect("run 3");
     sdfg_profile::ledger::set_path(None);
     let src = std::fs::read_to_string(&path).expect("ledger written");
-    let lines: Vec<&str> = src.lines().filter(|l| !l.trim().is_empty()).collect();
+    // JIT fallback records (a kernel still compiling, say) share the file.
+    let lines: Vec<&str> = src
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.contains("\"record\":\"jit_fallback\""))
+        .collect();
     assert_eq!(lines.len(), 3, "one record per run:\n{src}");
     for line in &lines {
         let rec = sdfg_core::serialize::parse_json(line).expect("record parses");

@@ -158,6 +158,8 @@ fn assert_matches_interpreter_compiling(what: &str, case: &Case, warm_compiles: 
                 assert_bitwise(&what, name, &first[*name], it.array(name));
             }
             if jit {
+                // Once every kernel has compiled, each hot launch is native.
+                sdfg_exec::jit::wait_idle();
                 jit_points = session.run(bindings()).unwrap().stats().jit_points;
             }
         }

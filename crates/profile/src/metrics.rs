@@ -484,6 +484,9 @@ pub struct CoreMetrics {
     /// `sdfg_jit_fallbacks_total` — JIT-eligible bodies that fell back to
     /// the VM tier (no compiler, failed compile/dlopen, or `SDFG_JIT=off`).
     pub jit_fallbacks: Counter,
+    /// `sdfg_jit_pending_launches_total` — nest launches that ran on an
+    /// interpreted tier because their kernel was still compiling.
+    pub jit_pending_launches: Counter,
     /// `sdfg_nest_calls_total` — whole-nest native kernel invocations
     /// (collapsed interstate loops plus tile→nest-call map dispatches).
     pub nest_calls: Counter,
@@ -678,6 +681,11 @@ fn core_handles() -> &'static CoreMetrics {
             "JIT-eligible map bodies that fell back to the VM tier.",
             &[],
         );
+        let jit_pending_launches = r.counter(
+            "sdfg_jit_pending_launches_total",
+            "Nest launches that ran interpreted while their kernel was still compiling.",
+            &[],
+        );
         let nest_calls = r.counter(
             "sdfg_nest_calls_total",
             "Whole-nest native kernel invocations (loop collapses and tile dispatches).",
@@ -715,6 +723,7 @@ fn core_handles() -> &'static CoreMetrics {
             jit_compiles,
             jit_cache_hits,
             jit_fallbacks,
+            jit_pending_launches,
             nest_calls,
             nest_points,
             interstate_evals,

@@ -119,7 +119,13 @@ impl Workload {
     /// Runs on the optimizing executor with instrumentation forced on
     /// every state and map scope; returns outputs, stats, wall time and
     /// the instrumentation report (hot-path table, Chrome trace, heat).
+    ///
+    /// Profiles the steady state: an untimed run first requests every JIT
+    /// kernel the program reaches, and the profiled run starts once their
+    /// compiles have finished.
     pub fn run_exec_profiled(&self) -> Result<ProfiledExecRun, ExecError> {
+        self.run_exec()?;
+        sdfg_exec::jit::wait_idle();
         let mut ex = Executor::new(&self.sdfg);
         ex.enable_profiling(Profiling::ForceTimers);
         for (s, v) in &self.symbols {
