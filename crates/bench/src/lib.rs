@@ -18,8 +18,6 @@
 //! | Graph dataset properties | Table 5 | `harness tab5` |
 //!
 //! `harness all` runs everything; results are recorded in EXPERIMENTS.md.
-//! The Criterion benches under `benches/` cover the same workloads with
-//! statistical rigor for regression tracking.
 //!
 //! Performance is measured by the hermetic `benchmark/` package
 //! (`benchmark/run.sh`), which runs the configuration users run; this

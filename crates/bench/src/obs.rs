@@ -19,41 +19,37 @@
 
 use sdfg_core::serialize::parse_json;
 use sdfg_profile::metrics;
-use sdfg_profile::{flight, ledger};
+use sdfg_profile::{counters, flight, ledger};
 use std::path::Path;
 
 /// Metric families `obs-check` requires in an exposition produced by a
-/// bench run (the acceptance set from the observability design).
-pub const REQUIRED_FAMILIES: [&str; 11] = [
+/// bench run: these, plus every family of the per-run counter table.
+const REQUIRED_FIXED_FAMILIES: [&str; 5] = [
     "sdfg_launches_total",
-    "sdfg_plan_cache_hits_total",
-    "sdfg_bytes_moved_total",
-    "sdfg_sched_steals_total",
     "sdfg_launch_duration_ms",
     "sdfg_jit_compiles_total",
     "sdfg_jit_cache_hits_total",
     "sdfg_jit_fallbacks_total",
-    "sdfg_nest_calls_total",
-    "sdfg_nest_points_total",
-    "sdfg_interstate_evals_total",
 ];
 
-/// Ledger-record fields every JSONL line must carry.
-const LEDGER_NUM_FIELDS: [&str; 13] = [
-    "seq",
-    "nthreads",
-    "wall_ms",
-    "plan_cache_hits",
-    "plan_cache_misses",
-    "pool_acquires",
-    "bytes_moved",
-    "sched_tiles",
-    "sched_steals",
-    "states_executed",
-    "nest_calls",
-    "nest_points",
-    "interstate_evals",
-];
+/// Every metric family `obs-check` requires.
+pub fn required_families() -> Vec<&'static str> {
+    let mut out = REQUIRED_FIXED_FAMILIES.to_vec();
+    out.extend(counters::families());
+    out
+}
+
+/// Numeric fields every run-record line must carry: these, plus one per
+/// row of the per-run counter table.
+const LEDGER_FIXED_NUM_FIELDS: [&str; 4] = ["seq", "nthreads", "wall_ms", "bytes_moved"];
+
+/// Every numeric field `obs-check` requires of a run record.
+pub fn ledger_num_fields() -> Vec<&'static str> {
+    let mut out = LEDGER_FIXED_NUM_FIELDS.to_vec();
+    out.extend(counters::RUN_COUNTERS.iter().map(|r| r.name));
+    out
+}
+
 const LEDGER_STR_FIELDS: [&str; 3] = ["content_hash", "target", "opt_level"];
 
 /// Fields a `"record":"jit_fallback"` ledger line must carry (appended by
@@ -107,14 +103,14 @@ impl ObsConfig {
 }
 
 /// Validates a Prometheus exposition: structurally well-formed and
-/// containing every [`REQUIRED_FAMILIES`] entry. Returns the failure
+/// containing every [`required_families`] entry. Returns the failure
 /// messages (empty = pass).
 pub fn check_metrics(src: &str) -> Vec<String> {
     match metrics::validate_exposition(src) {
         Err(e) => vec![format!("malformed exposition: {e}")],
-        Ok(families) => REQUIRED_FAMILIES
-            .iter()
-            .filter(|f| !families.iter().any(|g| g == *f))
+        Ok(families) => required_families()
+            .into_iter()
+            .filter(|f| !families.iter().any(|g| g == f))
             .map(|f| format!("missing required family `{f}`"))
             .collect(),
     }
@@ -128,6 +124,7 @@ pub fn check_metrics(src: &str) -> Vec<String> {
 pub fn check_ledger(src: &str) -> (Vec<String>, usize) {
     let mut failures = Vec::new();
     let mut records = 0usize;
+    let run_num_fields = ledger_num_fields();
     for (ln, line) in src.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -144,7 +141,7 @@ pub fn check_ledger(src: &str) -> (Vec<String>, usize) {
             if rec.str_field("record") == Ok("jit_fallback") {
                 (&JIT_FALLBACK_NUM_FIELDS, &JIT_FALLBACK_STR_FIELDS)
             } else {
-                (&LEDGER_NUM_FIELDS, &LEDGER_STR_FIELDS)
+                (&run_num_fields, &LEDGER_STR_FIELDS)
             };
         for f in num_fields {
             if rec.num_field(f).is_err() {
@@ -241,7 +238,11 @@ mod tests {
     fn check_metrics_flags_missing_families() {
         let text = "# TYPE sdfg_launches_total counter\nsdfg_launches_total 3\n";
         let failures = check_metrics(text);
-        assert_eq!(failures.len(), REQUIRED_FAMILIES.len() - 1, "{failures:?}");
+        assert_eq!(
+            failures.len(),
+            required_families().len() - 1,
+            "{failures:?}"
+        );
         assert!(failures
             .iter()
             .any(|f| f.contains("sdfg_launch_duration_ms")));

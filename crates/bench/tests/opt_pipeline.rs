@@ -55,7 +55,7 @@ fn strict_level_terminates_on_all_polybench_seeds() {
     }
 }
 
-/// Acceptance criterion: the optimized session produces outputs identical
+/// Acceptance check: the optimized session produces outputs identical
 /// to the reference interpreter (run on the untransformed SDFG) for every
 /// bundled kernel, at both opt levels.
 #[test]

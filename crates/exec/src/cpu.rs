@@ -661,7 +661,7 @@ fn run_map_steal(
             }
         }
     };
-    pool.run(tiles.len(), &tile_fn);
+    pool.run(tiles.len(), &tile_fn, &ctx.stats);
     // Merge: close timeline spans, flush stats, park VM/env for reuse.
     for (i, cell) in slots.into_iter().enumerate() {
         let Some(mut st) = cell.into_inner() else {
@@ -898,7 +898,8 @@ pub(crate) fn run_map_serial(
                 for d in ctx.sdfg.desc(name).map_or(&[][..], |d| d.shape()) {
                     size = size.saturating_mul(d.eval(&worker.env)?.max(0));
                 }
-                let buf = SharedBuffer::new(worker.ctx.pool.acquire(size as usize));
+                let wctx = worker.ctx;
+                let buf = SharedBuffer::new(wctx.pool.acquire(size as usize, &wctx.stats));
                 worker.locals.insert(name.clone(), buf);
             }
         }

@@ -790,15 +790,7 @@ impl<'s> Executor<'s> {
     /// [`sdfg_profile::ExecCounters`] — available regardless of the
     /// profiling mode, including `Profiling::Off`.
     pub fn exec_counters(&self) -> sdfg_profile::ExecCounters {
-        let cache = self.plan_cache.stats();
-        let pool = self.pool.stats();
-        sdfg_profile::ExecCounters {
-            plan_cache_hits: cache.hits,
-            plan_cache_misses: cache.misses,
-            pool_acquires: pool.acquires,
-            pool_reuses: pool.reuses,
-            pool_bytes_reused: pool.bytes_reused,
-        }
+        always_on_counters(&self.plan_cache, &self.pool, None).0
     }
 
     /// Renders the hot-path counters footer (plan-cache/pool counters and
@@ -806,18 +798,8 @@ impl<'s> Executor<'s> {
     /// [`Executor::last_report`], this never requires instrumentation to
     /// be enabled: it works after a `Profiling::Off` run too.
     pub fn counters_footer(&self) -> String {
-        let sched = match &self.sched {
-            Some(pool) => {
-                let s = pool.stats();
-                if s.launches > 0 {
-                    s.workers
-                } else {
-                    Vec::new()
-                }
-            }
-            None => Vec::new(),
-        };
-        sdfg_profile::counters_footer(&self.exec_counters(), &sched)
+        let (exec, sched) = always_on_counters(&self.plan_cache, &self.pool, self.sched.as_deref());
+        sdfg_profile::counters_footer(&exec, &sched)
     }
 
     /// Stable content hash of the graph (memoized after the first call).
@@ -905,15 +887,13 @@ impl<'s> Executor<'s> {
     {
         use sdfg_profile::flight;
         let run_t0 = std::time::Instant::now();
-        self.prepare()?;
+        // The run's own counters: every event below is counted here.
+        let stats = AtomicStats::default();
+        self.prepare(&stats)?;
         let chash = self.content_hash();
         if flight::enabled() {
             flight::record(flight::EventKind::LaunchBegin, chash, 0);
         }
-        // Per-run counter deltas for the ledger: the cache and pool are
-        // cumulative (and possibly shared across executors).
-        let cache_before = self.plan_cache.stats();
-        let pool_before = self.pool.stats();
         // Keep the scheduler pool in sync with the requested thread count
         // (a serial run has none).
         let nthreads = self.nthreads.max(1);
@@ -928,9 +908,14 @@ impl<'s> Executor<'s> {
         } else {
             self.sched = None;
         }
-        let sched_before = self.sched.as_ref().map(|p| p.stats());
         let key = PlanKey::new(chash, &self.symbols).with_target(target_tag);
-        let (plan, _cached) = self.plan_cache.lookup(key);
+        let (plan, hit) = self.plan_cache.lookup(key);
+        let lookups = if hit {
+            &stats.plan_cache_hits
+        } else {
+            &stats.plan_cache_misses
+        };
+        lookups.fetch_add(1, Ordering::Relaxed);
         self.last_plan = Some(plan.clone());
         // JIT tier enablement: the environment gate wins over the request.
         let jit = crate::jit::env_enabled() && self.jit;
@@ -981,7 +966,7 @@ impl<'s> Executor<'s> {
                 .drain()
                 .map(|(k, v)| (k, Mutex::new(v)))
                 .collect(),
-            stats: AtomicStats::default(),
+            stats,
             nthreads: self.nthreads.max(1),
             prof: Prof::build(sdfg, self.profiling),
             plan,
@@ -1010,43 +995,17 @@ impl<'s> Executor<'s> {
             .map(|(k, v)| (k, v.into_inner()))
             .collect();
         self.stats = ctx.stats.snapshot();
-        // Scheduler counters are cumulative on the pool (which outlives
-        // runs and may be shared), so per-run numbers are deltas.
-        if let (Some(before), Some(pool)) = (&sched_before, &self.sched) {
-            let after = pool.stats();
-            self.stats.sched_tiles = after.total_tiles().saturating_sub(before.total_tiles());
-            self.stats.sched_steals = after.total_steals().saturating_sub(before.total_steals());
-        }
-        let cache_stats = self.plan_cache.stats();
-        let pool_stats = self.pool.stats();
-        let sched_workers = match &self.sched {
-            Some(pool) => {
-                let s = pool.stats();
-                if s.launches > 0 {
-                    s.workers
-                } else {
-                    Vec::new()
-                }
-            }
-            None => Vec::new(),
-        };
         self.last_report = ctx.prof.take().map(|p| {
             // Spans are process-epoch stamped; the run's wall time is the
             // collector's own age (it is built at run start).
             let wall = p.collector.elapsed();
             let mut report = p.collector.finish(wall);
-            report.exec = sdfg_profile::ExecCounters {
-                plan_cache_hits: cache_stats.hits,
-                plan_cache_misses: cache_stats.misses,
-                pool_acquires: pool_stats.acquires,
-                pool_reuses: pool_stats.reuses,
-                pool_bytes_reused: pool_stats.bytes_reused,
-            };
-            report.sched = sched_workers;
+            (report.exec, report.sched) =
+                always_on_counters(&self.plan_cache, &self.pool, self.sched.as_deref());
             report
         });
         result?;
-        self.observe_run(chash, run_t0.elapsed(), &cache_before, &pool_before);
+        self.observe_run(chash, run_t0.elapsed());
         Ok(self.stats.clone())
     }
 
@@ -1055,13 +1014,7 @@ impl<'s> Executor<'s> {
     /// appends the run-ledger record. Costs a handful of relaxed atomic
     /// adds per run; the ledger/flight branches are single relaxed loads
     /// when disabled.
-    fn observe_run(
-        &self,
-        chash: u64,
-        wall: Duration,
-        cache_before: &crate::plan::CacheStats,
-        pool_before: &crate::pool::PoolStats,
-    ) {
+    fn observe_run(&self, chash: u64, wall: Duration) {
         use sdfg_profile::{flight, ledger, metrics};
         let wall_ms = wall.as_secs_f64() * 1e3;
         let s = &self.stats;
@@ -1087,27 +1040,15 @@ impl<'s> Executor<'s> {
             )
             .observe(wall_ms);
         }
+        let counters = s.counters();
+        for (series, &v) in m.run.iter().zip(&counters) {
+            if let (Some(c), true) = (series, v > 0) {
+                c.add(v);
+            }
+        }
         let local_bytes = s.elements_copied.saturating_mul(8);
         if local_bytes > 0 {
             m.bytes_local.add(local_bytes);
-        }
-        if s.h2d_bytes > 0 {
-            m.bytes_h2d.add(s.h2d_bytes);
-        }
-        if s.d2h_bytes > 0 {
-            m.bytes_d2h.add(s.d2h_bytes);
-        }
-        if s.states_executed > 0 {
-            m.states_executed.add(s.states_executed);
-        }
-        if s.nest_calls > 0 {
-            m.nest_calls.add(s.nest_calls);
-        }
-        if s.nest_points > 0 {
-            m.nest_points.add(s.nest_points);
-        }
-        if s.interstate_evals > 0 {
-            m.interstate_evals.add(s.interstate_evals);
         }
         let par = s.parallel_regions.min(s.map_launches);
         if par > 0 {
@@ -1120,8 +1061,6 @@ impl<'s> Executor<'s> {
             flight::record(flight::EventKind::LaunchEnd, chash, s.states_executed);
         }
         if ledger::enabled() {
-            let cache_after = self.plan_cache.stats();
-            let pool_after = self.pool.stats();
             let mut rec = ledger::RunRecord {
                 seq: 0,
                 content_hash: format!("{chash:016x}"),
@@ -1129,20 +1068,8 @@ impl<'s> Executor<'s> {
                 opt_level: format!("{:?}", self.opt_level),
                 nthreads: self.nthreads.max(1),
                 wall_ms,
-                plan_cache_hits: cache_after.hits.saturating_sub(cache_before.hits),
-                plan_cache_misses: cache_after.misses.saturating_sub(cache_before.misses),
-                pool_acquires: pool_after.acquires.saturating_sub(pool_before.acquires),
-                pool_reuses: pool_after.reuses.saturating_sub(pool_before.reuses),
                 bytes_moved: local_bytes,
-                h2d_bytes: s.h2d_bytes,
-                d2h_bytes: s.d2h_bytes,
-                sched_tiles: s.sched_tiles,
-                sched_steals: s.sched_steals,
-                states_executed: s.states_executed,
-                map_launches: s.map_launches,
-                nest_calls: s.nest_calls,
-                nest_points: s.nest_points,
-                interstate_evals: s.interstate_evals,
+                counters,
                 // Tenant/request tags are stamped from the thread's
                 // request scope by `ledger::append`.
                 ..Default::default()
@@ -1155,7 +1082,7 @@ impl<'s> Executor<'s> {
         crate::dispatch::drive_loop(self.max_transitions, &self.symbols, ctx, true, exec_state)
     }
 
-    fn prepare(&mut self) -> Result<(), ExecError> {
+    fn prepare(&mut self, run: &AtomicStats) -> Result<(), ExecError> {
         for (name, desc) in &self.sdfg.data {
             match desc {
                 DataDesc::Array(a) => {
@@ -1171,7 +1098,7 @@ impl<'s> Executor<'s> {
                                 // Symbol-driven reshape of an executor-owned
                                 // transient: recycle the storage.
                                 self.pool.release(std::mem::take(v));
-                                *v = self.pool.acquire(size);
+                                *v = self.pool.acquire(size, run);
                             } else {
                                 return Err(ExecError::SizeMismatch {
                                     name: name.clone(),
@@ -1191,7 +1118,8 @@ impl<'s> Executor<'s> {
                             }
                         }
                         None if a.transient => {
-                            self.arrays.insert(name.clone(), self.pool.acquire(size));
+                            self.arrays
+                                .insert(name.clone(), self.pool.acquire(size, run));
                             self.owned_transients.insert(name.clone());
                         }
                         None => return Err(ExecError::MissingArray(name.clone())),
@@ -1217,6 +1145,30 @@ impl<'s> Executor<'s> {
         }
         Ok(())
     }
+}
+
+/// The always-on cumulative counters of a plan cache, buffer pool and
+/// scheduler, as the counters footer and instrumentation reports show
+/// them: the scheduler's per-worker lines once it has run a launch.
+pub(crate) fn always_on_counters(
+    cache: &PlanCache,
+    pool: &BufferPool,
+    sched: Option<&crate::sched::SchedPool>,
+) -> (sdfg_profile::ExecCounters, Vec<sdfg_profile::SchedWorker>) {
+    let (c, p) = (cache.stats(), pool.stats());
+    let exec = sdfg_profile::ExecCounters {
+        plan_cache_hits: c.hits,
+        plan_cache_misses: c.misses,
+        pool_acquires: p.acquires,
+        pool_reuses: p.reuses,
+        pool_bytes_reused: p.bytes_reused,
+    };
+    let workers = sched
+        .map(|s| s.stats())
+        .filter(|s| s.launches > 0)
+        .map(|s| s.workers)
+        .unwrap_or_default();
+    (exec, workers)
 }
 
 impl Drop for Executor<'_> {

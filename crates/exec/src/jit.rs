@@ -45,7 +45,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Compiler flags for kernel compilation. `-ffp-contract=off` is load
@@ -198,21 +198,8 @@ pub fn cache_dir() -> PathBuf {
 
 // --- counters -----------------------------------------------------------------
 
-#[derive(Default)]
-struct Cells {
-    compiles: AtomicU64,
-    cache_hits: AtomicU64,
-    fallbacks: AtomicU64,
-    compile_ms: AtomicU64,
-    pending_launches: AtomicU64,
-}
-
-fn cells() -> &'static Cells {
-    static CELLS: OnceLock<Cells> = OnceLock::new();
-    CELLS.get_or_init(Cells::default)
-}
-
-/// Cumulative JIT runtime counters (process-wide).
+/// Cumulative JIT runtime counters (process-wide), read from their
+/// `sdfg_jit_*_total` metric series.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JitStats {
     /// Kernels compiled by invoking the system C compiler.
@@ -230,18 +217,17 @@ pub struct JitStats {
 
 /// Snapshot of the process-wide counters.
 pub fn stats() -> JitStats {
-    let c = cells();
+    let m = sdfg_profile::metrics::core();
     JitStats {
-        compiles: c.compiles.load(Ordering::Relaxed),
-        cache_hits: c.cache_hits.load(Ordering::Relaxed),
-        fallbacks: c.fallbacks.load(Ordering::Relaxed),
-        compile_ms: c.compile_ms.load(Ordering::Relaxed),
-        pending_launches: c.pending_launches.load(Ordering::Relaxed),
+        compiles: m.jit_compiles.get(),
+        cache_hits: m.jit_cache_hits.get(),
+        fallbacks: m.jit_fallbacks.get(),
+        compile_ms: m.jit_compile_ms.get(),
+        pending_launches: m.jit_pending_launches.get(),
     }
 }
 
 fn count_cache_hit() {
-    cells().cache_hits.fetch_add(1, Ordering::Relaxed);
     sdfg_profile::metrics::core().jit_cache_hits.inc();
 }
 
@@ -315,7 +301,6 @@ impl Decline {
 /// `jit_fallback` ledger record (`reason` is a [`DeclineKind::reason`]
 /// name).
 pub fn record_fallback(content_hash: u64, map: &str, reason: &str, detail: &str) {
-    cells().fallbacks.fetch_add(1, Ordering::Relaxed);
     sdfg_profile::metrics::core().jit_fallbacks.inc();
     if sdfg_profile::ledger::enabled() {
         let mut detail = detail.to_string();
@@ -365,7 +350,6 @@ impl KernelHandle {
     /// the first such launch per kernel also writes a
     /// [`PENDING_REASON`] fallback record.
     pub(crate) fn record_pending(&self, content_hash: u64, map: &str) {
-        cells().pending_launches.fetch_add(1, Ordering::Relaxed);
         sdfg_profile::metrics::core().jit_pending_launches.inc();
         if !self.0.pending_seen.swap(true, Ordering::Relaxed) {
             let detail = format!("kernel {:016x} still compiling", self.0.hash);
@@ -724,14 +708,13 @@ fn compile_in(
     )
     .map_err(|e| format!("spawn {}: {e}", cc.path))?;
     let ms = t0.elapsed().as_millis() as u64;
-    cells().compile_ms.fetch_add(ms, Ordering::Relaxed);
+    sdfg_profile::metrics::core().jit_compile_ms.add(ms);
     if !out.status.success() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         let head: String = stderr.lines().take(4).collect::<Vec<_>>().join("; ");
         return Err(format!("{} failed ({}): {head}", cc.path, out.status));
     }
     std::fs::rename(&so_tmp, &so_path).map_err(|e| format!("rename {}: {e}", so_path.display()))?;
-    cells().compiles.fetch_add(1, Ordering::Relaxed);
     sdfg_profile::metrics::core().jit_compiles.inc();
     Ok(())
 }

@@ -1125,7 +1125,7 @@ pub(crate) fn try_map_nest_steal(
         let n = run_nest(args_ref, lo, hi);
         total.fetch_add(n, Ordering::Relaxed);
     };
-    pool.run(ranges.len(), &tile_fn);
+    pool.run(ranges.len(), &tile_fn, &ctx.stats);
     let n = total.load(Ordering::Relaxed) as u64;
     let st = &ctx.stats;
     st.tasklet_points.fetch_add(n, Ordering::Relaxed);

@@ -160,7 +160,6 @@ impl PlanCache {
         match plans.get(&key) {
             Some(p) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                sdfg_profile::metrics::core().plan_cache_hits.inc();
                 if flight::enabled() {
                     flight::record(flight::EventKind::PlanCacheHit, key.sdfg_hash, 0);
                 }
@@ -168,7 +167,6 @@ impl PlanCache {
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                sdfg_profile::metrics::core().plan_cache_misses.inc();
                 if flight::enabled() {
                     flight::record(flight::EventKind::PlanCacheMiss, key.sdfg_hash, 0);
                 }

@@ -11,6 +11,7 @@
 //! interpreter) would observe, so recycling can never leak data between
 //! runs or between executors sharing a pool.
 
+use crate::stats::AtomicStats;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,7 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const MAX_PER_CLASS: usize = 32;
 
 /// Pool counters (cumulative since construction). Surfaced via
-/// `sdfg_profile::ExecCounters` and the bench harness's JSON output.
+/// `sdfg_profile::ExecCounters`; each run also counts its own
+/// acquisitions in its `Stats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Total buffer acquisitions.
@@ -46,7 +48,7 @@ impl PoolStats {
 
 /// A thread-safe pool of `f64` buffers binned by power-of-two capacity.
 ///
-/// Buffers come back from [`BufferPool::acquire`] zeroed and exactly the
+/// Buffers come back from `BufferPool::acquire` zeroed and exactly the
 /// requested length; capacity is rounded up to the size class so a
 /// recycled buffer can serve any length in its class without reallocating.
 pub struct BufferPool {
@@ -76,10 +78,11 @@ impl BufferPool {
 
     /// Returns a zeroed buffer of exactly `len` elements, recycling a
     /// parked buffer of the matching size class when one is available.
-    pub fn acquire(&self, len: usize) -> Vec<f64> {
+    /// The acquisition is counted for the pool and for the run `run`.
+    pub(crate) fn acquire(&self, len: usize, run: &AtomicStats) -> Vec<f64> {
         use sdfg_profile::flight;
         self.acquires.fetch_add(1, Ordering::Relaxed);
-        sdfg_profile::metrics::core().pool_acquires.inc();
+        run.pool_acquires.fetch_add(1, Ordering::Relaxed);
         let class = Self::class(len);
         let recycled = self.bins.lock().get_mut(&class).and_then(Vec::pop);
         if flight::enabled() {
@@ -92,7 +95,7 @@ impl BufferPool {
         match recycled {
             Some(mut v) => {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
-                sdfg_profile::metrics::core().pool_reuses.inc();
+                run.pool_reuses.fetch_add(1, Ordering::Relaxed);
                 self.bytes_reused
                     .fetch_add((len * std::mem::size_of::<f64>()) as u64, Ordering::Relaxed);
                 self.bytes_held.fetch_sub(
@@ -169,17 +172,21 @@ impl Default for BufferPool {
 mod tests {
     use super::*;
 
+    fn pool_and_run() -> (BufferPool, AtomicStats) {
+        (BufferPool::new(), AtomicStats::default())
+    }
+
     #[test]
     fn recycles_within_class_and_zeroes() {
-        let pool = BufferPool::new();
-        let mut a = pool.acquire(100);
+        let (pool, run) = pool_and_run();
+        let mut a = pool.acquire(100, &run);
         a.fill(7.0);
         let cap = a.capacity();
         assert_eq!(cap, 128, "allocated at class capacity");
         pool.release(a);
         assert_eq!(pool.stats().bytes_held, 128 * 8);
         // Any length in the class reuses the same storage, zeroed.
-        let b = pool.acquire(101);
+        let b = pool.acquire(101, &run);
         assert_eq!(b.len(), 101);
         assert!(
             b.iter().all(|&x| x == 0.0),
@@ -188,23 +195,27 @@ mod tests {
         assert_eq!(b.capacity(), cap);
         let s = pool.stats();
         assert_eq!((s.acquires, s.reuses), (2, 1));
+        let r = run.snapshot();
+        assert_eq!((r.pool_acquires, r.pool_reuses), (2, 1));
         assert_eq!(s.bytes_reused, 101 * 8);
         assert_eq!(s.bytes_held, 0);
     }
 
     #[test]
     fn distinct_classes_do_not_alias() {
-        let pool = BufferPool::new();
-        pool.release(pool.acquire(16));
-        let big = pool.acquire(1000); // class 1024 — must not reuse the 16-class buffer
+        let (pool, run) = pool_and_run();
+        pool.release(pool.acquire(16, &run));
+        let big = pool.acquire(1000, &run); // class 1024 — must not reuse the 16-class buffer
         assert_eq!(big.len(), 1000);
         assert_eq!(pool.stats().reuses, 0);
     }
 
     #[test]
     fn retention_cap_bounds_memory() {
-        let pool = BufferPool::new();
-        let held: Vec<_> = (0..MAX_PER_CLASS + 5).map(|_| pool.acquire(8)).collect();
+        let (pool, run) = pool_and_run();
+        let held: Vec<_> = (0..MAX_PER_CLASS + 5)
+            .map(|_| pool.acquire(8, &run))
+            .collect();
         for v in held {
             pool.release(v);
         }
@@ -215,8 +226,8 @@ mod tests {
 
     #[test]
     fn zero_len_buffers_are_harmless() {
-        let pool = BufferPool::new();
-        let v = pool.acquire(0);
+        let (pool, run) = pool_and_run();
+        let v = pool.acquire(0, &run);
         assert!(v.is_empty());
         pool.release(Vec::new());
         assert_eq!(pool.stats().bytes_held, 0);

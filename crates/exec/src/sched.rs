@@ -34,6 +34,7 @@
 //! the work loop (`active == 0`). Workers enter the loop only under the
 //! same mutex, so no worker can observe the job after `run` returns.
 
+use crate::stats::AtomicStats;
 use parking_lot::Mutex as PlMutex;
 use sdfg_lang::TaskletVm;
 use sdfg_profile::SchedWorker;
@@ -149,6 +150,9 @@ struct Shared {
     pending: AtomicUsize,
     counters: Vec<SlotCounters>,
     launches: AtomicU64,
+    /// Steals of the current launch (launches are serialized), read by
+    /// the launcher once every worker has left it.
+    launch_steals: AtomicU64,
 }
 
 impl Shared {
@@ -263,13 +267,7 @@ impl Shared {
         c.tiles.fetch_add(tiles, Ordering::Relaxed);
         c.steals.fetch_add(steals, Ordering::Relaxed);
         c.idle_ns.fetch_add(idle_ns, Ordering::Relaxed);
-        // Global metrics: flushed once per worker per launch, so the
-        // per-tile hot path stays free of registry traffic.
-        if tiles > 0 || steals > 0 {
-            let m = sdfg_profile::metrics::core();
-            m.sched_tiles.add(tiles);
-            m.sched_steals.add(steals);
-        }
+        self.launch_steals.fetch_add(steals, Ordering::Relaxed);
     }
 }
 
@@ -347,6 +345,7 @@ impl SchedPool {
                 pending: AtomicUsize::new(0),
                 counters: (0..nworkers).map(|_| SlotCounters::default()).collect(),
                 launches: AtomicU64::new(0),
+                launch_steals: AtomicU64::new(0),
             }),
             launch: Mutex::new(()),
             started: std::sync::Once::new(),
@@ -383,11 +382,13 @@ impl SchedPool {
     /// pool worker. Blocks until every tile has executed and no worker
     /// can still observe `f`. Re-entrant calls from a pool worker (which
     /// the executor's eligibility gate should prevent) degrade safely to
-    /// inline execution.
-    pub(crate) fn run(&self, ntiles: usize, f: &(dyn Fn(usize, usize) + Sync)) {
+    /// inline execution. The launch's tiles and steals are counted for
+    /// the run `run` that made it.
+    pub(crate) fn run(&self, ntiles: usize, f: &(dyn Fn(usize, usize) + Sync), run: &AtomicStats) {
         if ntiles == 0 {
             return;
         }
+        run.sched_tiles.fetch_add(ntiles as u64, Ordering::Relaxed);
         assert!(
             ntiles < u32::MAX as usize,
             "tile count overflows the deque index space"
@@ -419,6 +420,7 @@ impl SchedPool {
         }
         self.shared.pending.store(ntiles, Ordering::Release);
         self.shared.launches.fetch_add(1, Ordering::Relaxed);
+        self.shared.launch_steals.store(0, Ordering::Relaxed);
         // SAFETY (lifetime erasure): the pointer is only dereferenced by
         // workers registered in `active`, and this function does not
         // return until `active == 0` with the job slot cleared.
@@ -453,6 +455,10 @@ impl SchedPool {
                 .unwrap_or_else(|p| p.into_inner());
         }
         debug_assert_eq!(self.shared.pending.load(Ordering::Acquire), 0);
+        // Every worker flushed before leaving (`active == 0`, observed
+        // under the mutex), so this launch's steals are all in.
+        let steals = self.shared.launch_steals.load(Ordering::Relaxed);
+        run.sched_steals.fetch_add(steals, Ordering::Relaxed);
     }
 
     /// Snapshot of the cumulative per-worker counters.
@@ -585,11 +591,16 @@ mod tests {
     #[test]
     fn pool_runs_every_tile_exactly_once() {
         let pool = SchedPool::new(4);
+        let run = AtomicStats::default();
         for ntiles in [1usize, 3, 7, 64, 1000] {
             let hits: Vec<AtomicU32> = (0..ntiles).map(|_| AtomicU32::new(0)).collect();
-            pool.run(ntiles, &|_slot, i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
+            pool.run(
+                ntiles,
+                &|_slot, i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                },
+                &run,
+            );
             for (i, h) in hits.iter().enumerate() {
                 assert_eq!(h.load(Ordering::Relaxed), 1, "tile {i} of {ntiles}");
             }
@@ -598,16 +609,23 @@ mod tests {
         assert_eq!(s.total_tiles(), 1 + 3 + 7 + 64 + 1000);
         assert_eq!(s.launches, 5);
         assert_eq!(s.nworkers, 4);
+        let r = run.snapshot();
+        assert_eq!(r.sched_tiles, s.total_tiles());
+        assert_eq!(r.sched_steals, s.total_steals());
     }
 
     #[test]
     fn single_worker_pool_runs_inline() {
         let pool = SchedPool::new(1);
         let hits = AtomicU32::new(0);
-        pool.run(100, &|slot, _| {
-            assert_eq!(slot, 0);
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
+        pool.run(
+            100,
+            &|slot, _| {
+                assert_eq!(slot, 0);
+                hits.fetch_add(1, Ordering::Relaxed);
+            },
+            &AtomicStats::default(),
+        );
         assert_eq!(hits.load(Ordering::Relaxed), 100);
     }
 

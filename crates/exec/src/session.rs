@@ -537,26 +537,8 @@ impl Session {
     /// Renders the hot-path counters footer (plan-cache/pool counters and
     /// per-worker scheduler lines) from the always-on counters.
     pub fn counters_footer(&self) -> String {
-        let cache = self.plan_cache.stats();
-        let pool = self.pool.stats();
-        let exec = sdfg_profile::ExecCounters {
-            plan_cache_hits: cache.hits,
-            plan_cache_misses: cache.misses,
-            pool_acquires: pool.acquires,
-            pool_reuses: pool.reuses,
-            pool_bytes_reused: pool.bytes_reused,
-        };
-        let sched = match &self.sched {
-            Some(pool) => {
-                let s = pool.stats();
-                if s.launches > 0 {
-                    s.workers
-                } else {
-                    Vec::new()
-                }
-            }
-            None => Vec::new(),
-        };
+        let (exec, sched) =
+            crate::engine::always_on_counters(&self.plan_cache, &self.pool, self.sched.as_deref());
         sdfg_profile::counters_footer(&exec, &sched)
     }
 }

@@ -4,20 +4,22 @@
 //! [`set_path`] — e.g. the harness `--ledger` flag), every
 //! `Executor::run` / `Runtime` dispatch appends exactly one JSON object
 //! line describing the run: what ran (content hash, target, opt level,
-//! thread count), how long it took, and the per-run deltas of the cheap
-//! counters (cache hits, pool reuse, bytes moved, scheduler
-//! tiles/steals). The format is one self-contained JSON object per
-//! line, so downstream consumers (`obs-check`, log shippers) can tail it
-//! without any framing protocol.
+//! thread count), how long it took, the bytes it moved, and the run's
+//! own count of every row of the [`crate::counters`] table (cache hits,
+//! pool reuse, scheduler tiles/steals, …). The format is one
+//! self-contained JSON object per line, so downstream consumers
+//! (`obs-check`, log shippers) can tail it without any framing protocol.
 //!
 //! Disabled is the default and costs one relaxed atomic load per run.
 
+use crate::counters::{N_RUN_COUNTERS, RUN_COUNTERS};
+use crate::json_escape;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// One run's record. All counter fields are per-run deltas, not
+/// One run's record. The counters are the run's own, not
 /// executor-lifetime totals.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunRecord {
@@ -33,35 +35,10 @@ pub struct RunRecord {
     pub nthreads: usize,
     /// End-to-end wall time, milliseconds.
     pub wall_ms: f64,
-    /// Plan-cache hits during this run.
-    pub plan_cache_hits: u64,
-    /// Plan-cache misses during this run.
-    pub plan_cache_misses: u64,
-    /// Buffer-pool acquisitions during this run.
-    pub pool_acquires: u64,
-    /// Acquisitions served by recycling during this run.
-    pub pool_reuses: u64,
     /// Bytes moved by local copies/writebacks.
     pub bytes_moved: u64,
-    /// Bytes moved host → device.
-    pub h2d_bytes: u64,
-    /// Bytes moved device → host.
-    pub d2h_bytes: u64,
-    /// Scheduler tiles executed.
-    pub sched_tiles: u64,
-    /// Scheduler tiles acquired by stealing.
-    pub sched_steals: u64,
-    /// States executed.
-    pub states_executed: u64,
-    /// Map scopes launched.
-    pub map_launches: u64,
-    /// Whole-nest native kernel invocations (collapsed loops + tile
-    /// dispatches).
-    pub nest_calls: u64,
-    /// Map-body points executed inside nest kernels.
-    pub nest_points: u64,
-    /// Interstate edge conditions evaluated by the state-machine driver.
-    pub interstate_evals: u64,
+    /// The run's [`RUN_COUNTERS`] values, in table order.
+    pub counters: [u64; N_RUN_COUNTERS],
     /// Serving-layer tenant the run belonged to (empty outside a request
     /// scope; omitted from the JSON when empty).
     pub tenant: String,
@@ -75,41 +52,28 @@ impl RunRecord {
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"seq\":{},\"content_hash\":\"{}\",\"target\":\"{}\",\
-             \"opt_level\":\"{}\",\"nthreads\":{},\"wall_ms\":{:.6},\
-             \"plan_cache_hits\":{},\"plan_cache_misses\":{},\
-             \"pool_acquires\":{},\"pool_reuses\":{},\
-             \"bytes_moved\":{},\"h2d_bytes\":{},\"d2h_bytes\":{},\
-             \"sched_tiles\":{},\"sched_steals\":{},\
-             \"states_executed\":{},\"map_launches\":{},\
-             \"nest_calls\":{},\"nest_points\":{},\"interstate_evals\":{}",
+             \"opt_level\":\"{}\",\"nthreads\":{},\"wall_ms\":{:.6},\"bytes_moved\":{}",
             self.seq,
-            escape(&self.content_hash),
-            escape(&self.target),
-            escape(&self.opt_level),
+            json_escape(&self.content_hash),
+            json_escape(&self.target),
+            json_escape(&self.opt_level),
             self.nthreads,
             self.wall_ms,
-            self.plan_cache_hits,
-            self.plan_cache_misses,
-            self.pool_acquires,
-            self.pool_reuses,
             self.bytes_moved,
-            self.h2d_bytes,
-            self.d2h_bytes,
-            self.sched_tiles,
-            self.sched_steals,
-            self.states_executed,
-            self.map_launches,
-            self.nest_calls,
-            self.nest_points,
-            self.interstate_evals,
         );
+        for (row, v) in RUN_COUNTERS.iter().zip(&self.counters) {
+            out.push_str(&format!(",\"{}\":{v}", row.name));
+        }
         // Request tags are additive so existing ledger consumers (which
         // check only the required fields) keep parsing batch-run records.
         if !self.tenant.is_empty() {
-            out.push_str(&format!(",\"tenant\":\"{}\"", escape(&self.tenant)));
+            out.push_str(&format!(",\"tenant\":\"{}\"", json_escape(&self.tenant)));
         }
         if !self.request_id.is_empty() {
-            out.push_str(&format!(",\"request_id\":\"{}\"", escape(&self.request_id)));
+            out.push_str(&format!(
+                ",\"request_id\":\"{}\"",
+                json_escape(&self.request_id)
+            ));
         }
         out.push('}');
         out
@@ -143,26 +107,12 @@ impl JitFallbackRecord {
             "{{\"record\":\"jit_fallback\",\"seq\":{},\"content_hash\":\"{}\",\
              \"map\":\"{}\",\"reason\":\"{}\",\"detail\":\"{}\"}}",
             self.seq,
-            escape(&self.content_hash),
-            escape(&self.map),
-            escape(&self.reason),
-            escape(&self.detail),
+            json_escape(&self.content_hash),
+            json_escape(&self.map),
+            json_escape(&self.reason),
+            json_escape(&self.detail),
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 thread_local! {
@@ -248,8 +198,7 @@ pub fn path() -> Option<PathBuf> {
 /// reported once on stderr and otherwise swallowed — observability must
 /// never fail a run.
 pub fn append(rec: &mut RunRecord) -> Option<u64> {
-    let s = sink();
-    if !s.enabled.load(Ordering::Relaxed) {
+    if !enabled() {
         return None;
     }
     // Stamp the thread's active request scope (serving layer) unless the
@@ -262,42 +211,41 @@ pub fn append(rec: &mut RunRecord) -> Option<u64> {
             }
         });
     }
-    let path = s.path.lock().unwrap_or_else(|p| p.into_inner()).clone()?;
-    rec.seq = s.seq.fetch_add(1, Ordering::Relaxed);
-    let line = rec.to_json();
-    let res = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| writeln!(f, "{line}"));
-    if let Err(e) = res {
-        static WARNED: AtomicBool = AtomicBool::new(false);
-        if !WARNED.swap(true, Ordering::Relaxed) {
-            eprintln!(
-                "sdfg-profile: run ledger write to {} failed: {e}",
-                path.display()
-            );
-        }
-    }
-    Some(rec.seq)
+    write_line(|seq| {
+        rec.seq = seq;
+        rec.to_json()
+    })
 }
 
 /// Appends one JIT-fallback record (assigning its `seq` from the shared
 /// sequence), returning the sequence number. No-op when the ledger is
 /// disabled; I/O errors are swallowed like [`append`]'s.
 pub fn append_jit_fallback(rec: &mut JitFallbackRecord) -> Option<u64> {
-    let s = sink();
-    if !s.enabled.load(Ordering::Relaxed) {
+    if !enabled() {
         return None;
     }
-    let path = s.path.lock().unwrap_or_else(|p| p.into_inner()).clone()?;
-    rec.seq = s.seq.fetch_add(1, Ordering::Relaxed);
-    let line = rec.to_json();
+    write_line(|seq| {
+        rec.seq = seq;
+        rec.to_json()
+    })
+}
+
+/// The one ledger writer: takes the next sequence number, renders the
+/// line with it and appends it to the active path. Writers hold the path
+/// lock and append each line in one write, so concurrent runs never
+/// interleave lines and the file is in sequence order.
+fn write_line(render: impl FnOnce(u64) -> String) -> Option<u64> {
+    let s = sink();
+    let guard = s.path.lock().unwrap_or_else(|p| p.into_inner());
+    let path = guard.as_ref()?;
+    let seq = s.seq.fetch_add(1, Ordering::Relaxed);
+    let mut line = render(seq);
+    line.push('\n');
     let res = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(&path)
-        .and_then(|mut f| writeln!(f, "{line}"));
+        .open(path)
+        .and_then(|mut f| f.write_all(line.as_bytes()));
     if let Err(e) = res {
         static WARNED: AtomicBool = AtomicBool::new(false);
         if !WARNED.swap(true, Ordering::Relaxed) {
@@ -307,7 +255,7 @@ pub fn append_jit_fallback(rec: &mut JitFallbackRecord) -> Option<u64> {
             );
         }
     }
-    Some(rec.seq)
+    Some(seq)
 }
 
 #[cfg(test)]
@@ -337,7 +285,7 @@ mod tests {
             opt_level: "O2\"x".into(),
             nthreads: 4,
             wall_ms: 1.25,
-            plan_cache_hits: 1,
+            counters: [1; N_RUN_COUNTERS],
             ..Default::default()
         };
         let j = rec.to_json();
@@ -345,6 +293,9 @@ mod tests {
         assert!(j.contains("\"content_hash\":\"00ff\""));
         assert!(j.contains("\"opt_level\":\"O2\\\"x\""));
         assert!(j.contains("\"wall_ms\":1.250000"));
+        for row in RUN_COUNTERS {
+            assert!(j.contains(&format!(",\"{}\":1", row.name)), "{j}");
+        }
         assert!(!j.contains('\n'));
     }
 

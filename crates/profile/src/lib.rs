@@ -30,9 +30,13 @@
 //! * [`ledger`] — an append-only JSONL record of every executor run
 //!   (`SDFG_RUN_LOG`).
 //!
+//! The per-run counters the ledger records and the metrics registry
+//! accumulates are declared once, in the [`counters`] table.
+//!
 //! All three share one monotonic clock base ([`process_epoch`]) with the
 //! span profiler, so every artifact lands on the same timeline.
 
+pub mod counters;
 pub mod flight;
 pub mod ledger;
 pub mod metrics;
@@ -762,7 +766,9 @@ fn human_bytes(b: u64) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for a JSON string literal: quotes, backslashes and every
+/// control character (`\n`, `\r`, `\t` short, the rest as `\u00XX`).
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -944,5 +950,15 @@ mod tests {
         let (sh, mh) = r.heat();
         assert!((sh[&3] - 0.5).abs() < 1e-9);
         assert!((mh[&(3, 7)] - 0.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn json_escape_leaves_no_raw_control_character() {
+        let all: String = (0u8..0x20).map(char::from).chain("\"\\é".chars()).collect();
+        let out = json_escape(&all);
+        assert!(out.chars().all(|c| c >= ' '), "{out:?}");
+        assert!(out.starts_with("\\u0000\\u0001"));
+        assert!(out.contains("\\t\\n\\u000b\\u000c\\r"));
+        assert!(out.ends_with("\\u001f\\\"\\\\é"));
     }
 }

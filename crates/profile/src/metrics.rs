@@ -15,6 +15,7 @@
 //! line-oriented checker used by tests and the bench harness's
 //! `obs-check` mode.
 
+use crate::counters::{BYTES_MOVED_HELP, N_RUN_COUNTERS, RUN_COUNTERS};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -445,26 +446,12 @@ pub struct CoreMetrics {
     pub launches: Counter,
     /// `sdfg_launch_duration_ms{backend="cpu"}` — per-run wall time.
     pub launch_duration_ms: Histogram,
-    /// `sdfg_plan_cache_hits_total`.
-    pub plan_cache_hits: Counter,
-    /// `sdfg_plan_cache_misses_total`.
-    pub plan_cache_misses: Counter,
-    /// `sdfg_pool_acquires_total`.
-    pub pool_acquires: Counter,
-    /// `sdfg_pool_reuses_total`.
-    pub pool_reuses: Counter,
+    /// One series per [`RUN_COUNTERS`] row with a family (`None` for the
+    /// rows without one), in table order; the executor adds each run's
+    /// values after the run.
+    pub run: [Option<Counter>; N_RUN_COUNTERS],
     /// `sdfg_bytes_moved_total{direction="local"}` — copies/writebacks.
     pub bytes_local: Counter,
-    /// `sdfg_bytes_moved_total{direction="h2d"}`.
-    pub bytes_h2d: Counter,
-    /// `sdfg_bytes_moved_total{direction="d2h"}`.
-    pub bytes_d2h: Counter,
-    /// `sdfg_sched_tiles_total`.
-    pub sched_tiles: Counter,
-    /// `sdfg_sched_steals_total`.
-    pub sched_steals: Counter,
-    /// `sdfg_states_executed_total`.
-    pub states_executed: Counter,
     /// `sdfg_map_launches_total{schedule="sequential"}`.
     pub map_launches_seq: Counter,
     /// `sdfg_map_launches_total{schedule="parallel"}`.
@@ -478,6 +465,9 @@ pub struct CoreMetrics {
     /// `sdfg_jit_compiles_total` — map bodies compiled to native code by
     /// the JIT tier (cache misses that invoked the system C compiler).
     pub jit_compiles: Counter,
+    /// `sdfg_jit_compile_ms_total` — wall-clock milliseconds spent inside
+    /// the C compiler.
+    pub jit_compile_ms: Counter,
     /// `sdfg_jit_cache_hits_total` — JIT kernel requests served from the
     /// in-process registry or the on-disk artifact cache.
     pub jit_cache_hits: Counter,
@@ -487,16 +477,6 @@ pub struct CoreMetrics {
     /// `sdfg_jit_pending_launches_total` — nest launches that ran on an
     /// interpreted tier because their kernel was still compiling.
     pub jit_pending_launches: Counter,
-    /// `sdfg_nest_calls_total` — whole-nest native kernel invocations
-    /// (collapsed interstate loops plus tile→nest-call map dispatches).
-    pub nest_calls: Counter,
-    /// `sdfg_nest_points_total` — map-body points executed inside
-    /// whole-nest native kernels.
-    pub nest_points: Counter,
-    /// `sdfg_interstate_evals_total` — interstate edge conditions
-    /// evaluated by the state-machine driver (collapsed loops skip their
-    /// per-iteration share).
-    pub interstate_evals: Counter,
 }
 
 /// The process-global core handles.
@@ -603,64 +583,34 @@ fn core_handles() -> &'static CoreMetrics {
             &[("backend", "cpu")],
             &default_duration_buckets_ms(),
         );
-        let plan_cache_hits = r.counter(
-            "sdfg_plan_cache_hits_total",
-            "Plan-cache lookups that found an existing lowered plan.",
-            &[],
+        let run = std::array::from_fn(|i| {
+            RUN_COUNTERS[i]
+                .family
+                .map(|f| r.counter(f.name, f.help, f.labels))
+        });
+        let bytes_local = r.counter(
+            "sdfg_bytes_moved_total",
+            BYTES_MOVED_HELP,
+            &[("direction", "local")],
         );
-        let plan_cache_misses = r.counter(
-            "sdfg_plan_cache_misses_total",
-            "Plan-cache lookups that lowered a fresh plan.",
-            &[],
-        );
-        let pool_acquires = r.counter("sdfg_pool_acquires_total", "Buffer-pool acquisitions.", &[]);
-        let pool_reuses = r.counter(
-            "sdfg_pool_reuses_total",
-            "Buffer-pool acquisitions served by recycling.",
-            &[],
-        );
-        let bytes = |dir: &str| {
+        let map_launches = |schedule: &str| {
             r.counter(
-                "sdfg_bytes_moved_total",
-                "Bytes moved, by direction (local copies, host-to-device, device-to-host).",
-                &[("direction", dir)],
+                "sdfg_map_launches_total",
+                "Map-scope launches by schedule class.",
+                &[("schedule", schedule)],
             )
         };
-        let bytes_local = bytes("local");
-        let bytes_h2d = bytes("h2d");
-        let bytes_d2h = bytes("d2h");
-        let sched_tiles = r.counter(
-            "sdfg_sched_tiles_total",
-            "Tiles executed by the work-stealing scheduler.",
-            &[],
-        );
-        let sched_steals = r.counter(
-            "sdfg_sched_steals_total",
-            "Tiles acquired by stealing from another worker's deque.",
-            &[],
-        );
-        let states_executed =
-            r.counter("sdfg_states_executed_total", "SDFG state executions.", &[]);
-        let map_launches_seq = r.counter(
-            "sdfg_map_launches_total",
-            "Map-scope launches by schedule class.",
-            &[("schedule", "sequential")],
-        );
-        let map_launches_par = r.counter(
-            "sdfg_map_launches_total",
-            "Map-scope launches by schedule class.",
-            &[("schedule", "parallel")],
-        );
-        let opt_applied = r.counter(
-            "sdfg_opt_passes_total",
-            "Optimization passes by outcome.",
-            &[("outcome", "applied")],
-        );
-        let opt_rolled_back = r.counter(
-            "sdfg_opt_passes_total",
-            "Optimization passes by outcome.",
-            &[("outcome", "rolled_back")],
-        );
+        let map_launches_seq = map_launches("sequential");
+        let map_launches_par = map_launches("parallel");
+        let opt_passes = |outcome: &str| {
+            r.counter(
+                "sdfg_opt_passes_total",
+                "Optimization passes by outcome.",
+                &[("outcome", outcome)],
+            )
+        };
+        let opt_applied = opt_passes("applied");
+        let opt_rolled_back = opt_passes("rolled_back");
         let interp_runs = r.counter(
             "sdfg_interp_runs_total",
             "Reference-interpreter run invocations.",
@@ -669,6 +619,11 @@ fn core_handles() -> &'static CoreMetrics {
         let jit_compiles = r.counter(
             "sdfg_jit_compiles_total",
             "Map bodies compiled to native code by the JIT tier.",
+            &[],
+        );
+        let jit_compile_ms = r.counter(
+            "sdfg_jit_compile_ms_total",
+            "Wall-clock milliseconds the JIT tier spent inside the C compiler.",
             &[],
         );
         let jit_cache_hits = r.counter(
@@ -686,47 +641,22 @@ fn core_handles() -> &'static CoreMetrics {
             "Nest launches that ran interpreted while their kernel was still compiling.",
             &[],
         );
-        let nest_calls = r.counter(
-            "sdfg_nest_calls_total",
-            "Whole-nest native kernel invocations (loop collapses and tile dispatches).",
-            &[],
-        );
-        let nest_points = r.counter(
-            "sdfg_nest_points_total",
-            "Map-body points executed inside whole-nest native kernels.",
-            &[],
-        );
-        let interstate_evals = r.counter(
-            "sdfg_interstate_evals_total",
-            "Interstate edge conditions evaluated by the state-machine driver.",
-            &[],
-        );
         CoreMetrics {
             registry: r,
             launches,
             launch_duration_ms,
-            plan_cache_hits,
-            plan_cache_misses,
-            pool_acquires,
-            pool_reuses,
+            run,
             bytes_local,
-            bytes_h2d,
-            bytes_d2h,
-            sched_tiles,
-            sched_steals,
-            states_executed,
             map_launches_seq,
             map_launches_par,
             opt_applied,
             opt_rolled_back,
             interp_runs,
             jit_compiles,
+            jit_compile_ms,
             jit_cache_hits,
             jit_fallbacks,
             jit_pending_launches,
-            nest_calls,
-            nest_points,
-            interstate_evals,
         }
     })
 }
