@@ -609,38 +609,55 @@ fn lowering_table(lowerings: &[sdfg_exec::MapLowering]) -> String {
     out
 }
 
-/// `--profile` mode: runs each Polybench kernel once with instrumentation
-/// forced on every state and map scope, prints the sorted hot-path table,
-/// and writes one Chrome trace-event JSON per kernel (load the file in
-/// `chrome://tracing` or <https://ui.perfetto.dev>).
+/// A kernel's name and its builder (from a scale).
+pub type NamedKernel = (&'static str, fn(usize) -> Workload);
+
+/// The kernels `--profile` and `--opt` accept, as `(name, builder)`: the
+/// 30 Polybench kernels, then the three irregular §6.1 kernels
+/// (`histogram`, `query`, and `spmv` at 16 nonzeros per row).
+pub fn profiled_kernels() -> Vec<NamedKernel> {
+    let mut ks: Vec<NamedKernel> = polybench::all()
+        .into_iter()
+        .map(|k| (k.name, k.build))
+        .collect();
+    ks.push(("histogram", kernels::histogram));
+    ks.push(("query", kernels::query));
+    ks.push(("spmv", |n| kernels::spmv(n, 16)));
+    ks
+}
+
+/// `--profile` mode: runs each kernel of [`profiled_kernels`] once with
+/// instrumentation forced on every state and map scope, prints the sorted
+/// hot-path table, and writes one Chrome trace-event JSON per kernel (load
+/// the file in `chrome://tracing` or <https://ui.perfetto.dev>).
 ///
 /// `only` restricts the run to a single kernel by name (empty = all).
 pub fn profiled(only: &str, scale: usize) {
     println!("# Profiled run (scale {scale}, forced timers)");
     let mut matched = false;
-    for k in polybench::all() {
-        if !only.is_empty() && k.name != only {
+    for (name, build) in profiled_kernels() {
+        if !only.is_empty() && name != only {
             continue;
         }
         matched = true;
-        let w = (k.build)(scale);
+        let w = build(scale);
         let (_, _, _, report, lowerings) = match w.run_exec_profiled() {
             Ok(r) => r,
             Err(e) => {
-                println!("## {}: failed: {e}", k.name);
+                println!("## {name}: failed: {e}");
                 continue;
             }
         };
         println!(
             "## {} — wall {:.3} ms, {} workers, map coverage {:.1}%",
-            k.name,
+            name,
             report.wall.as_secs_f64() * 1e3,
             report.workers,
             report.map_coverage() * 100.0
         );
         print!("{}", report.hot_path_table());
         print!("{}", lowering_table(&lowerings));
-        let path = format!("trace-{}.json", k.name);
+        let path = format!("trace-{name}.json");
         match std::fs::write(&path, report.chrome_trace()) {
             Ok(()) => println!("chrome trace written to {path}"),
             Err(e) => println!("could not write {path}: {e}"),
@@ -648,7 +665,7 @@ pub fn profiled(only: &str, scale: usize) {
         println!();
     }
     if !matched {
-        let names: Vec<&str> = polybench::all().iter().map(|k| k.name).collect();
+        let names: Vec<&str> = profiled_kernels().iter().map(|k| k.0).collect();
         eprintln!(
             "no kernel named `{only}`; known kernels: {}",
             names.join(", ")
@@ -666,16 +683,16 @@ pub fn profiled(only: &str, scale: usize) {
 pub fn optimized(only: &[String], scale: usize, level: sdfg_exec::OptLevel, profile: bool) {
     println!("# Optimized run (scale {scale}, level {})", level.as_str());
     let mut matched = false;
-    for k in polybench::all() {
-        if !only.is_empty() && !only.iter().any(|n| n == k.name) {
+    for (name, build) in profiled_kernels() {
+        if !only.is_empty() && !only.iter().any(|n| n == name) {
             continue;
         }
         matched = true;
-        let w = (k.build)(scale);
+        let w = build(scale);
         let want = match w.run_interp() {
             Ok(r) => r,
             Err(e) => {
-                println!("## {}: interpreter failed: {e}", k.name);
+                println!("## {name}: interpreter failed: {e}");
                 continue;
             }
         };
@@ -686,7 +703,7 @@ pub fn optimized(only: &[String], scale: usize, level: sdfg_exec::OptLevel, prof
         let session = match builder.build() {
             Ok(s) => s,
             Err(e) => {
-                println!("## {}: session build failed: {e}", k.name);
+                println!("## {name}: session build failed: {e}");
                 continue;
             }
         };
@@ -694,16 +711,13 @@ pub fn optimized(only: &[String], scale: usize, level: sdfg_exec::OptLevel, prof
         let out = match session.run(w.bindings()) {
             Ok(out) => out,
             Err(e) => {
-                println!("## {}: optimized run failed: {e}", k.name);
+                println!("## {name}: optimized run failed: {e}");
                 continue;
             }
         };
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         sdfg_workloads::workload::assert_allclose(&w.check, out.arrays(), &want, 1e-9);
-        println!(
-            "## {} — wall {wall_ms:.3} ms, outputs match interpreter",
-            k.name
-        );
+        println!("## {name} — wall {wall_ms:.3} ms, outputs match interpreter");
         match session.opt_report() {
             Some(r) => print!("{r}"),
             None => println!("(no optimization report)"),
@@ -720,7 +734,7 @@ pub fn optimized(only: &[String], scale: usize, level: sdfg_exec::OptLevel, prof
         println!();
     }
     if !matched {
-        let names: Vec<&str> = polybench::all().iter().map(|k| k.name).collect();
+        let names: Vec<&str> = profiled_kernels().iter().map(|k| k.0).collect();
         eprintln!("no kernel matched; known kernels: {}", names.join(", "));
         std::process::exit(2);
     }

@@ -20,7 +20,9 @@
 //!   `bufs[geo[pS]][geo[pS+1] + Σ_d i_d·geo[pS+2+d]]` with `S = 2+D`.
 //!   The caller folds every launch-time constant (symbol values, enclosing
 //!   map parameters) into `base` and pre-validates that every reachable
-//!   address is in bounds — the kernel performs **no bounds checks**.
+//!   affine address is in bounds. After the `P` port rows comes the
+//!   *length table*, `geo[P·S + p]` = element count of port `p`'s
+//!   container, which only the self-checked accesses below read.
 //! * `syms[s]` holds the value of the VM-mirror bodies' `symbols[s]`.
 //! * `bnd` — affine loop bounds, two rows of `1 + D` entries per
 //!   dimension (lower then upper, upper exclusive):
@@ -28,14 +30,43 @@
 //!   `i_d ∈ [const_lo + Σ_{e<d} i_e·k_e, const_hi + Σ_{e<d} i_e·k_e)`
 //!   with unit step. Dimension 0 ignores its `bnd` rows: its range is the
 //!   `[lo0, hi0)` arguments, which is how one artifact serves a whole
-//!   collapsed loop, one scheduler tile, or one deadline slice.
-//! * `npts` — out-param: number of tasklet executions performed, for the
-//!   caller's instrumentation counters.
+//!   collapsed loop, one scheduler tile, or one deadline slice. A bound
+//!   listed in [`NestSpec::loaded`] is read from memory instead.
+//! * `npts` — status slots. `npts[0]` returns the number of tasklet
+//!   executions performed, for the caller's instrumentation counters. A
+//!   kernel with self-checked accesses reports the first failing one in
+//!   `npts[`[`STATUS_FAULT`]`]` (a [`fault_code`], left untouched on
+//!   success) and `npts[`[`STATUS_INDEX`]`]` (the offending index), and
+//!   stream output `k` returns its push count in
+//!   `npts[`[`STATUS_STREAMS`]` + k]`.
 //!
 //! The body is a [`NestSpec`] tree of loops and tasklet calls emitted in
 //! dependency order; inner bounds may be affine in outer iteration
-//! variables (triangular, banded, trapezoidal). A one-dimensional nest
-//! whose body is a single call is the innermost-dimension kernel.
+//! variables (triangular, banded, trapezoidal) or loaded from a port
+//! (a CSR row pointer). A one-dimensional nest whose body is a single call
+//! is the innermost-dimension kernel.
+//!
+//! # Self-checked accesses
+//!
+//! Three kinds of access cannot be validated before the call, so the
+//! kernel checks them itself, each mirroring the interpreted tiers:
+//!
+//! * **Indexed ports** ([`NestSpec::whole`]): a VM-mirror body reads a
+//!   whole container at an index it computes (`x[col[j]]`). An index
+//!   outside the container leaves through the fault exit, exactly where
+//!   the VM raises its out-of-bounds error.
+//! * **Write logs** ([`JitOutMode::Log`]): stores at a computed index are
+//!   staged per point (a negative index or one past `u32::MAX` faults, as
+//!   in the VM) and combined into the container once the body completes;
+//!   an index past the container's end is ignored.
+//! * **Clamped ports** ([`NestSpec::clamped`]): a port addressed through
+//!   a loaded-bound dimension reads `0.0` past the end and clamps negative
+//!   offsets to element 0, and its stores are dropped past the end — the
+//!   interpreted tiers' `read(off.max(0))` / `write` semantics.
+//!
+//! Body-computed doubles become indices through `sdfg_i64`, which
+//! mirrors Rust's saturating `as i64` (NaN → 0) — never a bare C cast,
+//! whose out-of-range behaviour is undefined.
 //!
 //! # Bitwise discipline
 //!
@@ -46,15 +77,20 @@
 //! * recognized native shapes mirror the executor's micro-kernels
 //!   statement for statement (see `crate::cpu`);
 //! * unrecognized bodies mirror the tasklet VM via
-//!   [`crate::c_expr::vm_expr_to_c`];
+//!   [`crate::c_expr::vm_expr_to_c`], with indexed reads hoisted into
+//!   checked loads in the VM's evaluation order (a read the VM might skip
+//!   — under `and`, `or` or a conditional expression — is rejected);
 //! * programs whose VM execution could observe *stale register state*
 //!   (a local read on a path that did not assign it — the VM's register
 //!   file persists across map points) are rejected and fall back;
 //! * register accumulation ([`JitOutMode::Accumulate`]) is emitted only as
 //!   the dedicated reduction-loop form, whose final combine is skipped for
-//!   empty ranges exactly like the native tier's early return. Atomic WCR
-//!   stays in Rust: the caller points an accumulating port at a private
-//!   cell and performs the atomic combine itself.
+//!   empty ranges exactly like the native tier's early return;
+//! * WCR combines are plain read-modify-writes. The executor only calls a
+//!   kernel whose combines its race analysis marked atomic (or which has
+//!   write logs or streams) from a launch that runs serially outside any
+//!   parallel tile, where an uncontended compare-and-swap and a plain
+//!   combine produce the same bits.
 //!
 //! Anything this module cannot prove bitwise-equivalent yields
 //! `Err(reason)`; the executor records the reason and falls back to the
@@ -62,13 +98,37 @@
 
 use crate::c_expr::vm_expr_to_c;
 use crate::cpu::{lincomb_value_c, mulchain_value_c, pattern_value_c};
-use sdfg_lang::ast::{BinOp, Stmt};
+use sdfg_lang::ast::{BinOp, ExprAst, Stmt};
 use sdfg_lang::recognize::{LinComb, MulChain, Pattern};
 use sdfg_lang::TaskletProgram;
 use std::fmt::Write as _;
 
 /// Name of the exported kernel entry point.
 pub const NEST_ENTRY: &str = "sdfg_nest";
+
+/// Status slot holding the [`fault_code`] of the first failing
+/// self-checked access (untouched on success).
+pub const STATUS_FAULT: usize = 1;
+/// Status slot holding the index of the first failing access.
+pub const STATUS_INDEX: usize = 2;
+/// First status slot of the per-stream push counts.
+pub const STATUS_STREAMS: usize = 3;
+
+/// The fault code of a self-checked access: input (`output = false`) or
+/// output slot `slot` of call `call`. Never zero.
+pub fn fault_code(call: usize, output: bool, slot: usize) -> i64 {
+    1 + ((call as i64) << 17) + ((output as i64) << 16) + slot as i64
+}
+
+/// Inverse of [`fault_code`]: `(call, output, slot)`.
+pub fn decode_fault(code: i64) -> (usize, bool, usize) {
+    let c = code - 1;
+    (
+        (c >> 17) as usize,
+        (c >> 16) & 1 == 1,
+        (c & 0xffff) as usize,
+    )
+}
 
 /// WCR reduction operators the JIT supports (`Wcr::Custom` is rejected
 /// upstream, before a spec is built).
@@ -104,9 +164,7 @@ pub enum JitOutMode {
     /// the body runs and stored back after — the affine VM's protocol for
     /// plain (non-WCR) scalar outputs.
     ReadModifyWrite,
-    /// WCR combine per iteration: `out[off] = f(out[off], v)`. Only valid
-    /// when the executor's race analysis proved the write race-free
-    /// (non-atomic); atomic WCR cannot be mirrored in plain C.
+    /// WCR combine per iteration: `out[off] = f(out[off], v)`.
     CombinePerPoint(JitWcrOp),
     /// Register accumulation for a WCR output invariant in the enclosing
     /// loop (coefficient 0): the kernel folds into an identity-seeded
@@ -114,6 +172,15 @@ pub enum JitOutMode {
     /// valid for native single-output shapes whose call is the loop's
     /// whole body.
     Accumulate(JitWcrOp),
+    /// Write-conflict-resolved write log into a whole container (the VM's
+    /// log port): every store to the connector, at an index the body
+    /// computes, is staged for the point and combined in store order once
+    /// the body has completed. VM-mirror bodies only.
+    Log(JitWcrOp),
+    /// Stream output: each `push` appends to the port's staging buffer
+    /// (addressed by the port's `geo` base) and the kernel returns the
+    /// count in its status slots. VM-mirror bodies only.
+    Stream,
 }
 
 /// The body shape to emit, as decided by the lowering pipeline.
@@ -139,260 +206,23 @@ fn emit_preamble(src: &mut String) {
     );
 }
 
-/// Addressing scheme for one emission site: how input slot `i` is loaded
-/// and how output slot `j` resolves to a `(base pointer, offset)` pair
-/// through the `geo` rows, at the iteration point of the enclosing loops.
-struct AddrCtx<'x> {
-    ind: &'x str,
-    in_expr: &'x dyn Fn(usize) -> String,
-    out_ref: &'x dyn Fn(usize) -> (String, String),
-}
+/// Rust's saturating `f64 as i64`: truncation toward zero, NaN → 0,
+/// out-of-range values clamp to the extremes.
+const SDFG_I64: &str = "static long long sdfg_i64(double x) {\n\
+    \x20 if (x != x) return 0;\n\
+    \x20 if (x >= 9223372036854775807.0) return 9223372036854775807LL;\n\
+    \x20 if (x <= -9223372036854775808.0) return -9223372036854775807LL - 1;\n\
+    \x20 return (long long)x;\n\
+    }\n";
 
-fn emit_input_loads(src: &mut String, n_inputs: usize, actx: &AddrCtx<'_>) {
-    let ind = actx.ind;
-    for i in 0..n_inputs {
-        let _ = writeln!(src, "{ind}const double v{i} = {};", (actx.in_expr)(i));
-    }
-}
+/// The interpreted tiers' forgiving read, `read(off.max(0))`: negative
+/// offsets clamp to element 0, offsets past the end read `0.0`.
+const SDFG_RD: &str = "static double sdfg_rd(const double *p, long long n, long long o) {\n\
+    \x20 if (o < 0) o = 0;\n\
+    \x20 return o < n ? p[o] : 0.0;\n\
+    }\n";
 
-fn emit_native_value(src: &mut String, body: &JitBody<'_>, ind: &str) -> Result<(), String> {
-    match body {
-        JitBody::Pattern(p) => {
-            let _ = writeln!(src, "{ind}double val = {};", pattern_value_c(p));
-        }
-        JitBody::LinComb(lc) => src.push_str(&lincomb_value_c(lc, ind)),
-        JitBody::MulChain(mc) => src.push_str(&mulchain_value_c(mc, ind)),
-        JitBody::Program(_) => return Err("program body has no native value".into()),
-    }
-    Ok(())
-}
-
-/// Emits the per-iteration store for output `j` whose body value is in
-/// C variable `val`.
-fn emit_out_update(
-    src: &mut String,
-    j: usize,
-    mode: &JitOutMode,
-    val: &str,
-    actx: &AddrCtx<'_>,
-) -> Result<(), String> {
-    let ind = actx.ind;
-    let (ptr, off) = (actx.out_ref)(j);
-    match mode {
-        JitOutMode::Write | JitOutMode::ReadModifyWrite => {
-            let _ = writeln!(src, "{ind}{ptr}[{off}] = {val};");
-        }
-        JitOutMode::CombinePerPoint(op) => {
-            let _ = writeln!(
-                src,
-                "{ind}{{ const long long o = {off};\n{ind}  {ptr}[o] = {}; }}",
-                op.combine(&format!("{ptr}[o]"), val)
-            );
-        }
-        JitOutMode::Accumulate(_) => return Err("accumulate handled separately".into()),
-    }
-    Ok(())
-}
-
-// --- VM-mirror body emission --------------------------------------------------
-
-/// Emits an unrecognized tasklet body as C statements that mirror the
-/// bytecode VM. Output locals `o{j}` are seeded per the output mode
-/// (memory for read-modify-write, `0.0` for WCR — exactly the affine VM
-/// loop's protocol) and flushed after the body.
-fn emit_vm_body(
-    src: &mut String,
-    prog: &TaskletProgram,
-    outs: &[JitOutMode],
-    actx: &AddrCtx<'_>,
-) -> Result<(), String> {
-    if outs.len() != prog.outputs.len() {
-        return Err("output arity mismatch".into());
-    }
-    let ind = actx.ind;
-    // Seed output locals.
-    for (j, mode) in outs.iter().enumerate() {
-        match mode {
-            JitOutMode::ReadModifyWrite => {
-                let (ptr, off) = (actx.out_ref)(j);
-                let _ = writeln!(src, "{ind}double o{j} = {ptr}[{off}];");
-            }
-            JitOutMode::Write | JitOutMode::CombinePerPoint(_) => {
-                let _ = writeln!(src, "{ind}double o{j} = 0.0;");
-            }
-            JitOutMode::Accumulate(_) => {
-                return Err("register accumulation on a VM-mirror body".into())
-            }
-        }
-    }
-    // Declare locals up front (VM registers start zeroed); assignments in
-    // the body are definite-assignment checked, so the initializer is only
-    // observable where the VM would also observe a fresh zero register.
-    let mut all_locals: Vec<String> = Vec::new();
-    collect_locals(&prog.body, prog, &mut all_locals);
-    for l in &all_locals {
-        let _ = writeln!(src, "{ind}double l_{l} = 0.0;");
-    }
-    let mut st = VmEmitState {
-        prog,
-        declared: Vec::new(),
-        definite: Vec::new(),
-    };
-    for s in &prog.body {
-        st.emit_stmt(s, ind, src)?;
-    }
-    // Flush output locals.
-    for (j, mode) in outs.iter().enumerate() {
-        emit_out_update(src, j, mode, &format!("o{j}"), actx)?;
-    }
-    Ok(())
-}
-
-/// Collects every local name the body defines (assignment targets that are
-/// not output connectors), in first-definition order.
-fn collect_locals(body: &[Stmt], prog: &TaskletProgram, acc: &mut Vec<String>) {
-    for s in body {
-        match s {
-            Stmt::Assign { target, .. } => {
-                if !prog.outputs.contains(target)
-                    && !prog.inputs.contains(target)
-                    && !acc.contains(target)
-                {
-                    acc.push(target.clone());
-                }
-            }
-            Stmt::If { then, els, .. } => {
-                collect_locals(then, prog, acc);
-                collect_locals(els, prog, acc);
-            }
-            Stmt::Push { .. } => {}
-        }
-    }
-}
-
-/// Walks the body in the same textual order as the bytecode compiler,
-/// tracking which locals exist (`declared`, governing name resolution) and
-/// which are definitely assigned on every path (`definite`, guarding
-/// against the VM's cross-point register persistence).
-struct VmEmitState<'a> {
-    prog: &'a TaskletProgram,
-    declared: Vec<String>,
-    definite: Vec<String>,
-}
-
-impl VmEmitState<'_> {
-    /// Resolution order must match the bytecode compiler: inputs, then
-    /// locals declared so far, then outputs, then SDFG symbols.
-    fn resolve_read(&self, n: &str) -> Result<String, String> {
-        if let Some(i) = self.prog.inputs.iter().position(|x| x == n) {
-            return Ok(format!("v{i}"));
-        }
-        if self.declared.iter().any(|l| l == n) {
-            if !self.definite.iter().any(|l| l == n) {
-                return Err(format!(
-                    "local `{n}` may be read unassigned (stale VM register)"
-                ));
-            }
-            return Ok(format!("l_{n}"));
-        }
-        if let Some(j) = self.prog.outputs.iter().position(|x| x == n) {
-            return Ok(format!("o{j}"));
-        }
-        if let Some(s) = self.prog.symbols.iter().position(|x| x == n) {
-            return Ok(format!("syms[{s}]"));
-        }
-        Err(format!("unresolved name `{n}`"))
-    }
-
-    fn emit_stmt(&mut self, s: &Stmt, ind: &str, src: &mut String) -> Result<(), String> {
-        match s {
-            Stmt::Push { stream, .. } => Err(format!("stream push to `{stream}`")),
-            Stmt::Assign {
-                index: Some(_),
-                target,
-                ..
-            } => Err(format!("indexed store to `{target}`")),
-            Stmt::Assign {
-                target,
-                index: None,
-                op,
-                value,
-            } => {
-                // The compiler resolves the RHS before defining the target
-                // local, so emit it under the current scope first.
-                let rhs = {
-                    let resolve = |n: &str| self.resolve_read(n);
-                    vm_expr_to_c(value, &resolve)?
-                };
-                let lhs = if let Some(j) = self.prog.outputs.iter().position(|x| x == target) {
-                    format!("o{j}")
-                } else if self.prog.inputs.contains(target) {
-                    return Err(format!("assignment to input `{target}`"));
-                } else {
-                    if !self.declared.contains(target) {
-                        if op.is_some() {
-                            return Err(format!("augmented assignment to undefined `{target}`"));
-                        }
-                        self.declared.push(target.clone());
-                    }
-                    if !self.definite.contains(target) {
-                        self.definite.push(target.clone());
-                    }
-                    format!("l_{target}")
-                };
-                match op {
-                    None => {
-                        let _ = writeln!(src, "{ind}{lhs} = {rhs};");
-                    }
-                    Some(op) => {
-                        // `t op= v` runs as `t = apply_bin(op, t, v)`.
-                        let e = match op {
-                            BinOp::Add => format!("({lhs} + {rhs})"),
-                            BinOp::Sub => format!("({lhs} - {rhs})"),
-                            BinOp::Mul => format!("({lhs} * {rhs})"),
-                            BinOp::Div => format!("({lhs} / {rhs})"),
-                            BinOp::FloorDiv => format!("floor({lhs} / {rhs})"),
-                            BinOp::Mod => format!("sdfg_mod({lhs}, {rhs})"),
-                            BinOp::Pow => format!("pow({lhs}, {rhs})"),
-                        };
-                        let _ = writeln!(src, "{ind}{lhs} = {e};");
-                    }
-                }
-                Ok(())
-            }
-            Stmt::If { cond, then, els } => {
-                let c = {
-                    let resolve = |n: &str| self.resolve_read(n);
-                    vm_expr_to_c(cond, &resolve)?
-                };
-                let _ = writeln!(src, "{ind}if (({c}) != 0.0) {{");
-                let outer_definite = self.definite.clone();
-                let inner = format!("{ind}  ");
-                for s in then {
-                    self.emit_stmt(s, &inner, src)?;
-                }
-                let then_definite = std::mem::replace(&mut self.definite, outer_definite.clone());
-                let _ = writeln!(src, "{ind}}} else {{");
-                for s in els {
-                    self.emit_stmt(s, &inner, src)?;
-                }
-                let els_definite = std::mem::take(&mut self.definite);
-                // Only locals assigned on *both* paths are definite after
-                // the branch.
-                self.definite = outer_definite;
-                for l in &then_definite {
-                    if els_definite.contains(l) && !self.definite.contains(l) {
-                        self.definite.push(l.clone());
-                    }
-                }
-                let _ = writeln!(src, "{ind}}}");
-                Ok(())
-            }
-        }
-    }
-}
-
-// --- nest emission -----------------------------------------------------------
+// --- nest specification --------------------------------------------------------
 
 /// One output binding of a nest tasklet: which global port it writes and
 /// how (see [`JitOutMode`]).
@@ -421,8 +251,9 @@ pub struct NestTasklet<'a> {
 pub enum NestItem {
     /// `for (i{dim} = lo_d; i{dim} < hi_d; ++i{dim}) { body }` with the
     /// bounds taken from the kernel's `bnd` rows (affine in enclosing
-    /// iteration variables). `dim` 0 is reserved for the outermost loop,
-    /// whose range is the `[lo0, hi0)` arguments.
+    /// iteration variables) or loaded (see [`NestSpec::loaded`]). `dim` 0
+    /// is reserved for the outermost loop, whose range is the `[lo0, hi0)`
+    /// arguments.
     Loop {
         /// Nest dimension this loop iterates.
         dim: usize,
@@ -433,7 +264,22 @@ pub enum NestItem {
     Call(usize),
 }
 
+/// A loop bound read from memory when its loop is entered: the element
+/// port `port` addresses at the enclosing iteration point, rounded half
+/// away from zero and converted like the interpreter's dynamic-range
+/// connectors (`round() as i64`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LoadedBound {
+    /// Dimension whose bound this is (never 0).
+    pub dim: usize,
+    /// Upper (exclusive) bound rather than the lower one.
+    pub hi: bool,
+    /// Port holding the bound.
+    pub port: usize,
+}
+
 /// Everything the emitter needs to produce one nest kernel.
+#[derive(Default)]
 pub struct NestSpec<'a> {
     /// Number of nest dimensions (outermost/tile dimension included).
     pub ndims: usize,
@@ -443,6 +289,15 @@ pub struct NestSpec<'a> {
     pub tasklets: Vec<NestTasklet<'a>>,
     /// Kernel body, nested directly inside the dimension-0 loop.
     pub body: Vec<NestItem>,
+    /// Ports that stand for a whole container: VM-mirror bodies address
+    /// them by a computed index, range-checked against the length table.
+    pub whole: Vec<usize>,
+    /// Ports addressed through a dimension with a loaded bound, whose
+    /// offsets no launch can validate: their accesses mirror the
+    /// interpreted tiers' clamping.
+    pub clamped: Vec<usize>,
+    /// Loop bounds loaded from ports instead of `bnd` rows.
+    pub loaded: Vec<LoadedBound>,
 }
 
 /// C literal for a reduction identity (bitwise-identical to the
@@ -488,15 +343,53 @@ pub fn emit_nest_kernel(spec: &NestSpec<'_>) -> Result<String, String> {
     if spec.body.is_empty() || spec.tasklets.is_empty() {
         return Err("empty nest body".into());
     }
+    let ports = spec.whole.iter().chain(&spec.clamped);
+    let bound_ports = spec.loaded.iter().map(|l| &l.port);
     for t in &spec.tasklets {
-        for &p in t.ins.iter().chain(t.outs.iter().map(|o| &o.port)) {
-            if p >= spec.nports {
-                return Err("port index out of range".into());
+        let used = t.ins.iter().chain(t.outs.iter().map(|o| &o.port));
+        if used
+            .chain(ports.clone())
+            .chain(bound_ports.clone())
+            .any(|&p| p >= spec.nports)
+        {
+            return Err("port index out of range".into());
+        }
+    }
+    if spec
+        .loaded
+        .iter()
+        .any(|l| l.dim == 0 || l.dim >= spec.ndims)
+    {
+        return Err("loaded bound on a bad dimension".into());
+    }
+    let mut em = Emitter {
+        spec,
+        src: String::new(),
+        uses_i64: false,
+        uses_rd: false,
+        fallible: false,
+        streams: Vec::new(),
+        tmp: 0,
+    };
+    for (t, tk) in spec.tasklets.iter().enumerate() {
+        for (j, o) in tk.outs.iter().enumerate() {
+            if o.mode == JitOutMode::Stream {
+                em.streams.push((t, j));
             }
         }
     }
+    em.emit_loop(0, &spec.body, &mut Vec::new(), "  ")?;
     let mut src = String::new();
     emit_preamble(&mut src);
+    if em.uses_i64 {
+        src.push_str(SDFG_I64);
+    }
+    if em.uses_rd {
+        src.push_str(SDFG_RD);
+    }
+    if em.uses_i64 || em.uses_rd {
+        src.push('\n');
+    }
     let _ = writeln!(
         src,
         "void {NEST_ENTRY}(double *const *bufs, const long long *geo,\n\
@@ -505,7 +398,16 @@ pub fn emit_nest_kernel(spec: &NestSpec<'_>) -> Result<String, String> {
     );
     src.push_str("  (void)bufs; (void)geo; (void)syms; (void)bnd;\n");
     src.push_str("  long long cnt = 0;\n");
-    emit_nest_loop(&mut src, spec, 0, &spec.body, &mut Vec::new(), "  ")?;
+    for k in 0..em.streams.len() {
+        let _ = writeln!(src, "  long long ns{k} = 0;");
+    }
+    src.push_str(&em.src);
+    if em.fallible {
+        src.push_str("sdfg_done:\n");
+    }
+    for k in 0..em.streams.len() {
+        let _ = writeln!(src, "  npts[{}] = ns{k};", STATUS_STREAMS + k);
+    }
     src.push_str("  *npts = cnt;\n}\n");
     Ok(src)
 }
@@ -526,158 +428,724 @@ fn accumulate_form(spec: &NestSpec<'_>, body: &[NestItem]) -> Option<(usize, Jit
     }
 }
 
-/// Emits the loop over dimension `d` — whose `[lo{d}, hi{d})` bounds are
-/// already C variables in scope (the entry point's arguments for the tile
-/// dimension) — either as a plain `for` around `body` or, when `body` is a
-/// single accumulating call, as a reduction loop.
-fn emit_nest_loop(
-    src: &mut String,
-    spec: &NestSpec<'_>,
-    d: usize,
-    body: &[NestItem],
-    scope: &mut Vec<usize>,
-    ind: &str,
-) -> Result<(), String> {
-    let Some((t, op)) = accumulate_form(spec, body) else {
+/// Number of stores a tasklet body makes to output `name` on its longest
+/// path (an upper bound: branches are summed).
+fn stores_to(body: &[Stmt], name: &str) -> usize {
+    body.iter()
+        .map(|s| match s {
+            Stmt::Assign { target, .. } => usize::from(target == name),
+            Stmt::If { then, els, .. } => stores_to(then, name) + stores_to(els, name),
+            Stmt::Push { .. } => 0,
+        })
+        .sum()
+}
+
+/// Number of pushes a tasklet body makes to stream `name` per execution,
+/// at most (branches are summed). The executor sizes stream staging by it.
+pub fn pushes_to(body: &[Stmt], name: &str) -> usize {
+    body.iter()
+        .map(|s| match s {
+            Stmt::Push { stream, .. } => usize::from(stream == name),
+            Stmt::If { then, els, .. } => pushes_to(then, name) + pushes_to(els, name),
+            Stmt::Assign { .. } => 0,
+        })
+        .sum()
+}
+
+/// Per-kernel emission state: the body text, plus what it turned out to
+/// need (helpers, the fault exit, stream counters).
+struct Emitter<'s, 'a> {
+    spec: &'s NestSpec<'a>,
+    src: String,
+    /// The body references `sdfg_i64`.
+    uses_i64: bool,
+    /// The body references `sdfg_rd`.
+    uses_rd: bool,
+    /// Some access can fail: the kernel needs the `sdfg_done` exit.
+    fallible: bool,
+    /// `(call, output slot)` of each stream output, in call then slot
+    /// order: stream `k` counts its pushes in `ns{k}`.
+    streams: Vec<(usize, usize)>,
+    /// Counter for hoisted temporaries.
+    tmp: usize,
+}
+
+impl Emitter<'_, '_> {
+    /// `geo` entry holding port `p`'s container length.
+    fn len_ref(&self, p: usize) -> String {
+        format!("geo[{}]", self.spec.nports * (2 + self.spec.ndims) + p)
+    }
+
+    fn clamped(&self, p: usize) -> bool {
+        self.spec.clamped.contains(&p)
+    }
+
+    /// C expression reading port `p` at the point spanned by `scope`.
+    fn load(&mut self, p: usize, scope: &[usize]) -> String {
+        let (ptr, off) = nest_port_ref(self.spec.ndims, p, scope);
+        if self.clamped(p) {
+            self.uses_rd = true;
+            return format!("sdfg_rd({ptr}, {}, {off})", self.len_ref(p));
+        }
+        format!("{ptr}[{off}]")
+    }
+
+    /// Emits the per-iteration store of `val` through port `p` in `mode`
+    /// (plain or combining).
+    fn store(
+        &mut self,
+        p: usize,
+        scope: &[usize],
+        mode: &JitOutMode,
+        val: &str,
+        ind: &str,
+    ) -> Result<(), String> {
+        let (ptr, off) = nest_port_ref(self.spec.ndims, p, scope);
+        let update = match mode {
+            JitOutMode::Write | JitOutMode::ReadModifyWrite => None,
+            JitOutMode::CombinePerPoint(op) => Some(op),
+            _ => return Err("output mode has no per-point store".into()),
+        };
+        if self.clamped(p) {
+            // The interpreted tiers write at `off.max(0)` and drop writes
+            // past the end.
+            let len = self.len_ref(p);
+            let v = match update {
+                None => val.to_string(),
+                Some(op) => op.combine(&format!("{ptr}[o]"), val),
+            };
+            let _ = writeln!(
+                self.src,
+                "{ind}{{ long long o = {off}; if (o < 0) o = 0;\n{ind}  if (o < {len}) {ptr}[o] = {v}; }}"
+            );
+            return Ok(());
+        }
+        match update {
+            None => {
+                let _ = writeln!(self.src, "{ind}{ptr}[{off}] = {val};");
+            }
+            Some(op) => {
+                let _ = writeln!(
+                    self.src,
+                    "{ind}{{ const long long o = {off};\n{ind}  {ptr}[o] = {}; }}",
+                    op.combine(&format!("{ptr}[o]"), val)
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Emits `{ fault; goto sdfg_done; }` for call `t`'s `slot`.
+    fn fault(&mut self, t: usize, output: bool, slot: usize, idx: &str) -> String {
+        self.fallible = true;
+        format!(
+            "{{ npts[{STATUS_FAULT}] = {}; npts[{STATUS_INDEX}] = {idx}; goto sdfg_done; }}",
+            fault_code(t, output, slot)
+        )
+    }
+
+    /// Emits the loop over dimension `d` — whose `[lo{d}, hi{d})` bounds
+    /// are already C variables in scope (the entry point's arguments for
+    /// the tile dimension) — either as a plain `for` around `body` or,
+    /// when `body` is a single accumulating call, as a reduction loop.
+    fn emit_loop(
+        &mut self,
+        d: usize,
+        body: &[NestItem],
+        scope: &mut Vec<usize>,
+        ind: &str,
+    ) -> Result<(), String> {
+        let spec = self.spec;
+        let Some((t, op)) = accumulate_form(spec, body) else {
+            let _ = writeln!(
+                self.src,
+                "{ind}for (long long i{d} = lo{d}; i{d} < hi{d}; ++i{d}) {{"
+            );
+            scope.push(d);
+            self.emit_items(body, scope, &format!("{ind}  "))?;
+            scope.pop();
+            let _ = writeln!(self.src, "{ind}}}");
+            return Ok(());
+        };
+        // Reduction loop: identity-seeded register, final combine into
+        // memory — skipped entirely for empty ranges, mirroring the native
+        // tier's early return.
+        let tk = &spec.tasklets[t];
+        if matches!(tk.body, JitBody::Program(_)) {
+            return Err("register accumulation on a VM-mirror body".into());
+        }
+        let _ = writeln!(self.src, "{ind}if (lo{d} < hi{d}) {{");
+        let _ = writeln!(self.src, "{ind}  double acc = {};", wcr_identity_c(op));
         let _ = writeln!(
-            src,
-            "{ind}for (long long i{d} = lo{d}; i{d} < hi{d}; ++i{d}) {{"
+            self.src,
+            "{ind}  for (long long i{d} = lo{d}; i{d} < hi{d}; ++i{d}) {{"
         );
         scope.push(d);
-        emit_nest_items(src, spec, body, scope, &format!("{ind}  "))?;
+        let inner = format!("{ind}    ");
+        self.emit_input_loads(tk, scope, &inner)?;
+        emit_native_value(&mut self.src, &tk.body, &inner)?;
+        let _ = writeln!(self.src, "{inner}acc = {};", op.combine("acc", "val"));
+        let _ = writeln!(self.src, "{inner}++cnt;");
         scope.pop();
-        let _ = writeln!(src, "{ind}}}");
-        return Ok(());
-    };
-    // Reduction loop: identity-seeded register, final combine into
-    // memory — skipped entirely for empty ranges, mirroring the native
-    // tier's early return.
-    let tk = &spec.tasklets[t];
-    if matches!(tk.body, JitBody::Program(_)) {
-        return Err("register accumulation on a VM-mirror body".into());
+        let _ = writeln!(self.src, "{ind}  }}");
+        // The out port is loop-invariant (its dim-`d` coefficient is zero),
+        // so address it in the outer scope.
+        let p = tk.outs[0].port;
+        self.store(
+            p,
+            scope,
+            &JitOutMode::CombinePerPoint(op),
+            "acc",
+            &format!("{ind}  "),
+        )?;
+        let _ = writeln!(self.src, "{ind}}}");
+        Ok(())
     }
-    let _ = writeln!(src, "{ind}if (lo{d} < hi{d}) {{");
-    let _ = writeln!(src, "{ind}  double acc = {};", wcr_identity_c(op));
-    let _ = writeln!(
-        src,
-        "{ind}  for (long long i{d} = lo{d}; i{d} < hi{d}; ++i{d}) {{"
-    );
-    scope.push(d);
-    let inner = format!("{ind}    ");
-    {
-        let ndims = spec.ndims;
-        let in_expr = |i: usize| {
-            let (ptr, off) = nest_port_ref(ndims, tk.ins[i], scope);
-            format!("{ptr}[{off}]")
-        };
-        let out_ref = |_j: usize| -> (String, String) { unreachable!("accumulate out") };
-        let actx = AddrCtx {
-            ind: &inner,
-            in_expr: &in_expr,
-            out_ref: &out_ref,
-        };
-        emit_input_loads(src, tk.ins.len(), &actx);
-        emit_native_value(src, &tk.body, &inner)?;
-    }
-    let _ = writeln!(src, "{inner}acc = {};", op.combine("acc", "val"));
-    let _ = writeln!(src, "{inner}++cnt;");
-    scope.pop();
-    let _ = writeln!(src, "{ind}  }}");
-    // The out port is loop-invariant (its dim-`d` coefficient is zero), so
-    // address it in the outer scope.
-    let (ptr, off) = nest_port_ref(spec.ndims, tk.outs[0].port, scope);
-    let _ = writeln!(src, "{ind}  {{ const long long o = {off};");
-    let _ = writeln!(
-        src,
-        "{ind}    {ptr}[o] = {}; }}",
-        op.combine(&format!("{ptr}[o]"), "acc")
-    );
-    let _ = writeln!(src, "{ind}}}");
-    Ok(())
-}
 
-fn emit_nest_items(
-    src: &mut String,
-    spec: &NestSpec<'_>,
-    items: &[NestItem],
-    scope: &mut Vec<usize>,
-    ind: &str,
-) -> Result<(), String> {
-    for item in items {
-        match item {
-            NestItem::Call(t) => emit_nest_call(src, spec, *t, scope, ind)?,
-            NestItem::Loop { dim, body } => {
-                let d = *dim;
-                if d == 0 || d >= spec.ndims {
-                    return Err(format!("bad nest dimension {d}"));
-                }
-                if scope.contains(&d) {
-                    return Err(format!("nest dimension {d} reused"));
-                }
-                let lo = nest_bound_expr(spec.ndims, d, false, scope);
-                let hi = nest_bound_expr(spec.ndims, d, true, scope);
-                let _ = writeln!(src, "{ind}{{");
-                let _ = writeln!(src, "{ind}  const long long lo{d} = {lo};");
-                let _ = writeln!(src, "{ind}  const long long hi{d} = {hi};");
-                emit_nest_loop(src, spec, d, body, scope, &format!("{ind}  "))?;
-                let _ = writeln!(src, "{ind}}}");
+    /// C expression for one bound of dimension `d`: its `bnd` row, or the
+    /// element a loaded bound's port addresses.
+    fn bound(&mut self, d: usize, hi: bool, scope: &[usize]) -> String {
+        let spec = self.spec;
+        match spec.loaded.iter().find(|l| l.dim == d && l.hi == hi) {
+            Some(l) => {
+                self.uses_i64 = true;
+                let (ptr, off) = nest_port_ref(spec.ndims, l.port, scope);
+                format!("sdfg_i64(round({ptr}[{off}]))")
             }
+            None => nest_bound_expr(spec.ndims, d, hi, scope),
         }
     }
+
+    fn emit_items(
+        &mut self,
+        items: &[NestItem],
+        scope: &mut Vec<usize>,
+        ind: &str,
+    ) -> Result<(), String> {
+        for item in items {
+            match item {
+                NestItem::Call(t) => self.emit_call(*t, scope, ind)?,
+                NestItem::Loop { dim, body } => {
+                    let d = *dim;
+                    if d == 0 || d >= self.spec.ndims {
+                        return Err(format!("bad nest dimension {d}"));
+                    }
+                    if scope.contains(&d) {
+                        return Err(format!("nest dimension {d} reused"));
+                    }
+                    let lo = self.bound(d, false, scope);
+                    let hi = self.bound(d, true, scope);
+                    let _ = writeln!(self.src, "{ind}{{");
+                    let _ = writeln!(self.src, "{ind}  const long long lo{d} = {lo};");
+                    let _ = writeln!(self.src, "{ind}  const long long hi{d} = {hi};");
+                    self.emit_loop(d, body, scope, &format!("{ind}  "))?;
+                    let _ = writeln!(self.src, "{ind}}}");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `const double v{i} = …;` for every input slot that is not a whole
+    /// container (those are read by index in the body).
+    fn emit_input_loads(
+        &mut self,
+        tk: &NestTasklet<'_>,
+        scope: &[usize],
+        ind: &str,
+    ) -> Result<(), String> {
+        for (i, &p) in tk.ins.iter().enumerate() {
+            if self.spec.whole.contains(&p) {
+                if !matches!(tk.body, JitBody::Program(_)) {
+                    return Err("whole-container input on a native body".into());
+                }
+                continue;
+            }
+            let v = self.load(p, scope);
+            let _ = writeln!(self.src, "{ind}const double v{i} = {v};");
+        }
+        Ok(())
+    }
+
+    /// Emits one tasklet call at the current iteration point. Mirrors the
+    /// per-point tiers statement for statement; `Accumulate` outputs are
+    /// rejected here (they are only legal as a whole reduction loop).
+    fn emit_call(&mut self, t: usize, scope: &[usize], ind: &str) -> Result<(), String> {
+        let spec = self.spec;
+        let tk = spec
+            .tasklets
+            .get(t)
+            .ok_or_else(|| format!("bad call index {t}"))?;
+        if tk
+            .outs
+            .iter()
+            .any(|o| matches!(o.mode, JitOutMode::Accumulate(_)))
+        {
+            return Err("accumulate output outside a reduction loop".into());
+        }
+        let _ = writeln!(self.src, "{ind}{{");
+        let inner = format!("{ind}  ");
+        self.emit_input_loads(tk, scope, &inner)?;
+        match &tk.body {
+            JitBody::Program(prog) => self.emit_vm_body(t, prog, scope, &inner)?,
+            native => {
+                if tk.outs.len() != 1 {
+                    return Err("native nest call requires a single output".into());
+                }
+                emit_native_value(&mut self.src, native, &inner)?;
+                self.store(tk.outs[0].port, scope, &tk.outs[0].mode, "val", &inner)?;
+            }
+        }
+        let _ = writeln!(self.src, "{inner}++cnt;");
+        let _ = writeln!(self.src, "{ind}}}");
+        Ok(())
+    }
+
+    /// Emits an unrecognized tasklet body as C statements that mirror the
+    /// bytecode VM. Output locals `o{j}` are seeded per the output mode
+    /// (memory for read-modify-write, `0.0` for WCR — exactly the affine VM
+    /// loop's protocol) and flushed after the body; write logs are staged
+    /// in per-point arrays and flushed after it too.
+    fn emit_vm_body(
+        &mut self,
+        t: usize,
+        prog: &TaskletProgram,
+        scope: &[usize],
+        ind: &str,
+    ) -> Result<(), String> {
+        let spec = self.spec;
+        let tk = &spec.tasklets[t];
+        if tk.outs.len() != prog.outputs.len() {
+            return Err("output arity mismatch".into());
+        }
+        // Seed output locals.
+        for (j, o) in tk.outs.iter().enumerate() {
+            match o.mode {
+                JitOutMode::ReadModifyWrite => {
+                    let v = self.load(o.port, scope);
+                    let _ = writeln!(self.src, "{ind}double o{j} = {v};");
+                }
+                JitOutMode::Write | JitOutMode::CombinePerPoint(_) => {
+                    let _ = writeln!(self.src, "{ind}double o{j} = 0.0;");
+                }
+                JitOutMode::Accumulate(_) => {
+                    return Err("register accumulation on a VM-mirror body".into())
+                }
+                JitOutMode::Log(_) => {
+                    if !self.spec.whole.contains(&o.port) {
+                        return Err("write log into a partial window".into());
+                    }
+                    let k = stores_to(&prog.body, &prog.outputs[j]).max(1);
+                    let _ = writeln!(
+                        self.src,
+                        "{ind}long long lgi{j}[{k}]; double lgv{j}[{k}]; int lgn{j} = 0;"
+                    );
+                }
+                JitOutMode::Stream => {}
+            }
+        }
+        // Declare locals up front (VM registers start zeroed); assignments
+        // in the body are definite-assignment checked, so the initializer
+        // is only observable where the VM would also observe a fresh zero
+        // register.
+        let mut all_locals: Vec<String> = Vec::new();
+        collect_locals(&prog.body, prog, &mut all_locals);
+        for l in &all_locals {
+            let _ = writeln!(self.src, "{ind}double l_{l} = 0.0;");
+        }
+        let mut st = VmEmitState {
+            em: self,
+            t,
+            prog,
+            scope,
+            declared: Vec::new(),
+            definite: Vec::new(),
+        };
+        for s in &prog.body {
+            st.emit_stmt(s, ind)?;
+        }
+        // Flush outputs in slot order, as the interpreted tiers scatter.
+        for (j, o) in tk.outs.iter().enumerate() {
+            match o.mode {
+                JitOutMode::Log(op) => {
+                    let (ptr, off) = nest_port_ref(self.spec.ndims, o.port, scope);
+                    let len = self.len_ref(o.port);
+                    let _ = writeln!(
+                        self.src,
+                        "{ind}for (int k = 0; k < lgn{j}; ++k) {{\n\
+                         {ind}  const long long q = {off} + lgi{j}[k];\n\
+                         {ind}  if (q < {len}) {ptr}[q] = {};\n\
+                         {ind}}}",
+                        op.combine(&format!("{ptr}[q]"), &format!("lgv{j}[k]"))
+                    );
+                }
+                JitOutMode::Stream => {}
+                mode => self.store(o.port, scope, &mode, &format!("o{j}"), ind)?,
+            }
+        }
+        Ok(())
+    }
+}
+
+fn emit_native_value(src: &mut String, body: &JitBody<'_>, ind: &str) -> Result<(), String> {
+    match body {
+        JitBody::Pattern(p) => {
+            let _ = writeln!(src, "{ind}double val = {};", pattern_value_c(p));
+        }
+        JitBody::LinComb(lc) => src.push_str(&lincomb_value_c(lc, ind)),
+        JitBody::MulChain(mc) => src.push_str(&mulchain_value_c(mc, ind)),
+        JitBody::Program(_) => return Err("program body has no native value".into()),
+    }
     Ok(())
 }
 
-/// Emits one tasklet call at the current iteration point. Mirrors the
-/// per-point tiers statement for statement; `Accumulate` outputs are
-/// rejected here (they are only legal as a whole reduction loop).
-fn emit_nest_call(
-    src: &mut String,
-    spec: &NestSpec<'_>,
+// --- VM-mirror body emission --------------------------------------------------
+
+/// Collects every local name the body defines (assignment targets that are
+/// not output connectors), in first-definition order.
+fn collect_locals(body: &[Stmt], prog: &TaskletProgram, acc: &mut Vec<String>) {
+    for s in body {
+        match s {
+            Stmt::Assign { target, .. } => {
+                if !prog.outputs.contains(target)
+                    && !prog.inputs.contains(target)
+                    && !acc.contains(target)
+                {
+                    acc.push(target.clone());
+                }
+            }
+            Stmt::If { then, els, .. } => {
+                collect_locals(then, prog, acc);
+                collect_locals(els, prog, acc);
+            }
+            Stmt::Push { .. } => {}
+        }
+    }
+}
+
+/// Walks the body in the same textual order as the bytecode compiler,
+/// tracking which locals exist (`declared`, governing name resolution) and
+/// which are definitely assigned on every path (`definite`, guarding
+/// against the VM's cross-point register persistence).
+struct VmEmitState<'e, 's, 'a, 'p> {
+    em: &'e mut Emitter<'s, 'a>,
+    /// The call being emitted.
     t: usize,
-    scope: &[usize],
-    ind: &str,
-) -> Result<(), String> {
-    let tk = spec
-        .tasklets
-        .get(t)
-        .ok_or_else(|| format!("bad call index {t}"))?;
-    if tk
-        .outs
-        .iter()
-        .any(|o| matches!(o.mode, JitOutMode::Accumulate(_)))
-    {
-        return Err("accumulate output outside a reduction loop".into());
+    prog: &'p TaskletProgram,
+    scope: &'p [usize],
+    declared: Vec<String>,
+    definite: Vec<String>,
+}
+
+/// Prefix of the names hoisted loads take in rewritten expressions (no
+/// tasklet identifier contains it).
+const HOISTED: char = '#';
+
+impl VmEmitState<'_, '_, '_, '_> {
+    fn tasklet(&self) -> &NestTasklet<'_> {
+        &self.em.spec.tasklets[self.t]
     }
-    let _ = writeln!(src, "{ind}{{");
-    let inner = format!("{ind}  ");
-    let ndims = spec.ndims;
-    let in_expr = |i: usize| {
-        let (ptr, off) = nest_port_ref(ndims, tk.ins[i], scope);
-        format!("{ptr}[{off}]")
-    };
-    let out_ref = |j: usize| nest_port_ref(ndims, tk.outs[j].port, scope);
-    let actx = AddrCtx {
-        ind: &inner,
-        in_expr: &in_expr,
-        out_ref: &out_ref,
-    };
-    emit_input_loads(src, tk.ins.len(), &actx);
-    match &tk.body {
-        JitBody::Program(prog) => {
-            let modes: Vec<JitOutMode> = tk.outs.iter().map(|o| o.mode).collect();
-            emit_vm_body(src, prog, &modes, &actx)?;
+
+    /// The input slot of `n` when it is a whole-container connector.
+    fn whole_input(&self, n: &str) -> Option<usize> {
+        let i = self.prog.inputs.iter().position(|x| x == n)?;
+        self.em
+            .spec
+            .whole
+            .contains(&self.tasklet().ins[i])
+            .then_some(i)
+    }
+
+    fn mode_of(&self, j: usize) -> JitOutMode {
+        self.tasklet().outs[j].mode
+    }
+
+    /// Resolution order must match the bytecode compiler: inputs, then
+    /// locals declared so far, then outputs, then SDFG symbols.
+    fn resolve_read(&self, n: &str) -> Result<String, String> {
+        if let Some(ld) = n.strip_prefix(HOISTED) {
+            return Ok(ld.to_string());
         }
-        native => {
-            if tk.outs.len() != 1 {
-                return Err("native nest call requires a single output".into());
+        if let Some(i) = self.prog.inputs.iter().position(|x| x == n) {
+            return Ok(format!("v{i}"));
+        }
+        if self.declared.iter().any(|l| l == n) {
+            if !self.definite.iter().any(|l| l == n) {
+                return Err(format!(
+                    "local `{n}` may be read unassigned (stale VM register)"
+                ));
             }
-            emit_native_value(src, native, &inner)?;
-            emit_out_update(src, 0, &tk.outs[0].mode, "val", &actx)?;
+            return Ok(format!("l_{n}"));
+        }
+        if let Some(j) = self.prog.outputs.iter().position(|x| x == n) {
+            if matches!(self.mode_of(j), JitOutMode::Log(_) | JitOutMode::Stream) {
+                return Err(format!("read of write-only connector `{n}`"));
+            }
+            return Ok(format!("o{j}"));
+        }
+        if let Some(s) = self.prog.symbols.iter().position(|x| x == n) {
+            return Ok(format!("syms[{s}]"));
+        }
+        Err(format!("unresolved name `{n}`"))
+    }
+
+    /// Whether evaluating `e` reads a whole-container connector.
+    fn reads_whole(&self, e: &ExprAst) -> bool {
+        match e {
+            ExprAst::Num(_) => false,
+            ExprAst::Name(n) => self.whole_input(n).is_some(),
+            ExprAst::Index(..) => true,
+            ExprAst::Bin(_, a, b)
+            | ExprAst::Cmp(_, a, b)
+            | ExprAst::And(a, b)
+            | ExprAst::Or(a, b) => self.reads_whole(a) || self.reads_whole(b),
+            ExprAst::Neg(a) | ExprAst::Not(a) => self.reads_whole(a),
+            ExprAst::Call(_, args) => args.iter().any(|a| self.reads_whole(a)),
+            ExprAst::Ternary { cond, then, els } => {
+                self.reads_whole(cond) || self.reads_whole(then) || self.reads_whole(els)
+            }
         }
     }
-    let _ = writeln!(src, "{inner}++cnt;");
-    let _ = writeln!(src, "{ind}}}");
-    Ok(())
+
+    /// Emits, in the VM's evaluation order, one checked load per indexed
+    /// read in `e`, and returns `e` with each read replaced by the
+    /// temporary holding its value. A read the VM evaluates lazily (the
+    /// right operand of `and`/`or`, a conditional expression's arms) could
+    /// fault where the VM never reads, so it is rejected.
+    fn hoist(&mut self, e: &ExprAst, ind: &str) -> Result<ExprAst, String> {
+        let lazy = |st: &Self, x: &ExprAst| -> Result<(), String> {
+            if st.reads_whole(x) {
+                return Err("indexed read under a short-circuit or conditional".into());
+            }
+            Ok(())
+        };
+        Ok(match e {
+            ExprAst::Num(_) => e.clone(),
+            ExprAst::Name(n) => match self.whole_input(n) {
+                // A bare whole-container read is the VM's load at index 0.
+                Some(_) => {
+                    let at0 = ExprAst::Index(n.clone(), vec![ExprAst::Num(0.0)]);
+                    self.hoist(&at0, ind)?
+                }
+                None => e.clone(),
+            },
+            ExprAst::Index(n, idx) => {
+                let Some(i) = self.whole_input(n) else {
+                    return Err(format!("indexed access to `{n}`"));
+                };
+                let [ix] = &idx[..] else {
+                    return Err(format!("multi-dimensional index into `{n}`"));
+                };
+                let ix = self.hoist(ix, ind)?;
+                let ic = vm_expr_to_c(&ix, &|n| self.resolve_read(n))?;
+                let p = self.tasklet().ins[i];
+                let (ptr, off) = nest_port_ref(self.em.spec.ndims, p, self.scope);
+                let len = self.em.len_ref(p);
+                let k = self.em.tmp;
+                self.em.tmp += 1;
+                self.em.uses_i64 = true;
+                let fault = self.em.fault(self.t, false, i, &format!("x{k}"));
+                let _ = writeln!(
+                    self.em.src,
+                    "{ind}const long long x{k} = sdfg_i64({ic});\n\
+                     {ind}if (x{k} < 0 || x{k} >= {len}) {fault}\n\
+                     {ind}const double ld{k} = {ptr}[{off} + x{k}];"
+                );
+                ExprAst::Name(format!("{HOISTED}ld{k}"))
+            }
+            ExprAst::Bin(op, a, b) => {
+                let a = self.hoist(a, ind)?;
+                let b = self.hoist(b, ind)?;
+                ExprAst::Bin(*op, Box::new(a), Box::new(b))
+            }
+            ExprAst::Cmp(op, a, b) => {
+                let a = self.hoist(a, ind)?;
+                let b = self.hoist(b, ind)?;
+                ExprAst::Cmp(*op, Box::new(a), Box::new(b))
+            }
+            ExprAst::And(a, b) | ExprAst::Or(a, b) => {
+                let ha = self.hoist(a, ind)?;
+                lazy(self, b)?;
+                match e {
+                    ExprAst::And(..) => ExprAst::And(Box::new(ha), b.clone()),
+                    _ => ExprAst::Or(Box::new(ha), b.clone()),
+                }
+            }
+            ExprAst::Neg(a) => ExprAst::Neg(Box::new(self.hoist(a, ind)?)),
+            ExprAst::Not(a) => ExprAst::Not(Box::new(self.hoist(a, ind)?)),
+            ExprAst::Call(f, args) => {
+                let mut out = Vec::with_capacity(args.len());
+                for a in args {
+                    out.push(self.hoist(a, ind)?);
+                }
+                ExprAst::Call(*f, out)
+            }
+            ExprAst::Ternary { cond, then, els } => {
+                let cond = self.hoist(cond, ind)?;
+                lazy(self, then)?;
+                lazy(self, els)?;
+                ExprAst::Ternary {
+                    cond: Box::new(cond),
+                    then: then.clone(),
+                    els: els.clone(),
+                }
+            }
+        })
+    }
+
+    /// Hoists `e`'s indexed reads, then renders it as C.
+    fn expr(&mut self, e: &ExprAst, ind: &str) -> Result<String, String> {
+        let e = self.hoist(e, ind)?;
+        vm_expr_to_c(&e, &|n| self.resolve_read(n))
+    }
+
+    fn emit_stmt(&mut self, s: &Stmt, ind: &str) -> Result<(), String> {
+        match s {
+            Stmt::Push { stream, value } => {
+                let j = self.prog.outputs.iter().position(|x| x == stream);
+                let k = j.and_then(|j| self.em.streams.iter().position(|&s| s == (self.t, j)));
+                let (Some(j), Some(k)) = (j, k) else {
+                    return Err(format!("push to non-stream connector `{stream}`"));
+                };
+                let v = self.expr(value, ind)?;
+                let p = self.tasklet().outs[j].port;
+                let (ptr, off) = nest_port_ref(self.em.spec.ndims, p, &[]);
+                let _ = writeln!(
+                    self.em.src,
+                    "{ind}{{ const double pv = {v}; {ptr}[{off} + ns{k}] = pv; ++ns{k}; }}"
+                );
+                Ok(())
+            }
+            Stmt::Assign {
+                target,
+                index,
+                op,
+                value,
+            } => {
+                let out = self.prog.outputs.iter().position(|x| x == target);
+                if let Some(j) = out {
+                    match self.mode_of(j) {
+                        JitOutMode::Log(_) => return self.emit_log_store(j, index, op, value, ind),
+                        JitOutMode::Stream => {
+                            return Err(format!("store to stream connector `{target}`"))
+                        }
+                        _ => {}
+                    }
+                }
+                if index.is_some() {
+                    return Err(format!("indexed store to `{target}`"));
+                }
+                // The compiler resolves the RHS before defining the target
+                // local, so emit it under the current scope first.
+                let rhs = self.expr(value, ind)?;
+                let lhs = if let Some(j) = out {
+                    format!("o{j}")
+                } else if self.prog.inputs.contains(target) {
+                    return Err(format!("assignment to input `{target}`"));
+                } else {
+                    if !self.declared.contains(target) {
+                        if op.is_some() {
+                            return Err(format!("augmented assignment to undefined `{target}`"));
+                        }
+                        self.declared.push(target.clone());
+                    }
+                    if !self.definite.contains(target) {
+                        self.definite.push(target.clone());
+                    }
+                    format!("l_{target}")
+                };
+                let src = &mut self.em.src;
+                match op {
+                    None => {
+                        let _ = writeln!(src, "{ind}{lhs} = {rhs};");
+                    }
+                    Some(op) => {
+                        // `t op= v` runs as `t = apply_bin(op, t, v)`.
+                        let e = match op {
+                            BinOp::Add => format!("({lhs} + {rhs})"),
+                            BinOp::Sub => format!("({lhs} - {rhs})"),
+                            BinOp::Mul => format!("({lhs} * {rhs})"),
+                            BinOp::Div => format!("({lhs} / {rhs})"),
+                            BinOp::FloorDiv => format!("floor({lhs} / {rhs})"),
+                            BinOp::Mod => format!("sdfg_mod({lhs}, {rhs})"),
+                            BinOp::Pow => format!("pow({lhs}, {rhs})"),
+                        };
+                        let _ = writeln!(src, "{ind}{lhs} = {e};");
+                    }
+                }
+                Ok(())
+            }
+            Stmt::If { cond, then, els } => {
+                let c = self.expr(cond, ind)?;
+                let _ = writeln!(self.em.src, "{ind}if (({c}) != 0.0) {{");
+                let outer_definite = self.definite.clone();
+                let inner = format!("{ind}  ");
+                for s in then {
+                    self.emit_stmt(s, &inner)?;
+                }
+                let then_definite = std::mem::replace(&mut self.definite, outer_definite.clone());
+                let _ = writeln!(self.em.src, "{ind}}} else {{");
+                for s in els {
+                    self.emit_stmt(s, &inner)?;
+                }
+                let els_definite = std::mem::take(&mut self.definite);
+                // Only locals assigned on *both* paths are definite after
+                // the branch.
+                self.definite = outer_definite;
+                for l in &then_definite {
+                    if els_definite.contains(l) && !self.definite.contains(l) {
+                        self.definite.push(l.clone());
+                    }
+                }
+                let _ = writeln!(self.em.src, "{ind}}}");
+                Ok(())
+            }
+        }
+    }
+
+    /// A store to write-log output `j`: the VM computes the index, then the
+    /// value, then range-checks the index against the log's `u32` offsets
+    /// and appends `(index, value)`.
+    fn emit_log_store(
+        &mut self,
+        j: usize,
+        index: &Option<Vec<ExprAst>>,
+        op: &Option<BinOp>,
+        value: &ExprAst,
+        ind: &str,
+    ) -> Result<(), String> {
+        if op.is_some() {
+            // Augmented stores read the log port, which the VM refuses.
+            return Err("augmented store to a write log".into());
+        }
+        let idx = match index.as_deref() {
+            None => None,
+            Some([ix]) => Some(self.expr(ix, ind)?),
+            Some(_) => return Err("multi-dimensional index into a write log".into()),
+        };
+        let v = self.expr(value, ind)?;
+        let k = self.em.tmp;
+        self.em.tmp += 1;
+        match idx {
+            None => {
+                let _ = writeln!(self.em.src, "{ind}const long long x{k} = 0;");
+            }
+            Some(ic) => {
+                self.em.uses_i64 = true;
+                let fault = self.em.fault(self.t, true, j, &format!("x{k}"));
+                let _ = writeln!(
+                    self.em.src,
+                    "{ind}const long long x{k} = sdfg_i64({ic});\n\
+                     {ind}if (x{k} < 0 || x{k} > 4294967295LL) {fault}"
+                );
+            }
+        }
+        let _ = writeln!(
+            self.em.src,
+            "{ind}lgi{j}[lgn{j}] = x{k}; lgv{j}[lgn{j}] = {v}; ++lgn{j};"
+        );
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -711,6 +1179,7 @@ mod tests {
                     .collect(),
             }],
             body: vec![NestItem::Call(0)],
+            ..Default::default()
         })
     }
 
@@ -911,6 +1380,7 @@ mod tests {
                     NestItem::Call(1),
                 ],
             }],
+            ..Default::default()
         };
         let src = emit_nest_kernel(&spec).unwrap();
         assert!(src.contains("void sdfg_nest("));
@@ -951,6 +1421,7 @@ mod tests {
                 dim: 1,
                 body: vec![NestItem::Call(0)],
             }],
+            ..Default::default()
         };
         let src = emit_nest_kernel(&spec).unwrap();
         assert!(src.contains("double acc = INFINITY;"));
@@ -971,6 +1442,7 @@ mod tests {
                 }],
             }],
             body,
+            ..Default::default()
         };
         // Accumulate must be its loop's whole body.
         assert!(emit_nest_kernel(&mk(vec![NestItem::Call(0), NestItem::Call(0)])).is_err());
@@ -986,5 +1458,128 @@ mod tests {
             body: vec![NestItem::Call(0)],
         }]))
         .is_err());
+    }
+
+    // --- self-checked accesses -------------------------------------------------
+
+    #[test]
+    fn plain_kernels_need_no_checks() {
+        let src = span(
+            JitBody::Pattern(Pattern::Copy { input: 0 }),
+            1,
+            &[JitOutMode::Write],
+        )
+        .unwrap();
+        assert!(!src.contains("sdfg_i64") && !src.contains("sdfg_rd"));
+        assert!(!src.contains("sdfg_done") && !src.contains("npts["));
+    }
+
+    #[test]
+    fn indexed_reads_logs_and_pushes_are_checked_or_staged() {
+        // spmv's gather feeding histogram's log and query's stream: port 0
+        // is the whole `xv`, 1 the scalar `c`, 2 the log, 3 the stream.
+        let p = prog(
+            "v = xv[int(c)]\nout[int(v)] = 1\nS.push(v)",
+            &["xv", "c"],
+            &["out", "S"],
+        );
+        let spec = NestSpec {
+            ndims: 1,
+            nports: 4,
+            tasklets: vec![NestTasklet {
+                body: JitBody::Program(&p),
+                ins: vec![0, 1],
+                outs: vec![
+                    NestOut {
+                        port: 2,
+                        mode: JitOutMode::Log(JitWcrOp::Sum),
+                    },
+                    NestOut {
+                        port: 3,
+                        mode: JitOutMode::Stream,
+                    },
+                ],
+            }],
+            body: vec![NestItem::Call(0)],
+            whole: vec![0, 2],
+            ..Default::default()
+        };
+        let src = emit_nest_kernel(&spec).unwrap();
+        // Only the scalar input is loaded up front.
+        assert!(src.contains("const double v1 = "));
+        assert!(!src.contains("const double v0 = "));
+        // The gather converts like Rust's `as i64` and checks the length
+        // table (after the 4 rows of 3 entries) before reading.
+        assert!(src.contains("const long long x0 = sdfg_i64(trunc(v1));"));
+        let fault = |call, output, slot| {
+            format!(
+                "{{ npts[1] = {}; npts[2] = ",
+                fault_code(call, output, slot)
+            )
+        };
+        assert!(src.contains(&format!(
+            "if (x0 < 0 || x0 >= geo[12]) {}x0",
+            fault(0, false, 0)
+        )));
+        assert!(src.contains("const double ld0 = bufs[geo[0]][geo[1] + i0 * geo[2] + x0];"));
+        // The log store checks the VM's `u32` range and stages the pair.
+        assert!(src.contains(&format!(
+            "if (x1 < 0 || x1 > 4294967295LL) {}x1",
+            fault(0, true, 0)
+        )));
+        assert!(src.contains("lgi0[lgn0] = x1; lgv0[lgn0] = 1.0; ++lgn0;"));
+        // Staged stores combine after the body, ignored past the end.
+        assert!(src.contains("if (q < geo[14]) bufs[geo[6]][q] = (bufs[geo[6]][q] + lgv0[k]);"));
+        // Pushes append to the staging port and report their count.
+        assert!(src.contains("{ const double pv = l_v; bufs[geo[9]][geo[10] + ns0] = pv; ++ns0; }"));
+        assert!(src.contains("sdfg_done:\n  npts[3] = ns0;\n  *npts = cnt;\n}"));
+        assert_eq!(decode_fault(fault_code(3, true, 7)), (3, true, 7));
+    }
+
+    #[test]
+    fn loaded_bounds_round_and_clamped_ports_mirror_the_interpreter() {
+        // A row loop whose inner bounds load from ports 1 and 2 (spmv's
+        // `Lb`/`Le`): port 0, addressed through the loaded dim, is clamped.
+        let spec = NestSpec {
+            ndims: 2,
+            nports: 4,
+            tasklets: vec![NestTasklet {
+                body: JitBody::Pattern(Pattern::Copy { input: 0 }),
+                ins: vec![0],
+                outs: vec![NestOut {
+                    port: 3,
+                    mode: JitOutMode::CombinePerPoint(JitWcrOp::Sum),
+                }],
+            }],
+            body: vec![NestItem::Loop {
+                dim: 1,
+                body: vec![NestItem::Call(0)],
+            }],
+            clamped: vec![0],
+            loaded: vec![
+                LoadedBound {
+                    dim: 1,
+                    hi: false,
+                    port: 1,
+                },
+                LoadedBound {
+                    dim: 1,
+                    hi: true,
+                    port: 2,
+                },
+            ],
+            ..Default::default()
+        };
+        let src = emit_nest_kernel(&spec).unwrap();
+        assert!(src.contains(
+            "const long long lo1 = sdfg_i64(round(bufs[geo[4]][geo[5] + i0 * geo[6]]));"
+        ));
+        assert!(src.contains(
+            "const long long hi1 = sdfg_i64(round(bufs[geo[8]][geo[9] + i0 * geo[10]]));"
+        ));
+        assert!(src.contains(
+            "const double v0 = sdfg_rd(bufs[geo[0]], geo[16], geo[1] + i0 * geo[2] + i1 * geo[3]);"
+        ));
+        assert!(src.contains("if (x != x) return 0;"));
     }
 }

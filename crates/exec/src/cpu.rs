@@ -60,6 +60,8 @@ pub(crate) struct MapPlan {
     /// volume estimate and the JIT hotness gate.
     per_launch: Vec<usize>,
     pub(crate) body: MapBody,
+    /// Whether the run that built the plan had the JIT tier on.
+    jit: bool,
 }
 
 impl MapPlan {
@@ -67,7 +69,17 @@ impl MapPlan {
     pub(crate) fn lowering_entry(&self, sid: u32, nid: u32) -> crate::lower::MapLowering {
         let (tier, jit_reason) = match &self.body {
             MapBody::Tasklets(_, l) => l.report(),
-            MapBody::Generic { .. } => (crate::lower::LowerTier::Symbolic.name(), None),
+            MapBody::Generic { .. } => {
+                let why = if self.jit {
+                    crate::lower::GENERIC_BODY
+                } else {
+                    crate::lower::JIT_OFF
+                };
+                (
+                    crate::lower::LowerTier::Symbolic.name(),
+                    Some(why.to_string()),
+                )
+            }
         };
         crate::lower::MapLowering {
             state: sid,
@@ -221,6 +233,7 @@ pub(crate) fn build_map_plan(
         pcounts,
         per_launch,
         body,
+        jit: ctx.jit,
     });
     ctx.plan_cache.note_point_compile();
     let (cached, capped) = ctx
@@ -419,10 +432,17 @@ pub(crate) fn exec_map(
         _ => {
             let was_nested = worker.nested;
             worker.nested = true;
-            // Env-free fast nest: constant bounds + fully-affine tasklet
-            // body lets the whole iteration space run on integer loops
-            // without symbolic evaluation or environment updates per point.
-            let r = if let Some(bounds) = env_free_bounds(&plan, worker) {
+            // A generic body that lowers as one nest runs as one native
+            // call. Otherwise, env-free fast nest: constant bounds +
+            // fully-affine tasklet body lets the whole iteration space run
+            // on integer loops without symbolic evaluation or environment
+            // updates per point.
+            let was_pending = worker.nest_pending;
+            let nest =
+                crate::nest::try_map_nest_serial(ctx, &plan, worker, base, pkey, (d0s, d0e, d0st));
+            let r = if let Some(r) = nest {
+                r
+            } else if let Some(bounds) = env_free_bounds(&plan, worker) {
                 run_map_fast(ctx, sid, &plan, worker, base, &bounds)
             } else {
                 run_map_serial(
@@ -430,6 +450,7 @@ pub(crate) fn exec_map(
                 )
             };
             worker.nested = was_nested;
+            worker.nest_pending = was_pending;
             (r, 1)
         }
     };
@@ -887,7 +908,19 @@ pub(crate) fn run_map_serial(
     hi: i64,
     step: i64,
 ) -> Result<(), ExecError> {
-    // Allocate thread-local transients.
+    alloc_locals(ctx, body, worker)?;
+    run_dim_span(
+        ctx, sid, tree, params, ranges, body, worker, base, 0, lo, hi, step,
+    )
+}
+
+/// Allocates a generic body's thread-local transients on the worker (once;
+/// they stay for its later launches).
+pub(crate) fn alloc_locals(
+    ctx: &Ctx,
+    body: &MapBody,
+    worker: &mut Worker,
+) -> Result<(), ExecError> {
     if let MapBody::Generic {
         local_transients, ..
     } = body
@@ -904,9 +937,7 @@ pub(crate) fn run_map_serial(
             }
         }
     }
-    run_dim_span(
-        ctx, sid, tree, params, ranges, body, worker, base, 0, lo, hi, step,
-    )
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]

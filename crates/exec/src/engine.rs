@@ -381,6 +381,10 @@ pub(crate) struct Worker<'c, 's> {
     /// Points of the enclosing map launches, from their actual extents:
     /// what the JIT hotness gate compares with its threshold.
     pub(crate) volume: i64,
+    /// Inside a launch whose whole-map nest is still compiling: the inner
+    /// maps it runs interpreted meanwhile request no span kernels, which
+    /// the nest makes redundant from its next launch on.
+    pub(crate) nest_pending: bool,
     /// Index (into `pstack`) of the chunk-partitioned parameter when this
     /// worker runs inside a parallel region; `None` = no concurrent writers.
     pub(crate) chunk_param: Option<usize>,
@@ -425,6 +429,7 @@ impl<'c, 's> Worker<'c, 's> {
             shadowed: Vec::new(),
             pcounts: Vec::new(),
             volume: 1,
+            nest_pending: false,
             chunk_param: None,
             prog_cache: HashMap::new(),
             map_cache: HashMap::new(),

@@ -89,9 +89,12 @@ impl JitKernel {
     ///
     /// # Safety contract (for callers)
     ///
-    /// The generated code performs no bounds checks: the caller must
-    /// pre-validate every address the nest can reach through its `geo` and
-    /// `bnd` rows, and `syms` must hold one value per program symbol.
+    /// The generated code checks only the accesses it computes itself
+    /// (indexed ports, write logs, clamped ports — see `sdfg_codegen::jit`):
+    /// the caller must pre-validate every affine address the nest can reach
+    /// through its `geo` and `bnd` rows, `syms` must hold one value per
+    /// program symbol, and `npts` must have a status slot per stream output
+    /// past the fault slots.
     pub fn func(&self) -> NestFn {
         // SAFETY: the loader resolved this symbol from a kernel emitted
         // against the `NestFn` signature.
@@ -1010,6 +1013,7 @@ mod tests {
                 dim: 1,
                 body: vec![NestItem::Call(0)],
             }],
+            ..Default::default()
         };
         let src = emit_nest_kernel(&spec).unwrap();
         let _g = counters();

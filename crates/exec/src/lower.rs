@@ -29,11 +29,12 @@
 //!
 //! Bitwise discipline: a JIT launch must produce bit-identical results to
 //! the tier it replaces. The emitter mirrors the Rust loops statement for
-//! statement, kernels compile with `-ffp-contract=off`, atomic WCR
-//! combines are never mirrored in C (the final combine of a register
-//! accumulation happens back in Rust, atomically when required), and any
-//! body the pipeline cannot prove equivalent is rejected with a recorded
-//! reason.
+//! statement, kernels compile with `-ffp-contract=off`, a kernel whose
+//! per-point combines the race analysis marked atomic only runs on a
+//! launch outside any parallel tile (where a plain combine gives the same
+//! bits; the final combine of a register accumulation happens back in
+//! Rust, atomically when required), and any body the pipeline cannot prove
+//! equivalent is rejected with a recorded reason.
 
 use crate::engine::{Ctx, ExecError, Worker};
 use crate::nest::{self, NestCore};
@@ -80,31 +81,32 @@ pub(crate) struct Lowered {
     pub(crate) tier: LowerTier,
     /// The innermost dimension as a 1-D nest (whose kernel may still be
     /// compiling), or why it could not be one — set by the first hot
-    /// launch. `None` when the JIT tier does not apply (disabled, or a
-    /// multi-tasklet body).
-    jit: Option<OnceLock<Result<NestCore, String>>>,
+    /// launch. `Err` names why the JIT tier does not apply at all.
+    jit: Result<OnceLock<Result<Box<NestCore>, String>>, &'static str>,
 }
 
 impl Lowered {
-    fn new(tier: LowerTier, jit: bool) -> Lowered {
+    fn new(tier: LowerTier, jit: Result<(), &'static str>) -> Lowered {
         Lowered {
             tier,
-            jit: jit.then(OnceLock::new),
+            jit: jit.map(|()| OnceLock::new()),
         }
     }
 
     /// Called once per launch of the map, on the launching worker, before
     /// any row runs: requests the kernel if this is the first hot launch.
     pub(crate) fn prepare(&self, ctx: &Ctx, worker: &Worker, label: &str, bt: &Arc<BodyTasklet>) {
-        let Some(cell) = &self.jit else { return };
-        if worker.volume < JIT_MIN_POINTS {
+        let Ok(cell) = &self.jit else { return };
+        if worker.volume < JIT_MIN_POINTS || worker.nest_pending {
             return;
         }
         cell.get_or_init(|| {
-            nest::build_span_nest(ctx, label, &worker.pstack, bt).map_err(|d| {
-                d.record(ctx.chash, label, false);
-                d.detail
-            })
+            nest::build_span_nest(ctx, label, &worker.pstack, bt)
+                .map(Box::new)
+                .map_err(|d| {
+                    d.record(ctx.chash, label, false);
+                    d.detail
+                })
         });
     }
 
@@ -113,21 +115,21 @@ impl Lowered {
         if volume < JIT_MIN_POINTS {
             return None;
         }
-        self.jit.as_ref()?.get()?.as_ref().ok()
+        self.jit.as_ref().ok()?.get()?.as_deref().ok()
     }
 
     /// `(tier name, why the JIT tier was not chosen)` for the lowering
     /// report.
     pub(crate) fn report(&self) -> (&'static str, Option<String>) {
         match self.jit.as_ref().map(OnceLock::get) {
-            None => (self.tier.name(), None),
-            Some(Some(Ok(core))) => match core.compiled() {
+            Err(why) => (self.tier.name(), Some(why.to_string())),
+            Ok(Some(Ok(core))) => match core.compiled() {
                 Some(Ok(_)) => (LowerTier::Jit.name(), None),
                 Some(Err(d)) => (self.tier.name(), Some(d.detail.clone())),
                 None => (self.tier.name(), Some("compile pending".to_string())),
             },
-            Some(Some(Err(detail))) => (self.tier.name(), Some(detail.clone())),
-            Some(None) => {
+            Ok(Some(Err(detail))) => (self.tier.name(), Some(detail.clone())),
+            Ok(None) => {
                 let reason = format!("cold map (no launch reached {JIT_MIN_POINTS} points)");
                 (self.tier.name(), Some(reason))
             }
@@ -201,10 +203,23 @@ pub(crate) fn decide_lowering(
     let [(_, bt)] = ts else {
         // Multi-tasklet bodies run per point; each tasklet may still use
         // its own fast path inside `run_tasklet_point`.
-        return Lowered::new(LowerTier::Symbolic, false);
+        return Lowered::new(LowerTier::Symbolic, Err(MULTI_TASKLET));
     };
-    Lowered::new(static_tier(bt, worker.pstack.last()), ctx.jit)
+    let jit = if ctx.jit { Ok(()) } else { Err(JIT_OFF) };
+    Lowered::new(static_tier(bt, worker.pstack.last()), jit)
 }
+
+/// Lowering-report reason of a run with the JIT tier switched off.
+pub(crate) const JIT_OFF: &str = "JIT disabled";
+
+/// Lowering-report reason of a multi-tasklet map body, which only a
+/// collapsed loop lowers as a whole.
+const MULTI_TASKLET: &str = "multi-tasklet body runs per point";
+
+/// Lowering-report reason of a generic map body the serial-launch site
+/// has not lowered.
+pub(crate) const GENERIC_BODY: &str =
+    "generic map body: only a serial top-level launch lowers it as one nest";
 
 /// Runs the innermost dimension `dim` of a single-tasklet map over
 /// `[s, e)` on step `st`, starting at the JIT tier when the launch is hot
@@ -233,7 +248,10 @@ pub(crate) fn run_inner_span(
     loop {
         let (ran, prof, next) = match tier {
             LowerTier::Jit => (
-                kernel.and_then(|core| nest::run_span(ctx, core, worker, dim, s, e, st)),
+                match kernel {
+                    Some(core) => nest::run_span(ctx, core, worker, dim, s, e, st)?,
+                    None => None,
+                },
                 Tier::Jit,
                 lowered.tier,
             ),

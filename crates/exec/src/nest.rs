@@ -1,7 +1,7 @@
 //! Map-nest JIT lowering: the one path from map bodies to native code.
 //!
 //! Everything that runs natively is a *nest* handed to `codegen::jit`'s
-//! emitter and called through one ABI. Three sites build and launch nests:
+//! emitter and called through one ABI. Four sites build and launch nests:
 //!
 //! * **State-machine loops** (`try_collapse_loop`): a guard state with a
 //!   `var < end` / `!(var < end)` edge pair whose body is a straight
@@ -12,6 +12,11 @@
 //! * **Standalone multi-dimensional maps** (`try_map_nest_steal`): the
 //!   steal scheduler's dim-0 tiles each become one native call running
 //!   the full inner nest instead of one interpreted row per outer index.
+//! * **Serially launched generic maps** (`try_map_nest_serial`): a
+//!   top-level map whose body is point tasklets, scope-local scalars and
+//!   one inner map (spmv's row loop around its dynamic-range nonzero
+//!   loop) runs as one call; the inner map's dynamic-range connectors
+//!   become bounds the kernel loads.
 //! * **Innermost spans** (`build_span_nest` / `run_span`): the innermost
 //!   dimension of any hot single-tasklet map is a 1-D nest, launched once
 //!   per row by the interpreted outer dimensions. The enclosing map
@@ -25,6 +30,15 @@
 //! emitter mirrors the interpreter statement for statement, and every
 //! candidate is only admitted when the interpreter would have executed
 //! the same statements in the same order (see the serial-collapse gate).
+//!
+//! Irregular bodies stay on the same path. A whole-container port read at
+//! a body-computed index (`x[col[j]]`), a write log (`hist[bin] += 1`) and
+//! a stream push are accesses the kernel checks or stages itself (see
+//! `sdfg_codegen::jit`), and a fault comes back as the interpreter's own
+//! error. Their combines, like any combine the race analysis marked
+//! atomic, are plain read-modify-writes in C, so such a kernel is
+//! *exclusive*: `marshal` only admits it on a launch that runs serially
+//! outside any parallel tile.
 //!
 //! That discipline is also what lets a run switch tiers between any two
 //! launches: kernels compile in the background (`crate::jit`), `marshal`
@@ -40,15 +54,18 @@ use crate::jit::{Decline, DeclineKind, JitKernel, KernelHandle, NestFn};
 use crate::lower::MapLowering;
 use crate::plan::StatePlan;
 use crate::sched::SchedPool;
-use crate::tasklet::{compile_body_tasklet, BodyTasklet, NativePlan, WindowPlan};
+use crate::tasklet::{compile_body_tasklet, plan_window, BodyTasklet, NativePlan, WindowPlan};
+use parking_lot::Mutex;
 use sdfg_codegen::jit::{
-    emit_nest_kernel, JitBody, JitOutMode, JitWcrOp, NestItem, NestOut, NestSpec, NestTasklet,
+    decode_fault, emit_nest_kernel, pushes_to, JitBody, JitOutMode, JitWcrOp, LoadedBound,
+    NestItem, NestOut, NestSpec, NestTasklet, STATUS_FAULT, STATUS_INDEX, STATUS_STREAMS,
 };
 use sdfg_core::cond::{BoolExpr, CmpOp};
 use sdfg_core::{DType, InterstateEdge, Node, Schedule, State, StateId, Wcr};
 use sdfg_graph::{EdgeId, NodeId};
+use sdfg_lang::RuntimeError;
 use sdfg_symbolic::{Env, Expr, SymRange};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -63,6 +80,16 @@ fn nonaffine(detail: impl Into<String>) -> Decline {
 fn body(detail: impl Into<String>) -> Decline {
     Decline::new(DeclineKind::Body, detail)
 }
+
+/// Staging slots per stream output and call: a launch with stream outputs
+/// runs in calls of at most `STAGE / pushes-per-point` points, appending
+/// each call's pushes before the next, so staging stays this small however
+/// long the launch.
+const STAGE: usize = 4096;
+
+/// Stream outputs one kernel may have (the status slots it reports their
+/// push counts in).
+const MAX_STREAMS: usize = 4;
 
 // --- affine forms over the nest's global dimension space ---------------------
 
@@ -81,13 +108,17 @@ pub(crate) struct NestAffine {
 }
 
 impl NestAffine {
+    fn constant(base: i64) -> NestAffine {
+        NestAffine {
+            base,
+            dims: Vec::new(),
+            muts: Vec::new(),
+        }
+    }
+
     fn from_solved(s: &Solved, site: &Site) -> Option<NestAffine> {
         match s {
-            Solved::Const(v) => Some(NestAffine {
-                base: *v,
-                dims: Vec::new(),
-                muts: Vec::new(),
-            }),
+            Solved::Const(v) => Some(NestAffine::constant(*v)),
             Solved::Affine { base, coeffs } => {
                 let mut dims = Vec::new();
                 let mut muts = Vec::new();
@@ -128,6 +159,10 @@ impl NestAffine {
             .map(|&(_, c)| c)
             .unwrap_or(0)
     }
+
+    fn reads_any(&self, dims: &[usize]) -> bool {
+        self.dims.iter().any(|(d, _)| dims.contains(d))
+    }
 }
 
 /// Where the names of a compile site (see [`Solver`]) land in a kernel:
@@ -141,14 +176,31 @@ struct Site {
 
 // --- nest plans --------------------------------------------------------------
 
+/// How a port addresses its container.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum PortKind {
+    /// One element per point, at an affine offset.
+    Affine,
+    /// The whole container, addressed by a body-computed index the kernel
+    /// range-checks (indexed reads, write logs).
+    Whole,
+    /// A stream output, staged per call; `pushes` bounds the pushes of one
+    /// point.
+    Stream { pushes: usize },
+}
+
 /// One `geo` row: a container access whose flat offset is affine in the
 /// nest dims and launch-time constants.
 pub(crate) struct NestPort {
     data: String,
     /// Slot in `Ctx::bufs`; `None` for containers that only exist as
-    /// thread-local overlays.
+    /// thread-local overlays, and for streams.
     slot: Option<usize>,
     addr: NestAffine,
+    kind: PortKind,
+    /// Addressed through a dim with a loaded bound: no launch can validate
+    /// it, so the kernel mirrors the interpreted tiers' clamping instead.
+    clamped: bool,
 }
 
 /// One tasklet call site.
@@ -181,8 +233,10 @@ pub(crate) struct NestCore {
     pub(crate) ndims: usize,
     ports: Vec<NestPort>,
     /// `(lo, hi)` per dim `1..ndims` (index `d - 1`); dim 0 is the range
-    /// passed per call.
+    /// passed per call. A loaded bound's entry is a placeholder.
     bounds: Vec<(NestAffine, NestAffine)>,
+    /// Dims with a bound the kernel loads (see [`NestPort::clamped`]).
+    loaded_dims: Vec<usize>,
     calls: Vec<NestCall>,
     /// The call whose output accumulates over dim 0 itself (a 1-D span
     /// reducing into a loop-invariant element). Every launch of such a
@@ -190,6 +244,14 @@ pub(crate) struct NestCore {
     /// the real element in Rust — atomically when the race analysis says
     /// so — because splitting dim 0 across calls splits the reduction.
     acc0: Option<usize>,
+    /// Stream port per status slot, in the emitter's call-then-slot order.
+    streams: Vec<usize>,
+    /// The kernel combines plainly where the interpreter would combine
+    /// atomically, or stages logs and streams: only a launch running
+    /// serially outside any parallel tile may call it.
+    exclusive: bool,
+    /// The kernel range-checks accesses and may fault.
+    fallible: bool,
     /// Common symbol table of every VM-mirror body, resolved per launch.
     syms: Vec<String>,
     /// The kernel, filled when its compile finishes; until then every
@@ -201,6 +263,8 @@ pub(crate) struct NestCore {
     whole_nest: bool,
     /// Set once a launch has recorded the failure of the kernel's compile.
     declined: AtomicBool,
+    /// Set once a launch inside a parallel tile has recorded its decline.
+    shared_declined: AtomicBool,
     /// Lowering-report rows for the maps this nest absorbed.
     pub(crate) rows: Vec<MapLowering>,
 }
@@ -230,6 +294,39 @@ impl NestCore {
             }
         }
     }
+
+    /// Whether this launch may call an exclusive kernel: not from inside a
+    /// parallel tile, where another worker may combine into the same
+    /// element. The first launch that may not records the decline.
+    fn launch_exclusive(&self, chash: u64) -> bool {
+        if !self.exclusive || !crate::sched::in_pool_worker() {
+            return true;
+        }
+        if !self.shared_declined.swap(true, Ordering::Relaxed) {
+            structure("atomic combine inside a parallel tile").record(
+                chash,
+                &self.label,
+                self.whole_nest,
+            );
+        }
+        false
+    }
+
+    /// The interpreter's error for a kernel fault (see
+    /// [`sdfg_codegen::jit::fault_code`]): the VM's out-of-bounds error on
+    /// the connector that faulted, with the window length it checked.
+    fn fault(&self, args: &NestArgs, code: i64, index: i64) -> ExecError {
+        let (t, output, slot) = decode_fault(code);
+        let call = &self.calls[t];
+        let prog = &call.bt.prog;
+        let (conn, len) = if output {
+            (prog.outputs[slot].clone(), u32::MAX as usize)
+        } else {
+            let len = args.geo[args.lens_at + call.ins[slot]];
+            (prog.inputs[slot].clone(), len as usize)
+        };
+        RuntimeError::OutOfBounds { conn, index, len }.into()
+    }
 }
 
 /// A collapsible state-machine loop: guard state, loop variable, end
@@ -240,7 +337,8 @@ pub(crate) struct LoopNestPlan {
     pub(crate) core: NestCore,
 }
 
-/// A standalone multi-dim map compiled as a nest, dispatched per tile.
+/// A standalone map compiled as a nest: dispatched per tile (multi-dim
+/// tasklet bodies) or as one call (serially launched generic bodies).
 pub(crate) struct MapNestPlan {
     pub(crate) core: NestCore,
 }
@@ -270,15 +368,30 @@ struct Acc0<'a> {
     atomic: bool,
 }
 
+/// Where one stream output's staged pushes go.
+struct StreamSink<'a> {
+    queue: &'a Mutex<VecDeque<f64>>,
+    /// First staging slot of this stream.
+    at: usize,
+}
+
 /// Marshalled launch arguments, shared by every call of one launch (only
 /// the `[lo0, hi0)` range varies per call).
 pub(crate) struct NestArgs<'a> {
     func: NestFn,
     bufs: Vec<*mut f64>,
     geo: Vec<i64>,
+    /// Where the length table starts in `geo`.
+    lens_at: usize,
     syms: Vec<f64>,
     bnd: Vec<i64>,
     acc0: Option<Acc0<'a>>,
+    /// Staging for stream pushes (`STAGE` slots per stream), owned by the
+    /// launch and pointed at by the stream ports.
+    stage: Option<SharedBuffer>,
+    streams: Vec<StreamSink<'a>>,
+    /// Most points per call (0 = the whole range in one call).
+    chunk: i64,
     /// Whether dim-0 tiles are provably write-disjoint (every output's
     /// dim-0 term dominates the reach of all inner dims), making parallel
     /// tile dispatch bitwise order-independent.
@@ -305,6 +418,7 @@ struct NestBuilder<'c, 's> {
     /// loops; empty for standalone maps, whose dims are all their own).
     outer: Vec<usize>,
     bounds: Vec<(NestAffine, NestAffine)>,
+    loaded: Vec<LoadedBound>,
     ports: Vec<NestPort>,
     calls: Vec<NestCall>,
     body: Vec<NestItem>,
@@ -313,6 +427,18 @@ struct NestBuilder<'c, 's> {
     /// Whether map states must pass the serial-collapse gate (true for
     /// state-machine loops, whose body the interpreter runs serially).
     serial_gate: bool,
+    /// Whether stream outputs are admitted (spans only: they mirror the
+    /// affine VM loop, which appends a span's pushes once it has run).
+    streams_ok: bool,
+    /// See [`NestCore::exclusive`].
+    exclusive: bool,
+    /// Scope-local scalars of a generic map body, and which of them a
+    /// point tasklet has written so far (see `add_generic_body`).
+    locals: Vec<String>,
+    written: Vec<String>,
+    /// Dynamic-range connectors bound by the body's loaded bounds: names a
+    /// VM-mirror body must not read as symbols.
+    dyn_conns: Vec<String>,
 }
 
 impl<'c, 's> NestBuilder<'c, 's> {
@@ -330,12 +456,18 @@ impl<'c, 's> NestBuilder<'c, 's> {
             dims: Vec::new(),
             outer: Vec::new(),
             bounds: Vec::new(),
+            loaded: Vec::new(),
             ports: Vec::new(),
             calls: Vec::new(),
             body: Vec::new(),
             syms: None,
             rows: Vec::new(),
             serial_gate,
+            streams_ok: false,
+            exclusive: false,
+            locals: Vec::new(),
+            written: Vec::new(),
+            dyn_conns: Vec::new(),
         }
     }
 
@@ -384,6 +516,21 @@ impl<'c, 's> NestBuilder<'c, 's> {
         Ok((bound(&r.start)?, bound(&r.end)?))
     }
 
+    /// A scope-local scalar may only be read once a point tasklet of the
+    /// same iteration has written it (see `add_generic_body`).
+    fn check_local_read(&self, data: &str) -> Result<(), Decline> {
+        if self.locals.iter().any(|l| l == data) && !self.written.iter().any(|w| w == data) {
+            return Err(structure(format!(
+                "scope-local `{data}` read before a point tasklet writes it"
+            )));
+        }
+        Ok(())
+    }
+
+    fn loaded_dims(&self) -> Vec<usize> {
+        self.loaded.iter().map(|l| l.dim).collect()
+    }
+
     fn add_port(
         &mut self,
         data: &str,
@@ -391,15 +538,41 @@ impl<'c, 's> NestBuilder<'c, 's> {
         w: &WindowPlan,
         site: &Site,
     ) -> Result<usize, Decline> {
-        let WindowPlan::Scalar(sv) = w else {
-            return Err(body("non-scalar memlet window"));
+        let window = || body(format!("non-scalar memlet window on `{data}`"));
+        let (addr, kind) = match w {
+            WindowPlan::Scalar(sv) => (
+                NestAffine::from_solved(sv, site)
+                    .ok_or_else(|| nonaffine("symbolic memlet offset"))?,
+                PortKind::Affine,
+            ),
+            WindowPlan::Full => (NestAffine::constant(0), PortKind::Whole),
+            // A constant one-element window (how scalar containers are
+            // addressed) is the element at its offset.
+            WindowPlan::Window {
+                dims,
+                tile: 1,
+                strides,
+            } => {
+                let mut off = 0i64;
+                for (d, (s, e, _)) in dims.iter().enumerate() {
+                    match (s, e) {
+                        (Solved::Const(s), Solved::Const(e)) if e - s == 1 => {
+                            off += s * strides.get(d).copied().unwrap_or(1);
+                        }
+                        _ => return Err(window()),
+                    }
+                }
+                (NestAffine::constant(off), PortKind::Affine)
+            }
+            _ => return Err(window()),
         };
-        let addr =
-            NestAffine::from_solved(sv, site).ok_or_else(|| nonaffine("symbolic memlet offset"))?;
+        let clamped = addr.reads_any(&self.loaded_dims());
         self.ports.push(NestPort {
             data: data.to_string(),
             slot,
             addr,
+            kind,
+            clamped,
         });
         Ok(self.ports.len() - 1)
     }
@@ -414,14 +587,15 @@ impl<'c, 's> NestBuilder<'c, 's> {
         if program {
             // The enclosing dims are C loop variables, frozen per launch
             // in `syms` — a body reading one as a symbol would see the
-            // launch-time value instead of the per-point value.
+            // launch-time value instead of the per-point value. So are the
+            // dynamic-range connectors a loaded bound stands for.
             for s in &bt.prog.symbols {
                 let is_dim = site
                     .names
                     .iter()
                     .zip(&site.dim_of)
                     .any(|(n, d)| d.is_some() && n == s);
-                if is_dim {
+                if is_dim || self.dyn_conns.contains(s) {
                     return Err(body(format!(
                         "body reads iteration variable `{s}` as a symbol"
                     )));
@@ -440,17 +614,49 @@ impl<'c, 's> NestBuilder<'c, 's> {
             if p.stream {
                 return Err(body("stream input"));
             }
+            self.check_local_read(&p.data)?;
             ins.push(self.add_port(&p.data, p.slot, &p.window, site)?);
         }
         let mut outs = Vec::with_capacity(bt.outs.len());
-        for o in &bt.outs {
-            if o.stream {
-                return Err(body("stream output"));
+        for ((o, mode), conn) in bt.outs.iter().zip(&modes).zip(&bt.prog.outputs) {
+            if self.locals.contains(&o.data) {
+                // Only a plain store from a point tasklet, once per point,
+                // reproduces the per-iteration zeroing of the local.
+                if *mode != JitOutMode::Write || self.written.contains(&o.data) {
+                    return Err(structure(format!(
+                        "scope-local `{}` written more than once or combined",
+                        o.data
+                    )));
+                }
+                self.written.push(o.data.clone());
             }
-            if o.log {
-                return Err(body("write-log output"));
+            let port = match mode {
+                JitOutMode::Stream => {
+                    if !self.streams_ok {
+                        return Err(body("stream output"));
+                    }
+                    let pushes = pushes_to(&bt.prog.body, conn);
+                    if pushes > STAGE {
+                        return Err(body("too many pushes per point"));
+                    }
+                    self.ports.push(NestPort {
+                        data: o.data.clone(),
+                        slot: None,
+                        addr: NestAffine::constant(0),
+                        kind: PortKind::Stream { pushes },
+                        clamped: false,
+                    });
+                    self.ports.len() - 1
+                }
+                JitOutMode::Log(_) if !matches!(o.window, WindowPlan::Full) => {
+                    return Err(body("write log into a partial window"));
+                }
+                _ => self.add_port(&o.data, o.slot, &o.window, site)?,
+            };
+            if matches!(mode, JitOutMode::Log(_) | JitOutMode::Stream) {
+                self.exclusive = true;
             }
-            outs.push(self.add_port(&o.data, o.slot, &o.window, site)?);
+            outs.push(port);
         }
         self.calls.push(NestCall {
             bt,
@@ -466,13 +672,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
     /// or a single all-tasklet map scope.
     fn add_state(&mut self, sid: StateId) -> Result<(), Decline> {
         let state = self.ctx.sdfg.state(sid);
-        let splan = match self.ctx.plan.state(sid.0) {
-            Some(p) => p,
-            None => {
-                let built = StatePlan::build(state, &self.ctx.inv.muts).map_err(structure)?;
-                self.ctx.plan.insert_state(sid.0, built)
-            }
-        };
+        let splan = state_plan(self.ctx, sid)?;
         let mut tasklets = Vec::new();
         let mut entries = Vec::new();
         for &n in &splan.order {
@@ -494,7 +694,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
                 }
                 Ok(())
             }
-            (0, 1) => self.add_map(sid, entries[0], state, &splan),
+            (0, 1) => self.add_map(sid, entries[0], state, &splan, &HashMap::new()),
             _ => Err(structure("state mixes maps and point tasklets")),
         }
     }
@@ -505,18 +705,30 @@ impl<'c, 's> NestBuilder<'c, 's> {
         let site = self.site(&self.outer.clone());
         let bt = compile_body_tasklet(self.ctx, sid, n, &mut Solver::new(&site.names, self.env0))
             .map_err(|e| body(e.to_string()))?;
-        let modes = point_modes(&bt)?;
+        let mut modes = point_modes(&bt)?;
+        for (o, m) in bt.outs.iter().zip(&mut modes) {
+            // A scope-local scalar is zeroed before every iteration, which
+            // is exactly the seed of a plain store.
+            if self.locals.contains(&o.data) && *m == JitOutMode::ReadModifyWrite {
+                *m = JitOutMode::Write;
+            }
+        }
         let idx = self.push_call(Arc::new(bt), true, modes, &site)?;
         self.body.push(NestItem::Call(idx));
         Ok(())
     }
 
+    /// Adds a map scope nested under the builder's outer dims. `dyn_ports`
+    /// maps the scope's dynamic-range connectors to the ports holding
+    /// their values: a range bound that is exactly one of them becomes a
+    /// bound the kernel loads when entering the loop.
     fn add_map(
         &mut self,
         sid: StateId,
         entry: NodeId,
         state: &State,
         splan: &StatePlan,
+        dyn_ports: &HashMap<String, usize>,
     ) -> Result<(), Decline> {
         let Node::MapEntry(scope) = state.graph.node(entry) else {
             return Err(structure("not a map entry"));
@@ -538,7 +750,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
             let dynamic = df
                 .dst_conn
                 .as_deref()
-                .is_some_and(|c| !c.starts_with("IN_"));
+                .is_some_and(|c| !c.starts_with("IN_") && !dyn_ports.contains_key(c));
             if dynamic && !df.memlet.is_empty() {
                 return Err(structure("dynamic-range connector"));
             }
@@ -566,7 +778,35 @@ impl<'c, 's> NestBuilder<'c, 's> {
             sc.extend(d_base..d);
             let site = self.site(&sc);
             self.check_unit_step(r, &site)?;
-            let range = self.affine_bounds(r, &site)?;
+            let loaded_port = |e: &Expr| match e {
+                Expr::Sym(s) => dyn_ports.get(s).copied(),
+                _ => None,
+            };
+            let (lo_port, hi_port) = (loaded_port(&r.start), loaded_port(&r.end));
+            let range = if lo_port.is_some() || hi_port.is_some() {
+                if d == 0 {
+                    return Err(nonaffine("loaded bound on the tile dimension"));
+                }
+                let affine = |e: &Expr, port: Option<usize>| match port {
+                    Some(_) => Ok(NestAffine::constant(0)),
+                    None => NestAffine::from_solved(&solve(e, &site.names, self.env0), &site)
+                        .ok_or_else(|| nonaffine("non-affine map bound")),
+                };
+                (affine(&r.start, lo_port)?, affine(&r.end, hi_port)?)
+            } else {
+                self.affine_bounds(r, &site)?
+            };
+            // A loaded dim's extent is unknown at launch, so no other
+            // bound may depend on it.
+            let loaded = self.loaded_dims();
+            if range.0.reads_any(&loaded) || range.1.reads_any(&loaded) {
+                return Err(nonaffine("bound depends on a loaded-bound dimension"));
+            }
+            for (hi, port) in [(false, lo_port), (true, hi_port)] {
+                if let Some(port) = port {
+                    self.loaded.push(LoadedBound { dim: d, hi, port });
+                }
+            }
             if d > 0 {
                 self.bounds.push(range);
             }
@@ -635,17 +875,102 @@ impl<'c, 's> NestBuilder<'c, 's> {
         Ok(())
     }
 
+    /// Adds the body of a generic map scope under the builder's outer
+    /// dims: point tasklets, scope-local scalars and exactly one inner map,
+    /// in the interpreter's (topological) order. Each scope-local scalar
+    /// must be written by one point tasklet before anything reads it — the
+    /// interpreter zeroes it per iteration, which the plain store's zero
+    /// seed reproduces. The inner map's dynamic-range connectors read
+    /// element ports, so their values load when its loop is entered.
+    fn add_generic_body(
+        &mut self,
+        sid: StateId,
+        children: &[NodeId],
+        local_transients: &[String],
+    ) -> Result<(), Decline> {
+        let ctx = self.ctx;
+        let state = ctx.sdfg.state(sid);
+        let splan = state_plan(ctx, sid)?;
+        for name in local_transients {
+            let desc = ctx
+                .sdfg
+                .desc(name)
+                .ok_or_else(|| structure(format!("no container `{name}`")))?;
+            let mut size = 1i64;
+            for d in desc.shape() {
+                let n = d
+                    .eval(self.env0)
+                    .map_err(|_| nonaffine("symbolic local shape"))?;
+                size = size.saturating_mul(n);
+            }
+            if size != 1 || matches!(desc, sdfg_core::desc::DataDesc::Stream(_)) {
+                return Err(structure(format!("scope-local `{name}` is not a scalar")));
+            }
+        }
+        self.locals = local_transients.to_vec();
+        let mut inner = false;
+        for &c in children {
+            match state.graph.node(c) {
+                Node::Tasklet { .. } => self.add_point_tasklet(sid, c)?,
+                Node::Access { data, .. } => {
+                    if !self.locals.contains(data) {
+                        return Err(structure(format!("access to `{data}` in map body")));
+                    }
+                    check_access(state, c)?;
+                }
+                Node::MapEntry(_) if inner => {
+                    return Err(structure("map body holds more than one map"));
+                }
+                Node::MapEntry(_) => {
+                    inner = true;
+                    let site = self.site(&self.outer.clone());
+                    let mut dyn_ports = HashMap::new();
+                    for e in state.graph.in_edges(c) {
+                        let df = state.graph.edge(e);
+                        let Some(conn) = df.dst_conn.as_deref() else {
+                            continue;
+                        };
+                        if conn.starts_with("IN_") || df.memlet.is_empty() {
+                            continue;
+                        }
+                        let data = df.memlet.data_name();
+                        self.check_local_read(data)?;
+                        let mut solver = Solver::new(&site.names, self.env0);
+                        let w = plan_window(ctx, data, &df.memlet.subset, &mut solver, false)
+                            .map_err(|e| body(e.to_string()))?;
+                        let slot = ctx.buf_index.get(data).copied();
+                        let port = self.add_port(data, slot, &w, &site)?;
+                        if self.ports[port].kind != PortKind::Affine {
+                            return Err(nonaffine("dynamic-range connector reads a window"));
+                        }
+                        dyn_ports.insert(conn.to_string(), port);
+                        self.dyn_conns.push(conn.to_string());
+                    }
+                    self.add_map(sid, c, state, &splan, &dyn_ports)?;
+                }
+                Node::MapExit { .. } => {}
+                _ => return Err(structure("unsupported node kind in map body")),
+            }
+        }
+        if !inner {
+            return Err(structure("map body holds no inner map"));
+        }
+        Ok(())
+    }
+
     /// Emits the kernel and requests its compile; `label` and `whole_nest`
     /// name the site in fallback records.
     fn finish(self, label: String, whole_nest: bool) -> Result<NestCore, Decline> {
         let NestBuilder {
             dims,
             bounds,
+            loaded,
             ports,
             calls,
             body: items,
             syms,
             rows,
+            exclusive,
             ..
         } = self;
         if calls.is_empty() {
@@ -660,6 +985,17 @@ impl<'c, 's> NestBuilder<'c, 's> {
             }
             _ => None,
         };
+        let mut streams = Vec::new();
+        for c in &calls {
+            for (&p, m) in c.outs.iter().zip(&c.modes) {
+                if *m == JitOutMode::Stream {
+                    streams.push(p);
+                }
+            }
+        }
+        if streams.len() > MAX_STREAMS {
+            return Err(body("too many stream outputs"));
+        }
         let tasklets: Vec<NestTasklet<'_>> = calls
             .iter()
             .map(|c| NestTasklet {
@@ -673,11 +1009,20 @@ impl<'c, 's> NestBuilder<'c, 's> {
                     .collect(),
             })
             .collect();
+        let of_kind = |f: &dyn Fn(&NestPort) -> bool| -> Vec<usize> {
+            (0..ports.len()).filter(|&p| f(&ports[p])).collect()
+        };
+        let whole = of_kind(&|p| p.kind == PortKind::Whole);
+        let fallible = !whole.is_empty();
+        let loaded_dims = loaded.iter().map(|l| l.dim).collect();
         let spec = NestSpec {
             ndims,
             nports: ports.len(),
             tasklets,
             body: items,
+            clamped: of_kind(&|p| p.clamped),
+            whole,
+            loaded,
         };
         let src = emit_nest_kernel(&spec).map_err(body)?;
         drop(spec);
@@ -686,16 +1031,32 @@ impl<'c, 's> NestBuilder<'c, 's> {
             ndims,
             ports,
             bounds,
+            loaded_dims,
             calls,
             acc0,
+            streams,
+            exclusive,
+            fallible,
             syms: syms.unwrap_or_default(),
             kernel,
             label,
             whole_nest,
             declined: AtomicBool::new(false),
+            shared_declined: AtomicBool::new(false),
             rows,
         })
     }
+}
+
+/// The structural plan of a state (shared plan, else derived).
+fn state_plan(ctx: &Ctx, sid: StateId) -> Result<Arc<StatePlan>, Decline> {
+    Ok(match ctx.plan.state(sid.0) {
+        Some(p) => p,
+        None => {
+            let built = StatePlan::build(ctx.sdfg.state(sid), &ctx.inv.muts).map_err(structure)?;
+            ctx.plan.insert_state(sid.0, built)
+        }
+    })
 }
 
 /// Rejects access nodes whose edges the interpreter would execute as
@@ -739,6 +1100,22 @@ fn wcr_op(w: &Wcr) -> Result<JitWcrOp, Decline> {
     }
 }
 
+/// The mode of a stream or write-log output (both VM-mirror only), or
+/// `None` for a memory port.
+fn staged_mode(o: &crate::tasklet::OutPortPlan) -> Result<Option<JitOutMode>, Decline> {
+    if o.stream {
+        return Ok(Some(JitOutMode::Stream));
+    }
+    if !o.log {
+        return Ok(None);
+    }
+    let w = o
+        .wcr
+        .as_ref()
+        .ok_or_else(|| body("write log without WCR"))?;
+    Ok(Some(JitOutMode::Log(wcr_op(w)?)))
+}
+
 /// Output modes for the sole tasklet of a map scope, mirroring what the
 /// interpreted tiers' try-in-order dispatch does at that position: the
 /// native micro-kernel when one was recognized (plain store, or register
@@ -754,6 +1131,10 @@ fn innermost_modes(
     }
     let mut modes = Vec::with_capacity(bt.outs.len());
     for o in &bt.outs {
+        if let Some(m) = staged_mode(o)? {
+            modes.push(m);
+            continue;
+        }
         let coeff = match &o.window {
             WindowPlan::Scalar(sv) => sv.coeff(innermost_pos),
             _ => None,
@@ -796,9 +1177,10 @@ fn point_modes(bt: &BodyTasklet) -> Result<Vec<JitOutMode>, Decline> {
     }
     let mut modes = Vec::with_capacity(bt.outs.len());
     for o in &bt.outs {
-        modes.push(match &o.wcr {
-            None => JitOutMode::ReadModifyWrite,
-            Some(w) => JitOutMode::CombinePerPoint(wcr_op(w)?),
+        modes.push(match (staged_mode(o)?, &o.wcr) {
+            (Some(m), _) => m,
+            (None, None) => JitOutMode::ReadModifyWrite,
+            (None, Some(w)) => JitOutMode::CombinePerPoint(wcr_op(w)?),
         });
     }
     Ok(modes)
@@ -964,10 +1346,12 @@ pub(crate) fn try_collapse_loop(
     };
     let (mut npts, mut calls) = (0i64, 0u64);
     let mut done = lo0;
+    let mut ran = Ok(());
     match ctx.deadline {
         None => {
-            npts = run_nest(&args, lo0, hi0);
-            (calls, done) = (1, hi0);
+            ran = run_nest(&plan.core, &args, lo0, hi0).map(|(n, c)| {
+                (npts, calls, done) = (n, c, hi0);
+            });
         }
         Some(deadline) => {
             // Slice length adapts towards ~1 ms of work per call: short
@@ -977,8 +1361,15 @@ pub(crate) fn try_collapse_loop(
             while done < hi0 && std::time::Instant::now() < deadline {
                 let hi = done.saturating_add(len).min(hi0);
                 let t0 = std::time::Instant::now();
-                npts += run_nest(&args, done, hi);
-                calls += 1;
+                let (n, c) = match run_nest(&plan.core, &args, done, hi) {
+                    Ok(r) => r,
+                    Err(e) => {
+                        ran = Err(e);
+                        break;
+                    }
+                };
+                npts += n;
+                calls += c;
                 done = hi;
                 let us = t0.elapsed().as_micros();
                 if us < 500 {
@@ -993,6 +1384,7 @@ pub(crate) fn try_collapse_loop(
     st.tasklet_points.fetch_add(npts as u64, Ordering::Relaxed);
     st.jit_points.fetch_add(npts as u64, Ordering::Relaxed);
     st.nest_calls.fetch_add(calls, Ordering::Relaxed);
+    ran?;
     // A unit-step loop exits with `var == hi0`; the normal edge scan then
     // takes the exit edge and applies its assignments.
     symbols.insert(plan.var.clone(), done);
@@ -1004,13 +1396,10 @@ pub(crate) fn try_collapse_loop(
 
 // --- standalone map nests ----------------------------------------------------
 
+/// Builds a standalone map's nest: a single-tasklet body (the steal site's
+/// multi-dim maps) or a generic body (see `add_generic_body`; the serial
+/// site).
 fn build_map_nest(ctx: &Ctx, pkey: (u32, u32), plan: &MapPlan) -> Result<MapNestPlan, Decline> {
-    let MapBody::Tasklets(ts, _) = &plan.body else {
-        return Err(body("generic map body"));
-    };
-    let [(tnode, _)] = &ts[..] else {
-        return Err(body("multi-tasklet standalone map"));
-    };
     let mut b = NestBuilder::over_interstate(ctx, false);
     for p in &plan.params {
         b.alloc_dim(p)?;
@@ -1024,19 +1413,43 @@ fn build_map_nest(ctx: &Ctx, pkey: (u32, u32), plan: &MapPlan) -> Result<MapNest
             b.bounds.push(range);
         }
     }
-    let sc: Vec<usize> = (0..plan.params.len()).collect();
-    let site = b.site(&sc);
-    let bt = compile_body_tasklet(
-        ctx,
-        NodeId(pkey.0),
-        *tnode,
-        &mut Solver::new(&site.names, b.env0),
-    )
-    .map_err(|e| body(e.to_string()))?;
-    let (program, modes) = innermost_modes(&bt, plan.params.len() - 1)?;
-    let idx = b.push_call(Arc::new(bt), program, modes, &site)?;
-    let mut items = vec![NestItem::Call(idx)];
-    for d in (1..plan.params.len()).rev() {
+    let nparams = plan.params.len();
+    let sc: Vec<usize> = (0..nparams).collect();
+    match &plan.body {
+        MapBody::Tasklets(ts, _) => {
+            let [(tnode, _)] = &ts[..] else {
+                return Err(body("multi-tasklet standalone map"));
+            };
+            let site = b.site(&sc);
+            let bt = compile_body_tasklet(
+                ctx,
+                NodeId(pkey.0),
+                *tnode,
+                &mut Solver::new(&site.names, b.env0),
+            )
+            .map_err(|e| body(e.to_string()))?;
+            let (program, modes) = innermost_modes(&bt, nparams - 1)?;
+            let idx = b.push_call(Arc::new(bt), program, modes, &site)?;
+            b.body = vec![NestItem::Call(idx)];
+        }
+        MapBody::Generic {
+            children,
+            local_transients,
+            writebacks,
+        } => {
+            if !writebacks.is_empty() {
+                return Err(structure("write-back of a scope-local container"));
+            }
+            b.outer = sc;
+            // The serial launch combines plainly (see `NestCore::exclusive`);
+            // the inner map must be serial in the interpreter too.
+            b.exclusive = true;
+            b.serial_gate = true;
+            b.add_generic_body(NodeId(pkey.0), children, local_transients)?;
+        }
+    }
+    let mut items = std::mem::take(&mut b.body);
+    for d in (1..nparams).rev() {
         items = vec![NestItem::Loop {
             dim: d,
             body: items,
@@ -1051,10 +1464,27 @@ fn build_map_nest(ctx: &Ctx, pkey: (u32, u32), plan: &MapPlan) -> Result<MapNest
         jit_reason: None,
     });
     let core = b.finish(plan.label.clone(), true)?;
-    // The hook below only takes maps of two or more dims, whose innermost
-    // (accumulating) dimension is never the tiled dim 0.
+    // Neither site's maps have a body reducing over the tile dimension:
+    // the steal site takes maps of two or more dims, whose innermost
+    // (accumulating) dimension is never dim 0, and a generic body's calls
+    // sit below its point tasklets or inner loop.
     debug_assert!(core.acc0.is_none());
     Ok(MapNestPlan { core })
+}
+
+/// The cached nest of a standalone map, built (or its decline recorded)
+/// on first use.
+fn map_nest(ctx: &Ctx, plan: &MapPlan, pkey: (u32, u32)) -> Option<Arc<MapNestPlan>> {
+    match ctx.plan.map_nest(pkey) {
+        Some(res) => res.ok(),
+        None => {
+            let res = build_map_nest(ctx, pkey, plan).map(Arc::new);
+            if let Err(d) = &res {
+                d.record(ctx.chash, &plan.label, true);
+            }
+            ctx.plan.insert_map_nest(pkey, res).ok()
+        }
+    }
 }
 
 /// Steal-scheduler hook: run a multi-dim map's tiles as whole-nest native
@@ -1091,20 +1521,12 @@ pub(crate) fn try_map_nest_steal(
     if ts.len() != 1 || plan.params.len() < 2 {
         return None;
     }
-    let core = match ctx.plan.map_nest(pkey) {
-        Some(Ok(p)) => p,
-        Some(Err(_)) => return None,
-        None => {
-            let res = build_map_nest(ctx, pkey, plan).map(Arc::new);
-            if let Err(d) = &res {
-                d.record(ctx.chash, &plan.label, true);
-            }
-            match ctx.plan.insert_map_nest(pkey, res) {
-                Ok(p) => p,
-                Err(_) => return None,
-            }
-        }
-    };
+    let core = map_nest(ctx, plan, pkey)?;
+    let core = &core.core;
+    // Tiles run concurrently, and none may fail half-way.
+    if core.exclusive || core.fallible {
+        return None;
+    }
     let lo0 = ranges.first()?.0;
     let hi0 = ranges.last()?.1;
     let launch = Launch {
@@ -1114,7 +1536,7 @@ pub(crate) fn try_map_nest_steal(
         origin: 0,
         step: 1,
     };
-    let args = marshal(ctx, &core.core, &launch, lo0, hi0)?;
+    let args = marshal(ctx, core, &launch, lo0, hi0)?;
     if !args.parallel_ok {
         return None;
     }
@@ -1122,7 +1544,7 @@ pub(crate) fn try_map_nest_steal(
     let args_ref = &args;
     let tile_fn = |_slot: usize, t: usize| {
         let (lo, hi) = ranges[t];
-        let n = run_nest(args_ref, lo, hi);
+        let (n, _) = run_nest(core, args_ref, lo, hi).expect("infallible kernel");
         total.fetch_add(n, Ordering::Relaxed);
     };
     pool.run(ranges.len(), &tile_fn, &ctx.stats);
@@ -1132,6 +1554,54 @@ pub(crate) fn try_map_nest_steal(
     st.jit_points.fetch_add(n, Ordering::Relaxed);
     st.nest_calls
         .fetch_add(ranges.len() as u64, Ordering::Relaxed);
+    Some(Ok(()))
+}
+
+/// Serial-launch hook: a top-level map with a generic body, launched on
+/// `exec_map`'s serial branch over `[lo0, hi0)`, runs as one native call
+/// (see `add_generic_body`). Its scope-local scalars are allocated exactly
+/// as the interpreted path allocates them (once per worker), so a launch
+/// that returns `None` — to run interpreted — leaves the worker as that
+/// path expects it.
+pub(crate) fn try_map_nest_serial(
+    ctx: &Ctx,
+    plan: &MapPlan,
+    worker: &mut Worker,
+    base: usize,
+    pkey: (u32, u32),
+    (lo0, hi0, step): (i64, i64, i64),
+) -> Option<Result<(), ExecError>> {
+    let MapBody::Generic { .. } = &plan.body else {
+        return None;
+    };
+    if !ctx.jit || base != worker.nconst || !plan.dyn_edges.is_empty() {
+        return None;
+    }
+    let core = map_nest(ctx, plan, pkey)?;
+    let core = &core.core;
+    if step != 1 {
+        return None;
+    }
+    worker.nest_pending = core.compiled().is_none();
+    if let Err(e) = crate::cpu::alloc_locals(ctx, &plan.body, worker) {
+        return Some(Err(e));
+    }
+    let launch = Launch {
+        consts: &|name| worker.env.get(name).copied(),
+        env: &worker.env,
+        locals: Some(&worker.locals),
+        origin: 0,
+        step: 1,
+    };
+    let args = marshal(ctx, core, &launch, lo0, hi0)?;
+    let (n, calls) = match run_nest(core, &args, lo0, hi0) {
+        Ok(r) => r,
+        Err(e) => return Some(Err(e)),
+    };
+    let st = &ctx.stats;
+    st.tasklet_points.fetch_add(n as u64, Ordering::Relaxed);
+    st.jit_points.fetch_add(n as u64, Ordering::Relaxed);
+    st.nest_calls.fetch_add(calls, Ordering::Relaxed);
     Some(Ok(()))
 }
 
@@ -1159,6 +1629,7 @@ pub(crate) fn build_span_nest(
     // from an environment.
     let (env0, muts) = (Env::new(), BTreeSet::new());
     let mut b = NestBuilder::new(ctx, &env0, &muts, false);
+    b.streams_ok = true;
     b.alloc_dim(inner)?;
     let mut dim_of = vec![None; outer.len()];
     dim_of.push(Some(0));
@@ -1169,14 +1640,12 @@ pub(crate) fn build_span_nest(
     let (program, modes) = innermost_modes(bt, outer.len())?;
     // Unlike the whole-nest sites, a span runs wherever the interpreter
     // would — including inside parallel tiles — so a per-point combine the
-    // race analysis marked atomic has no C equivalent. (An accumulating
-    // port is fine: its one final combine happens in Rust.)
+    // race analysis marked atomic makes the kernel exclusive. (An
+    // accumulating port is not: its one final combine happens in Rust.)
     let racy = |(o, m): (&crate::tasklet::OutPortPlan, &JitOutMode)| {
         o.atomic && matches!(m, JitOutMode::CombinePerPoint(_))
     };
-    if bt.outs.iter().zip(&modes).any(racy) {
-        return Err(body("atomic WCR combine"));
-    }
+    b.exclusive = bt.outs.iter().zip(&modes).any(racy);
     let idx = b.push_call(bt.clone(), program, modes, &site)?;
     b.body = vec![NestItem::Call(idx)];
     b.finish(label.to_string(), false)
@@ -1186,7 +1655,8 @@ pub(crate) fn build_span_nest(
 /// a span nest. Returns `Ok(None)` — fall through to the next tier —
 /// whenever a launch-time precondition fails: an unbound symbol, an offset
 /// outside its buffer (the interpreted tiers clamp with `.max(0)`, which
-/// the kernel cannot mirror), a missing buffer.
+/// the kernel cannot mirror), a missing buffer, an exclusive kernel inside
+/// a parallel tile. A fault the kernel reports is the interpreter's error.
 pub(crate) fn run_span(
     ctx: &Ctx,
     core: &NestCore,
@@ -1195,9 +1665,9 @@ pub(crate) fn run_span(
     s: i64,
     e: i64,
     st: i64,
-) -> Option<()> {
+) -> Result<Option<()>, ExecError> {
     if st <= 0 || s >= e {
-        return (s >= e).then_some(());
+        return Ok((s >= e).then_some(()));
     }
     let n = ((e - s) + st - 1) / st;
     let (pstack, point) = (&worker.pstack, &worker.point);
@@ -1211,12 +1681,14 @@ pub(crate) fn run_span(
         origin: s,
         step: st,
     };
-    let args = marshal(ctx, core, &launch, 0, n)?;
-    let npts = run_nest(&args, 0, n) as u64;
-    worker.st_points += npts;
-    worker.st_jit += npts;
-    worker.st_nest_calls += 1;
-    Some(())
+    let Some(args) = marshal(ctx, core, &launch, 0, n) else {
+        return Ok(None);
+    };
+    let (npts, calls) = run_nest(core, &args, 0, n)?;
+    worker.st_points += npts as u64;
+    worker.st_jit += npts as u64;
+    worker.st_nest_calls += calls;
+    Ok(Some(()))
 }
 
 // --- launch marshalling ------------------------------------------------------
@@ -1240,11 +1712,13 @@ fn affine_interval(base: i128, a: &NestAffine, ivals: &[(i128, i128)]) -> (i128,
 }
 
 /// Resolves launch-time constants and validates the launch over kernel
-/// indices `[lo0, hi0)` of dim 0: the kernel must have finished compiling,
-/// every port offset must stay in bounds over a conservative superset of
-/// the iteration space (so the interpreter's defensive clamps can never
-/// fire on an admitted launch), every symbol must be bound, and the
-/// write-disjointness of dim-0 tiles is established for the parallel path.
+/// indices `[lo0, hi0)` of dim 0: the kernel must have finished compiling
+/// (and, if exclusive, the launch must run outside any parallel tile),
+/// every affine port offset must stay in bounds over a conservative
+/// superset of the iteration space (so the interpreter's defensive clamps
+/// can never fire on an admitted launch), every symbol must be bound, and
+/// the write-disjointness of dim-0 tiles is established for the parallel
+/// path. Whole-container and clamped ports are the kernel's to check.
 /// `None` falls back to the interpreter bitwise-identically.
 fn marshal<'a>(
     ctx: &'a Ctx,
@@ -1254,14 +1728,22 @@ fn marshal<'a>(
     hi0: i64,
 ) -> Option<NestArgs<'a>> {
     let func = core.kernel(ctx.chash)?.func();
+    if !core.launch_exclusive(ctx.chash) {
+        return None;
+    }
     let ndims = core.ndims;
     let Launch { origin, step, .. } = *launch;
     // Per-dim intervals of iteration *values*, ascending: dim d's bounds
     // only read dims < d, so each interval closes over the previous ones.
+    // A loaded dim's interval is unknown; only clamped ports read it.
     let value0 = |k: i64| origin as i128 + k as i128 * step as i128;
     let mut ivals: Vec<(i128, i128)> = Vec::with_capacity(ndims);
     ivals.push((value0(lo0), value0(hi0 - 1)));
     for d in 1..ndims {
+        if core.loaded_dims.contains(&d) {
+            ivals.push((0, 0));
+            continue;
+        }
         let (lo, hi) = &core.bounds[d - 1];
         let lo_b = lo.base_at(launch.consts)? as i128;
         let hi_b = hi.base_at(launch.consts)? as i128;
@@ -1283,20 +1765,50 @@ fn marshal<'a>(
     };
     let acc_call = core.acc0.map(|t| &core.calls[t]);
     let mut acc0 = None;
+    let (stage, chunk) = match core.streams.len() {
+        0 => (None, 0),
+        n => {
+            let pushes = core.streams.iter().map(|&p| match core.ports[p].kind {
+                PortKind::Stream { pushes } => pushes.max(1),
+                _ => 1,
+            });
+            let chunk = (STAGE / pushes.max().unwrap_or(1)) as i64;
+            (Some(SharedBuffer::new(vec![0.0; n * STAGE])), chunk)
+        }
+    };
+    let mut streams = Vec::with_capacity(core.streams.len());
+    let mut lens = Vec::new();
     let mut bufs = Vec::with_capacity(core.ports.len());
-    let mut geo = Vec::with_capacity(core.ports.len() * (2 + ndims));
+    let mut geo = Vec::with_capacity(core.ports.len() * (3 + ndims));
     for (p, port) in core.ports.iter().enumerate() {
+        geo.push(p as i64);
+        if let PortKind::Stream { .. } = port.kind {
+            let stage = stage.as_ref()?;
+            let at = streams.len() * STAGE;
+            streams.push(StreamSink {
+                queue: ctx.streams.get(&port.data)?,
+                at,
+            });
+            // SAFETY: the staging buffer is owned by the launch and only
+            // written inside kernel calls, below `STAGE` slots per stream.
+            bufs.push(unsafe { stage.as_mut_slice() }.as_mut_ptr());
+            geo.push(at as i64);
+            geo.extend(std::iter::repeat_n(0, ndims));
+            lens.push(STAGE as i64);
+            continue;
+        }
         let buf = match launch.locals.and_then(|l| l.get(&port.data)) {
             Some(b) => b,
             None => ctx.bufs.get(port.slot?)?,
         };
-        let len = buf.len() as i128;
+        lens.push(buf.len() as i64);
         let base = port.addr.base_at(launch.consts)?;
-        let (omin, omax) = affine_interval(base as i128, &port.addr, &ivals);
-        if omin < 0 || omax >= len {
-            return None;
+        if port.kind == PortKind::Affine && !port.clamped {
+            let (omin, omax) = affine_interval(base as i128, &port.addr, &ivals);
+            if omin < 0 || omax >= buf.len() as i128 {
+                return None;
+            }
         }
-        geo.push(p as i64);
         if let Some(call) = acc_call.filter(|c| c.outs[0] == p) {
             // The kernel folds into a private cell (installed per call by
             // `run_nest`); the real element is combined in Rust.
@@ -1315,7 +1827,7 @@ fn marshal<'a>(
             continue;
         }
         // SAFETY: the pointer is only dereferenced inside kernel calls,
-        // within the range validated above.
+        // within the range validated above (or checked by the kernel).
         bufs.push(unsafe { buf.as_mut_slice() }.as_mut_ptr());
         let (base, c0) = rebase(base, port.addr.coeff(0))?;
         geo.push(base);
@@ -1324,8 +1836,21 @@ fn marshal<'a>(
             geo.push(port.addr.coeff(d));
         }
     }
+    // Only kernels that check or stage accesses themselves read the
+    // length table; the others keep the geometry they always had.
+    let lens_at = geo.len();
+    if core
+        .ports
+        .iter()
+        .any(|p| p.clamped || p.kind != PortKind::Affine)
+    {
+        geo.extend(lens);
+    }
     let mut bnd = vec![0i64; 2 * ndims * (1 + ndims)];
     for d in 1..ndims {
+        if core.loaded_dims.contains(&d) {
+            continue;
+        }
         let (lo, hi) = &core.bounds[d - 1];
         for (row, a) in [(2 * d, lo), (2 * d + 1, hi)] {
             let r = row * (1 + ndims);
@@ -1339,66 +1864,163 @@ fn marshal<'a>(
     // moves the offset further than the whole reach of the inner dims:
     // |c0| > Σ |c_d|·span_d implies two different i0 values can never
     // alias, so tile execution order is unobservable.
-    let parallel_ok = core.calls.iter().all(|c| {
-        c.outs.iter().all(|&p| {
-            let a = &core.ports[p].addr;
-            let c0 = (a.coeff(0) as i128).abs();
-            if c0 == 0 {
-                return false;
-            }
-            let mut reach: i128 = 0;
-            for (d, &(x, y)) in ivals.iter().enumerate().take(ndims).skip(1) {
-                reach += (a.coeff(d) as i128).abs() * (y - x).max(0);
-            }
-            c0 > reach
-        })
-    });
+    let parallel_ok = core.loaded_dims.is_empty()
+        && core.calls.iter().all(|c| {
+            c.outs.iter().all(|&p| {
+                let a = &core.ports[p].addr;
+                let c0 = (a.coeff(0) as i128).abs();
+                if c0 == 0 {
+                    return false;
+                }
+                let mut reach: i128 = 0;
+                for (d, &(x, y)) in ivals.iter().enumerate().take(ndims).skip(1) {
+                    reach += (a.coeff(d) as i128).abs() * (y - x).max(0);
+                }
+                c0 > reach
+            })
+        });
     Some(NestArgs {
         func,
         bufs,
         geo,
+        lens_at,
         syms,
         bnd,
         acc0,
+        stage,
+        streams,
+        chunk,
         parallel_ok,
     })
 }
 
-/// One native call: runs the full inner nest for dim-0 kernel indices
-/// `[lo0, hi0)` and returns the number of tasklet executions.
-fn run_nest(args: &NestArgs, lo0: i64, hi0: i64) -> i64 {
-    let mut npts: i64 = 0;
-    let mut call = |bufs: &[*mut f64]| {
-        // SAFETY: `marshal` validated every address the nest reaches over
-        // a superset of `[lo0, hi0)`; the argument arrays outlive the call
-        // and `syms` holds one value per program symbol. Aliasing between
-        // ports is allowed — the kernel takes no `restrict` and mirrors
-        // the interpreted tiers' per-point read-then-write order.
-        unsafe {
-            (args.func)(
-                bufs.as_ptr(),
-                args.geo.as_ptr(),
-                args.syms.as_ptr(),
-                args.bnd.as_ptr(),
-                lo0,
-                hi0,
-                &mut npts,
-            )
-        }
-    };
-    match &args.acc0 {
-        None => call(&args.bufs),
-        Some(acc) => {
-            let mut cell = acc.identity;
-            let mut bufs = args.bufs.clone();
-            bufs[acc.port] = &mut cell;
-            call(&bufs);
-            if acc.atomic {
-                acc.buf.atomic_combine(acc.off, cell, acc.f);
-            } else {
-                acc.buf.combine_plain(acc.off, cell, acc.f);
+/// Runs the full inner nest for dim-0 kernel indices `[lo0, hi0)`: one
+/// native call, or — for a kernel with stream outputs — consecutive calls
+/// of at most `chunk` points, each appending its staged pushes to the
+/// streams in order. Returns the tasklet executions and calls made. A
+/// fault the kernel reports becomes the interpreter's error, and the
+/// launch's pushes are withdrawn: the affine VM loop the span mirrors
+/// appends them only once the whole span has run.
+fn run_nest(core: &NestCore, args: &NestArgs, lo0: i64, hi0: i64) -> Result<(i64, u64), ExecError> {
+    let marks: Vec<usize> = args.streams.iter().map(|s| s.queue.lock().len()).collect();
+    let mut status = [0i64; STATUS_STREAMS + MAX_STREAMS];
+    let (mut npts, mut calls) = (0i64, 0u64);
+    let mut lo = lo0;
+    loop {
+        let hi = match args.chunk {
+            0 => hi0,
+            c => lo.saturating_add(c).min(hi0),
+        };
+        status[STATUS_FAULT] = 0;
+        let mut call = |bufs: &[*mut f64]| {
+            // SAFETY: `marshal` validated every affine address the nest
+            // reaches over a superset of `[lo0, hi0)`, and the kernel
+            // range-checks the rest; the argument arrays outlive the call,
+            // `syms` holds one value per program symbol and `status` one
+            // slot per stream past the fault slots. Aliasing between ports
+            // is allowed — the kernel takes no `restrict` and mirrors the
+            // interpreted tiers' per-point read-then-write order.
+            unsafe {
+                (args.func)(
+                    bufs.as_ptr(),
+                    args.geo.as_ptr(),
+                    args.syms.as_ptr(),
+                    args.bnd.as_ptr(),
+                    lo,
+                    hi,
+                    status.as_mut_ptr(),
+                )
+            }
+        };
+        match &args.acc0 {
+            None => call(&args.bufs),
+            Some(acc) => {
+                let mut cell = acc.identity;
+                let mut bufs = args.bufs.clone();
+                bufs[acc.port] = &mut cell;
+                call(&bufs);
+                if acc.atomic {
+                    acc.buf.atomic_combine(acc.off, cell, acc.f);
+                } else {
+                    acc.buf.combine_plain(acc.off, cell, acc.f);
+                }
             }
         }
+        npts += status[0];
+        calls += 1;
+        if status[STATUS_FAULT] != 0 {
+            for (s, &m) in args.streams.iter().zip(&marks) {
+                s.queue.lock().truncate(m);
+            }
+            return Err(core.fault(args, status[STATUS_FAULT], status[STATUS_INDEX]));
+        }
+        if let Some(stage) = &args.stage {
+            let staged = stage.as_slice();
+            for (k, s) in args.streams.iter().enumerate() {
+                let n = status[STATUS_STREAMS + k] as usize;
+                s.queue.lock().extend(&staged[s.at..s.at + n]);
+            }
+        }
+        if hi >= hi0 {
+            return Ok((npts, calls));
+        }
+        lo = hi;
     }
-    npts
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::Executor;
+
+    /// A write-log kernel — histogram's bins, combined atomically by every
+    /// interpreted tier — runs native when its launch is serial, and from
+    /// inside a parallel tile declines with a ledger record, leaving the
+    /// interpreted tiers to produce the same bits.
+    #[test]
+    fn exclusive_kernel_declines_inside_a_parallel_tile() {
+        if !crate::jit::env_enabled() || crate::jit::cc().is_none() {
+            return;
+        }
+        let w = sdfg_workloads::kernels::histogram(64);
+        let run = |in_tile: bool| {
+            let mut ex = Executor::new(&w.sdfg);
+            ex.nthreads = 1;
+            for (s, v) in &w.symbols {
+                ex.set_symbol(s, *v);
+            }
+            for (n, d) in &w.arrays {
+                ex.set_array(n, d.clone());
+            }
+            let stats = if in_tile {
+                crate::sched::as_pool_worker(|| ex.run())
+            } else {
+                ex.run()
+            }
+            .expect("histogram runs");
+            (stats, ex.arrays["hist"].clone())
+        };
+        // Compile first, so the second pair of runs sees the kernel.
+        run(false);
+        crate::jit::wait_idle();
+        let dir = std::env::temp_dir().join(format!("sdfg-exclusive-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ledger = dir.join("ledger.jsonl");
+        sdfg_profile::ledger::set_path(Some(&ledger));
+        let (serial, want) = run(false);
+        let (tiled, got) = run(true);
+        sdfg_profile::ledger::set_path(None);
+        let text = std::fs::read_to_string(&ledger).unwrap_or_default();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(serial.jit_points > 0, "serial launch stayed interpreted");
+        assert_eq!(tiled.jit_points, 0, "exclusive kernel ran inside a tile");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        assert!(
+            text.lines()
+                .any(|l| l.contains("\"record\":\"jit_fallback\"")
+                    && l.contains("\"map\":\"pixels\"")
+                    && l.contains("inside a parallel tile")),
+            "no decline recorded:\n{text}"
+        );
+    }
 }

@@ -548,7 +548,8 @@ impl ExecutionPlan {
             })
             .collect();
         drop(map);
-        let mut absorb = |core: &crate::nest::NestCore| {
+        type Rows = HashMap<(u32, u32), crate::lower::MapLowering>;
+        let absorb = |rows: &mut Rows, core: &crate::nest::NestCore| {
             if matches!(core.compiled(), Some(Ok(_))) {
                 for row in &core.rows {
                     rows.insert((row.state, row.node), row.clone());
@@ -556,10 +557,24 @@ impl ExecutionPlan {
             }
         };
         for nest in self.loop_nests.lock().values().flatten() {
-            absorb(&nest.core);
+            absorb(&mut rows, &nest.core);
         }
-        for nest in self.map_nests.lock().values().flatten() {
-            absorb(&nest.core);
+        for (key, nest) in self.map_nests.lock().iter() {
+            // A map whose own nest did not run says why.
+            let why = match nest {
+                Ok(nest) => match nest.core.compiled() {
+                    Some(Ok(_)) => {
+                        absorb(&mut rows, &nest.core);
+                        continue;
+                    }
+                    Some(Err(d)) => d.detail.clone(),
+                    None => "compile pending".to_string(),
+                },
+                Err(d) => d.detail.clone(),
+            };
+            if let Some(row) = rows.get_mut(key).filter(|r| r.tier != "jit") {
+                row.jit_reason = Some(why);
+            }
         }
         let mut out: Vec<crate::lower::MapLowering> = rows.into_values().collect();
         out.sort_by_key(|e| (e.state, e.node));

@@ -76,6 +76,15 @@ pub(crate) fn in_pool_worker() -> bool {
     IN_POOL.with(|c| c.get())
 }
 
+/// Runs `f` as if inside a tile, on the calling thread.
+#[cfg(test)]
+pub(crate) fn as_pool_worker<R>(f: impl FnOnce() -> R) -> R {
+    let was = IN_POOL.with(|c| c.replace(true));
+    let r = f();
+    IN_POOL.with(|c| c.set(was));
+    r
+}
+
 // --- packed-range deque -------------------------------------------------------------
 
 #[inline]

@@ -301,6 +301,35 @@ pub(crate) fn plan_window(
 
 // --- tasklet execution -----------------------------------------------------------
 
+/// A copy of the worker's parameter point, taken so the worker can be
+/// borrowed while windows are evaluated: on the stack for the usual
+/// shallow stacks, on the heap for deeper ones (launch-time constants and
+/// nested map parameters add up).
+enum PointSnapshot {
+    Inline([i64; PointSnapshot::INLINE], usize),
+    Heap(Vec<i64>),
+}
+
+impl PointSnapshot {
+    const INLINE: usize = 24;
+
+    fn of(point: &[i64]) -> PointSnapshot {
+        if point.len() > Self::INLINE {
+            return PointSnapshot::Heap(point.to_vec());
+        }
+        let mut buf = [0i64; Self::INLINE];
+        buf[..point.len()].copy_from_slice(point);
+        PointSnapshot::Inline(buf, point.len())
+    }
+
+    fn as_slice(&self) -> &[i64] {
+        match self {
+            PointSnapshot::Inline(buf, n) => &buf[..*n],
+            PointSnapshot::Heap(v) => v,
+        }
+    }
+}
+
 /// Executes a compiled tasklet at one parameter point (or at top level with
 /// empty params).
 pub(crate) fn run_tasklet_point(
@@ -311,11 +340,8 @@ pub(crate) fn run_tasklet_point(
     stream_override: Option<(&str, f64)>,
 ) -> Result<(), ExecError> {
     worker.st_points += 1;
-    // Snapshot the parameter point (small, lives on the stack).
-    let mut point_buf = [0i64; 24];
-    let np = worker.point.len().min(24);
-    point_buf[..np].copy_from_slice(&worker.point[..np]);
-    let point: &[i64] = &point_buf[..np];
+    let snap = PointSnapshot::of(&worker.point);
+    let point = snap.as_slice();
     // Gather inputs into per-port buffers.
     let nin = body.ins.len();
     let mut scalar_ins = [0.0f64; 16];
@@ -761,10 +787,8 @@ pub(crate) fn try_native_loop(
     // Resolve base offsets and inner-dim coefficients (stack snapshot of
     // the parameter point — this path runs once per inner-loop launch).
     worker.point[dim] = s;
-    let mut point_buf = [0i64; 24];
-    let np = worker.point.len().min(24);
-    point_buf[..np].copy_from_slice(&worker.point[..np]);
-    let point: &[i64] = &point_buf[..np];
+    let snap = PointSnapshot::of(&worker.point);
+    let point = snap.as_slice();
     let resolve = |w: &WindowPlan, point: &[i64]| -> Option<(i64, i64)> {
         match w {
             WindowPlan::Scalar(sv) => {
@@ -1037,10 +1061,8 @@ pub(crate) fn try_vm_loop(
     }
     let n = (((e - s) + st - 1) / st) as usize;
     worker.point[dim] = s;
-    let mut point_buf = [0i64; 24];
-    let np = worker.point.len().min(24);
-    point_buf[..np].copy_from_slice(&worker.point[..np]);
-    let point: &[i64] = &point_buf[..np];
+    let snap = PointSnapshot::of(&worker.point);
+    let point = snap.as_slice();
     let resolve = |w: &WindowPlan| -> Option<(i64, i64)> {
         match w {
             WindowPlan::Scalar(sv) => {

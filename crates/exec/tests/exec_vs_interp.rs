@@ -503,3 +503,59 @@ fn try_array_is_total_and_missing_arrays_get_a_stable_code() {
     assert_eq!(boundary.code(), "SDFG-X002");
     assert!(boundary.to_string().contains("unknown data container"));
 }
+
+/// A parameter point deeper than the tiers' inline snapshot (24 entries):
+/// 24 single-iteration parameters stacked over the one that varies. Every
+/// interpreted tier — native loop, affine VM loop, per-point windows —
+/// must still see the innermost parameter's coefficient.
+#[test]
+fn deep_parameter_stacks() {
+    let mut ranges: Vec<(String, &str)> = (0..24).map(|d| (format!("p{d}"), "0:1")).collect();
+    ranges.push(("q".to_string(), "1:5"));
+    let ranges: Vec<(&str, &str)> = ranges.iter().map(|(p, r)| (p.as_str(), *r)).collect();
+    let mut b = SdfgBuilder::new("deep");
+    b.array("A", &["8"], DType::F64);
+    for out in ["C", "D", "E"] {
+        b.array(out, &["8"], DType::F64);
+    }
+    let st = b.state("main");
+    // Native copy, affine-VM body, and a two-element window per point.
+    b.mapped_tasklet(
+        st,
+        "copy",
+        &ranges,
+        &[("a", "A", "q")],
+        "c = a",
+        &[("c", "C", "q")],
+    );
+    b.mapped_tasklet(
+        st,
+        "vm",
+        &ranges,
+        &[("a", "A", "q")],
+        "d = a * 2 if a > 3 else a - 1",
+        &[("d", "D", "q")],
+    );
+    b.mapped_tasklet(
+        st,
+        "window",
+        &ranges,
+        &[("w", "A", "q - 1:q + 1")],
+        "e = w[0] + 10 * w[1]",
+        &[("e", "E", "q")],
+    );
+    let sdfg = b.build().unwrap();
+    let a: Vec<f64> = (0..8).map(|i| (i * i) as f64).collect();
+    let zeros = vec![0.0; 8];
+    assert_equivalent(
+        &sdfg,
+        &[],
+        &[
+            ("A", a),
+            ("C", zeros.clone()),
+            ("D", zeros.clone()),
+            ("E", zeros),
+        ],
+        &["C", "D", "E"],
+    );
+}

@@ -50,7 +50,7 @@ const STEADY: [Steady; 5] = [
     Steady {
         name: "durbin",
         scale: 300,
-        serial: (12210, 44, 135749),
+        serial: (36630, 132, 135749),
         tiled: false,
     },
     Steady {
