@@ -613,13 +613,16 @@ fn lowering_table(lowerings: &[sdfg_exec::MapLowering]) -> String {
 pub type NamedKernel = (&'static str, fn(usize) -> Workload);
 
 /// The kernels `--profile` and `--opt` accept, as `(name, builder)`: the
-/// 30 Polybench kernels, then the three irregular §6.1 kernels
-/// (`histogram`, `query`, and `spmv` at 16 nonzeros per row).
+/// 30 Polybench kernels, then the §6.1 kernels — the dense `mm` and
+/// `jacobi2d` (24 time steps), and the irregular `histogram`, `query`,
+/// and `spmv` (16 nonzeros per row).
 pub fn profiled_kernels() -> Vec<NamedKernel> {
     let mut ks: Vec<NamedKernel> = polybench::all()
         .into_iter()
         .map(|k| (k.name, k.build))
         .collect();
+    ks.push(("mm", kernels::mm));
+    ks.push(("jacobi2d", |n| kernels::jacobi2d(n, 24)));
     ks.push(("histogram", kernels::histogram));
     ks.push(("query", kernels::query));
     ks.push(("spmv", |n| kernels::spmv(n, 16)));

@@ -205,6 +205,195 @@ pub fn solve(expr: &Expr, params: &[String], env: &Env) -> Solved {
     }
 }
 
+// --- launch-time affine forms ----------------------------------------------------
+
+/// An affine index or bound: `base + Σ coeff·dim + Σ coeff·constant +
+/// Σ coeff·term`. The dims are iteration variables (compiled into a
+/// kernel's coefficient tables, or bounded by intervals in the race
+/// predicate); the constants are named launch-time values — mutable
+/// interstate symbols, enclosing map parameters — folded into the base per
+/// launch. A *term* is an expression that reads launch-time constants only
+/// but is not affine in them (`t % 2`): it is evaluated whole, once per
+/// launch, which is sound only where every constant it reads is fixed for
+/// everything the launch runs.
+#[derive(Debug)]
+pub(crate) struct NestAffine {
+    pub(crate) base: i64,
+    /// `(global dim index, coefficient)`, ascending by dim.
+    pub(crate) dims: Vec<(usize, i64)>,
+    /// `(launch-time constant, coefficient)`.
+    pub(crate) muts: Vec<(String, i64)>,
+    /// `(launch-evaluated expression, coefficient)`.
+    pub(crate) terms: Vec<(Expr, i64)>,
+}
+
+/// Where the names of a compile site (see [`Solver`]) land: dims are
+/// iteration variables, the other names launch-time constants.
+pub(crate) struct Site {
+    pub(crate) names: Vec<String>,
+    /// Global dim per name position; `None` = launch-time constant.
+    pub(crate) dim_of: Vec<Option<usize>>,
+}
+
+impl Site {
+    /// What `sym` is at this site: `Some(Some(d))` the iteration variable
+    /// of dim `d`, `Some(None)` a launch-time constant, `None` no name of
+    /// the site.
+    fn kind(&self, sym: &str) -> Option<Option<usize>> {
+        let i = self.names.iter().position(|n| n == sym)?;
+        Some(self.dim_of[i])
+    }
+}
+
+impl NestAffine {
+    pub(crate) fn constant(base: i64) -> NestAffine {
+        NestAffine {
+            base,
+            dims: Vec::new(),
+            muts: Vec::new(),
+            terms: Vec::new(),
+        }
+    }
+
+    pub(crate) fn from_solved(s: &Solved, site: &Site) -> Option<NestAffine> {
+        match s {
+            Solved::Const(v) => Some(NestAffine::constant(*v)),
+            Solved::Affine { base, coeffs } => {
+                let mut out = NestAffine::constant(*base);
+                for (i, &c) in coeffs.iter().enumerate() {
+                    if c == 0 {
+                        continue;
+                    }
+                    match site.dim_of.get(i)? {
+                        Some(d) => out.dims.push((*d, c)),
+                        None => out.muts.push((site.names[i].clone(), c)),
+                    }
+                }
+                out.dims.sort_by_key(|&(d, _)| d);
+                Some(out)
+            }
+            Solved::Symbolic(_) => None,
+        }
+    }
+
+    /// Solves `e` at `site`. An expression that is not affine in the
+    /// site's names may still be admitted, with `launch_terms`, one
+    /// additive term at a time: a term that reads only launch-time
+    /// constants (and launch-invariant `env0` names) becomes a term of the
+    /// form. `Err` says which index is not affine in which name.
+    pub(crate) fn from_expr(
+        e: &Expr,
+        site: &Site,
+        env0: &Env,
+        launch_terms: bool,
+    ) -> Result<NestAffine, String> {
+        if let Some(a) = NestAffine::from_solved(&solve(e, &site.names, env0), site) {
+            return Ok(a);
+        }
+        // A term may read launch-time constants and launch-invariant names.
+        let constant = |s: &String| env0.contains_key(s) || site.kind(s) == Some(None);
+        let why = |t: &Expr| {
+            let free = t.free_symbols();
+            let sym = free
+                .iter()
+                .find(|s| matches!(site.kind(s), Some(Some(_))))
+                .or_else(|| free.iter().find(|s| !constant(s)))
+                .or_else(|| free.iter().next());
+            let role = |s: &str| match site.kind(s) {
+                Some(Some(_)) => "iteration variable",
+                Some(None) => "launch-time constant",
+                None => "unbound symbol",
+            };
+            match sym {
+                Some(s) => format!("index `{e}` is not affine in {} `{s}`", role(s)),
+                None => format!("index `{e}` does not evaluate"),
+            }
+        };
+        if !launch_terms {
+            return Err(why(e));
+        }
+        let parts = match e {
+            Expr::Add(ts) => &ts[..],
+            _ => std::slice::from_ref(e),
+        };
+        let mut out = NestAffine::constant(0);
+        for t in parts {
+            match NestAffine::from_solved(&solve(t, &site.names, env0), site) {
+                Some(a) => out.add_scaled(&a, 1).ok_or_else(|| why(t))?,
+                None if t.free_symbols().iter().all(constant) => out.terms.push((t.clone(), 1)),
+                None => return Err(why(t)),
+            }
+        }
+        Ok(out)
+    }
+
+    /// `self += k·other`; `None` on i64 overflow.
+    pub(crate) fn add_scaled(&mut self, other: &NestAffine, k: i64) -> Option<()> {
+        self.base = self.base.checked_add(other.base.checked_mul(k)?)?;
+        for &(d, c) in &other.dims {
+            let c = c.checked_mul(k)?;
+            match self.dims.iter_mut().find(|(dd, _)| *dd == d) {
+                Some((_, cc)) => *cc = cc.checked_add(c)?,
+                None => self.dims.push((d, c)),
+            }
+        }
+        self.dims.retain(|&(_, c)| c != 0);
+        self.dims.sort_by_key(|&(d, _)| d);
+        for (n, c) in &other.muts {
+            self.muts.push((n.clone(), c.checked_mul(k)?));
+        }
+        for (t, c) in &other.terms {
+            self.terms.push((t.clone(), c.checked_mul(k)?));
+        }
+        Some(())
+    }
+
+    /// The launch-time constant part: base plus the named-constant terms
+    /// (`consts`) and the launch-evaluated terms (in `env`). `None` on an
+    /// unbound name or i64 overflow.
+    pub(crate) fn base_at(&self, consts: &dyn Fn(&str) -> Option<i64>, env: &Env) -> Option<i64> {
+        let mut acc = self.base;
+        for (name, c) in &self.muts {
+            acc = acc.checked_add(c.checked_mul(consts(name)?)?)?;
+        }
+        for (t, c) in &self.terms {
+            acc = acc.checked_add(c.checked_mul(t.eval(env).ok()?)?)?;
+        }
+        Some(acc)
+    }
+
+    pub(crate) fn coeff(&self, d: usize) -> i64 {
+        self.dims
+            .iter()
+            .find(|&&(dd, _)| dd == d)
+            .map(|&(_, c)| c)
+            .unwrap_or(0)
+    }
+
+    pub(crate) fn reads_any(&self, dims: &[usize]) -> bool {
+        self.dims.iter().any(|(d, _)| dims.contains(d))
+    }
+
+    /// `[min, max]` over the per-dim iteration intervals `ivals`, from a
+    /// launch's resolved `base`.
+    pub(crate) fn interval(&self, base: i128, ivals: &[(i128, i128)]) -> (i128, i128) {
+        let mut lo = base;
+        let mut hi = base;
+        for &(d, c) in &self.dims {
+            let c = c as i128;
+            let (x, y) = ivals[d];
+            if c >= 0 {
+                lo += c * x;
+                hi += c * y;
+            } else {
+                lo += c * y;
+                hi += c * x;
+            }
+        }
+        (lo, hi)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,7 @@
 //! The CPU backend: map/consume scope execution on the thread pool,
 //! reduce and nested-SDFG nodes.
 
+use crate::affine::{NestAffine, Site};
 use crate::buffer::SharedBuffer;
 use crate::copy::{exec_access, gather_symbolic, scatter_symbolic, scope_owns_container, wcr_fn};
 use crate::engine::Executor;
@@ -60,6 +61,9 @@ pub(crate) struct MapPlan {
     /// volume estimate and the JIT hotness gate.
     per_launch: Vec<usize>,
     pub(crate) body: MapBody,
+    /// Reads of containers the body also writes, checked per parallel
+    /// launch; `None` when the body has none.
+    race: Option<RaceCheck>,
     /// Whether the run that built the plan had the JIT tier on.
     jit: bool,
 }
@@ -224,6 +228,10 @@ pub(crate) fn build_map_plan(
             writebacks,
         }
     };
+    let race = match &body {
+        MapBody::Tasklets(ts, _) => RaceCheck::build(ctx, state, ts, &params, &ranges),
+        MapBody::Generic { .. } => None,
+    };
     let plan = std::sync::Arc::new(MapPlan {
         label: scope.label.clone(),
         params,
@@ -233,6 +241,7 @@ pub(crate) fn build_map_plan(
         pcounts,
         per_launch,
         body,
+        race,
         jit: ctx.jit,
     });
     ctx.plan_cache.note_point_compile();
@@ -395,9 +404,22 @@ pub(crate) fn exec_map(
             inner_points = inner_points.saturating_mul(inner_extent_estimate(c, n0));
         }
     }
-    if let MapBody::Tasklets(ts, lowered) = &plan.body {
-        lowered.prepare(ctx, worker, &plan.label, &ts[0].1);
-    }
+    // Requests the span kernel the row paths run, unless the whole-nest
+    // kernel that replaces them at the steal site is still compiling: then
+    // that one compiles alone, as for a generic body's inner maps. Returns
+    // the time the request took, which is set-up, not the launch's cost,
+    // so the tuner's sample leaves it out.
+    let prepare_rows = |worker: &mut Worker| {
+        let t0 = std::time::Instant::now();
+        if let MapBody::Tasklets(ts, lowered) = &plan.body {
+            let was_pending = worker.nest_pending;
+            worker.nest_pending |= crate::nest::map_nest_pending(ctx, pkey);
+            lowered.prepare(ctx, worker, &plan.label, &ts[0].1);
+            worker.nest_pending = was_pending;
+        }
+        t0.elapsed()
+    };
+    let mut prepared = std::time::Duration::ZERO;
     // Parallel launches go through the work-stealing pool: the adaptive
     // tuner decides per launch whether tiling pays off, and the
     // determinism gate keeps order-sensitive bodies serial.
@@ -410,7 +432,12 @@ pub(crate) fn exec_map(
     });
     let tiles = pool.zip(sample).and_then(|(pool, (volume, _))| {
         let decision = ctx.plan.tuning.decide(pkey, volume, pool.nworkers());
-        if decision.parallel && steal_deterministic(&plan.body) {
+        let race_free = || {
+            plan.race
+                .as_ref()
+                .is_none_or(|r| r.admits(worker, (d0s, d0e)))
+        };
+        if decision.parallel && steal_deterministic(&plan.body) && race_free() {
             build_tiles(&plan, worker, (d0s, d0e, d0st), n0, decision.tiles)
         } else {
             None
@@ -425,11 +452,15 @@ pub(crate) fn exec_map(
             let r = match crate::nest::try_map_nest_steal(ctx, &plan, worker, base, pkey, ts, pool)
             {
                 Some(r) => r,
-                None => run_map_steal(ctx, sid, tree, &plan, worker, base, ts, pool, pmode, pkey),
+                None => {
+                    prepared = prepare_rows(worker);
+                    run_map_steal(ctx, sid, tree, &plan, worker, base, ts, pool, pmode, pkey)
+                }
             };
             (r, pool.nworkers())
         }
         _ => {
+            prepared = prepare_rows(worker);
             let was_nested = worker.nested;
             worker.nested = true;
             // A generic body that lowers as one nest runs as one native
@@ -459,9 +490,12 @@ pub(crate) fn exec_map(
         // costs; parallel samples divide ideal speedup back out, so they
         // can only demote launches that are cheap even under perfect
         // scaling.
-        ctx.plan
-            .tuning
-            .observe(pkey, volume, t0.elapsed().as_nanos() as u64, workers);
+        ctx.plan.tuning.observe(
+            pkey,
+            volume,
+            t0.elapsed().saturating_sub(prepared).as_nanos() as u64,
+            workers,
+        );
     }
     pop(worker);
     r.map(|()| prof_close(worker))
@@ -494,6 +528,125 @@ fn steal_deterministic(body: &MapBody) -> bool {
             .iter()
             .all(|(_, bt)| bt.outs.iter().all(|o| !o.atomic && !o.stream && !o.log)),
         MapBody::Generic { .. } => false,
+    }
+}
+
+/// `[start, end)` of one subset dimension as launch-time affine forms.
+type DimRange = (NestAffine, NestAffine);
+
+/// The race predicate of one map: tiles run a map's points in any order
+/// across workers, which a body that reads elements other points write
+/// would observe. Built per plan from the body's (read, write) pairs on a
+/// shared container; a pair is harmless when the read is of exactly the
+/// element its own point writes (identical index), or when, at this
+/// launch, read and written regions are disjoint in some subset
+/// dimension. Any other pair makes the launch run serially.
+struct RaceCheck {
+    /// `[lo, hi)` of dims `1..` over the dims before them; `None` where a
+    /// bound is not affine (the dim is then unbounded).
+    bounds: Vec<Option<DimRange>>,
+    /// Per pair, per subset dimension: the read's and the write's range
+    /// (`None` where not affine — such a dimension proves nothing).
+    pairs: Vec<Vec<(Option<DimRange>, Option<DimRange>)>>,
+}
+
+impl RaceCheck {
+    fn build(
+        ctx: &Ctx,
+        state: &sdfg_core::State,
+        ts: &[(NodeId, std::sync::Arc<BodyTasklet>)],
+        params: &[String],
+        ranges: &[sdfg_symbolic::SymRange],
+    ) -> Option<RaceCheck> {
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        let access = |e: EdgeId| {
+            let m = &state.graph.edge(e).memlet;
+            (!m.is_empty()).then(|| (m.data_name(), &m.subset))
+        };
+        for &(t, _) in ts {
+            reads.extend(state.graph.in_edges(t).filter_map(access));
+            writes.extend(state.graph.out_edges(t).filter_map(access));
+        }
+        let mut shared = Vec::new();
+        for &(rd, rs) in &reads {
+            for &(wd, ws) in &writes {
+                let own_element = rs == ws && crate::tasklet::is_element(rs);
+                if rd == wd && !own_element {
+                    shared.push((rs, ws));
+                }
+            }
+        }
+        if shared.is_empty() {
+            return None;
+        }
+        // Every name but the map's own parameters is fixed for a launch.
+        let env0 = &ctx.inv.env0;
+        let mut consts = std::collections::BTreeSet::new();
+        for r in ranges {
+            r.collect_symbols(&mut consts);
+        }
+        for (rs, ws) in &shared {
+            for r in rs.dims.iter().chain(&ws.dims) {
+                r.collect_symbols(&mut consts);
+            }
+        }
+        let mut names = params.to_vec();
+        let mut dim_of: Vec<Option<usize>> = (0..params.len()).map(Some).collect();
+        for c in consts {
+            if !params.contains(&c) && !env0.contains_key(&c) {
+                names.push(c);
+                dim_of.push(None);
+            }
+        }
+        let site = Site { names, dim_of };
+        let form = |e: &sdfg_symbolic::Expr| NestAffine::from_expr(e, &site, env0, true).ok();
+        let range = |r: &sdfg_symbolic::SymRange| Some((form(&r.start)?, form(&r.end)?));
+        let bounds = ranges.iter().skip(1).map(range).collect();
+        // Subsets of differing rank share no dimension to prove anything in.
+        let pairs = shared
+            .iter()
+            .map(|(rs, ws)| match rs.dims.len() == ws.dims.len() {
+                true => rs
+                    .dims
+                    .iter()
+                    .zip(&ws.dims)
+                    .map(|(r, w)| (range(r), range(w)))
+                    .collect(),
+                false => Vec::new(),
+            })
+            .collect();
+        Some(RaceCheck { bounds, pairs })
+    }
+
+    /// Whether tiles of the launch over dim-0 values `[d0.0, d0.1)` are
+    /// race-free.
+    fn admits(&self, worker: &Worker, d0: (i64, i64)) -> bool {
+        const FAR: i128 = 1 << 62;
+        let consts = |n: &str| worker.env.get(n).copied();
+        let set = |r: &DimRange, ivals: &[(i128, i128)]| -> Option<(i128, i128)> {
+            let (lo, hi) = r;
+            let (l, _) = lo.interval(lo.base_at(&consts, &worker.env)? as i128, ivals);
+            let (_, h) = hi.interval(hi.base_at(&consts, &worker.env)? as i128, ivals);
+            Some((l, h - 1))
+        };
+        let mut ivals = vec![(d0.0 as i128, d0.1 as i128 - 1)];
+        for b in &self.bounds {
+            let iv = b
+                .as_ref()
+                .and_then(|b| set(b, &ivals))
+                .unwrap_or((-FAR, FAR));
+            if iv.0 > iv.1 {
+                return true; // no points
+            }
+            ivals.push(iv);
+        }
+        self.pairs.iter().all(|dims| {
+            dims.iter().any(|(r, w)| {
+                let r = r.as_ref().and_then(|r| set(r, &ivals));
+                let w = w.as_ref().and_then(|w| set(w, &ivals));
+                matches!((r, w), (Some((rl, rh)), Some((wl, wh))) if rh < wl || wh < rl)
+            })
+        })
     }
 }
 

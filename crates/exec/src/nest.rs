@@ -26,7 +26,12 @@
 //! `k < j`, banded, trapezoidal); indices and bounds may also be affine in
 //! launch-time constants — mutable interstate symbols, enclosing map
 //! parameters. Both are carried as coefficient rows in the kernel's
-//! `bnd`/`geo` tables and resolved per launch. Bitwise discipline: the
+//! `bnd`/`geo` tables and resolved per launch. At the steal site, whose
+//! constants are fixed for every call of a launch, an index may also read
+//! them in any form (`A[t % 2, i, j]`): the term is evaluated when the
+//! launch marshals (see [`NestAffine`]). Whether tiles may run in parallel
+//! at all is `exec_map`'s race predicate, decided before any site is
+//! tried. Bitwise discipline: the
 //! emitter mirrors the interpreter statement for statement, and every
 //! candidate is only admitted when the interpreter would have executed
 //! the same statements in the same order (see the serial-collapse gate).
@@ -46,7 +51,7 @@
 //! precondition, and the first launch after its compile finishes runs
 //! native. No cache records "still compiling" as a decline.
 
-use crate::affine::{solve, Solved, Solver};
+use crate::affine::{solve, NestAffine, Site, Solved, Solver};
 use crate::buffer::SharedBuffer;
 use crate::cpu::{MapBody, MapPlan, TileSet};
 use crate::engine::{Ctx, ExecError, Worker};
@@ -54,7 +59,9 @@ use crate::jit::{Decline, DeclineKind, JitKernel, KernelHandle, NestFn};
 use crate::lower::MapLowering;
 use crate::plan::StatePlan;
 use crate::sched::SchedPool;
-use crate::tasklet::{compile_body_tasklet, plan_window, BodyTasklet, NativePlan, WindowPlan};
+use crate::tasklet::{
+    compile_body_tasklet, is_element, plan_window, BodyTasklet, NativePlan, WindowPlan,
+};
 use parking_lot::Mutex;
 use sdfg_codegen::jit::{
     decode_fault, emit_nest_kernel, pushes_to, JitBody, JitOutMode, JitWcrOp, LoadedBound,
@@ -90,89 +97,6 @@ const STAGE: usize = 4096;
 /// Stream outputs one kernel may have (the status slots it reports their
 /// push counts in).
 const MAX_STREAMS: usize = 4;
-
-// --- affine forms over the nest's global dimension space ---------------------
-
-/// An affine index or bound: `base + Σ coeff·dim + Σ coeff·constant`,
-/// where the dims are nest iteration variables (compiled into the kernel's
-/// coefficient tables) and the constants are named launch-time values —
-/// mutable interstate symbols, enclosing map parameters — folded into the
-/// base at launch time.
-#[derive(Debug)]
-pub(crate) struct NestAffine {
-    base: i64,
-    /// `(global dim index, coefficient)`, ascending by dim.
-    dims: Vec<(usize, i64)>,
-    /// `(launch-time constant, coefficient)`.
-    muts: Vec<(String, i64)>,
-}
-
-impl NestAffine {
-    fn constant(base: i64) -> NestAffine {
-        NestAffine {
-            base,
-            dims: Vec::new(),
-            muts: Vec::new(),
-        }
-    }
-
-    fn from_solved(s: &Solved, site: &Site) -> Option<NestAffine> {
-        match s {
-            Solved::Const(v) => Some(NestAffine::constant(*v)),
-            Solved::Affine { base, coeffs } => {
-                let mut dims = Vec::new();
-                let mut muts = Vec::new();
-                for (i, &c) in coeffs.iter().enumerate() {
-                    if c == 0 {
-                        continue;
-                    }
-                    match site.dim_of.get(i)? {
-                        Some(d) => dims.push((*d, c)),
-                        None => muts.push((site.names[i].clone(), c)),
-                    }
-                }
-                dims.sort_by_key(|&(d, _)| d);
-                Some(NestAffine {
-                    base: *base,
-                    dims,
-                    muts,
-                })
-            }
-            Solved::Symbolic(_) => None,
-        }
-    }
-
-    /// The launch-time constant part: base plus the named-constant terms.
-    /// `None` on an unbound name or i64 overflow.
-    fn base_at(&self, consts: &dyn Fn(&str) -> Option<i64>) -> Option<i64> {
-        let mut acc = self.base;
-        for (name, c) in &self.muts {
-            acc = acc.checked_add(c.checked_mul(consts(name)?)?)?;
-        }
-        Some(acc)
-    }
-
-    fn coeff(&self, d: usize) -> i64 {
-        self.dims
-            .iter()
-            .find(|&&(dd, _)| dd == d)
-            .map(|&(_, c)| c)
-            .unwrap_or(0)
-    }
-
-    fn reads_any(&self, dims: &[usize]) -> bool {
-        self.dims.iter().any(|(d, _)| dims.contains(d))
-    }
-}
-
-/// Where the names of a compile site (see [`Solver`]) land in a kernel:
-/// nest dims become coefficient-table columns, launch-time constants are
-/// folded into the base per launch.
-struct Site {
-    names: Vec<String>,
-    /// Global dim per parameter position; `None` = launch-time constant.
-    dim_of: Vec<Option<usize>>,
-}
 
 // --- nest plans --------------------------------------------------------------
 
@@ -439,6 +363,11 @@ struct NestBuilder<'c, 's> {
     /// Dynamic-range connectors bound by the body's loaded bounds: names a
     /// VM-mirror body must not read as symbols.
     dyn_conns: Vec<String>,
+    /// Whether an index may carry terms evaluated once per launch (see
+    /// [`NestAffine`]): only at the steal site, whose launch-time
+    /// constants are fixed for every call — not a collapsed loop, whose
+    /// kernel steps its variable.
+    launch_terms: bool,
 }
 
 impl<'c, 's> NestBuilder<'c, 's> {
@@ -468,6 +397,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
             locals: Vec::new(),
             written: Vec::new(),
             dyn_conns: Vec::new(),
+            launch_terms: false,
         }
     }
 
@@ -545,6 +475,24 @@ impl<'c, 's> NestBuilder<'c, 's> {
                     .ok_or_else(|| nonaffine("symbolic memlet offset"))?,
                 PortKind::Affine,
             ),
+            // One element at an index that is not affine in the site's
+            // names: the sum of its dims' forms, each admitted with
+            // launch-evaluated terms where the site allows them.
+            WindowPlan::Dynamic(subset) if is_element(subset) => {
+                let strides = crate::copy::desc_strides(self.ctx, data, self.env0)
+                    .map_err(|_| nonaffine("symbolic strides"))?;
+                if strides.len() != subset.dims.len() {
+                    return Err(window());
+                }
+                let mut addr = NestAffine::constant(0);
+                for (r, &stride) in subset.dims.iter().zip(&strides) {
+                    let a = NestAffine::from_expr(&r.start, site, self.env0, self.launch_terms)
+                        .map_err(nonaffine)?;
+                    addr.add_scaled(&a, stride)
+                        .ok_or_else(|| nonaffine("memlet offset overflows"))?;
+                }
+                (addr, PortKind::Affine)
+            }
             WindowPlan::Full => (NestAffine::constant(0), PortKind::Whole),
             // A constant one-element window (how scalar containers are
             // addressed) is the element at its offset.
@@ -1023,6 +971,10 @@ impl<'c, 's> NestBuilder<'c, 's> {
             clamped: of_kind(&|p| p.clamped),
             whole,
             loaded,
+            reads: ports
+                .iter()
+                .map(|p| p.addr.dims.iter().map(|&(d, _)| d).collect())
+                .collect(),
         };
         let src = emit_nest_kernel(&spec).map_err(body)?;
         drop(spec);
@@ -1421,13 +1373,27 @@ fn build_map_nest(ctx: &Ctx, pkey: (u32, u32), plan: &MapPlan) -> Result<MapNest
                 return Err(body("multi-tasklet standalone map"));
             };
             let site = b.site(&sc);
-            let bt = compile_body_tasklet(
+            let mut bt = compile_body_tasklet(
                 ctx,
                 NodeId(pkey.0),
                 *tnode,
                 &mut Solver::new(&site.names, b.env0),
             )
             .map_err(|e| body(e.to_string()))?;
+            // Tiles run once per map launch, so interstate symbols are
+            // fixed for every call: an index may read them in any form.
+            // Such an index leaves this tasklet without a native shape,
+            // but the interpreted tiers this replaces see it folded; the
+            // plan's own tasklet says which arithmetic they run, and a
+            // launch where it disagrees with the kernel's falls back
+            // (`try_map_nest_steal`). A WCR output's mode also depends on
+            // its window (register accumulation or a combine per point),
+            // so such a body keeps the VM mirror, and its launches fall
+            // back while the plan's is native.
+            b.launch_terms = true;
+            if bt.native.is_none() && bt.outs.iter().all(|o| o.wcr.is_none()) {
+                bt.native = ts[0].1.native.clone();
+            }
             let (program, modes) = innermost_modes(&bt, nparams - 1)?;
             let idx = b.push_call(Arc::new(bt), program, modes, &site)?;
             b.body = vec![NestItem::Call(idx)];
@@ -1487,6 +1453,12 @@ fn map_nest(ctx: &Ctx, plan: &MapPlan, pkey: (u32, u32)) -> Option<Arc<MapNestPl
     }
 }
 
+/// Whether the map's whole-nest kernel has been requested and is still
+/// compiling.
+pub(crate) fn map_nest_pending(ctx: &Ctx, pkey: (u32, u32)) -> bool {
+    matches!(ctx.plan.map_nest(pkey), Some(Ok(p)) if p.core.compiled().is_none())
+}
+
 /// Steal-scheduler hook: run a multi-dim map's tiles as whole-nest native
 /// calls (one per tile) instead of one interpreted dispatch per outer
 /// index. Returns `None` to fall through to the per-row steal path — the
@@ -1523,8 +1495,9 @@ pub(crate) fn try_map_nest_steal(
     }
     let core = map_nest(ctx, plan, pkey)?;
     let core = &core.core;
-    // Tiles run concurrently, and none may fail half-way.
-    if core.exclusive || core.fallible {
+    // Tiles run concurrently, and none may fail half-way; the kernel's
+    // arithmetic must be the one this launch's interpreted tiers run.
+    if core.exclusive || core.fallible || ts[0].1.native.is_some() == core.calls[0].program {
         return None;
     }
     let lo0 = ranges.first()?.0;
@@ -1693,24 +1666,6 @@ pub(crate) fn run_span(
 
 // --- launch marshalling ------------------------------------------------------
 
-/// `[min, max]` of an affine form over the per-dim iteration intervals.
-fn affine_interval(base: i128, a: &NestAffine, ivals: &[(i128, i128)]) -> (i128, i128) {
-    let mut lo = base;
-    let mut hi = base;
-    for &(d, c) in &a.dims {
-        let c = c as i128;
-        let (x, y) = ivals[d];
-        if c >= 0 {
-            lo += c * x;
-            hi += c * y;
-        } else {
-            lo += c * y;
-            hi += c * x;
-        }
-    }
-    (lo, hi)
-}
-
 /// Resolves launch-time constants and validates the launch over kernel
 /// indices `[lo0, hi0)` of dim 0: the kernel must have finished compiling
 /// (and, if exclusive, the launch must run outside any parallel tile),
@@ -1745,10 +1700,10 @@ fn marshal<'a>(
             continue;
         }
         let (lo, hi) = &core.bounds[d - 1];
-        let lo_b = lo.base_at(launch.consts)? as i128;
-        let hi_b = hi.base_at(launch.consts)? as i128;
-        let (lo_min, _) = affine_interval(lo_b, lo, &ivals);
-        let (_, hi_max) = affine_interval(hi_b, hi, &ivals);
+        let lo_b = lo.base_at(launch.consts, launch.env)? as i128;
+        let hi_b = hi.base_at(launch.consts, launch.env)? as i128;
+        let (lo_min, _) = lo.interval(lo_b, &ivals);
+        let (_, hi_max) = hi.interval(hi_b, &ivals);
         let a = lo_min;
         ivals.push((a, (hi_max - 1).max(a)));
     }
@@ -1802,9 +1757,9 @@ fn marshal<'a>(
             None => ctx.bufs.get(port.slot?)?,
         };
         lens.push(buf.len() as i64);
-        let base = port.addr.base_at(launch.consts)?;
+        let base = port.addr.base_at(launch.consts, launch.env)?;
         if port.kind == PortKind::Affine && !port.clamped {
-            let (omin, omax) = affine_interval(base as i128, &port.addr, &ivals);
+            let (omin, omax) = port.addr.interval(base as i128, &ivals);
             if omin < 0 || omax >= buf.len() as i128 {
                 return None;
             }
@@ -1854,7 +1809,7 @@ fn marshal<'a>(
         let (lo, hi) = &core.bounds[d - 1];
         for (row, a) in [(2 * d, lo), (2 * d + 1, hi)] {
             let r = row * (1 + ndims);
-            (bnd[r], bnd[r + 1]) = rebase(a.base_at(launch.consts)?, a.coeff(0))?;
+            (bnd[r], bnd[r + 1]) = rebase(a.base_at(launch.consts, launch.env)?, a.coeff(0))?;
             for k in 1..ndims {
                 bnd[r + 1 + k] = a.coeff(k);
             }

@@ -214,6 +214,18 @@ pub(crate) fn plan_native(
 }
 
 /// Pre-solves a memlet subset. Streams use a scalar placeholder.
+/// Whether every dim of `subset` is a single index (`end = start + 1`,
+/// unit step and tile).
+pub(crate) fn is_element(subset: &Subset) -> bool {
+    let assume = sdfg_symbolic::expr::Assumptions::default();
+    subset.dims.iter().all(|r| {
+        r.tile.is_one()
+            && r.step.is_one()
+            && (r.end.clone() - r.start.clone()).sym_cmp(&sdfg_symbolic::Expr::one(), &assume)
+                == Some(std::cmp::Ordering::Equal)
+    })
+}
+
 pub(crate) fn plan_window(
     ctx: &Ctx,
     data: &str,
@@ -241,14 +253,7 @@ pub(crate) fn plan_window(
         }
     }
     // Scalar case: every dim is an index (end = start + 1) and tile 1.
-    let assume = sdfg_symbolic::expr::Assumptions::default();
-    let is_index = subset.dims.iter().all(|r| {
-        r.tile.is_one()
-            && r.step.is_one()
-            && (r.end.clone() - r.start.clone()).sym_cmp(&sdfg_symbolic::Expr::one(), &assume)
-                == Some(std::cmp::Ordering::Equal)
-    });
-    if is_index && subset.dims.len() == strides.len() {
+    if is_element(subset) && subset.dims.len() == strides.len() {
         // flat = Σ start_d * stride_d — combine solved starts.
         let mut base = 0i64;
         let mut coeffs = vec![0i64; solver.names.len()];
