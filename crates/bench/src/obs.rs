@@ -272,7 +272,7 @@ mod tests {
             seq: 0,
             content_hash: "00c0ffee".into(),
             map: "mm_contract".into(),
-            reason: "no_compiler".into(),
+            reason: "nest-compile-failed".into(),
             detail: String::new(),
         };
         // A launch that ran interpreted while its kernel compiled.
@@ -286,7 +286,9 @@ mod tests {
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(records, 2);
         // A fallback line without its reason fails.
-        let bad = rec.to_json().replace(",\"reason\":\"no_compiler\"", "");
+        let bad = rec
+            .to_json()
+            .replace(",\"reason\":\"nest-compile-failed\"", "");
         let (failures, _) = check_ledger(&bad);
         assert!(
             failures.iter().any(|f| f.contains("reason")),

@@ -68,8 +68,8 @@ impl Solved {
 /// bindings, the only values that may be folded into a cached artifact.
 /// A launch-time constant is a name whose value is fixed for one launch
 /// but differs between launches of the same program point: a mutable
-/// interstate symbol, or (for an innermost-span kernel) an enclosing map
-/// parameter. Carried as a coefficient, `Σ coeff·value` is added to the
+/// interstate symbol, an enclosing map parameter, a dynamic-range
+/// connector, or (for a suffix kernel) a prefix dim of the map itself. Carried as a coefficient, `Σ coeff·value` is added to the
 /// base when the launch resolves its offsets, so one artifact serves every
 /// launch.
 ///

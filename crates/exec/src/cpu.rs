@@ -6,7 +6,7 @@ use crate::buffer::SharedBuffer;
 use crate::copy::{exec_access, gather_symbolic, scatter_symbolic, scope_owns_container, wcr_fn};
 use crate::engine::Executor;
 use crate::engine::{bind, unbind, Ctx, ExecError, Worker};
-use crate::lower::{run_inner_span, Lowered};
+use crate::lower::{run_inner_span, LowerTier};
 use crate::tasklet::{run_tasklet_point, BodyTasklet, WindowPlan};
 use parking_lot::Mutex;
 use sdfg_core::desc::DataDesc;
@@ -21,9 +21,9 @@ use std::sync::atomic::Ordering;
 /// Body of a compiled map: either a straight-line list of tasklets or a
 /// generic subgraph executed per point.
 pub(crate) enum MapBody {
-    /// Straight-line tasklets plus the lowering-tier decision made for
-    /// them at plan-build time (see [`crate::lower`]).
-    Tasklets(Vec<(NodeId, std::sync::Arc<BodyTasklet>)>, Lowered),
+    /// Straight-line tasklets plus the static tier chosen for them at
+    /// plan-build time (see [`crate::lower`]).
+    Tasklets(Vec<(NodeId, std::sync::Arc<BodyTasklet>)>, LowerTier),
     Generic {
         children: Vec<NodeId>,
         /// Transients local to this scope → zeroed per iteration, allocated
@@ -37,7 +37,7 @@ pub(crate) enum MapBody {
 /// A dynamic-range connector of a map entry: each launch binds `conn` to
 /// the (rounded) element of `data` at `subset`.
 pub(crate) struct DynEdge {
-    conn: String,
+    pub(crate) conn: String,
     data: String,
     subset: Subset,
 }
@@ -69,28 +69,28 @@ pub(crate) struct MapPlan {
 }
 
 impl MapPlan {
-    /// The lowering-report row for this plan.
+    /// The lowering-report row for this plan, before any kernel: its
+    /// static tier and why no kernel has run (the execution plan overlays
+    /// the rows of maps whose kernel compiled, and the decline of those
+    /// whose kernel did not).
     pub(crate) fn lowering_entry(&self, sid: u32, nid: u32) -> crate::lower::MapLowering {
-        let (tier, jit_reason) = match &self.body {
-            MapBody::Tasklets(_, l) => l.report(),
-            MapBody::Generic { .. } => {
-                let why = if self.jit {
-                    crate::lower::GENERIC_BODY
-                } else {
-                    crate::lower::JIT_OFF
-                };
-                (
-                    crate::lower::LowerTier::Symbolic.name(),
-                    Some(why.to_string()),
-                )
-            }
+        use crate::lower::{cold_map, GENERIC_BODY, JIT_OFF, MULTI_TASKLET};
+        let tier = match &self.body {
+            MapBody::Tasklets(_, tier) => *tier,
+            MapBody::Generic { .. } => LowerTier::Symbolic,
+        };
+        let why = match &self.body {
+            _ if !self.jit => JIT_OFF.to_string(),
+            MapBody::Tasklets(ts, _) if ts.len() > 1 => MULTI_TASKLET.to_string(),
+            MapBody::Tasklets(..) => cold_map(),
+            MapBody::Generic { .. } => GENERIC_BODY.to_string(),
         };
         crate::lower::MapLowering {
             state: sid,
             node: nid,
             label: self.label.clone(),
-            tier,
-            jit_reason,
+            tier: tier.name(),
+            jit_reason: Some(why),
         }
     }
 
@@ -191,8 +191,8 @@ pub(crate) fn build_map_plan(
             folded.extend(&cctx.folded);
             ts.push((c, bt));
         }
-        let lowered = crate::lower::decide_lowering(ctx, worker, &ts);
-        MapBody::Tasklets(ts, lowered)
+        let tier = crate::lower::decide_lowering(worker, &ts);
+        MapBody::Tasklets(ts, tier)
     } else {
         // Thread-local transients: transient containers whose lifetime is
         // entirely inside this scope.
@@ -404,22 +404,10 @@ pub(crate) fn exec_map(
             inner_points = inner_points.saturating_mul(inner_extent_estimate(c, n0));
         }
     }
-    // Requests the span kernel the row paths run, unless the whole-nest
-    // kernel that replaces them at the steal site is still compiling: then
-    // that one compiles alone, as for a generic body's inner maps. Returns
-    // the time the request took, which is set-up, not the launch's cost,
-    // so the tuner's sample leaves it out.
-    let prepare_rows = |worker: &mut Worker| {
-        let t0 = std::time::Instant::now();
-        if let MapBody::Tasklets(ts, lowered) = &plan.body {
-            let was_pending = worker.nest_pending;
-            worker.nest_pending |= crate::nest::map_nest_pending(ctx, pkey);
-            lowered.prepare(ctx, worker, &plan.label, &ts[0].1);
-            worker.nest_pending = was_pending;
-        }
-        t0.elapsed()
-    };
-    let mut prepared = std::time::Duration::ZERO;
+    // The map's kernel, requested by its first hot launch before the
+    // tuner's clock starts.
+    let d0 = (d0s, d0e, d0st);
+    let nest = crate::nest::map_nest(ctx, &plan, pkey, worker, base, false);
     // Parallel launches go through the work-stealing pool: the adaptive
     // tuner decides per launch whether tiling pays off, and the
     // determinism gate keeps order-sensitive bodies serial.
@@ -430,72 +418,81 @@ pub(crate) fn exec_map(
         let volume = (n0 as u64).saturating_mul(inner_points);
         (volume, std::time::Instant::now())
     });
-    let tiles = pool.zip(sample).and_then(|(pool, (volume, _))| {
+    let tiled = pool.zip(sample).and_then(|(pool, (volume, _))| {
         let decision = ctx.plan.tuning.decide(pkey, volume, pool.nworkers());
         let race_free = || {
             plan.race
                 .as_ref()
                 .is_none_or(|r| r.admits(worker, (d0s, d0e)))
         };
-        if decision.parallel && steal_deterministic(&plan.body) && race_free() {
-            build_tiles(&plan, worker, (d0s, d0e, d0st), n0, decision.tiles)
-        } else {
-            None
+        if !(decision.parallel && steal_deterministic(&plan.body) && race_free()) {
+            return None;
         }
+        // A tiled launch of more than one dim takes the kernel below the
+        // hotness gate too. A 1-D one keeps the gate: whether a launch tiles
+        // hangs on the tuner's timing. The kernel takes dim-0 tiles only, so
+        // a launch it takes does not collapse dims 0 and 1.
+        let nest = nest.clone().or_else(|| {
+            crate::nest::map_nest(ctx, &plan, pkey, worker, base, plan.params.len() > 1)
+        });
+        let takes = || {
+            nest.as_ref()
+                .is_some_and(|n| n.start == 0 && n.takes(&plan, true))
+        };
+        let ts = build_tiles(&plan, worker, d0, n0, decision.tiles, || !takes())?;
+        ctx.stats.parallel_regions.fetch_add(1, Ordering::Relaxed);
+        Some((ts, pool, nest))
     });
-    let (r, workers) = match (pool, &tiles) {
-        (Some(pool), Some(ts)) => {
-            ctx.stats.parallel_regions.fetch_add(1, Ordering::Relaxed);
-            // Whole-nest fast path: one native call per tile running the
-            // full inner nest; falls through to the per-row steal path on
-            // any decline.
-            let r = match crate::nest::try_map_nest_steal(ctx, &plan, worker, base, pkey, ts, pool)
-            {
-                Some(r) => r,
-                None => {
-                    prepared = prepare_rows(worker);
-                    run_map_steal(ctx, sid, tree, &plan, worker, base, ts, pool, pmode, pkey)
-                }
-            };
-            (r, pool.nworkers())
-        }
-        _ => {
-            prepared = prepare_rows(worker);
-            let was_nested = worker.nested;
-            worker.nested = true;
-            // A generic body that lowers as one nest runs as one native
-            // call. Otherwise, env-free fast nest: constant bounds +
-            // fully-affine tasklet body lets the whole iteration space run
-            // on integer loops without symbolic evaluation or environment
-            // updates per point.
-            let was_pending = worker.nest_pending;
-            let nest =
-                crate::nest::try_map_nest_serial(ctx, &plan, worker, base, pkey, (d0s, d0e, d0st));
-            let r = if let Some(r) = nest {
-                r
-            } else if let Some(bounds) = env_free_bounds(&plan, worker) {
-                run_map_fast(ctx, sid, &plan, worker, base, &bounds)
-            } else {
-                run_map_serial(
-                    ctx, sid, tree, params, ranges, body, worker, base, d0s, d0e, d0st,
-                )
-            };
-            worker.nested = was_nested;
-            worker.nest_pending = was_pending;
-            (r, 1)
-        }
+    let (tiles, nest) = match &tiled {
+        Some((ts, pool, nest)) => (Some((ts, *pool)), nest.clone()),
+        None => (None, nest),
     };
+    let native = nest
+        .as_ref()
+        .and_then(|n| crate::nest::launch_map_nest(ctx, &plan, n, worker, base, d0, tiles));
+    let r = native.unwrap_or_else(|| {
+        // The rows the launch leaves to the interpreted paths call the
+        // kernel where it takes them: a suffix kernel's prefix rows, a
+        // whole-map kernel's dim-0 values (the one row of a serial 1-D
+        // launch is the launch that declined).
+        let in_tile = tiles.is_some() || crate::sched::in_pool_worker();
+        let rows = nest.filter(|n| {
+            (tiles.is_some() || n.start > 0 || n.core.ndims > 1) && n.takes(&plan, in_tile)
+        });
+        let saved = std::mem::replace(&mut worker.row_nest, rows);
+        let r = match tiles {
+            Some((ts, pool)) => {
+                run_map_steal(ctx, sid, tree, &plan, worker, base, ts, pool, pmode, pkey)
+            }
+            None => {
+                let was_nested = std::mem::replace(&mut worker.nested, true);
+                // The env-free fast nest (constant bounds + fully-affine
+                // tasklet body: the whole iteration space runs on integer
+                // loops without symbolic evaluation or environment updates
+                // per point) where no row calls the kernel, else the rows
+                // of the symbolic path.
+                let r = match env_free_bounds(&plan, worker).filter(|_| worker.row_nest.is_none()) {
+                    Some(bounds) => run_map_fast(ctx, sid, &plan, worker, base, &bounds),
+                    None => run_map_serial(
+                        ctx, sid, tree, params, ranges, body, worker, base, d0s, d0e, d0st,
+                    ),
+                };
+                worker.nested = was_nested;
+                r
+            }
+        };
+        worker.row_nest = saved;
+        r
+    });
+    let workers = tiles.map_or(1, |(_, pool)| pool.nworkers());
     if let (Ok(()), Some((volume, t0))) = (&r, sample) {
         // Per-launch timing feedback. Serial samples are exact per-point
         // costs; parallel samples divide ideal speedup back out, so they
         // can only demote launches that are cheap even under perfect
         // scaling.
-        ctx.plan.tuning.observe(
-            pkey,
-            volume,
-            t0.elapsed().saturating_sub(prepared).as_nanos() as u64,
-            workers,
-        );
+        ctx.plan
+            .tuning
+            .observe(pkey, volume, t0.elapsed().as_nanos() as u64, workers);
     }
     pop(worker);
     r.map(|()| prof_close(worker))
@@ -702,18 +699,19 @@ fn split_even(n: u64, want: usize) -> Vec<(u64, u64)> {
     out
 }
 
-/// Builds the tile set for a parallel launch, collapsing dims 0 and 1 when
-/// the outer dimension alone cannot produce the requested tile count.
-/// Returns `None` when no parallel decomposition exists (single-point
-/// outer dimension and no legal collapse).
+/// Builds the tile set for a parallel launch, collapsing dims 0 and 1 (if
+/// `collapse` allows) when the outer dimension alone cannot produce the
+/// requested tile count. Returns `None` when no parallel decomposition
+/// exists (single-point outer dimension and no legal collapse).
 fn build_tiles(
     plan: &MapPlan,
     worker: &Worker,
     d0: (i64, i64, i64),
     n0: usize,
     want: usize,
+    collapse: impl FnOnce() -> bool,
 ) -> Option<TileSet> {
-    if n0 < want {
+    if n0 < want && collapse() {
         if let Some(ts) = try_collapse(plan, worker, d0, n0, want) {
             return Some(ts);
         }
@@ -989,7 +987,7 @@ pub(crate) fn run_map_fast(
     base: usize,
     bounds: &[(i64, i64, i64)],
 ) -> Result<(), ExecError> {
-    let MapBody::Tasklets(ts, lowered) = &plan.body else {
+    let MapBody::Tasklets(ts, tier) = &plan.body else {
         unreachable!()
     };
     let nd = bounds.len();
@@ -1011,7 +1009,7 @@ pub(crate) fn run_map_fast(
         // per-point execution (still env-light: env only consulted by
         // Symbolic plans, which env_free_bounds excluded).
         let handled = match &single {
-            Some(t) => run_inner_span(ctx, lowered, t, worker, base + nd - 1, is_, ie_, ist)?,
+            Some(t) => run_inner_span(ctx, *tier, t, worker, base + nd - 1, is_, ie_, ist)?,
             None => false,
         };
         if !handled {
@@ -1136,14 +1134,27 @@ pub(crate) fn run_dim_span(
     hi: i64,
     step: i64,
 ) -> Result<(), ExecError> {
-    // Innermost dimension with a single-tasklet body: the whole span runs
-    // on the fastest tier that takes it.
-    if dim == params.len() - 1 {
-        if let MapBody::Tasklets(ts, lowered) = body {
-            if let [(_, t)] = &ts[..] {
-                if run_inner_span(ctx, lowered, t, worker, base + dim, lo, hi, step)? {
+    // A single-tasklet body runs the span on the map's kernel where it
+    // starts (a whole-map kernel of more than one dim one dim-0 value at a
+    // time, below, so a row it declines declines alone), and its innermost
+    // dimension on the fastest interpreted tier that takes it.
+    let mut rows = None;
+    if let MapBody::Tasklets(ts, tier) = body {
+        if let [(_, t)] = &ts[..] {
+            rows = worker
+                .row_nest
+                .clone()
+                .filter(|n| n.start == dim)
+                .map(|n| (n, t));
+            if let Some((n, t)) = rows.take_if(|(n, _)| dim > 0 || n.core.ndims == 1) {
+                if crate::nest::run_rows(ctx, &n, t, worker, base + dim, lo, hi, step)? {
                     return Ok(());
                 }
+            }
+            if dim == params.len() - 1
+                && run_inner_span(ctx, *tier, t, worker, base + dim, lo, hi, step)?
+            {
+                return Ok(());
             }
         }
     }
@@ -1159,6 +1170,12 @@ pub(crate) fn run_dim_span(
     let shadowed = bind(&mut worker.env, &params[dim], lo);
     let mut v = lo;
     while v < hi {
+        if let Some((n, t)) = &rows {
+            if crate::nest::run_rows(ctx, n, t, worker, base, v, v + 1, step)? {
+                v += step;
+                continue;
+            }
+        }
         worker.point[base + dim] = v;
         bind(&mut worker.env, &params[dim], v);
         map_inner_dims(ctx, sid, tree, params, ranges, body, worker, base, dim + 1)?;

@@ -381,10 +381,10 @@ pub(crate) struct Worker<'c, 's> {
     /// Points of the enclosing map launches, from their actual extents:
     /// what the JIT hotness gate compares with its threshold.
     pub(crate) volume: i64,
-    /// Inside a launch whose whole-map nest is still compiling: the inner
-    /// maps it runs interpreted meanwhile request no span kernels, which
-    /// the nest makes redundant from its next launch on.
-    pub(crate) nest_pending: bool,
+    /// The compiled kernel of the map launch this worker runs the
+    /// interpreted rows of, launched by each row at the kernel's first dim
+    /// (a whole-map kernel one dim-0 value at a time, see `exec_map`).
+    pub(crate) row_nest: Option<std::sync::Arc<crate::nest::MapNestPlan>>,
     /// Index (into `pstack`) of the chunk-partitioned parameter when this
     /// worker runs inside a parallel region; `None` = no concurrent writers.
     pub(crate) chunk_param: Option<usize>,
@@ -429,7 +429,7 @@ impl<'c, 's> Worker<'c, 's> {
             shadowed: Vec::new(),
             pcounts: Vec::new(),
             volume: 1,
-            nest_pending: false,
+            row_nest: None,
             chunk_param: None,
             prog_cache: HashMap::new(),
             map_cache: HashMap::new(),
@@ -455,6 +455,7 @@ impl<'c, 's> Worker<'c, 's> {
         w.stable = launcher.stable;
         w.pcounts = launcher.pcounts.clone();
         w.volume = launcher.volume;
+        w.row_nest = launcher.row_nest.clone();
         w.chunk_param = Some(chunk);
         w
     }

@@ -14,8 +14,8 @@
 //! 2. an on-disk artifact cache (`SDFG_JIT_CACHE`, default
 //!    `$TMPDIR/sdfg-jit-cache`) holding `<hash>.so` + `<hash>.c`, written
 //!    atomically (temp file + rename) so concurrent processes are safe;
-//! 3. the lowered plan itself, which keeps the kernel's registry handle in
-//!    the `PlanCache` (see `crate::lower`).
+//! 3. the execution plan in the `PlanCache`, which keeps each map's and
+//!    collapsed loop's registry handle (see `crate::nest`).
 //!
 //! **Compiling never blocks a launch.** A request that finds the artifact
 //! on disk `dlopen`s it on the spot, so restarted processes run native from
@@ -45,7 +45,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Compiler flags for kernel compilation. `-ffp-contract=off` is load
@@ -257,20 +257,13 @@ pub enum DeclineKind {
 
 impl DeclineKind {
     /// Reason name for the fallback ledger and `sdfg_jit_fallbacks_total`.
-    /// Whole-nest sites (`nest`: collapsed loops, scheduler tiles) and the
-    /// per-map innermost-span decision keep the two spellings their
-    /// records have always used.
-    pub fn reason(self, nest: bool) -> &'static str {
+    pub fn reason(self) -> &'static str {
         use DeclineKind::*;
-        match (self, nest) {
-            (Structure, true) => "nest-unsupported-structure",
-            (Bounds, true) => "nest-nonaffine-bounds",
-            (Body, true) => "nest-unsupported-body",
-            (NoCompiler | CompileFailed | DlopenFailed, true) => "nest-compile-failed",
-            (Structure | Bounds | Body, false) => "unsupported_body",
-            (NoCompiler, false) => "no_compiler",
-            (CompileFailed, false) => "compile_failed",
-            (DlopenFailed, false) => "dlopen_failed",
+        match self {
+            Structure => "nest-unsupported-structure",
+            Bounds => "nest-nonaffine-bounds",
+            Body => "nest-unsupported-body",
+            NoCompiler | CompileFailed | DlopenFailed => "nest-compile-failed",
         }
     }
 }
@@ -294,9 +287,9 @@ impl Decline {
     }
 
     /// Records this decline as a JIT fallback of `map` (see
-    /// [`record_fallback`]; `nest` picks the reason spelling).
-    pub fn record(&self, content_hash: u64, map: &str, nest: bool) {
-        record_fallback(content_hash, map, self.kind.reason(nest), &self.detail);
+    /// [`record_fallback`]).
+    pub fn record(&self, content_hash: u64, map: &str) {
+        record_fallback(content_hash, map, self.kind.reason(), &self.detail);
     }
 }
 
@@ -335,6 +328,8 @@ struct Entry {
     /// Set by the first launch that found the cell empty, so the ledger
     /// records one pending launch per kernel.
     pending_seen: AtomicBool,
+    /// Compiler invocations made for this entry.
+    compiles: AtomicU32,
 }
 
 /// A requested kernel. Every requester of one hash holds the same entry,
@@ -402,6 +397,7 @@ pub(crate) fn get_or_compile(source: &str) -> Result<KernelHandle, Decline> {
         hash,
         cell: OnceLock::new(),
         pending_seen: AtomicBool::new(false),
+        compiles: AtomicU32::new(0),
     });
     reg.insert(hash, Arc::clone(&entry));
     let dir = cache_dir();
@@ -442,17 +438,19 @@ fn load_cached(dir: &Path, hash: u64) -> Option<Arc<JitKernel>> {
 
 /// Loads `hash`'s artifact from `dir`, compiling it there if missing and
 /// recovering (delete + recompile once) when an existing artifact fails to
-/// load: the compile thread's job. Exposed to unit tests via an explicit
-/// directory.
+/// load: the compile thread's job, counting each compile in `compiles`.
+/// Exposed to unit tests via an explicit directory.
 pub(crate) fn load_or_compile_in(
     dir: &Path,
     source: &str,
     cc: &CcInfo,
     hash: u64,
+    compiles: &AtomicU32,
 ) -> Result<Arc<JitKernel>, Decline> {
     if let Some(k) = load_cached(dir, hash) {
         return Ok(k);
     }
+    compiles.fetch_add(1, Ordering::Relaxed);
     compile_into(dir, source, cc, hash).map_err(|e| Decline::new(DeclineKind::CompileFailed, e))?;
     let so_path = dir.join(format!("{hash:016x}.so"));
     load_kernel(&so_path, hash).map_err(|e| {
@@ -523,7 +521,8 @@ fn run_job(job: Job) {
         entry,
     } = job;
     let hash = entry.hash;
-    let res = std::panic::catch_unwind(|| load_or_compile_in(&dir, &source, cc, hash))
+    let compiles = &entry.compiles;
+    let res = std::panic::catch_unwind(|| load_or_compile_in(&dir, &source, cc, hash, compiles))
         .unwrap_or_else(|_| {
             Err(Decline::new(
                 DeclineKind::CompileFailed,
@@ -868,7 +867,7 @@ mod tests {
         let _g = counters();
         let dir = test_dir("abi");
         let hash = kernel_hash(SRC, cc);
-        let kern = load_or_compile_in(&dir, SRC, cc, hash).unwrap();
+        let kern = load_or_compile_in(&dir, SRC, cc, hash, &AtomicU32::new(0)).unwrap();
         let input = [0.0, 1.0, 2.5, -3.0];
         let mut out = [0.0; 4];
         call(&kern, &input, &mut out);
@@ -892,7 +891,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(&so, b"not a shared object").unwrap();
         let before = stats();
-        let kern = load_or_compile_in(&dir, SRC, cc, hash).unwrap();
+        let kern = load_or_compile_in(&dir, SRC, cc, hash, &AtomicU32::new(0)).unwrap();
         let mut out = [0.0];
         call(&kern, &[4.0], &mut out);
         assert_eq!(out, [9.0]);
@@ -905,7 +904,7 @@ mod tests {
         assert!(so.exists(), "artifact persisted");
 
         // Warm hit: the artifact is mapped without invoking the compiler.
-        load_or_compile_in(&dir, SRC, cc, hash).unwrap();
+        load_or_compile_in(&dir, SRC, cc, hash, &AtomicU32::new(0)).unwrap();
         let after_hit = stats();
         assert_eq!(after_hit.compiles, after_miss.compiles, "hit: no compile");
         assert_eq!(after_hit.cache_hits, after_miss.cache_hits + 1);
@@ -917,10 +916,12 @@ mod tests {
         if cc().is_none() {
             return;
         }
-        let _g = counters();
-        // A source unique to this test so the registry slot is fresh.
-        let src = format!("{SRC}/* registry-test-{} */\n", std::process::id());
-        let before = stats().compiles;
+        // A source unique to this run of the test, so neither the registry
+        // nor the artifact cache has it yet.
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos());
+        let src = format!("{SRC}/* registry-test-{}-{nanos} */\n", std::process::id());
         let handles: Vec<_> = std::thread::scope(|s| {
             (0..8)
                 .map(|_| s.spawn(|| get_or_compile(&src).unwrap()))
@@ -935,9 +936,11 @@ mod tests {
             .map(|h| h.get().expect("compiled").clone().unwrap())
             .collect();
         assert!(kernels.iter().all(|k| Arc::ptr_eq(k, &kernels[0])));
+        // The entry's own count: other tests compile concurrently, so the
+        // process-wide counter says nothing about this entry.
         assert_eq!(
-            stats().compiles,
-            before + 1,
+            handles[0].0.compiles.load(Ordering::Relaxed),
+            1,
             "eight concurrent requests, one compilation"
         );
     }
@@ -966,7 +969,7 @@ mod tests {
             std::fs::create_dir_all(d).unwrap();
             std::fs::write(d.join("ccq8Wx1v.s"), b"partial").unwrap();
         }
-        load_or_compile_in(&dir, SRC, cc, hash).unwrap();
+        load_or_compile_in(&dir, SRC, cc, hash, &AtomicU32::new(0)).unwrap();
         assert!(!dead_dir.exists(), "a dead process's leftovers were kept");
         assert!(live_dir.exists(), "a live process's directory was removed");
         assert!(other.exists(), "another kernel's directory was removed");
@@ -978,7 +981,12 @@ mod tests {
     #[test]
     fn fallback_counters_accumulate() {
         let before = stats().fallbacks;
-        record_fallback(0xabcd, "state0/map", "unsupported_body", "indexed access");
+        record_fallback(
+            0xabcd,
+            "state0/map",
+            "nest-unsupported-body",
+            "indexed access",
+        );
         assert_eq!(stats().fallbacks, before + 1);
     }
 

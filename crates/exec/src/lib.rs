@@ -8,8 +8,9 @@
 //!
 //! 1. **JIT** — hot affine nests are emitted as C (`sdfg_codegen::jit`),
 //!    compiled by the system compiler and called through one kernel ABI
-//!    ([`jit`]): whole state-machine loops, scheduler tiles, or the
-//!    innermost dimension of a single map.
+//!    ([`jit`]): whole state-machine loops, and one kernel per map, called
+//!    once per serial launch or scheduler tile (once per outer row where
+//!    it covers only the map's inner dimensions).
 //! 2. **Native kernels** — when the tasklet matches a canonical form
 //!    ([`mod@sdfg_lang::recognize`]) and its memlets are affine, the inner loop
 //!    is a tight Rust loop over raw strides that LLVM auto-vectorizes.

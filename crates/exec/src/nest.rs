@@ -1,7 +1,7 @@
 //! Map-nest JIT lowering: the one path from map bodies to native code.
 //!
 //! Everything that runs natively is a *nest* handed to `codegen::jit`'s
-//! emitter and called through one ABI. Four sites build and launch nests:
+//! emitter and called through one ABI. Two sites build and launch nests:
 //!
 //! * **State-machine loops** (`try_collapse_loop`): a guard state with a
 //!   `var < end` / `!(var < end)` edge pair whose body is a straight
@@ -9,40 +9,42 @@
 //!   The whole loop — all iterations, all body states — collapses into
 //!   one native call (sliced only when a run deadline is set), turning
 //!   cholesky's ~253k interpreted transitions into a handful of calls.
-//! * **Standalone multi-dimensional maps** (`try_map_nest_steal`): the
-//!   steal scheduler's dim-0 tiles each become one native call running
-//!   the full inner nest instead of one interpreted row per outer index.
-//! * **Serially launched generic maps** (`try_map_nest_serial`): a
-//!   top-level map whose body is point tasklets, scope-local scalars and
-//!   one inner map (spmv's row loop around its dynamic-range nonzero
-//!   loop) runs as one call; the inner map's dynamic-range connectors
-//!   become bounds the kernel loads.
-//! * **Innermost spans** (`build_span_nest` / `run_span`): the innermost
-//!   dimension of any hot single-tasklet map is a 1-D nest, launched once
-//!   per row by the interpreted outer dimensions. The enclosing map
-//!   parameters enter as launch-time constants.
+//! * **Map launches** (`map_nest` / `launch_map_nest`): every map has at
+//!   most one kernel, cached per `(state, node)` in the execution plan. A
+//!   single-tasklet map's kernel covers the longest suffix of its dims the
+//!   builder lowers — the whole nest for dense maps, the innermost dim
+//!   alone behind a tiled `min` bound or a non-unit inner step. A generic
+//!   body (point tasklets, scope-local scalars and one inner map: spmv's
+//!   row loop around its dynamic-range nonzero loop) is one kernel over
+//!   the whole map on a serial top-level launch, the inner map's
+//!   dynamic-range connectors becoming bounds the kernel loads. A
+//!   whole-map kernel runs one call per serial launch and one per tile of
+//!   a parallel launch; a suffix kernel runs one call per interpreted
+//!   prefix row (`run_rows`), as does a whole-map kernel per dim-0 value
+//!   when a launch declines it, so a row it cannot run falls back alone.
 //!
 //! Inner bounds may be affine in outer iteration variables (triangular
 //! `k < j`, banded, trapezoidal); indices and bounds may also be affine in
 //! launch-time constants — mutable interstate symbols, enclosing map
-//! parameters. Both are carried as coefficient rows in the kernel's
-//! `bnd`/`geo` tables and resolved per launch. At the steal site, whose
-//! constants are fixed for every call of a launch, an index may also read
-//! them in any form (`A[t % 2, i, j]`): the term is evaluated when the
-//! launch marshals (see [`NestAffine`]). Whether tiles may run in parallel
-//! at all is `exec_map`'s race predicate, decided before any site is
-//! tried. Bitwise discipline: the
-//! emitter mirrors the interpreter statement for statement, and every
-//! candidate is only admitted when the interpreter would have executed
-//! the same statements in the same order (see the serial-collapse gate).
+//! parameters, dynamic-range connectors and a suffix kernel's prefix
+//! dims. Both are carried as coefficient rows in the kernel's `bnd`/`geo`
+//! tables and resolved per launch. In a whole-map kernel, whose constants
+//! are fixed for every call of a launch, an index may also read them in
+//! any form (`A[t % 2, i, j]`): the term is evaluated when the launch
+//! marshals (see [`NestAffine`]). Whether tiles may run in parallel at all
+//! is `exec_map`'s race predicate, decided before the kernel is tried.
+//! Bitwise discipline: the emitter mirrors the interpreter statement for
+//! statement, and every candidate is only admitted when the interpreter
+//! would have executed the same statements in the same order (see the
+//! serial-collapse gate).
 //!
 //! Irregular bodies stay on the same path. A whole-container port read at
 //! a body-computed index (`x[col[j]]`), a write log (`hist[bin] += 1`) and
 //! a stream push are accesses the kernel checks or stages itself (see
 //! `sdfg_codegen::jit`), and a fault comes back as the interpreter's own
 //! error. Their combines, like any combine the race analysis marked
-//! atomic, are plain read-modify-writes in C, so such a kernel is
-//! *exclusive*: `marshal` only admits it on a launch that runs serially
+//! atomic, are plain read-modify-writes in C, so such a kernel or launch
+//! is *exclusive*: `marshal` only admits it on a launch that runs serially
 //! outside any parallel tile.
 //!
 //! That discipline is also what lets a run switch tiers between any two
@@ -56,7 +58,7 @@ use crate::buffer::SharedBuffer;
 use crate::cpu::{MapBody, MapPlan, TileSet};
 use crate::engine::{Ctx, ExecError, Worker};
 use crate::jit::{Decline, DeclineKind, JitKernel, KernelHandle, NestFn};
-use crate::lower::MapLowering;
+use crate::lower::{MapLowering, JIT_MIN_POINTS};
 use crate::plan::StatePlan;
 use crate::sched::SchedPool;
 use crate::tasklet::{
@@ -71,9 +73,10 @@ use sdfg_core::cond::{BoolExpr, CmpOp};
 use sdfg_core::{DType, InterstateEdge, Node, Schedule, State, StateId, Wcr};
 use sdfg_graph::{EdgeId, NodeId};
 use sdfg_lang::RuntimeError;
+use sdfg_profile::Tier;
 use sdfg_symbolic::{Env, Expr, SymRange};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn structure(detail: impl Into<String>) -> Decline {
@@ -162,11 +165,12 @@ pub(crate) struct NestCore {
     /// Dims with a bound the kernel loads (see [`NestPort::clamped`]).
     loaded_dims: Vec<usize>,
     calls: Vec<NestCall>,
-    /// The call whose output accumulates over dim 0 itself (a 1-D span
+    /// The call whose output accumulates over dim 0 itself (a 1-D kernel
     /// reducing into a loop-invariant element). Every launch of such a
     /// nest points that port at a private cell and combines the cell into
-    /// the real element in Rust — atomically when the race analysis says
-    /// so — because splitting dim 0 across calls splits the reduction.
+    /// the real element in Rust, atomically (an uncontended compare-and-
+    /// swap gives a plain combine's bits), because splitting dim 0 across
+    /// calls splits the reduction.
     acc0: Option<usize>,
     /// Stream port per status slot, in the emitter's call-then-slot order.
     streams: Vec<usize>,
@@ -174,17 +178,13 @@ pub(crate) struct NestCore {
     /// atomically, or stages logs and streams: only a launch running
     /// serially outside any parallel tile may call it.
     exclusive: bool,
-    /// The kernel range-checks accesses and may fault.
-    fallible: bool,
     /// Common symbol table of every VM-mirror body, resolved per launch.
     syms: Vec<String>,
     /// The kernel, filled when its compile finishes; until then every
     /// launch falls back to the interpreter (see [`NestCore::kernel`]).
     kernel: KernelHandle,
-    /// Label for fallback records, and which spelling they use (see
-    /// [`crate::jit::DeclineKind::reason`]).
+    /// Label for fallback records.
     label: String,
-    whole_nest: bool,
     /// Set once a launch has recorded the failure of the kernel's compile.
     declined: AtomicBool,
     /// Set once a launch inside a parallel tile has recorded its decline.
@@ -212,26 +212,24 @@ impl NestCore {
             }
             Some(Err(d)) => {
                 if !self.declined.swap(true, Ordering::Relaxed) {
-                    d.record(chash, &self.label, self.whole_nest);
+                    d.record(chash, &self.label);
                 }
                 None
             }
         }
     }
 
-    /// Whether this launch may call an exclusive kernel: not from inside a
-    /// parallel tile, where another worker may combine into the same
-    /// element. The first launch that may not records the decline.
-    fn launch_exclusive(&self, chash: u64) -> bool {
-        if !self.exclusive || !crate::sched::in_pool_worker() {
+    /// Whether a launch may call the kernel when it is exclusive, or when
+    /// the launch's interpreted tiers would combine `atomic`ally: not from
+    /// inside a parallel tile (`in_tile`), where another worker may
+    /// combine into the same element. The first launch that may not
+    /// records the decline.
+    fn launch_exclusive(&self, chash: u64, atomic: bool, in_tile: bool) -> bool {
+        if !(self.exclusive || atomic) || !in_tile {
             return true;
         }
         if !self.shared_declined.swap(true, Ordering::Relaxed) {
-            structure("atomic combine inside a parallel tile").record(
-                chash,
-                &self.label,
-                self.whole_nest,
-            );
+            structure("atomic combine inside a parallel tile").record(chash, &self.label);
         }
         false
     }
@@ -261,10 +259,13 @@ pub(crate) struct LoopNestPlan {
     pub(crate) core: NestCore,
 }
 
-/// A standalone map compiled as a nest: dispatched per tile (multi-dim
-/// tasklet bodies) or as one call (serially launched generic bodies).
+/// A map's one kernel (see [`map_nest`]).
 pub(crate) struct MapNestPlan {
     pub(crate) core: NestCore,
+    /// The first map dim the kernel covers: 0 for a whole-map kernel, which
+    /// runs whole launches and tiles; otherwise the interpreted rows of
+    /// the dims before it launch it.
+    pub(crate) start: usize,
 }
 
 /// What one launch supplies besides the plan.
@@ -276,10 +277,13 @@ struct Launch<'a> {
     /// Thread-local transient overlays, resolved before `Ctx::bufs`.
     locals: Option<&'a HashMap<String, SharedBuffer>>,
     /// Kernel index `k` of dim 0 stands for the iteration value
-    /// `origin + k·step`, so spans on any step grid run the unit-step
-    /// kernel loop.
+    /// `origin + k·step`, so launches and rows on any step grid run the
+    /// unit-step kernel loop.
     origin: i64,
     step: i64,
+    /// The launch's interpreted tiers combine atomically where the kernel
+    /// combines plainly (see [`NestCore::launch_exclusive`]).
+    atomic: bool,
 }
 
 /// The final combine of a dim-0 reduction (see [`NestCore::acc0`]).
@@ -289,7 +293,6 @@ struct Acc0<'a> {
     off: usize,
     identity: f64,
     f: fn(f64, f64) -> f64,
-    atomic: bool,
 }
 
 /// Where one stream output's staged pushes go.
@@ -351,8 +354,9 @@ struct NestBuilder<'c, 's> {
     /// Whether map states must pass the serial-collapse gate (true for
     /// state-machine loops, whose body the interpreter runs serially).
     serial_gate: bool,
-    /// Whether stream outputs are admitted (spans only: they mirror the
-    /// affine VM loop, which appends a span's pushes once it has run).
+    /// Whether stream outputs are admitted (one-dimensional map kernels
+    /// only: they mirror the affine VM loop, which appends a row's pushes
+    /// once it has run).
     streams_ok: bool,
     /// See [`NestCore::exclusive`].
     exclusive: bool,
@@ -364,9 +368,9 @@ struct NestBuilder<'c, 's> {
     /// VM-mirror body must not read as symbols.
     dyn_conns: Vec<String>,
     /// Whether an index may carry terms evaluated once per launch (see
-    /// [`NestAffine`]): only at the steal site, whose launch-time
-    /// constants are fixed for every call — not a collapsed loop, whose
-    /// kernel steps its variable.
+    /// [`NestAffine`]): only in a whole-map kernel, whose launch-time
+    /// constants are fixed for every call of a launch — not a collapsed
+    /// loop, whose kernel steps its variable.
     launch_terms: bool,
 }
 
@@ -439,11 +443,19 @@ impl<'c, 's> NestBuilder<'c, 's> {
         r: &SymRange,
         site: &Site,
     ) -> Result<(NestAffine, NestAffine), Decline> {
-        let bound = |e: &Expr| {
-            NestAffine::from_solved(&solve(e, &site.names, self.env0), site)
-                .ok_or_else(|| nonaffine("non-affine map bound"))
-        };
-        Ok((bound(&r.start)?, bound(&r.end)?))
+        Ok((self.bound(&r.start, site)?, self.bound(&r.end, site)?))
+    }
+
+    /// A loop bound as an affine form over the site. The solver probes a
+    /// few points, so a clamp (`min(t + 8, N)`) away from its corner reads
+    /// as affine; the kernel's loops would then run past it, so a bound
+    /// that clamps, divides or wraps a name of the site is not affine.
+    fn bound(&self, e: &Expr, site: &Site) -> Result<NestAffine, Decline> {
+        let err = || nonaffine("non-affine map bound");
+        if piecewise_in(e, &site.names) {
+            return Err(err());
+        }
+        NestAffine::from_solved(&solve(e, &site.names, self.env0), site).ok_or_else(err)
     }
 
     /// A scope-local scalar may only be read once a point tasklet of the
@@ -737,8 +749,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
                 }
                 let affine = |e: &Expr, port: Option<usize>| match port {
                     Some(_) => Ok(NestAffine::constant(0)),
-                    None => NestAffine::from_solved(&solve(e, &site.names, self.env0), &site)
-                        .ok_or_else(|| nonaffine("non-affine map bound")),
+                    None => self.bound(e, &site),
                 };
                 (affine(&r.start, lo_port)?, affine(&r.end, hi_port)?)
             } else {
@@ -906,9 +917,9 @@ impl<'c, 's> NestBuilder<'c, 's> {
         Ok(())
     }
 
-    /// Emits the kernel and requests its compile; `label` and `whole_nest`
-    /// name the site in fallback records.
-    fn finish(self, label: String, whole_nest: bool) -> Result<NestCore, Decline> {
+    /// Emits the kernel and requests its compile; `label` names the site in
+    /// fallback records.
+    fn finish(self, label: String) -> Result<NestCore, Decline> {
         let NestBuilder {
             dims,
             bounds,
@@ -961,7 +972,6 @@ impl<'c, 's> NestBuilder<'c, 's> {
             (0..ports.len()).filter(|&p| f(&ports[p])).collect()
         };
         let whole = of_kind(&|p| p.kind == PortKind::Whole);
-        let fallible = !whole.is_empty();
         let loaded_dims = loaded.iter().map(|l| l.dim).collect();
         let spec = NestSpec {
             ndims,
@@ -988,15 +998,26 @@ impl<'c, 's> NestBuilder<'c, 's> {
             acc0,
             streams,
             exclusive,
-            fallible,
             syms: syms.unwrap_or_default(),
             kernel,
             label,
-            whole_nest,
             declined: AtomicBool::new(false),
             shared_declined: AtomicBool::new(false),
             rows,
         })
+    }
+}
+
+/// Whether `e` applies `min`, `max`, `//` or `%` to an operand reading one
+/// of `names`.
+fn piecewise_in(e: &Expr, names: &[String]) -> bool {
+    let reads = |x: &Expr| x.free_symbols().iter().any(|s| names.contains(s));
+    match e {
+        Expr::Int(_) | Expr::Sym(_) => false,
+        Expr::Add(ts) | Expr::Mul(ts) => ts.iter().any(|t| piecewise_in(t, names)),
+        Expr::FloorDiv(a, b) | Expr::Mod(a, b) | Expr::Min(a, b) | Expr::Max(a, b) => {
+            reads(a) || reads(b)
+        }
     }
 }
 
@@ -1073,7 +1094,7 @@ fn staged_mode(o: &crate::tasklet::OutPortPlan) -> Result<Option<JitOutMode>, De
 /// native micro-kernel when one was recognized (plain store, or register
 /// accumulation for a WCR output invariant in the innermost dimension),
 /// the affine VM otherwise. Whether a per-point WCR combine may run
-/// non-atomically is the site's call (see `build_span_nest`).
+/// non-atomically is the launch's call (see `NestCore::launch_exclusive`).
 fn innermost_modes(
     bt: &BodyTasklet,
     innermost_pos: usize,
@@ -1231,7 +1252,7 @@ fn build_loop_nest(ctx: &Ctx, guard: StateId, label: String) -> Result<LoopNestP
     for sid in body_states {
         b.add_state(sid)?;
     }
-    let core = b.finish(label, true)?;
+    let core = b.finish(label)?;
     // Every map dim sits below the loop variable, so no reduction can land
     // on dim 0 — the dimension this site slices.
     debug_assert!(core.acc0.is_none());
@@ -1269,7 +1290,7 @@ pub(crate) fn try_collapse_loop(
             let label = format!("loop@{}", ctx.sdfg.state(cur).label);
             let res = build_loop_nest(ctx, cur, label.clone()).map(Arc::new);
             if let Err(d) = &res {
-                d.record(ctx.chash, &label, true);
+                d.record(ctx.chash, &label);
             }
             match ctx.plan.insert_loop_nest(cur.0, res) {
                 Ok(p) => p,
@@ -1292,6 +1313,7 @@ pub(crate) fn try_collapse_loop(
         locals: None,
         origin: 0,
         step: 1,
+        atomic: false,
     };
     let Some(args) = marshal(ctx, &plan.core, &launch, lo0, hi0) else {
         return Ok(None);
@@ -1332,10 +1354,7 @@ pub(crate) fn try_collapse_loop(
             }
         }
     }
-    let st = &ctx.stats;
-    st.tasklet_points.fetch_add(npts as u64, Ordering::Relaxed);
-    st.jit_points.fetch_add(npts as u64, Ordering::Relaxed);
-    st.nest_calls.fetch_add(calls, Ordering::Relaxed);
+    count_calls(ctx, npts as u64, calls);
     ran?;
     // A unit-step loop exits with `var == hi0`; the normal edge scan then
     // takes the exit edge and applies its assignments.
@@ -1346,322 +1365,377 @@ pub(crate) fn try_collapse_loop(
     Ok(Some(plan))
 }
 
-// --- standalone map nests ----------------------------------------------------
+// --- map kernels -------------------------------------------------------------
 
-/// Builds a standalone map's nest: a single-tasklet body (the steal site's
-/// multi-dim maps) or a generic body (see `add_generic_body`; the serial
-/// site).
-fn build_map_nest(ctx: &Ctx, pkey: (u32, u32), plan: &MapPlan) -> Result<MapNestPlan, Decline> {
-    let mut b = NestBuilder::over_interstate(ctx, false);
-    for p in &plan.params {
-        b.alloc_dim(p)?;
-    }
-    for (d, r) in plan.ranges.iter().enumerate() {
-        let sc: Vec<usize> = (0..d).collect();
-        let site = b.site(&sc);
-        b.check_unit_step(r, &site)?;
-        if d > 0 {
-            let range = b.affine_bounds(r, &site)?;
-            b.bounds.push(range);
+impl NestBuilder<'_, '_> {
+    /// Allocates map dims `params` over `ranges`: dim 0 takes whatever
+    /// range and step each call passes, every later dim steps by one
+    /// between bounds affine in the dims before it.
+    fn add_map_dims(&mut self, params: &[String], ranges: &[SymRange]) -> Result<(), Decline> {
+        for p in params {
+            self.alloc_dim(p)?;
         }
+        for (d, r) in ranges.iter().enumerate().skip(1) {
+            let site = self.site(&(0..d).collect::<Vec<_>>());
+            self.check_unit_step(r, &site)?;
+            let range = self.affine_bounds(r, &site)?;
+            self.bounds.push(range);
+        }
+        Ok(())
     }
-    let nparams = plan.params.len();
-    let sc: Vec<usize> = (0..nparams).collect();
-    match &plan.body {
+
+    /// Nests the body in the loops of the map's dims `1..nd`, adds map
+    /// `pkey`'s lowering row and emits the kernel.
+    fn finish_map(mut self, pkey: (u32, u32), label: &str, nd: usize) -> Result<NestCore, Decline> {
+        let mut items = std::mem::take(&mut self.body);
+        for d in (1..nd).rev() {
+            items = vec![NestItem::Loop {
+                dim: d,
+                body: items,
+            }];
+        }
+        self.body = items;
+        self.rows.push(MapLowering {
+            state: pkey.0,
+            node: pkey.1,
+            label: label.to_string(),
+            tier: "jit",
+            jit_reason: None,
+        });
+        self.finish(label.to_string())
+    }
+}
+
+/// Builds the kernel of a single-tasklet map `plan` (body tasklet `tnode`)
+/// over its dims `start..`. A launch-time constant is any name in
+/// `consts`: the interstate symbols, the enclosing map parameters, the
+/// dynamic-range connectors and the map's own dims before `start`, all
+/// fixed for one call.
+fn build_tasklet_nest(
+    ctx: &Ctx,
+    pkey: (u32, u32),
+    plan: &MapPlan,
+    (tnode, plan_bt): (NodeId, &BodyTasklet),
+    consts: &BTreeSet<String>,
+    start: usize,
+) -> Result<NestCore, Decline> {
+    let mut b = NestBuilder::new(ctx, &ctx.inv.env0, consts, false);
+    b.add_map_dims(&plan.params[start..], &plan.ranges[start..])?;
+    let nd = b.dims.len();
+    let site = b.site(&(0..nd).collect::<Vec<_>>());
+    let mut bt = compile_body_tasklet(
+        ctx,
+        NodeId(pkey.0),
+        tnode,
+        &mut Solver::new(&site.names, b.env0),
+    )
+    .map_err(|e| body(e.to_string()))?;
+    // The launch-time constants of a whole-map kernel are fixed for every
+    // call of a launch, so an index may read them in any form; those of a
+    // suffix kernel change per prefix row, which evaluates nothing for it.
+    b.launch_terms = start == 0;
+    // Staging holds one call's pushes only when a call runs one point per
+    // dim-0 index.
+    b.streams_ok = nd == 1;
+    // The kernel runs the arithmetic of the interpreted tiers it replaces,
+    // which the plan's own tasklet names: an index the kernel reads in a
+    // form they see folded can leave it without a native shape. A WCR
+    // output's mode also depends on its window (register accumulation or a
+    // combine per point), so such a body keeps the VM mirror, and a launch
+    // whose plan disagrees falls back (see `MapNestPlan::atomic_in`).
+    match (&plan_bt.native, &bt.native) {
+        (None, Some(_)) => bt.native = None,
+        (Some(n), None) if bt.outs.iter().all(|o| o.wcr.is_none()) => bt.native = Some(n.clone()),
+        _ => {}
+    }
+    let (program, modes) = innermost_modes(&bt, nd - 1)?;
+    let idx = b.push_call(Arc::new(bt), program, modes, &site)?;
+    b.body = vec![NestItem::Call(idx)];
+    b.finish_map(pkey, &plan.label, nd)
+}
+
+/// Builds a map's kernel: for a single-tasklet body, over the longest
+/// suffix of its dims the builder lowers (the innermost dim's decline
+/// says why none does); for a generic body (see `add_generic_body`), over
+/// the whole map. The launching worker stands in the map, `base` entries
+/// into its parameter stack.
+fn build_map_nest(
+    ctx: &Ctx,
+    pkey: (u32, u32),
+    plan: &MapPlan,
+    worker: &Worker,
+    base: usize,
+) -> Result<MapNestPlan, Decline> {
+    let (children, local_transients, writebacks) = match &plan.body {
         MapBody::Tasklets(ts, _) => {
-            let [(tnode, _)] = &ts[..] else {
-                return Err(body("multi-tasklet standalone map"));
-            };
-            let site = b.site(&sc);
-            let mut bt = compile_body_tasklet(
-                ctx,
-                NodeId(pkey.0),
-                *tnode,
-                &mut Solver::new(&site.names, b.env0),
-            )
-            .map_err(|e| body(e.to_string()))?;
-            // Tiles run once per map launch, so interstate symbols are
-            // fixed for every call: an index may read them in any form.
-            // Such an index leaves this tasklet without a native shape,
-            // but the interpreted tiers this replaces see it folded; the
-            // plan's own tasklet says which arithmetic they run, and a
-            // launch where it disagrees with the kernel's falls back
-            // (`try_map_nest_steal`). A WCR output's mode also depends on
-            // its window (register accumulation or a combine per point),
-            // so such a body keeps the VM mirror, and its launches fall
-            // back while the plan's is native.
-            b.launch_terms = true;
-            if bt.native.is_none() && bt.outs.iter().all(|o| o.wcr.is_none()) {
-                bt.native = ts[0].1.native.clone();
+            let (tnode, bt) = &ts[0];
+            let mut consts = ctx.inv.muts.clone();
+            consts.extend(worker.pstack[worker.nconst..base].iter().cloned());
+            consts.extend(plan.dyn_edges.iter().map(|de| de.conn.clone()));
+            let mut declined = structure("map without parameters");
+            for (start, p) in plan.params.iter().enumerate() {
+                match build_tasklet_nest(ctx, pkey, plan, (*tnode, bt), &consts, start) {
+                    Ok(core) => return Ok(MapNestPlan { core, start }),
+                    Err(d) => declined = d,
+                }
+                consts.insert(p.clone());
             }
-            let (program, modes) = innermost_modes(&bt, nparams - 1)?;
-            let idx = b.push_call(Arc::new(bt), program, modes, &site)?;
-            b.body = vec![NestItem::Call(idx)];
+            return Err(declined);
         }
         MapBody::Generic {
             children,
             local_transients,
             writebacks,
-        } => {
-            if !writebacks.is_empty() {
-                return Err(structure("write-back of a scope-local container"));
-            }
-            b.outer = sc;
-            // The serial launch combines plainly (see `NestCore::exclusive`);
-            // the inner map must be serial in the interpreter too.
-            b.exclusive = true;
-            b.serial_gate = true;
-            b.add_generic_body(NodeId(pkey.0), children, local_transients)?;
-        }
+        } => (children, local_transients, writebacks),
+    };
+    let mut b = NestBuilder::over_interstate(ctx, false);
+    b.add_map_dims(&plan.params, &plan.ranges)?;
+    if !writebacks.is_empty() {
+        return Err(structure("write-back of a scope-local container"));
     }
-    let mut items = std::mem::take(&mut b.body);
-    for d in (1..nparams).rev() {
-        items = vec![NestItem::Loop {
-            dim: d,
-            body: items,
-        }];
-    }
-    b.body = items;
-    b.rows.push(MapLowering {
-        state: pkey.0,
-        node: pkey.1,
-        label: plan.label.clone(),
-        tier: "jit",
-        jit_reason: None,
-    });
-    let core = b.finish(plan.label.clone(), true)?;
-    // Neither site's maps have a body reducing over the tile dimension:
-    // the steal site takes maps of two or more dims, whose innermost
-    // (accumulating) dimension is never dim 0, and a generic body's calls
-    // sit below its point tasklets or inner loop.
+    b.outer = (0..plan.params.len()).collect();
+    // The serial launch combines plainly (see `NestCore::exclusive`); the
+    // inner map must be serial in the interpreter too.
+    b.exclusive = true;
+    b.serial_gate = true;
+    b.add_generic_body(NodeId(pkey.0), children, local_transients)?;
+    let core = b.finish_map(pkey, &plan.label, plan.params.len())?;
+    // A generic body's calls sit below its point tasklets or inner loop,
+    // never directly under dim 0.
     debug_assert!(core.acc0.is_none());
-    Ok(MapNestPlan { core })
+    Ok(MapNestPlan { core, start: 0 })
 }
 
-/// The cached nest of a standalone map, built (or its decline recorded)
-/// on first use.
-fn map_nest(ctx: &Ctx, plan: &MapPlan, pkey: (u32, u32)) -> Option<Arc<MapNestPlan>> {
+/// The kernel of the map a worker is launching, `base` entries into its
+/// parameter stack, built (or its decline recorded) by the first launch
+/// that may use one: a hot or `ungated` launch of a single-tasklet map,
+/// or a top-level launch of a generic body.
+pub(crate) fn map_nest(
+    ctx: &Ctx,
+    plan: &MapPlan,
+    pkey: (u32, u32),
+    worker: &Worker,
+    base: usize,
+    ungated: bool,
+) -> Option<Arc<MapNestPlan>> {
+    let wanted = match &plan.body {
+        MapBody::Tasklets(ts, _) => ts.len() == 1 && (ungated || worker.volume >= JIT_MIN_POINTS),
+        MapBody::Generic { .. } => base == worker.nconst && plan.dyn_edges.is_empty(),
+    };
+    if !ctx.jit || !wanted {
+        return None;
+    }
     match ctx.plan.map_nest(pkey) {
         Some(res) => res.ok(),
         None => {
-            let res = build_map_nest(ctx, pkey, plan).map(Arc::new);
+            let res = build_map_nest(ctx, pkey, plan, worker, base).map(Arc::new);
             if let Err(d) = &res {
-                d.record(ctx.chash, &plan.label, true);
+                d.record(ctx.chash, &plan.label);
             }
             ctx.plan.insert_map_nest(pkey, res).ok()
         }
     }
 }
 
-/// Whether the map's whole-nest kernel has been requested and is still
-/// compiling.
-pub(crate) fn map_nest_pending(ctx: &Ctx, pkey: (u32, u32)) -> bool {
-    matches!(ctx.plan.map_nest(pkey), Some(Ok(p)) if p.core.compiled().is_none())
+impl MapNestPlan {
+    /// Whether a launch of a single-tasklet map whose plan compiled its
+    /// body as `bt` may call this kernel, and whether the launch combines
+    /// atomically where the kernel combines plainly (every WCR output the
+    /// race analysis marked atomic, but the one a dim-0 reduction combines
+    /// in Rust). `None` for a kernel whose arithmetic is not the one the
+    /// launch's interpreted tiers run.
+    fn atomic_in(&self, bt: &BodyTasklet) -> Option<bool> {
+        let core = &self.core;
+        if bt.native.is_some() == core.calls[0].program {
+            return None;
+        }
+        let acc0 = core.acc0.is_some();
+        Some(
+            bt.outs
+                .iter()
+                .enumerate()
+                .any(|(j, o)| o.atomic && !(acc0 && j == 0)),
+        )
+    }
+
+    /// Whether a launch of `plan` may call this kernel wherever the
+    /// kernel itself admits it: it has compiled, runs the arithmetic of
+    /// the launch's interpreted tiers, and may run inside a parallel tile
+    /// if `in_tile` (see [`NestCore::launch_exclusive`]). Only the checks
+    /// of [`marshal`] on the launch's own values are left.
+    pub(crate) fn takes(&self, plan: &MapPlan, in_tile: bool) -> bool {
+        let MapBody::Tasklets(ts, _) = &plan.body else {
+            return false;
+        };
+        matches!(self.core.compiled(), Some(Ok(_)))
+            && self
+                .atomic_in(&ts[0].1)
+                .is_some_and(|a| !(self.core.exclusive || a) || !in_tile)
+    }
 }
 
-/// Steal-scheduler hook: run a multi-dim map's tiles as whole-nest native
-/// calls (one per tile) instead of one interpreted dispatch per outer
-/// index. Returns `None` to fall through to the per-row steal path — the
-/// launch, including its write-disjointness proof, must validate before
-/// any tile runs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_map_nest_steal(
+/// Launch-time constants of a kernel whose dim 0 sits at `at` in the
+/// worker's parameter stack: the innermost stacked name below it (its
+/// value at the worker's current point), else the worker's binding.
+fn stack_consts<'w>(worker: &'w Worker, at: usize) -> impl Fn(&str) -> Option<i64> + Copy + 'w {
+    let (pstack, point, env) = (&worker.pstack[..at], &worker.point, &worker.env);
+    move |name| match pstack.iter().rposition(|p| p == name) {
+        Some(i) => Some(point[i]),
+        None => env.get(name).copied(),
+    }
+}
+
+/// The launch hook of `exec_map`: runs a launch of `plan` over dim-0
+/// values `d0 = (start, end, step)` on the map's kernel, one call for a
+/// serial launch and one per tile of a parallel launch's `tiles`. `None`
+/// leaves the launch to the interpreted paths — the kernel covers only a
+/// suffix (the prefix rows launch it, see [`run_rows`]), or a launch-time
+/// precondition failed — with the worker as they expect it. A generic
+/// body's scope-local scalars are allocated as the interpreted path
+/// allocates them (once per worker).
+pub(crate) fn launch_map_nest(
     ctx: &Ctx,
     plan: &MapPlan,
-    worker: &Worker,
+    nest: &MapNestPlan,
+    worker: &mut Worker,
     base: usize,
-    pkey: (u32, u32),
-    tiles: &TileSet,
-    pool: &SchedPool,
+    d0: (i64, i64, i64),
+    tiles: Option<(&TileSet, &Arc<SchedPool>)>,
 ) -> Option<Result<(), ExecError>> {
-    if !ctx.jit {
+    let core = &nest.core;
+    // Every launch records a kernel still compiling or failed, the
+    // launches of a suffix kernel included.
+    core.kernel(ctx.chash)?;
+    if nest.start > 0 {
         return None;
     }
-    let TileSet::Dim0 { step: 1, ranges } = tiles else {
+    let atomic = match &plan.body {
+        MapBody::Tasklets(ts, _) => nest.atomic_in(&ts[0].1)?,
+        // A generic body's kernel is exclusive: serial launches only.
+        MapBody::Generic { .. } if tiles.is_some() => return None,
+        MapBody::Generic { .. } => {
+            if let Err(e) = crate::cpu::alloc_locals(ctx, &plan.body, worker) {
+                return Some(Err(e));
+            }
+            false
+        }
+    };
+    let Some((tiles, pool)) = tiles else {
+        return run_serial(ctx, core, worker, base, d0, atomic);
+    };
+    // Tiles run concurrently: the kernel may not combine where another
+    // tile does, and its dim-0 tiles must be write-disjoint.
+    let TileSet::Dim0 { ranges, .. } = tiles else {
         return None;
     };
-    if ranges.is_empty()
-        || base != worker.nconst
-        || !worker.locals.is_empty()
-        || !plan.dyn_edges.is_empty()
-    {
+    if !core.launch_exclusive(ctx.chash, atomic, true) {
         return None;
     }
-    let MapBody::Tasklets(ts, _) = &plan.body else {
-        return None;
-    };
-    if ts.len() != 1 || plan.params.len() < 2 {
-        return None;
-    }
-    let core = map_nest(ctx, plan, pkey)?;
-    let core = &core.core;
-    // Tiles run concurrently, and none may fail half-way; the kernel's
-    // arithmetic must be the one this launch's interpreted tiers run.
-    if core.exclusive || core.fallible || ts[0].1.native.is_some() == core.calls[0].program {
-        return None;
-    }
-    let lo0 = ranges.first()?.0;
-    let hi0 = ranges.last()?.1;
+    let (d0s, d0e, d0st) = d0;
+    let consts = stack_consts(worker, base);
     let launch = Launch {
-        consts: &|name| worker.env.get(name).copied(),
+        consts: &consts,
         env: &worker.env,
         locals: None,
-        origin: 0,
-        step: 1,
+        origin: d0s,
+        step: d0st,
+        atomic,
     };
-    let args = marshal(ctx, core, &launch, lo0, hi0)?;
+    let n0 = ((d0e - d0s) + d0st - 1) / d0st;
+    let args = marshal(ctx, core, &launch, 0, n0)?;
     if !args.parallel_ok {
         return None;
     }
-    let total = std::sync::atomic::AtomicI64::new(0);
-    let args_ref = &args;
+    let (total, calls) = (AtomicI64::new(0), AtomicU64::new(0));
+    let first_err: Mutex<Option<ExecError>> = Mutex::new(None);
     let tile_fn = |_slot: usize, t: usize| {
         let (lo, hi) = ranges[t];
-        let (n, _) = run_nest(core, args_ref, lo, hi).expect("infallible kernel");
-        total.fetch_add(n, Ordering::Relaxed);
+        match run_nest(core, &args, (lo - d0s) / d0st, (hi - d0s) / d0st) {
+            Ok((n, c)) => {
+                total.fetch_add(n, Ordering::Relaxed);
+                calls.fetch_add(c, Ordering::Relaxed);
+            }
+            Err(e) => {
+                first_err.lock().get_or_insert(e);
+            }
+        }
     };
     pool.run(ranges.len(), &tile_fn, &ctx.stats);
     let n = total.load(Ordering::Relaxed) as u64;
-    let st = &ctx.stats;
-    st.tasklet_points.fetch_add(n, Ordering::Relaxed);
-    st.jit_points.fetch_add(n, Ordering::Relaxed);
-    st.nest_calls
-        .fetch_add(ranges.len() as u64, Ordering::Relaxed);
-    Some(Ok(()))
+    count_calls(ctx, n, calls.load(Ordering::Relaxed));
+    Some(first_err.into_inner().map_or(Ok(()), Err))
 }
 
-/// Serial-launch hook: a top-level map with a generic body, launched on
-/// `exec_map`'s serial branch over `[lo0, hi0)`, runs as one native call
-/// (see `add_generic_body`). Its scope-local scalars are allocated exactly
-/// as the interpreted path allocates them (once per worker), so a launch
-/// that returns `None` — to run interpreted — leaves the worker as that
-/// path expects it.
-pub(crate) fn try_map_nest_serial(
+/// Runs one row of the interpreted paths on the map's kernel: the
+/// kernel's dim 0, at `at` in the worker's parameter stack, over values
+/// `[s, e)` on step `st`, with the dims before it at the worker's current
+/// point (a prefix row of a suffix kernel, or dim-0 values of a whole-map
+/// kernel whose launch declined). `Ok(false)` leaves the row to the
+/// interpreted tiers when a launch-time precondition fails (see
+/// [`marshal`]); a fault the kernel reports is the interpreter's error.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_rows(
     ctx: &Ctx,
-    plan: &MapPlan,
+    nest: &MapNestPlan,
+    bt: &BodyTasklet,
     worker: &mut Worker,
-    base: usize,
-    pkey: (u32, u32),
-    (lo0, hi0, step): (i64, i64, i64),
-) -> Option<Result<(), ExecError>> {
-    let MapBody::Generic { .. } = &plan.body else {
-        return None;
-    };
-    if !ctx.jit || base != worker.nconst || !plan.dyn_edges.is_empty() {
-        return None;
-    }
-    let core = map_nest(ctx, plan, pkey)?;
-    let core = &core.core;
-    if step != 1 {
-        return None;
-    }
-    worker.nest_pending = core.compiled().is_none();
-    if let Err(e) = crate::cpu::alloc_locals(ctx, &plan.body, worker) {
-        return Some(Err(e));
-    }
-    let launch = Launch {
-        consts: &|name| worker.env.get(name).copied(),
-        env: &worker.env,
-        locals: Some(&worker.locals),
-        origin: 0,
-        step: 1,
-    };
-    let args = marshal(ctx, core, &launch, lo0, hi0)?;
-    let (n, calls) = match run_nest(core, &args, lo0, hi0) {
-        Ok(r) => r,
-        Err(e) => return Some(Err(e)),
-    };
-    let st = &ctx.stats;
-    st.tasklet_points.fetch_add(n as u64, Ordering::Relaxed);
-    st.jit_points.fetch_add(n as u64, Ordering::Relaxed);
-    st.nest_calls.fetch_add(calls, Ordering::Relaxed);
-    Some(Ok(()))
-}
-
-// --- innermost spans ---------------------------------------------------------
-
-/// Compiles the innermost dimension of a single-tasklet map as a 1-D
-/// nest. `bt` is the body compiled against the full parameter stack
-/// `pstack`, whose last entry becomes the nest's only dim; every enclosing
-/// parameter is a launch-time constant, resolved from the worker's
-/// current point by [`run_span`].
-pub(crate) fn build_span_nest(
-    ctx: &Ctx,
-    label: &str,
-    pstack: &[String],
-    bt: &Arc<BodyTasklet>,
-) -> Result<NestCore, Decline> {
-    let Some((inner, outer)) = pstack.split_last() else {
-        return Err(structure("map without parameters"));
-    };
-    // Constants resolve by name at launch, so names must be unambiguous.
-    if outer.contains(inner) || (1..outer.len()).any(|i| outer[..i].contains(&outer[i])) {
-        return Err(structure("shadowed iteration variable"));
-    }
-    // Every name a span is solved against is on the stack; nothing is read
-    // from an environment.
-    let (env0, muts) = (Env::new(), BTreeSet::new());
-    let mut b = NestBuilder::new(ctx, &env0, &muts, false);
-    b.streams_ok = true;
-    b.alloc_dim(inner)?;
-    let mut dim_of = vec![None; outer.len()];
-    dim_of.push(Some(0));
-    let site = Site {
-        names: pstack.to_vec(),
-        dim_of,
-    };
-    let (program, modes) = innermost_modes(bt, outer.len())?;
-    // Unlike the whole-nest sites, a span runs wherever the interpreter
-    // would — including inside parallel tiles — so a per-point combine the
-    // race analysis marked atomic makes the kernel exclusive. (An
-    // accumulating port is not: its one final combine happens in Rust.)
-    let racy = |(o, m): (&crate::tasklet::OutPortPlan, &JitOutMode)| {
-        o.atomic && matches!(m, JitOutMode::CombinePerPoint(_))
-    };
-    b.exclusive = bt.outs.iter().zip(&modes).any(racy);
-    let idx = b.push_call(bt.clone(), program, modes, &site)?;
-    b.body = vec![NestItem::Call(idx)];
-    b.finish(label.to_string(), false)
-}
-
-/// Runs dimension `dim` (the innermost) over `[s, e)` on step `st` through
-/// a span nest. Returns `Ok(None)` — fall through to the next tier —
-/// whenever a launch-time precondition fails: an unbound symbol, an offset
-/// outside its buffer (the interpreted tiers clamp with `.max(0)`, which
-/// the kernel cannot mirror), a missing buffer, an exclusive kernel inside
-/// a parallel tile. A fault the kernel reports is the interpreter's error.
-pub(crate) fn run_span(
-    ctx: &Ctx,
-    core: &NestCore,
-    worker: &mut Worker,
-    dim: usize,
+    at: usize,
     s: i64,
     e: i64,
     st: i64,
-) -> Result<Option<()>, ExecError> {
-    if st <= 0 || s >= e {
-        return Ok((s >= e).then_some(()));
+) -> Result<bool, ExecError> {
+    if s >= e {
+        return Ok(true);
     }
+    // A row kernel passed `MapNestPlan::takes`: its arithmetic is the
+    // launch's.
+    let atomic = nest.atomic_in(bt) == Some(true);
+    match run_serial(ctx, &nest.core, worker, at, (s, e, st), atomic) {
+        Some(r) => r.map(|()| true),
+        None => Ok(false),
+    }
+}
+
+/// One call of `core` over dim-0 values `[s, e)` on step `st`, on the
+/// launching worker (see [`stack_consts`] for `at`), counted on it and
+/// attributed to the JIT tier. `None` when [`marshal`] declines.
+fn run_serial(
+    ctx: &Ctx,
+    core: &NestCore,
+    worker: &mut Worker,
+    at: usize,
+    (s, e, st): (i64, i64, i64),
+    atomic: bool,
+) -> Option<Result<(), ExecError>> {
+    let t0 = worker.tier_clock();
     let n = ((e - s) + st - 1) / st;
-    let (pstack, point) = (&worker.pstack, &worker.point);
+    let consts = stack_consts(worker, at);
     let launch = Launch {
-        consts: &|name| {
-            let i = pstack[..dim].iter().position(|p| p == name)?;
-            point.get(i).copied()
-        },
+        consts: &consts,
         env: &worker.env,
         locals: Some(&worker.locals),
         origin: s,
         step: st,
+        atomic,
     };
-    let Some(args) = marshal(ctx, core, &launch, 0, n) else {
-        return Ok(None);
+    let args = marshal(ctx, core, &launch, 0, n)?;
+    let (npts, calls) = match run_nest(core, &args, 0, n) {
+        Ok(r) => r,
+        Err(e) => return Some(Err(e)),
     };
-    let (npts, calls) = run_nest(core, &args, 0, n)?;
     worker.st_points += npts as u64;
     worker.st_jit += npts as u64;
     worker.st_nest_calls += calls;
-    Ok(Some(()))
+    worker.tier_record(t0, Tier::Jit);
+    Some(Ok(()))
+}
+
+/// Counts `n` native points in `calls` calls on the run's counters.
+fn count_calls(ctx: &Ctx, n: u64, calls: u64) {
+    let st = &ctx.stats;
+    st.tasklet_points.fetch_add(n, Ordering::Relaxed);
+    st.jit_points.fetch_add(n, Ordering::Relaxed);
+    st.nest_calls.fetch_add(calls, Ordering::Relaxed);
 }
 
 // --- launch marshalling ------------------------------------------------------
@@ -1683,7 +1757,7 @@ fn marshal<'a>(
     hi0: i64,
 ) -> Option<NestArgs<'a>> {
     let func = core.kernel(ctx.chash)?.func();
-    if !core.launch_exclusive(ctx.chash) {
+    if !core.launch_exclusive(ctx.chash, launch.atomic, crate::sched::in_pool_worker()) {
         return None;
     }
     let ndims = core.ndims;
@@ -1709,7 +1783,7 @@ fn marshal<'a>(
     }
     let mut syms = Vec::with_capacity(core.syms.len());
     for s in &core.syms {
-        syms.push(*launch.env.get(s)? as f64);
+        syms.push((launch.consts)(s)? as f64);
     }
     // Rebases an affine form from dim-0 values onto kernel indices.
     let rebase = |base: i64, c0: i64| -> Option<(i64, i64)> {
@@ -1775,7 +1849,6 @@ fn marshal<'a>(
                 off: base as usize,
                 identity: wcr.identity(DType::F64)?,
                 f: crate::copy::wcr_fn(wcr).ok()?,
-                atomic: o.atomic,
             });
             bufs.push(std::ptr::null_mut());
             geo.extend(std::iter::repeat_n(0, 1 + ndims));
@@ -1854,8 +1927,8 @@ fn marshal<'a>(
 /// of at most `chunk` points, each appending its staged pushes to the
 /// streams in order. Returns the tasklet executions and calls made. A
 /// fault the kernel reports becomes the interpreter's error, and the
-/// launch's pushes are withdrawn: the affine VM loop the span mirrors
-/// appends them only once the whole span has run.
+/// launch's pushes are withdrawn: the affine VM loop the kernel mirrors
+/// appends a row's pushes only once the whole row has run.
 fn run_nest(core: &NestCore, args: &NestArgs, lo0: i64, hi0: i64) -> Result<(i64, u64), ExecError> {
     let marks: Vec<usize> = args.streams.iter().map(|s| s.queue.lock().len()).collect();
     let mut status = [0i64; STATUS_STREAMS + MAX_STREAMS];
@@ -1894,11 +1967,7 @@ fn run_nest(core: &NestCore, args: &NestArgs, lo0: i64, hi0: i64) -> Result<(i64
                 let mut bufs = args.bufs.clone();
                 bufs[acc.port] = &mut cell;
                 call(&bufs);
-                if acc.atomic {
-                    acc.buf.atomic_combine(acc.off, cell, acc.f);
-                } else {
-                    acc.buf.combine_plain(acc.off, cell, acc.f);
-                }
+                acc.buf.atomic_combine(acc.off, cell, acc.f);
             }
         }
         npts += status[0];

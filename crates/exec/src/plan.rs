@@ -407,10 +407,10 @@ pub(crate) struct ExecutionPlan {
     maps: Variants<MapPlan>,
     /// Whole-nest lowerings of state-machine loops, keyed by guard state
     /// id. `Err` caches a decline so the recognizer runs once per plan.
-    /// Top-level sites have one context, so no variants are needed; only
+    /// A kernel folds no launch-time value, so no variants are needed; only
     /// JIT-enabled runs consult these.
     loop_nests: NestCache<u32, crate::nest::LoopNestPlan>,
-    /// Whole-nest lowerings of standalone maps, keyed by (state, node).
+    /// Each map's one kernel (or its decline), keyed by (state, node).
     map_nests: NestCache<(u32, u32), crate::nest::MapNestPlan>,
     /// Adaptive grain-size state for the work-stealing scheduler, keyed by
     /// `(state, node)`. Lives here so per-launch timing feedback survives
@@ -519,7 +519,7 @@ impl ExecutionPlan {
         self.loop_nests.lock().entry(sid).or_insert(res).clone()
     }
 
-    /// Cached whole-nest lowering (or decline) of a standalone map.
+    /// Cached kernel (or decline) of a map.
     pub(crate) fn map_nest(&self, key: (u32, u32)) -> Option<NestResult<crate::nest::MapNestPlan>> {
         self.map_nests.lock().get(&key).cloned()
     }
@@ -535,8 +535,8 @@ impl ExecutionPlan {
 
     /// Lowering decisions of every cached map plan, sorted by (state,
     /// node). When a map was compiled under several contexts, the most
-    /// recently recorded variant speaks for it; maps absorbed into a
-    /// whole-nest kernel that has compiled report the `jit` tier
+    /// recently recorded variant speaks for it; maps whose own kernel, or
+    /// a loop nest that absorbed them, has compiled report the `jit` tier
     /// regardless of (or in the absence of) their per-map plan.
     pub fn lowerings(&self) -> Vec<crate::lower::MapLowering> {
         let map = self.maps.lock();

@@ -30,8 +30,9 @@ fn jit_available() -> bool {
 /// thread count does: `(jit points, nest calls)`.
 fn programs() -> Vec<(Workload, (u64, u64))> {
     vec![
-        // One span per image row, every pixel native.
-        (kernels::histogram(96), (96 * 96, 96)),
+        // One call per launch of `pixels` (one per 64-row image tile),
+        // every pixel native.
+        (kernels::histogram(96), (96 * 96, 2)),
         // Calls of at most 4096 points, so stream staging stays small.
         (kernels::query(20_000), (20_000, 5)),
         // The whole row loop, nonzero loops included, in one call.

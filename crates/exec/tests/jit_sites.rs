@@ -62,7 +62,7 @@ fn assert_jit_bitwise(sdfg: &Sdfg, bindings: impl Fn() -> Bindings, check: &[&st
 }
 
 /// Parallel rows, each with a scope-local accumulator `tmp` between two
-/// inner maps: the inner spans run natively under a thread-local overlay.
+/// inner maps: the inner maps run natively under a thread-local overlay.
 fn local_transient_sdfg() -> Sdfg {
     let mut sdfg = Sdfg::new("rowlocal");
     sdfg.add_symbol("N");
@@ -146,8 +146,9 @@ fn span_under_a_thread_local_transient() {
 #[test]
 fn atomic_loop_invariant_wcr_accumulates_in_a_cell() {
     // `s[1]` is invariant in both map dimensions: compiled for a parallel
-    // launch its combine is atomic, so the kernel may only fold each row
-    // into a private cell and leave the combine to Rust.
+    // launch its combine is atomic, which keeps the launch serial, and a
+    // serial launch outside any parallel tile runs the whole map as one
+    // call, folding each row into a register and combining it plainly.
     let mut b = SdfgBuilder::new("dot2d");
     b.symbol("N");
     b.symbol("K");
@@ -177,8 +178,111 @@ fn atomic_loop_invariant_wcr_accumulates_in_a_cell() {
     let out = assert_jit_bitwise(&sdfg, bindings, &["s"]);
     if jit_available() {
         assert_eq!(out.stats().jit_points, (n * k) as u64);
-        assert_eq!(out.stats().nest_calls, n as u64, "one span per row");
+        assert_eq!(out.stats().nest_calls, 1, "one call per launch");
     }
+}
+
+/// Inputs no binary fraction represents exactly, so any change in how a
+/// reduction associates its terms shows in the last bits.
+fn non_dyadic(n: usize, seed: u64) -> Vec<f64> {
+    (0..n as u64)
+        .map(|i| ((i * 37 + seed * 11) % 23) as f64 / 7.0 - 1.3)
+        .collect()
+}
+
+/// Asserts a warm run of `sdfg` at one thread launches each of its
+/// `launches` maps as one native call over all `points`, matching the
+/// interpreted tiers bitwise at 1, 2 and 8 threads.
+fn assert_one_call_per_launch(
+    sdfg: &Sdfg,
+    bindings: impl Fn() -> Bindings,
+    check: &[&str],
+    (launches, points): (u64, u64),
+) {
+    assert_jit_bitwise(sdfg, &bindings, check);
+    if !jit_available() {
+        return;
+    }
+    let serial = Session::builder(sdfg.clone())
+        .nthreads(1)
+        .build()
+        .unwrap()
+        .run(bindings())
+        .unwrap();
+    let st = serial.stats();
+    assert_eq!(st.map_launches, launches);
+    assert_eq!(st.nest_calls, launches, "one call per launch");
+    assert_eq!(st.jit_points, points);
+}
+
+#[test]
+fn serial_mm_reduction_is_one_call() {
+    // `C[i, j] += A[i, k] * B[k, j]`: each output element folds its row of
+    // products into a register and combines once, as the native tier does.
+    let mut b = SdfgBuilder::new("mmsum");
+    for s in ["M", "N", "K"] {
+        b.symbol(s);
+    }
+    b.array("A", &["M", "K"], DType::F64);
+    b.array("B", &["K", "N"], DType::F64);
+    b.array("C", &["M", "N"], DType::F64);
+    let st = b.state("main");
+    b.mapped_tasklet_wcr(
+        st,
+        "mm",
+        &[("i", "0:M"), ("j", "0:N"), ("k", "0:K")],
+        &[("a", "A", "i, k"), ("b", "B", "k, j")],
+        "o = a * b",
+        &[("o", "C", "i, j", Some(Wcr::Sum))],
+        Schedule::CpuMulticore,
+    );
+    let sdfg = b.build().unwrap();
+    let (m, n, k) = (20usize, 37usize, 29usize);
+    let bindings = || {
+        Bindings::new()
+            .symbol("M", m as i64)
+            .symbol("N", n as i64)
+            .symbol("K", k as i64)
+            .array_vec("A", non_dyadic(m * k, 1))
+            .array_vec("B", non_dyadic(k * n, 2))
+            .array_vec("C", non_dyadic(m * n, 3))
+    };
+    assert_one_call_per_launch(&sdfg, bindings, &["C"], (1, (m * n * k) as u64));
+}
+
+#[test]
+fn serial_atax_transposed_product_is_one_call() {
+    // atax's second product, `y[j] += A[i, j] * tmp[i]`: `y[j]` is
+    // invariant in the tile dimension, so a parallel-eligible launch marks
+    // its combine atomic and runs serially, where the kernel's plain
+    // combine per point gives the same bits.
+    let mut b = SdfgBuilder::new("atax_y");
+    b.symbol("M");
+    b.symbol("N");
+    b.array("A", &["M", "N"], DType::F64);
+    b.array("tmp", &["M"], DType::F64);
+    b.array("y", &["N"], DType::F64);
+    let st = b.state("main");
+    b.mapped_tasklet_wcr(
+        st,
+        "ty",
+        &[("i", "0:M"), ("j", "0:N")],
+        &[("a", "A", "i, j"), ("t", "tmp", "i")],
+        "o = a * t",
+        &[("o", "y", "j", Some(Wcr::Sum))],
+        Schedule::CpuMulticore,
+    );
+    let sdfg = b.build().unwrap();
+    let (m, n) = (48usize, 40usize);
+    let bindings = || {
+        Bindings::new()
+            .symbol("M", m as i64)
+            .symbol("N", n as i64)
+            .array_vec("A", non_dyadic(m * n, 4))
+            .array_vec("tmp", non_dyadic(m, 5))
+            .array_vec("y", non_dyadic(n, 6))
+    };
+    assert_one_call_per_launch(&sdfg, bindings, &["y"], (1, (m * n) as u64));
 }
 
 #[test]
@@ -238,8 +342,10 @@ fn out_of_bounds_last_row_falls_through() {
     let last_row = &out.array("B").unwrap()[(n - 1) * m..];
     assert!(last_row.iter().all(|&v| v == 0.0), "zeros past the end");
     if jit_available() {
-        // Serial runs launch one span per row; every row but the last is
-        // admitted. (The span kernel compiled for the runs above.)
+        // The kernel covers the whole map, and a serial launch reads past
+        // the end: it declines, and its rows launch the kernel one `i` at
+        // a time, every row but the last admitted. (The kernel compiled
+        // for the runs above.)
         let serial = Session::builder(sdfg.clone())
             .nthreads(1)
             .build()
@@ -247,7 +353,52 @@ fn out_of_bounds_last_row_falls_through() {
             .run(bindings())
             .unwrap();
         assert_eq!(serial.stats().jit_points, ((n - 1) * m) as u64);
+        assert_eq!(serial.stats().nest_calls, (n - 1) as u64);
         assert_eq!(serial.stats().tasklet_points, (n * m) as u64);
+    }
+}
+
+#[test]
+fn transposed_write_tiles_run_native_rows() {
+    // `B[j, i] = A[i, j]`: one step of `i` moves the write by 1 while `j`
+    // reaches N rows, so the kernel cannot prove dim-0 tiles
+    // write-disjoint and declines the tiled launch. The race analysis
+    // admits the tiles, whose rows launch the kernel one `i` at a time.
+    let mut b = SdfgBuilder::new("transpose");
+    b.symbol("N");
+    b.symbol("M");
+    b.array("A", &["M", "N"], DType::F64);
+    b.array("B", &["N", "M"], DType::F64);
+    let st = b.state("main");
+    b.mapped_tasklet(
+        st,
+        "tr",
+        &[("i", "0:M"), ("j", "0:N")],
+        &[("a", "A", "i, j")],
+        "b = a + 1",
+        &[("b", "B", "j, i")],
+    );
+    let sdfg = b.build().unwrap();
+    let (m, n) = (64usize, 48usize);
+    let bindings = || {
+        Bindings::new()
+            .symbol("N", n as i64)
+            .symbol("M", m as i64)
+            .array_vec("A", non_dyadic(m * n, 7))
+            .array_vec("B", vec![0.0; n * m])
+    };
+    assert_jit_bitwise(&sdfg, bindings, &["B"]);
+    if jit_available() {
+        let par = Session::builder(sdfg.clone())
+            .nthreads(2)
+            .build()
+            .unwrap()
+            .run(bindings())
+            .unwrap();
+        let st = par.stats();
+        assert!(st.sched_tiles > 0, "the launch is tiled");
+        assert_eq!(st.jit_points, (m * n) as u64);
+        assert_eq!(st.nest_calls, m as u64, "one call per row");
     }
 }
 
@@ -306,4 +457,41 @@ def tri(A: dace.float64[N], acc: dace.float64[N]):
         "deadline {:?} overran: returned after {took:?} of a {full:?} run",
         full / 20
     );
+}
+
+#[test]
+fn clamped_inner_bound_is_not_taken_for_affine() {
+    // `min(t + 8, N)` reads as `t + 8` wherever `t + 8 <= N`, but the last
+    // tile stops at `N`: `B` is longer than the map, so iterating past `N`
+    // would write elements the interpreter leaves alone. The kernel covers
+    // `i` alone, launched by each row of `t`, serial or tiled.
+    let mut b = SdfgBuilder::new("tiled");
+    b.symbol("N");
+    b.symbol("M");
+    b.array("A", &["M"], DType::F64);
+    b.array("B", &["M"], DType::F64);
+    let st = b.state("main");
+    b.mapped_tasklet_wcr(
+        st,
+        "tile",
+        &[("t", "0:N:8"), ("i", "t:min(t + 8, N)")],
+        &[("a", "A", "i")],
+        "b = a * 2",
+        &[("b", "B", "i", None)],
+        Schedule::CpuMulticore,
+    );
+    let sdfg = b.build().unwrap();
+    let (n, m) = (301usize, 320usize);
+    let bindings = || {
+        Bindings::new()
+            .symbol("N", n as i64)
+            .symbol("M", m as i64)
+            .array_vec("A", data(m, 7))
+            .array_vec("B", vec![7.0; m])
+    };
+    let out = assert_jit_bitwise(&sdfg, bindings, &["B"]);
+    assert!(out.array("B").unwrap()[n..].iter().all(|&v| v == 7.0));
+    if jit_available() {
+        assert_eq!(out.stats().jit_points, n as u64);
+    }
 }

@@ -32,18 +32,21 @@ macro_rules! run_counters {
             native_points;
             /// Points executed through JIT-compiled native code.
             jit_points;
-            /// Native nest-kernel calls: collapsed state-machine loops (one
-            /// per loop, or per deadline slice), tile-dispatched map nests
-            /// (one per tile) and innermost spans (one per row).
+            /// Native nest-kernel calls: one per collapsed state-machine
+            /// loop or deadline slice; one per serial map launch or tile of
+            /// a parallel one; one per interpreted prefix row where a map's
+            /// kernel covers only a suffix of its dims (or per dim-0 value
+            /// of a whole-map launch the kernel declined); and one per
+            /// 4096-push chunk of a launch that pushes to a stream.
             nest_calls => (
                 "sdfg_nest_calls_total",
-                "Whole-nest native kernel invocations (loop collapses and tile dispatches)."
+                "Native nest-kernel calls (per collapsed loop or deadline slice, serial map launch or tile, prefix row of a suffix kernel, or stream chunk)."
             );
             /// Points executed inside nest-kernel calls. Every JIT point
             /// runs in one, so `nest_points == jit_points`.
             nest_points => (
                 "sdfg_nest_points_total",
-                "Map-body points executed inside whole-nest native kernels."
+                "Map-body points executed inside native nest-kernel calls."
             );
             /// Interstate edge condition evaluations performed by the drive
             /// loop (collapsed loops skip their per-iteration share).

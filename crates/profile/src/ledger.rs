@@ -92,8 +92,10 @@ pub struct JitFallbackRecord {
     pub content_hash: String,
     /// Map label (state/entry-node scope name) when known.
     pub map: String,
-    /// Why the JIT tier was not used (`no_compiler`, `compile_failed`,
-    /// `dlopen_failed`, `disabled`, ...).
+    /// Why the JIT tier was not used: a `DeclineKind` name
+    /// (`nest-unsupported-structure`, `nest-nonaffine-bounds`,
+    /// `nest-unsupported-body`, `nest-compile-failed`) or
+    /// `jit-compile-pending`.
     pub reason: String,
     /// Free-form detail (compiler stderr excerpt, dlerror text; may be
     /// empty).
@@ -268,12 +270,12 @@ mod tests {
             seq: 0,
             content_hash: "aa01".into(),
             map: "mult[i,j]".into(),
-            reason: "no_compiler".into(),
+            reason: "nest-compile-failed".into(),
             detail: "cc: not found".into(),
         };
         let j = rec.to_json();
         assert!(j.starts_with("{\"record\":\"jit_fallback\""));
-        assert!(j.contains("\"reason\":\"no_compiler\""));
+        assert!(j.contains("\"reason\":\"nest-compile-failed\""));
         assert!(!j.contains('\n'));
     }
 
