@@ -2,12 +2,10 @@
 //!
 //! Inside a map, memlet subsets are functions of the map parameters. Rather
 //! than evaluating the symbolic tree per iteration (hash lookups per point),
-//! we *probe* each expression: evaluate it at the origin and at unit/double
-//! offsets of every parameter. If the results are consistent with an affine
-//! function (including a cross-term check), the expression is replaced by
-//! `base + Σ coeff_i · p_i` — O(params) integer math per point. Expressions
-//! that fail the probe (`i % 2`, `i*i`, min/max of params) fall back to
-//! symbolic evaluation.
+//! each expression is decomposed by its structure ([`Expr::affine_in`]) into
+//! `base + Σ coeff_i · p_i` — O(params) integer math per point. An
+//! expression that is not affine by structure (`i % 2`, `i*i`, a clamp such
+//! as `min(i, 50)`) falls back to symbolic evaluation.
 
 use sdfg_symbolic::{Env, EvalError, Expr};
 
@@ -115,7 +113,7 @@ impl<'a> Solver<'a> {
             return solved;
         }
         // Bind the constants the expression reads and hide their names from
-        // the probe (the empty string is no identifier).
+        // the solver (the empty string is no identifier).
         let mut env = self.env0.clone();
         let mut names = self.names.to_vec();
         for &i in &hit {
@@ -131,77 +129,15 @@ impl<'a> Solver<'a> {
     }
 }
 
-/// Probes `expr` for affinity in `params`, with all other symbols bound by
-/// `env`. Returns `Solved::Symbolic` when the expression is not affine or
-/// references unbound symbols at probe points.
+/// Solves `expr` for affinity in `params`, with all other symbols bound by
+/// `env`: the exact decomposition of [`Expr::affine_in`]. Returns
+/// `Solved::Symbolic` when the expression is not affine in `params` or reads
+/// an unbound symbol.
 pub fn solve(expr: &Expr, params: &[String], env: &Env) -> Solved {
-    // Fast path: constant after substituting env? Check free symbols.
-    let free = expr.free_symbols();
-    let uses_param = params.iter().any(|p| free.contains(p));
-    if !uses_param {
-        // Depends only on interstate symbols: evaluate once.
-        return match expr.eval(env) {
-            Ok(v) => Solved::Const(v),
-            Err(_) => Solved::Symbolic(expr.clone()),
-        };
-    }
-    let mut probe_env = env.clone();
-    let set = |pe: &mut Env, vals: &[i64], params: &[String]| {
-        for (p, v) in params.iter().zip(vals) {
-            pe.insert(p.clone(), *v);
-        }
-    };
-    let zeros = vec![0i64; params.len()];
-    set(&mut probe_env, &zeros, params);
-    let Ok(f0) = expr.eval(&probe_env) else {
-        return Solved::Symbolic(expr.clone());
-    };
-    let mut coeffs = Vec::with_capacity(params.len());
-    for i in 0..params.len() {
-        let mut v = zeros.clone();
-        v[i] = 1;
-        set(&mut probe_env, &v, params);
-        let Ok(f1) = expr.eval(&probe_env) else {
-            return Solved::Symbolic(expr.clone());
-        };
-        // Linearity check along this axis at a second point.
-        v[i] = 5;
-        set(&mut probe_env, &v, params);
-        let Ok(f5) = expr.eval(&probe_env) else {
-            return Solved::Symbolic(expr.clone());
-        };
-        let c = f1 - f0;
-        if f5 - f0 != 5 * c {
-            return Solved::Symbolic(expr.clone());
-        }
-        // And at a negative point (catches |p|-like shapes and floor
-        // division asymmetries).
-        v[i] = -3;
-        set(&mut probe_env, &v, params);
-        let Ok(fm3) = expr.eval(&probe_env) else {
-            return Solved::Symbolic(expr.clone());
-        };
-        if fm3 - f0 != -3 * c {
-            return Solved::Symbolic(expr.clone());
-        }
-        coeffs.push(c);
-        // Reset.
-        set(&mut probe_env, &zeros, params);
-    }
-    // Cross-term check: f(1,1,...) must equal base + Σ coeffs.
-    let ones = vec![1i64; params.len()];
-    set(&mut probe_env, &ones, params);
-    let Ok(fall) = expr.eval(&probe_env) else {
-        return Solved::Symbolic(expr.clone());
-    };
-    let expected: i64 = f0 + coeffs.iter().sum::<i64>();
-    if fall != expected {
-        return Solved::Symbolic(expr.clone());
-    }
-    if coeffs.iter().all(|&c| c == 0) {
-        Solved::Const(f0)
-    } else {
-        Solved::Affine { base: f0, coeffs }
+    match expr.affine_in(params, env) {
+        Ok((base, coeffs)) if coeffs.iter().all(|&c| c == 0) => Solved::Const(base),
+        Ok((base, coeffs)) => Solved::Affine { base, coeffs },
+        Err(_) => Solved::Symbolic(expr.clone()),
     }
 }
 
@@ -292,8 +228,14 @@ impl NestAffine {
         }
         // A term may read launch-time constants and launch-invariant names.
         let constant = |s: &String| env0.contains_key(s) || site.kind(s) == Some(None);
+        // Name the sub-term the decomposition stops at (`min(50, i)` in
+        // `min(i, 50) + 1`) and the name that makes it non-affine.
         let why = |t: &Expr| {
-            let free = t.free_symbols();
+            let bad = t
+                .affine_in(&site.names, env0)
+                .err()
+                .unwrap_or_else(|| t.clone());
+            let free = bad.free_symbols();
             let sym = free
                 .iter()
                 .find(|s| matches!(site.kind(s), Some(Some(_))))
@@ -304,9 +246,14 @@ impl NestAffine {
                 Some(None) => "launch-time constant",
                 None => "unbound symbol",
             };
+            let at = match bad {
+                Expr::Sym(_) => String::new(),
+                _ if bad == *e => String::new(),
+                _ => format!(" at `{bad}`"),
+            };
             match sym {
-                Some(s) => format!("index `{e}` is not affine in {} `{s}`", role(s)),
-                None => format!("index `{e}` does not evaluate"),
+                Some(s) => format!("index `{e}` is not affine in {} `{s}`{at}", role(s)),
+                None => format!("index `{e}` does not evaluate{at}"),
             }
         };
         if !launch_terms {
@@ -426,14 +373,46 @@ mod tests {
 
     #[test]
     fn nonaffine_falls_back() {
-        for txt in ["i % 2", "i * i", "i // 3", "min(i, j)", "i * j"] {
+        for txt in [
+            "i % 2",
+            "i * i",
+            "i // 3",
+            "min(i, j)",
+            "i * j",
+            "min(i, 50)",
+            "max(i, 4000)",
+            "min(i + 1, N - 1)",
+        ] {
             let e = parse_expr(txt).unwrap();
-            let s = solve(&e, &params(&["i", "j"]), &Env::new());
+            let s = solve(&e, &params(&["i", "j"]), &env(&[("N", 4096)]));
             assert!(
                 matches!(s, Solved::Symbolic(_)),
                 "`{txt}` must not be classified affine"
             );
         }
+    }
+
+    #[test]
+    fn decline_names_the_offending_sub_term() {
+        let site = Site {
+            names: params(&["i", "t"]),
+            dim_of: vec![Some(0), None],
+        };
+        let why = |txt: &str| {
+            NestAffine::from_expr(&parse_expr(txt).unwrap(), &site, &Env::new(), false).unwrap_err()
+        };
+        assert_eq!(
+            why("t % 2"),
+            "index `t % 2` is not affine in launch-time constant `t`"
+        );
+        assert_eq!(
+            why("2*i + i // 8"),
+            "index `2*i + i // 8` is not affine in iteration variable `i` at `i // 8`"
+        );
+        assert_eq!(
+            why("i + Q"),
+            "index `Q + i` is not affine in unbound symbol `Q`"
+        );
     }
 
     #[test]
@@ -445,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_matches_eval_on_random_affine() {
+    fn solve_matches_eval_on_random_affine() {
         // Deterministic pseudo-random affine expressions.
         let mut seed = 0x12345u64;
         let mut rng = move || {

@@ -446,16 +446,12 @@ impl<'c, 's> NestBuilder<'c, 's> {
         Ok((self.bound(&r.start, site)?, self.bound(&r.end, site)?))
     }
 
-    /// A loop bound as an affine form over the site. The solver probes a
-    /// few points, so a clamp (`min(t + 8, N)`) away from its corner reads
-    /// as affine; the kernel's loops would then run past it, so a bound
-    /// that clamps, divides or wraps a name of the site is not affine.
+    /// A loop bound as an affine form over the site, decomposed exactly
+    /// (see [`Expr::affine_in`]): a bound that clamps, divides or wraps a
+    /// name of the site (`min(t + 8, N)`) is declined.
     fn bound(&self, e: &Expr, site: &Site) -> Result<NestAffine, Decline> {
-        let err = || nonaffine("non-affine map bound");
-        if piecewise_in(e, &site.names) {
-            return Err(err());
-        }
-        NestAffine::from_solved(&solve(e, &site.names, self.env0), site).ok_or_else(err)
+        NestAffine::from_solved(&solve(e, &site.names, self.env0), site)
+            .ok_or_else(|| nonaffine("non-affine map bound"))
     }
 
     /// A scope-local scalar may only be read once a point tasklet of the
@@ -1008,19 +1004,6 @@ impl<'c, 's> NestBuilder<'c, 's> {
     }
 }
 
-/// Whether `e` applies `min`, `max`, `//` or `%` to an operand reading one
-/// of `names`.
-fn piecewise_in(e: &Expr, names: &[String]) -> bool {
-    let reads = |x: &Expr| x.free_symbols().iter().any(|s| names.contains(s));
-    match e {
-        Expr::Int(_) | Expr::Sym(_) => false,
-        Expr::Add(ts) | Expr::Mul(ts) => ts.iter().any(|t| piecewise_in(t, names)),
-        Expr::FloorDiv(a, b) | Expr::Mod(a, b) | Expr::Min(a, b) | Expr::Max(a, b) => {
-            reads(a) || reads(b)
-        }
-    }
-}
-
 /// The structural plan of a state (shared plan, else derived).
 fn state_plan(ctx: &Ctx, sid: StateId) -> Result<Arc<StatePlan>, Decline> {
     Ok(match ctx.plan.state(sid.0) {
@@ -1238,12 +1221,7 @@ fn build_loop_nest(ctx: &Ctx, guard: StateId, label: String) -> Result<LoopNestP
     if avar != &var {
         return Err(structure("back edge steps a different symbol"));
     }
-    let probe = |v: i64| {
-        let mut env = Env::new();
-        env.insert(var.clone(), v);
-        aexpr.eval(&env).ok()
-    };
-    if probe(0) != Some(1) || probe(3) != Some(4) || probe(7) != Some(8) {
+    if aexpr.affine_in(std::slice::from_ref(&var), &Env::new()) != Ok((1, vec![1])) {
         return Err(nonaffine("non-unit loop increment"));
     }
     let mut b = NestBuilder::over_interstate(ctx, true);

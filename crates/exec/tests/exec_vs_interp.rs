@@ -293,6 +293,83 @@ fn stats_report_native_points() {
     assert_eq!(report[0].tier, "native");
 }
 
+/// `B[i] = A[idx]` for an index that is not affine in `i`: a clamp, a
+/// floor division or a modulo. Every tier must read the element the
+/// interpreter reads, bit for bit — with the JIT on and off, at 1, 2 and 8
+/// threads, cold and with every kernel compiled.
+#[test]
+fn clamped_indices_match_the_interpreter_bitwise() {
+    let n = 4096;
+    let a: Vec<f64> = (0..n).map(|x| x as f64 * 0.5 + 1.0).collect();
+    for idx in [
+        "min(i, 50)",
+        "max(i, 4000)",
+        "min(i + 1, N - 1)",
+        "i // 2",
+        "(i * 3) % 7",
+    ] {
+        let mut b = SdfgBuilder::new("gather");
+        b.symbol("N");
+        b.array("A", &["N"], DType::F64);
+        b.array("B", &["N"], DType::F64);
+        let st = b.state("main");
+        b.mapped_tasklet(
+            st,
+            "gather",
+            &[("i", "0:N")],
+            &[("a", "A", idx)],
+            "b = a",
+            &[("b", "B", "i")],
+        );
+        let sdfg = b.build().unwrap();
+        let mut it = Interpreter::new(&sdfg);
+        it.set_symbol("N", n as i64);
+        it.set_array("A", a.clone());
+        it.set_array("B", vec![0.0; n]);
+        it.run().expect("interp runs");
+        let want = it.array("B").to_vec();
+        let bindings = || {
+            Bindings::new()
+                .symbol("N", n as i64)
+                .array_vec("A", a.clone())
+                .array_vec("B", vec![0.0; n])
+        };
+        for jit in [false, true] {
+            for nthreads in [1, 2, 8] {
+                let session = Session::builder(sdfg.clone())
+                    .jit(jit)
+                    .nthreads(nthreads)
+                    .build()
+                    .unwrap();
+                let cold = session.run(bindings()).unwrap();
+                sdfg_exec::jit::wait_idle();
+                let steady = session.run(bindings()).unwrap();
+                // The per-point tier runs it, and the JIT names why not.
+                let report = steady.lowering_report();
+                assert_eq!(report[0].tier, "symbolic", "`A[{idx}]`: {report:?}");
+                if jit && sdfg_exec::jit::env_enabled() && sdfg_exec::jit::cc().is_some() {
+                    let why = report[0].jit_reason.as_deref().unwrap_or_default();
+                    assert!(
+                        why.contains("is not affine in iteration variable `i`"),
+                        "`A[{idx}]`: {why}"
+                    );
+                }
+                for (when, out) in [("cold", &cold), ("steady", &steady)] {
+                    let got = out.array("B").unwrap();
+                    let bad = (0..n)
+                        .filter(|&k| got[k].to_bits() != want[k].to_bits())
+                        .count();
+                    assert_eq!(
+                        bad, 0,
+                        "`B[i] = A[{idx}]`: {bad} of {n} elements differ from the interpreter \
+                         (jit {jit}, {nthreads} threads, {when})"
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

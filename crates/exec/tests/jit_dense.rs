@@ -379,8 +379,11 @@ fn jacobi2d_runs_one_call_per_tile() {
     assert_eq!(st.nest_calls, st.sched_tiles, "one native call per tile");
 }
 
-/// Reads the ledger lines a run of `f` appends.
+/// Reads the ledger lines a run of `f` appends. The ledger path is
+/// process-wide, so one caller at a time.
 fn ledger_of(f: impl FnOnce()) -> String {
+    static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|p| p.into_inner());
     let dir = std::env::temp_dir().join(format!("sdfg-dense-ledger-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("ledger.jsonl");
@@ -420,6 +423,43 @@ fn collapsed_loop_declines_an_index_its_variable_steps() {
         assert!(
             text.lines().any(|l| l.contains("\"map\":\"loop@t_guard\"")
                 && l.contains("index `t % 2` is not affine in iteration variable `t`")),
+            "no decline recorded:\n{text}"
+        );
+    }
+}
+
+#[test]
+fn collapsed_loop_declines_a_step_that_is_not_one() {
+    // `t = t + 1 + t // 8` steps by one only while `t < 8`: the loop site
+    // must decline rather than run every row below `T`.
+    let mut b = SdfgBuilder::new("skipping");
+    b.symbol("N");
+    b.symbol("T");
+    b.array("A", &["N"], DType::F64);
+    b.array("B", &["T"], DType::F64);
+    let st = b.state("sweep");
+    b.mapped_tasklet_wcr(
+        st,
+        "rowsum",
+        &[("i", "0:N")],
+        &[("a", "A", "i")],
+        "b = a",
+        &[("b", "B", "t", Some(Wcr::Sum))],
+        Schedule::Sequential,
+    );
+    b.add_loop(st, "t", "0", "t < T", "1 + t // 8");
+    let sdfg = b.build().expect("valid");
+    let case = Case::new(sdfg, &[("N", 64), ("T", 40)], &["B"])
+        .array("A", data(64, 5))
+        .array("B", vec![0.0; 40]);
+    let text = ledger_of(|| {
+        case.assert_bitwise();
+    });
+    if jit_available() {
+        assert!(
+            text.lines().any(|l| l.contains("\"map\":\"loop@t_guard\"")
+                && l.contains("nest-nonaffine-bounds")
+                && l.contains("non-unit loop increment")),
             "no decline recorded:\n{text}"
         );
     }

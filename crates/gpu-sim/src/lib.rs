@@ -369,10 +369,7 @@ fn is_coalesced(m: &sdfg_core::Memlet, innermost: &str) -> bool {
         if d + 1 != rank {
             return false; // innermost param indexes a non-contiguous dim
         }
-        let p0 = r.start.subs(innermost, &sdfg_symbolic::Expr::int(0));
-        let p1 = r.start.subs(innermost, &sdfg_symbolic::Expr::int(1));
-        let diff = p1 - p0;
-        if diff != sdfg_symbolic::Expr::one() && diff != sdfg_symbolic::Expr::zero() {
+        if !matches!(r.start.stride_in(innermost), Ok(0 | 1)) {
             return false;
         }
     }

@@ -328,6 +328,83 @@ impl Expr {
         }
     }
 
+    /// Decomposes `self` exactly as `base + Σ coeffs[k]·names[k]`, by
+    /// structure rather than by sampling: sums add, a product may have at
+    /// most one factor that reads a name, and `//`, `%`, `min` and `max` may
+    /// only appear in a sub-term that reads none. A sub-term that reads no
+    /// name is evaluated under `env`, which must bind every other symbol.
+    ///
+    /// `Err` is the first offending sub-term: a clamp or division of a name
+    /// (`min(50, i)`, `t // 8`), a product of names (`i*j`), an unbound
+    /// symbol, or the sub-term whose coefficients overflow i64.
+    pub fn affine_in(&self, names: &[String], env: &crate::Env) -> Result<(i64, Vec<i64>), Expr> {
+        let reads = |e: &Expr| names.iter().any(|n| e.has_symbol(n));
+        if !reads(self) {
+            let value = self.eval(env).map_err(|e| match e {
+                EvalError::UnboundSymbol(s) => Expr::Sym(s),
+                EvalError::DivisionByZero => self.clone(),
+            })?;
+            return Ok((value, vec![0; names.len()]));
+        }
+        let overflow = || self.clone();
+        match self {
+            // A repeated name is the innermost binding: its last occurrence.
+            Expr::Sym(s) => {
+                let mut coeffs = vec![0; names.len()];
+                if let Some(k) = names.iter().rposition(|n| n == s) {
+                    coeffs[k] = 1;
+                }
+                Ok((0, coeffs))
+            }
+            Expr::Add(terms) => {
+                let (mut base, mut coeffs) = (0i64, vec![0i64; names.len()]);
+                for t in terms {
+                    let (b, cs) = t.affine_in(names, env)?;
+                    base = base.checked_add(b).ok_or_else(overflow)?;
+                    for (c, d) in coeffs.iter_mut().zip(cs) {
+                        *c = c.checked_add(d).ok_or_else(overflow)?;
+                    }
+                }
+                Ok((base, coeffs))
+            }
+            Expr::Mul(factors) => {
+                let mut linear = factors.iter().filter(|f| reads(f));
+                let (Some(f), None) = (linear.next(), linear.next()) else {
+                    return Err(self.clone());
+                };
+                let mut k = 1i64;
+                for g in factors.iter().filter(|g| !reads(g)) {
+                    k = k
+                        .checked_mul(g.affine_in(names, env)?.0)
+                        .ok_or_else(overflow)?;
+                }
+                let scale = |x: i64| x.checked_mul(k).ok_or_else(overflow);
+                let (b, cs) = f.affine_in(names, env)?;
+                Ok((
+                    scale(b)?,
+                    cs.into_iter().map(scale).collect::<Result<_, _>>()?,
+                ))
+            }
+            _ => Err(self.clone()),
+        }
+    }
+
+    /// The stride of `self` along `name`: the coefficient of `name` in the
+    /// additive terms that read it, decomposed by [`Expr::affine_in`] with
+    /// every other symbol of those terms counted as a name too, so that a
+    /// symbolic stride (`N*i`) is a product of names and an `Err`.
+    pub fn stride_in(&self, name: &str) -> Result<i64, Expr> {
+        let terms = match self {
+            Expr::Add(ts) => &ts[..],
+            e => std::slice::from_ref(e),
+        };
+        let reading = Expr::add(terms.iter().filter(|t| t.has_symbol(name)).cloned());
+        let names: Vec<String> = std::iter::once(name.to_string())
+            .chain(reading.free_symbols().into_iter().filter(|s| s != name))
+            .collect();
+        Ok(reading.affine_in(&names, &crate::Env::new())?.1[0])
+    }
+
     /// Re-canonicalizes the whole tree. The smart constructors already keep
     /// results canonical; this is the entry point for externally constructed
     /// trees (e.g. deserialized ones).
@@ -1002,6 +1079,40 @@ mod tests {
             let back = crate::parse_expr(&shown).unwrap();
             assert_eq!(e, back, "roundtrip failed for `{txt}` -> `{shown}`");
         }
+    }
+
+    #[test]
+    fn affine_in_decomposes_by_structure() {
+        let names = ["i".to_string(), "j".to_string()];
+        let at =
+            |txt: &str, env: &crate::Env| crate::parse_expr(txt).unwrap().affine_in(&names, env);
+        let n = env(&[("N", 100)]);
+        assert_eq!(at("2*i + 3*j + N", &n), Ok((100, vec![2, 3])));
+        assert_eq!(at("N*(i + 1) - j", &n), Ok((100, vec![100, -1])));
+        assert_eq!(at("N // 3 + N % 7", &n), Ok((35, vec![0, 0])));
+        for (txt, bad) in [
+            ("min(i, 50)", "min(50, i)"),
+            ("max(i, N - 1) + 1", "max(i, N - 1)"),
+            ("j + 1 + j // 8", "j // 8"),
+            ("i*j + 1", "i*j"),
+            ("i + M", "M"),
+        ] {
+            assert_eq!(at(txt, &n), Err(crate::parse_expr(bad).unwrap()), "{txt}");
+        }
+        let stride = |txt: &str| crate::parse_expr(txt).unwrap().stride_in("i");
+        assert_eq!(stride("j*N + i + 3"), Ok(1));
+        assert_eq!(stride("2*i - j*j"), Ok(2));
+        assert_eq!(stride("j*N"), Ok(0));
+        assert_eq!(stride("N*i"), Err(crate::parse_expr("N*i").unwrap()));
+        assert_eq!(
+            stride("min(i, 50)"),
+            Err(crate::parse_expr("min(50, i)").unwrap())
+        );
+        let big = env(&[("N", i64::MAX)]);
+        assert!(
+            at("2*N*i", &big).is_err(),
+            "an overflowing coefficient is no affine form"
+        );
     }
 
     #[test]

@@ -27,6 +27,33 @@ fn raw_expr() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// Sums and products over symbols, integers, and `//`, `%`, `min` or `max`
+/// of a symbol and an integer: unlike [`raw_expr`], often affine in a
+/// given symbol.
+fn ring_expr() -> impl Strategy<Value = Expr> {
+    let sym = || (0usize..SYMS.len()).prop_map(|i| Expr::Sym(SYMS[i].to_string()));
+    let leaf = prop_oneof![
+        (-20i64..20).prop_map(Expr::Int),
+        sym(),
+        sym(),
+        (sym(), 1i64..8, 0usize..4).prop_map(|(s, k, op)| {
+            let (a, b) = (Box::new(s), Box::new(Expr::Int(k)));
+            match op {
+                0 => Expr::FloorDiv(a, b),
+                1 => Expr::Mod(a, b),
+                2 => Expr::Min(a, b),
+                _ => Expr::Max(a, b),
+            }
+        }),
+    ];
+    leaf.prop_recursive(4, 48, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 2..4).prop_map(Expr::Add),
+            prop::collection::vec(inner, 2..3).prop_map(Expr::Mul),
+        ]
+    })
+}
+
 fn env_strategy() -> impl Strategy<Value = Env> {
     prop::collection::vec(-50i64..50, SYMS.len()).prop_map(|vals| {
         SYMS.iter()
@@ -117,5 +144,35 @@ proptest! {
             i += step;
         }
         prop_assert_eq!(n, count);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn affine_in_agrees_with_eval(
+        raw in raw_expr(),
+        ring in ring_expr(),
+        c in -50i64..50,
+        point in prop::collection::vec(prop_oneof![-50i64..50, -(1i64 << 40)..(1i64 << 40)], 2),
+    ) {
+        // `a` and `b` are the names, `c` is bound and `d` is not.
+        let names = ["a".to_string(), "b".to_string()];
+        let bound = sdfg_symbolic::env(&[("c", c)]);
+        for e in [raw.clone(), raw.simplify(), ring.clone(), ring.simplify()] {
+            let Ok((base, coeffs)) = e.affine_in(&names, &bound) else {
+                continue;
+            };
+            let mut at = bound.clone();
+            at.insert("a".into(), point[0]);
+            at.insert("b".into(), point[1]);
+            // `eval` wraps, so the affine form is compared in wrapping arithmetic.
+            let form = coeffs
+                .iter()
+                .zip(&point)
+                .fold(base, |acc, (k, x)| acc.wrapping_add(k.wrapping_mul(*x)));
+            prop_assert_eq!(e.eval(&at), Ok(form), "`{}` claimed {} + {:?}", e, base, coeffs);
+        }
     }
 }

@@ -583,12 +583,9 @@ impl Transformation for Vectorization {
                     }
                     if uses {
                         // Coefficient must be exactly 1.
-                        let probe0 = r.start.subs(&last_param, &Expr::int(0));
-                        let probe1 = r.start.subs(&last_param, &Expr::int(1));
-                        let diff = probe1 - probe0;
-                        if diff != Expr::one() && diff != Expr::zero() {
+                        if !matches!(r.start.stride_in(&last_param), Ok(0 | 1)) {
                             return Err(SdfgError::transform(format!(
-                                "access `{mlet}` has stride {diff} in `{last_param}`"
+                                "access `{mlet}` is not unit-stride in `{last_param}`"
                             )));
                         }
                     }
@@ -817,6 +814,33 @@ mod tests {
         );
         let mut sdfg = b.build().unwrap();
         assert!(apply_first(&mut sdfg, &Vectorization, &Params::new()).is_err());
+    }
+
+    #[test]
+    fn vectorization_rejects_a_clamped_access_and_takes_a_flat_row() {
+        // `min(i, 50)` has stride 1 only below 50; `j*N + i` is stride 1.
+        for (idx, ok) in [
+            ("min(i, 50)", false),
+            ("max(i, 7) + 1", false),
+            ("j*N + i", true),
+        ] {
+            let mut b = SdfgBuilder::new("v3");
+            b.symbol("N");
+            b.array("A", &["N*N"], DType::F64);
+            b.array("B", &["N", "N"], DType::F64);
+            let st = b.state("main");
+            b.mapped_tasklet(
+                st,
+                "t",
+                &[("j", "0:N"), ("i", "0:N")],
+                &[("a", "A", idx)],
+                "o = a",
+                &[("o", "B", "j, i")],
+            );
+            let mut sdfg = b.build().unwrap();
+            let applied = apply_first(&mut sdfg, &Vectorization, &Params::new());
+            assert_eq!(applied.is_ok(), ok, "`A[{idx}]`: {applied:?}");
+        }
     }
 
     #[test]
