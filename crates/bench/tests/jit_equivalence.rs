@@ -1,26 +1,46 @@
-//! The JIT lowering tier's correctness gate.
+//! The executor's correctness gate against the oracle.
 //!
-//! Every Polybench kernel must produce outputs **bit-for-bit identical**
-//! with the JIT tier enabled and disabled: the generated C mirrors the
-//! interpreted tiers statement for statement and compiles with FP
-//! contraction off, so there is no tolerance here — a single differing
-//! bit fails the suite. Each kernel runs twice with the JIT on: cold, while
-//! its kernels compile in the background (each launch on whichever tier is
-//! ready), and again once they have all compiled. On machines without a
-//! system C compiler the
-//! enabled runs silently fall back to the interpreted tiers and the gate
-//! still passes (equality is then trivial), which pins the graceful-
-//! degradation contract at the same time.
+//! Every Polybench kernel and the five §6.1 kernels (mm, jacobi2d,
+//! histogram, query, spmv) must produce outputs **bit-for-bit identical**
+//! to the reference interpreter's, on every tier: the micro-kernels only
+//! accept tasklet forms they evaluate as written, the generated C mirrors
+//! the tasklet VM statement by statement and compiles with FP contraction
+//! off, and register reductions seed from the output. So there is no
+//! tolerance here — a single differing bit fails the suite. Each program
+//! runs with the JIT off and twice with it on: cold, while its kernels
+//! compile in the background (each launch on whichever tier is ready),
+//! and again once they have all compiled; at both optimization levels. On
+//! machines without a system C compiler the enabled runs silently fall
+//! back to the interpreted tiers and the gate still holds, which pins the
+//! graceful-degradation contract at the same time.
 
-use sdfg_workloads::polybench;
+use sdfg_exec::OptLevel;
 use sdfg_workloads::workload::Workload;
+use sdfg_workloads::{kernels, polybench};
 use std::collections::HashMap;
 
 const SCALE: usize = 24;
 
-fn run_with_jit(w: &Workload, jit: bool, nthreads: usize) -> HashMap<String, Vec<f64>> {
+/// The gated programs at `SCALE`.
+fn programs() -> Vec<Workload> {
+    let mut ws: Vec<Workload> = polybench::all()
+        .into_iter()
+        .map(|k| (k.build)(SCALE))
+        .collect();
+    ws.extend([
+        kernels::mm(SCALE),
+        kernels::jacobi2d(SCALE, 4),
+        kernels::histogram(SCALE * 8),
+        kernels::query(SCALE * 8),
+        kernels::spmv(SCALE, 4),
+    ]);
+    ws
+}
+
+fn run(w: &Workload, opt: OptLevel, jit: bool, nthreads: usize) -> HashMap<String, Vec<f64>> {
     let session = w
         .session()
+        .opt_level(opt)
         .jit(jit)
         .nthreads(nthreads)
         .build()
@@ -33,13 +53,13 @@ fn run_with_jit(w: &Workload, jit: bool, nthreads: usize) -> HashMap<String, Vec
 
 fn bitwise_mismatches(
     check: &[String],
-    on: &HashMap<String, Vec<f64>>,
-    off: &HashMap<String, Vec<f64>>,
+    got: &HashMap<String, Vec<f64>>,
+    want: &HashMap<String, Vec<f64>>,
 ) -> usize {
     let mut bad = 0;
     for name in check {
-        let a = &on[name];
-        let b = &off[name];
+        let a = &got[name];
+        let b = &want[name];
         assert_eq!(a.len(), b.len(), "`{name}` length");
         bad += a
             .iter()
@@ -50,44 +70,49 @@ fn bitwise_mismatches(
     bad
 }
 
-/// The gate itself: every Polybench kernel, JIT on vs off, at serial,
-/// 2-thread and oversubscribed 8-thread configurations. The thread sweep
-/// pins the whole-nest paths — the serial loop collapse, the serial-map
-/// admission gate, and the parallel tile→nest-call dispatch on the steal
-/// scheduler — against the interpreted tiers, bit for bit.
+/// The gate itself, at serial, 2-thread and oversubscribed 8-thread
+/// configurations. The thread sweep pins the whole-nest paths — the serial
+/// loop collapse, the serial-map admission gate, and the parallel
+/// tile→nest-call dispatch on the steal scheduler — against the
+/// interpreter, bit for bit.
 fn gate_at(nthreads: usize) {
     let mut failures = Vec::new();
-    for k in polybench::all() {
-        let w = (k.build)(SCALE);
-        let cold = run_with_jit(&w, true, nthreads);
-        sdfg_exec::jit::wait_idle();
-        let warm = run_with_jit(&w, true, nthreads);
-        let off = run_with_jit(&w, false, nthreads);
-        let bad =
-            bitwise_mismatches(&w.check, &cold, &off) + bitwise_mismatches(&w.check, &warm, &off);
-        if bad > 0 {
-            failures.push(format!("{}: {bad} bitwise mismatches", k.name));
+    for w in programs() {
+        let want = w
+            .run_interp()
+            .unwrap_or_else(|e| panic!("{}: interpreter failed: {e}", w.name));
+        for opt in [OptLevel::None, OptLevel::Aggressive] {
+            let off = run(&w, opt, false, nthreads);
+            let cold = run(&w, opt, true, nthreads);
+            sdfg_exec::jit::wait_idle();
+            let warm = run(&w, opt, true, nthreads);
+            for (when, got) in [("jit off", &off), ("cold", &cold), ("warm", &warm)] {
+                let bad = bitwise_mismatches(&w.check, got, &want);
+                if bad > 0 {
+                    failures.push(format!("{} ({opt:?}, {when}): {bad} elements", w.name));
+                }
+            }
         }
     }
     assert!(
         failures.is_empty(),
-        "JIT tier diverged from the interpreted tiers at {nthreads} threads:\n{}",
+        "executor diverged from the interpreter at {nthreads} threads:\n{}",
         failures.join("\n")
     );
 }
 
 #[test]
-fn polybench_bitwise_identical_with_jit_on_and_off() {
+fn programs_match_the_interpreter_bitwise() {
     gate_at(1);
 }
 
 #[test]
-fn polybench_bitwise_identical_at_two_threads() {
+fn programs_match_the_interpreter_bitwise_at_two_threads() {
     gate_at(2);
 }
 
 #[test]
-fn polybench_bitwise_identical_at_eight_threads() {
+fn programs_match_the_interpreter_bitwise_at_eight_threads() {
     gate_at(8);
 }
 

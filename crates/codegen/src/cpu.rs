@@ -450,72 +450,6 @@ pub(crate) fn flat_index(sdfg: &Sdfg, data: &str, subset: &sdfg_symbolic::Subset
     }
 }
 
-// --- JIT native-body lowering -------------------------------------------------
-//
-// The JIT tier (`crate::jit`) compiles recognized map bodies to standalone
-// shared objects. For bodies the executor would otherwise run through its
-// native micro-kernels, the emitted C must mirror those kernels
-// *statement for statement* (same operation order, no contraction), so
-// that a JIT run is bitwise identical to a non-JIT run. Input slot `i`'s
-// per-iteration value is preloaded into `v{i}` by the kernel loop.
-
-/// C expression for one [`Operand`] of a recognized pattern.
-fn operand_c(op: &sdfg_lang::recognize::Operand) -> String {
-    use sdfg_lang::recognize::Operand;
-    match op {
-        Operand::Input(i) => format!("v{i}"),
-        Operand::Const(c) => crate::c_expr::c_f64(*c),
-    }
-}
-
-/// C expression computing a recognized [`Pattern`]'s per-iteration value,
-/// mirroring `apply_binop_kind` and the executor's element-wise kernels.
-pub(crate) fn pattern_value_c(p: &sdfg_lang::recognize::Pattern) -> String {
-    use sdfg_lang::recognize::{BinOpKind, Pattern};
-    match p {
-        Pattern::Copy { input } => format!("v{input}"),
-        Pattern::BinOp { op, a, b } => {
-            let (a, b) = (operand_c(a), operand_c(b));
-            match op {
-                BinOpKind::Add => format!("({a} + {b})"),
-                BinOpKind::Sub => format!("({a} - {b})"),
-                BinOpKind::Mul => format!("({a} * {b})"),
-                BinOpKind::Div => format!("({a} / {b})"),
-                BinOpKind::Min => format!("fmin({a}, {b})"),
-                BinOpKind::Max => format!("fmax({a}, {b})"),
-            }
-        }
-        Pattern::Fma { a, b, c } => format!("(v{a} * v{b} + v{c})"),
-        Pattern::Axpb { input, mul, add } => format!(
-            "({} * v{input} + {})",
-            crate::c_expr::c_f64(*mul),
-            crate::c_expr::c_f64(*add)
-        ),
-    }
-}
-
-/// C statements computing a linear combination into `val`, mirroring the
-/// executor's `run_lincomb` accumulation order (`acc = bias; acc += c·x`
-/// per term, in slot-sorted term order).
-pub(crate) fn lincomb_value_c(lc: &sdfg_lang::recognize::LinComb, ind: &str) -> String {
-    let mut out = format!("{ind}double val = {};\n", crate::c_expr::c_f64(lc.bias));
-    for &(slot, c) in &lc.terms {
-        let _ = writeln!(out, "{ind}val += {} * v{slot};", crate::c_expr::c_f64(c));
-    }
-    out
-}
-
-/// C statements computing a product chain into `val`, mirroring the
-/// executor's `run_mulchain` multiplication order (`v = scale; v *= x`
-/// per slot, in chain order).
-pub(crate) fn mulchain_value_c(mc: &sdfg_lang::recognize::MulChain, ind: &str) -> String {
-    let mut out = format!("{ind}double val = {};\n", crate::c_expr::c_f64(mc.scale));
-    for &slot in &mc.slots {
-        let _ = writeln!(out, "{ind}val *= v{slot};");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

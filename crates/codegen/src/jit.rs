@@ -23,7 +23,7 @@
 //!   affine address is in bounds. After the `P` port rows comes the
 //!   *length table*, `geo[P·S + p]` = element count of port `p`'s
 //!   container, which only the self-checked accesses below read.
-//! * `syms[s]` holds the value of the VM-mirror bodies' `symbols[s]`.
+//! * `syms[s]` holds the value of the bodies' `symbols[s]`.
 //! * `bnd` — affine loop bounds, two rows of `1 + D` entries per
 //!   dimension (lower then upper, upper exclusive):
 //!   `[const, k0 … k_{D-1}]`; dimension `d` iterates
@@ -55,12 +55,20 @@
 //! from `geo`, `bnd` and `bufs` at run time admits the strips (see
 //! [`STRIP`]); the ABI and the artifact are the same for every launch.
 //!
+//! # One body emitter
+//!
+//! Every tasklet body is emitted as C that mirrors the bytecode VM
+//! statement by statement ([`crate::c_expr::vm_expr_to_c`]), which is the
+//! interpreter's own arithmetic; the executor's micro-kernels compute the
+//! same, because its recognizers only accept forms they can evaluate as
+//! written. Output modes therefore only choose how a value reaches memory.
+//!
 //! # Self-checked accesses
 //!
 //! Three kinds of access cannot be validated before the call, so the
 //! kernel checks them itself, each mirroring the interpreted tiers:
 //!
-//! * **Indexed ports** ([`NestSpec::whole`]): a VM-mirror body reads a
+//! * **Indexed ports** ([`NestSpec::whole`]): a body reads a
 //!   whole container at an index it computes (`x[col[j]]`). An index
 //!   outside the container leaves through the fault exit, exactly where
 //!   the VM raises its out-of-bounds error.
@@ -79,24 +87,22 @@
 //!
 //! # Bitwise discipline
 //!
-//! A JIT run must be bitwise identical to the tier it replaces, so:
+//! A JIT run must be bitwise identical to the interpreter, so:
 //!
 //! * the executor compiles kernels with `-ffp-contract=off` (Rust never
 //!   contracts `a*b + c` into an FMA, so the C must not either);
-//! * recognized native shapes mirror the executor's micro-kernels
-//!   statement for statement (see `crate::cpu`);
-//! * unrecognized bodies mirror the tasklet VM via
-//!   [`crate::c_expr::vm_expr_to_c`], with indexed reads hoisted into
-//!   checked loads in the VM's evaluation order (a read the VM might skip
-//!   — under `and`, `or` or a conditional expression — is rejected);
+//! * bodies mirror the tasklet VM via [`crate::c_expr::vm_expr_to_c`],
+//!   with indexed reads hoisted into checked loads in the VM's evaluation
+//!   order (a read the VM might skip — under `and`, `or` or a conditional
+//!   expression — is rejected);
 //! * programs whose VM execution could observe *stale register state*
 //!   (a local read on a path that did not assign it — the VM's register
 //!   file persists across map points) are rejected and fall back;
 //! * register accumulation ([`JitOutMode::Accumulate`]) is emitted only as
-//!   the dedicated reduction-loop form, whose final combine is skipped for
-//!   empty ranges exactly like the native tier's early return — in the
-//!   strip form too, where each output element still folds its terms in
-//!   the same order from the same seed;
+//!   the dedicated reduction-loop form: the register is seeded from the
+//!   output element and stored back once, so the element folds its terms
+//!   in the interpreter's order from the interpreter's seed — in the strip
+//!   form too, one register per element;
 //! * WCR combines are plain read-modify-writes. The executor only calls a
 //!   kernel whose combines its race analysis marked atomic (or which has
 //!   write logs or streams) from a launch that runs serially outside any
@@ -108,9 +114,8 @@
 //! next tier, which is always correct.
 
 use crate::c_expr::vm_expr_to_c;
-use crate::cpu::{lincomb_value_c, mulchain_value_c, pattern_value_c};
 use sdfg_lang::ast::{BinOp, ExprAst, Stmt};
-use sdfg_lang::recognize::{LinComb, MulChain, Pattern};
+use sdfg_lang::recognize::sole_assignment;
 use sdfg_lang::TaskletProgram;
 use std::fmt::Write as _;
 
@@ -169,7 +174,10 @@ impl JitWcrOp {
 /// How the kernel updates one output port per iteration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum JitOutMode {
-    /// Plain store: `out[off] = v` (native element-wise without WCR).
+    /// Plain store: the output local starts at zero and is stored after the
+    /// body — the same bits as read-modify-write for a body that writes
+    /// the output before reading it, and a scope-local scalar's
+    /// per-iteration zeroing.
     Write,
     /// Read-modify-write: the output local is seeded from memory before
     /// the body runs and stored back after — the affine VM's protocol for
@@ -178,32 +186,21 @@ pub enum JitOutMode {
     /// WCR combine per iteration: `out[off] = f(out[off], v)`.
     CombinePerPoint(JitWcrOp),
     /// Register accumulation for a WCR output invariant in the enclosing
-    /// loop (coefficient 0): the kernel folds into an identity-seeded
-    /// register and combines it into the port once after the loop. Only
-    /// valid for native single-output shapes whose call is the loop's
-    /// whole body.
+    /// loop (coefficient 0): the kernel seeds a register from the element,
+    /// folds every iteration's value into it and stores it back once after
+    /// the loop. Only valid for a body that is one plain assignment to its
+    /// sole output, read through no whole-container port, whose call is the
+    /// loop's whole body, and with no input in the output's container.
     Accumulate(JitWcrOp),
     /// Write-conflict-resolved write log into a whole container (the VM's
     /// log port): every store to the connector, at an index the body
     /// computes, is staged for the point and combined in store order once
-    /// the body has completed. VM-mirror bodies only.
+    /// the body has completed.
     Log(JitWcrOp),
     /// Stream output: each `push` appends to the port's staging buffer
     /// (addressed by the port's `geo` base) and the kernel returns the
-    /// count in its status slots. VM-mirror bodies only.
+    /// count in its status slots.
     Stream,
-}
-
-/// The body shape to emit, as decided by the lowering pipeline.
-pub enum JitBody<'a> {
-    /// Recognized canonical pattern (native micro-kernel mirror).
-    Pattern(Pattern),
-    /// Linear combination (stencil) shape.
-    LinComb(&'a LinComb),
-    /// Product chain (contraction) shape.
-    MulChain(&'a MulChain),
-    /// Unrecognized body: mirror the tasklet VM statement by statement.
-    Program(&'a TaskletProgram),
 }
 
 /// Shared C preamble: includes and the helper functions mirroring the
@@ -248,8 +245,8 @@ pub struct NestOut {
 
 /// One tasklet call site inside the nest.
 pub struct NestTasklet<'a> {
-    /// Body shape.
-    pub body: JitBody<'a>,
+    /// The tasklet, emitted as a mirror of its bytecode.
+    pub prog: &'a TaskletProgram,
     /// Global port index per input slot (row into `geo`).
     pub ins: Vec<usize>,
     /// Output bindings in slot order.
@@ -300,7 +297,7 @@ pub struct NestSpec<'a> {
     pub tasklets: Vec<NestTasklet<'a>>,
     /// Kernel body, nested directly inside the dimension-0 loop.
     pub body: Vec<NestItem>,
-    /// Ports that stand for a whole container: VM-mirror bodies address
+    /// Ports that stand for a whole container: bodies address
     /// them by a computed index, range-checked against the length table.
     pub whole: Vec<usize>,
     /// Ports addressed through a dimension with a loaded bound, whose
@@ -317,30 +314,20 @@ pub struct NestSpec<'a> {
 
 /// Points per strip of the strip-accumulated reduction form: a loop whose
 /// body is exactly one reduction loop runs `STRIP` of its iterations at
-/// once, each with its own identity-seeded accumulator, so the reduction's
-/// inner step becomes a `STRIP`-wide loop over contiguous elements that
-/// the C compiler vectorises. Every accumulator still folds its terms in
-/// the scalar loop's order from the same seed, so results are bitwise
-/// unchanged. The form is taken per launch only when a runtime guard
-/// holds: unit stride along the strip in every input that reads it (zero
-/// in the others), reduction bounds that do not read the strip dimension,
-/// and no input in the output's container, whose writes the strip would
-/// move ahead of later reads. Any other launch, and the remainder of the
-/// range, runs the scalar loop in the same kernel. Of 8 to 48, 16 measured
+/// once, each with its own accumulator seeded from its output element, so
+/// the reduction's inner step becomes a `STRIP`-wide loop over contiguous
+/// elements that the C compiler vectorises. Every accumulator still folds
+/// its terms in the scalar loop's order from the same seed, so results are
+/// bitwise unchanged. The form is taken per launch only when a runtime
+/// guard holds: unit stride along the strip in every input that reads it
+/// (zero in the others), a strip whose iterations write distinct
+/// elements, reduction bounds that do not read the strip dimension, and no
+/// input in the output's container, whose writes the strip would move
+/// ahead of later reads. Any other launch, and the remainder of the range,
+/// runs the scalar loop in the same kernel. Of 8 to 48, 16 measured
 /// fastest on single-threaded gemm at n = 200 and 224 (gcc 12 `-O2`,
 /// x86-64).
 pub const STRIP: usize = 16;
-
-/// C literal for a reduction identity (bitwise-identical to the
-/// executor's `f64` seeds, including the infinities).
-fn wcr_identity_c(op: JitWcrOp) -> &'static str {
-    match op {
-        JitWcrOp::Sum => "0.0",
-        JitWcrOp::Product => "1.0",
-        JitWcrOp::Min => "INFINITY",
-        JitWcrOp::Max => "-INFINITY",
-    }
-}
 
 /// `(base pointer, offset)` C expressions for port `p` at the iteration
 /// point spanned by `scope` (the dims of all enclosing loops, in order).
@@ -396,6 +383,7 @@ pub fn emit_nest_kernel(spec: &NestSpec<'_>) -> Result<String, String> {
     let mut em = Emitter {
         spec,
         src: String::new(),
+        acc: "acc",
         uses_i64: false,
         uses_rd: false,
         fallible: false,
@@ -444,36 +432,36 @@ pub fn emit_nest_kernel(spec: &NestSpec<'_>) -> Result<String, String> {
 }
 
 /// If `body` is exactly one call whose single output accumulates, returns
-/// `(call index, op)` so the enclosing loop uses the reduction form.
-fn accumulate_form(spec: &NestSpec<'_>, body: &[NestItem]) -> Option<(usize, JitWcrOp)> {
+/// the call's index so the enclosing loop uses the reduction form.
+fn accumulate_form(spec: &NestSpec<'_>, body: &[NestItem]) -> Option<usize> {
     let [NestItem::Call(t)] = body else {
         return None;
     };
     let tk = spec.tasklets.get(*t)?;
-    if tk.outs.len() != 1 {
-        return None;
-    }
-    match tk.outs[0].mode {
-        JitOutMode::Accumulate(op) => Some((*t, op)),
-        _ => None,
-    }
+    matches!(
+        tk.outs[..],
+        [NestOut {
+            mode: JitOutMode::Accumulate(_),
+            ..
+        }]
+    )
+    .then_some(*t)
 }
 
-/// If `body` is exactly one loop whose body is a single accumulating call
-/// on a native body, returns `(reduction dim, call, op)`: the enclosing
-/// loop may take the strip form (see [`STRIP`]).
-fn strip_form(spec: &NestSpec<'_>, body: &[NestItem]) -> Option<(usize, usize, JitWcrOp)> {
+/// If `body` is exactly one loop whose body is a single accumulating call,
+/// returns `(reduction dim, call)`: the enclosing loop may take the strip
+/// form (see [`STRIP`]).
+fn strip_form(spec: &NestSpec<'_>, body: &[NestItem]) -> Option<(usize, usize)> {
     let [NestItem::Loop { dim, body }] = body else {
         return None;
     };
-    let (t, op) = accumulate_form(spec, body)?;
+    let t = accumulate_form(spec, body)?;
     let tk = &spec.tasklets[t];
     let special = |p: &usize| spec.whole.contains(p) || spec.clamped.contains(p);
     let plain = spec.reads.len() == spec.nports
-        && !matches!(tk.body, JitBody::Program(_))
         && !spec.loaded.iter().any(|l| l.dim == *dim)
         && !tk.ins.iter().chain([&tk.outs[0].port]).any(special);
-    plain.then_some((*dim, t, op))
+    plain.then_some((*dim, t))
 }
 
 /// Number of stores a tasklet body makes to output `name` on its longest
@@ -505,6 +493,8 @@ pub fn pushes_to(body: &[Stmt], name: &str) -> usize {
 struct Emitter<'s, 'a> {
     spec: &'s NestSpec<'a>,
     src: String,
+    /// The register an [`JitOutMode::Accumulate`] output folds into.
+    acc: &'static str,
     /// The body references `sdfg_i64`.
     uses_i64: bool,
     /// The body references `sdfg_rd`.
@@ -604,10 +594,10 @@ impl Emitter<'_, '_> {
         ind: &str,
     ) -> Result<(), String> {
         let spec = self.spec;
-        if let Some((r, t, op)) = strip_form(spec, body) {
-            return self.emit_strip(d, r, t, op, body, scope, ind);
+        if let Some((r, t)) = strip_form(spec, body) {
+            return self.emit_strip(d, r, t, body, scope, ind);
         }
-        let Some((t, op)) = accumulate_form(spec, body) else {
+        let Some(t) = accumulate_form(spec, body) else {
             let _ = writeln!(
                 self.src,
                 "{ind}for (long long i{d} = lo{d}; i{d} < hi{d}; ++i{d}) {{"
@@ -618,57 +608,56 @@ impl Emitter<'_, '_> {
             let _ = writeln!(self.src, "{ind}}}");
             return Ok(());
         };
-        // Reduction loop: identity-seeded register, final combine into
-        // memory — skipped entirely for empty ranges, mirroring the native
-        // tier's early return.
-        let tk = &spec.tasklets[t];
-        if matches!(tk.body, JitBody::Program(_)) {
-            return Err("register accumulation on a VM-mirror body".into());
-        }
-        let _ = writeln!(self.src, "{ind}if (lo{d} < hi{d}) {{");
-        let _ = writeln!(self.src, "{ind}  double acc = {};", wcr_identity_c(op));
+        // Reduction loop: a register seeded from the loop-invariant element
+        // (addressed in the outer scope), stored back once.
+        self.check_register(t)?;
+        let p = spec.tasklets[t].outs[0].port;
+        let seed = self.load(p, scope);
+        let _ = writeln!(self.src, "{ind}{{");
+        let _ = writeln!(self.src, "{ind}  double acc = {seed};");
         let _ = writeln!(
             self.src,
             "{ind}  for (long long i{d} = lo{d}; i{d} < hi{d}; ++i{d}) {{"
         );
         scope.push(d);
-        let inner = format!("{ind}    ");
-        self.emit_input_loads(tk, scope, &inner)?;
-        emit_native_value(&mut self.src, &tk.body, &inner)?;
-        let _ = writeln!(self.src, "{inner}acc = {};", op.combine("acc", "val"));
-        let _ = writeln!(self.src, "{inner}++cnt;");
+        self.acc = "acc";
+        self.emit_body(t, scope, &format!("{ind}    "))?;
         scope.pop();
         let _ = writeln!(self.src, "{ind}  }}");
-        // The out port is loop-invariant (its dim-`d` coefficient is zero),
-        // so address it in the outer scope.
-        let p = tk.outs[0].port;
-        self.store(
-            p,
-            scope,
-            &JitOutMode::CombinePerPoint(op),
-            "acc",
-            &format!("{ind}  "),
-        )?;
+        self.store(p, scope, &JitOutMode::Write, "acc", &format!("{ind}  "))?;
         let _ = writeln!(self.src, "{ind}}}");
         Ok(())
     }
 
+    /// Register accumulation folds a call whose body is one plain
+    /// assignment to its sole output, with no self-checked read that could
+    /// leave the loop before the register is stored.
+    fn check_register(&self, t: usize) -> Result<(), String> {
+        let tk = &self.spec.tasklets[t];
+        if sole_assignment(&tk.prog.body, &tk.prog.outputs).is_none() {
+            return Err("register accumulation on a body that is not one assignment".into());
+        }
+        if tk.ins.iter().any(|p| self.spec.whole.contains(p)) {
+            return Err("register accumulation over a whole-container input".into());
+        }
+        Ok(())
+    }
+
     /// Emits the loop over dimension `d` whose body is the reduction loop
-    /// over `r` (call `t`, operator `op`) in the strip form of [`STRIP`]:
-    /// whole strips first while the guard holds, then the scalar loop over
-    /// whatever remains.
-    #[allow(clippy::too_many_arguments)]
+    /// over `r` (call `t`) in the strip form of [`STRIP`]: whole strips
+    /// first while the guard holds, then the scalar loop over whatever
+    /// remains.
     fn emit_strip(
         &mut self,
         d: usize,
         r: usize,
         t: usize,
-        op: JitWcrOp,
         body: &[NestItem],
         scope: &mut Vec<usize>,
         ind: &str,
     ) -> Result<(), String> {
         let spec = self.spec;
+        self.check_register(t)?;
         let tk = &spec.tasklets[t];
         let (nd, w) = (spec.ndims, STRIP);
         let coeff = |p: usize, e: usize| format!("geo[{}]", p * (2 + nd) + 2 + e);
@@ -679,6 +668,7 @@ impl Emitter<'_, '_> {
             let row = (2 * r + hi as usize) * (1 + nd);
             guard.push(format!("bnd[{}] == 0", row + 1 + d));
         }
+        guard.push(format!("{} != 0", coeff(out, d)));
         for &p in &tk.ins {
             let unit = u8::from(spec.reads[p].contains(&d));
             guard.push(format!("{} == {unit}", coeff(p, d)));
@@ -696,11 +686,15 @@ impl Emitter<'_, '_> {
             "{i1}for (; i{d} + {w} <= hi{d} && lo{r} < hi{r}; i{d} += {w}) {{"
         );
         let i2 = format!("{i1}  ");
-        let ident = wcr_identity_c(op);
+        // Lane `w` accumulates the element of strip iteration `i{d} + w`.
+        scope.push(d);
+        let (ptr, off) = nest_port_ref(nd, out, scope);
+        scope.pop();
+        let elem = format!("{ptr}[{off} + w * {}]", coeff(out, d));
         let _ = writeln!(self.src, "{i2}double acc[{w}];");
         let _ = writeln!(
             self.src,
-            "{i2}for (int w = 0; w < {w}; ++w) acc[w] = {ident};"
+            "{i2}for (int w = 0; w < {w}; ++w) acc[w] = {elem};"
         );
         let _ = writeln!(
             self.src,
@@ -723,23 +717,15 @@ impl Emitter<'_, '_> {
         for i in strided {
             let _ = writeln!(self.src, "{i4}const double v{i} = r{i}[w];");
         }
-        emit_native_value(&mut self.src, &tk.body, &i4)?;
-        let _ = writeln!(self.src, "{i4}acc[w] = {};", op.combine("acc[w]", "val"));
+        self.acc = "acc[w]";
+        self.emit_vm_body(t, scope, &i4)?;
         let _ = writeln!(self.src, "{i3}}}");
         let _ = writeln!(self.src, "{i2}}}");
         scope.truncate(scope.len() - 2);
         let _ = writeln!(self.src, "{i2}cnt += {w} * (hi{r} - lo{r});");
-        scope.push(d);
-        let (ptr, off) = nest_port_ref(nd, out, scope);
-        scope.pop();
         let _ = writeln!(
             self.src,
-            "{i2}for (int w = 0; w < {w}; ++w) {{\n\
-             {i2}  const long long o = {off} + w * {};\n\
-             {i2}  {ptr}[o] = {};\n\
-             {i2}}}",
-            coeff(out, d),
-            op.combine(&format!("{ptr}[o]"), "acc[w]")
+            "{i2}for (int w = 0; w < {w}; ++w) {elem} = acc[w];"
         );
         let _ = writeln!(self.src, "{i1}}}");
         let _ = writeln!(self.src, "{ind}}}");
@@ -798,31 +784,21 @@ impl Emitter<'_, '_> {
 
     /// `const double v{i} = …;` for every input slot that is not a whole
     /// container (those are read by index in the body).
-    fn emit_input_loads(
-        &mut self,
-        tk: &NestTasklet<'_>,
-        scope: &[usize],
-        ind: &str,
-    ) -> Result<(), String> {
+    fn emit_input_loads(&mut self, tk: &NestTasklet<'_>, scope: &[usize], ind: &str) {
         for (i, &p) in tk.ins.iter().enumerate() {
-            if self.spec.whole.contains(&p) {
-                if !matches!(tk.body, JitBody::Program(_)) {
-                    return Err("whole-container input on a native body".into());
-                }
-                continue;
+            if !self.spec.whole.contains(&p) {
+                let v = self.load(p, scope);
+                let _ = writeln!(self.src, "{ind}const double v{i} = {v};");
             }
-            let v = self.load(p, scope);
-            let _ = writeln!(self.src, "{ind}const double v{i} = {v};");
         }
-        Ok(())
     }
 
-    /// Emits one tasklet call at the current iteration point. Mirrors the
-    /// per-point tiers statement for statement; `Accumulate` outputs are
-    /// rejected here (they are only legal as a whole reduction loop).
+    /// Emits one tasklet call at the current iteration point. `Accumulate`
+    /// outputs are rejected here (they are only legal as a whole reduction
+    /// loop).
     fn emit_call(&mut self, t: usize, scope: &[usize], ind: &str) -> Result<(), String> {
-        let spec = self.spec;
-        let tk = spec
+        let tk = self
+            .spec
             .tasklets
             .get(t)
             .ok_or_else(|| format!("bad call index {t}"))?;
@@ -834,20 +810,18 @@ impl Emitter<'_, '_> {
             return Err("accumulate output outside a reduction loop".into());
         }
         let _ = writeln!(self.src, "{ind}{{");
-        let inner = format!("{ind}  ");
-        self.emit_input_loads(tk, scope, &inner)?;
-        match &tk.body {
-            JitBody::Program(prog) => self.emit_vm_body(t, prog, scope, &inner)?,
-            native => {
-                if tk.outs.len() != 1 {
-                    return Err("native nest call requires a single output".into());
-                }
-                emit_native_value(&mut self.src, native, &inner)?;
-                self.store(tk.outs[0].port, scope, &tk.outs[0].mode, "val", &inner)?;
-            }
-        }
-        let _ = writeln!(self.src, "{inner}++cnt;");
+        self.emit_body(t, scope, &format!("{ind}  "))?;
         let _ = writeln!(self.src, "{ind}}}");
+        Ok(())
+    }
+
+    /// Emits call `t` at the current iteration point: its input loads, its
+    /// body and the point count.
+    fn emit_body(&mut self, t: usize, scope: &[usize], ind: &str) -> Result<(), String> {
+        let spec = self.spec;
+        self.emit_input_loads(&spec.tasklets[t], scope, ind);
+        self.emit_vm_body(t, scope, ind)?;
+        let _ = writeln!(self.src, "{ind}++cnt;");
         Ok(())
     }
 
@@ -856,15 +830,10 @@ impl Emitter<'_, '_> {
     /// (memory for read-modify-write, `0.0` for WCR — exactly the affine VM
     /// loop's protocol) and flushed after the body; write logs are staged
     /// in per-point arrays and flushed after it too.
-    fn emit_vm_body(
-        &mut self,
-        t: usize,
-        prog: &TaskletProgram,
-        scope: &[usize],
-        ind: &str,
-    ) -> Result<(), String> {
+    fn emit_vm_body(&mut self, t: usize, scope: &[usize], ind: &str) -> Result<(), String> {
         let spec = self.spec;
         let tk = &spec.tasklets[t];
+        let prog = tk.prog;
         if tk.outs.len() != prog.outputs.len() {
             return Err("output arity mismatch".into());
         }
@@ -875,11 +844,8 @@ impl Emitter<'_, '_> {
                     let v = self.load(o.port, scope);
                     let _ = writeln!(self.src, "{ind}double o{j} = {v};");
                 }
-                JitOutMode::Write | JitOutMode::CombinePerPoint(_) => {
+                JitOutMode::Write | JitOutMode::CombinePerPoint(_) | JitOutMode::Accumulate(_) => {
                     let _ = writeln!(self.src, "{ind}double o{j} = 0.0;");
-                }
-                JitOutMode::Accumulate(_) => {
-                    return Err("register accumulation on a VM-mirror body".into())
                 }
                 JitOutMode::Log(_) => {
                     if !self.spec.whole.contains(&o.port) {
@@ -930,23 +896,19 @@ impl Emitter<'_, '_> {
                     );
                 }
                 JitOutMode::Stream => {}
+                JitOutMode::Accumulate(op) => {
+                    let acc = self.acc;
+                    let _ = writeln!(
+                        self.src,
+                        "{ind}{acc} = {};",
+                        op.combine(acc, &format!("o{j}"))
+                    );
+                }
                 mode => self.store(o.port, scope, &mode, &format!("o{j}"), ind)?,
             }
         }
         Ok(())
     }
-}
-
-fn emit_native_value(src: &mut String, body: &JitBody<'_>, ind: &str) -> Result<(), String> {
-    match body {
-        JitBody::Pattern(p) => {
-            let _ = writeln!(src, "{ind}double val = {};", pattern_value_c(p));
-        }
-        JitBody::LinComb(lc) => src.push_str(&lincomb_value_c(lc, ind)),
-        JitBody::MulChain(mc) => src.push_str(&mulchain_value_c(mc, ind)),
-        JitBody::Program(_) => return Err("program body has no native value".into()),
-    }
-    Ok(())
 }
 
 // --- VM-mirror body emission --------------------------------------------------
@@ -1301,7 +1263,6 @@ impl VmEmitState<'_, '_, '_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdfg_lang::recognize::{BinOpKind, Operand};
 
     fn prog(code: &str, ins: &[&str], outs: &[&str]) -> TaskletProgram {
         let ins: Vec<String> = ins.iter().map(|s| s.to_string()).collect();
@@ -1312,12 +1273,13 @@ mod tests {
     /// The innermost-dimension kernel: a 1-D nest whose body is one call,
     /// inputs on ports `0..n_inputs`, outputs on the ports after them.
     /// Port `p`'s `geo` row starts at `3p` (`[buf, base, c0]`).
-    fn span(body: JitBody<'_>, n_inputs: usize, modes: &[JitOutMode]) -> Result<String, String> {
+    fn span(prog: &TaskletProgram, modes: &[JitOutMode]) -> Result<String, String> {
+        let n_inputs = prog.inputs.len();
         emit_nest_kernel(&NestSpec {
             ndims: 1,
             nports: n_inputs + modes.len(),
             tasklets: vec![NestTasklet {
-                body,
+                prog,
                 ins: (0..n_inputs).collect(),
                 outs: modes
                     .iter()
@@ -1335,86 +1297,38 @@ mod tests {
 
     #[test]
     fn span_accumulates_on_the_outermost_dimension() {
-        let src = span(
-            JitBody::Pattern(Pattern::BinOp {
-                op: BinOpKind::Mul,
-                a: Operand::Input(0),
-                b: Operand::Input(1),
-            }),
-            2,
-            &[JitOutMode::Accumulate(JitWcrOp::Sum)],
-        )
-        .unwrap();
+        let p = prog("o = a * b", &["a", "b"], &["o"]);
+        let src = span(&p, &[JitOutMode::Accumulate(JitWcrOp::Sum)]).unwrap();
         assert!(src.contains("void sdfg_nest("));
-        // Dimension 0 itself is the reduction loop: identity-seeded
-        // register, guarded against an empty range, one final combine into
-        // the loop-invariant port (addressed by its base alone).
-        assert!(src.contains("if (lo0 < hi0) {"));
-        assert!(src.contains("double acc = 0.0;"));
+        // Dimension 0 itself is the reduction loop: a register seeded from
+        // the loop-invariant port (addressed by its base alone), folding
+        // the VM mirror's value, stored back once.
+        assert!(src.contains("double acc = bufs[geo[6]][geo[7]];"));
         assert!(src.contains("for (long long i0 = lo0; i0 < hi0; ++i0) {"));
         assert!(src.contains("const double v1 = bufs[geo[3]][geo[4] + i0 * geo[5]];"));
-        assert!(src.contains("double val = (v0 * v1);"));
-        assert!(src.contains("acc = (acc + val);"));
-        assert!(src.contains("{ const long long o = geo[7];"));
-        assert!(src.contains("bufs[geo[6]][o] = (bufs[geo[6]][o] + acc); }"));
+        assert!(src.contains("o0 = (v0 * v1);"));
+        assert!(src.contains("acc = (acc + o0);"));
+        assert!(src.contains("bufs[geo[6]][geo[7]] = acc;"));
         assert!(src.contains("*npts = cnt;"));
     }
 
     #[test]
     fn span_emits_elementwise_and_combine_kernels() {
-        let src = span(
-            JitBody::Pattern(Pattern::Axpb {
-                input: 0,
-                mul: 2.0,
-                add: -1.5,
-            }),
-            1,
-            &[JitOutMode::Write],
-        )
-        .unwrap();
-        assert!(src.contains("double val = (2.0 * v0 + -1.5);"));
-        assert!(src.contains("bufs[geo[3]][geo[4] + i0 * geo[5]] = val;"));
+        let p = prog("o = a * 2 + -1.5", &["a"], &["o"]);
+        let src = span(&p, &[JitOutMode::Write]).unwrap();
+        assert!(src.contains("o0 = ((v0 * 2.0) + (-(1.5)));"));
+        assert!(src.contains("bufs[geo[3]][geo[4] + i0 * geo[5]] = o0;"));
 
-        let src = span(
-            JitBody::Pattern(Pattern::Copy { input: 0 }),
-            1,
-            &[JitOutMode::CombinePerPoint(JitWcrOp::Max)],
-        )
-        .unwrap();
+        let p = prog("o = a", &["a"], &["o"]);
+        let src = span(&p, &[JitOutMode::CombinePerPoint(JitWcrOp::Max)]).unwrap();
         assert!(src.contains("{ const long long o = geo[4] + i0 * geo[5];"));
-        assert!(src.contains("bufs[geo[3]][o] = fmax(bufs[geo[3]][o], val); }"));
-    }
-
-    #[test]
-    fn span_emits_lincomb_and_mulchain() {
-        let lc = LinComb {
-            terms: vec![(0, 1.0), (1, -2.0), (2, 1.0)],
-            bias: 0.5,
-        };
-        let src = span(JitBody::LinComb(&lc), 3, &[JitOutMode::Write]).unwrap();
-        assert!(src.contains("double val = 0.5;"));
-        assert!(src.contains("val += 1.0 * v0;"));
-        assert!(src.contains("val += -2.0 * v1;"));
-
-        let mc = MulChain {
-            slots: vec![0, 1, 2],
-            scale: -1.0,
-        };
-        let src = span(
-            JitBody::MulChain(&mc),
-            3,
-            &[JitOutMode::Accumulate(JitWcrOp::Sum)],
-        )
-        .unwrap();
-        assert!(src.contains("double val = -1.0;"));
-        assert!(src.contains("val *= v0;"));
-        assert!(src.contains("acc = (acc + val);"));
+        assert!(src.contains("bufs[geo[3]][o] = fmax(bufs[geo[3]][o], o0); }"));
     }
 
     #[test]
     fn span_emits_vm_mirror_program() {
         let p = prog("t = a * a\no = t + b % a", &["a", "b"], &["o"]);
-        let src = span(JitBody::Program(&p), 2, &[JitOutMode::ReadModifyWrite]).unwrap();
+        let src = span(&p, &[JitOutMode::ReadModifyWrite]).unwrap();
         // Read-modify-write: the output local is seeded from memory and
         // stored back through the same port.
         assert!(src.contains("double o0 = bufs[geo[6]][geo[7] + i0 * geo[8]];"));
@@ -1432,12 +1346,7 @@ mod tests {
             &["o"],
         );
         assert_eq!(p.symbols, vec!["N".to_string()]);
-        let src = span(
-            JitBody::Program(&p),
-            1,
-            &[JitOutMode::CombinePerPoint(JitWcrOp::Sum)],
-        )
-        .unwrap();
+        let src = span(&p, &[JitOutMode::CombinePerPoint(JitWcrOp::Sum)]).unwrap();
         assert!(src.contains("if ((((v0 > 0.0) ? 1.0 : 0.0)) != 0.0) {"));
         // The symbol table is positional: `syms[s]` is `symbols[s]`.
         assert!(src.contains("o0 = (l_s * syms[0]);"));
@@ -1451,27 +1360,29 @@ mod tests {
         // `t` is only assigned when the branch is taken; the VM would read
         // a stale register on other points, which C cannot mirror.
         let p = prog("if a > 0:\n    t = a\no = t + 1", &["a"], &["o"]);
-        let err = span(JitBody::Program(&p), 1, &[JitOutMode::ReadModifyWrite]).unwrap_err();
+        let err = span(&p, &[JitOutMode::ReadModifyWrite]).unwrap_err();
         assert!(err.contains("stale"), "{err}");
     }
 
     #[test]
     fn rejects_indexed_ports_and_bad_shapes() {
         let p = prog("o = w[0] + w[1]", &["w"], &["o"]);
-        assert!(span(JitBody::Program(&p), 1, &[JitOutMode::ReadModifyWrite]).is_err());
+        assert!(span(&p, &[JitOutMode::ReadModifyWrite]).is_err());
 
-        // Accumulate is native-only.
-        let p2 = prog("o = a + 1", &["a"], &["o"]);
+        // Accumulate folds one plain assignment to the sole output...
+        let p2 = prog("t = a + 1\no = t", &["a"], &["o"]);
         let acc = [JitOutMode::Accumulate(JitWcrOp::Sum)];
-        assert!(span(JitBody::Program(&p2), 1, &acc).is_err());
+        assert!(span(&p2, &acc).is_err());
 
         // ... and single-output only: with a second output the call is no
         // reduction loop, so the accumulating port has nowhere to fold.
+        let p3 = prog("o = a\nq = a", &["a"], &["o", "q"]);
         let two = [JitOutMode::Accumulate(JitWcrOp::Sum), JitOutMode::Write];
-        assert!(span(JitBody::Pattern(Pattern::Copy { input: 0 }), 1, &two).is_err());
+        assert!(span(&p3, &two).is_err());
 
         // A body needs an output and in-range ports.
-        assert!(span(JitBody::Pattern(Pattern::Copy { input: 0 }), 1, &[]).is_err());
+        let copy = prog("o = a", &["a"], &["o"]);
+        assert!(span(&copy, &[]).is_err());
     }
 
     #[test]
@@ -1481,7 +1392,7 @@ mod tests {
             &["a"],
             &["o"],
         );
-        let src = span(JitBody::Program(&p), 1, &[JitOutMode::ReadModifyWrite]).unwrap();
+        let src = span(&p, &[JitOutMode::ReadModifyWrite]).unwrap();
         assert!(src.contains("o0 = l_t;"));
     }
 
@@ -1494,17 +1405,14 @@ mod tests {
         //   for i1 in [bnd(1)]:                # affine in i0
         //     acc over i2 in [bnd(2)]:         # A[i,j] += -A[i,k]*A[j,k]
         //     A[i,j] = A[i,j] / A[j,j]         # program body
-        let mc = MulChain {
-            slots: vec![0, 1],
-            scale: -1.0,
-        };
+        let mul = prog("o = (-a) * b", &["a", "b"], &["o"]);
         let div = prog("o = a / b", &["a", "b"], &["o"]);
         let spec = NestSpec {
             ndims: 3,
             nports: 6,
             tasklets: vec![
                 NestTasklet {
-                    body: JitBody::MulChain(&mc),
+                    prog: &mul,
                     ins: vec![0, 1],
                     outs: vec![NestOut {
                         port: 2,
@@ -1512,7 +1420,7 @@ mod tests {
                     }],
                 },
                 NestTasklet {
-                    body: JitBody::Program(&div),
+                    prog: &div,
                     ins: vec![3, 4],
                     outs: vec![NestOut {
                         port: 5,
@@ -1538,12 +1446,12 @@ mod tests {
         // dim-1 bounds: rows 2 (lo) and 3 (hi) of width 4, affine in i0.
         assert!(src.contains("const long long lo1 = bnd[8] + i0 * bnd[9];"));
         assert!(src.contains("const long long hi1 = bnd[12] + i0 * bnd[13];"));
-        // The reduction is identity-seeded and guarded against empty ranges.
-        assert!(src.contains("if (lo2 < hi2) {"));
-        assert!(src.contains("double acc = 0.0;"));
-        assert!(src.contains("acc = (acc + val);"));
-        // Final combine mirrors combine_plain: old + acc.
-        assert!(src.contains("[o] = (bufs[geo[10]][o] + acc); }"));
+        // The reduction is seeded from its element (port 2, invariant in
+        // i2) and stores it back once.
+        assert!(src.contains("double acc = bufs[geo[10]][geo[11] + i0 * geo[12] + i1 * geo[13]];"));
+        assert!(src.contains("o0 = ((-(v0)) * v1);"));
+        assert!(src.contains("acc = (acc + o0);"));
+        assert!(src.contains("bufs[geo[10]][geo[11] + i0 * geo[12] + i1 * geo[13]] = acc;"));
         // The division call loads through geo rows 3/4 (width 5) and
         // stores through row 5.
         assert!(
@@ -1555,12 +1463,13 @@ mod tests {
     }
 
     #[test]
-    fn nest_min_identity_is_infinity() {
+    fn nest_min_seeds_from_the_output() {
+        let copy = prog("o = a", &["a"], &["o"]);
         let spec = NestSpec {
             ndims: 2,
             nports: 2,
             tasklets: vec![NestTasklet {
-                body: JitBody::Pattern(Pattern::Copy { input: 0 }),
+                prog: &copy,
                 ins: vec![0],
                 outs: vec![NestOut {
                     port: 1,
@@ -1574,17 +1483,18 @@ mod tests {
             ..Default::default()
         };
         let src = emit_nest_kernel(&spec).unwrap();
-        assert!(src.contains("double acc = INFINITY;"));
-        assert!(src.contains("fmin(bufs[geo[4]][o], acc)"));
+        assert!(src.contains("double acc = bufs[geo[4]][geo[5] + i0 * geo[6]];"));
+        assert!(src.contains("acc = fmin(acc, o0);"));
     }
 
     #[test]
     fn nest_rejects_bad_shapes() {
+        let copy = prog("o = a", &["a"], &["o"]);
         let mk = |body: Vec<NestItem>| NestSpec {
             ndims: 2,
             nports: 2,
             tasklets: vec![NestTasklet {
-                body: JitBody::Pattern(Pattern::Copy { input: 0 }),
+                prog: &copy,
                 ins: vec![0],
                 outs: vec![NestOut {
                     port: 1,
@@ -1612,16 +1522,12 @@ mod tests {
 
     /// gemm as the nest builder emits it: ports `A[i, k]`, `B[k, j]`,
     /// `C[i, j]` over dims `i, j, k`.
-    fn gemm_spec(reads: Vec<Vec<usize>>) -> NestSpec<'static> {
+    fn gemm_spec(mul: &TaskletProgram, reads: Vec<Vec<usize>>) -> NestSpec<'_> {
         NestSpec {
             ndims: 3,
             nports: 3,
             tasklets: vec![NestTasklet {
-                body: JitBody::Pattern(Pattern::BinOp {
-                    op: BinOpKind::Mul,
-                    a: Operand::Input(0),
-                    b: Operand::Input(1),
-                }),
+                prog: mul,
                 ins: vec![0, 1],
                 outs: vec![NestOut {
                     port: 2,
@@ -1642,15 +1548,21 @@ mod tests {
 
     #[test]
     fn strip_form_is_guarded_per_launch_and_keeps_the_scalar_loop() {
-        let src = emit_nest_kernel(&gemm_spec(vec![vec![0, 2], vec![1, 2], vec![0, 1]])).unwrap();
-        // Reduction bounds independent of `j`, `A` invariant and `B` unit
-        // stride along it, neither input in `C`'s container.
+        let mul = prog("o = a * b", &["a", "b"], &["o"]);
+        let src =
+            emit_nest_kernel(&gemm_spec(&mul, vec![vec![0, 2], vec![1, 2], vec![0, 1]])).unwrap();
+        // Reduction bounds independent of `j`, one `C` element per `j`, `A`
+        // invariant and `B` unit stride along it, neither input in `C`'s
+        // container.
         assert!(src.contains(
-            "if (bnd[18] == 0 && bnd[22] == 0 && geo[3] == 0 && bufs[geo[0]] != bufs[geo[10]] \
-             && geo[8] == 1 && bufs[geo[5]] != bufs[geo[10]]) {"
+            "if (bnd[18] == 0 && bnd[22] == 0 && geo[13] != 0 && geo[3] == 0 \
+             && bufs[geo[0]] != bufs[geo[10]] && geo[8] == 1 && bufs[geo[5]] != bufs[geo[10]]) {"
         ));
         assert!(src.contains("for (; i1 + 16 <= hi1 && lo2 < hi2; i1 += 16) {"));
-        assert!(src.contains("for (int w = 0; w < 16; ++w) acc[w] = 0.0;"));
+        // Each lane's register starts at, and ends in, its own element.
+        let elem = "bufs[geo[10]][geo[11] + i0 * geo[12] + i1 * geo[13] + w * geo[13]]";
+        assert!(src.contains(&format!("for (int w = 0; w < 16; ++w) acc[w] = {elem};")));
+        assert!(src.contains(&format!("for (int w = 0; w < 16; ++w) {elem} = acc[w];")));
         // The invariant input loads once per step; the strided one is a
         // row pointer indexed by the strip lane.
         assert!(src.contains(
@@ -1660,22 +1572,21 @@ mod tests {
             "const double *r1 = &bufs[geo[5]][geo[6] + i0 * geo[7] + i1 * geo[8] + i2 * geo[9]];"
         ));
         assert!(src.contains("const double v1 = r1[w];"));
-        assert!(src.contains("acc[w] = (acc[w] + val);"));
+        assert!(src.contains("o0 = (v0 * v1);"));
+        assert!(src.contains("acc[w] = (acc[w] + o0);"));
         assert!(src.contains("cnt += 16 * (hi2 - lo2);"));
-        assert!(src
-            .contains("const long long o = geo[11] + i0 * geo[12] + i1 * geo[13] + w * geo[13];"));
         // Whatever the strips leave, and every launch the guard turns
         // away, runs the scalar reduction loop.
         assert!(src.contains("for (; i1 < hi1; ++i1) {"));
-        assert!(src.contains("double acc = 0.0;"));
+        assert!(src.contains("double acc = bufs[geo[10]][geo[11] + i0 * geo[12] + i1 * geo[13]];"));
 
         // Without the structural reads table there is no strip form.
-        let plain = emit_nest_kernel(&gemm_spec(Vec::new())).unwrap();
+        let plain = emit_nest_kernel(&gemm_spec(&mul, Vec::new())).unwrap();
         assert!(
             !plain.contains("acc[") && plain.contains("for (long long i1 = lo1; i1 < hi1; ++i1) {")
         );
         // Nor over a reduction whose bound the kernel loads.
-        let mut loaded = gemm_spec(vec![vec![0, 2], vec![1, 2], vec![0, 1], vec![0]]);
+        let mut loaded = gemm_spec(&mul, vec![vec![0, 2], vec![1, 2], vec![0, 1], vec![0]]);
         loaded.nports = 4;
         loaded.loaded = vec![LoadedBound {
             dim: 2,
@@ -1689,12 +1600,7 @@ mod tests {
 
     #[test]
     fn plain_kernels_need_no_checks() {
-        let src = span(
-            JitBody::Pattern(Pattern::Copy { input: 0 }),
-            1,
-            &[JitOutMode::Write],
-        )
-        .unwrap();
+        let src = span(&prog("o = a", &["a"], &["o"]), &[JitOutMode::Write]).unwrap();
         assert!(!src.contains("sdfg_i64") && !src.contains("sdfg_rd"));
         assert!(!src.contains("sdfg_done") && !src.contains("npts["));
     }
@@ -1712,7 +1618,7 @@ mod tests {
             ndims: 1,
             nports: 4,
             tasklets: vec![NestTasklet {
-                body: JitBody::Program(&p),
+                prog: &p,
                 ins: vec![0, 1],
                 outs: vec![
                     NestOut {
@@ -1765,11 +1671,12 @@ mod tests {
     fn loaded_bounds_round_and_clamped_ports_mirror_the_interpreter() {
         // A row loop whose inner bounds load from ports 1 and 2 (spmv's
         // `Lb`/`Le`): port 0, addressed through the loaded dim, is clamped.
+        let copy = prog("o = a", &["a"], &["o"]);
         let spec = NestSpec {
             ndims: 2,
             nports: 4,
             tasklets: vec![NestTasklet {
-                body: JitBody::Pattern(Pattern::Copy { input: 0 }),
+                prog: &copy,
                 ins: vec![0],
                 outs: vec![NestOut {
                     port: 3,

@@ -995,22 +995,17 @@ mod tests {
         // Emit a real triangular nest through the emitter, compile it,
         // and run one tile: for i ∈ [0,4), for j ∈ [0,i): A[4i+j] += 1·1.
         use sdfg_codegen::jit::{
-            emit_nest_kernel, JitBody, JitOutMode, JitWcrOp, NestItem, NestOut, NestSpec,
-            NestTasklet,
+            emit_nest_kernel, JitOutMode, JitWcrOp, NestItem, NestOut, NestSpec, NestTasklet,
         };
-        use sdfg_lang::recognize::{BinOpKind, Operand, Pattern};
         if cc().is_none() {
             return;
         }
+        let prog = sdfg_lang::TaskletProgram::compile("o = 0.5 + 0.5", &[], &["o".into()]).unwrap();
         let spec = NestSpec {
             ndims: 2,
             nports: 1,
             tasklets: vec![NestTasklet {
-                body: JitBody::Pattern(Pattern::BinOp {
-                    op: BinOpKind::Add,
-                    a: Operand::Const(0.5),
-                    b: Operand::Const(0.5),
-                }),
+                prog: &prog,
                 ins: vec![],
                 outs: vec![NestOut {
                     port: 0,

@@ -11,7 +11,7 @@
 //!    launch or tile, or per interpreted prefix row where the kernel covers
 //!    only a suffix.
 //! 2. **Micro-kernel** — the hand-written Rust loops in `crate::tasklet`
-//!    for recognized patterns.
+//!    for recognized forms.
 //! 3. **Affine VM** — the bytecode VM over pre-solved affine offsets.
 //! 4. **Symbolic** — per-point subset evaluation; always correct.
 //!
@@ -27,14 +27,16 @@
 //! The kernel is requested by the first hot launch; launches run on the
 //! static tier until its compile finishes.
 //!
-//! Bitwise discipline: a JIT launch must produce bit-identical results to
-//! the tier it replaces. The emitter mirrors the Rust loops statement for
-//! statement, kernels compile with `-ffp-contract=off`, a kernel whose
-//! combines the race analysis marked atomic only runs on a launch outside
-//! any parallel tile (where a plain combine gives the same bits; the final
-//! combine of a reduction over the kernel's dim 0 happens back in Rust,
-//! atomically), and any body the pipeline cannot prove equivalent is
-//! rejected with a recorded reason.
+//! Bitwise discipline: every tier computes the interpreter's arithmetic,
+//! so any of them may run any launch. The micro-kernels only take forms
+//! they evaluate exactly as the source reads (see `sdfg_lang::recognize`),
+//! the JIT emits every body as a copy of the tasklet VM's statements and
+//! compiles it with `-ffp-contract=off`, and register reductions on either
+//! tier seed from the output element, as the interpreter's per-point
+//! combine does. A kernel whose combines the race analysis marked atomic
+//! only runs on a launch outside any parallel tile (where a plain combine
+//! gives the same bits), and any body the pipeline cannot emit is rejected
+//! with a recorded reason.
 
 use crate::engine::{Ctx, ExecError, Worker};
 use crate::tasklet::{try_native_loop, try_vm_loop, BodyTasklet, InPort, WindowPlan};

@@ -61,17 +61,16 @@ use crate::jit::{Decline, DeclineKind, JitKernel, KernelHandle, NestFn};
 use crate::lower::{MapLowering, JIT_MIN_POINTS};
 use crate::plan::StatePlan;
 use crate::sched::SchedPool;
-use crate::tasklet::{
-    compile_body_tasklet, is_element, plan_window, BodyTasklet, NativePlan, WindowPlan,
-};
+use crate::tasklet::{compile_body_tasklet, is_element, plan_window, BodyTasklet, WindowPlan};
 use parking_lot::Mutex;
 use sdfg_codegen::jit::{
-    decode_fault, emit_nest_kernel, pushes_to, JitBody, JitOutMode, JitWcrOp, LoadedBound,
-    NestItem, NestOut, NestSpec, NestTasklet, STATUS_FAULT, STATUS_INDEX, STATUS_STREAMS,
+    decode_fault, emit_nest_kernel, pushes_to, JitOutMode, JitWcrOp, LoadedBound, NestItem,
+    NestOut, NestSpec, NestTasklet, STATUS_FAULT, STATUS_INDEX, STATUS_STREAMS,
 };
 use sdfg_core::cond::{BoolExpr, CmpOp};
-use sdfg_core::{DType, InterstateEdge, Node, Schedule, State, StateId, Wcr};
+use sdfg_core::{InterstateEdge, Node, Schedule, State, StateId, Wcr};
 use sdfg_graph::{EdgeId, NodeId};
+use sdfg_lang::recognize::sole_assignment;
 use sdfg_lang::RuntimeError;
 use sdfg_profile::Tier;
 use sdfg_symbolic::{Env, Expr, SymRange};
@@ -133,26 +132,9 @@ pub(crate) struct NestPort {
 /// One tasklet call site.
 pub(crate) struct NestCall {
     bt: Arc<BodyTasklet>,
-    /// Emit the VM-mirror program body even when a native recognition
-    /// exists: per-point interpreter contexts always run the VM, and the
-    /// kernel must follow the same statement order to stay bitwise.
-    program: bool,
     ins: Vec<usize>,
     outs: Vec<usize>,
     modes: Vec<JitOutMode>,
-}
-
-impl NestCall {
-    fn jit_body(&self) -> JitBody<'_> {
-        if self.program {
-            return JitBody::Program(&self.bt.prog);
-        }
-        match self.bt.native.as_ref().expect("native body") {
-            NativePlan::Pattern(p) => JitBody::Pattern(*p),
-            NativePlan::LinComb(lc) => JitBody::LinComb(lc),
-            NativePlan::MulChain(mc) => JitBody::MulChain(mc),
-        }
-    }
 }
 
 /// A nest kernel plus everything needed to marshal a launch.
@@ -165,20 +147,14 @@ pub(crate) struct NestCore {
     /// Dims with a bound the kernel loads (see [`NestPort::clamped`]).
     loaded_dims: Vec<usize>,
     calls: Vec<NestCall>,
-    /// The call whose output accumulates over dim 0 itself (a 1-D kernel
-    /// reducing into a loop-invariant element). Every launch of such a
-    /// nest points that port at a private cell and combines the cell into
-    /// the real element in Rust, atomically (an uncontended compare-and-
-    /// swap gives a plain combine's bits), because splitting dim 0 across
-    /// calls splits the reduction.
-    acc0: Option<usize>,
     /// Stream port per status slot, in the emitter's call-then-slot order.
     streams: Vec<usize>,
     /// The kernel combines plainly where the interpreter would combine
     /// atomically, or stages logs and streams: only a launch running
     /// serially outside any parallel tile may call it.
     exclusive: bool,
-    /// Common symbol table of every VM-mirror body, resolved per launch.
+    /// Common symbol table of every body that reads symbols, resolved per
+    /// launch.
     syms: Vec<String>,
     /// The kernel, filled when its compile finishes; until then every
     /// launch falls back to the interpreter (see [`NestCore::kernel`]).
@@ -272,7 +248,7 @@ pub(crate) struct MapNestPlan {
 struct Launch<'a> {
     /// Launch-time constants by name (see [`NestAffine`]).
     consts: &'a dyn Fn(&str) -> Option<i64>,
-    /// Environment the VM-mirror bodies' symbols resolve in.
+    /// Environment the bodies' symbols resolve in.
     env: &'a Env,
     /// Thread-local transient overlays, resolved before `Ctx::bufs`.
     locals: Option<&'a HashMap<String, SharedBuffer>>,
@@ -284,15 +260,6 @@ struct Launch<'a> {
     /// The launch's interpreted tiers combine atomically where the kernel
     /// combines plainly (see [`NestCore::launch_exclusive`]).
     atomic: bool,
-}
-
-/// The final combine of a dim-0 reduction (see [`NestCore::acc0`]).
-struct Acc0<'a> {
-    port: usize,
-    buf: &'a SharedBuffer,
-    off: usize,
-    identity: f64,
-    f: fn(f64, f64) -> f64,
 }
 
 /// Where one stream output's staged pushes go.
@@ -312,7 +279,6 @@ pub(crate) struct NestArgs<'a> {
     lens_at: usize,
     syms: Vec<f64>,
     bnd: Vec<i64>,
-    acc0: Option<Acc0<'a>>,
     /// Staging for stream pushes (`STAGE` slots per stream), owned by the
     /// launch and pointed at by the stream ports.
     stage: Option<SharedBuffer>,
@@ -365,7 +331,7 @@ struct NestBuilder<'c, 's> {
     locals: Vec<String>,
     written: Vec<String>,
     /// Dynamic-range connectors bound by the body's loaded bounds: names a
-    /// VM-mirror body must not read as symbols.
+    /// body must not read as symbols.
     dyn_conns: Vec<String>,
     /// Whether an index may carry terms evaluated once per launch (see
     /// [`NestAffine`]): only in a whole-map kernel, whose launch-time
@@ -536,29 +502,28 @@ impl<'c, 's> NestBuilder<'c, 's> {
     fn push_call(
         &mut self,
         bt: Arc<BodyTasklet>,
-        program: bool,
         modes: Vec<JitOutMode>,
         site: &Site,
     ) -> Result<usize, Decline> {
-        if program {
-            // The enclosing dims are C loop variables, frozen per launch
-            // in `syms` — a body reading one as a symbol would see the
-            // launch-time value instead of the per-point value. So are the
-            // dynamic-range connectors a loaded bound stands for.
-            for s in &bt.prog.symbols {
-                let is_dim = site
-                    .names
-                    .iter()
-                    .zip(&site.dim_of)
-                    .any(|(n, d)| d.is_some() && n == s);
-                if is_dim || self.dyn_conns.contains(s) {
-                    return Err(body(format!(
-                        "body reads iteration variable `{s}` as a symbol"
-                    )));
-                }
+        // The enclosing dims are C loop variables, frozen per launch in
+        // `syms` — a body reading one as a symbol would see the launch-time
+        // value instead of the per-point value. So are the dynamic-range
+        // connectors a loaded bound stands for.
+        for s in &bt.prog.symbols {
+            let is_dim = site
+                .names
+                .iter()
+                .zip(&site.dim_of)
+                .any(|(n, d)| d.is_some() && n == s);
+            if is_dim || self.dyn_conns.contains(s) {
+                return Err(body(format!(
+                    "body reads iteration variable `{s}` as a symbol"
+                )));
             }
-            // `emit_vm_body` indexes `syms` by each program's own symbol
-            // positions, so every VM-mirror body must share one table.
+        }
+        // `emit_vm_body` indexes `syms` by each program's own symbol
+        // positions, so every body that reads one must share one table.
+        if !bt.prog.symbols.is_empty() {
             match &self.syms {
                 None => self.syms = Some(bt.prog.symbols.clone()),
                 Some(t) if *t == bt.prog.symbols => {}
@@ -616,7 +581,6 @@ impl<'c, 's> NestBuilder<'c, 's> {
         }
         self.calls.push(NestCall {
             bt,
-            program,
             ins,
             outs,
             modes,
@@ -655,8 +619,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
         }
     }
 
-    /// A top-level tasklet executed once per dim-0 iteration, mirrored as
-    /// a VM body (the interpreter always runs these through the VM).
+    /// A top-level tasklet executed once per dim-0 iteration.
     fn add_point_tasklet(&mut self, sid: StateId, n: NodeId) -> Result<(), Decline> {
         let site = self.site(&self.outer.clone());
         let bt = compile_body_tasklet(self.ctx, sid, n, &mut Solver::new(&site.names, self.env0))
@@ -669,7 +632,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
                 *m = JitOutMode::Write;
             }
         }
-        let idx = self.push_call(Arc::new(bt), true, modes, &site)?;
+        let idx = self.push_call(Arc::new(bt), modes, &site)?;
         self.body.push(NestItem::Call(idx));
         Ok(())
     }
@@ -801,12 +764,12 @@ impl<'c, 's> NestBuilder<'c, 's> {
         let mut items = Vec::new();
         if bts.len() == 1 {
             let bt = bts.into_iter().next().expect("one tasklet");
-            let (program, modes) = innermost_modes(&bt, innermost_pos)?;
-            items.push(NestItem::Call(self.push_call(bt, program, modes, &site)?));
+            let modes = innermost_modes(&bt, innermost_pos)?;
+            items.push(NestItem::Call(self.push_call(bt, modes, &site)?));
         } else {
             for bt in bts {
                 let modes = point_modes(&bt)?;
-                items.push(NestItem::Call(self.push_call(bt, true, modes, &site)?));
+                items.push(NestItem::Call(self.push_call(bt, modes, &site)?));
             }
         }
         for d in (d_base..d_base + scope.params.len()).rev() {
@@ -932,14 +895,6 @@ impl<'c, 's> NestBuilder<'c, 's> {
             return Err(body("empty nest"));
         }
         let ndims = dims.len();
-        // A lone accumulating call directly under dim 0 makes dim 0 the
-        // reduction loop (the emitter's `accumulate_form`).
-        let acc0 = match items[..] {
-            [NestItem::Call(t)] if matches!(calls[t].modes[..], [JitOutMode::Accumulate(_)]) => {
-                Some(t)
-            }
-            _ => None,
-        };
         let mut streams = Vec::new();
         for c in &calls {
             for (&p, m) in c.outs.iter().zip(&c.modes) {
@@ -954,7 +909,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
         let tasklets: Vec<NestTasklet<'_>> = calls
             .iter()
             .map(|c| NestTasklet {
-                body: c.jit_body(),
+                prog: &c.bt.prog,
                 ins: c.ins.clone(),
                 outs: c
                     .outs
@@ -991,7 +946,6 @@ impl<'c, 's> NestBuilder<'c, 's> {
             bounds,
             loaded_dims,
             calls,
-            acc0,
             streams,
             exclusive,
             syms: syms.unwrap_or_default(),
@@ -1056,8 +1010,8 @@ fn wcr_op(w: &Wcr) -> Result<JitWcrOp, Decline> {
     }
 }
 
-/// The mode of a stream or write-log output (both VM-mirror only), or
-/// `None` for a memory port.
+/// The mode of a stream or write-log output, or `None` for a memory
+/// port.
 fn staged_mode(o: &crate::tasklet::OutPortPlan) -> Result<Option<JitOutMode>, Decline> {
     if o.stream {
         return Ok(Some(JitOutMode::Stream));
@@ -1072,46 +1026,41 @@ fn staged_mode(o: &crate::tasklet::OutPortPlan) -> Result<Option<JitOutMode>, De
     Ok(Some(JitOutMode::Log(wcr_op(w)?)))
 }
 
-/// Output modes for the sole tasklet of a map scope, mirroring what the
-/// interpreted tiers' try-in-order dispatch does at that position: the
-/// native micro-kernel when one was recognized (plain store, or register
-/// accumulation for a WCR output invariant in the innermost dimension),
-/// the affine VM otherwise. Whether a per-point WCR combine may run
-/// non-atomically is the launch's call (see `NestCore::launch_exclusive`).
-fn innermost_modes(
-    bt: &BodyTasklet,
-    innermost_pos: usize,
-) -> Result<(bool, Vec<JitOutMode>), Decline> {
+/// Output modes for the sole tasklet of a map scope. Every mode computes
+/// the interpreter's bits, so the choice is for speed: a body that is one
+/// assignment of a value computed without reading its output stores
+/// plainly, and folds a WCR output invariant in the innermost dimension in
+/// a register when no input reads the output's container (a point would
+/// miss what the earlier ones combined) or a whole container (whose
+/// self-checked reads could leave the loop early). Whether a combine may
+/// run non-atomically is the launch's call (see
+/// `NestCore::launch_exclusive`).
+fn innermost_modes(bt: &BodyTasklet, innermost_pos: usize) -> Result<Vec<JitOutMode>, Decline> {
     if bt.outs.is_empty() {
         return Err(body("no output ports"));
     }
+    let sole = sole_assignment(&bt.prog.body, &bt.prog.outputs).is_some();
     let mut modes = Vec::with_capacity(bt.outs.len());
     for o in &bt.outs {
         if let Some(m) = staged_mode(o)? {
             modes.push(m);
             continue;
         }
-        let coeff = match &o.window {
-            WindowPlan::Scalar(sv) => sv.coeff(innermost_pos),
-            _ => None,
-        };
         let mode = match &o.wcr {
-            None => {
-                if bt.native.is_some() {
-                    JitOutMode::Write
-                } else {
-                    // The VM seeds plain scalar outputs from memory.
-                    JitOutMode::ReadModifyWrite
-                }
-            }
+            None if sole => JitOutMode::Write,
+            // The VM seeds plain scalar outputs from memory.
+            None => JitOutMode::ReadModifyWrite,
             Some(w) => {
                 let op = wcr_op(w)?;
-                let accumulates = coeff == Some(0)
-                    && matches!(
-                        bt.native,
-                        Some(NativePlan::Pattern(_)) | Some(NativePlan::MulChain(_))
-                    );
-                if accumulates {
+                let coeff = match &o.window {
+                    WindowPlan::Scalar(sv) => sv.coeff(innermost_pos),
+                    _ => None,
+                };
+                let private = bt
+                    .ins
+                    .iter()
+                    .all(|p| p.data != o.data && !matches!(p.window, WindowPlan::Full));
+                if sole && coeff == Some(0) && private {
                     JitOutMode::Accumulate(op)
                 } else {
                     JitOutMode::CombinePerPoint(op)
@@ -1120,7 +1069,7 @@ fn innermost_modes(
         };
         modes.push(mode);
     }
-    Ok((bt.native.is_none(), modes))
+    Ok(modes)
 }
 
 /// Output modes for a tasklet the interpreter executes through
@@ -1231,9 +1180,6 @@ fn build_loop_nest(ctx: &Ctx, guard: StateId, label: String) -> Result<LoopNestP
         b.add_state(sid)?;
     }
     let core = b.finish(label)?;
-    // Every map dim sits below the loop variable, so no reduction can land
-    // on dim 0 — the dimension this site slices.
-    debug_assert!(core.acc0.is_none());
     Ok(LoopNestPlan { var, end, core })
 }
 
@@ -1393,7 +1339,7 @@ fn build_tasklet_nest(
     ctx: &Ctx,
     pkey: (u32, u32),
     plan: &MapPlan,
-    (tnode, plan_bt): (NodeId, &BodyTasklet),
+    tnode: NodeId,
     consts: &BTreeSet<String>,
     start: usize,
 ) -> Result<NestCore, Decline> {
@@ -1401,7 +1347,7 @@ fn build_tasklet_nest(
     b.add_map_dims(&plan.params[start..], &plan.ranges[start..])?;
     let nd = b.dims.len();
     let site = b.site(&(0..nd).collect::<Vec<_>>());
-    let mut bt = compile_body_tasklet(
+    let bt = compile_body_tasklet(
         ctx,
         NodeId(pkey.0),
         tnode,
@@ -1415,19 +1361,8 @@ fn build_tasklet_nest(
     // Staging holds one call's pushes only when a call runs one point per
     // dim-0 index.
     b.streams_ok = nd == 1;
-    // The kernel runs the arithmetic of the interpreted tiers it replaces,
-    // which the plan's own tasklet names: an index the kernel reads in a
-    // form they see folded can leave it without a native shape. A WCR
-    // output's mode also depends on its window (register accumulation or a
-    // combine per point), so such a body keeps the VM mirror, and a launch
-    // whose plan disagrees falls back (see `MapNestPlan::atomic_in`).
-    match (&plan_bt.native, &bt.native) {
-        (None, Some(_)) => bt.native = None,
-        (Some(n), None) if bt.outs.iter().all(|o| o.wcr.is_none()) => bt.native = Some(n.clone()),
-        _ => {}
-    }
-    let (program, modes) = innermost_modes(&bt, nd - 1)?;
-    let idx = b.push_call(Arc::new(bt), program, modes, &site)?;
+    let modes = innermost_modes(&bt, nd - 1)?;
+    let idx = b.push_call(Arc::new(bt), modes, &site)?;
     b.body = vec![NestItem::Call(idx)];
     b.finish_map(pkey, &plan.label, nd)
 }
@@ -1446,13 +1381,13 @@ fn build_map_nest(
 ) -> Result<MapNestPlan, Decline> {
     let (children, local_transients, writebacks) = match &plan.body {
         MapBody::Tasklets(ts, _) => {
-            let (tnode, bt) = &ts[0];
+            let tnode = ts[0].0;
             let mut consts = ctx.inv.muts.clone();
             consts.extend(worker.pstack[worker.nconst..base].iter().cloned());
             consts.extend(plan.dyn_edges.iter().map(|de| de.conn.clone()));
             let mut declined = structure("map without parameters");
             for (start, p) in plan.params.iter().enumerate() {
-                match build_tasklet_nest(ctx, pkey, plan, (*tnode, bt), &consts, start) {
+                match build_tasklet_nest(ctx, pkey, plan, tnode, &consts, start) {
                     Ok(core) => return Ok(MapNestPlan { core, start }),
                     Err(d) => declined = d,
                 }
@@ -1478,9 +1413,6 @@ fn build_map_nest(
     b.serial_gate = true;
     b.add_generic_body(NodeId(pkey.0), children, local_transients)?;
     let core = b.finish_map(pkey, &plan.label, plan.params.len())?;
-    // A generic body's calls sit below its point tasklets or inner loop,
-    // never directly under dim 0.
-    debug_assert!(core.acc0.is_none());
     Ok(MapNestPlan { core, start: 0 })
 }
 
@@ -1515,40 +1447,24 @@ pub(crate) fn map_nest(
     }
 }
 
-impl MapNestPlan {
-    /// Whether a launch of a single-tasklet map whose plan compiled its
-    /// body as `bt` may call this kernel, and whether the launch combines
-    /// atomically where the kernel combines plainly (every WCR output the
-    /// race analysis marked atomic, but the one a dim-0 reduction combines
-    /// in Rust). `None` for a kernel whose arithmetic is not the one the
-    /// launch's interpreted tiers run.
-    fn atomic_in(&self, bt: &BodyTasklet) -> Option<bool> {
-        let core = &self.core;
-        if bt.native.is_some() == core.calls[0].program {
-            return None;
-        }
-        let acc0 = core.acc0.is_some();
-        Some(
-            bt.outs
-                .iter()
-                .enumerate()
-                .any(|(j, o)| o.atomic && !(acc0 && j == 0)),
-        )
-    }
+/// Whether a launch of a single-tasklet map whose plan compiled its body
+/// as `bt` combines atomically where the kernel combines plainly: the race
+/// analysis marked one of its WCR outputs atomic.
+fn atomic_in(bt: &BodyTasklet) -> bool {
+    bt.outs.iter().any(|o| o.atomic)
+}
 
+impl MapNestPlan {
     /// Whether a launch of `plan` may call this kernel wherever the
-    /// kernel itself admits it: it has compiled, runs the arithmetic of
-    /// the launch's interpreted tiers, and may run inside a parallel tile
-    /// if `in_tile` (see [`NestCore::launch_exclusive`]). Only the checks
-    /// of [`marshal`] on the launch's own values are left.
+    /// kernel itself admits it: it has compiled and may run inside a
+    /// parallel tile if `in_tile` (see [`NestCore::launch_exclusive`]).
+    /// Only the checks of [`marshal`] on the launch's own values are left.
     pub(crate) fn takes(&self, plan: &MapPlan, in_tile: bool) -> bool {
         let MapBody::Tasklets(ts, _) = &plan.body else {
             return false;
         };
         matches!(self.core.compiled(), Some(Ok(_)))
-            && self
-                .atomic_in(&ts[0].1)
-                .is_some_and(|a| !(self.core.exclusive || a) || !in_tile)
+            && (!(self.core.exclusive || atomic_in(&ts[0].1)) || !in_tile)
     }
 }
 
@@ -1588,7 +1504,7 @@ pub(crate) fn launch_map_nest(
         return None;
     }
     let atomic = match &plan.body {
-        MapBody::Tasklets(ts, _) => nest.atomic_in(&ts[0].1)?,
+        MapBody::Tasklets(ts, _) => atomic_in(&ts[0].1),
         // A generic body's kernel is exclusive: serial launches only.
         MapBody::Generic { .. } if tiles.is_some() => return None,
         MapBody::Generic { .. } => {
@@ -1665,10 +1581,7 @@ pub(crate) fn run_rows(
     if s >= e {
         return Ok(true);
     }
-    // A row kernel passed `MapNestPlan::takes`: its arithmetic is the
-    // launch's.
-    let atomic = nest.atomic_in(bt) == Some(true);
-    match run_serial(ctx, &nest.core, worker, at, (s, e, st), atomic) {
+    match run_serial(ctx, &nest.core, worker, at, (s, e, st), atomic_in(bt)) {
         Some(r) => r.map(|()| true),
         None => Ok(false),
     }
@@ -1770,8 +1683,6 @@ fn marshal<'a>(
             c0.checked_mul(step)?,
         ))
     };
-    let acc_call = core.acc0.map(|t| &core.calls[t]);
-    let mut acc0 = None;
     let (stage, chunk) = match core.streams.len() {
         0 => (None, 0),
         n => {
@@ -1815,22 +1726,6 @@ fn marshal<'a>(
             if omin < 0 || omax >= buf.len() as i128 {
                 return None;
             }
-        }
-        if let Some(call) = acc_call.filter(|c| c.outs[0] == p) {
-            // The kernel folds into a private cell (installed per call by
-            // `run_nest`); the real element is combined in Rust.
-            let o = &call.bt.outs[0];
-            let wcr = o.wcr.as_ref()?;
-            acc0 = Some(Acc0 {
-                port: p,
-                buf,
-                off: base as usize,
-                identity: wcr.identity(DType::F64)?,
-                f: crate::copy::wcr_fn(wcr).ok()?,
-            });
-            bufs.push(std::ptr::null_mut());
-            geo.extend(std::iter::repeat_n(0, 1 + ndims));
-            continue;
         }
         // SAFETY: the pointer is only dereferenced inside kernel calls,
         // within the range validated above (or checked by the kernel).
@@ -1892,7 +1787,6 @@ fn marshal<'a>(
         lens_at,
         syms,
         bnd,
-        acc0,
         stage,
         streams,
         chunk,
@@ -1918,36 +1812,24 @@ fn run_nest(core: &NestCore, args: &NestArgs, lo0: i64, hi0: i64) -> Result<(i64
             c => lo.saturating_add(c).min(hi0),
         };
         status[STATUS_FAULT] = 0;
-        let mut call = |bufs: &[*mut f64]| {
-            // SAFETY: `marshal` validated every affine address the nest
-            // reaches over a superset of `[lo0, hi0)`, and the kernel
-            // range-checks the rest; the argument arrays outlive the call,
-            // `syms` holds one value per program symbol and `status` one
-            // slot per stream past the fault slots. Aliasing between ports
-            // is allowed — the kernel takes no `restrict` and mirrors the
-            // interpreted tiers' per-point read-then-write order.
-            unsafe {
-                (args.func)(
-                    bufs.as_ptr(),
-                    args.geo.as_ptr(),
-                    args.syms.as_ptr(),
-                    args.bnd.as_ptr(),
-                    lo,
-                    hi,
-                    status.as_mut_ptr(),
-                )
-            }
+        // SAFETY: `marshal` validated every affine address the nest
+        // reaches over a superset of `[lo0, hi0)`, and the kernel
+        // range-checks the rest; the argument arrays outlive the call,
+        // `syms` holds one value per program symbol and `status` one slot
+        // per stream past the fault slots. Aliasing between ports is
+        // allowed — the kernel takes no `restrict` and mirrors the
+        // interpreted tiers' per-point read-then-write order.
+        unsafe {
+            (args.func)(
+                args.bufs.as_ptr(),
+                args.geo.as_ptr(),
+                args.syms.as_ptr(),
+                args.bnd.as_ptr(),
+                lo,
+                hi,
+                status.as_mut_ptr(),
+            )
         };
-        match &args.acc0 {
-            None => call(&args.bufs),
-            Some(acc) => {
-                let mut cell = acc.identity;
-                let mut bufs = args.bufs.clone();
-                bufs[acc.port] = &mut cell;
-                call(&bufs);
-                acc.buf.atomic_combine(acc.off, cell, acc.f);
-            }
-        }
         npts += status[0];
         calls += 1;
         if status[STATUS_FAULT] != 0 {

@@ -818,18 +818,30 @@ pub(crate) fn try_native_loop(
     worker.st_points += n as u64;
     worker.st_native += n as u64;
     let out_buf = worker.buf_slot(out.slot, &out.data)?;
+    // Register accumulation into a loop-invariant WCR output: seeded from
+    // the output and stored back once, which is bitwise the interpreter's
+    // per-point combine. It needs the element to itself: no input may read
+    // the output's container (a point would miss what the earlier ones
+    // combined), and no other worker may combine into it. Otherwise every
+    // point combines into memory.
+    let wcr = match &out.wcr {
+        Some(w) => Some(wcr_fn(w)?),
+        None => None,
+    };
+    let register = wcr.filter(|_| {
+        out_step == 0
+            && !bt.ins.iter().any(|p| p.data == out.data)
+            && !(out.atomic && crate::sched::in_pool_worker())
+    });
     // Linear combinations and product chains take dedicated loops.
+    let out_at = (out_base, out_step);
     if let NativePlan::LinComb(lc) = native {
-        return run_lincomb(
-            lc, n, out_buf, out_base, out_step, &in_bases, bt, worker, out,
-        )
-        .map(Some);
+        let combine = (wcr, out.atomic);
+        return run_lincomb(lc, n, out_buf, out_at, &in_bases, bt, worker, combine).map(Some);
     }
     if let NativePlan::MulChain(mc) = native {
-        return run_mulchain(
-            mc, n, out_buf, out_base, out_step, &in_bases, bt, worker, out,
-        )
-        .map(Some);
+        let combine = (wcr, register, out.atomic);
+        return run_mulchain(mc, n, out_buf, out_at, &in_bases, bt, worker, combine).map(Some);
     }
     let NativePlan::Pattern(pattern) = native else {
         unreachable!()
@@ -847,149 +859,112 @@ pub(crate) fn try_native_loop(
         }
     };
 
-    match (native, &out.wcr) {
-        // Reduction into a loop-invariant scalar: accumulate in-register.
-        (pat, Some(w)) if out_step == 0 => {
-            let f = wcr_fn(w)?;
-            let mut acc_init = match w {
-                Wcr::Sum => 0.0,
-                Wcr::Product => 1.0,
-                Wcr::Min => f64::INFINITY,
-                Wcr::Max => f64::NEG_INFINITY,
-                Wcr::Custom(_) => return Ok(None),
-            };
-            // Monomorphic fast path for Sum reductions over products (the
-            // GEMM/dot inner loop): bounds-checked once, then raw reads.
-            if matches!(w, Wcr::Sum) {
-                if let Pattern::BinOp {
-                    op: sdfg_lang::recognize::BinOpKind::Mul,
-                    a: Operand::Input(ia),
-                    b: Operand::Input(ib),
-                } = pat
-                {
-                    let (ba, sa) = in_bases[*ia];
-                    let (bb, sb) = in_bases[*ib];
-                    let bufa = worker.buf_slot(bt.ins[*ia].slot, &bt.ins[*ia].data)?;
-                    let bufb = worker.buf_slot(bt.ins[*ib].slot, &bt.ins[*ib].data)?;
-                    let xs = bufa.as_slice();
-                    let ys = bufb.as_slice();
-                    let last_a = ba + (n as i64 - 1) * sa;
-                    let last_b = bb + (n as i64 - 1) * sb;
-                    let in_bounds = ba >= 0
-                        && bb >= 0
-                        && last_a >= 0
-                        && last_b >= 0
-                        && (ba.max(last_a) as usize) < xs.len()
-                        && (bb.max(last_b) as usize) < ys.len();
-                    if in_bounds {
-                        let mut acc = 0.0f64;
-                        if sa == 1 && sb == 1 {
-                            let xs = &xs[ba as usize..][..n];
-                            let ys = &ys[bb as usize..][..n];
-                            for (x, y) in xs.iter().zip(ys) {
-                                acc += x * y;
-                            }
-                        } else {
-                            let (mut ia2, mut ib2) = (ba, bb);
-                            for _ in 0..n {
-                                // SAFETY: bounds verified above for the
-                                // whole strided range.
-                                unsafe {
-                                    acc += xs.get_unchecked(ia2 as usize)
-                                        * ys.get_unchecked(ib2 as usize);
-                                }
-                                ia2 += sa;
-                                ib2 += sb;
-                            }
-                        }
-                        if out.atomic {
-                            out_buf.atomic_combine(out_base.max(0) as usize, acc, f);
-                        } else {
-                            out_buf.combine_plain(out_base.max(0) as usize, acc, f);
-                        }
-                        return Ok(Some(()));
-                    }
+    let Some(f) = register else {
+        // Element-wise: a plain strided loop, or a combine per element
+        // (atomic only when the race analysis requires it).
+        run_elementwise(
+            native, n, out_buf, out_base, out_step, &in_bases, bt, worker, wcr, out.atomic,
+        )?;
+        return Ok(Some(()));
+    };
+    let off = out_base.max(0) as usize;
+    let mut acc = out_buf.read(off);
+    // Monomorphic fast path for Sum reductions over products (the GEMM/dot
+    // inner loop): bounds-checked once, then raw reads.
+    if let (
+        Some(Wcr::Sum),
+        Pattern::BinOp {
+            op: sdfg_lang::recognize::BinOpKind::Mul,
+            a: Operand::Input(ia),
+            b: Operand::Input(ib),
+        },
+    ) = (&out.wcr, native)
+    {
+        let (ba, sa) = in_bases[*ia];
+        let (bb, sb) = in_bases[*ib];
+        let bufa = worker.buf_slot(bt.ins[*ia].slot, &bt.ins[*ia].data)?;
+        let bufb = worker.buf_slot(bt.ins[*ib].slot, &bt.ins[*ib].data)?;
+        let xs = bufa.as_slice();
+        let ys = bufb.as_slice();
+        let last_a = ba + (n as i64 - 1) * sa;
+        let last_b = bb + (n as i64 - 1) * sb;
+        let in_bounds = ba >= 0
+            && bb >= 0
+            && last_a >= 0
+            && last_b >= 0
+            && (ba.max(last_a) as usize) < xs.len()
+            && (bb.max(last_b) as usize) < ys.len();
+        if in_bounds {
+            if sa == 1 && sb == 1 {
+                let xs = &xs[ba as usize..][..n];
+                let ys = &ys[bb as usize..][..n];
+                for (x, y) in xs.iter().zip(ys) {
+                    acc += x * y;
                 }
-            }
-            match pat {
-                Pattern::Copy { input } => {
-                    let (b, stp) = in_bases[*input];
-                    let buf = worker.buf_slot(bt.ins[*input].slot, &bt.ins[*input].data)?;
-                    for k in 0..n {
-                        let v = buf.read((b + k as i64 * stp).max(0) as usize);
-                        acc_init = f(acc_init, v);
-                    }
-                }
-                Pattern::Axpb { input, mul, add } => {
-                    let (b, stp) = in_bases[*input];
-                    let buf = worker.buf(&bt.ins[*input].data)?;
-                    for k in 0..n {
-                        let v = mul * buf.read((b + k as i64 * stp).max(0) as usize) + add;
-                        acc_init = f(acc_init, v);
-                    }
-                }
-                Pattern::BinOp { op, a, b } => {
-                    let (ca, ba, sa, bufa) = operand(*a)?;
-                    let (cb, bb, sb, bufb) = operand(*b)?;
-                    for k in 0..n {
-                        let xa = if sa == 0 && ba == 0 && matches!(a, Operand::Const(_)) {
-                            ca
-                        } else {
-                            bufa.read((ba + k as i64 * sa).max(0) as usize)
-                        };
-                        let xb = if sb == 0 && bb == 0 && matches!(b, Operand::Const(_)) {
-                            cb
-                        } else {
-                            bufb.read((bb + k as i64 * sb).max(0) as usize)
-                        };
-                        acc_init = f(acc_init, apply_binop_kind(*op, xa, xb));
-                    }
-                }
-                Pattern::Fma { a, b, c } => {
-                    let (ba, sa) = in_bases[*a];
-                    let (bb, sb) = in_bases[*b];
-                    let (bc, sc) = in_bases[*c];
-                    let bufa = worker.buf(&bt.ins[*a].data)?;
-                    let bufb = worker.buf(&bt.ins[*b].data)?;
-                    let bufc = worker.buf(&bt.ins[*c].data)?;
-                    for k in 0..n {
-                        let v = bufa.read((ba + k as i64 * sa).max(0) as usize)
-                            * bufb.read((bb + k as i64 * sb).max(0) as usize)
-                            + bufc.read((bc + k as i64 * sc).max(0) as usize);
-                        acc_init = f(acc_init, v);
-                    }
-                }
-            }
-            if out.atomic {
-                out_buf.atomic_combine(out_base.max(0) as usize, acc_init, f);
             } else {
-                out_buf.combine_plain(out_base.max(0) as usize, acc_init, f);
+                let (mut ia2, mut ib2) = (ba, bb);
+                for _ in 0..n {
+                    // SAFETY: bounds verified above for the whole strided
+                    // range.
+                    unsafe {
+                        acc += xs.get_unchecked(ia2 as usize) * ys.get_unchecked(ib2 as usize);
+                    }
+                    ia2 += sa;
+                    ib2 += sb;
+                }
             }
-        }
-        // Element-wise, no conflicts: plain strided loop.
-        (pat, None) => {
-            run_elementwise(
-                pat, n, out_buf, out_base, out_step, &in_bases, bt, worker, None, true,
-            )?;
-        }
-        // Element-wise with WCR: combine per element (atomic only when the
-        // race analysis requires it).
-        (pat, Some(w)) => {
-            let f = wcr_fn(w)?;
-            run_elementwise(
-                pat,
-                n,
-                out_buf,
-                out_base,
-                out_step,
-                &in_bases,
-                bt,
-                worker,
-                Some(f),
-                out.atomic,
-            )?;
+            out_buf.write(off, acc);
+            return Ok(Some(()));
         }
     }
+    match native {
+        Pattern::Copy { input } => {
+            let (b, stp) = in_bases[*input];
+            let buf = worker.buf_slot(bt.ins[*input].slot, &bt.ins[*input].data)?;
+            for k in 0..n {
+                acc = f(acc, buf.read((b + k as i64 * stp).max(0) as usize));
+            }
+        }
+        Pattern::Axpb { input, mul, add } => {
+            let (b, stp) = in_bases[*input];
+            let buf = worker.buf(&bt.ins[*input].data)?;
+            for k in 0..n {
+                let v = mul * buf.read((b + k as i64 * stp).max(0) as usize) + add;
+                acc = f(acc, v);
+            }
+        }
+        Pattern::BinOp { op, a, b } => {
+            let (ca, ba, sa, bufa) = operand(*a)?;
+            let (cb, bb, sb, bufb) = operand(*b)?;
+            for k in 0..n {
+                let xa = if matches!(a, Operand::Const(_)) {
+                    ca
+                } else {
+                    bufa.read((ba + k as i64 * sa).max(0) as usize)
+                };
+                let xb = if matches!(b, Operand::Const(_)) {
+                    cb
+                } else {
+                    bufb.read((bb + k as i64 * sb).max(0) as usize)
+                };
+                acc = f(acc, apply_binop_kind(*op, xa, xb));
+            }
+        }
+        Pattern::Fma { a, b, c } => {
+            let port = |i: usize| -> Result<(&SharedBuffer, i64, i64), ExecError> {
+                let (base, stp) = in_bases[i];
+                Ok((worker.buf(&bt.ins[i].data)?, base, stp))
+            };
+            let (pa, pb, pc) = (port(*a)?, port(*b)?, port(*c)?);
+            let at = |(buf, base, stp): (&SharedBuffer, i64, i64), k: usize| {
+                buf.read((base + k as i64 * stp).max(0) as usize)
+            };
+            for k in 0..n {
+                acc = f(acc, at(pa, k) * at(pb, k) + at(pc, k));
+            }
+        }
+    }
+    out_buf.write(off, acc);
     Ok(Some(()))
 }
 
@@ -1253,117 +1228,102 @@ pub(crate) fn try_vm_loop(
     Ok(Some(()))
 }
 
-/// Native loop for product-chain (tensor contraction) tasklets:
-/// `out (⊕=) scale · Π inᵢ`. The register-accumulation case
-/// (`out_step == 0` with a Sum WCR — the contraction inner loop) keeps the
-/// partial sum in a register and combines once.
+/// A WCR combine, `f(old, new)`.
+type Combine = fn(f64, f64) -> f64;
+
+/// Stores one point's value: a plain write, or a combine (atomic only
+/// when the race analysis requires it).
+fn store(buf: &SharedBuffer, off: usize, v: f64, wcr: Option<Combine>, atomic: bool) {
+    match wcr {
+        None => buf.write(off, v),
+        Some(f) if atomic => buf.atomic_combine(off, v, f),
+        Some(f) => buf.combine_plain(off, v, f),
+    }
+}
+
+/// A [`MulChain`](sdfg_lang::recognize::MulChain)'s value, `x(t)` being
+/// its `t`-th factor: `k · x0 · x1 · …`, left-folded as written.
+#[inline(always)]
+fn product(mc: &sdfg_lang::recognize::MulChain, x: impl Fn(usize) -> f64) -> f64 {
+    let mut v = match mc.scale {
+        Some(k) => k * x(0),
+        None => x(0),
+    };
+    for t in 1..mc.slots.len() {
+        v *= x(t);
+    }
+    v
+}
+
+/// A [`LinComb`](sdfg_lang::recognize::LinComb)'s value, `x(t)` being its
+/// `t`-th term: `k · (x0 ± x1 ± …)`, the sum left-folded as written.
+#[inline(always)]
+fn scaled_sum(lc: &sdfg_lang::recognize::LinComb, x: impl Fn(usize) -> f64) -> f64 {
+    let mut acc = x(0);
+    for (t, &(_, minus)) in lc.terms.iter().enumerate().skip(1) {
+        if minus {
+            acc -= x(t);
+        } else {
+            acc += x(t);
+        }
+    }
+    lc.scale.map_or(acc, |k| k * acc)
+}
+
+/// Native loop for product-chain (tensor contraction) tasklets. With a
+/// `register` combine (the contraction inner loop, see
+/// [`try_native_loop`]) the loop-invariant output element folds in a
+/// register; otherwise every point stores.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mulchain(
     mc: &sdfg_lang::recognize::MulChain,
     n: usize,
     out_buf: &SharedBuffer,
-    out_base: i64,
-    out_step: i64,
+    (out_base, out_step): (i64, i64),
     in_bases: &[(i64, i64)],
     bt: &BodyTasklet,
     worker: &Worker,
-    out: &OutPortPlan,
+    (wcr, register, atomic): (Option<Combine>, Option<Combine>, bool),
 ) -> Result<(), ExecError> {
-    const MAX: usize = 8;
-    if mc.slots.len() > MAX {
-        return Err(ExecError::BadGraph("mulchain arity overflow".into()));
-    }
-    let nt = mc.slots.len();
-    let mut bufs: [&[f64]; MAX] = [&[]; MAX];
-    let mut offs = [(0i64, 0i64); MAX];
-    let mut bounds_ok = true;
-    for (t, &slot) in mc.slots.iter().enumerate() {
+    let mut ports = Vec::with_capacity(mc.slots.len());
+    for &slot in &mc.slots {
         let b = worker.buf_slot(bt.ins[slot].slot, &bt.ins[slot].data)?;
-        bufs[t] = b.as_slice();
-        offs[t] = in_bases[slot];
-        let (base, stp) = in_bases[slot];
-        let last = base + (n as i64 - 1) * stp;
-        bounds_ok &= base >= 0
-            && last >= 0
-            && !bufs[t].is_empty()
-            && (base.max(last) as usize) < bufs[t].len();
+        ports.push((b.as_slice(), in_bases[slot]));
     }
-    let scale = mc.scale;
-    let fetch = |t: usize, k: usize| -> f64 {
-        let (b, stp) = offs[t];
-        let idx = (b + k as i64 * stp).max(0) as usize;
-        bufs[t].get(idx).copied().unwrap_or(0.0)
+    let value = |k: usize| {
+        product(mc, |t| {
+            let (buf, (b, stp)) = ports[t];
+            let idx = (b + k as i64 * stp).max(0) as usize;
+            buf.get(idx).copied().unwrap_or(0.0)
+        })
     };
-    match &out.wcr {
-        Some(w) if out_step == 0 => {
-            // Contraction inner loop: accumulate in a register.
-            let f = wcr_fn(w)?;
-            let mut acc = match w {
-                Wcr::Sum => 0.0,
-                Wcr::Product => 1.0,
-                Wcr::Min => f64::INFINITY,
-                Wcr::Max => f64::NEG_INFINITY,
-                Wcr::Custom(_) => unreachable!("filtered in plan_native"),
-            };
-            if bounds_ok && matches!(w, Wcr::Sum) {
-                for k in 0..n {
-                    let mut v = scale;
-                    for (t, b) in bufs.iter().enumerate().take(nt) {
-                        let (base, stp) = offs[t];
-                        // SAFETY: bounds checked for the whole range above.
-                        v *= unsafe { b.get_unchecked((base + k as i64 * stp) as usize) };
-                    }
-                    acc += v;
-                }
-            } else {
-                for k in 0..n {
-                    let mut v = scale;
-                    for t in 0..nt {
-                        v *= fetch(t, k);
-                    }
-                    acc = f(acc, v);
-                }
-            }
-            if out.atomic {
-                out_buf.atomic_combine(out_base.max(0) as usize, acc, f);
-            } else {
-                out_buf.combine_plain(out_base.max(0) as usize, acc, f);
-            }
+    let Some(f) = register else {
+        for k in 0..n {
+            let off = (out_base + k as i64 * out_step).max(0) as usize;
+            store(out_buf, off, value(k), wcr, atomic);
         }
-        wcr => {
-            let f = match wcr {
-                None => None,
-                Some(w) => Some(wcr_fn(w)?),
-            };
-            for k in 0..n {
-                let mut v = scale;
-                for t in 0..nt {
-                    v *= fetch(t, k);
-                }
-                let off = (out_base + k as i64 * out_step).max(0) as usize;
-                match (&f, out.atomic) {
-                    (None, _) => out_buf.write(off, v),
-                    (Some(f), true) => out_buf.atomic_combine(off, v, f),
-                    (Some(f), false) => out_buf.combine_plain(off, v, f),
-                }
-            }
-        }
+        return Ok(());
+    };
+    let off = out_base.max(0) as usize;
+    let mut acc = out_buf.read(off);
+    for k in 0..n {
+        acc = f(acc, value(k));
     }
+    out_buf.write(off, acc);
     Ok(())
 }
 
-/// Native loop for linear-combination (stencil) tasklets.
+/// Native loop for scaled-sum (stencil) tasklets.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_lincomb(
     lc: &sdfg_lang::recognize::LinComb,
     n: usize,
     out_buf: &SharedBuffer,
-    out_base: i64,
-    out_step: i64,
+    (out_base, out_step): (i64, i64),
     in_bases: &[(i64, i64)],
     bt: &BodyTasklet,
     worker: &Worker,
-    out: &OutPortPlan,
+    (wcr, atomic): (Option<Combine>, bool),
 ) -> Result<(), ExecError> {
     const MAX_TERMS: usize = 12;
     if lc.terms.len() > MAX_TERMS {
@@ -1371,70 +1331,46 @@ pub(crate) fn run_lincomb(
     }
     let mut bufs: [&[f64]; MAX_TERMS] = [&[]; MAX_TERMS];
     let mut offs = [(0i64, 0i64); MAX_TERMS];
-    let mut coef = [0.0f64; MAX_TERMS];
-    let nt = lc.terms.len();
     let mut bounds_ok = out_base >= 0;
-    for (t, &(slot, c)) in lc.terms.iter().enumerate() {
+    for (t, &(slot, _)) in lc.terms.iter().enumerate() {
         let b = worker.buf_slot(bt.ins[slot].slot, &bt.ins[slot].data)?;
         bufs[t] = b.as_slice();
         offs[t] = in_bases[slot];
-        coef[t] = c;
         let (base, stp) = in_bases[slot];
         let last = base + (n as i64 - 1) * stp;
-        bounds_ok &= base >= 0 && last >= 0 && (base.max(last) as usize) < bufs[t].len().max(1);
-        bounds_ok &= !bufs[t].is_empty();
+        bounds_ok &= base >= 0 && last >= 0 && (base.max(last) as usize) < bufs[t].len();
     }
     let out_last = out_base + (n as i64 - 1) * out_step;
-    bounds_ok &= out_last >= 0 && (out_base.max(out_last) as usize) < out_buf.len().max(1);
-    let bias = lc.bias;
-    let wcr = match &out.wcr {
-        None => None,
-        Some(w) => Some(wcr_fn(w)?),
-    };
+    bounds_ok &= out_last >= 0 && (out_base.max(out_last) as usize) < out_buf.len();
     if !bounds_ok {
         // Safe fallback with per-element checks.
         for k in 0..n {
-            let mut acc = bias;
-            for t in 0..nt {
+            let v = scaled_sum(lc, |t| {
                 let (b, stp) = offs[t];
                 let idx = (b + k as i64 * stp).max(0) as usize;
-                acc += coef[t] * bufs[t].get(idx).copied().unwrap_or(0.0);
-            }
+                bufs[t].get(idx).copied().unwrap_or(0.0)
+            });
             let off = (out_base + k as i64 * out_step).max(0) as usize;
-            match (&wcr, out.atomic) {
-                (None, _) => out_buf.write(off, acc),
-                (Some(f), true) => out_buf.atomic_combine(off, acc, f),
-                (Some(f), false) => out_buf.combine_plain(off, acc, f),
-            }
+            store(out_buf, off, v, wcr, atomic);
         }
         return Ok(());
     }
+    let at = |t: usize, k: usize| {
+        let (b, stp) = offs[t];
+        // SAFETY: every term's whole strided range is bounds-checked above.
+        unsafe { *bufs[t].get_unchecked((b + k as i64 * stp) as usize) }
+    };
     // Bounds verified: tight loop (plain writes only; WCR falls back).
     if wcr.is_none() && out_step == 1 {
         let dst = unsafe { &mut out_buf.as_mut_slice()[out_base as usize..][..n] };
         for (k, d) in dst.iter_mut().enumerate() {
-            let mut acc = bias;
-            for t in 0..nt {
-                let (b, stp) = offs[t];
-                // SAFETY: whole strided range bounds-checked above.
-                acc += coef[t] * unsafe { bufs[t].get_unchecked((b + k as i64 * stp) as usize) };
-            }
-            *d = acc;
+            *d = scaled_sum(lc, |t| at(t, k));
         }
         return Ok(());
     }
     for k in 0..n {
-        let mut acc = bias;
-        for t in 0..nt {
-            let (b, stp) = offs[t];
-            acc += coef[t] * unsafe { bufs[t].get_unchecked((b + k as i64 * stp) as usize) };
-        }
         let off = (out_base + k as i64 * out_step) as usize;
-        match (&wcr, out.atomic) {
-            (None, _) => out_buf.write(off, acc),
-            (Some(f), true) => out_buf.atomic_combine(off, acc, f),
-            (Some(f), false) => out_buf.combine_plain(off, acc, f),
-        }
+        store(out_buf, off, scaled_sum(lc, |t| at(t, k)), wcr, atomic);
     }
     Ok(())
 }
@@ -1449,16 +1385,12 @@ pub(crate) fn run_elementwise(
     in_bases: &[(i64, i64)],
     bt: &BodyTasklet,
     worker: &Worker,
-    wcr: Option<fn(f64, f64) -> f64>,
+    wcr: Option<Combine>,
     atomic: bool,
 ) -> Result<(), ExecError> {
     let emit = |k: usize, v: f64| {
         let off = (out_base + k as i64 * out_step).max(0) as usize;
-        match wcr {
-            None => out_buf.write(off, v),
-            Some(f) if atomic => out_buf.atomic_combine(off, v, f),
-            Some(f) => out_buf.combine_plain(off, v, f),
-        }
+        store(out_buf, off, v, wcr, atomic);
     };
     match pat {
         Pattern::Copy { input } => {

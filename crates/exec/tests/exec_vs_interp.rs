@@ -7,7 +7,8 @@ use sdfg_exec::{Bindings, Executor, Session};
 use sdfg_frontend::{parse_program, SdfgBuilder};
 use sdfg_interp::Interpreter;
 
-/// Runs both engines on the same inputs and compares every named array.
+/// Runs both engines on the same inputs and compares every named array
+/// bit for bit.
 fn assert_equivalent(
     sdfg: &sdfg_core::Sdfg,
     symbols: &[(&str, i64)],
@@ -31,10 +32,7 @@ fn assert_equivalent(
         let b = ex.array(name);
         assert_eq!(a.len(), b.len(), "{name} length");
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert!(
-                (x - y).abs() <= 1e-9 * (1.0 + x.abs()),
-                "{name}[{i}]: interp={x} exec={y}"
-            );
+            assert_eq!(x.to_bits(), y.to_bits(), "{name}[{i}]: interp={x} exec={y}");
         }
     }
 }
@@ -92,9 +90,11 @@ fn dot_product_wcr_parallel() {
         &sdfg,
         &[("N", n)],
         &[
-            ("A", vec![1.0; n as usize]),
-            ("B", (0..n).map(|x| x as f64).collect()),
-            ("out", vec![0.0]),
+            ("A", (0..n).map(|x| 1.0 + (x % 7) as f64 * 0.3).collect()),
+            ("B", (0..n).map(|x| x as f64 * 0.1).collect()),
+            // A seed other than the sum's identity: the reduction must
+            // fold onto it in the interpreter's order.
+            ("out", vec![0.7]),
         ],
         &["out"],
     );

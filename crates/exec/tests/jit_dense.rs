@@ -1,21 +1,20 @@
 //! Dense nests: strip-accumulated reductions, whole-nest double-buffered
 //! stencils and the race predicate that licenses parallel tiles.
 //!
-//! Every case is compared bitwise against the reference interpreter and
-//! against the interpreted tiers (`jit(false)`) at 1, 2 and 8 threads, with
-//! the JIT cold (kernels compiling in the background) and steady (every
-//! kernel compiled). Without a system C compiler (or under `SDFG_JIT=off`)
+//! Every case runs at 1, 2 and 8 threads with the JIT off, cold (kernels
+//! compiling in the background) and steady (every kernel compiled), and
+//! each run is compared bitwise against the reference interpreter. Without a system C compiler (or under `SDFG_JIT=off`)
 //! the JIT sessions run the interpreted tiers, the comparisons hold
 //! trivially and the count assertions are skipped.
 
 use sdfg_codegen::jit::{
-    emit_nest_kernel, JitBody, JitOutMode, JitWcrOp, NestItem, NestOut, NestSpec, NestTasklet,
+    emit_nest_kernel, JitOutMode, JitWcrOp, NestItem, NestOut, NestSpec, NestTasklet,
 };
 use sdfg_core::{DType, Schedule, Sdfg, Wcr};
 use sdfg_exec::{Bindings, OptLevel, Outputs, Session, Stats};
 use sdfg_frontend::{parse_program, SdfgBuilder};
 use sdfg_interp::Interpreter;
-use sdfg_lang::recognize::{BinOpKind, Operand, Pattern};
+use sdfg_lang::TaskletProgram;
 use sdfg_workloads::kernels;
 
 fn jit_available() -> bool {
@@ -35,11 +34,6 @@ struct Case {
     arrays: Vec<(&'static str, Vec<f64>)>,
     check: Vec<&'static str>,
     opt: OptLevel,
-    /// Compare against the interpreted tiers at one thread instead of the
-    /// interpreter, for bodies whose native micro-kernel is not the
-    /// interpreter's arithmetic (a stencil's `0.2 * (a + b)` runs as
-    /// `0.2 * a + 0.2 * b`).
-    native_oracle: bool,
 }
 
 impl Case {
@@ -50,7 +44,6 @@ impl Case {
             arrays: Vec::new(),
             check: check.to_vec(),
             opt: OptLevel::None,
-            native_oracle: false,
         }
     }
 
@@ -80,14 +73,6 @@ impl Case {
     }
 
     fn interpret(&self) -> Vec<Vec<f64>> {
-        if self.native_oracle {
-            let out = self.session(false, 1).run(self.bindings()).expect("run");
-            return self
-                .check
-                .iter()
-                .map(|n| out.array(n).unwrap().to_vec())
-                .collect();
-        }
         let mut it = Interpreter::new(&self.sdfg);
         for (s, v) in &self.symbols {
             it.set_symbol(s, *v);
@@ -180,18 +165,9 @@ fn gemm(op: Wcr, a_idx: &str, b_idx: &str, k_range: &str, looped: bool) -> Sdfg 
     b.build().expect("valid gemm")
 }
 
-fn identity(op: &Wcr) -> f64 {
-    match op {
-        Wcr::Sum => 0.0,
-        Wcr::Product => 1.0,
-        Wcr::Min => f64::INFINITY,
-        _ => f64::NEG_INFINITY,
-    }
-}
-
-/// A gemm case; the output starts at the reduction's identity, where the
-/// interpreter's per-point combine and the executor's register
-/// accumulation agree bit for bit.
+/// A gemm case. The output starts from data, not the reduction's
+/// identity: register accumulation must seed from it as the interpreter's
+/// per-point combine does.
 fn gemm_case(
     op: Wcr,
     b_idx: &str,
@@ -205,7 +181,7 @@ fn gemm_case(
         .array("A", data(mu * ku, 1))
         .array("B", data(ku * nu, 2))
         .array("Bt", data(nu * ku, 3))
-        .array("C", vec![identity(&op); mu * nu])
+        .array("C", data(mu * nu, 6))
         .array("Q", vec![0.0; mu * mu])
 }
 
@@ -247,15 +223,16 @@ fn strip_declines_non_unit_strides_and_dependent_bounds() {
         // An empty reduction range: no combine at all.
         let case = gemm_case(Wcr::Sum, "B:k, j", "0:K", looped, (20, 40, 0));
         let runs = case.assert_bitwise();
-        assert!(runs[0].2.array("C").unwrap().iter().all(|&c| c == 0.0));
+        assert_eq!(runs[0].2.array("C").unwrap(), &data(20 * 40, 6)[..]);
     }
 }
 
 #[test]
 fn strip_declines_when_the_output_is_also_read() {
-    // `Q[i, j] += Q[i, k] * B[k, j]`: each strip point reads the row the
-    // earlier points of the strip write, so only the scalar loop keeps
-    // the order. The race predicate keeps the parallel map serial.
+    // `Q[i, j] += Q[i, k] * B[k, j]`: at `k = j` a point reads the element
+    // the earlier points combined into, so neither the strip nor any
+    // register accumulation keeps the order — every point combines into
+    // memory. The race predicate keeps the parallel map serial.
     let (m, k) = (24usize, 24usize);
     for looped in [true, false] {
         let sdfg = gemm(Wcr::Sum, "Q:i, k", "B:k, j", "0:K", looped);
@@ -265,23 +242,9 @@ fn strip_declines_when_the_output_is_also_read() {
             .array("Bt", vec![0.0; m * k])
             .array("C", vec![0.0; m * m])
             .array("Q", data(m * m, 5));
-        // The interpreter combines per point and the executor in a
-        // register, which differ here: compare against `jit(false)`.
-        let off = case.session(false, 1).run(case.bindings()).unwrap();
-        let want = off.array("Q").unwrap().to_vec();
-        for nthreads in [1, 2, 8] {
-            let s = case.session(true, nthreads);
-            s.run(case.bindings()).unwrap();
-            sdfg_exec::jit::wait_idle();
-            let on = s.run(case.bindings()).unwrap();
-            let off = case.session(false, nthreads).run(case.bindings()).unwrap();
-            for o in [&on, &off] {
-                let got = o.array("Q").unwrap();
-                let bad = (0..got.len()).filter(|&i| got[i].to_bits() != want[i].to_bits());
-                assert_eq!(bad.count(), 0, "looped={looped} at {nthreads} threads");
-            }
+        for (_, _, steady) in case.assert_bitwise() {
             if jit_available() && looped {
-                assert_eq!(on.stats().jit_points, (m * m * k) as u64);
+                assert_eq!(steady.stats().jit_points, (m * m * k) as u64);
             }
         }
     }
@@ -289,12 +252,12 @@ fn strip_declines_when_the_output_is_also_read() {
 
 /// A gemm-shaped kernel as the nest builder emits it (ports `A`, `B`,
 /// `C`; the strip dimension `j` is dim 1).
-fn gemm_spec(body: &Pattern) -> NestSpec<'static> {
+fn gemm_spec(body: &TaskletProgram) -> NestSpec<'_> {
     NestSpec {
         ndims: 3,
         nports: 3,
         tasklets: vec![NestTasklet {
-            body: JitBody::Pattern(*body),
+            prog: body,
             ins: vec![0, 1],
             outs: vec![NestOut {
                 port: 2,
@@ -319,11 +282,8 @@ fn strip_loop_is_vectorised() {
         eprintln!("skipping: no C compiler");
         return;
     };
-    let mul = Pattern::BinOp {
-        op: BinOpKind::Mul,
-        a: Operand::Input(0),
-        b: Operand::Input(1),
-    };
+    let mul = TaskletProgram::compile("o = a * b", &["a".into(), "b".into()], &["o".into()])
+        .expect("gemm body compiles");
     let src = emit_nest_kernel(&gemm_spec(&mul)).unwrap();
     let dir = std::env::temp_dir().join(format!("sdfg-strip-vec-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -367,7 +327,6 @@ fn jacobi2d_runs_one_call_per_tile() {
     let mut case = Case::new(w.sdfg.clone(), &[("N", 256), ("T", 4)], &["A"]);
     case.arrays.push(("A", w.arrays["A"].clone()));
     case.opt = OptLevel::Aggressive;
-    case.native_oracle = true;
     let runs = case.assert_bitwise();
     if !jit_available() {
         return;

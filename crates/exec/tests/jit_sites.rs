@@ -1,6 +1,6 @@
 //! The JIT call sites' hard cases, each compared bitwise against the
-//! interpreted tiers (`jit(false)`) at 1, 2 and 8 threads, plus the run
-//! deadline inside a collapsed loop.
+//! reference interpreter with the JIT on and off at 1, 2 and 8 threads,
+//! plus the run deadline inside a collapsed loop.
 //!
 //! Without a system C compiler (or under `SDFG_JIT=off`) both sessions run
 //! the interpreted tiers and the comparisons hold trivially; assertions on
@@ -10,6 +10,7 @@ use sdfg_core::node::MapScope;
 use sdfg_core::{DType, Memlet, Schedule, Sdfg, Wcr};
 use sdfg_exec::{Bindings, Outputs, Session};
 use sdfg_frontend::{parse_program, SdfgBuilder};
+use sdfg_interp::Interpreter;
 use sdfg_symbolic::SymRange;
 use std::time::{Duration, Instant};
 
@@ -24,10 +25,20 @@ fn data(n: usize, seed: u64) -> Vec<f64> {
 }
 
 /// Runs `sdfg` with the JIT on and off at each thread count, asserts every
-/// `check` array matches bitwise, and returns the 8-thread JIT-on outputs.
-/// The JIT runs twice: cold, while its kernels compile, and again once
-/// they all have — the run whose outputs are returned.
+/// `check` array matches the interpreter's bitwise, and returns the
+/// 8-thread JIT-on outputs. The JIT runs twice: cold, while its kernels
+/// compile, and again once they all have — the run whose outputs are
+/// returned.
 fn assert_jit_bitwise(sdfg: &Sdfg, bindings: impl Fn() -> Bindings, check: &[&str]) -> Outputs {
+    let mut it = Interpreter::new(sdfg);
+    let b = bindings();
+    for (s, v) in b.symbols() {
+        it.set_symbol(s, *v);
+    }
+    for (n, d) in b.arrays() {
+        it.set_array(n, d.clone());
+    }
+    it.run().expect("interpreter runs");
     let run = |jit: bool, nthreads: usize| {
         Session::builder(sdfg.clone())
             .jit(jit)
@@ -43,15 +54,15 @@ fn assert_jit_bitwise(sdfg: &Sdfg, bindings: impl Fn() -> Bindings, check: &[&st
         sdfg_exec::jit::wait_idle();
         let (on, off) = (run(true, nthreads), run(false, nthreads));
         assert_eq!(off.stats().jit_points, 0);
-        for (when, on) in [("cold", &cold), ("warm", &on)] {
+        for (when, got) in [("cold", &cold), ("warm", &on), ("jit off", &off)] {
             for name in check {
-                let (a, b) = (on.array(name).unwrap(), off.array(name).unwrap());
+                let (a, b) = (got.array(name).unwrap(), it.array(name));
                 assert_eq!(a.len(), b.len(), "{name} length");
                 for (i, (x, y)) in a.iter().zip(b).enumerate() {
                     assert_eq!(
                         x.to_bits(),
                         y.to_bits(),
-                        "{name}[{i}] at {nthreads} threads ({when}): jit={x} interpreted={y}"
+                        "{name}[{i}] at {nthreads} threads ({when}): executor={x} interpreter={y}"
                     );
                 }
             }

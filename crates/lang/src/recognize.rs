@@ -6,6 +6,12 @@
 //! tasklet body is one of a handful of canonical element-wise forms and, if
 //! so, dispatches a native (LLVM-autovectorized) micro-kernel instead of
 //! interpreting bytecode per element.
+//!
+//! Every form is one the micro-kernel evaluates exactly as the source
+//! reads — the same operations on the same operands in the same order — so
+//! it computes the interpreter's bits. A body that would need a factor
+//! distributed, constants folded or a product flattened is no form; the
+//! VM runs it.
 
 use crate::ast::{BinOp, ExprAst, Stmt};
 
@@ -53,8 +59,10 @@ pub enum Pattern {
         /// Right operand.
         b: Operand,
     },
-    /// `out = a * b + c` (fused multiply-add shape; also matches
-    /// `c + a * b`).
+    /// `out = a * b + c`, never contracted; also matches `c + a * b`,
+    /// whose value is the same bits (IEEE addition commutes — only which
+    /// NaN operand's payload propagates could differ, and Rust and C leave
+    /// that unspecified).
     Fma {
         /// Multiplicand input slot.
         a: usize,
@@ -63,8 +71,10 @@ pub enum Pattern {
         /// Addend input slot.
         c: usize,
     },
-    /// `out = mul * a + add` — affine scale/shift of one input (matches
-    /// all commutations).
+    /// `out = mul * a + add` — affine scale/shift of one input. Matches
+    /// every commutation of the source (and `a - c` as `a + -c`): with the
+    /// other operand a literal, which is never NaN, neither `*` nor `+`
+    /// depends on operand order.
     Axpb {
         /// Input slot.
         input: usize,
@@ -75,231 +85,151 @@ pub enum Pattern {
     },
 }
 
-/// A product chain `out = scale · Π in[slots[i]]` — the shape of tensor
-/// contraction tasklets (e.g. the paper's Σ≷ kernel multiplies four
-/// operands). Variable arity, so recognized separately.
+/// The value of a single-assignment tasklet: exactly one statement, a plain
+/// (unindexed, non-augmented) assignment to the sole output connector of a
+/// value that does not read it. Every recognized form is one, and so is
+/// every body the JIT's register accumulation takes.
+pub fn sole_assignment<'b>(body: &'b [Stmt], outputs: &[String]) -> Option<&'b ExprAst> {
+    let (
+        [Stmt::Assign {
+            target,
+            index: None,
+            op: None,
+            value,
+        }],
+        [out],
+    ) = (body, outputs)
+    else {
+        return None;
+    };
+    (target == out && !reads(value, out)).then_some(value)
+}
+
+/// Whether evaluating `e` reads the connector or local `name`.
+fn reads(e: &ExprAst, name: &str) -> bool {
+    match e {
+        ExprAst::Num(_) => false,
+        ExprAst::Name(n) => n == name,
+        ExprAst::Index(n, idx) => n == name || idx.iter().any(|i| reads(i, name)),
+        ExprAst::Bin(_, a, b) | ExprAst::Cmp(_, a, b) | ExprAst::And(a, b) | ExprAst::Or(a, b) => {
+            reads(a, name) || reads(b, name)
+        }
+        ExprAst::Neg(a) | ExprAst::Not(a) => reads(a, name),
+        ExprAst::Call(_, args) => args.iter().any(|a| reads(a, name)),
+        ExprAst::Ternary { cond, then, els } => {
+            reads(cond, name) || reads(then, name) || reads(els, name)
+        }
+    }
+}
+
+/// The input slot a plain connector read names.
+fn input_slot(e: &ExprAst, inputs: &[String]) -> Option<usize> {
+    match e {
+        ExprAst::Name(n) => inputs.iter().position(|i| i == n),
+        _ => None,
+    }
+}
+
+/// The value of a literal, negated any number of times (negation is
+/// exact, so the VM computes the same constant).
+fn constant(e: &ExprAst) -> Option<f64> {
+    match e {
+        ExprAst::Num(v) => Some(*v),
+        ExprAst::Neg(inner) => constant(inner).map(|v| -v),
+        _ => None,
+    }
+}
+
+/// A product chain `out = k * x0 * x1 * …` of three or more inputs — the
+/// shape of tensor contraction tasklets (the paper's Σ≷ kernel multiplies
+/// four operands; one/two-input products are [`Pattern`]s). Evaluated as
+/// written: left-folded in source order, from the leading constant if
+/// there is one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MulChain {
     /// Input slots, in multiplication order.
     pub slots: Vec<usize>,
-    /// Constant scale factor.
-    pub scale: f64,
+    /// The leading constant factor `k`.
+    pub scale: Option<f64>,
 }
 
-/// Attempts to match a single-assignment tasklet as a scaled product of
-/// three or more inputs (one/two-input products are covered by
-/// [`Pattern`]).
+/// Attempts to match a single-assignment tasklet as a [`MulChain`].
 pub fn recognize_mulchain(
     body: &[Stmt],
     inputs: &[String],
     outputs: &[String],
 ) -> Option<MulChain> {
-    if body.len() != 1 || outputs.len() != 1 {
-        return None;
-    }
-    let Stmt::Assign {
-        target,
-        index: None,
-        op: None,
-        value,
-    } = &body[0]
-    else {
-        return None;
-    };
-    if target != &outputs[0] {
-        return None;
-    }
     let mut slots = Vec::new();
-    let mut scale = 1.0f64;
-    if !collect_product(value, inputs, &mut slots, &mut scale) {
-        return None;
-    }
-    if slots.len() < 3 {
-        return None;
-    }
-    Some(MulChain { slots, scale })
+    let scale = fold_product(sole_assignment(body, outputs)?, inputs, &mut slots)?;
+    (slots.len() >= 3).then_some(MulChain { slots, scale })
 }
 
-fn collect_product(
-    e: &ExprAst,
-    inputs: &[String],
-    slots: &mut Vec<usize>,
-    scale: &mut f64,
-) -> bool {
-    match e {
-        ExprAst::Num(v) => {
-            *scale *= v;
-            true
-        }
-        ExprAst::Name(n) => match inputs.iter().position(|i| i == n) {
-            Some(slot) => {
-                slots.push(slot);
-                true
-            }
-            None => false,
-        },
-        ExprAst::Neg(inner) => {
-            *scale = -*scale;
-            collect_product(inner, inputs, slots, scale)
-        }
-        ExprAst::Bin(BinOp::Mul, a, b) => {
-            collect_product(a, inputs, slots, scale) && collect_product(b, inputs, slots, scale)
-        }
-        _ => false,
+/// Pushes the inputs of a left-folded product onto `slots` and returns its
+/// leading constant; `None` when `e` is not one.
+fn fold_product(e: &ExprAst, inputs: &[String], slots: &mut Vec<usize>) -> Option<Option<f64>> {
+    if let ExprAst::Bin(BinOp::Mul, l, r) = e {
+        let scale = fold_product(l, inputs, slots)?;
+        slots.push(input_slot(r, inputs)?);
+        return Some(scale);
     }
+    if let Some(k) = constant(e) {
+        return Some(Some(k));
+    }
+    slots.push(input_slot(e, inputs)?);
+    Some(None)
 }
 
-/// A linear combination `out = bias + Σ coeffs[i].1 · in[coeffs[i].0]` —
-/// the shape of stencil tasklets. Not part of [`Pattern`] (variable arity);
-/// recognized separately by [`recognize_lincomb`].
+/// A scaled sum `out = k * (x0 ± x1 ± …)` of two or more inputs — the
+/// shape of stencil tasklets. Evaluated as written: `acc = x0`, then
+/// `acc ±= xᵢ` in source order, then `k * acc`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinComb {
-    /// `(input slot, coefficient)` terms.
-    pub terms: Vec<(usize, f64)>,
-    /// Constant bias.
-    pub bias: f64,
+    /// Input slots in source order, each flagged when it is subtracted
+    /// (the first never is).
+    pub terms: Vec<(usize, bool)>,
+    /// The leading constant factor `k`, absent for a bare sum.
+    pub scale: Option<f64>,
 }
 
-/// Attempts to match a single-assignment tasklet as a linear combination of
-/// its inputs (e.g. `o = 0.2 * (c + w + e + n + s)`).
+/// Attempts to match a single-assignment tasklet as a [`LinComb`] (e.g.
+/// `o = 0.2 * (c + w + e + n + s)`).
 pub fn recognize_lincomb(body: &[Stmt], inputs: &[String], outputs: &[String]) -> Option<LinComb> {
-    if body.len() != 1 || outputs.len() != 1 {
-        return None;
-    }
-    let Stmt::Assign {
-        target,
-        index: None,
-        op: None,
-        value,
-    } = &body[0]
-    else {
-        return None;
+    let (scale, sum) = match sole_assignment(body, outputs)? {
+        ExprAst::Bin(BinOp::Mul, k, sum) => (Some(constant(k)?), &**sum),
+        sum => (None, sum),
     };
-    if target != &outputs[0] {
-        return None;
-    }
-    let mut terms: Vec<(usize, f64)> = Vec::new();
-    let mut bias = 0.0f64;
-    if !collect_linear(value, 1.0, inputs, &mut terms, &mut bias) {
-        return None;
-    }
-    if terms.is_empty() {
-        return None;
-    }
-    // Merge duplicate slots.
-    terms.sort_by_key(|(s, _)| *s);
-    let mut merged: Vec<(usize, f64)> = Vec::new();
-    for (s, c) in terms {
-        match merged.last_mut() {
-            Some((ls, lc)) if *ls == s => *lc += c,
-            _ => merged.push((s, c)),
-        }
-    }
-    Some(LinComb {
-        terms: merged,
-        bias,
-    })
+    let mut terms = Vec::new();
+    fold_sum(sum, inputs, &mut terms)?;
+    (terms.len() >= 2).then_some(LinComb { terms, scale })
 }
 
-/// Recursively folds `factor * e` into terms/bias; returns false when the
-/// expression is not linear in the inputs.
-fn collect_linear(
-    e: &ExprAst,
-    factor: f64,
-    inputs: &[String],
-    terms: &mut Vec<(usize, f64)>,
-    bias: &mut f64,
-) -> bool {
+/// Pushes the terms of a left-folded sum of inputs onto `terms`; `None`
+/// when `e` is not one.
+fn fold_sum(e: &ExprAst, inputs: &[String], terms: &mut Vec<(usize, bool)>) -> Option<()> {
     match e {
-        ExprAst::Num(v) => {
-            *bias += factor * v;
-            true
+        ExprAst::Bin(op @ (BinOp::Add | BinOp::Sub), l, r) => {
+            fold_sum(l, inputs, terms)?;
+            terms.push((input_slot(r, inputs)?, *op == BinOp::Sub));
         }
-        ExprAst::Name(n) => match inputs.iter().position(|i| i == n) {
-            Some(slot) => {
-                terms.push((slot, factor));
-                true
-            }
-            None => false,
-        },
-        ExprAst::Neg(inner) => collect_linear(inner, -factor, inputs, terms, bias),
-        ExprAst::Bin(BinOp::Add, a, b) => {
-            collect_linear(a, factor, inputs, terms, bias)
-                && collect_linear(b, factor, inputs, terms, bias)
-        }
-        ExprAst::Bin(BinOp::Sub, a, b) => {
-            collect_linear(a, factor, inputs, terms, bias)
-                && collect_linear(b, -factor, inputs, terms, bias)
-        }
-        ExprAst::Bin(BinOp::Mul, a, b) => {
-            // One side must be a pure constant.
-            if let Some(c) = const_of(a) {
-                collect_linear(b, factor * c, inputs, terms, bias)
-            } else if let Some(c) = const_of(b) {
-                collect_linear(a, factor * c, inputs, terms, bias)
-            } else {
-                false
-            }
-        }
-        ExprAst::Bin(BinOp::Div, a, b) => match const_of(b) {
-            Some(c) if c != 0.0 => collect_linear(a, factor / c, inputs, terms, bias),
-            _ => false,
-        },
-        _ => false,
+        e => terms.push((input_slot(e, inputs)?, false)),
     }
+    Some(())
 }
 
-fn const_of(e: &ExprAst) -> Option<f64> {
-    match e {
-        ExprAst::Num(v) => Some(*v),
-        ExprAst::Neg(inner) => const_of(inner).map(|v| -v),
-        _ => None,
-    }
-}
-
-/// Attempts to recognize the body of a compiled tasklet.
-///
-/// Requirements: exactly one statement, a plain (unindexed, non-augmented)
-/// assignment to the sole output connector, with operands that are plain
-/// (unindexed) input connector reads or constants.
+/// Attempts to recognize the body of a compiled tasklet as a [`Pattern`]:
+/// a [`sole_assignment`] whose operands are plain (unindexed) input
+/// connector reads or constants.
 pub fn recognize(body: &[Stmt], inputs: &[String], outputs: &[String]) -> Option<Pattern> {
-    if body.len() != 1 || outputs.len() != 1 {
-        return None;
-    }
-    let Stmt::Assign {
-        target,
-        index: None,
-        op: None,
-        value,
-    } = &body[0]
-    else {
-        return None;
-    };
-    if target != &outputs[0] {
-        return None;
-    }
+    let value = sole_assignment(body, outputs)?;
     let operand = |e: &ExprAst| -> Option<Operand> {
-        match e {
-            ExprAst::Num(v) => Some(Operand::Const(*v)),
-            ExprAst::Name(n) => inputs.iter().position(|i| i == n).map(Operand::Input),
-            ExprAst::Neg(inner) => match &**inner {
-                ExprAst::Num(v) => Some(Operand::Const(-v)),
-                _ => None,
-            },
-            _ => None,
-        }
+        constant(e)
+            .map(Operand::Const)
+            .or_else(|| input_slot(e, inputs).map(Operand::Input))
     };
-    let input_slot = |e: &ExprAst| -> Option<usize> {
-        match operand(e) {
-            Some(Operand::Input(i)) => Some(i),
-            _ => None,
-        }
-    };
+    let slot = |e: &ExprAst| input_slot(e, inputs);
     match value {
         // out = a
-        e if input_slot(e).is_some() => Some(Pattern::Copy {
-            input: input_slot(e).unwrap(),
-        }),
+        ExprAst::Name(_) => slot(value).map(|input| Pattern::Copy { input }),
         // out = a op b  /  fma shapes
         ExprAst::Bin(op, l, r) => {
             let kind = match op {
@@ -312,16 +242,12 @@ pub fn recognize(body: &[Stmt], inputs: &[String], outputs: &[String]) -> Option
             // FMA: out = x*y + z  or  out = z + x*y
             if kind == BinOpKind::Add {
                 if let ExprAst::Bin(BinOp::Mul, x, y) = &**l {
-                    if let (Some(a), Some(b), Some(c)) =
-                        (input_slot(x), input_slot(y), input_slot(r))
-                    {
+                    if let (Some(a), Some(b), Some(c)) = (slot(x), slot(y), slot(r)) {
                         return Some(Pattern::Fma { a, b, c });
                     }
                 }
                 if let ExprAst::Bin(BinOp::Mul, x, y) = &**r {
-                    if let (Some(a), Some(b), Some(c)) =
-                        (input_slot(x), input_slot(y), input_slot(l))
-                    {
+                    if let (Some(a), Some(b), Some(c)) = (slot(x), slot(y), slot(l)) {
                         return Some(Pattern::Fma { a, b, c });
                     }
                 }
@@ -337,7 +263,7 @@ pub fn recognize(body: &[Stmt], inputs: &[String], outputs: &[String]) -> Option
                             | (Some(Operand::Const(c)), Some(Operand::Input(i))) => Some((i, c)),
                             _ => None,
                         },
-                        _ => input_slot(e).map(|i| (i, 1.0)),
+                        _ => slot(e).map(|i| (i, 1.0)),
                     }
                 };
                 if let (Some((i, c1)), Some(Operand::Const(c2))) = (scaled(l), operand(r)) {
@@ -366,22 +292,17 @@ pub fn recognize(body: &[Stmt], inputs: &[String], outputs: &[String]) -> Option
             }
             Some(Pattern::BinOp { op: kind, a, b })
         }
-        ExprAst::Call(crate::ast::Builtin::Min, args) if args.len() == 2 => {
-            let a = operand(&args[0])?;
-            let b = operand(&args[1])?;
+        ExprAst::Call(f @ (crate::ast::Builtin::Min | crate::ast::Builtin::Max), args) => {
+            let [a, b] = &args[..] else { return None };
+            let op = if *f == crate::ast::Builtin::Min {
+                BinOpKind::Min
+            } else {
+                BinOpKind::Max
+            };
             Some(Pattern::BinOp {
-                op: BinOpKind::Min,
-                a,
-                b,
-            })
-        }
-        ExprAst::Call(crate::ast::Builtin::Max, args) if args.len() == 2 => {
-            let a = operand(&args[0])?;
-            let b = operand(&args[1])?;
-            Some(Pattern::BinOp {
-                op: BinOpKind::Max,
-                a,
-                b,
+                op,
+                a: operand(a)?,
+                b: operand(b)?,
             })
         }
         _ => None,
@@ -489,50 +410,67 @@ mod tests {
         );
     }
 
-    #[test]
-    fn recognizes_lincomb_stencil() {
-        let body = parse_tasklet("o = 0.2 * (c + w + e + nn + s)").unwrap();
-        let ins: Vec<String> = ["c", "w", "e", "nn", "s"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let lc = recognize_lincomb(&body, &ins, &["o".to_string()]).unwrap();
-        assert_eq!(lc.terms.len(), 5);
-        assert!(lc.terms.iter().all(|&(_, c)| (c - 0.2).abs() < 1e-12));
-        assert_eq!(lc.bias, 0.0);
-        // l - 2*c + r
-        let body2 = parse_tasklet("o = l - 2 * c + r").unwrap();
-        let ins2: Vec<String> = ["l", "c", "r"].iter().map(|s| s.to_string()).collect();
-        let lc2 = recognize_lincomb(&body2, &ins2, &["o".to_string()]).unwrap();
-        assert_eq!(lc2.terms, vec![(0, 1.0), (1, -2.0), (2, 1.0)]);
-        // Division by a constant is linear; by an input is not.
-        let b3 = parse_tasklet("o = (a + b) / 9").unwrap();
-        let ins3: Vec<String> = ["a", "b"].iter().map(|s| s.to_string()).collect();
-        assert!(recognize_lincomb(&b3, &ins3, &["o".to_string()]).is_some());
-        let b4 = parse_tasklet("o = a / b").unwrap();
-        assert!(recognize_lincomb(&b4, &ins3, &["o".to_string()]).is_none());
-        // Products of inputs are not linear.
-        let b5 = parse_tasklet("o = a * b").unwrap();
-        assert!(recognize_lincomb(&b5, &ins3, &["o".to_string()]).is_none());
+    fn names(n: &[&str]) -> Vec<String> {
+        n.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn lincomb(code: &str, ins: &[&str]) -> Option<LinComb> {
+        recognize_lincomb(&parse_tasklet(code).unwrap(), &names(ins), &names(&["o"]))
+    }
+
+    fn mulchain(code: &str, ins: &[&str]) -> Option<MulChain> {
+        recognize_mulchain(&parse_tasklet(code).unwrap(), &names(ins), &names(&["o"]))
     }
 
     #[test]
-    fn recognizes_mulchain() {
-        let ins: Vec<String> = ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect();
-        let body = parse_tasklet("o = a * b * c * d").unwrap();
-        let mc = recognize_mulchain(&body, &ins, &["o".to_string()]).unwrap();
-        assert_eq!(mc.slots, vec![0, 1, 2, 3]);
-        assert_eq!(mc.scale, 1.0);
-        let body2 = parse_tasklet("o = 2 * a * -b * c").unwrap();
-        let mc2 = recognize_mulchain(&body2, &ins, &["o".to_string()]).unwrap();
-        assert_eq!(mc2.slots, vec![0, 1, 2]);
-        assert_eq!(mc2.scale, -2.0);
-        // Two-input products are Pattern::BinOp territory.
-        let body3 = parse_tasklet("o = a * b").unwrap();
-        assert!(recognize_mulchain(&body3, &ins, &["o".to_string()]).is_none());
-        // Sums disqualify.
-        let body4 = parse_tasklet("o = a * b * (c + d)").unwrap();
-        assert!(recognize_mulchain(&body4, &ins, &["o".to_string()]).is_none());
+    fn recognizes_lincomb_as_written() {
+        let ins = ["c", "w", "e", "nn", "s"];
+        let lc = lincomb("o = 0.2 * (c + w + e + nn + s)", &ins).unwrap();
+        let plus = |s| (s, false);
+        assert_eq!(lc.terms, vec![plus(0), plus(1), plus(2), plus(3), plus(4)]);
+        assert_eq!(lc.scale, Some(0.2));
+        // Source order, not slot order; subtraction stays subtraction.
+        let lc = lincomb("o = -0.5 * (s - c + w)", &ins).unwrap();
+        assert_eq!(lc.terms, vec![(4, false), (0, true), (1, false)]);
+        assert_eq!(lc.scale, Some(-0.5));
+        let lc = lincomb("o = c + w - e", &ins).unwrap();
+        assert_eq!((lc.terms.len(), lc.scale), (3, None));
+        // Anything the kernel would have to reassociate is not one: a sum
+        // that is not left-folded, a trailing or inner factor, a constant
+        // term, a division.
+        for code in [
+            "o = 0.2 * (c + (w + e))",
+            "o = (c + w + e) * 0.2",
+            "o = c - 2 * w + e",
+            "o = 0.2 * (c + w + 1)",
+            "o = (c + w) / 9",
+            "o = c * w",
+        ] {
+            assert_eq!(lincomb(code, &ins), None, "{code}");
+        }
+    }
+
+    #[test]
+    fn recognizes_mulchain_as_written() {
+        let ins = ["a", "b", "c", "d"];
+        let mc = mulchain("o = a * b * c * d", &ins).unwrap();
+        assert_eq!((mc.slots, mc.scale), (vec![0, 1, 2, 3], None));
+        let mc = mulchain("o = -2 * c * a * b", &ins).unwrap();
+        assert_eq!((mc.slots, mc.scale), (vec![2, 0, 1], Some(-2.0)));
+        for code in [
+            // Two-input products are Pattern::BinOp territory.
+            "o = a * b",
+            // Sums disqualify.
+            "o = a * b * (c + d)",
+            // Nested products and constants past the first factor would
+            // reassociate, and a negated input is no constant.
+            "o = a * (b * c)",
+            "o = w * 0.3 * c * 0.7",
+            "o = a * b * c * 2",
+            "o = 2 * a * -b * c",
+        ] {
+            assert_eq!(mulchain(code, &["a", "b", "c", "d", "w"]), None, "{code}");
+        }
     }
 
     #[test]
