@@ -19,7 +19,8 @@
 //! ```text
 //! harness atax bicg --opt            # print optimization reports,
 //!                                    # verify vs the interpreter
-//! harness atax bicg --opt --profile  # + hot-path table per kernel
+//! harness atax bicg --opt --profile  # + hot-path table and
+//!                                    # trace-<kernel>.json per kernel
 //! ```
 //!
 //! With `--target cpu|gpu|fpga|hetero`, kernels run through the
@@ -39,11 +40,10 @@
 //! Observability flags (any mode): `--metrics-out FILE` writes the
 //! Prometheus text exposition of the global metrics registry after the
 //! run; `--ledger FILE` appends one JSONL run record per executor run
-//! (same as `SDFG_RUN_LOG`); `--trace-out FILE` drains the flight
-//! recorder to a Chrome trace (implies full sampling unless
-//! `SDFG_TRACE_SAMPLE` is set). `harness obs-check metrics.prom
-//! ledger.jsonl [trace.json]` validates artifacts a previous run wrote —
-//! part of CI's smoke job.
+//! (same as `SDFG_RUN_LOG`). Traces come only from `--profile`; modes
+//! that never profile (`--target`, the figure experiments) write none.
+//! `harness obs-check metrics.prom ledger.jsonl [trace.json]` validates
+//! artifacts a previous run wrote — part of CI's smoke job.
 //!
 //! `harness emit-sdfg <kernel> [--scale N]` prints a kernel's serialized
 //! SDFG, and `harness emit-invoke <kernel> [--scale N]` prints an
@@ -100,7 +100,6 @@ fn main() {
     let obs = x::obs::ObsConfig {
         metrics_out: get_str("--metrics-out"),
         ledger: get_str("--ledger"),
-        trace_out: get_str("--trace-out"),
     };
     obs.setup();
     let code = dispatch(&args);
@@ -140,14 +139,13 @@ fn dispatch(args: &[String]) -> i32 {
     });
     // Positional (non-flag, non-flag-value) args are kernel names in the
     // target/opt modes and the experiment name otherwise.
-    const VALUE_FLAGS: [&str; 7] = [
+    const VALUE_FLAGS: [&str; 6] = [
         "--scale",
         "--reps",
         "--kernels",
         "--target",
         "--metrics-out",
         "--ledger",
-        "--trace-out",
     ];
     let positionals: Vec<String> = args
         .iter()

@@ -629,6 +629,15 @@ pub fn profiled_kernels() -> Vec<NamedKernel> {
     ks
 }
 
+/// Writes a profiled run's Chrome trace to `trace-<kernel>.json`.
+fn write_trace(name: &str, report: &sdfg_profile::InstrumentationReport) {
+    let path = format!("trace-{name}.json");
+    match std::fs::write(&path, report.chrome_trace()) {
+        Ok(()) => println!("chrome trace written to {path}"),
+        Err(e) => println!("could not write {path}: {e}"),
+    }
+}
+
 /// `--profile` mode: runs each kernel of [`profiled_kernels`] once with
 /// instrumentation forced on every state and map scope, prints the sorted
 /// hot-path table, and writes one Chrome trace-event JSON per kernel (load
@@ -660,11 +669,7 @@ pub fn profiled(only: &str, scale: usize) {
         );
         print!("{}", report.hot_path_table());
         print!("{}", lowering_table(&lowerings));
-        let path = format!("trace-{name}.json");
-        match std::fs::write(&path, report.chrome_trace()) {
-            Ok(()) => println!("chrome trace written to {path}"),
-            Err(e) => println!("could not write {path}: {e}"),
-        }
+        write_trace(name, &report);
         println!();
     }
     if !matched {
@@ -680,9 +685,10 @@ pub fn profiled(only: &str, scale: usize) {
 /// The `harness <kernels...> --opt` mode: runs each kernel through the
 /// automatic optimization pipeline, prints the optimization report (which
 /// transformations fired where, what was skipped and why), and verifies
-/// the optimized executor against the reference interpreter on the
-/// untransformed SDFG. With `profile`, also prints the hot-path table of
-/// the optimized run under forced timers.
+/// the optimized executor bit for bit against the reference interpreter
+/// on the untransformed SDFG. With `profile`, also prints the hot-path
+/// table of the optimized run under forced timers and writes its Chrome
+/// trace to `trace-<kernel>.json`.
 pub fn optimized(only: &[String], scale: usize, level: sdfg_exec::OptLevel, profile: bool) {
     println!("# Optimized run (scale {scale}, level {})", level.as_str());
     let mut matched = false;
@@ -719,7 +725,12 @@ pub fn optimized(only: &[String], scale: usize, level: sdfg_exec::OptLevel, prof
             }
         };
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        sdfg_workloads::workload::assert_allclose(&w.check, out.arrays(), &want, 1e-9);
+        for a in &w.check {
+            assert!(
+                crate::targets::bits_equal(&out.arrays()[a], &want[a]),
+                "{name}: optimized `{a}` differs from the interpreter"
+            );
+        }
         println!("## {name} — wall {wall_ms:.3} ms, outputs match interpreter");
         match session.opt_report() {
             Some(r) => print!("{r}"),
@@ -728,6 +739,7 @@ pub fn optimized(only: &[String], scale: usize, level: sdfg_exec::OptLevel, prof
         if profile {
             if let Some(report) = out.report() {
                 print!("{}", report.hot_path_table());
+                write_trace(name, report);
             }
         } else {
             // Cheap counters are tracked even with profiling off; the

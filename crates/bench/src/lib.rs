@@ -24,9 +24,9 @@
 //! crate reproduces the paper's figures and verifies results.
 //!
 //! Any mode accepts the observability flags (see [`obs`]):
-//! `--metrics-out` (Prometheus exposition), `--ledger` (JSONL run
-//! records), `--trace-out` (flight-recorder Chrome trace); `harness
-//! obs-check` validates the artifacts — CI's smoke job.
+//! `--metrics-out` (Prometheus exposition) and `--ledger` (JSONL run
+//! records); `--profile` writes the Chrome traces. `harness obs-check`
+//! validates the artifacts — CI's smoke job.
 
 pub mod emit;
 pub mod experiments;

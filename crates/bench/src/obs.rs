@@ -1,6 +1,6 @@
-//! Observability plumbing for the harness: the `--metrics-out`,
-//! `--ledger` and `--trace-out` flags, and the `obs-check` validation
-//! mode CI's `obs-smoke` job runs against the artifacts they produce.
+//! Observability plumbing for the harness: the `--metrics-out` and
+//! `--ledger` flags, and the `obs-check` validation mode CI's smoke job
+//! runs against the artifacts they produce.
 //!
 //! The flags arm the process-global sinks in `sdfg-profile` before the
 //! selected harness mode runs and drain them afterwards:
@@ -8,18 +8,20 @@
 //! * `--metrics-out FILE` writes the Prometheus text exposition of the
 //!   global [`sdfg_profile::metrics`] registry;
 //! * `--ledger FILE` points the run ledger at FILE (one JSONL record per
-//!   executor run, same as setting `SDFG_RUN_LOG`);
-//! * `--trace-out FILE` drains the flight recorder to a Chrome trace;
-//!   when `SDFG_TRACE_SAMPLE` is unset it implies full sampling.
+//!   executor run, same as setting `SDFG_RUN_LOG`).
+//!
+//! Traces come from the per-run instrumentation report: `--profile`
+//! writes `trace-<kernel>.json` via
+//! [`sdfg_profile::InstrumentationReport::chrome_trace`].
 //!
 //! `harness obs-check metrics.prom ledger.jsonl [trace.json]` then
 //! re-parses the artifacts with the in-tree JSON reader and the
-//! exposition validator, failing loudly on malformed output or missing
-//! required metric families.
+//! exposition validator, failing loudly on malformed output, missing
+//! required metric families or a trace without complete spans.
 
 use sdfg_core::serialize::parse_json;
 use sdfg_profile::metrics;
-use sdfg_profile::{counters, flight, ledger};
+use sdfg_profile::{counters, ledger};
 use std::path::Path;
 
 /// Metric families `obs-check` requires in an exposition produced by a
@@ -64,8 +66,6 @@ pub struct ObsConfig {
     pub metrics_out: Option<String>,
     /// Append one JSONL run record here per executor run.
     pub ledger: Option<String>,
-    /// Drain the flight recorder to a Chrome trace here after the run.
-    pub trace_out: Option<String>,
 }
 
 impl ObsConfig {
@@ -73,9 +73,6 @@ impl ObsConfig {
     pub fn setup(&self) {
         if let Some(p) = &self.ledger {
             ledger::set_path(Some(Path::new(p)));
-        }
-        if self.trace_out.is_some() && std::env::var("SDFG_TRACE_SAMPLE").is_err() {
-            flight::set_sample_rate(1.0);
         }
     }
 
@@ -86,14 +83,6 @@ impl ObsConfig {
             match std::fs::write(p, &text) {
                 Ok(()) => eprintln!("wrote metrics exposition {p}"),
                 Err(e) => eprintln!("cannot write metrics exposition {p}: {e}"),
-            }
-        }
-        if let Some(p) = &self.trace_out {
-            let lanes = flight::drain();
-            let events: usize = lanes.iter().map(|(_, evs)| evs.len()).sum();
-            match std::fs::write(p, flight::chrome_trace(&lanes)) {
-                Ok(()) => eprintln!("wrote flight-recorder trace {p} ({events} events)"),
-                Err(e) => eprintln!("cannot write trace {p}: {e}"),
             }
         }
         if let Some(p) = &self.ledger {
@@ -167,16 +156,39 @@ pub fn check_ledger(src: &str) -> (Vec<String>, usize) {
 
 /// Validates a Chrome trace file: parseable JSON, either the bare
 /// event-array form this repo emits or an object with a `traceEvents`
-/// array. Returns failure messages plus the event count.
+/// array, holding at least one complete (`"ph":"X"`) event, each with
+/// numeric `ts`, `dur`, `pid` and `tid`. Returns failure messages plus
+/// the event count.
 pub fn check_trace(src: &str) -> (Vec<String>, usize) {
-    let events = parse_json(src).and_then(|root| match root {
-        sdfg_core::serialize::Json::Arr(events) => Ok(events.len()),
-        obj => obj.arr_field("traceEvents").map(<[_]>::len),
-    });
-    match events {
-        Ok(n) => (Vec::new(), n),
-        Err(e) => (vec![format!("malformed trace: {e}")], 0),
+    use sdfg_core::serialize::Json;
+    let root = match parse_json(src) {
+        Ok(root) => root,
+        Err(e) => return (vec![format!("malformed trace: {e}")], 0),
+    };
+    let events = match &root {
+        Json::Arr(events) => events.as_slice(),
+        obj => match obj.arr_field("traceEvents") {
+            Ok(events) => events,
+            Err(e) => return (vec![format!("malformed trace: {e}")], 0),
+        },
+    };
+    let mut failures = Vec::new();
+    let mut spans = 0usize;
+    for (i, ev) in events.iter().enumerate() {
+        if ev.str_field("ph") != Ok("X") {
+            continue;
+        }
+        spans += 1;
+        for f in ["ts", "dur", "pid", "tid"] {
+            if ev.num_field(f).is_err() {
+                failures.push(format!("trace event {i}: `X` event without numeric `{f}`"));
+            }
+        }
     }
+    if spans == 0 {
+        failures.push("trace holds no complete (`\"ph\":\"X\"`) events".into());
+    }
+    (failures, events.len())
 }
 
 /// The `harness obs-check` entry point: validates a metrics exposition,
@@ -307,25 +319,40 @@ mod tests {
 
     #[test]
     fn chrome_trace_roundtrips_through_check_trace() {
-        let lanes = vec![(
-            0u32,
-            vec![sdfg_profile::flight::Event {
-                t_ns: 10,
-                dur_ns: 5,
-                kind: sdfg_profile::flight::EventKind::LaunchBegin,
-                a: 0,
-                b: 0,
-            }],
-        )];
-        let trace = flight::chrome_trace(&lanes);
+        let c = sdfg_profile::ProfileCollector::new();
+        let mut wp = sdfg_profile::WorkerProfile::new(0);
+        wp.timeline.push(sdfg_profile::Span {
+            key: sdfg_profile::SpanKey::State(0),
+            worker: 0,
+            start_ns: 10,
+            dur_ns: 5,
+        });
+        c.absorb(wp);
+        let trace = c.finish(std::time::Duration::from_micros(1)).chrome_trace();
         let (failures, events) = check_trace(&trace);
         assert!(failures.is_empty(), "{failures:?}");
         assert!(events >= 1);
         let (failures, _) = check_trace("{\"no\": 1}");
         assert!(!failures.is_empty());
         // The object form is accepted too.
-        let (failures, events) = check_trace("{\"traceEvents\": [{\"ph\": \"M\"}]}");
+        let span = "{\"ph\":\"X\",\"ts\":1,\"dur\":2,\"pid\":1,\"tid\":0}";
+        let (failures, events) =
+            check_trace(&format!("{{\"traceEvents\": [{{\"ph\": \"M\"}}, {span}]}}"));
         assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(events, 1);
+        assert_eq!(events, 2);
+    }
+
+    #[test]
+    fn trace_without_complete_events_fails() {
+        let (failures, _) = check_trace("[]");
+        assert!(!failures.is_empty());
+        let (failures, _) = check_trace("[{\"ph\": \"M\", \"pid\": 1}]");
+        assert!(!failures.is_empty());
+    }
+
+    #[test]
+    fn complete_event_without_ts_fails() {
+        let (failures, _) = check_trace("[{\"ph\":\"X\",\"dur\":2,\"pid\":1,\"tid\":0}]");
+        assert!(failures.iter().any(|f| f.contains("`ts`")), "{failures:?}");
     }
 }

@@ -8,13 +8,11 @@
 //! statistics (state visits, modeled compute/copy time, host↔device
 //! transfer bytes).
 //!
-//! Verification is two-sided: the targeted run must match the plain CPU
-//! executor on the untransformed SDFG **bit-for-bit** (device dispatch,
-//! transforms, and transfer staging must not change a single ulp), and
-//! must match the reference interpreter within a `1e-9` relative
-//! tolerance (the two engines legitimately differ in float accumulation
-//! order on a few kernels, so bitwise equality across engines is not
-//! required).
+//! Verification is two-sided: the targeted run must match, **bit for
+//! bit**, both the plain CPU executor on the untransformed SDFG (device
+//! dispatch, transforms, and transfer staging must not change a single
+//! ulp) and the reference interpreter (every tier computes the
+//! interpreter's arithmetic).
 
 use sdfg_core::Sdfg;
 use sdfg_exec::{Runtime, RuntimeReport};
@@ -109,33 +107,26 @@ pub struct TargetRun {
     /// `check` arrays whose bits differ from the plain CPU executor on
     /// the untransformed SDFG (0 = pass).
     pub bitwise_mismatches: usize,
-    /// `check` arrays outside the `1e-9` relative tolerance against the
-    /// reference interpreter (0 = pass).
+    /// `check` arrays whose bits differ from the reference interpreter
+    /// (0 = pass).
     pub interp_mismatches: usize,
 }
 
 impl TargetRun {
-    /// Bitwise-identical to the CPU executor and within tolerance of the
-    /// interpreter.
+    /// Bitwise-identical to the CPU executor and to the interpreter.
     pub fn verified(&self) -> bool {
         self.bitwise_mismatches == 0 && self.interp_mismatches == 0
     }
 }
 
-fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+/// True when `a` and `b` hold the same `f64` bit patterns.
+pub(crate) fn bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-fn allclose(a: &[f64], b: &[f64], rel: f64) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| (x - y).abs() <= rel * (1.0 + y.abs()))
 }
 
 /// Runs one workload under `target` and verifies every `check` array
 /// bit-for-bit against the plain CPU executor on the untransformed SDFG
-/// and within `1e-9` relative tolerance against the interpreter.
+/// and against the interpreter.
 pub fn run_workload_targeted(w: &Workload, target: Target) -> Result<TargetRun, String> {
     let interp = w.run_interp().map_err(|e| format!("interpreter: {e}"))?;
     let (cpu, _, _) = w.run_exec().map_err(|e| format!("cpu executor: {e}"))?;
@@ -164,7 +155,7 @@ pub fn run_workload_targeted(w: &Workload, target: Target) -> Result<TargetRun, 
         if !bits_equal(got, base) {
             bitwise_mismatches += 1;
         }
-        if !allclose(got, want, 1e-9) {
+        if !bits_equal(got, want) {
             interp_mismatches += 1;
         }
     }

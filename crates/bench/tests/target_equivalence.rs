@@ -3,8 +3,8 @@
 //! Every kernel routed through the heterogeneous runtime under the GPU
 //! and FPGA targets must produce outputs bit-for-bit identical to the
 //! plain CPU executor on the untransformed SDFG (device dispatch,
-//! transforms, and transfer staging may not change a single ulp), and
-//! within `1e-9` relative tolerance of the reference interpreter.
+//! transforms, and transfer staging may not change a single ulp) and to
+//! the reference interpreter.
 
 use sdfg_bench::targets::{run_workload_targeted, Target};
 use sdfg_workloads::polybench;
@@ -17,7 +17,7 @@ fn check_target(target: Target) {
         let w = (k.build)(SCALE);
         match run_workload_targeted(&w, target) {
             Ok(run) if !run.verified() => failures.push(format!(
-                "{}: {} bitwise mismatches vs cpu executor, {} tolerance \
+                "{}: {} bitwise mismatches vs cpu executor, {} bitwise \
                  mismatches vs interpreter",
                 k.name, run.bitwise_mismatches, run.interp_mismatches
             )),

@@ -266,12 +266,6 @@ pub(crate) fn exec_map(
     worker: &mut Worker,
 ) -> Result<(), ExecError> {
     ctx.stats.map_launches.fetch_add(1, Ordering::Relaxed);
-    {
-        use sdfg_profile::flight;
-        if flight::enabled() {
-            flight::record(flight::EventKind::MapLaunch, sid.0 as u64, entry.0 as u64);
-        }
-    }
     let pkey = (sid.0, entry.0);
     let pmode = match &ctx.prof {
         Some(p) => p.map_mode(pkey),
@@ -1428,8 +1422,12 @@ pub(crate) fn exec_nested(
     };
     let mut sub = Executor::new(nested);
     // The nested run inherits the enclosing run's JIT decision, so a
-    // JIT-off differential run stays JIT-off all the way down.
+    // JIT-off differential run stays JIT-off all the way down, and its
+    // profiling switch, so its spans reach the enclosing report.
     sub.jit = ctx.jit;
+    if let Some(p) = &ctx.prof {
+        sub.profiling = p.profiling;
+    }
     // Nested SDFGs share the caller's scheduler pool when the enclosing
     // context is provably safe (same gate as nested maps): outside any
     // parallel region, no thread-local overlays, not inside a pool tile.
@@ -1462,6 +1460,9 @@ pub(crate) fn exec_nested(
         sub.arrays.insert(conn.clone(), w);
     }
     sub.run()?;
+    if let (Some(p), Some(report)) = (&ctx.prof, sub.last_report.take()) {
+        p.collector.absorb_nested(report);
+    }
     for e in state.graph.out_edges(n) {
         let df = state.graph.edge(e);
         let Some(conn) = &df.src_conn else { continue };

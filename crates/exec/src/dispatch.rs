@@ -188,12 +188,6 @@ fn drive_states(
         }
         visit(ctx, cur, worker)?;
         counts.states += 1;
-        {
-            use sdfg_profile::flight;
-            if flight::enabled() {
-                flight::record(flight::EventKind::StateRun, cur.0 as u64, 0);
-            }
-        }
         let slot = cur.0 as usize;
         if counts.visits.len() <= slot {
             counts.visits.resize(slot + 1, 0);
@@ -583,19 +577,14 @@ pub(crate) fn route_state(
 /// directly. Bytes land in the owning backend's [`BackendStats::xfer`] and
 /// time is charged via [`Backend::transfer_time`].
 /// Observability side of one host↔device transfer: per-run byte counters
-/// on the executor's stats plus a sampled flight-recorder event. The
-/// direction-labelled global metrics are added once per run (from the
-/// stats deltas) by `Executor::run_with`.
+/// on the executor's stats. The direction-labelled global metrics are
+/// added once per run (from the stats deltas) by `Executor::run_with`.
 fn account_transfer_obs(ctx: &Ctx<'_>, bytes: u64, h2d: bool) {
-    use sdfg_profile::flight;
     use std::sync::atomic::Ordering;
     if h2d {
         ctx.stats.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
     } else {
         ctx.stats.d2h_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-    if flight::enabled() {
-        flight::record(flight::EventKind::Transfer, bytes, (!h2d) as u64);
     }
 }
 

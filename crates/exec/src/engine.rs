@@ -192,6 +192,9 @@ pub struct Executor<'s> {
 /// state execution / map launch, never per point. `None` in `Ctx::prof`
 /// is the zero-overhead path.
 pub(crate) struct Prof {
+    /// The engine switch this plan was resolved from (nested SDFG runs
+    /// inherit it).
+    pub(crate) profiling: Profiling,
     pub(crate) collector: ProfileCollector,
     pub(crate) state_modes: HashMap<u32, ProfMode>,
     pub(crate) map_modes: HashMap<(u32, u32), ProfMode>,
@@ -239,6 +242,7 @@ impl Prof {
             }
         }
         Some(Prof {
+            profiling,
             collector,
             state_modes,
             map_modes,
@@ -891,15 +895,11 @@ impl<'s> Executor<'s> {
     where
         F: for<'a, 'b> FnOnce(&'a Self, &'b Ctx<'a>) -> Result<(), ExecError>,
     {
-        use sdfg_profile::flight;
         let run_t0 = std::time::Instant::now();
         // The run's own counters: every event below is counted here.
         let stats = AtomicStats::default();
         self.prepare(&stats)?;
         let chash = self.content_hash();
-        if flight::enabled() {
-            flight::record(flight::EventKind::LaunchBegin, chash, 0);
-        }
         // Keep the scheduler pool in sync with the requested thread count
         // (a serial run has none).
         let nthreads = self.nthreads.max(1);
@@ -1016,12 +1016,11 @@ impl<'s> Executor<'s> {
     }
 
     /// Always-on observability for one completed run: bumps the global
-    /// metrics registry, closes the flight-recorder launch span, and
-    /// appends the run-ledger record. Costs a handful of relaxed atomic
-    /// adds per run; the ledger/flight branches are single relaxed loads
-    /// when disabled.
+    /// metrics registry and appends the run-ledger record. Costs a handful
+    /// of relaxed atomic adds per run; the ledger branch is a single
+    /// relaxed load when disabled.
     fn observe_run(&self, chash: u64, wall: Duration) {
-        use sdfg_profile::{flight, ledger, metrics};
+        use sdfg_profile::{ledger, metrics};
         let wall_ms = wall.as_secs_f64() * 1e3;
         let s = &self.stats;
         let m = metrics::core();
@@ -1062,9 +1061,6 @@ impl<'s> Executor<'s> {
         }
         if s.map_launches > par {
             m.map_launches_seq.add(s.map_launches - par);
-        }
-        if flight::enabled() {
-            flight::record(flight::EventKind::LaunchEnd, chash, s.states_executed);
         }
         if ledger::enabled() {
             let mut rec = ledger::RunRecord {

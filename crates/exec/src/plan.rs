@@ -155,21 +155,14 @@ impl PlanCache {
     /// Fetches (or creates) the plan for `key`; the flag reports whether
     /// the lookup hit an existing plan.
     pub(crate) fn lookup(&self, key: PlanKey) -> (Arc<ExecutionPlan>, bool) {
-        use sdfg_profile::flight;
         let mut plans = self.plans.lock();
         match plans.get(&key) {
             Some(p) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                if flight::enabled() {
-                    flight::record(flight::EventKind::PlanCacheHit, key.sdfg_hash, 0);
-                }
                 (p.clone(), true)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                if flight::enabled() {
-                    flight::record(flight::EventKind::PlanCacheMiss, key.sdfg_hash, 0);
-                }
                 let p = Arc::new(ExecutionPlan::default());
                 plans.insert(key, p.clone());
                 (p, false)

@@ -80,18 +80,10 @@ impl BufferPool {
     /// parked buffer of the matching size class when one is available.
     /// The acquisition is counted for the pool and for the run `run`.
     pub(crate) fn acquire(&self, len: usize, run: &AtomicStats) -> Vec<f64> {
-        use sdfg_profile::flight;
         self.acquires.fetch_add(1, Ordering::Relaxed);
         run.pool_acquires.fetch_add(1, Ordering::Relaxed);
         let class = Self::class(len);
         let recycled = self.bins.lock().get_mut(&class).and_then(Vec::pop);
-        if flight::enabled() {
-            flight::record(
-                flight::EventKind::PoolAcquire,
-                len as u64,
-                recycled.is_some() as u64,
-            );
-        }
         match recycled {
             Some(mut v) => {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
@@ -120,13 +112,9 @@ impl BufferPool {
     /// happens on the acquire side. Buffers beyond the per-class retention
     /// cap (or with no capacity) are dropped.
     pub fn release(&self, v: Vec<f64>) {
-        use sdfg_profile::flight;
         let cap = v.capacity();
         if cap == 0 {
             return;
-        }
-        if flight::enabled() {
-            flight::record(flight::EventKind::PoolRelease, cap as u64, 0);
         }
         // Bin by the largest power of two the capacity can serve, so a
         // future `acquire` popping this buffer never reallocates.

@@ -212,29 +212,16 @@ impl Shared {
     /// while tiles are in flight elsewhere (they may be re-installed for
     /// stealing). Returns (tiles, steals, idle time).
     fn work_loop(&self, slot: usize, f: &(dyn Fn(usize, usize) + Sync)) -> (u64, u64, u64) {
-        use sdfg_profile::flight;
         let entered = Instant::now();
         let mut tiles = 0u64;
         let mut steals = 0u64;
         let mut busy_ns = 0u64;
         let nworkers = self.deques.len();
-        // One tile execution, timed for the busy/idle split and (when the
-        // flight recorder samples it) traced as a span.
+        // One tile execution, timed for the busy/idle split.
         let mut run_tile = |i: u32| {
-            let tracing = flight::enabled();
-            let t0_epoch = if tracing { sdfg_profile::epoch_ns() } else { 0 };
             let t0 = Instant::now();
             f(slot, i as usize);
             let dur = t0.elapsed().as_nanos() as u64;
-            if tracing {
-                flight::record_span(
-                    flight::EventKind::TileRun,
-                    t0_epoch,
-                    dur,
-                    i as u64,
-                    slot as u64,
-                );
-            }
             busy_ns += dur;
             tiles += 1;
             self.pending.fetch_sub(1, Ordering::AcqRel);
@@ -247,9 +234,6 @@ impl Shared {
             for k in 1..nworkers {
                 let victim = (slot + k) % nworkers;
                 if let Some(i) = self.steal(slot, victim) {
-                    if flight::enabled() {
-                        flight::record(flight::EventKind::Steal, victim as u64, slot as u64);
-                    }
                     stolen = Some(i);
                     break;
                 }

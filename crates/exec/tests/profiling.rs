@@ -218,3 +218,74 @@ fn interpreter_profiles_as_worker_zero() {
     );
     assert_eq!(it.array("A"), ex.array("A"));
 }
+
+/// An outer map over the rows of `A` (2×4) invoking a nested SDFG that
+/// doubles its 4-vector with a map labelled `inner_double`.
+fn nested_kernel() -> Sdfg {
+    use sdfg_core::{MapScope, Memlet};
+    use sdfg_symbolic::SymRange;
+    let mut inner_b = SdfgBuilder::new("double4");
+    inner_b.array("X", &["4"], DType::F64);
+    let ist = inner_b.state("s");
+    inner_b.mapped_tasklet(
+        ist,
+        "inner_double",
+        &[("i", "0:4")],
+        &[("x", "X", "i")],
+        "o = x * 2",
+        &[("o", "X", "i")],
+    );
+    let inner = inner_b.build().unwrap();
+    let mut sdfg = Sdfg::new("outer");
+    sdfg.add_array("A", &["2", "4"], DType::F64);
+    let sid = sdfg.add_state("main");
+    let st = sdfg.state_mut(sid);
+    let a_r = st.add_access("A");
+    let a_w = st.add_access("A");
+    let (me, mx) = st.add_map(MapScope::new(
+        "rows",
+        vec!["r".into()],
+        vec![SymRange::new(0, 2)],
+    ));
+    let nested = st.add_node(Node::NestedSdfg {
+        sdfg: Box::new(inner),
+        symbol_mapping: Default::default(),
+        inputs: vec!["X".into()],
+        outputs: vec!["X".into()],
+    });
+    st.add_edge(a_r, None, me, Some("IN_A"), Memlet::parse("A", "0:2, 0:4"));
+    st.add_edge(
+        me,
+        Some("OUT_A"),
+        nested,
+        Some("X"),
+        Memlet::parse("A", "r, 0:4"),
+    );
+    st.add_edge(
+        nested,
+        Some("X"),
+        mx,
+        Some("IN_A"),
+        Memlet::parse("A", "r, 0:4"),
+    );
+    st.add_edge(mx, Some("OUT_A"), a_w, None, Memlet::parse("A", "0:2, 0:4"));
+    sdfg.validate().expect("valid");
+    sdfg
+}
+
+#[test]
+fn nested_sdfg_runs_appear_in_the_trace_under_their_own_pid() {
+    let sdfg = nested_kernel();
+    let mut ex = Executor::new(&sdfg);
+    ex.enable_profiling(Profiling::ForceTimers);
+    ex.set_array("A", (0..8).map(f64::from).collect());
+    ex.run().expect("exec runs");
+    let expect: Vec<f64> = (0..8).map(|x| 2.0 * f64::from(x)).collect();
+    assert_eq!(ex.array("A"), expect.as_slice());
+    let trace = ex.last_report.as_ref().expect("report").chrome_trace();
+    // The inner map's spans are in the trace, and each of the two nested
+    // runs (one per row) names a process of its own beside the outer one.
+    assert!(trace.contains("\"name\":\"inner_double"), "{trace}");
+    let processes = trace.matches("\"name\":\"process_name\"").count();
+    assert_eq!(processes, 3, "{trace}");
+}

@@ -259,8 +259,6 @@ impl<'s> Interpreter<'s> {
 
     /// Runs the SDFG to completion.
     pub fn run(&mut self) -> Result<(), InterpError> {
-        use sdfg_profile::flight;
-        let run_t0 = std::time::Instant::now();
         self.prepare()?;
         self.prof = InterpProf::build(self.sdfg, self.profiling);
         let result = self.run_states();
@@ -276,11 +274,6 @@ impl<'s> Interpreter<'s> {
         }
         if result.is_ok() {
             sdfg_profile::metrics::core().interp_runs.inc();
-            if flight::enabled() {
-                let dur = run_t0.elapsed().as_nanos() as u64;
-                let t0 = sdfg_profile::epoch_ns().saturating_sub(dur);
-                flight::record_span(flight::EventKind::InterpRun, t0, dur, 0, 0);
-            }
         }
         result
     }

@@ -20,24 +20,20 @@
 //!
 //! # Observability subsystem
 //!
-//! Beyond on-demand span profiling, this crate hosts three always-available
+//! Beyond on-demand span profiling, this crate hosts two always-available
 //! observability layers (see DESIGN.md § Observability):
 //!
 //! * [`metrics`] — a process-global registry of counters/gauges/histograms
 //!   with sharded atomics and Prometheus text exposition.
-//! * [`flight`] — a sampled flight recorder of compact structured events
-//!   in bounded per-thread rings (`SDFG_TRACE_SAMPLE`).
 //! * [`ledger`] — an append-only JSONL record of every executor run
 //!   (`SDFG_RUN_LOG`).
 //!
 //! The per-run counters the ledger records and the metrics registry
-//! accumulates are declared once, in the [`counters`] table.
-//!
-//! All three share one monotonic clock base ([`process_epoch`]) with the
-//! span profiler, so every artifact lands on the same timeline.
+//! accumulates are declared once, in the [`counters`] table. The span
+//! profiler is the one span recorder: its [`InstrumentationReport`] is
+//! the only source of timeline traces.
 
 pub mod counters;
-pub mod flight;
 pub mod ledger;
 pub mod metrics;
 
@@ -47,9 +43,9 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The shared monotonic clock base: one `Instant` per process, fixed on
-/// first use. Every collector, worker, and flight-recorder lane stamps
-/// times against this epoch, so spans from nested executors and
-/// concurrent runs align on one timeline.
+/// first use. Every collector and worker stamps times against this
+/// epoch, so spans from nested executors and concurrent runs align on
+/// one timeline.
 pub fn process_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -305,6 +301,7 @@ struct Merged {
     timeline: Vec<Span>,
     bytes_moved: u64,
     workers: u32,
+    nested: Vec<InstrumentationReport>,
 }
 
 impl Default for ProfileCollector {
@@ -375,6 +372,13 @@ impl ProfileCollector {
         m.bytes_moved += wp.bytes_moved;
     }
 
+    /// Keeps the report of a nested SDFG run invoked during this run; its
+    /// spans render under its own `pid` in [`InstrumentationReport::chrome_trace`].
+    pub fn absorb_nested(&self, report: InstrumentationReport) {
+        let mut m = self.merged.lock().unwrap_or_else(|p| p.into_inner());
+        m.nested.push(report);
+    }
+
     /// Produces the final report. `wall` is the end-to-end run time as
     /// measured by the driver.
     pub fn finish(self, wall: Duration) -> InstrumentationReport {
@@ -383,6 +387,8 @@ impl ProfileCollector {
         let mut timeline = m.timeline;
         // Deterministic ordering regardless of absorb order.
         timeline.sort_by_key(|s| (s.start_ns, s.worker, s.dur_ns));
+        let mut nested = m.nested;
+        nested.sort_by_key(|r| r.pid);
         InstrumentationReport {
             wall,
             states: m.states.into_iter().collect(),
@@ -395,6 +401,7 @@ impl ProfileCollector {
             exec: ExecCounters::default(),
             sched: Vec::new(),
             pid: self.pid,
+            nested,
         }
     }
 }
@@ -482,6 +489,8 @@ pub struct InstrumentationReport {
     pub sched: Vec<SchedWorker>,
     /// Trace process id of the collector that produced this report.
     pub pid: u32,
+    /// Reports of the nested SDFG runs invoked during this run, by `pid`.
+    pub nested: Vec<InstrumentationReport>,
 }
 
 /// Renders the always-on counters footer — plan-cache/pool counters and
@@ -678,18 +687,25 @@ impl InstrumentationReport {
 
     /// Renders the Chrome trace-event JSON (the "JSON Array Format"):
     /// one complete (`"ph":"X"`) event per timeline span, plus thread
-    /// metadata naming each worker lane. Load via `chrome://tracing` or
+    /// metadata naming each worker lane. Nested SDFG runs follow, each
+    /// under its own `pid`. Load via `chrome://tracing` or
     /// <https://ui.perfetto.dev>.
     pub fn chrome_trace(&self) -> String {
-        // Timestamps are process-epoch relative and the pid is unique
-        // per collector, so traces from nested executors concatenate
-        // into one aligned multi-process timeline.
-        let pid = self.pid;
         let mut out = String::from("[\n");
         let mut first = true;
+        self.push_trace_events(&mut out, &mut first);
+        out.push_str("\n]\n");
+        out
+    }
+
+    fn push_trace_events(&self, out: &mut String, first: &mut bool) {
+        // Timestamps are process-epoch relative and the pid is unique
+        // per collector, so nested runs land on one aligned
+        // multi-process timeline.
+        let pid = self.pid;
         push_event(
-            &mut out,
-            &mut first,
+            out,
+            first,
             &format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\
                  \"args\":{{\"name\":\"executor {pid}\"}}}}"
@@ -700,8 +716,8 @@ impl InstrumentationReport {
         workers.dedup();
         for w in &workers {
             push_event(
-                &mut out,
-                &mut first,
+                out,
+                first,
                 &format!(
                     "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\
                      \"args\":{{\"name\":\"worker {}\"}}}}",
@@ -715,8 +731,8 @@ impl InstrumentationReport {
                 SpanKey::Map { .. } => "map",
             };
             push_event(
-                &mut out,
-                &mut first,
+                out,
+                first,
                 &format!(
                     "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\
                      \"dur\":{:.3},\"pid\":{pid},\"tid\":{}}}",
@@ -728,8 +744,9 @@ impl InstrumentationReport {
                 ),
             );
         }
-        out.push_str("\n]\n");
-        out
+        for r in &self.nested {
+            r.push_trace_events(out, first);
+        }
     }
 }
 

@@ -201,24 +201,13 @@ pub fn optimize(sdfg: &mut Sdfg, level: OptLevel) -> Result<OptimizationReport, 
 }
 
 /// Observability for one optimization-pass outcome: bumps the global
-/// `sdfg_opt_passes_total{outcome=...}` counter and (when sampling)
-/// records a flight-recorder event carrying the pass's position in the
-/// pipeline's applied sequence.
-fn observe_pass(applied: bool, idx: usize) {
-    use sdfg_profile::{flight, metrics};
-    let m = metrics::core();
+/// `sdfg_opt_passes_total{outcome=...}` counter.
+fn observe_pass(applied: bool) {
+    let m = sdfg_profile::metrics::core();
     if applied {
         m.opt_applied.inc();
     } else {
         m.opt_rolled_back.inc();
-    }
-    if flight::enabled() {
-        let kind = if applied {
-            flight::EventKind::OptApplied
-        } else {
-            flight::EventKind::OptRolledBack
-        };
-        flight::record(kind, idx as u64, 0);
     }
 }
 
@@ -279,7 +268,7 @@ pub fn optimize_with_env(
                 }
                 report.applied.push(AppliedStep::from_match(t.name(), m));
                 report.strict_applied += 1;
-                observe_pass(true, report.applied.len() - 1);
+                observe_pass(true);
                 fired = true;
             }
         }
@@ -327,7 +316,7 @@ pub fn optimize_with_env(
                                 // Re-reached a previous graph state: undo and
                                 // stop this transform to guarantee progress.
                                 *sdfg = snapshot;
-                                observe_pass(false, report.applied.len());
+                                observe_pass(false);
                                 record_skip(
                                     &mut report.skipped,
                                     name,
@@ -337,7 +326,7 @@ pub fn optimize_with_env(
                             }
                             report.applied.push(AppliedStep::from_match(name, m));
                             report.heuristic_applied += 1;
-                            observe_pass(true, report.applied.len() - 1);
+                            observe_pass(true);
                             apps += 1;
                             fired_this_pass = true;
                             // The graph changed; stale matches must be
@@ -346,7 +335,7 @@ pub fn optimize_with_env(
                         }
                         Err(e) => {
                             *sdfg = snapshot;
-                            observe_pass(false, report.applied.len());
+                            observe_pass(false);
                             record_skip(&mut report.skipped, name, format!("rolled back: {e}"));
                         }
                     }
