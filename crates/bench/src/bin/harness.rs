@@ -23,8 +23,8 @@
 //!                                    # trace-<kernel>.json per kernel
 //! ```
 //!
-//! With `--target cpu|gpu|fpga|hetero`, kernels run through the
-//! heterogeneous runtime instead: each state is dispatched to the
+//! With `--target cpu|gpu|fpga|hetero`, kernels run on a session with
+//! the target's simulator backends instead: each state is dispatched to the
 //! backend its schedule selects (GPU roofline model, FPGA cycle model,
 //! CPU pool), outputs are verified bit-for-bit against the reference
 //! interpreter, and one `BENCH_<kernel>.json` with per-backend stats is

@@ -1,58 +1,11 @@
 //! The experiment implementations behind the `harness` binary.
 
-use sdfg_core::desc::DataDesc;
-use sdfg_core::Sdfg;
-use sdfg_exec::{ExecError, Runtime};
-use sdfg_fpga_sim::{vcu1525, FpgaMode, FpgaReport, FpgaSimBackend};
-use sdfg_gpu_sim::{p100, v100, DeviceProfile, GpuReport, GpuSimBackend};
+use sdfg_fpga_sim::{run_fpga, vcu1525, FpgaMode};
+use sdfg_gpu_sim::{p100, run_gpu, v100, DeviceProfile};
 use sdfg_transforms::{apply_first, FpgaTransform, GpuTransform, Params};
 use sdfg_workloads::workload::Workload;
 use sdfg_workloads::{bfs, graphs, kernels, mm_chain, polybench, sse, tuned};
-use std::collections::HashMap;
 use std::time::Instant;
-
-/// Runs an already-lowered SDFG under the GPU model through the
-/// heterogeneous runtime, marshalling the workload's symbols and inputs.
-/// Returns the folded report and the arrays after the run.
-fn gpu_model(
-    w: &Workload,
-    sdfg: &Sdfg,
-    dev: &DeviceProfile,
-) -> Result<(GpuReport, HashMap<String, Vec<f64>>), ExecError> {
-    let mut rt = Runtime::new(sdfg).with_backend(Box::new(GpuSimBackend::new(dev.clone())));
-    for (s, v) in &w.symbols {
-        rt.executor().set_symbol(s, *v);
-    }
-    for (n, d) in &w.arrays {
-        rt.executor().set_array(n, d.clone());
-    }
-    let rep = rt.run()?;
-    let arrays = std::mem::take(&mut rt.executor().arrays);
-    Ok((GpuReport::from_runtime(&rep), arrays))
-}
-
-/// The FPGA-model counterpart of [`gpu_model`].
-fn fpga_model(
-    w: &Workload,
-    sdfg: &Sdfg,
-    mode: FpgaMode,
-) -> Result<(FpgaReport, HashMap<String, Vec<f64>>), ExecError> {
-    let mut rt = Runtime::new(sdfg).with_backend(Box::new(FpgaSimBackend::new(vcu1525(), mode)));
-    for (s, v) in &w.symbols {
-        rt.executor().set_symbol(s, *v);
-    }
-    for (n, d) in &w.arrays {
-        rt.executor().set_array(n, d.clone());
-    }
-    let rep = rt.run()?;
-    let arrays = std::mem::take(&mut rt.executor().arrays);
-    let fifos = sdfg
-        .data
-        .values()
-        .filter(|d| matches!(d, DataDesc::Stream(_)))
-        .count() as u64;
-    Ok((FpgaReport::from_runtime(&rep, fifos), arrays))
-}
 
 /// Times a closure (median of `reps` runs).
 pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -117,11 +70,11 @@ pub fn fig13b(scale: usize) {
             println!("{:<16} {:>12}", k.name, "(skip)");
             continue;
         }
-        match gpu_model(&w, &sdfg, &p100()) {
-            Ok((rep, arrays)) => {
+        match run_gpu(&sdfg, &p100(), w.bindings()) {
+            Ok((rep, out)) => {
                 // Correctness against the reference.
                 let reference = (k.reference)(&w);
-                sdfg_workloads::workload::assert_allclose(&w.check, &arrays, &reference, 1e-6);
+                sdfg_workloads::workload::assert_allclose(&w.check, out.arrays(), &reference, 1e-6);
                 // PPCG-like baseline: every kernel pays the boundary
                 // transfers (no cross-state copy elision).
                 let per_kernel_copies = rep.copy_time_s * rep.kernels.max(1) as f64;
@@ -154,13 +107,13 @@ pub fn fig13c(scale: usize) {
             println!("{:<16} {:>12}", k.name, "(skip)");
             continue;
         }
-        let pipelined = fpga_model(&w, &sdfg, FpgaMode::Pipelined);
-        let naive = fpga_model(&w, &sdfg, FpgaMode::NaiveHls);
+        let pipelined = run_fpga(&sdfg, &vcu1525(), FpgaMode::Pipelined, w.bindings());
+        let naive = run_fpga(&sdfg, &vcu1525(), FpgaMode::NaiveHls, w.bindings());
         match (pipelined, naive) {
-            (Ok((pr, arrays)), Ok((nr, _))) => {
+            (Ok((pr, out)), Ok((nr, _))) => {
                 // Correctness against the reference.
                 let reference = (k.reference)(&w);
-                sdfg_workloads::workload::assert_allclose(&w.check, &arrays, &reference, 1e-6);
+                sdfg_workloads::workload::assert_allclose(&w.check, out.arrays(), &reference, 1e-6);
                 println!(
                     "{:<16} {:>12.3} {:>14.3} {:>9.1}x",
                     k.name,
@@ -307,7 +260,7 @@ fn gpu_kernel_row(name: &str, w: &Workload, dev: &DeviceProfile) {
         println!("{name:<10} (skip)");
         return;
     }
-    match gpu_model(w, &sdfg, dev) {
+    match run_gpu(&sdfg, dev, w.bindings()) {
         Ok((rep, _)) => println!(
             "{:<10} {:>12.3} {:>12.3} {:>10.1}%",
             name,
@@ -352,8 +305,8 @@ pub fn fig14c() {
             println!("{name:<10} (skip)");
             continue;
         }
-        let p = fpga_model(&w, &sdfg, FpgaMode::Pipelined);
-        let n = fpga_model(&w, &sdfg, FpgaMode::NaiveHls);
+        let p = run_fpga(&sdfg, &vcu1525(), FpgaMode::Pipelined, w.bindings());
+        let n = run_fpga(&sdfg, &vcu1525(), FpgaMode::NaiveHls, w.bindings());
         if let (Ok((p, _)), Ok((n, _))) = (p, n) {
             println!(
                 "{:<10} {:>14.3} {:>14.3} {:>9.1}x",
@@ -552,7 +505,7 @@ pub fn tab3(batch: usize) {
             if !apply_first(&mut sdfg, &GpuTransform, &Params::new()).unwrap_or(false) {
                 continue;
             }
-            let (rep, _) = gpu_model(&w, &sdfg, &dev).expect("gpu model");
+            let (rep, _) = run_gpu(&sdfg, &dev, w.bindings()).expect("gpu model");
             // Useful flops are always the n×n computation.
             let useful = 2.0 * (batch * n * n * n) as f64;
             let executed = 2.0 * (batch * p * p * p) as f64;
@@ -653,13 +606,14 @@ pub fn profiled(only: &str, scale: usize) {
         }
         matched = true;
         let w = build(scale);
-        let (_, _, _, report, lowerings) = match w.run_exec_profiled() {
-            Ok(r) => r,
+        let out = match w.run_exec_profiled() {
+            Ok(out) => out,
             Err(e) => {
                 println!("## {name}: failed: {e}");
                 continue;
             }
         };
+        let report = out.report().expect("a profiled run reports");
         println!(
             "## {} — wall {:.3} ms, {} workers, map coverage {:.1}%",
             name,
@@ -668,8 +622,8 @@ pub fn profiled(only: &str, scale: usize) {
             report.map_coverage() * 100.0
         );
         print!("{}", report.hot_path_table());
-        print!("{}", lowering_table(&lowerings));
-        write_trace(name, &report);
+        print!("{}", lowering_table(&out.lowering_report()));
+        write_trace(name, report);
         println!();
     }
     if !matched {

@@ -1,12 +1,12 @@
-//! The `--target` axis: routing kernels through the heterogeneous
-//! runtime.
+//! The `--target` axis: routing kernels to simulated device backends.
 //!
 //! `harness <kernels...> --target gpu|fpga|hetero` lowers each kernel
-//! with the device transform the target implies, runs it through
-//! [`sdfg_exec::Runtime`] with the matching simulator backends
-//! registered, and writes one `BENCH_<kernel>.json` with per-backend
-//! statistics (state visits, modeled compute/copy time, host↔device
-//! transfer bytes).
+//! with the device transform the target implies, runs it on a
+//! [`Session`] with the matching simulator backends registered, and
+//! writes one `BENCH_<kernel>.json` with per-backend statistics (state
+//! visits, modeled compute/copy time, host↔device transfer bytes).
+//! `--target cpu` registers no device backend, so it runs the plain host
+//! path and reports no backend rows.
 //!
 //! Verification is two-sided: the targeted run must match, **bit for
 //! bit**, both the plain CPU executor on the untransformed SDFG (device
@@ -14,8 +14,8 @@
 //! ulp) and the reference interpreter (every tier computes the
 //! interpreter's arithmetic).
 
-use sdfg_core::Sdfg;
-use sdfg_exec::{Runtime, RuntimeReport};
+use sdfg_core::{Sdfg, SdfgError};
+use sdfg_exec::{BackendStats, Session};
 use sdfg_fpga_sim::{vcu1525, FpgaMode, FpgaSimBackend};
 use sdfg_gpu_sim::{p100, GpuSimBackend};
 use sdfg_transforms::{apply_first, FpgaTransform, GpuTransform, Params};
@@ -25,7 +25,7 @@ use sdfg_workloads::workload::Workload;
 /// Where `--target` sends a kernel's device-scheduled scopes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Target {
-    /// CPU only — the plain executor path (no transform, no device
+    /// CPU only — the plain host path (no transform, no device
     /// backends).
     Cpu,
     /// GPU model: `GpuTransform` + the roofline simulator backend.
@@ -77,33 +77,30 @@ pub fn lower_for(sdfg: &Sdfg, target: Target) -> Sdfg {
     s
 }
 
-/// Builds a runtime over `sdfg` with the backends this target needs.
-/// The CPU backend is always registered (index 0) as the fallback for
+/// Builds a session over `sdfg` with the device backends this target
+/// needs; the host CPU backend is always there as the fallback for
 /// host-scheduled states.
-pub fn runtime_for(sdfg: &Sdfg, target: Target) -> Runtime<'_> {
-    let rt = Runtime::new(sdfg);
+pub fn session_for(sdfg: Sdfg, target: Target) -> Result<Session, SdfgError> {
+    let gpu = || Box::new(GpuSimBackend::new(p100()));
+    let fpga = || Box::new(FpgaSimBackend::new(vcu1525(), FpgaMode::Pipelined));
+    let b = Session::builder(sdfg);
     match target {
-        Target::Cpu => rt,
-        Target::Gpu => rt.with_backend(Box::new(GpuSimBackend::new(p100()))),
-        Target::Fpga => rt.with_backend(Box::new(FpgaSimBackend::new(
-            vcu1525(),
-            FpgaMode::Pipelined,
-        ))),
-        Target::Hetero => rt
-            .with_backend(Box::new(GpuSimBackend::new(p100())))
-            .with_backend(Box::new(FpgaSimBackend::new(
-                vcu1525(),
-                FpgaMode::Pipelined,
-            ))),
+        Target::Cpu => b,
+        Target::Gpu => b.backend(gpu()),
+        Target::Fpga => b.backend(fpga()),
+        Target::Hetero => b.backend(gpu()).backend(fpga()),
     }
+    .build()
 }
 
 /// One targeted, verified run.
 pub struct TargetRun {
     /// The target that was requested.
     pub target: Target,
-    /// The runtime's per-backend report.
-    pub report: RuntimeReport,
+    /// Per-backend totals, host CPU first (empty for [`Target::Cpu`]).
+    pub backends: Vec<BackendStats>,
+    /// Host wall-clock time of the targeted run.
+    pub wall_s: f64,
     /// `check` arrays whose bits differ from the plain CPU executor on
     /// the untransformed SDFG (0 = pass).
     pub bitwise_mismatches: usize,
@@ -130,22 +127,19 @@ pub(crate) fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 pub fn run_workload_targeted(w: &Workload, target: Target) -> Result<TargetRun, String> {
     let interp = w.run_interp().map_err(|e| format!("interpreter: {e}"))?;
     let (cpu, _, _) = w.run_exec().map_err(|e| format!("cpu executor: {e}"))?;
-    let lowered = lower_for(&w.sdfg, target);
-    let mut rt = runtime_for(&lowered, target);
-    for (s, v) in &w.symbols {
-        rt.executor().set_symbol(s, *v);
-    }
-    for (n, d) in &w.arrays {
-        rt.executor().set_array(n, d.clone());
-    }
-    let report = rt.run().map_err(|e| format!("runtime: {e}"))?;
+    let session =
+        session_for(lower_for(&w.sdfg, target), target).map_err(|e| format!("session: {e}"))?;
+    let t0 = std::time::Instant::now();
+    let out = session
+        .run(w.bindings())
+        .map_err(|e| format!("session run: {e}"))?;
+    let wall_s = t0.elapsed().as_secs_f64();
     let mut bitwise_mismatches = 0;
     let mut interp_mismatches = 0;
     for name in &w.check {
-        let got = rt
-            .executor()
-            .try_array(name)
-            .ok_or_else(|| format!("output `{name}` missing after run"))?;
+        let got = out
+            .array(name)
+            .map_err(|_| format!("output `{name}` missing after run"))?;
         let base = cpu
             .get(name)
             .ok_or_else(|| format!("cpu executor produced no `{name}`"))?;
@@ -161,7 +155,8 @@ pub fn run_workload_targeted(w: &Workload, target: Target) -> Result<TargetRun, 
     }
     Ok(TargetRun {
         target,
-        report,
+        backends: out.backends().to_vec(),
+        wall_s,
         bitwise_mismatches,
         interp_mismatches,
     })
@@ -176,14 +171,9 @@ pub fn target_json_fields(run: &TargetRun) -> String {
          \"backends\": [",
         run.target.as_str(),
         run.verified(),
-        run.report.wall_s * 1e3,
+        run.wall_s * 1e3,
     );
-    let active: Vec<_> = run
-        .report
-        .backends
-        .iter()
-        .filter(|b| b.state_visits > 0)
-        .collect();
+    let active: Vec<_> = run.backends.iter().filter(|b| b.state_visits > 0).collect();
     for (i, b) in active.iter().enumerate() {
         out.push_str(&format!(
             "\n    {{\"name\": \"{}\", \"state_visits\": {}, \"scopes\": {}, \
@@ -208,8 +198,8 @@ pub fn target_json_fields(run: &TargetRun) -> String {
     out
 }
 
-/// The `harness <kernels...> --target T` mode: run each kernel through
-/// the heterogeneous runtime, print a per-backend table, write one
+/// The `harness <kernels...> --target T` mode: run each kernel on the
+/// target's backends, print a per-backend table, write one
 /// `BENCH_<kernel>.json` per kernel, and exit non-zero if any kernel's
 /// outputs diverge from the interpreter.
 pub fn targeted(only: &[String], scale: usize, target: Target, json: bool) {
@@ -256,22 +246,27 @@ pub fn targeted(only: &[String], scale: usize, target: Target, json: bool) {
                 if !run.verified() {
                     failed = true;
                 }
-                let (h2d, d2h): (u64, u64) =
-                    run.report.backends.iter().fold((0, 0), |(h, d), b| {
-                        (h + b.xfer.h2d_bytes, d + b.xfer.d2h_bytes)
-                    });
-                let names: Vec<String> = run
-                    .report
-                    .backends
-                    .iter()
-                    .filter(|b| b.state_visits > 0)
-                    .map(|b| format!("{}({})", b.name, b.state_visits))
-                    .collect();
+                let (h2d, d2h): (u64, u64) = run.backends.iter().fold((0, 0), |(h, d), b| {
+                    (h + b.xfer.h2d_bytes, d + b.xfer.d2h_bytes)
+                });
+                // The plain host path has no backend rows: its time is the
+                // run's wall time, as the CPU backend's is.
+                let (modeled_s, names) = if run.backends.is_empty() {
+                    (run.wall_s, vec!["cpu".to_string()])
+                } else {
+                    let names = run
+                        .backends
+                        .iter()
+                        .filter(|b| b.state_visits > 0)
+                        .map(|b| format!("{}({})", b.name, b.state_visits))
+                        .collect();
+                    (run.backends.iter().map(|b| b.modeled_time_s()).sum(), names)
+                };
                 println!(
                     "{:<16} {:>9} {:>12.4} {:>12} {:>12} {:<8} {}",
                     k.name,
                     if run.verified() { "yes" } else { "NO" },
-                    run.report.modeled_time_s() * 1e3,
+                    modeled_s * 1e3,
                     h2d,
                     d2h,
                     "",

@@ -4,8 +4,7 @@
 use crate::affine::{NestAffine, Site};
 use crate::buffer::SharedBuffer;
 use crate::copy::{exec_access, gather_symbolic, scatter_symbolic, scope_owns_container, wcr_fn};
-use crate::engine::Executor;
-use crate::engine::{bind, unbind, Ctx, ExecError, Worker};
+use crate::engine::{bind, unbind, Ctx, ExecError, Executor, RunConfig, Worker};
 use crate::lower::{run_inner_span, LowerTier};
 use crate::tasklet::{run_tasklet_point, BodyTasklet, WindowPlan};
 use parking_lot::Mutex;
@@ -14,6 +13,8 @@ use sdfg_core::scope::ScopeTree;
 use sdfg_core::{Node, Schedule, StateId, Subset, Wcr};
 use sdfg_graph::{EdgeId, NodeId};
 use sdfg_profile::{Mode as ProfMode, Span, SpanKey, Tier};
+use sdfg_symbolic::Env;
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 // --- map execution ----------------------------------------------------------------
@@ -242,9 +243,9 @@ pub(crate) fn build_map_plan(
         per_launch,
         body,
         race,
-        jit: ctx.jit,
+        jit: ctx.cfg.jit,
     });
-    ctx.plan_cache.note_point_compile();
+    ctx.cfg.plan_cache.note_point_compile();
     let (cached, capped) = ctx
         .plan
         .insert_map(shared_key, worker.compile_ctx(folded), plan);
@@ -330,11 +331,12 @@ pub(crate) fn exec_map(
     // chunk axis would break the single-chunk race analysis), no
     // thread-local transient overlays (stealing workers could not see
     // them), and not already inside a pool tile.
-    let nested_ok = ctx.sched.is_some() && worker.chunk_param.is_none() && worker.locals.is_empty();
+    let nested_ok =
+        ctx.cfg.sched.is_some() && worker.chunk_param.is_none() && worker.locals.is_empty();
     let eligible = matches!(
         schedule,
         Schedule::CpuMulticore | Schedule::GpuDevice | Schedule::Mpi
-    ) && ctx.nthreads > 1
+    ) && ctx.cfg.nthreads > 1
         && nparams > 0
         && (!worker.nested || nested_ok)
         && !crate::sched::in_pool_worker();
@@ -405,7 +407,7 @@ pub(crate) fn exec_map(
     // Parallel launches go through the work-stealing pool: the adaptive
     // tuner decides per launch whether tiling pays off, and the
     // determinism gate keeps order-sensitive bodies serial.
-    let pool = ctx.sched.as_ref().filter(|_| eligible);
+    let pool = ctx.cfg.sched.as_ref().filter(|_| eligible);
     // Estimated volume and start time: the tuner's inputs, taken only
     // where it is consulted.
     let sample = pool.map(|_| {
@@ -1077,7 +1079,7 @@ pub(crate) fn alloc_locals(
                     size = size.saturating_mul(d.eval(&worker.env)?.max(0));
                 }
                 let wctx = worker.ctx;
-                let buf = SharedBuffer::new(wctx.pool.acquire(size as usize, &wctx.stats));
+                let buf = SharedBuffer::new(wctx.cfg.pool.acquire(size as usize, &wctx.stats));
                 worker.locals.insert(name.clone(), buf);
             }
         }
@@ -1420,36 +1422,33 @@ pub(crate) fn exec_nested(
     else {
         unreachable!()
     };
-    let mut sub = Executor::new(nested);
-    // The nested run inherits the enclosing run's JIT decision, so a
-    // JIT-off differential run stays JIT-off all the way down, and its
-    // profiling switch, so its spans reach the enclosing report.
-    sub.jit = ctx.jit;
-    if let Some(p) = &ctx.prof {
-        sub.profiling = p.profiling;
-    }
-    // Nested SDFGs share the caller's scheduler pool when the enclosing
+    // The nested run inherits the enclosing run's configuration: its JIT
+    // decision (a JIT-off differential run stays JIT-off all the way
+    // down), profiling switch (its spans reach the enclosing report),
+    // plan cache and buffer pool (repeated outer runs also amortize the
+    // nested SDFG's lowering and allocations), transition cap and
+    // deadline. It shares the scheduler pool only when the enclosing
     // context is provably safe (same gate as nested maps): outside any
     // parallel region, no thread-local overlays, not inside a pool tile.
-    // Otherwise nested parallelism is sequentialized as before.
-    let share_sched = ctx.sched.is_some()
+    // Otherwise nested parallelism is sequentialized.
+    let share_sched = ctx.cfg.sched.is_some()
         && worker.chunk_param.is_none()
         && worker.locals.is_empty()
         && !crate::sched::in_pool_worker();
-    if share_sched {
-        sub.nthreads = ctx.nthreads;
-        sub.sched = ctx.sched.clone();
+    let cfg = if share_sched {
+        ctx.cfg.clone()
     } else {
-        sub.nthreads = 1;
-    }
-    // Inherit the caller's plan cache and buffer pool so repeated outer
-    // runs also amortize the nested SDFG's lowering and allocations.
-    sub.plan_cache = ctx.plan_cache.clone();
-    sub.pool = ctx.pool.clone();
+        RunConfig {
+            nthreads: 1,
+            sched: None,
+            ..ctx.cfg.clone()
+        }
+    };
+    let mut symbols = Env::new();
     for (sym, expr) in symbol_mapping {
-        let v = expr.eval(&worker.env)?;
-        sub.symbols.insert(sym.clone(), v);
+        symbols.insert(sym.clone(), expr.eval(&worker.env)?);
     }
+    let mut arrays = HashMap::new();
     for e in state.graph.in_edges(n) {
         let df = state.graph.edge(e);
         let Some(conn) = &df.dst_conn else { continue };
@@ -1457,10 +1456,14 @@ pub(crate) fn exec_nested(
             continue;
         }
         let w = gather_symbolic(worker, df.memlet.data_name(), &df.memlet.subset)?;
-        sub.arrays.insert(conn.clone(), w);
+        arrays.insert(conn.clone(), w);
     }
-    sub.run()?;
-    if let (Some(p), Some(report)) = (&ctx.prof, sub.last_report.take()) {
+    let chash = sdfg_core::serialize::content_hash(nested);
+    let mut sub = Executor::new(nested, chash, cfg, symbols, arrays);
+    // The call is part of the enclosing run: its counters add to the run's
+    // statistics, and it is no run of its own in the metrics or ledger.
+    ctx.stats.add(&sub.run()?);
+    if let (Some(p), Some(report)) = (&ctx.prof, sub.report.take()) {
         p.collector.absorb_nested(report);
     }
     for e in state.graph.out_edges(n) {

@@ -2,8 +2,7 @@
 
 use crate::copy::exec_access;
 use crate::cpu::{exec_consume, exec_map, exec_nested, exec_reduce};
-use crate::engine::{bind, Ctx, ExecError, Executor, Worker};
-use crate::stats::Stats;
+use crate::engine::{bind, Ctx, ExecError, Worker};
 use crate::tasklet::run_tasklet_point;
 use sdfg_core::desc::DataDesc;
 use sdfg_core::scope::ScopeTree;
@@ -11,7 +10,6 @@ use sdfg_core::{Node, Schedule, Sdfg, StateId, Storage};
 use sdfg_graph::NodeId;
 use sdfg_profile::{Mode as ProfMode, Span, SpanKey};
 use sdfg_symbolic::Env;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 /// Refreshes what interstate edges read beside the symbol table — stream
@@ -109,7 +107,7 @@ pub(crate) fn exec_node(
     }
 }
 
-// --- the backend-agnostic heterogeneous runtime -----------------------------
+// --- the state-machine walk and device-backend routing -----------------------
 
 /// What the driver counts as it goes, in plain integers: flushed to the
 /// shared statistics once, when the run ends.
@@ -122,27 +120,19 @@ struct DriveCounts {
 }
 
 /// Walks the state machine, calling `visit` on every state execution and
-/// evaluating interstate conditions/assignments between them. This is the
-/// single driver both [`crate::Executor::run`] (CPU-only) and [`Runtime`]
-/// (heterogeneous dispatch) run on. The whole walk shares one [`Worker`],
-/// whose environment is the run's symbol table.
+/// evaluating interstate conditions/assignments between them. The
+/// host-only run and the routed run ([`drive_routed`]) both walk the
+/// state machine with it. The whole walk shares one [`Worker`], whose
+/// environment is the run's symbol table.
 pub(crate) fn drive_loop(
-    max_transitions: usize,
-    init_symbols: &Env,
     ctx: &Ctx<'_>,
+    init_symbols: &Env,
     collapse: bool,
     visit: impl FnMut(&Ctx<'_>, StateId, &mut Worker) -> Result<(), ExecError>,
 ) -> Result<(), ExecError> {
     let mut worker = Worker::new(ctx, init_symbols.clone());
     let mut counts = DriveCounts::default();
-    let result = drive_states(
-        max_transitions,
-        ctx,
-        collapse,
-        &mut worker,
-        &mut counts,
-        visit,
-    );
+    let result = drive_states(ctx, collapse, &mut worker, &mut counts, visit);
     worker.flush_stats();
     let st = &ctx.stats;
     st.states_executed
@@ -157,7 +147,6 @@ pub(crate) fn drive_loop(
 }
 
 fn drive_states(
-    max_transitions: usize,
     ctx: &Ctx<'_>,
     collapse: bool,
     worker: &mut Worker,
@@ -172,6 +161,7 @@ fn drive_states(
     // environment kept beside it: symbols are written to both, the
     // overlaid values refreshed in place before each scan.
     let mut overlaid: Option<Env> = (!ctx.shadow.is_empty()).then(|| worker.env.clone());
+    let max_transitions = ctx.cfg.max_transitions;
     let mut cur: StateId = start;
     loop {
         if counts.states as usize >= max_transitions {
@@ -181,9 +171,9 @@ fn drive_states(
         // run *between* states (a collapsed loop checks between slices of
         // its iterations), so the shared plan cache and buffer pool only
         // ever observe complete state executions.
-        if let Some(d) = ctx.deadline {
+        if let Some(d) = ctx.cfg.deadline {
             if std::time::Instant::now() >= d {
-                return Err(ExecError::Timeout(ctx.deadline_ms));
+                return Err(ExecError::Timeout(ctx.cfg.deadline_ms));
             }
         }
         visit(ctx, cur, worker)?;
@@ -196,7 +186,7 @@ fn drive_states(
         // Whole-nest collapse: if `cur` guards a recognized state-machine
         // loop, run every remaining iteration as one native call and let
         // the normal edge scan below take the exit edge.
-        if collapse && ctx.jit {
+        if collapse && ctx.cfg.jit {
             if let Some(ran) = crate::nest::try_collapse_loop(ctx, cur, &mut worker.env)? {
                 if let Some(env) = overlaid.as_mut() {
                     // A collapsible loop's variable is never overlaid.
@@ -254,7 +244,7 @@ impl RunCtx<'_, '_, '_> {
 
     /// Worker thread count of the host pool.
     pub fn nthreads(&self) -> usize {
-        self.worker.ctx.nthreads
+        self.worker.ctx.cfg.nthreads
     }
 
     /// Executes one state functionally on the host engine (bit-exact).
@@ -291,15 +281,18 @@ pub struct ScopeStats {
     pub pes: u64,
 }
 
-/// An execution target the [`Runtime`] can dispatch states to.
+/// An execution target a session can dispatch states to (registered with
+/// [`crate::SessionBuilder::backend`]).
 ///
 /// The contract mirrors the paper's retargeting story: a backend declares
 /// which [`Schedule`]s it executes and which device [`Storage`] classes it
-/// owns; the runtime routes each state to the first backend whose
+/// owns; the session routes each state to the first backend whose
 /// `supports` matches the state's top-level scope schedule, accounts
 /// host↔device traffic at storage boundaries (charging `transfer_time`),
 /// and calls `run_scope` to execute the state and report per-visit stats.
-pub trait Backend {
+/// Backends are shared by every concurrent invoke of a session, hence
+/// `Send + Sync`.
+pub trait Backend: Send + Sync {
     /// Stable name used in reports (`"cpu"`, `"gpu-sim"`, `"fpga-sim"`).
     fn name(&self) -> &'static str;
 
@@ -334,7 +327,8 @@ pub trait Backend {
     ) -> Result<ScopeStats, ExecError>;
 }
 
-/// Aggregated per-backend totals for one [`Runtime::run`].
+/// Aggregated per-backend totals for one invoke
+/// ([`crate::Outputs::backends`]).
 #[derive(Clone, Debug, Default)]
 pub struct BackendStats {
     /// Backend name.
@@ -357,29 +351,6 @@ impl BackendStats {
     }
 }
 
-/// Result of one heterogeneous run.
-#[derive(Clone, Debug, Default)]
-pub struct RuntimeReport {
-    /// Host wall-clock time of the whole run.
-    pub wall_s: f64,
-    /// Functional execution statistics (identical to a plain CPU run).
-    pub stats: Stats,
-    /// One entry per registered backend, in registration order.
-    pub backends: Vec<BackendStats>,
-}
-
-impl RuntimeReport {
-    /// Stats for a backend by name.
-    pub fn backend(&self, name: &str) -> Option<&BackendStats> {
-        self.backends.iter().find(|b| b.name == name)
-    }
-
-    /// Total modeled time across every backend.
-    pub fn modeled_time_s(&self) -> f64 {
-        self.backends.iter().map(|b| b.modeled_time_s()).sum()
-    }
-}
-
 /// Device storage classes a transfer can cross into; used to attribute
 /// host↔device copies to the backend owning the device side.
 const DEVICE_STORAGES: [Storage; 4] = [
@@ -389,128 +360,63 @@ const DEVICE_STORAGES: [Storage; 4] = [
     Storage::FpgaLocal,
 ];
 
-/// The heterogeneous dispatcher: owns an [`crate::Executor`] plus a list of
-/// [`Backend`]s (the host CPU backend is always registered first) and walks
-/// the state machine routing every state to the backend selected by its
-/// top-level scope [`Schedule`].
+/// The routed drive: walks the state machine like a host-only run, but
+/// hands each state to the backend `routes` assigns it (indexed by state
+/// id), accounts host↔device traffic, and sums what each backend reports
+/// into `stats` (one entry per backend, in registration order).
 ///
 /// Functional results are always bit-exact — simulator backends execute
 /// states for real on the host engine and only *model* device timing — so
 /// `--target gpu` output equals interpreter output.
-pub struct Runtime<'s> {
-    exec: Executor<'s>,
-    backends: Vec<Box<dyn Backend>>,
+pub(crate) fn drive_routed(
+    backends: &[Box<dyn Backend>],
+    routes: &[usize],
+    ctx: &Ctx<'_>,
+    symbols: &Env,
+    stats: &mut [BackendStats],
+) -> Result<(), ExecError> {
+    // No loop collapse here: a collapsed loop could span states belonging
+    // to different targets.
+    drive_loop(ctx, symbols, false, |ctx, sid, worker| {
+        let bidx = routes[sid.0 as usize];
+        account_transfers(backends, ctx, sid, &worker.env, bidx, stats)?;
+        let mut rcx = RunCtx { worker };
+        backends[bidx].prepare(&rcx, sid)?;
+        let ss = backends[bidx].run_scope(&mut rcx, sid)?;
+        let bs = &mut stats[bidx];
+        bs.state_visits += 1;
+        bs.scope.scopes += ss.scopes;
+        bs.scope.compute_s += ss.compute_s;
+        bs.scope.copy_s += ss.copy_s;
+        bs.scope.flops += ss.flops;
+        bs.scope.bytes += ss.bytes;
+        bs.scope.cycles += ss.cycles;
+        bs.scope.pes = bs.scope.pes.max(ss.pes);
+        Ok(())
+    })
 }
 
-impl<'s> Runtime<'s> {
-    /// Creates a runtime over `sdfg` with only the host CPU backend.
-    pub fn new(sdfg: &'s Sdfg) -> Runtime<'s> {
-        Runtime {
-            exec: Executor::new(sdfg),
-            backends: vec![Box::new(crate::cpu::CpuBackend)],
+/// Routes every state of `sdfg` (see [`route_state`]): the backend index
+/// per state id, and a fingerprint of the assignment for the plan-cache
+/// key, so runs of one SDFG under different backend sets never share
+/// lowered plans.
+pub(crate) fn route_states(
+    backends: &[Box<dyn Backend>],
+    sdfg: &Sdfg,
+) -> Result<(Vec<usize>, u64), ExecError> {
+    use std::hash::{Hash, Hasher};
+    let mut routes = Vec::new();
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for sid in sdfg.graph.node_ids() {
+        let bidx = route_state(backends, sdfg, sid)?;
+        (sid.0, bidx as u64, backends[bidx].name()).hash(&mut h);
+        let slot = sid.0 as usize;
+        if routes.len() <= slot {
+            routes.resize(slot + 1, 0);
         }
+        routes[slot] = bidx;
     }
-
-    /// Registers an additional backend (builder style).
-    pub fn with_backend(mut self, backend: Box<dyn Backend>) -> Runtime<'s> {
-        self.backends.push(backend);
-        self
-    }
-
-    /// Registers an additional backend.
-    pub fn add_backend(&mut self, backend: Box<dyn Backend>) -> &mut Runtime<'s> {
-        self.backends.push(backend);
-        self
-    }
-
-    /// The underlying executor, for binding symbols/arrays and reading
-    /// results back.
-    pub fn executor(&mut self) -> &mut Executor<'s> {
-        &mut self.exec
-    }
-
-    /// Registered backend names, in dispatch-priority order.
-    pub fn backend_names(&self) -> Vec<&'static str> {
-        self.backends.iter().map(|b| b.name()).collect()
-    }
-
-    /// Fingerprint of the state→backend assignment (plan-cache key part):
-    /// two runs of the same SDFG under different backend sets must not
-    /// share lowered plans.
-    fn target_tag(&mut self) -> Result<u64, ExecError> {
-        use std::hash::{Hash, Hasher};
-        let sdfg = self.exec.sdfg;
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        for sid in sdfg.graph.node_ids() {
-            let bidx = route_state(&self.backends, sdfg, sid)?;
-            (sid.0, bidx as u64, self.backends[bidx].name()).hash(&mut h);
-        }
-        Ok(h.finish())
-    }
-
-    /// Runs the SDFG, dispatching each state to its backend; returns the
-    /// per-backend report. Functional outputs land in
-    /// [`crate::Executor::arrays`] exactly as for a plain run.
-    pub fn run(&mut self) -> Result<RuntimeReport, ExecError> {
-        let tag = self.target_tag()?;
-        // Label runs with the backend set so metrics/ledger entries from
-        // heterogeneous dispatch are distinguishable from plain CPU runs.
-        self.exec.run_target = self.backend_names().join("+");
-        let mut report = RuntimeReport {
-            backends: self
-                .backends
-                .iter()
-                .map(|b| BackendStats {
-                    name: b.name().to_string(),
-                    ..BackendStats::default()
-                })
-                .collect(),
-            ..RuntimeReport::default()
-        };
-        let backends = &self.backends;
-        let max_transitions = self.exec.max_transitions;
-        let mut routes: HashMap<u32, usize> = HashMap::new();
-        let rep = &mut report;
-        let t0 = std::time::Instant::now();
-        let stats = self.exec.run_with(tag, |ex, ctx| {
-            // No loop collapse here: the heterogeneous runtime routes
-            // states to backends per schedule, and a collapsed loop could
-            // span states belonging to different targets.
-            drive_loop(
-                max_transitions,
-                &ex.symbols,
-                ctx,
-                false,
-                |ctx, sid, worker| {
-                    let bidx = match routes.get(&sid.0) {
-                        Some(&i) => i,
-                        None => {
-                            let i = route_state(backends, ctx.sdfg, sid)?;
-                            routes.insert(sid.0, i);
-                            i
-                        }
-                    };
-                    account_transfers(backends, ctx, sid, &worker.env, bidx, rep)?;
-                    let mut rcx = RunCtx { worker };
-                    backends[bidx].prepare(&rcx, sid)?;
-                    let ss = backends[bidx].run_scope(&mut rcx, sid)?;
-                    let bs = &mut rep.backends[bidx];
-                    bs.state_visits += 1;
-                    bs.scope.scopes += ss.scopes;
-                    bs.scope.compute_s += ss.compute_s;
-                    bs.scope.copy_s += ss.copy_s;
-                    bs.scope.flops += ss.flops;
-                    bs.scope.bytes += ss.bytes;
-                    bs.scope.cycles += ss.cycles;
-                    bs.scope.pes = bs.scope.pes.max(ss.pes);
-                    Ok(())
-                },
-            )
-        })?;
-        report.wall_s = t0.elapsed().as_secs_f64();
-        report.stats = stats;
-        Ok(report)
-    }
+    Ok((routes, h.finish()))
 }
 
 /// Picks the backend for a state: the first registered backend whose
@@ -571,14 +477,9 @@ pub(crate) fn route_state(
     Ok(0)
 }
 
-/// Accounts host↔device traffic for one state execution: explicit copy
-/// edges whose endpoints straddle a device-storage boundary, plus implicit
-/// transfers when a device-routed state touches host-resident containers
-/// directly. Bytes land in the owning backend's [`BackendStats::xfer`] and
-/// time is charged via [`Backend::transfer_time`].
 /// Observability side of one host↔device transfer: per-run byte counters
-/// on the executor's stats. The direction-labelled global metrics are
-/// added once per run (from the stats deltas) by `Executor::run_with`.
+/// on the run's stats. The direction-labelled global metrics are added
+/// once per run, from those counters, when the invoke completes.
 fn account_transfer_obs(ctx: &Ctx<'_>, bytes: u64, h2d: bool) {
     use std::sync::atomic::Ordering;
     if h2d {
@@ -588,13 +489,18 @@ fn account_transfer_obs(ctx: &Ctx<'_>, bytes: u64, h2d: bool) {
     }
 }
 
+/// Accounts host↔device traffic for one state execution: explicit copy
+/// edges whose endpoints straddle a device-storage boundary, plus implicit
+/// transfers when a device-routed state touches host-resident containers
+/// directly. Bytes land in the owning backend's [`BackendStats::xfer`] and
+/// time is charged via [`Backend::transfer_time`].
 fn account_transfers(
     backends: &[Box<dyn Backend>],
     ctx: &Ctx<'_>,
     sid: StateId,
     env: &Env,
     routed: usize,
-    rep: &mut RuntimeReport,
+    stats: &mut [BackendStats],
 ) -> Result<(), ExecError> {
     let state = ctx.sdfg.state(sid);
     let owner_of = |storage: Storage| backends.iter().position(|b| b.owns_storage(storage));
@@ -633,11 +539,11 @@ fn account_transfers(
             };
             if let Some(bi) = owner_of(device_storage) {
                 if dst_dev {
-                    rep.backends[bi].xfer.h2d_bytes += bytes;
+                    stats[bi].xfer.h2d_bytes += bytes;
                 } else {
-                    rep.backends[bi].xfer.d2h_bytes += bytes;
+                    stats[bi].xfer.d2h_bytes += bytes;
                 }
-                rep.backends[bi].transfer_s += backends[bi].transfer_time(bytes as f64);
+                stats[bi].transfer_s += backends[bi].transfer_time(bytes as f64);
                 account_transfer_obs(ctx, bytes, dst_dev);
             }
         }
@@ -660,7 +566,7 @@ fn account_transfers(
                 .unwrap_or(0);
             let read = state.graph.out_edges(n).count() > 0;
             let written = state.graph.in_edges(n).count() > 0;
-            let bs = &mut rep.backends[routed];
+            let bs = &mut stats[routed];
             if read {
                 bs.xfer.h2d_bytes += bytes;
                 bs.transfer_s += backends[routed].transfer_time(bytes as f64);

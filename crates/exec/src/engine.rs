@@ -10,6 +10,7 @@ use crate::plan::{
     StatePlan,
 };
 use crate::pool::BufferPool;
+use crate::sched::SchedPool;
 use crate::stats::{AtomicStats, Stats};
 use crate::tasklet::{compile_body_tasklet, BodyTasklet, OutPortPlan, WindowPlan};
 use parking_lot::Mutex;
@@ -22,11 +23,10 @@ use sdfg_profile::{
     WorkerProfile,
 };
 use sdfg_symbolic::{Env, EvalError};
-use sdfg_transforms::{OptLevel, OptimizationReport};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
 
 /// Executor failure.
 #[derive(Debug)]
@@ -123,78 +123,64 @@ impl From<RuntimeError> for ExecError {
     }
 }
 
-/// The optimizing executor. API mirrors the reference interpreter.
-pub struct Executor<'s> {
-    pub(crate) sdfg: &'s Sdfg,
-    /// Array storage by name.
-    pub arrays: HashMap<String, Vec<f64>>,
-    /// Stream contents by name.
-    pub streams: HashMap<String, VecDeque<f64>>,
-    /// Symbol bindings.
-    pub symbols: Env,
-    /// Worker thread count (defaults to `SDFG_NTHREADS` when set, else
-    /// available parallelism). The scheduler pool is rebuilt to match on
-    /// the next `run`.
-    pub nthreads: usize,
+/// How a run executes: what a [`crate::session::Session`] fixes when it is
+/// built, and what a nested SDFG call inherits from its enclosing run.
+#[derive(Clone)]
+pub(crate) struct RunConfig {
+    /// Worker thread count (at least 1).
+    pub(crate) nthreads: usize,
     /// Maximum state transitions.
-    pub max_transitions: usize,
-    /// Statistics from the last `run`.
-    pub stats: Stats,
-    /// Profiling switch for the next `run` (default off).
-    pub profiling: Profiling,
-    /// Instrumentation report from the last profiled `run`.
-    pub last_report: Option<InstrumentationReport>,
-    /// Cross-run plan cache (private per executor by default; shareable
-    /// via [`Executor::with_plan_cache`]).
-    pub(crate) plan_cache: std::sync::Arc<PlanCache>,
-    /// Transient/scratch buffer pool (shareable via
-    /// [`Executor::with_buffer_pool`]).
-    pub(crate) pool: std::sync::Arc<BufferPool>,
-    /// The persistent work-stealing scheduler pool: built lazily on the
-    /// first `run` with `nthreads > 1` (and rebuilt if the thread count
-    /// changes), shared with nested-SDFG executors. `None` while serial.
-    pub(crate) sched: Option<std::sync::Arc<crate::sched::SchedPool>>,
-    /// Memoized content hash of the graph — sound to compute once because
-    /// the caller's SDFG sits behind an immutable borrow for the
-    /// executor's whole lifetime.
-    pub(crate) sdfg_hash: Option<u64>,
-    /// The executor runs the graph it borrows as-is; optimization is the
-    /// job of [`crate::session::Session`], which hands over the pipeline's
-    /// output and describes the pipeline that produced it in the two
-    /// fields below (for reports and the run ledger).
-    pub(crate) opt_level: OptLevel,
-    /// Report from the pipeline run that produced the borrowed graph.
-    pub(crate) opt_report: Option<OptimizationReport>,
-    /// Wall-clock deadline for the next `run`: checked between state
-    /// executions and between slices of a collapsed loop, so an expired
-    /// deadline cancels the run with [`ExecError::Timeout`] without
-    /// tearing down mid-state.
+    pub(crate) max_transitions: usize,
+    /// Whether the JIT lowering tier — per-map kernels and whole-nest
+    /// lowering (loop collapse, tile→nest-call dispatch) alike — is on. A
+    /// request until the run starts, which applies the `SDFG_JIT` gate; it
+    /// is part of the plan's compile fingerprint, so lowerings never alias
+    /// across configurations.
+    pub(crate) jit: bool,
+    /// Instrumentation switch.
+    pub(crate) profiling: Profiling,
+    /// Cross-run plan cache.
+    pub(crate) plan_cache: Arc<PlanCache>,
+    /// Transient/scratch buffer pool.
+    pub(crate) pool: Arc<BufferPool>,
+    /// Work-stealing scheduler for parallel map launches: `Some` exactly
+    /// when `nthreads > 1`.
+    pub(crate) sched: Option<Arc<SchedPool>>,
+    /// Wall-clock deadline: checked between state executions and between
+    /// slices of a collapsed loop, so an expired deadline cancels the run
+    /// with [`ExecError::Timeout`] without tearing down mid-state.
     pub(crate) deadline: Option<std::time::Instant>,
     /// Millisecond budget behind `deadline` (for the error message).
     pub(crate) deadline_ms: u64,
-    /// Transient containers this executor allocated itself (as opposed to
-    /// arrays the caller bound): these are reset per run and returned to
-    /// the pool on drop; caller-provided storage is never touched.
-    pub(crate) owned_transients: HashSet<String>,
-    /// Backend label attached to this executor's runs in the metrics
-    /// registry and the run ledger (`"cpu"` unless a heterogeneous
-    /// [`crate::dispatch::Runtime`] drives it).
-    pub(crate) run_target: String,
-    /// JIT tier request for subsequent runs (default on). The `SDFG_JIT`
-    /// environment variable gates the tier globally either way.
-    pub(crate) jit: bool,
-    /// The execution plan consulted by the last `run` (feeds
-    /// [`Executor::lowering_report`]).
-    pub(crate) last_plan: Option<std::sync::Arc<ExecutionPlan>>,
+}
+
+/// The engine state of one run of one graph: built per
+/// [`crate::session::Session`] invoke and per nested SDFG call, run once,
+/// dropped.
+pub(crate) struct Executor<'s> {
+    sdfg: &'s Sdfg,
+    /// Content hash of `sdfg`: the plan-cache key.
+    chash: u64,
+    cfg: RunConfig,
+    /// Array storage by name: the bound arrays, then also the containers
+    /// the run allocated.
+    pub(crate) arrays: HashMap<String, Vec<f64>>,
+    /// Stream contents by name.
+    pub(crate) streams: HashMap<String, VecDeque<f64>>,
+    symbols: Env,
+    /// Transients the run allocated itself (as opposed to arrays the
+    /// caller bound): returned to the pool on drop.
+    owned: HashSet<String>,
+    /// Instrumentation report of the run, when profiling was on.
+    pub(crate) report: Option<InstrumentationReport>,
+    /// The execution plan the run consulted.
+    pub(crate) plan: Option<Arc<ExecutionPlan>>,
 }
 
 /// Pre-resolved profiling plan: per-scope modes are looked up once per
 /// state execution / map launch, never per point. `None` in `Ctx::prof`
 /// is the zero-overhead path.
 pub(crate) struct Prof {
-    /// The engine switch this plan was resolved from (nested SDFG runs
-    /// inherit it).
-    pub(crate) profiling: Profiling,
     pub(crate) collector: ProfileCollector,
     pub(crate) state_modes: HashMap<u32, ProfMode>,
     pub(crate) map_modes: HashMap<(u32, u32), ProfMode>,
@@ -242,7 +228,6 @@ impl Prof {
             }
         }
         Some(Prof {
-            profiling,
             collector,
             state_modes,
             map_modes,
@@ -270,31 +255,14 @@ pub(crate) struct Ctx<'s> {
     pub(crate) buf_index: HashMap<String, usize>,
     pub(crate) streams: HashMap<String, Mutex<VecDeque<f64>>>,
     pub(crate) stats: AtomicStats,
-    pub(crate) nthreads: usize,
     /// Profiling plan; `None` when profiling is off.
     pub(crate) prof: Option<Prof>,
     /// The execution plan for this (SDFG, symbol bindings) pair: workers
     /// consult and populate it so lowering survives across runs.
-    pub(crate) plan: std::sync::Arc<ExecutionPlan>,
-    /// The cache the plan came from, inherited by nested SDFG executors.
-    pub(crate) plan_cache: std::sync::Arc<PlanCache>,
-    /// Scratch allocator for worker-local transients, shared with the
-    /// executor's transient storage.
-    pub(crate) pool: std::sync::Arc<BufferPool>,
-    /// Work-stealing scheduler for parallel map launches (`None` while
-    /// serial).
-    pub(crate) sched: Option<std::sync::Arc<crate::sched::SchedPool>>,
-    /// Wall-clock deadline for this run; the drive loop checks it between
-    /// state executions (and between slices of a collapsed loop) and
-    /// cancels with [`ExecError::Timeout`].
-    pub(crate) deadline: Option<std::time::Instant>,
-    /// Millisecond budget behind `deadline` (for the error message).
-    pub(crate) deadline_ms: u64,
-    /// Whether the JIT lowering tier — per-map kernels and whole-nest
-    /// lowering (loop collapse, tile→nest-call dispatch) alike — is enabled
-    /// for this run (also part of the plan's compile fingerprint, so
-    /// lowerings never alias across configurations).
-    pub(crate) jit: bool,
+    pub(crate) plan: Arc<ExecutionPlan>,
+    /// The run's configuration, its JIT request resolved against the
+    /// environment gate; nested SDFG calls inherit it.
+    pub(crate) cfg: RunConfig,
     /// Content hash of the executed SDFG, for fallback-ledger records.
     pub(crate) chash: u64,
     /// Containers whose values the interstate environment exposes as
@@ -311,7 +279,7 @@ pub(crate) struct Ctx<'s> {
     pub(crate) stream_lens: Vec<(String, String)>,
     /// What this plan's artifacts may fold: the launch-invariant bindings,
     /// and the mutable symbols they must not.
-    pub(crate) inv: std::sync::Arc<Invariants>,
+    pub(crate) inv: Arc<Invariants>,
 }
 
 impl Ctx<'_> {
@@ -388,7 +356,7 @@ pub(crate) struct Worker<'c, 's> {
     /// The compiled kernel of the map launch this worker runs the
     /// interpreted rows of, launched by each row at the kernel's first dim
     /// (a whole-map kernel one dim-0 value at a time, see `exec_map`).
-    pub(crate) row_nest: Option<std::sync::Arc<crate::nest::MapNestPlan>>,
+    pub(crate) row_nest: Option<Arc<crate::nest::MapNestPlan>>,
     /// Index (into `pstack`) of the chunk-partitioned parameter when this
     /// worker runs inside a parallel region; `None` = no concurrent writers.
     pub(crate) chunk_param: Option<usize>,
@@ -398,7 +366,7 @@ pub(crate) struct Worker<'c, 's> {
     pub(crate) prog_cache: HashMap<(u32, u32), Cached<BodyTasklet>>,
     pub(crate) map_cache: HashMap<(u32, u32), Cached<MapPlan>>,
     /// Structural state plans by state id.
-    splans: Vec<Option<std::sync::Arc<StatePlan>>>,
+    splans: Vec<Option<Arc<StatePlan>>>,
     /// Locally-accumulated statistics, flushed once per worker lifetime
     /// (keeps atomics out of inner loops).
     pub(crate) st_points: u64,
@@ -466,10 +434,7 @@ impl<'c, 's> Worker<'c, 's> {
 
     /// The structural plan of a state (worker cache, then the shared plan,
     /// then derived from the graph).
-    pub(crate) fn state_plan(
-        &mut self,
-        sid: StateId,
-    ) -> Result<std::sync::Arc<StatePlan>, ExecError> {
+    pub(crate) fn state_plan(&mut self, sid: StateId) -> Result<Arc<StatePlan>, ExecError> {
         let i = sid.0 as usize;
         if let Some(Some(p)) = self.splans.get(i) {
             return Ok(p.clone());
@@ -512,7 +477,7 @@ impl<'c, 's> Worker<'c, 's> {
     /// (zeroed again on acquire).
     pub(crate) fn release_locals(&mut self) {
         for (_, buf) in self.locals.drain() {
-            self.ctx.pool.release(buf.into_inner());
+            self.ctx.cfg.pool.release(buf.into_inner());
         }
     }
 
@@ -579,7 +544,7 @@ impl<'c, 's> Worker<'c, 's> {
         &mut self,
         sid: StateId,
         n: NodeId,
-    ) -> Result<std::sync::Arc<BodyTasklet>, ExecError> {
+    ) -> Result<Arc<BodyTasklet>, ExecError> {
         if let Some((c, bt)) = self.prog_cache.get(&(sid.0, n.0)) {
             if c.matches_local(self) {
                 return Ok(bt.clone());
@@ -610,9 +575,9 @@ impl<'c, 's> Worker<'c, 's> {
                 for o in bt.outs.iter_mut() {
                     o.atomic = self.needs_atomic(o);
                 }
-                ctx.plan_cache.note_point_compile();
+                ctx.cfg.plan_cache.note_point_compile();
                 let cctx = self.compile_ctx(folded);
-                let (cached, capped) = ctx.plan.insert_tasklet(key, cctx, std::sync::Arc::new(bt));
+                let (cached, capped) = ctx.plan.insert_tasklet(key, cctx, Arc::new(bt));
                 if capped {
                     let label = ctx.sdfg.state(sid).graph.node(n).label();
                     record_variant_cap(ctx.chash, &label);
@@ -640,7 +605,7 @@ impl<'c, 's> Worker<'c, 's> {
             pcounts: self.pcounts.clone(),
             chunk: self.chunk_param,
             locals,
-            jit: self.ctx.jit,
+            jit: self.ctx.cfg.jit,
             folded,
         }
     }
@@ -718,213 +683,57 @@ impl<'c, 's> Worker<'c, 's> {
 }
 
 impl<'s> Executor<'s> {
-    /// Creates an executor for an SDFG.
-    pub fn new(sdfg: &'s Sdfg) -> Executor<'s> {
+    /// An executor for one run of `sdfg` (whose content hash is `chash`)
+    /// over the given bindings.
+    pub(crate) fn new(
+        sdfg: &'s Sdfg,
+        chash: u64,
+        cfg: RunConfig,
+        symbols: Env,
+        arrays: HashMap<String, Vec<f64>>,
+    ) -> Executor<'s> {
         Executor {
             sdfg,
-            arrays: HashMap::new(),
+            chash,
+            cfg,
+            arrays,
             streams: HashMap::new(),
-            symbols: Env::new(),
-            nthreads: crate::sched::env_nthreads().unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
-            max_transitions: 10_000_000,
-            stats: Stats::default(),
-            profiling: Profiling::default(),
-            last_report: None,
-            plan_cache: std::sync::Arc::new(PlanCache::new()),
-            pool: std::sync::Arc::new(BufferPool::new()),
-            sched: None,
-            sdfg_hash: None,
-            opt_level: OptLevel::None,
-            opt_report: None,
-            deadline: None,
-            deadline_ms: 0,
-            owned_transients: HashSet::new(),
-            run_target: "cpu".to_string(),
-            jit: true,
-            last_plan: None,
+            symbols,
+            owned: HashSet::new(),
+            report: None,
+            plan: None,
         }
     }
 
-    /// The optimization level of the pipeline that produced this graph
-    /// (`None` unless a [`crate::session::Session`] drives the executor).
-    pub fn opt_level(&self) -> OptLevel {
-        self.opt_level
+    /// Runs the SDFG on the host; returns the run's statistics.
+    pub(crate) fn run(&mut self) -> Result<Stats, ExecError> {
+        self.run_with(0, |ctx, symbols| {
+            crate::dispatch::drive_loop(ctx, symbols, true, exec_state)
+        })
     }
 
-    /// Report from that optimization pipeline, if one ran.
-    pub fn opt_report(&self) -> Option<&OptimizationReport> {
-        self.opt_report.as_ref()
-    }
-
-    /// Shares a plan cache with other executors, so lowering one SDFG once
-    /// serves every executor running it (service-style traffic). The
-    /// content-hash key keeps distinct programs from colliding.
-    pub fn with_plan_cache(&mut self, cache: std::sync::Arc<PlanCache>) -> &mut Self {
-        self.plan_cache = cache;
-        self
-    }
-
-    /// Shares a buffer pool with other executors, recycling transient and
-    /// scratch allocations across them.
-    pub fn with_buffer_pool(&mut self, pool: std::sync::Arc<BufferPool>) -> &mut Self {
-        self.pool = pool;
-        self
-    }
-
-    /// The plan cache this executor consults.
-    pub fn plan_cache(&self) -> &std::sync::Arc<PlanCache> {
-        &self.plan_cache
-    }
-
-    /// The buffer pool this executor allocates transients from.
-    pub fn buffer_pool(&self) -> &std::sync::Arc<BufferPool> {
-        &self.pool
-    }
-
-    /// Plan-cache hit/miss counters (cumulative for the cache, which may
-    /// be shared).
-    pub fn cache_stats(&self) -> crate::plan::CacheStats {
-        self.plan_cache.stats()
-    }
-
-    /// Buffer-pool counters (cumulative for the pool, which may be shared).
-    pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.pool.stats()
-    }
-
-    /// The cheap always-on counters (plan cache, buffer pool) as one
-    /// [`sdfg_profile::ExecCounters`] — available regardless of the
-    /// profiling mode, including `Profiling::Off`.
-    pub fn exec_counters(&self) -> sdfg_profile::ExecCounters {
-        always_on_counters(&self.plan_cache, &self.pool, None).0
-    }
-
-    /// Renders the hot-path counters footer (plan-cache/pool counters and
-    /// per-worker scheduler lines) from the always-on counters. Unlike
-    /// [`Executor::last_report`], this never requires instrumentation to
-    /// be enabled: it works after a `Profiling::Off` run too.
-    pub fn counters_footer(&self) -> String {
-        let (exec, sched) = always_on_counters(&self.plan_cache, &self.pool, self.sched.as_deref());
-        sdfg_profile::counters_footer(&exec, &sched)
-    }
-
-    /// Stable content hash of the graph (memoized after the first call).
-    /// This is the plan-cache key.
-    pub fn content_hash(&mut self) -> u64 {
-        let sdfg = self.sdfg;
-        *self
-            .sdfg_hash
-            .get_or_insert_with(|| sdfg_core::serialize::content_hash(sdfg))
-    }
-
-    /// Sets the profiling switch for subsequent `run`s.
-    pub fn enable_profiling(&mut self, profiling: Profiling) -> &mut Self {
-        self.profiling = profiling;
-        self
-    }
-
-    /// Work-stealing scheduler counters: per-worker tiles/steals/idle plus
-    /// launch totals, cumulative for the pool (which nested executors
-    /// share). `None` until a `run` has built the pool — i.e. while
-    /// serial.
-    pub fn sched_stats(&self) -> Option<crate::sched::SchedStats> {
-        self.sched.as_ref().map(|p| p.stats())
-    }
-
-    /// Binds a symbol.
-    pub fn set_symbol(&mut self, name: &str, value: i64) -> &mut Self {
-        self.symbols.insert(name.to_string(), value);
-        self
-    }
-
-    /// Provides an array. Binding a name the executor had auto-allocated
-    /// transfers ownership to the caller: the data is no longer reset or
-    /// pooled between runs.
-    pub fn set_array(&mut self, name: &str, data: Vec<f64>) -> &mut Self {
-        self.owned_transients.remove(name);
-        self.arrays.insert(name.to_string(), data);
-        self
-    }
-
-    /// Reads an array after `run`.
-    ///
-    /// Panics when `name` is unknown; prefer [`Executor::try_array`] in
-    /// code that must report the failure instead.
-    pub fn array(&self, name: &str) -> &[f64] {
-        self.try_array(name)
-            .unwrap_or_else(|| panic!("array `{name}` not present"))
-    }
-
-    /// Reads an array after `run`, returning `None` when no container of
-    /// that name is bound (the non-panicking form of [`Executor::array`]).
-    pub fn try_array(&self, name: &str) -> Option<&[f64]> {
-        self.arrays.get(name).map(|v| v.as_slice())
-    }
-
-    /// Runs the SDFG; returns execution statistics.
-    ///
-    /// Repeat runs reuse the lowered plan: the plan cache is keyed by the
-    /// SDFG's content hash plus the symbol bindings, so the second `run`
-    /// with unchanged bindings skips scope derivation, tasklet compilation
-    /// and map planning entirely.
-    pub fn run(&mut self) -> Result<Stats, ExecError> {
-        self.run_with(0, |ex, ctx| ex.drive(ctx))
-    }
-
-    /// Per-map lowering decisions recorded by the last `run`: which tier
-    /// each map body was lowered to (`jit`, `native`, `affine-vm`,
-    /// `symbolic`) and, when the JIT tier was enabled but declined, why.
-    /// Empty before the first run (or when no map was planned).
-    pub fn lowering_report(&self) -> Vec<crate::lower::MapLowering> {
-        self.last_plan
-            .as_ref()
-            .map(|p| p.lowerings())
-            .unwrap_or_default()
-    }
-
-    /// Shared run protocol: allocate, lay out buffers, build the
-    /// run context, hand control to `drive`, then tear down and snapshot
-    /// statistics. [`Executor::run`] drives every state on the host;
-    /// [`crate::dispatch::Runtime`] substitutes its own per-backend drive
-    /// loop. `target_tag` partitions the plan cache by target assignment.
+    /// The run protocol: allocate, lay out buffers, build the run context,
+    /// hand control to `drive` (with the initial symbols), then tear down
+    /// and snapshot statistics. [`Executor::run`] drives every state on
+    /// the host; a session with device backends substitutes its routed
+    /// drive loop. `target_tag` partitions the plan cache by target
+    /// assignment.
     pub(crate) fn run_with<F>(&mut self, target_tag: u64, drive: F) -> Result<Stats, ExecError>
     where
-        F: for<'a, 'b> FnOnce(&'a Self, &'b Ctx<'a>) -> Result<(), ExecError>,
+        F: FnOnce(&Ctx<'s>, &Env) -> Result<(), ExecError>,
     {
-        let run_t0 = std::time::Instant::now();
         // The run's own counters: every event below is counted here.
         let stats = AtomicStats::default();
         self.prepare(&stats)?;
-        let chash = self.content_hash();
-        // Keep the scheduler pool in sync with the requested thread count
-        // (a serial run has none).
-        let nthreads = self.nthreads.max(1);
-        if nthreads > 1 {
-            let rebuild = match &self.sched {
-                Some(p) => p.nworkers() != nthreads,
-                None => true,
-            };
-            if rebuild {
-                self.sched = Some(std::sync::Arc::new(crate::sched::SchedPool::new(nthreads)));
-            }
-        } else {
-            self.sched = None;
-        }
-        let key = PlanKey::new(chash, &self.symbols).with_target(target_tag);
-        let (plan, hit) = self.plan_cache.lookup(key);
+        let key = PlanKey::new(self.chash, &self.symbols).with_target(target_tag);
+        let (plan, hit) = self.cfg.plan_cache.lookup(key);
         let lookups = if hit {
             &stats.plan_cache_hits
         } else {
             &stats.plan_cache_misses
         };
         lookups.fetch_add(1, Ordering::Relaxed);
-        self.last_plan = Some(plan.clone());
-        // JIT tier enablement: the environment gate wins over the request.
-        let jit = crate::jit::env_enabled() && self.jit;
+        self.plan = Some(plan.clone());
         let sdfg = self.sdfg;
         // Move arrays into shared buffers (slot-indexed for hot paths).
         // Slots are assigned in sorted-name order so they are deterministic
@@ -973,22 +782,21 @@ impl<'s> Executor<'s> {
                 .map(|(k, v)| (k, Mutex::new(v)))
                 .collect(),
             stats,
-            nthreads: self.nthreads.max(1),
-            prof: Prof::build(sdfg, self.profiling),
+            prof: Prof::build(sdfg, self.cfg.profiling),
             plan,
-            plan_cache: self.plan_cache.clone(),
-            pool: self.pool.clone(),
-            sched: self.sched.clone(),
-            deadline: self.deadline,
-            deadline_ms: self.deadline_ms,
-            jit,
-            chash,
+            // JIT tier enablement: the environment gate wins over the
+            // request.
+            cfg: RunConfig {
+                jit: crate::jit::env_enabled() && self.cfg.jit,
+                ..self.cfg.clone()
+            },
+            chash: self.chash,
             scalarish,
             shadow,
             stream_lens,
             inv,
         };
-        let result = drive(self, &ctx);
+        let result = drive(&ctx, &self.symbols);
         // Move storage back even on error.
         self.arrays = names
             .into_iter()
@@ -1000,90 +808,36 @@ impl<'s> Executor<'s> {
             .drain()
             .map(|(k, v)| (k, v.into_inner()))
             .collect();
-        self.stats = ctx.stats.snapshot();
-        self.last_report = ctx.prof.take().map(|p| {
+        self.report = ctx.prof.take().map(|p| {
             // Spans are process-epoch stamped; the run's wall time is the
             // collector's own age (it is built at run start).
             let wall = p.collector.elapsed();
             let mut report = p.collector.finish(wall);
-            (report.exec, report.sched) =
-                always_on_counters(&self.plan_cache, &self.pool, self.sched.as_deref());
+            (report.exec, report.sched) = always_on_counters(
+                &self.cfg.plan_cache,
+                &self.cfg.pool,
+                self.cfg.sched.as_deref(),
+            );
             report
         });
         result?;
-        self.observe_run(chash, run_t0.elapsed());
-        Ok(self.stats.clone())
+        Ok(ctx.stats.snapshot())
     }
 
-    /// Always-on observability for one completed run: bumps the global
-    /// metrics registry and appends the run-ledger record. Costs a handful
-    /// of relaxed atomic adds per run; the ledger branch is a single
-    /// relaxed load when disabled.
-    fn observe_run(&self, chash: u64, wall: Duration) {
-        use sdfg_profile::{ledger, metrics};
-        let wall_ms = wall.as_secs_f64() * 1e3;
-        let s = &self.stats;
-        let m = metrics::core();
-        if self.run_target == "cpu" {
-            m.launches.inc();
-            m.launch_duration_ms.observe(wall_ms);
-        } else {
-            // Non-default backend sets are rare (one resolution per run,
-            // off the tile hot path), so resolve the labelled series here.
-            let g = metrics::global();
-            g.counter(
-                "sdfg_launches_total",
-                "Executor/runtime run invocations by backend.",
-                &[("backend", &self.run_target)],
-            )
-            .inc();
-            g.histogram(
-                "sdfg_launch_duration_ms",
-                "End-to-end wall time of executor runs, milliseconds.",
-                &[("backend", &self.run_target)],
-                &metrics::default_duration_buckets_ms(),
-            )
-            .observe(wall_ms);
-        }
-        let counters = s.counters();
-        for (series, &v) in m.run.iter().zip(&counters) {
-            if let (Some(c), true) = (series, v > 0) {
-                c.add(v);
-            }
-        }
-        let local_bytes = s.elements_copied.saturating_mul(8);
-        if local_bytes > 0 {
-            m.bytes_local.add(local_bytes);
-        }
-        let par = s.parallel_regions.min(s.map_launches);
-        if par > 0 {
-            m.map_launches_par.add(par);
-        }
-        if s.map_launches > par {
-            m.map_launches_seq.add(s.map_launches - par);
-        }
-        if ledger::enabled() {
-            let mut rec = ledger::RunRecord {
-                seq: 0,
-                content_hash: format!("{chash:016x}"),
-                target: self.run_target.clone(),
-                opt_level: format!("{:?}", self.opt_level),
-                nthreads: self.nthreads.max(1),
-                wall_ms,
-                bytes_moved: local_bytes,
-                counters,
-                // Tenant/request tags are stamped from the thread's
-                // request scope by `ledger::append`.
-                ..Default::default()
-            };
-            ledger::append(&mut rec);
-        }
+    /// Moves the caller-visible containers out: every array but the
+    /// transients the run allocated, which return to the pool on drop.
+    pub(crate) fn take_outputs(&mut self) -> HashMap<String, Vec<f64>> {
+        let owned = &self.owned;
+        let (kept, outputs) = std::mem::take(&mut self.arrays)
+            .into_iter()
+            .partition(|(name, _)| owned.contains(name));
+        self.arrays = kept;
+        outputs
     }
 
-    fn drive(&self, ctx: &Ctx<'_>) -> Result<(), ExecError> {
-        crate::dispatch::drive_loop(self.max_transitions, &self.symbols, ctx, true, exec_state)
-    }
-
+    /// Binds every container the graph declares: bound arrays are checked
+    /// against their shape, unbound transients come from the pool, unbound
+    /// scalars start at zero, streams start empty.
     fn prepare(&mut self, run: &AtomicStats) -> Result<(), ExecError> {
         for (name, desc) in &self.sdfg.data {
             match desc {
@@ -1093,53 +847,31 @@ impl<'s> Executor<'s> {
                         size = size.saturating_mul(d.eval(&self.symbols)?.max(0));
                     }
                     let size = size as usize;
-                    let owned = self.owned_transients.contains(name);
-                    match self.arrays.get_mut(name) {
+                    match self.arrays.get(name) {
                         Some(v) if v.len() != size => {
-                            if a.transient && owned {
-                                // Symbol-driven reshape of an executor-owned
-                                // transient: recycle the storage.
-                                self.pool.release(std::mem::take(v));
-                                *v = self.pool.acquire(size, run);
-                            } else {
-                                return Err(ExecError::SizeMismatch {
-                                    name: name.clone(),
-                                    expected: size,
-                                    got: v.len(),
-                                });
-                            }
+                            return Err(ExecError::SizeMismatch {
+                                name: name.clone(),
+                                expected: size,
+                                got: v.len(),
+                            });
                         }
-                        Some(v) => {
-                            // Reset-not-free: executor-owned transients are
-                            // zeroed in place so every run starts from the
-                            // state a fresh allocation (and the reference
-                            // interpreter) would see. Caller-provided
-                            // arrays are never touched.
-                            if a.transient && owned {
-                                v.fill(0.0);
-                            }
-                        }
+                        Some(_) => {}
                         None if a.transient => {
                             self.arrays
-                                .insert(name.clone(), self.pool.acquire(size, run));
-                            self.owned_transients.insert(name.clone());
+                                .insert(name.clone(), self.cfg.pool.acquire(size, run));
+                            self.owned.insert(name.clone());
                         }
                         None => return Err(ExecError::MissingArray(name.clone())),
                     }
                 }
-                DataDesc::Scalar(sc) => match self.arrays.get_mut(name) {
-                    Some(v) => {
-                        if sc.transient && self.owned_transients.contains(name) {
-                            v.fill(0.0);
-                        }
-                    }
-                    None => {
+                DataDesc::Scalar(sc) => {
+                    if !self.arrays.contains_key(name) {
                         self.arrays.insert(name.clone(), vec![0.0]);
                         if sc.transient {
-                            self.owned_transients.insert(name.clone());
+                            self.owned.insert(name.clone());
                         }
                     }
-                },
+                }
                 DataDesc::Stream(_) => {
                     self.streams.entry(name.clone()).or_default();
                 }
@@ -1175,12 +907,89 @@ pub(crate) fn always_on_counters(
 
 impl Drop for Executor<'_> {
     fn drop(&mut self) {
-        // Executor-owned transients go back to the pool for whoever shares
+        // Run-allocated transients go back to the pool for whoever shares
         // it next; caller-provided arrays stay with the caller.
-        for name in std::mem::take(&mut self.owned_transients) {
+        for name in std::mem::take(&mut self.owned) {
             if let Some(v) = self.arrays.remove(&name) {
-                self.pool.release(v);
+                self.cfg.pool.release(v);
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl RunConfig {
+    /// A configuration with a private plan cache and buffer pool and no
+    /// transition cap.
+    pub(crate) fn private(nthreads: usize) -> RunConfig {
+        RunConfig {
+            nthreads,
+            max_transitions: usize::MAX,
+            jit: true,
+            profiling: Profiling::Off,
+            plan_cache: Arc::default(),
+            pool: Arc::default(),
+            sched: crate::session::shared_scheduler(nthreads),
+            deadline: None,
+            deadline_ms: 0,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdfg_core::DType;
+    use sdfg_frontend::SdfgBuilder;
+
+    /// Two runs sharing one plan whose bound-array sets differ shift the
+    /// slot indices; the plan must drop slot-dependent artifacts and still
+    /// be correct.
+    #[test]
+    fn rebinding_an_array_set_recompiles_safely() {
+        let mut b = SdfgBuilder::new("ew");
+        b.symbol("N");
+        b.array("A", &["N"], DType::F64);
+        b.array("B", &["N"], DType::F64);
+        b.array("C", &["N"], DType::F64);
+        let st = b.state("main");
+        b.mapped_tasklet(
+            st,
+            "f",
+            &[("i", "0:N")],
+            &[("a", "A", "i"), ("b", "B", "i")],
+            "c = a * 2 + b",
+            &[("c", "C", "i")],
+        );
+        let sdfg = b.build().unwrap();
+        let chash = sdfg_core::serialize::content_hash(&sdfg);
+        let cfg = RunConfig::private(1);
+        let n = 16usize;
+        let a: Vec<f64> = (0..n).map(|x| x as f64).collect();
+        let b: Vec<f64> = (0..n).map(|x| (x * 3 % 7) as f64).collect();
+        let run = |extra: Option<&str>| {
+            let mut arrays = HashMap::from([
+                ("A".to_string(), a.clone()),
+                ("B".to_string(), b.clone()),
+                ("C".to_string(), vec![0.0; n]),
+            ]);
+            if let Some(name) = extra {
+                arrays.insert(name.to_string(), vec![0.0; 4]);
+            }
+            let symbols = Env::from([("N".to_string(), n as i64)]);
+            let mut ex = Executor::new(&sdfg, chash, cfg.clone(), symbols, arrays);
+            ex.run().expect("run");
+            ex.take_outputs().remove("C").unwrap()
+        };
+        run(None);
+        // Bind an extra (unused) array: the sorted layout changes.
+        let got = run(Some("Aux"));
+        assert_eq!(
+            cfg.plan_cache.stats().hits,
+            1,
+            "the second run shares the plan"
+        );
+        let want: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x * 2.0 + y).collect();
+        assert_eq!(got, want);
     }
 }

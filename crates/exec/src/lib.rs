@@ -29,6 +29,15 @@
 //! iterations only conflict through WCR memlets — the same contract DaCe's
 //! generated OpenMP code relies on.
 //!
+//! [`Session`] is the one way to run an SDFG: a [`SessionBuilder`] fixes
+//! every knob once (optimization level, threads, transition cap, JIT,
+//! profiling, shared plan cache, buffer pool and scheduler, and device
+//! [`Backend`]s), and each [`Session::run`] takes [`Bindings`] and returns
+//! [`Outputs`]. With a device backend registered (the simulated GPU or
+//! FPGA), the session routes every state to the backend its schedule
+//! names and [`Outputs::backends`] reports what each backend did; the
+//! results stay bit-exact, since simulators run states on the host engine.
+//!
 //! The executor is property-tested against the reference interpreter
 //! (`sdfg-interp`).
 
@@ -49,8 +58,8 @@ pub mod stats;
 mod tasklet;
 
 pub use cpu::CpuBackend;
-pub use dispatch::{Backend, BackendStats, RunCtx, Runtime, RuntimeReport, ScopeStats};
-pub use engine::{ExecError, Executor};
+pub use dispatch::{Backend, BackendStats, RunCtx, ScopeStats};
+pub use engine::ExecError;
 pub use lower::{LowerTier, MapLowering};
 pub use plan::{CacheStats, PlanCache};
 pub use pool::{BufferPool, PoolStats};

@@ -76,7 +76,7 @@ impl LowerTier {
 }
 
 /// One map's lowering decision, as surfaced by
-/// [`crate::Executor::lowering_report`].
+/// [`crate::Outputs::lowering_report`].
 #[derive(Clone, Debug)]
 pub struct MapLowering {
     /// State id the map lives in.

@@ -1245,7 +1245,7 @@ pub(crate) fn try_collapse_loop(
     let (mut npts, mut calls) = (0i64, 0u64);
     let mut done = lo0;
     let mut ran = Ok(());
-    match ctx.deadline {
+    match ctx.cfg.deadline {
         None => {
             ran = run_nest(&plan.core, &args, lo0, hi0).map(|(n, c)| {
                 (npts, calls, done) = (n, c, hi0);
@@ -1284,7 +1284,7 @@ pub(crate) fn try_collapse_loop(
     // takes the exit edge and applies its assignments.
     symbols.insert(plan.var.clone(), done);
     if done < hi0 {
-        return Err(ExecError::Timeout(ctx.deadline_ms));
+        return Err(ExecError::Timeout(ctx.cfg.deadline_ms));
     }
     Ok(Some(plan))
 }
@@ -1432,7 +1432,7 @@ pub(crate) fn map_nest(
         MapBody::Tasklets(ts, _) => ts.len() == 1 && (ungated || worker.volume >= JIT_MIN_POINTS),
         MapBody::Generic { .. } => base == worker.nconst && plan.dyn_edges.is_empty(),
     };
-    if !ctx.jit || !wanted {
+    if !ctx.cfg.jit || !wanted {
         return None;
     }
     match ctx.plan.map_nest(pkey) {
@@ -1854,7 +1854,34 @@ fn run_nest(core: &NestCore, args: &NestArgs, lo0: i64, hi0: i64) -> Result<(i64
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::Executor;
+    use crate::engine::{Executor, RunConfig};
+    use crate::{Bindings, Outputs, Session};
+    use sdfg_core::node::MapScope;
+    use sdfg_core::{DType, Memlet, Schedule, Sdfg, SdfgError, SymRange, Wcr};
+    use sdfg_workloads::workload::Workload;
+
+    /// One run's engine state over `w`'s bindings, on a private plan
+    /// cache and buffer pool.
+    fn executor(w: &Workload, nthreads: usize) -> Executor<'_> {
+        Executor::new(
+            &w.sdfg,
+            sdfg_core::serialize::content_hash(&w.sdfg),
+            RunConfig::private(nthreads),
+            w.symbols.iter().cloned().collect(),
+            w.arrays.clone(),
+        )
+    }
+
+    fn bindings(w: &Workload) -> Bindings {
+        let mut b = Bindings::new();
+        for (s, v) in &w.symbols {
+            b = b.symbol(s, *v);
+        }
+        for (n, d) in &w.arrays {
+            b = b.array(n, d);
+        }
+        b
+    }
 
     /// A write-log kernel — histogram's bins, combined atomically by every
     /// interpreted tier — runs native when its launch is serial, and from
@@ -1867,14 +1894,7 @@ mod tests {
         }
         let w = sdfg_workloads::kernels::histogram(64);
         let run = |in_tile: bool| {
-            let mut ex = Executor::new(&w.sdfg);
-            ex.nthreads = 1;
-            for (s, v) in &w.symbols {
-                ex.set_symbol(s, *v);
-            }
-            for (n, d) in &w.arrays {
-                ex.set_array(n, d.clone());
-            }
+            let mut ex = executor(&w, 1);
             let stats = if in_tile {
                 crate::sched::as_pool_worker(|| ex.run())
             } else {
@@ -1906,5 +1926,156 @@ mod tests {
                     && l.contains("inside a parallel tile")),
             "no decline recorded:\n{text}"
         );
+    }
+
+    /// A run's outcome as the caller sees it: the checked arrays' bits, or
+    /// the error's message.
+    fn outcome(w: &Workload, r: Result<Outputs, SdfgError>) -> Result<Vec<u64>, String> {
+        let out = r.map_err(|e| e.to_string())?;
+        let mut bits = Vec::new();
+        for name in &w.check {
+            bits.extend(out.array(name).unwrap().iter().map(|x| x.to_bits()));
+        }
+        Ok(bits)
+    }
+
+    /// The interpreted tiers' outcome, and the steady JIT outcome (after
+    /// the first run has requested the kernels and the compiles have
+    /// finished).
+    fn outcomes(w: &Workload) -> (Result<Vec<u64>, String>, Result<Vec<u64>, String>) {
+        let session = |jit: bool| {
+            Session::builder(w.sdfg.clone())
+                .jit(jit)
+                .nthreads(2)
+                .build()
+                .expect("session")
+        };
+        let off = outcome(w, session(false).run(bindings(w)));
+        let s = session(true);
+        let _ = s.run(bindings(w));
+        crate::jit::wait_idle();
+        (off, outcome(w, s.run(bindings(w))))
+    }
+
+    /// Query with a gather before the push: `w[k[i]]` faults at point `bad`.
+    fn query_fault(n: usize, bad: usize) -> Workload {
+        let mut sdfg = Sdfg::new("query_fault");
+        sdfg.add_symbol("N");
+        sdfg.add_array("col", &["N"], DType::F64);
+        sdfg.add_array("k", &["N"], DType::F64);
+        sdfg.add_array("w", &["N"], DType::F64);
+        sdfg.add_stream("S", DType::F64);
+        sdfg.add_array("count", &["1"], DType::F64);
+        let sid = sdfg.add_state("filter");
+        let st = sdfg.state_mut(sid);
+        let (col, k, w) = (st.add_access("col"), st.add_access("k"), st.add_access("w"));
+        let (cnt, s) = (st.add_access("count"), st.add_access("S"));
+        let mut m = MapScope::new("scan", vec!["i".into()], vec![SymRange::new(0, "N")]);
+        m.schedule = Schedule::CpuMulticore;
+        let (me, mx) = st.add_map(m);
+        let t = st.add_tasklet(
+            "pred",
+            &["x", "kk", "ww"],
+            &["S_out", "c"],
+            "v = ww[int(kk)]\nif x > 0:\n    S_out.push(x + v)\n    c = 1\nelse:\n    c = 0",
+        );
+        for (acc, name) in [(col, "col"), (k, "k"), (w, "w")] {
+            let conn = format!("IN_{name}");
+            st.add_edge(acc, None, me, Some(&conn), Memlet::parse(name, "0:N"));
+        }
+        let out_conn = |n: &str| format!("OUT_{n}");
+        st.add_edge(
+            me,
+            Some(&out_conn("col")),
+            t,
+            Some("x"),
+            Memlet::parse("col", "i"),
+        );
+        st.add_edge(
+            me,
+            Some(&out_conn("k")),
+            t,
+            Some("kk"),
+            Memlet::parse("k", "i"),
+        );
+        st.add_edge(
+            me,
+            Some(&out_conn("w")),
+            t,
+            Some("ww"),
+            Memlet::parse("w", "0:N").dynamic(),
+        );
+        st.add_edge(
+            t,
+            Some("S_out"),
+            mx,
+            Some("IN_S"),
+            Memlet::parse("S", "0").dynamic(),
+        );
+        st.add_edge(
+            mx,
+            Some("OUT_S"),
+            s,
+            None,
+            Memlet::parse("S", "0").dynamic(),
+        );
+        st.add_edge(
+            t,
+            Some("c"),
+            mx,
+            Some("IN_count"),
+            Memlet::parse("count", "0").with_wcr(Wcr::Sum),
+        );
+        st.add_edge(
+            mx,
+            Some("OUT_count"),
+            cnt,
+            None,
+            Memlet::parse("count", "0").with_wcr(Wcr::Sum),
+        );
+        sdfg.validate().expect("valid query_fault sdfg");
+        let mut kv: Vec<f64> = (0..n).map(|i| ((i * 13) % n) as f64).collect();
+        kv[bad] = (n + 7) as f64;
+        Workload::new("query_fault", sdfg)
+            .symbol("N", n as i64)
+            .array("col", sdfg_workloads::workload::pseudo_random(n, 31))
+            .array("k", kv)
+            .array("w", sdfg_workloads::workload::pseudo_random(n, 37))
+            .array("count", vec![0.0])
+            .check("count")
+    }
+
+    /// A span that faults after pushing — past its first staged call — leaves
+    /// the stream as the affine VM loop does: nothing of that span appended.
+    #[test]
+    fn faulting_span_appends_no_pushes() {
+        if !crate::jit::env_enabled() || crate::jit::cc().is_none() {
+            return;
+        }
+        let n = 10_000;
+        let w = query_fault(n, 6_000);
+        let run = |w: &Workload| {
+            let mut ex = executor(w, 2);
+            let err = ex.run().expect_err("the gather faults").to_string();
+            (err, ex.streams["S"].len(), ex.arrays["count"][0])
+        };
+        run(&w);
+        crate::jit::wait_idle();
+        let (err, pushed, count) = run(&w);
+        let (off, on) = outcomes(&w);
+        let want = off.unwrap_err();
+        assert!(
+            want.contains("`ww`: index 10007 out of bounds (len 10000)"),
+            "{want}"
+        );
+        assert_eq!(on, Err(want.clone()));
+        assert!(want.ends_with(&err), "{err} vs {want}");
+        assert_eq!(pushed, 0, "pushes of a failed span");
+        // Every point before the fault combined its count, as in the VM loop.
+        let before = w.arrays["col"][..6_000]
+            .iter()
+            .filter(|&&x| x > 0.0)
+            .count();
+        assert_eq!(count, before as f64, "count before the fault");
     }
 }

@@ -82,9 +82,9 @@ pub struct PlanKey {
     /// Initial symbol bindings, sorted by name.
     pub symbols: Vec<(String, i64)>,
     /// Fingerprint of the state→backend assignment the plan was lowered
-    /// under (0 for plain CPU execution). The heterogeneous runtime lowers
-    /// scopes differently per target, so plans must not alias across
-    /// assignments.
+    /// under (0 for plain CPU execution). A session with device backends
+    /// lowers scopes differently per target, so plans must not alias
+    /// across assignments.
     pub target: u64,
 }
 
@@ -135,9 +135,9 @@ impl CacheStats {
 
 /// A shareable cache of lowered execution plans.
 ///
-/// Every [`crate::Executor`] owns one by default; share a single cache
-/// across executors (via `Executor::with_plan_cache`) to amortize lowering
-/// over service-style traffic running the same SDFG repeatedly.
+/// Every [`crate::Session`] owns one by default; share a single cache
+/// across sessions (via [`crate::SessionBuilder::plan_cache`]) to amortize
+/// lowering over service-style traffic running the same SDFG repeatedly.
 #[derive(Default)]
 pub struct PlanCache {
     plans: Mutex<HashMap<PlanKey, Arc<ExecutionPlan>>>,
@@ -239,7 +239,7 @@ impl CompileCtx {
     /// the shared plan.
     pub(crate) fn matches(&self, w: &Worker) -> bool {
         self.chunk == w.chunk_param
-            && self.jit == w.ctx.jit
+            && self.jit == w.ctx.cfg.jit
             && self.pcounts == w.pcounts
             && self.folded_match(w)
             && self.pstack == w.pstack

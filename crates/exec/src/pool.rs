@@ -9,7 +9,7 @@
 //! load-bearing for correctness, not just hygiene: transients must start
 //! every run with the same contents a fresh allocation (or the reference
 //! interpreter) would observe, so recycling can never leak data between
-//! runs or between executors sharing a pool.
+//! runs or between sessions sharing a pool.
 
 use crate::stats::AtomicStats;
 use parking_lot::Mutex;

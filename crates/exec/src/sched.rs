@@ -3,7 +3,7 @@
 //! The paper's generated code leans on OpenMP's runtime to load-balance
 //! parallel maps; this module is the executor's equivalent substrate. A
 //! [`SchedPool`] owns a lazily-started set of long-lived worker threads
-//! (spawned once per executor lifetime, not per map launch) and one
+//! (spawned once per pool lifetime, not per map launch) and one
 //! fixed-capacity Chase-Lev-style deque per worker. A map launch splits
 //! its iteration space into **tiles** — contiguous index ranges chosen by
 //! the adaptive `Tuning` controller — distributes them across the
@@ -305,12 +305,12 @@ pub(crate) struct Resident {
     pub(crate) env: Env,
 }
 
-/// The persistent scheduler pool. One per executor (created lazily when
-/// `nthreads > 1`); nested executors share the parent's pool.
+/// The persistent scheduler pool. One per session with `nthreads > 1`
+/// (or shared across sessions); nested SDFG calls share their run's pool.
 pub struct SchedPool {
     nworkers: usize,
     shared: Arc<Shared>,
-    /// Serializes launches when a pool is shared across executors.
+    /// Serializes launches when a pool is shared across invokes.
     launch: Mutex<()>,
     /// Worker threads spawn on the first parallel launch, not at pool
     /// construction, so serial runs never pay for them.

@@ -1,20 +1,17 @@
-//! The embedding facade: typed, compile-once/invoke-many execution.
-//!
-//! [`Executor`] grew up as a mutate-after-construct object — callers set
-//! the opt level and thread count one field at a time, then `run`, and
-//! every embedder (harness, bench, and now the serving layer) repeated
-//! the same fragile sequence. The session API replaces that with two
-//! types:
+//! The embedding facade and the one way to run an SDFG: typed,
+//! compile-once/invoke-many execution.
 //!
 //! * [`SessionBuilder`] — all configuration up front, validated once at
 //!   [`SessionBuilder::build`] (the SDFG is structurally checked, so a
-//!   session never executes a malformed graph).
+//!   session never executes a malformed graph). Simulated accelerators
+//!   register as further [`Backend`]s; the host CPU backend is always
+//!   there.
 //! * [`Session`] — an immutable, `Sync`-shareable compiled program. The
 //!   optimization pipeline runs once (lazily, on the first invoke, so
 //!   cost hints see real symbol bindings); every [`Session::run`] then
-//!   stamps out a fresh single-invoke [`Executor`] that shares the
-//!   session's plan cache, buffer pool and work-stealing scheduler pool,
-//!   which is what makes warm invokes cheap and concurrent invokes safe.
+//!   stamps out single-use engine state that shares the session's plan
+//!   cache, buffer pool and work-stealing scheduler pool, which is what
+//!   makes warm invokes cheap and concurrent invokes safe.
 //!
 //! Inputs travel in a [`Bindings`] value and results come back as
 //! [`Outputs`]; both move their arrays (no cloning), and
@@ -23,7 +20,9 @@
 //! unknown container names are `SDFG-X002`, shape mismatches `SDFG-X003`,
 //! expired deadlines `SDFG-X004` — instead of panicking.
 
-use crate::engine::Executor;
+use crate::cpu::CpuBackend;
+use crate::dispatch::{drive_routed, route_states, Backend, BackendStats};
+use crate::engine::{Executor, RunConfig};
 use crate::plan::{CacheStats, PlanCache};
 use crate::pool::{BufferPool, PoolStats};
 use crate::sched::{SchedPool, SchedStats};
@@ -38,7 +37,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Typed input bindings for one invoke: arrays and symbols, moved (not
-/// copied) into the executor. Built fluently:
+/// copied) into the engine. Built fluently:
 ///
 /// ```ignore
 /// let inputs = Bindings::new()
@@ -94,19 +93,21 @@ impl Bindings {
 
 /// What one [`Session::run`] produced: the caller-visible arrays (bound
 /// inputs plus engine-materialized non-transient containers), run
-/// statistics, and the instrumentation report when profiling was on.
+/// statistics, the instrumentation report when profiling was on, and the
+/// per-backend totals when device backends are registered.
 pub struct Outputs {
     arrays: HashMap<String, Vec<f64>>,
     symbols: Env,
     stats: Stats,
     report: Option<InstrumentationReport>,
     plan: Option<Arc<crate::plan::ExecutionPlan>>,
+    backends: Vec<BackendStats>,
 }
 
 impl Outputs {
     /// Reads an array, failing with [`SdfgError::UnknownData`] when no
-    /// container of that name came out of the run (the panicking
-    /// `Executor::array` accessor has no equivalent here).
+    /// container of that name came out of the run — transients the run
+    /// allocated itself never do.
     pub fn array(&self, name: &str) -> Result<&[f64], SdfgError> {
         self.arrays
             .get(name)
@@ -145,8 +146,9 @@ impl Outputs {
         self.report.as_ref()
     }
 
-    /// Per-map lowering decisions of the plan this run consulted (see
-    /// [`Executor::lowering_report`]).
+    /// Per-map lowering decisions of the plan this run consulted: which
+    /// tier each map body was lowered to (`jit`, `native`, `affine-vm`,
+    /// `symbolic`) and, when the JIT tier was enabled but declined, why.
     pub fn lowering_report(&self) -> Vec<crate::lower::MapLowering> {
         self.plan
             .as_ref()
@@ -154,10 +156,17 @@ impl Outputs {
             .unwrap_or_default()
     }
 
+    /// Per-backend totals of the run — state visits, scopes, modeled time,
+    /// host↔device bytes — one entry per registered backend, host CPU
+    /// first. Empty when the session has no device backend (the run then
+    /// drives every state on the host, loop collapse included).
+    pub fn backends(&self) -> &[BackendStats] {
+        &self.backends
+    }
+
     /// Re-wraps the outputs as the next invoke's bindings without copying
     /// any array — the warm-iteration idiom: outputs of run *n* become
-    /// inputs of run *n + 1*, exactly like re-running a long-lived
-    /// executor in place.
+    /// inputs of run *n + 1*.
     pub fn into_bindings(self) -> Bindings {
         Bindings {
             arrays: self.arrays,
@@ -176,6 +185,11 @@ struct Compiled {
     /// so warm invokes skip re-serializing the graph.
     hash: u64,
     report: Option<OptimizationReport>,
+    /// Backend index per state id of the active graph, and the plan-cache
+    /// tag fingerprinting that assignment (empty and 0 without device
+    /// backends).
+    routes: Vec<usize>,
+    tag: u64,
 }
 
 /// Configures and builds a [`Session`]. Obtained from
@@ -190,6 +204,7 @@ pub struct SessionBuilder {
     plan_cache: Option<Arc<PlanCache>>,
     pool: Option<Arc<BufferPool>>,
     sched: Option<Arc<SchedPool>>,
+    backends: Vec<Box<dyn Backend>>,
 }
 
 impl SessionBuilder {
@@ -208,6 +223,7 @@ impl SessionBuilder {
             plan_cache: None,
             pool: None,
             sched: None,
+            backends: Vec::new(),
         }
     }
 
@@ -273,6 +289,16 @@ impl SessionBuilder {
         self
     }
 
+    /// Registers a device backend (a simulated GPU or FPGA, say) after the
+    /// host CPU backend, which is always first. With one registered, every
+    /// invoke routes each state to the first backend supporting its
+    /// top-level schedule, and [`Outputs::backends`] reports what each
+    /// backend did.
+    pub fn backend(mut self, backend: Box<dyn Backend>) -> SessionBuilder {
+        self.backends.push(backend);
+        self
+    }
+
     /// Validates the SDFG and freezes the configuration into a
     /// [`Session`]. Fails with [`SdfgError::Validation`] on a malformed
     /// graph — a session never executes one.
@@ -283,17 +309,30 @@ impl SessionBuilder {
             Some(p) if p.nworkers() == self.nthreads => Some(p),
             _ => shared_scheduler(self.nthreads),
         };
+        let mut backends: Vec<Box<dyn Backend>> = vec![Box::new(CpuBackend)];
+        backends.extend(self.backends);
+        let target = backends
+            .iter()
+            .map(|b| b.name())
+            .collect::<Vec<_>>()
+            .join("+");
         Ok(Session {
             sdfg: self.sdfg,
             chash,
             opt: self.opt,
-            nthreads: self.nthreads,
-            max_transitions: self.max_transitions,
-            jit: self.jit,
-            profiling: self.profiling,
-            plan_cache: self.plan_cache.unwrap_or_default(),
-            pool: self.pool.unwrap_or_default(),
-            sched,
+            cfg: RunConfig {
+                nthreads: self.nthreads,
+                max_transitions: self.max_transitions,
+                jit: self.jit,
+                profiling: self.profiling,
+                plan_cache: self.plan_cache.unwrap_or_default(),
+                pool: self.pool.unwrap_or_default(),
+                sched,
+                deadline: None,
+                deadline_ms: 0,
+            },
+            backends,
+            target,
             compiled: OnceLock::new(),
         })
     }
@@ -314,13 +353,13 @@ pub struct Session {
     /// key.
     chash: u64,
     opt: OptLevel,
-    nthreads: usize,
-    max_transitions: usize,
-    jit: bool,
-    profiling: Profiling,
-    plan_cache: Arc<PlanCache>,
-    pool: Arc<BufferPool>,
-    sched: Option<Arc<SchedPool>>,
+    /// What every invoke runs with (its deadline set per invoke).
+    cfg: RunConfig,
+    /// The host CPU backend, then the registered device backends.
+    backends: Vec<Box<dyn Backend>>,
+    /// The backend names joined by `+`: the run label in the metrics
+    /// registry and the run ledger (`"cpu"` without device backends).
+    target: String,
     compiled: OnceLock<Compiled>,
 }
 
@@ -346,53 +385,114 @@ impl Session {
     }
 
     fn invoke(&self, bindings: Bindings, budget: Option<Duration>) -> Result<Outputs, SdfgError> {
-        let deadline = budget.map(|b| (Instant::now() + b, b.as_millis() as u64));
+        let mut cfg = self.cfg.clone();
+        if let Some(b) = budget {
+            cfg.deadline = Some(Instant::now() + b);
+            cfg.deadline_ms = b.as_millis() as u64;
+        }
         self.check_bindings(&bindings)?;
         let compiled = self.ensure_compiled(&bindings.symbols)?;
         let active: &Sdfg = compiled.sdfg.as_deref().unwrap_or(&self.sdfg);
-        let mut ex = Executor::new(active);
-        ex.plan_cache = self.plan_cache.clone();
-        ex.pool = self.pool.clone();
-        ex.sched = self.sched.clone();
-        ex.nthreads = self.nthreads;
-        ex.max_transitions = self.max_transitions;
-        ex.profiling = self.profiling;
-        // The executor borrows the already-optimized graph: carry the
-        // pipeline's products over so reports and the run ledger describe
-        // the real optimization level, and pre-seed the hash memo so warm
-        // invokes never re-serialize the graph.
-        ex.opt_level = self.opt;
-        ex.opt_report = compiled.report.clone();
-        ex.jit = self.jit;
-        ex.sdfg_hash = Some(compiled.hash);
-        if let Some((at, ms)) = deadline {
-            ex.deadline = Some(at);
-            ex.deadline_ms = ms;
+        let Bindings { arrays, symbols } = bindings;
+        // The run's wall time, as the metrics and the ledger report it,
+        // leaves out binding checks and the one-time compile.
+        let t0 = Instant::now();
+        let mut ex = Executor::new(active, compiled.hash, cfg, symbols.clone(), arrays);
+        let mut backends = Vec::new();
+        let stats = if self.backends.len() > 1 {
+            backends = self
+                .backends
+                .iter()
+                .map(|b| BackendStats {
+                    name: b.name().to_string(),
+                    ..BackendStats::default()
+                })
+                .collect();
+            ex.run_with(compiled.tag, |ctx, symbols| {
+                drive_routed(
+                    &self.backends,
+                    &compiled.routes,
+                    ctx,
+                    symbols,
+                    &mut backends,
+                )
+            })
+        } else {
+            ex.run()
+        }?;
+        self.observe_run(compiled.hash, &stats, t0.elapsed());
+        Ok(Outputs {
+            arrays: ex.take_outputs(),
+            symbols,
+            stats,
+            report: ex.report.take(),
+            plan: ex.plan.take(),
+            backends,
+        })
+    }
+
+    /// Always-on observability for one completed invoke: bumps the global
+    /// metrics registry and appends the run-ledger record. Costs a handful
+    /// of relaxed atomic adds per run; the ledger branch is a single
+    /// relaxed load when disabled.
+    fn observe_run(&self, chash: u64, s: &Stats, wall: Duration) {
+        use sdfg_profile::{ledger, metrics};
+        let wall_ms = wall.as_secs_f64() * 1e3;
+        let m = metrics::core();
+        if self.backends.len() == 1 {
+            m.launches.inc();
+            m.launch_duration_ms.observe(wall_ms);
+        } else {
+            // Device backend sets are rare (one resolution per run, off
+            // the tile hot path), so resolve the labelled series here.
+            let g = metrics::global();
+            g.counter(
+                "sdfg_launches_total",
+                "Executor/runtime run invocations by backend.",
+                &[("backend", &self.target)],
+            )
+            .inc();
+            g.histogram(
+                "sdfg_launch_duration_ms",
+                "End-to-end wall time of executor runs, milliseconds.",
+                &[("backend", &self.target)],
+                &metrics::default_duration_buckets_ms(),
+            )
+            .observe(wall_ms);
         }
-        ex.symbols = bindings.symbols.clone();
-        ex.arrays = bindings.arrays;
-        let stats = ex.run()?;
-        // Hand back every caller-visible container; executor-owned
-        // transients stay behind and return to the shared pool on drop.
-        let names: Vec<String> = ex
-            .arrays
-            .keys()
-            .filter(|n| !ex.owned_transients.contains(*n))
-            .cloned()
-            .collect();
-        let mut arrays = HashMap::with_capacity(names.len());
-        for n in names {
-            if let Some(v) = ex.arrays.remove(&n) {
-                arrays.insert(n, v);
+        let counters = s.counters();
+        for (series, &v) in m.run.iter().zip(&counters) {
+            if let (Some(c), true) = (series, v > 0) {
+                c.add(v);
             }
         }
-        Ok(Outputs {
-            arrays,
-            symbols: bindings.symbols,
-            stats,
-            report: ex.last_report.take(),
-            plan: ex.last_plan.take(),
-        })
+        let local_bytes = s.elements_copied.saturating_mul(8);
+        if local_bytes > 0 {
+            m.bytes_local.add(local_bytes);
+        }
+        let par = s.parallel_regions.min(s.map_launches);
+        if par > 0 {
+            m.map_launches_par.add(par);
+        }
+        if s.map_launches > par {
+            m.map_launches_seq.add(s.map_launches - par);
+        }
+        if ledger::enabled() {
+            let mut rec = ledger::RunRecord {
+                seq: 0,
+                content_hash: format!("{chash:016x}"),
+                target: self.target.clone(),
+                opt_level: format!("{:?}", self.opt),
+                nthreads: self.cfg.nthreads,
+                wall_ms,
+                bytes_moved: local_bytes,
+                counters,
+                // Tenant/request tags are stamped from the thread's
+                // request scope by `ledger::append`.
+                ..Default::default()
+            };
+            ledger::append(&mut rec);
+        }
     }
 
     /// Early, typed validation of the bindings against the submitted
@@ -447,7 +547,7 @@ impl Session {
     /// invoke wins; concurrent first invokes may both compile, but only
     /// one result is kept — the pipeline is deterministic, so both are
     /// identical). A failed compile is not cached: the next invoke
-    /// retries, matching the executor's behavior.
+    /// retries.
     fn ensure_compiled(&self, symbols: &Env) -> Result<&Compiled, SdfgError> {
         if let Some(c) = self.compiled.get() {
             return Ok(c);
@@ -457,21 +557,26 @@ impl Session {
     }
 
     fn compile(&self, symbols: &Env) -> Result<Compiled, SdfgError> {
-        if self.opt == OptLevel::None {
-            return Ok(Compiled {
-                sdfg: None,
-                hash: self.chash,
-                report: None,
-            });
-        }
-        let mut opt = self.sdfg.clone();
-        let report = optimize_with_env(&mut opt, self.opt, symbols)
-            .map_err(|e| SdfgError::optimization("session-compile", e.to_string()))?;
-        let hash = sdfg_core::serialize::content_hash(&opt);
+        let (sdfg, hash, report) = if self.opt == OptLevel::None {
+            (None, self.chash, None)
+        } else {
+            let mut opt = self.sdfg.clone();
+            let report = optimize_with_env(&mut opt, self.opt, symbols)
+                .map_err(|e| SdfgError::optimization("session-compile", e.to_string()))?;
+            let hash = sdfg_core::serialize::content_hash(&opt);
+            (Some(Arc::new(opt)), hash, Some(report))
+        };
+        let (routes, tag) = if self.backends.len() > 1 {
+            route_states(&self.backends, sdfg.as_deref().unwrap_or(&self.sdfg))?
+        } else {
+            (Vec::new(), 0)
+        };
         Ok(Compiled {
-            sdfg: Some(Arc::new(opt)),
+            sdfg,
             hash,
-            report: Some(report),
+            report,
+            routes,
+            tag,
         })
     }
 
@@ -493,7 +598,7 @@ impl Session {
 
     /// The worker-thread count every invoke runs with.
     pub fn nthreads(&self) -> usize {
-        self.nthreads
+        self.cfg.nthreads
     }
 
     /// Report from the one-time optimization pipeline; `None` before the
@@ -504,41 +609,44 @@ impl Session {
 
     /// The plan cache invokes consult (possibly shared across sessions).
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
-        &self.plan_cache
+        &self.cfg.plan_cache
     }
 
     /// The buffer pool invokes allocate transients from.
     pub fn buffer_pool(&self) -> &Arc<BufferPool> {
-        &self.pool
+        &self.cfg.pool
     }
 
     /// Plan-cache hit/miss counters (cumulative for the cache).
     pub fn cache_stats(&self) -> CacheStats {
-        self.plan_cache.stats()
+        self.cfg.plan_cache.stats()
     }
 
     /// Buffer-pool counters (cumulative for the pool).
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+        self.cfg.pool.stats()
     }
 
     /// Work-stealing scheduler counters, cumulative for the shared pool;
     /// `None` while serial.
     pub fn sched_stats(&self) -> Option<SchedStats> {
-        self.sched.as_ref().map(|p| p.stats())
+        self.cfg.sched.as_ref().map(|p| p.stats())
     }
 
     /// The scheduler pool invokes run on, for sharing with further
     /// sessions of the same thread count.
     pub fn scheduler(&self) -> Option<&Arc<SchedPool>> {
-        self.sched.as_ref()
+        self.cfg.sched.as_ref()
     }
 
     /// Renders the hot-path counters footer (plan-cache/pool counters and
     /// per-worker scheduler lines) from the always-on counters.
     pub fn counters_footer(&self) -> String {
-        let (exec, sched) =
-            crate::engine::always_on_counters(&self.plan_cache, &self.pool, self.sched.as_deref());
+        let (exec, sched) = crate::engine::always_on_counters(
+            &self.cfg.plan_cache,
+            &self.cfg.pool,
+            self.cfg.sched.as_deref(),
+        );
         sdfg_profile::counters_footer(&exec, &sched)
     }
 }
@@ -547,11 +655,14 @@ impl Session {
 mod tests {
     use super::*;
 
-    /// The whole point of the facade: a session crosses threads.
+    /// The whole point of the facade: a session crosses threads, whatever
+    /// backends it holds (the device backends' own check is in
+    /// `sdfg-gpu-sim`).
     #[test]
     fn session_is_sync_shareable() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Session>();
+        assert_send_sync::<Box<dyn Backend>>();
         assert_send_sync::<Bindings>();
         assert_send_sync::<Outputs>();
     }

@@ -38,6 +38,12 @@ macro_rules! stats {
                 s.nest_points = s.jit_points;
                 s
             }
+
+            /// Adds a finished run's counters — a nested SDFG call's — to
+            /// this run's (its state visits index another graph).
+            pub(crate) fn add(&self, s: &Stats) {
+                $(self.$name.fetch_add(s.$name, Ordering::Relaxed);)*
+            }
         }
 
         impl Stats {

@@ -3,9 +3,14 @@
 
 use proptest::prelude::*;
 use sdfg_core::{DType, Schedule, Wcr};
-use sdfg_exec::{Bindings, Executor, Session};
+use sdfg_exec::{Bindings, Outputs, Session};
 use sdfg_frontend::{parse_program, SdfgBuilder};
 use sdfg_interp::Interpreter;
+
+/// Runs `sdfg` once on a fresh session at its defaults.
+fn run(sdfg: &sdfg_core::Sdfg, inputs: Bindings) -> Result<Outputs, sdfg_core::SdfgError> {
+    Session::builder(sdfg.clone()).build()?.run(inputs)
+}
 
 /// Runs both engines on the same inputs and compares every named array
 /// bit for bit.
@@ -16,20 +21,20 @@ fn assert_equivalent(
     check: &[&str],
 ) {
     let mut it = Interpreter::new(sdfg);
-    let mut ex = Executor::new(sdfg);
+    let mut inputs = Bindings::new();
     for (s, v) in symbols {
         it.set_symbol(s, *v);
-        ex.set_symbol(s, *v);
+        inputs = inputs.symbol(s, *v);
     }
     for (n, d) in arrays {
         it.set_array(n, d.clone());
-        ex.set_array(n, d.clone());
+        inputs = inputs.array(n, d);
     }
     it.run().expect("interp runs");
-    ex.run().expect("exec runs");
+    let out = run(sdfg, inputs).expect("exec runs");
     for name in check {
         let a = it.array(name);
-        let b = ex.array(name);
+        let b = out.array(name).unwrap();
         assert_eq!(a.len(), b.len(), "{name} length");
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "{name}[{i}]: interp={x} exec={y}");
@@ -253,12 +258,15 @@ fn stats_report_native_points() {
         &[("c", "C", "i")],
     );
     let sdfg = b.build().unwrap();
-    let mut ex = Executor::new(&sdfg);
-    ex.set_symbol("N", 4096);
-    ex.set_array("A", vec![1.0; 4096]);
-    ex.set_array("B", vec![2.0; 4096]);
-    ex.set_array("C", vec![0.0; 4096]);
-    let stats = ex.run().unwrap();
+    let inputs = || {
+        Bindings::new()
+            .symbol("N", 4096)
+            .array_vec("A", vec![1.0; 4096])
+            .array_vec("B", vec![2.0; 4096])
+            .array_vec("C", vec![0.0; 4096])
+    };
+    let out = run(&sdfg, inputs()).unwrap();
+    let stats = out.stats();
     assert_eq!(stats.tasklet_points, 4096);
     // A hot, recognized body takes a compiled tier: the JIT when a system
     // C compiler is available, the native micro-kernel otherwise.
@@ -267,19 +275,11 @@ fn stats_report_native_points() {
         4096,
         "simple add must take a compiled path (native or JIT)"
     );
-    assert!(ex.array("C").iter().all(|&v| v == 3.0));
+    assert!(out.array("C").unwrap().iter().all(|&v| v == 3.0));
 
     // With the JIT tier disabled the same map lands on the micro-kernel.
     let session = Session::builder(sdfg.clone()).jit(false).build().unwrap();
-    let out = session
-        .run(
-            Bindings::new()
-                .symbol("N", 4096)
-                .array_vec("A", vec![1.0; 4096])
-                .array_vec("B", vec![2.0; 4096])
-                .array_vec("C", vec![0.0; 4096]),
-        )
-        .unwrap();
+    let out = session.run(inputs()).unwrap();
     let stats2 = out.stats();
     assert_eq!(stats2.jit_points, 0, "jit(false) disables the JIT tier");
     assert_eq!(stats2.nest_calls, 0, "jit(false) disables nest sites too");
@@ -525,12 +525,12 @@ proptest! {
                 it.run().expect("interp runs");
                 it.array("out").to_vec()
             } else {
-                let mut ex = Executor::new(&sdfg);
-                ex.set_symbol("N", n as i64);
-                ex.set_array("col", col.clone());
-                ex.set_array("out", vec![f64::NAN; n]);
-                ex.run().expect("exec runs");
-                ex.array("out").to_vec()
+                let inputs = Bindings::new()
+                    .symbol("N", n as i64)
+                    .array("col", &col)
+                    .array_vec("out", vec![f64::NAN; n]);
+                let mut out = run(&sdfg, inputs).expect("exec runs");
+                out.take_array("out").unwrap()
             };
             // Drained prefix is exactly the filtered values, in order.
             for (i, want) in expect.iter().enumerate() {
@@ -561,22 +561,21 @@ fn try_array_is_total_and_missing_arrays_get_a_stable_code() {
         &[("c", "C", "i")],
     );
     let sdfg = b.build().unwrap();
-    let mut ex = Executor::new(&sdfg);
-    ex.set_symbol("N", 4);
-    ex.set_array("A", vec![1.0; 4]);
-    ex.set_array("B", vec![2.0; 4]);
-    ex.set_array("C", vec![0.0; 4]);
-    ex.run().expect("exec runs");
-    assert_eq!(ex.try_array("C"), Some(&[3.0, 3.0, 3.0, 3.0][..]));
-    assert_eq!(ex.try_array("nope"), None);
+    let inputs = Bindings::new()
+        .symbol("N", 4)
+        .array_vec("A", vec![1.0; 4])
+        .array_vec("B", vec![2.0; 4])
+        .array_vec("C", vec![0.0; 4]);
+    let out = run(&sdfg, inputs).expect("exec runs");
+    assert_eq!(out.array("C").ok(), Some(&[3.0, 3.0, 3.0, 3.0][..]));
+    assert!(out.array("nope").is_err());
 
     // A run that dereferences an unprovided container surfaces the
     // dedicated stable code at the SdfgError boundary.
-    let mut ex = Executor::new(&sdfg);
-    ex.set_symbol("N", 4);
-    ex.set_array("A", vec![1.0; 4]);
-    let err = ex.run().expect_err("missing arrays must not run");
-    let boundary: sdfg_core::SdfgError = err.into();
+    let inputs = Bindings::new().symbol("N", 4).array_vec("A", vec![1.0; 4]);
+    let boundary = run(&sdfg, inputs)
+        .err()
+        .expect("missing arrays must not run");
     assert_eq!(boundary.code(), "SDFG-X002");
     assert!(boundary.to_string().contains("unknown data container"));
 }

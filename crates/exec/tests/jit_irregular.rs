@@ -314,129 +314,6 @@ fn loaded_row_bounds_convert_as_interpreted() {
     }
 }
 
-/// Query with a gather before the push: `w[k[i]]` faults at point `bad`.
-fn query_fault(n: usize, bad: usize) -> Workload {
-    let mut sdfg = Sdfg::new("query_fault");
-    sdfg.add_symbol("N");
-    sdfg.add_array("col", &["N"], DType::F64);
-    sdfg.add_array("k", &["N"], DType::F64);
-    sdfg.add_array("w", &["N"], DType::F64);
-    sdfg.add_stream("S", DType::F64);
-    sdfg.add_array("count", &["1"], DType::F64);
-    let sid = sdfg.add_state("filter");
-    let st = sdfg.state_mut(sid);
-    let (col, k, w) = (st.add_access("col"), st.add_access("k"), st.add_access("w"));
-    let (cnt, s) = (st.add_access("count"), st.add_access("S"));
-    let mut m = MapScope::new("scan", vec!["i".into()], vec![SymRange::new(0, "N")]);
-    m.schedule = Schedule::CpuMulticore;
-    let (me, mx) = st.add_map(m);
-    let t = st.add_tasklet(
-        "pred",
-        &["x", "kk", "ww"],
-        &["S_out", "c"],
-        "v = ww[int(kk)]\nif x > 0:\n    S_out.push(x + v)\n    c = 1\nelse:\n    c = 0",
-    );
-    for (acc, name) in [(col, "col"), (k, "k"), (w, "w")] {
-        let conn = format!("IN_{name}");
-        st.add_edge(acc, None, me, Some(&conn), Memlet::parse(name, "0:N"));
-    }
-    let out_conn = |n: &str| format!("OUT_{n}");
-    st.add_edge(
-        me,
-        Some(&out_conn("col")),
-        t,
-        Some("x"),
-        Memlet::parse("col", "i"),
-    );
-    st.add_edge(
-        me,
-        Some(&out_conn("k")),
-        t,
-        Some("kk"),
-        Memlet::parse("k", "i"),
-    );
-    st.add_edge(
-        me,
-        Some(&out_conn("w")),
-        t,
-        Some("ww"),
-        Memlet::parse("w", "0:N").dynamic(),
-    );
-    st.add_edge(
-        t,
-        Some("S_out"),
-        mx,
-        Some("IN_S"),
-        Memlet::parse("S", "0").dynamic(),
-    );
-    st.add_edge(
-        mx,
-        Some("OUT_S"),
-        s,
-        None,
-        Memlet::parse("S", "0").dynamic(),
-    );
-    st.add_edge(
-        t,
-        Some("c"),
-        mx,
-        Some("IN_count"),
-        Memlet::parse("count", "0").with_wcr(Wcr::Sum),
-    );
-    st.add_edge(
-        mx,
-        Some("OUT_count"),
-        cnt,
-        None,
-        Memlet::parse("count", "0").with_wcr(Wcr::Sum),
-    );
-    sdfg.validate().expect("valid query_fault sdfg");
-    let mut kv: Vec<f64> = (0..n).map(|i| ((i * 13) % n) as f64).collect();
-    kv[bad] = (n + 7) as f64;
-    Workload::new("query_fault", sdfg)
-        .symbol("N", n as i64)
-        .array("col", sdfg_workloads::workload::pseudo_random(n, 31))
-        .array("k", kv)
-        .array("w", sdfg_workloads::workload::pseudo_random(n, 37))
-        .array("count", vec![0.0])
-        .check("count")
-}
-
-/// A span that faults after pushing — past its first staged call — leaves
-/// the stream as the affine VM loop does: nothing of that span appended.
-#[test]
-fn faulting_span_appends_no_pushes() {
-    if !jit_available() || std::env::var(CHILD_ENV).is_ok() {
-        return;
-    }
-    let n = 10_000;
-    let w = query_fault(n, 6_000);
-    let run = |w: &Workload| {
-        let mut ex = w.executor();
-        ex.nthreads = 2;
-        let err = ex.run().expect_err("the gather faults").to_string();
-        (err, ex.streams["S"].len(), ex.arrays["count"][0])
-    };
-    run(&w);
-    jit::wait_idle();
-    let (err, pushed, count) = run(&w);
-    let (off, on) = outcomes(&w);
-    let want = off.unwrap_err();
-    assert!(
-        want.contains("`ww`: index 10007 out of bounds (len 10000)"),
-        "{want}"
-    );
-    assert_eq!(on, Err(want.clone()));
-    assert!(want.ends_with(&err), "{err} vs {want}");
-    assert_eq!(pushed, 0, "pushes of a failed span");
-    // Every point before the fault combined its count, as in the VM loop.
-    let before = w.arrays["col"][..6_000]
-        .iter()
-        .filter(|&&x| x > 0.0)
-        .count();
-    assert_eq!(count, before as f64, "count before the fault");
-}
-
 /// Every lowering-report row below the `jit` tier says why: over the 30
 /// Polybench kernels and the three irregular ones, in steady state.
 #[test]

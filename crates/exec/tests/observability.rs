@@ -118,16 +118,16 @@ fn median(mut xs: Vec<f64>) -> f64 {
 fn off_mode_exposes_exec_counters_without_a_report() {
     let _g = serial();
     let w = build_kernel("atax", 16);
-    let mut ex = w.executor();
-    ex.run().expect("first run");
-    ex.run().expect("second run");
+    let session = w.session().build().expect("session");
+    session.run(w.bindings()).expect("first run");
+    let out = session.run(w.bindings()).expect("second run");
     // Profiling is off by default: no report may exist...
-    assert!(ex.last_report.is_none());
+    assert!(out.report().is_none());
     // ...but the cheap counters are still live and the footer renders.
-    let c = ex.exec_counters();
-    assert_eq!(c.plan_cache_misses, 1, "first run compiles the plan");
-    assert_eq!(c.plan_cache_hits, 1, "second run hits the cache");
-    let footer = ex.counters_footer();
+    let c = session.cache_stats();
+    assert_eq!(c.misses, 1, "first run compiles the plan");
+    assert_eq!(c.hits, 1, "second run hits the cache");
+    let footer = session.counters_footer();
     assert!(footer.contains("plan cache 1 hit / 1 miss"), "{footer}");
 }
 
@@ -140,10 +140,10 @@ fn every_run_appends_one_well_formed_ledger_record() {
     let _ = std::fs::remove_file(&path);
     sdfg_profile::ledger::set_path(Some(&path));
     let w = build_kernel("gemm", 12);
-    let mut ex = w.executor();
-    ex.run().expect("run 1");
-    ex.run().expect("run 2");
-    ex.run().expect("run 3");
+    let session = w.session().build().expect("session");
+    for _ in 0..3 {
+        session.run(w.bindings()).expect("run");
+    }
     sdfg_profile::ledger::set_path(None);
     let src = std::fs::read_to_string(&path).expect("ledger written");
     // JIT fallback records (a kernel still compiling, say) share the file.

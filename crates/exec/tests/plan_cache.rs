@@ -4,7 +4,7 @@
 
 use sdfg_core::serialize::content_hash;
 use sdfg_core::{DType, Memlet, Schedule, Wcr};
-use sdfg_exec::{Executor, PlanCache};
+use sdfg_exec::{Bindings, BufferPool, PlanCache, Session};
 use sdfg_frontend::SdfgBuilder;
 use sdfg_interp::Interpreter;
 use std::sync::Arc;
@@ -67,26 +67,32 @@ fn inputs(n: usize) -> (Vec<f64>, Vec<f64>) {
     )
 }
 
+/// The elementwise kernel's bindings at size `n`.
+fn ew_bindings(n: usize) -> Bindings {
+    let (a, b) = inputs(n);
+    Bindings::new()
+        .symbol("N", n as i64)
+        .array_vec("A", a)
+        .array_vec("B", b)
+        .array_vec("C", vec![0.0; n])
+}
+
 #[test]
 fn warm_runs_hit_the_plan_cache() {
-    let sdfg = elementwise();
     let n = 64usize;
     let (a, b) = inputs(n);
-    let mut ex = Executor::new(&sdfg);
-    ex.set_symbol("N", n as i64);
-    ex.set_array("A", a.clone());
-    ex.set_array("B", b.clone());
-    ex.set_array("C", vec![0.0; n]);
-    for _ in 0..5 {
-        ex.run().expect("run");
+    let session = Session::builder(elementwise()).build().unwrap();
+    let mut out = session.run(ew_bindings(n)).expect("run");
+    for _ in 1..5 {
+        out = session.run(out.into_bindings()).expect("run");
     }
-    let s = ex.cache_stats();
+    let s = session.cache_stats();
     assert_eq!(s.misses, 1, "only the first run lowers");
     assert_eq!(s.hits, 4, "every repeat hits");
     assert!((s.hit_rate() - 0.8).abs() < 1e-12);
     // The cached plan still computes the right thing.
     let want: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x * 2.0 + y).collect();
-    assert_eq!(ex.array("C"), &want[..]);
+    assert_eq!(out.array("C").unwrap(), &want[..]);
 }
 
 #[test]
@@ -94,17 +100,14 @@ fn different_symbol_bindings_miss() {
     let sdfg = elementwise();
     let cache = Arc::new(PlanCache::new());
     for n in [16usize, 32, 16] {
-        let (a, b) = inputs(n);
-        let mut ex = Executor::new(&sdfg);
-        ex.with_plan_cache(cache.clone());
-        ex.set_symbol("N", n as i64);
-        ex.set_array("A", a);
-        ex.set_array("B", b);
-        ex.set_array("C", vec![0.0; n]);
-        ex.run().expect("run");
+        let session = Session::builder(sdfg.clone())
+            .plan_cache(cache.clone())
+            .build()
+            .unwrap();
+        session.run(ew_bindings(n)).expect("run");
     }
     let s = cache.stats();
-    // N=16 and N=32 are distinct keys; the third executor re-hits N=16.
+    // N=16 and N=32 are distinct keys; the third session re-hits N=16.
     assert_eq!((s.hits, s.misses), (1, 2));
     assert_eq!(cache.len(), 2);
 }
@@ -136,14 +139,11 @@ fn structural_mutation_invalidates_the_key() {
     let cache = Arc::new(PlanCache::new());
     let n = 8usize;
     for s in [&sdfg, &plus_node, &sdfg] {
-        let (a, b) = inputs(n);
-        let mut ex = Executor::new(s);
-        ex.with_plan_cache(cache.clone());
-        ex.set_symbol("N", n as i64);
-        ex.set_array("A", a);
-        ex.set_array("B", b);
-        ex.set_array("C", vec![0.0; n]);
-        ex.run().expect("run");
+        let session = Session::builder(s.clone())
+            .plan_cache(cache.clone())
+            .build()
+            .unwrap();
+        session.run(ew_bindings(n)).expect("run");
     }
     let st = cache.stats();
     assert_eq!((st.hits, st.misses), (1, 2), "mutant gets its own plan");
@@ -156,21 +156,27 @@ fn pooled_transients_never_leak_between_runs() {
     let a: Vec<f64> = (0..n).map(|x| (x % 5) as f64).collect();
     let want: f64 = a.iter().map(|x| (x + 1.0) * (x + 1.0)).sum();
 
-    // Back-to-back runs on one executor: the transient is pool-backed and
-    // reset, so the WCR accumulation into `out` must match a fresh
-    // interpreter run every time.
-    let mut ex = Executor::new(&sdfg);
-    ex.set_symbol("N", n as i64);
-    ex.set_array("A", a.clone());
+    // Back-to-back runs on one session: the transient comes back from the
+    // pool holding the previous run's values and must be zeroed, so the
+    // WCR accumulation into `out` must match a fresh interpreter run every
+    // time.
+    let session = Session::builder(sdfg.clone()).build().unwrap();
     for i in 0..4 {
-        ex.set_array("out", vec![0.0]);
-        ex.run().expect("run");
-        let got = ex.array("out")[0];
+        let inputs = Bindings::new()
+            .symbol("N", n as i64)
+            .array("A", &a)
+            .array_vec("out", vec![0.0]);
+        let got = session.run(inputs).expect("run").array("out").unwrap()[0];
         assert!(
             (got - want).abs() < 1e-9 * (1.0 + want.abs()),
             "run {i}: got {got}, want {want} — stale transient contents leaked"
         );
     }
+    assert_eq!(
+        session.pool_stats().reuses,
+        3,
+        "runs 2-4 recycle the transient"
+    );
 
     // And it agrees with the reference interpreter.
     let mut it = Interpreter::new(&sdfg);
@@ -184,46 +190,28 @@ fn pooled_transients_never_leak_between_runs() {
 #[test]
 fn shared_pool_recycles_across_executors() {
     let sdfg = with_transient();
-    let pool = Arc::new(sdfg_exec::BufferPool::new());
+    let pool = Arc::new(BufferPool::new());
     let n = 128usize;
     let a: Vec<f64> = (0..n).map(|x| x as f64 / 3.0).collect();
     let want: f64 = a.iter().map(|x| (x + 1.0) * (x + 1.0)).sum();
     for _ in 0..3 {
-        let mut ex = Executor::new(&sdfg);
-        ex.with_buffer_pool(pool.clone());
-        ex.set_symbol("N", n as i64);
-        ex.set_array("A", a.clone());
-        ex.set_array("out", vec![0.0]);
-        ex.run().expect("run");
-        let got = ex.array("out")[0];
+        let session = Session::builder(sdfg.clone())
+            .buffer_pool(pool.clone())
+            .build()
+            .unwrap();
+        let inputs = Bindings::new()
+            .symbol("N", n as i64)
+            .array("A", &a)
+            .array_vec("out", vec![0.0]);
+        let got = session.run(inputs).expect("run").array("out").unwrap()[0];
         assert!((got - want).abs() < 1e-9 * (1.0 + want.abs()), "got {got}");
-        // Executor drop releases the transient back to the pool.
+        // The end of the run releases the transient back to the pool.
     }
     let s = pool.stats();
-    assert_eq!(s.acquires, 3, "one transient per executor");
+    assert_eq!(s.acquires, 3, "one transient per session");
     assert_eq!(
         s.reuses, 2,
-        "second and third executor recycle the first's buffer"
+        "second and third session recycle the first's buffer"
     );
     assert!(s.bytes_reused >= 2 * n as u64 * 8);
-}
-
-#[test]
-fn rebinding_an_array_set_recompiles_safely() {
-    // Binding a different set of arrays between runs shifts slot indices;
-    // the plan must drop slot-dependent artifacts and still be correct.
-    let sdfg = elementwise();
-    let n = 16usize;
-    let (a, b) = inputs(n);
-    let mut ex = Executor::new(&sdfg);
-    ex.set_symbol("N", n as i64);
-    ex.set_array("A", a.clone());
-    ex.set_array("B", b.clone());
-    ex.set_array("C", vec![0.0; n]);
-    ex.run().expect("first run");
-    // Bind an extra (unused) array: the sorted layout changes.
-    ex.set_array("Aux", vec![0.0; 4]);
-    ex.run().expect("second run with shifted slots");
-    let want: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x * 2.0 + y).collect();
-    assert_eq!(ex.array("C"), &want[..]);
 }

@@ -2,8 +2,9 @@
 //! the counter-only (clock-free) path, forced-timer reports on both
 //! engines, and the zero-overhead disabled path.
 
+use sdfg_core::serialize::content_hash;
 use sdfg_core::{DType, Instrument, Node, Sdfg};
-use sdfg_exec::{Executor, Profiling};
+use sdfg_exec::{Bindings, Outputs, Profiling, Session};
 use sdfg_frontend::SdfgBuilder;
 use sdfg_interp::Interpreter;
 
@@ -41,14 +42,17 @@ fn annotate(sdfg: &mut Sdfg, ins: Instrument) {
     }
 }
 
-fn run(sdfg: &Sdfg, profiling: Profiling, nthreads: usize) -> Executor<'_> {
-    let mut ex = Executor::new(sdfg);
-    ex.enable_profiling(profiling);
-    ex.nthreads = nthreads;
-    ex.set_symbol("N", 64).set_symbol("T", 5);
-    ex.set_array("A", vec![1.0; 64]);
-    ex.run().expect("exec runs");
-    ex
+fn run(sdfg: &Sdfg, profiling: Profiling, nthreads: usize) -> Outputs {
+    let session = Session::builder(sdfg.clone())
+        .profiling(profiling)
+        .nthreads(nthreads)
+        .build()
+        .expect("valid SDFG");
+    let inputs = Bindings::new()
+        .symbol("N", 64)
+        .symbol("T", 5)
+        .array_vec("A", vec![1.0; 64]);
+    session.run(inputs).expect("exec runs")
 }
 
 #[test]
@@ -57,29 +61,29 @@ fn state_visits_from_parallel_regions_are_deterministic_sorted_summed() {
     let a = run(&sdfg, Profiling::Off, 4);
     let b = run(&sdfg, Profiling::Off, 4);
     // Sorted by state id.
-    let keys: Vec<u32> = a.stats.state_visits.iter().map(|(k, _)| *k).collect();
+    let keys: Vec<u32> = a.stats().state_visits.iter().map(|(k, _)| *k).collect();
     let mut sorted = keys.clone();
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(keys, sorted, "state_visits sorted and unique");
     // Visit counts sum to the total number of state executions.
-    let total: u64 = a.stats.state_visits.iter().map(|(_, n)| *n).sum();
-    assert_eq!(total, a.stats.states_executed);
+    let total: u64 = a.stats().state_visits.iter().map(|(_, n)| *n).sum();
+    assert_eq!(total, a.stats().states_executed);
     // body ×5, init ×1, guard ×6, exit ×1.
-    assert_eq!(a.stats.states_executed, 13);
+    assert_eq!(a.stats().states_executed, 13);
     // Deterministic across runs (merge order of worker flushes varies).
-    assert_eq!(a.stats.state_visits, b.stats.state_visits);
-    assert_eq!(a.stats.tasklet_points, 5 * 64);
+    assert_eq!(a.stats().state_visits, b.stats().state_visits);
+    assert_eq!(a.stats().tasklet_points, 5 * 64);
 }
 
 #[test]
 fn force_timers_produces_full_report() {
     let sdfg = looped_kernel();
     let ex = run(&sdfg, Profiling::ForceTimers, 4);
-    let report = ex.last_report.as_ref().expect("report present");
+    let report = ex.report().expect("report present");
     // Every executed state has a timed stat; the map was launched 5 times.
     let state_count: u64 = report.states.values().map(|s| s.count).sum();
-    assert_eq!(state_count, ex.stats.states_executed);
+    assert_eq!(state_count, ex.stats().states_executed);
     let map = report.maps.values().next().expect("map stat");
     assert_eq!(report.maps.len(), 1);
     assert_eq!(map.count, 5);
@@ -91,7 +95,7 @@ fn force_timers_produces_full_report() {
         .values()
         .map(|t| t.points.iter().sum::<u64>())
         .sum();
-    assert_eq!(tier_points, ex.stats.tasklet_points);
+    assert_eq!(tier_points, ex.stats().tasklet_points);
     // Timeline spans exist and the renderers run.
     assert!(!report.timeline.is_empty());
     let table = report.hot_path_table();
@@ -106,8 +110,8 @@ fn report_counts_are_deterministic_across_runs() {
     let sdfg = looped_kernel();
     let a = run(&sdfg, Profiling::ForceTimers, 4);
     let b = run(&sdfg, Profiling::ForceTimers, 4);
-    let ra = a.last_report.as_ref().unwrap();
-    let rb = b.last_report.as_ref().unwrap();
+    let ra = a.report().unwrap();
+    let rb = b.report().unwrap();
     let counts = |r: &sdfg_exec::InstrumentationReport| {
         (
             r.states
@@ -141,12 +145,15 @@ fn counter_mode_counts_without_reading_the_clock() {
     );
     let mut sdfg = b.build().expect("valid SDFG");
     annotate(&mut sdfg, Instrument::Counter);
-    let mut ex = Executor::new(&sdfg);
-    ex.enable_profiling(Profiling::Annotated);
-    ex.set_symbol("N", 256);
-    ex.set_array("A", vec![1.5; 256 * 256]);
-    ex.run().expect("exec runs");
-    let report = ex.last_report.as_ref().expect("report present");
+    let session = Session::builder(sdfg)
+        .profiling(Profiling::Annotated)
+        .build()
+        .expect("valid SDFG");
+    let inputs = Bindings::new()
+        .symbol("N", 256)
+        .array_vec("A", vec![1.5; 256 * 256]);
+    let ex = session.run(inputs).expect("exec runs");
+    let report = ex.report().expect("report present");
     // Counts recorded…
     assert_eq!(report.states.values().map(|s| s.count).sum::<u64>(), 1);
     assert_eq!(report.maps.values().map(|s| s.count).sum::<u64>(), 1);
@@ -167,11 +174,14 @@ fn disabled_profiling_reports_nothing_and_annotations_are_inert() {
     let unannotated = looped_kernel();
     let plain = run(&unannotated, Profiling::Off, 2);
     let annotated = run(&sdfg, Profiling::Off, 2);
-    assert!(annotated.last_report.is_none(), "off = no report");
+    assert!(annotated.report().is_none(), "off = no report");
     // Annotations change nothing about execution when profiling is off.
-    assert_eq!(plain.stats.tasklet_points, annotated.stats.tasklet_points);
-    assert_eq!(plain.stats.map_launches, annotated.stats.map_launches);
-    assert_eq!(plain.array("A"), annotated.array("A"));
+    assert_eq!(
+        plain.stats().tasklet_points,
+        annotated.stats().tasklet_points
+    );
+    assert_eq!(plain.stats().map_launches, annotated.stats().map_launches);
+    assert_eq!(plain.array("A").unwrap(), annotated.array("A").unwrap());
 }
 
 #[test]
@@ -189,7 +199,7 @@ fn annotated_mode_honors_per_scope_selection() {
         }
     }
     let ex = run(&sdfg, Profiling::Annotated, 2);
-    let report = ex.last_report.as_ref().unwrap();
+    let report = ex.report().unwrap();
     assert!(report.states.is_empty());
     assert_eq!(report.maps.values().map(|s| s.count).sum::<u64>(), 5);
 }
@@ -198,7 +208,7 @@ fn annotated_mode_honors_per_scope_selection() {
 fn interpreter_profiles_as_worker_zero() {
     let sdfg = looped_kernel();
     let mut it = Interpreter::new(&sdfg);
-    it.enable_profiling(Profiling::ForceTimers);
+    it.profiling = Profiling::ForceTimers;
     it.set_symbol("N", 64).set_symbol("T", 5);
     it.set_array("A", vec![1.0; 64]);
     it.run().expect("interp runs");
@@ -208,15 +218,15 @@ fn interpreter_profiles_as_worker_zero() {
     assert_eq!(report.maps.values().map(|s| s.count).sum::<u64>(), 5);
     assert!(report.timeline.iter().all(|s| s.worker == 0));
     assert!(report.map_total().as_nanos() > 0);
-    // Executor and interpreter agree on the data as well as the shape of
+    // Session and interpreter agree on the data as well as the shape of
     // the report.
     let ex = run(&sdfg, Profiling::ForceTimers, 2);
-    let ex_report = ex.last_report.as_ref().unwrap();
+    let ex_report = ex.report().unwrap();
     assert_eq!(
         ex_report.maps.keys().collect::<Vec<_>>(),
         report.maps.keys().collect::<Vec<_>>()
     );
-    assert_eq!(it.array("A"), ex.array("A"));
+    assert_eq!(it.array("A"), ex.array("A").unwrap());
 }
 
 /// An outer map over the rows of `A` (2×4) invoking a nested SDFG that
@@ -276,16 +286,63 @@ fn nested_kernel() -> Sdfg {
 #[test]
 fn nested_sdfg_runs_appear_in_the_trace_under_their_own_pid() {
     let sdfg = nested_kernel();
-    let mut ex = Executor::new(&sdfg);
-    ex.enable_profiling(Profiling::ForceTimers);
-    ex.set_array("A", (0..8).map(f64::from).collect());
-    ex.run().expect("exec runs");
+    let session = Session::builder(sdfg)
+        .profiling(Profiling::ForceTimers)
+        .build()
+        .expect("valid SDFG");
+    let ex = session
+        .run(Bindings::new().array_vec("A", (0..8).map(f64::from).collect()))
+        .expect("exec runs");
     let expect: Vec<f64> = (0..8).map(|x| 2.0 * f64::from(x)).collect();
-    assert_eq!(ex.array("A"), expect.as_slice());
-    let trace = ex.last_report.as_ref().expect("report").chrome_trace();
+    assert_eq!(ex.array("A").unwrap(), expect.as_slice());
+    let trace = ex.report().expect("report").chrome_trace();
     // The inner map's spans are in the trace, and each of the two nested
     // runs (one per row) names a process of its own beside the outer one.
     assert!(trace.contains("\"name\":\"inner_double"), "{trace}");
     let processes = trace.matches("\"name\":\"process_name\"").count();
     assert_eq!(processes, 3, "{trace}");
+}
+
+/// A nested SDFG call is part of the enclosing run, not a run of its own:
+/// one invoke of the two-row program appends one ledger record and counts
+/// the nested calls' 8 points.
+#[test]
+fn nested_sdfg_calls_count_in_the_enclosing_run() {
+    // Renamed, so the trace test's run of the same program has another
+    // content hash.
+    let mut sdfg = nested_kernel();
+    sdfg.name = "outer_ledgered".into();
+    let sid = sdfg.graph.node_ids().next().unwrap();
+    let st = sdfg.state(sid);
+    let inner = st
+        .graph
+        .node_ids()
+        .find_map(|n| match st.graph.node(n) {
+            Node::NestedSdfg { sdfg, .. } => Some(sdfg),
+            _ => None,
+        })
+        .expect("nested SDFG node");
+    let hashes = [content_hash(&sdfg), content_hash(inner)].map(|h| format!("{h:016x}"));
+    let dir = std::env::temp_dir().join(format!("sdfg-nested-ledger-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ledger.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let session = Session::builder(sdfg.clone()).build().expect("valid SDFG");
+    sdfg_profile::ledger::set_path(Some(&path));
+    let out = session.run(Bindings::new().array_vec("A", (0..8).map(f64::from).collect()));
+    sdfg_profile::ledger::set_path(None);
+    let text = std::fs::read_to_string(&path).unwrap_or_default();
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = out.expect("exec runs");
+    // Other tests of this binary run beside this one: count this
+    // program's records (outer or inner graph) only. No other test runs
+    // the renamed outer graph; a nested call appending records of its own
+    // would show up under the inner graph's hash.
+    let records = text
+        .lines()
+        .filter(|l| !l.contains("\"record\":\"jit_fallback\""))
+        .filter(|l| hashes.iter().any(|h| l.contains(h.as_str())))
+        .count();
+    assert_eq!(records, 1, "one record per invoke:\n{text}");
+    assert_eq!(out.stats().tasklet_points, 8);
 }

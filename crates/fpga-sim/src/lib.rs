@@ -22,11 +22,11 @@
 
 use sdfg_core::desc::DataDesc;
 use sdfg_core::scope::scope_tree;
+use sdfg_core::SdfgError;
 use sdfg_core::{Node, Schedule, Sdfg, Storage};
-use sdfg_exec::{Backend, ExecError, RunCtx, Runtime, RuntimeReport, ScopeStats};
+use sdfg_exec::{Backend, BackendStats, Bindings, ExecError, Outputs, RunCtx, ScopeStats, Session};
 use sdfg_lang::ast::{ExprAst, Stmt};
 use sdfg_symbolic::Env;
-use std::collections::HashMap;
 
 /// Synthesis flavor for the cycle model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,11 +85,11 @@ pub struct FpgaReport {
     pub fifos: u64,
 }
 
-/// The FPGA execution target behind the runtime's [`Backend`] trait:
+/// The FPGA execution target behind the session's [`Backend`] trait:
 /// states whose top-level scopes carry [`Schedule::FpgaDevice`] route
 /// here. States execute for real on the host engine; the cycle model
 /// prices each top-level map as a hardware module, and off-chip traffic
-/// into `FpgaGlobal`/`FpgaLocal` storage is charged by the runtime at DDR
+/// into `FpgaGlobal`/`FpgaLocal` storage is charged by the session at DDR
 /// bandwidth.
 pub struct FpgaSimBackend {
     board: BoardProfile,
@@ -146,10 +146,11 @@ impl Backend for FpgaSimBackend {
 }
 
 impl FpgaReport {
-    /// Folds a heterogeneous-runtime report into the FPGA view (`fifos`
-    /// counts the SDFG's stream containers, supplied by the caller).
-    pub fn from_runtime(rep: &RuntimeReport, fifos: u64) -> FpgaReport {
-        let Some(f) = rep.backend("fpga-sim") else {
+    /// Folds an invoke's per-backend totals ([`Outputs::backends`]) into
+    /// the FPGA view (`fifos` counts the SDFG's stream containers,
+    /// supplied by the caller).
+    pub fn from_backends(backends: &[BackendStats], fifos: u64) -> FpgaReport {
+        let Some(f) = backends.iter().find(|b| b.name == "fpga-sim") else {
             return FpgaReport {
                 fifos,
                 ..FpgaReport::default()
@@ -168,39 +169,30 @@ impl FpgaReport {
     }
 }
 
-/// Runs an SDFG through the heterogeneous runtime with an
-/// [`FpgaSimBackend`] and folds the per-backend report into an
-/// [`FpgaReport`]. Results are bit-exact; only timing is modeled.
+/// Runs an SDFG on a session with an [`FpgaSimBackend`] registered and
+/// folds its per-backend totals into an [`FpgaReport`]. Results are
+/// bit-exact; only timing is modeled.
 pub fn run_fpga(
     sdfg: &Sdfg,
     board: &BoardProfile,
     mode: FpgaMode,
-    symbols: &[(&str, i64)],
-    arrays: &mut HashMap<String, Vec<f64>>,
-) -> Result<FpgaReport, ExecError> {
-    let mut rt =
-        Runtime::new(sdfg).with_backend(Box::new(FpgaSimBackend::new(board.clone(), mode)));
-    for (s, v) in symbols {
-        rt.executor().set_symbol(s, *v);
-    }
-    for (n, d) in arrays.iter() {
-        rt.executor().set_array(n, d.clone());
-    }
-    let rep = rt.run()?;
-    for (n, d) in rt.executor().arrays.iter() {
-        arrays.insert(n.clone(), d.clone());
-    }
+    bindings: Bindings,
+) -> Result<(FpgaReport, Outputs), SdfgError> {
+    let out = Session::builder(sdfg.clone())
+        .backend(Box::new(FpgaSimBackend::new(board.clone(), mode)))
+        .build()?
+        .run(bindings)?;
     let fifos = sdfg
         .data
         .values()
         .filter(|d| matches!(d, DataDesc::Stream(_)))
         .count() as u64;
-    Ok(FpgaReport::from_runtime(&rep, fifos))
+    Ok((FpgaReport::from_backends(out.backends(), fifos), out))
 }
 
 /// Models one state: returns (cycles, device-local copy bytes, PE
 /// high-water, module count). Host↔device transfers are accounted by the
-/// runtime at schedule boundaries, not here.
+/// session at schedule boundaries, not here.
 fn model_state(
     sdfg: &Sdfg,
     sid: sdfg_core::StateId,
@@ -357,7 +349,7 @@ mod tests {
     use sdfg_frontend::SdfgBuilder;
     use sdfg_transforms::{apply_first, FpgaTransform, Params};
 
-    fn axpy_fpga(n: i64) -> (Sdfg, HashMap<String, Vec<f64>>) {
+    fn axpy_fpga(n: i64) -> (Sdfg, Bindings) {
         let mut b = SdfgBuilder::new("axpy");
         b.symbol("N");
         b.array("X", &["N"], DType::F64);
@@ -373,24 +365,18 @@ mod tests {
         );
         let mut sdfg = b.build().unwrap();
         apply_first(&mut sdfg, &FpgaTransform, &Params::new()).unwrap();
-        let mut arrays = HashMap::new();
-        arrays.insert("X".to_string(), (0..n).map(|x| x as f64).collect());
-        arrays.insert("Y".to_string(), vec![1.0; n as usize]);
-        (sdfg, arrays)
+        let bindings = Bindings::new()
+            .symbol("N", n)
+            .array_vec("X", (0..n).map(|x| x as f64).collect())
+            .array_vec("Y", vec![1.0; n as usize]);
+        (sdfg, bindings)
     }
 
     #[test]
     fn functional_and_timed() {
-        let (sdfg, mut arrays) = axpy_fpga(1000);
-        let rep = run_fpga(
-            &sdfg,
-            &vcu1525(),
-            FpgaMode::Pipelined,
-            &[("N", 1000)],
-            &mut arrays,
-        )
-        .unwrap();
-        for (i, v) in arrays["Y"].iter().enumerate() {
+        let (sdfg, bindings) = axpy_fpga(1000);
+        let (rep, out) = run_fpga(&sdfg, &vcu1525(), FpgaMode::Pipelined, bindings).unwrap();
+        for (i, v) in out.array("Y").unwrap().iter().enumerate() {
             assert_eq!(*v, 3.0 * i as f64 + 1.0);
         }
         assert!(rep.cycles >= 1000, "at least one cycle per element");
@@ -400,23 +386,9 @@ mod tests {
     #[test]
     fn pipelining_beats_naive_hls_by_orders_of_magnitude() {
         let n = 1 << 16;
-        let (sdfg, arrays) = axpy_fpga(n);
-        let rp = run_fpga(
-            &sdfg,
-            &vcu1525(),
-            FpgaMode::Pipelined,
-            &[("N", n)],
-            &mut arrays.clone(),
-        )
-        .unwrap();
-        let rn = run_fpga(
-            &sdfg,
-            &vcu1525(),
-            FpgaMode::NaiveHls,
-            &[("N", n)],
-            &mut arrays.clone(),
-        )
-        .unwrap();
+        let (sdfg, bindings) = axpy_fpga(n);
+        let (rp, _) = run_fpga(&sdfg, &vcu1525(), FpgaMode::Pipelined, bindings).unwrap();
+        let (rn, _) = run_fpga(&sdfg, &vcu1525(), FpgaMode::NaiveHls, axpy_fpga(n).1).unwrap();
         let speedup = rn.cycles as f64 / rp.cycles as f64;
         assert!(
             speedup > 10.0,
@@ -427,7 +399,7 @@ mod tests {
     #[test]
     fn unrolled_pe_array_scales() {
         // Same kernel with an unrolled (systolic-style) map.
-        let (mut sdfg, arrays) = axpy_fpga(1 << 14);
+        let (mut sdfg, bindings) = axpy_fpga(1 << 14);
         // Mark the device map unrolled.
         for sid in sdfg.state_ids() {
             let st = sdfg.state_mut(sid);
@@ -442,14 +414,7 @@ mod tests {
                 }
             }
         }
-        let runr = run_fpga(
-            &sdfg,
-            &vcu1525(),
-            FpgaMode::Pipelined,
-            &[("N", 1 << 14)],
-            &mut arrays.clone(),
-        )
-        .unwrap();
+        let (runr, _) = run_fpga(&sdfg, &vcu1525(), FpgaMode::Pipelined, bindings).unwrap();
         assert!(runr.pes > 1, "PE array instantiated");
     }
 }

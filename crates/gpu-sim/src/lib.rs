@@ -21,11 +21,11 @@
 //! small kernels) matches the paper's evaluation axes.
 
 use sdfg_core::scope::scope_tree;
+use sdfg_core::SdfgError;
 use sdfg_core::{Node, Schedule, Sdfg, Storage};
-use sdfg_exec::{Backend, ExecError, RunCtx, Runtime, RuntimeReport, ScopeStats};
+use sdfg_exec::{Backend, BackendStats, Bindings, ExecError, Outputs, RunCtx, ScopeStats, Session};
 use sdfg_lang::ast::{ExprAst, Stmt};
 use sdfg_symbolic::Env;
-use std::collections::HashMap;
 
 /// A modeled GPU.
 #[derive(Clone, Debug)]
@@ -101,12 +101,12 @@ impl GpuReport {
     }
 }
 
-/// The GPU execution target behind the runtime's [`Backend`] trait: states
+/// The GPU execution target behind the session's [`Backend`] trait: states
 /// whose top-level scopes carry [`Schedule::GpuDevice`] (or
 /// `GpuThreadBlock`) route here. Each state executes for real on the host
 /// engine (bit-exact results) and the roofline model prices its kernels;
 /// host↔device traffic into `GpuGlobal`/`GpuShared` storage is charged by
-/// the runtime at this device's PCIe bandwidth.
+/// the session at this device's PCIe bandwidth.
 pub struct GpuSimBackend {
     dev: DeviceProfile,
 }
@@ -159,12 +159,12 @@ impl Backend for GpuSimBackend {
 }
 
 impl GpuReport {
-    /// Folds a heterogeneous-runtime report into the GPU view: kernel time
-    /// covers compute plus device-local copies, copy time is the modeled
-    /// PCIe transfer time, and PCIe bytes are the runtime's host↔device
-    /// byte counters.
-    pub fn from_runtime(rep: &RuntimeReport) -> GpuReport {
-        let Some(g) = rep.backend("gpu-sim") else {
+    /// Folds an invoke's per-backend totals ([`Outputs::backends`]) into
+    /// the GPU view: kernel time covers compute plus device-local copies,
+    /// copy time is the modeled PCIe transfer time, and PCIe bytes are the
+    /// host↔device byte counters.
+    pub fn from_backends(backends: &[BackendStats]) -> GpuReport {
+        let Some(g) = backends.iter().find(|b| b.name == "gpu-sim") else {
             return GpuReport::default();
         };
         let kernel_time_s = g.scope.compute_s + g.scope.copy_s;
@@ -181,29 +181,19 @@ impl GpuReport {
     }
 }
 
-/// Runs an SDFG through the heterogeneous runtime with a [`GpuSimBackend`]
-/// and folds the per-backend report into a [`GpuReport`].
-///
-/// `arrays` provides the inputs and receives the outputs. Results are
-/// bit-exact (states execute on the host engine); only timing is modeled.
+/// Runs an SDFG on a session with a [`GpuSimBackend`] registered and folds
+/// its per-backend totals into a [`GpuReport`]. Results are bit-exact
+/// (states execute on the host engine); only timing is modeled.
 pub fn run_gpu(
     sdfg: &Sdfg,
     dev: &DeviceProfile,
-    symbols: &[(&str, i64)],
-    arrays: &mut HashMap<String, Vec<f64>>,
-) -> Result<GpuReport, ExecError> {
-    let mut rt = Runtime::new(sdfg).with_backend(Box::new(GpuSimBackend::new(dev.clone())));
-    for (s, v) in symbols {
-        rt.executor().set_symbol(s, *v);
-    }
-    for (n, d) in arrays.iter() {
-        rt.executor().set_array(n, d.clone());
-    }
-    let rep = rt.run()?;
-    for (n, d) in rt.executor().arrays.iter() {
-        arrays.insert(n.clone(), d.clone());
-    }
-    Ok(GpuReport::from_runtime(&rep))
+    bindings: Bindings,
+) -> Result<(GpuReport, Outputs), SdfgError> {
+    let out = Session::builder(sdfg.clone())
+        .backend(Box::new(GpuSimBackend::new(dev.clone())))
+        .build()?
+        .run(bindings)?;
+    Ok((GpuReport::from_backends(out.backends()), out))
 }
 
 /// What the roofline model says one execution of a state costs.
@@ -216,7 +206,7 @@ struct StateModel {
 }
 
 /// Models one state: kernel launches plus *device-local* copies.
-/// Host↔device transfers are not modeled here — the runtime accounts them
+/// Host↔device transfers are not modeled here — the session accounts them
 /// at schedule boundaries via [`Backend::transfer_time`].
 fn model_state(
     sdfg: &Sdfg,
@@ -413,7 +403,7 @@ mod tests {
     use sdfg_frontend::SdfgBuilder;
     use sdfg_transforms::{apply_first, GpuTransform, Params};
 
-    fn saxpy_gpu(n: i64) -> (Sdfg, HashMap<String, Vec<f64>>) {
+    fn saxpy_gpu(n: i64) -> (Sdfg, Bindings) {
         let mut b = SdfgBuilder::new("saxpy");
         b.symbol("N");
         b.array("X", &["N"], DType::F64);
@@ -429,17 +419,18 @@ mod tests {
         );
         let mut sdfg = b.build().unwrap();
         apply_first(&mut sdfg, &GpuTransform, &Params::new()).unwrap();
-        let mut arrays = HashMap::new();
-        arrays.insert("X".to_string(), (0..n).map(|x| x as f64).collect());
-        arrays.insert("Y".to_string(), vec![1.0; n as usize]);
-        (sdfg, arrays)
+        let bindings = Bindings::new()
+            .symbol("N", n)
+            .array_vec("X", (0..n).map(|x| x as f64).collect())
+            .array_vec("Y", vec![1.0; n as usize]);
+        (sdfg, bindings)
     }
 
     #[test]
     fn functional_correctness_preserved() {
-        let (sdfg, mut arrays) = saxpy_gpu(1000);
-        let rep = run_gpu(&sdfg, &p100(), &[("N", 1000)], &mut arrays).unwrap();
-        let y = &arrays["Y"];
+        let (sdfg, bindings) = saxpy_gpu(1000);
+        let (rep, out) = run_gpu(&sdfg, &p100(), bindings).unwrap();
+        let y = out.array("Y").unwrap();
         for (i, v) in y.iter().enumerate() {
             assert_eq!(*v, 2.0 * i as f64 + 1.0);
         }
@@ -451,19 +442,19 @@ mod tests {
 
     #[test]
     fn bigger_problems_take_longer() {
-        let (s1, mut a1) = saxpy_gpu(1 << 10);
-        let (s2, mut a2) = saxpy_gpu(1 << 20);
-        let r1 = run_gpu(&s1, &p100(), &[("N", 1 << 10)], &mut a1).unwrap();
-        let r2 = run_gpu(&s2, &p100(), &[("N", 1 << 20)], &mut a2).unwrap();
+        let (s1, a1) = saxpy_gpu(1 << 10);
+        let (s2, a2) = saxpy_gpu(1 << 20);
+        let (r1, _) = run_gpu(&s1, &p100(), a1).unwrap();
+        let (r2, _) = run_gpu(&s2, &p100(), a2).unwrap();
         assert!(r2.time_s > r1.time_s);
         assert!(r2.bytes > r1.bytes);
     }
 
     #[test]
     fn v100_faster_than_p100_on_compute() {
-        let (s, mut a) = saxpy_gpu(1 << 20);
-        let rp = run_gpu(&s, &p100(), &[("N", 1 << 20)], &mut a.clone()).unwrap();
-        let rv = run_gpu(&s, &v100(), &[("N", 1 << 20)], &mut a).unwrap();
+        let (s, a) = saxpy_gpu(1 << 20);
+        let (rp, _) = run_gpu(&s, &p100(), a).unwrap();
+        let (rv, _) = run_gpu(&s, &v100(), saxpy_gpu(1 << 20).1).unwrap();
         assert!(rv.kernel_time_s < rp.kernel_time_s);
     }
 
@@ -505,16 +496,16 @@ mod tests {
         apply_first(&mut plain_sdfg, &GpuTransform, &Params::new()).unwrap();
 
         let n = 1 << 18;
-        let mut a1 = HashMap::new();
-        a1.insert("A".to_string(), vec![1.0; n]);
-        a1.insert("out".to_string(), vec![0.0; 1]);
-        let r_wcr = run_gpu(&wcr_sdfg, &p100(), &[("N", n as i64)], &mut a1).unwrap();
-        let mut a2 = HashMap::new();
-        a2.insert("A".to_string(), vec![1.0; n]);
-        a2.insert("out".to_string(), vec![0.0; n]);
-        let r_plain = run_gpu(&plain_sdfg, &p100(), &[("N", n as i64)], &mut a2).unwrap();
+        let inputs = |out_len: usize| {
+            Bindings::new()
+                .symbol("N", n as i64)
+                .array_vec("A", vec![1.0; n])
+                .array_vec("out", vec![0.0; out_len])
+        };
+        let (r_wcr, out) = run_gpu(&wcr_sdfg, &p100(), inputs(1)).unwrap();
+        let (r_plain, _) = run_gpu(&plain_sdfg, &p100(), inputs(n)).unwrap();
         assert!(r_wcr.bytes > r_plain.bytes * 0.9, "atomic factor applies");
-        assert_eq!(a1["out"][0], n as f64, "WCR result correct");
+        assert_eq!(out.array("out").unwrap()[0], n as f64, "WCR result correct");
     }
 
     #[test]
@@ -555,13 +546,41 @@ mod tests {
 
         let n = 512usize;
         let mk = || {
-            let mut m = HashMap::new();
-            m.insert("A".to_string(), vec![1.0; n * n]);
-            m.insert("out".to_string(), vec![0.0; n]);
-            m
+            Bindings::new()
+                .symbol("N", n as i64)
+                .array_vec("A", vec![1.0; n * n])
+                .array_vec("out", vec![0.0; n])
         };
-        let rc = run_gpu(&col, &p100(), &[("N", n as i64)], &mut mk()).unwrap();
-        let rr = run_gpu(&row, &p100(), &[("N", n as i64)], &mut mk()).unwrap();
+        let (rc, _) = run_gpu(&col, &p100(), mk()).unwrap();
+        let (rr, _) = run_gpu(&row, &p100(), mk()).unwrap();
         assert!(rc.bytes > rr.bytes * 2.0, "column access must cost more");
+    }
+
+    /// A session holding a device backend is as shareable as any other:
+    /// two threads invoke one at once and get the same bits and the same
+    /// modeled accounting.
+    #[test]
+    fn session_with_a_gpu_backend_is_sync_shareable() {
+        fn assert_send_sync<T: Send + Sync>(_: &T) {}
+        let (sdfg, _) = saxpy_gpu(256);
+        let session = Session::builder(sdfg)
+            .backend(Box::new(GpuSimBackend::new(p100())))
+            .build()
+            .unwrap();
+        assert_send_sync(&session);
+        let (a, b) = std::thread::scope(|s| {
+            let run = || s.spawn(|| session.run(saxpy_gpu(256).1).unwrap());
+            let (a, b) = (run(), run());
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a.array("Y").unwrap(), b.array("Y").unwrap());
+        let (ga, gb) = (
+            GpuReport::from_backends(a.backends()),
+            GpuReport::from_backends(b.backends()),
+        );
+        assert_eq!(
+            (ga.kernels, ga.pcie_bytes, ga.time_s),
+            (gb.kernels, gb.pcie_bytes, gb.time_s)
+        );
     }
 }

@@ -232,12 +232,6 @@ impl<'s> Interpreter<'s> {
         }
     }
 
-    /// Sets the profiling switch for subsequent `run`s.
-    pub fn enable_profiling(&mut self, profiling: Profiling) -> &mut Self {
-        self.profiling = profiling;
-        self
-    }
-
     /// Binds a symbol.
     pub fn set_symbol(&mut self, name: &str, value: i64) -> &mut Self {
         self.symbols.insert(name.to_string(), value);

@@ -74,9 +74,9 @@ macro_rules! run_counters {
                 "sdfg_sched_steals_total",
                 "Tiles acquired by stealing from another worker's deque."
             );
-            /// Bytes transferred host → device by the heterogeneous runtime.
+            /// Bytes transferred host → device at device-backend boundaries.
             h2d_bytes => ("sdfg_bytes_moved_total", $crate::counters::BYTES_MOVED_HELP, direction = "h2d");
-            /// Bytes transferred device → host by the heterogeneous runtime.
+            /// Bytes transferred device → host at device-backend boundaries.
             d2h_bytes => ("sdfg_bytes_moved_total", $crate::counters::BYTES_MOVED_HELP, direction = "d2h");
             /// Plan-cache lookups of this run that found an existing plan.
             plan_cache_hits => (

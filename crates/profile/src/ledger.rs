@@ -2,9 +2,10 @@
 //!
 //! When enabled (the `SDFG_RUN_LOG` environment variable, or
 //! [`set_path`] — e.g. the harness `--ledger` flag), every
-//! `Executor::run` / `Runtime` dispatch appends exactly one JSON object
-//! line describing the run: what ran (content hash, target, opt level,
-//! thread count), how long it took, the bytes it moved, and the run's
+//! session invoke (`sdfg_exec::Session::run`) appends exactly one JSON
+//! object line describing the run (a nested SDFG call is part of its
+//! enclosing run): what ran (content hash, target, opt level, thread
+//! count), how long it took, the bytes it moved, and the run's
 //! own count of every row of the [`crate::counters`] table (cache hits,
 //! pool reuse, scheduler tiles/steals, …). The format is one
 //! self-contained JSON object per line, so downstream consumers
@@ -27,7 +28,8 @@ pub struct RunRecord {
     pub seq: u64,
     /// SDFG content hash (hex, as produced by the executor).
     pub content_hash: String,
-    /// Target assignment ("cpu", or the runtime's backend set).
+    /// Target assignment ("cpu", or the session's backend set, such as
+    /// "cpu+gpu-sim").
     pub target: String,
     /// Optimization level the executor ran with.
     pub opt_level: String,

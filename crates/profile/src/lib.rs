@@ -406,9 +406,10 @@ impl ProfileCollector {
     }
 }
 
-/// Executor-level cache/pool counters attached to a report by the engine
-/// (zero for interpreter runs). Cumulative over the executor's lifetime,
-/// not per-run, so repeat invocations show the hit rate climbing.
+/// Session-level cache/pool counters attached to a report by the engine
+/// (zero for interpreter runs). Cumulative over the cache's and pool's
+/// lifetime, not per-run, so repeat invocations show the hit rate
+/// climbing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecCounters {
     /// Plan-cache lookups that found an existing lowered plan.

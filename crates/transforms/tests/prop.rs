@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use sdfg_core::{validate, Sdfg};
-use sdfg_exec::Executor;
+use sdfg_exec::{Bindings, Session};
 use sdfg_frontend::parse_program;
 use sdfg_interp::Interpreter;
 use sdfg_transforms::{apply_first, apply_strict, registry, Params};
@@ -185,13 +185,13 @@ fn run_interp(sdfg: &Sdfg, n: usize, ins: &[(String, Vec<f64>)], check: &str) ->
 }
 
 fn run_exec(sdfg: &Sdfg, n: usize, ins: &[(String, Vec<f64>)], check: &str) -> Vec<f64> {
-    let mut ex = Executor::new(sdfg);
-    ex.set_symbol("N", n as i64);
+    let mut inputs = Bindings::new().symbol("N", n as i64);
     for (name, data) in ins {
-        ex.set_array(name, data.clone());
+        inputs = inputs.array(name, data);
     }
-    ex.run().expect("executor runs");
-    ex.array(check).to_vec()
+    let session = Session::builder(sdfg.clone()).build().expect("valid SDFG");
+    let mut out = session.run(inputs).expect("executor runs");
+    out.take_array(check).expect("checked array bound")
 }
 
 /// Default parameters per transformation. `MapInterchange` requires an

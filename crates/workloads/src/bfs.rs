@@ -11,7 +11,7 @@ use crate::graphs::Csr;
 use sdfg_core::node::MapScope;
 use sdfg_core::sdfg::InterstateEdge;
 use sdfg_core::{DType, Memlet, Schedule, Sdfg, SymRange, Wcr};
-use sdfg_exec::Executor;
+use sdfg_exec::{Bindings, Session};
 use sdfg_frontend::builder::{thread_input, thread_input_from, thread_output};
 use sdfg_symbolic::Expr;
 
@@ -172,15 +172,18 @@ pub fn run_bfs(sdfg: &Sdfg, g: &Csr, source: u32) -> Vec<f64> {
     depth[source as usize] = 0.0;
     let mut frontier = vec![0.0; v];
     frontier[0] = source as f64;
-    let mut ex = Executor::new(sdfg);
-    ex.set_symbol("V", v as i64);
-    ex.set_symbol("E", g.edges() as i64);
-    ex.set_array("G_row", g.rowptr_f64());
-    ex.set_array("G_col", g.col_f64());
-    ex.set_array("depth", depth);
-    ex.set_array("frontier", frontier);
-    ex.run().expect("bfs runs");
-    ex.arrays.remove("depth").unwrap()
+    let session = Session::builder(sdfg.clone())
+        .build()
+        .expect("valid BFS SDFG");
+    let bindings = Bindings::new()
+        .symbol("V", v as i64)
+        .symbol("E", g.edges() as i64)
+        .array_vec("G_row", g.rowptr_f64())
+        .array_vec("G_col", g.col_f64())
+        .array_vec("depth", depth)
+        .array_vec("frontier", frontier);
+    let mut out = session.run(bindings).expect("bfs runs");
+    out.take_array("depth").expect("depth is bound")
 }
 
 /// The §6.3 transformation recipe applied to the BFS SDFG: tile the

@@ -1,7 +1,8 @@
 //! The uniform workload wrapper used by tests, examples and benches.
 
 use sdfg_core::Sdfg;
-use sdfg_exec::{ExecError, Executor, InstrumentationReport, MapLowering, Profiling, Stats};
+use sdfg_core::SdfgError;
+use sdfg_exec::{Outputs, Profiling, Stats};
 use sdfg_interp::{InterpError, Interpreter};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -22,17 +23,6 @@ pub struct Workload {
 
 /// What [`Workload::run_exec`] returns: outputs, stats and wall time.
 pub type ExecRun = (HashMap<String, Vec<f64>>, Stats, Duration);
-
-/// What [`Workload::run_exec_profiled`] returns: outputs, stats, wall
-/// time, the instrumentation report, and the per-map lowering decisions
-/// (which tier each map body compiled to, and why the JIT declined).
-pub type ProfiledExecRun = (
-    HashMap<String, Vec<f64>>,
-    Stats,
-    Duration,
-    InstrumentationReport,
-    Vec<MapLowering>,
-);
 
 impl Workload {
     /// Creates a workload.
@@ -64,21 +54,6 @@ impl Workload {
         self
     }
 
-    /// Builds an executor with this workload's symbols and arrays bound,
-    /// without running it. Callers that invoke `run` repeatedly on the
-    /// returned executor exercise the plan cache and buffer pool (the
-    /// bench harness's warm-run protocol).
-    pub fn executor(&self) -> Executor<'_> {
-        let mut ex = Executor::new(&self.sdfg);
-        for (s, v) in &self.symbols {
-            ex.set_symbol(s, *v);
-        }
-        for (n, d) in &self.arrays {
-            ex.set_array(n, d.clone());
-        }
-        ex
-    }
-
     /// Starts a [`sdfg_exec::SessionBuilder`] over a clone of this
     /// workload's SDFG — the compile-once/invoke-many construction path
     /// the harness and bench share with the serving layer.
@@ -100,49 +75,29 @@ impl Workload {
         b
     }
 
-    /// Runs on the optimizing executor; returns outputs, stats and wall
-    /// time.
-    pub fn run_exec(&self) -> Result<ExecRun, ExecError> {
-        let mut ex = Executor::new(&self.sdfg);
-        for (s, v) in &self.symbols {
-            ex.set_symbol(s, *v);
-        }
-        for (n, d) in &self.arrays {
-            ex.set_array(n, d.clone());
-        }
+    /// Runs once on a fresh session at its defaults; returns outputs,
+    /// stats and wall time.
+    pub fn run_exec(&self) -> Result<ExecRun, SdfgError> {
+        let session = self.session().build()?;
         let t0 = Instant::now();
-        let stats = ex.run()?;
+        let out = session.run(self.bindings())?;
         let dt = t0.elapsed();
-        Ok((std::mem::take(&mut ex.arrays), stats, dt))
+        let stats = out.stats().clone();
+        Ok((out.into_arrays(), stats, dt))
     }
 
-    /// Runs on the optimizing executor with instrumentation forced on
-    /// every state and map scope; returns outputs, stats, wall time and
-    /// the instrumentation report (hot-path table, Chrome trace, heat).
+    /// Runs with instrumentation forced on every state and map scope;
+    /// the outputs carry the instrumentation report (hot-path table,
+    /// Chrome trace, heat) and the per-map lowering decisions.
     ///
-    /// Profiles the steady state: an untimed run first requests every JIT
-    /// kernel the program reaches, and the profiled run starts once their
-    /// compiles have finished.
-    pub fn run_exec_profiled(&self) -> Result<ProfiledExecRun, ExecError> {
-        self.run_exec()?;
+    /// Profiles the steady state: a first run on the same session lowers
+    /// the plan and requests every JIT kernel the program reaches, and the
+    /// profiled run starts once their compiles have finished.
+    pub fn run_exec_profiled(&self) -> Result<Outputs, SdfgError> {
+        let session = self.session().profiling(Profiling::ForceTimers).build()?;
+        session.run(self.bindings())?;
         sdfg_exec::jit::wait_idle();
-        let mut ex = Executor::new(&self.sdfg);
-        ex.enable_profiling(Profiling::ForceTimers);
-        for (s, v) in &self.symbols {
-            ex.set_symbol(s, *v);
-        }
-        for (n, d) in &self.arrays {
-            ex.set_array(n, d.clone());
-        }
-        let t0 = Instant::now();
-        let stats = ex.run()?;
-        let dt = t0.elapsed();
-        let report = ex
-            .last_report
-            .take()
-            .expect("profiled run produces a report");
-        let lowerings = ex.lowering_report();
-        Ok((std::mem::take(&mut ex.arrays), stats, dt, report, lowerings))
+        session.run(self.bindings())
     }
 
     /// Runs on the reference interpreter; returns outputs.
@@ -205,4 +160,20 @@ pub fn pseudo_random(len: usize, seed: u64) -> Vec<f64> {
             ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    /// The profiled run reuses the warm-up's plan: its report's exec
+    /// counters read one miss (the warm-up) and one hit (itself).
+    #[test]
+    fn profiled_run_profiles_the_warm_plan() {
+        let k = crate::polybench::all()
+            .into_iter()
+            .find(|k| k.name == "atax")
+            .unwrap();
+        let out = (k.build)(64).run_exec_profiled().expect("atax runs");
+        let exec = out.report().expect("a profiled run reports").exec;
+        assert_eq!((exec.plan_cache_hits, exec.plan_cache_misses), (1, 1));
+    }
 }

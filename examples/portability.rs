@@ -10,7 +10,6 @@ use dace::fpga_sim::{run_fpga, vcu1525, FpgaMode};
 use dace::gpu_sim::{p100, run_gpu};
 use dace::transforms::{apply_first, FpgaTransform, GpuTransform, Params};
 use dace::workloads::kernels;
-use std::collections::HashMap;
 use std::time::Instant;
 
 fn main() {
@@ -32,10 +31,12 @@ fn main() {
     // GPU: GPUTransform + the P100 model.
     let mut gpu_sdfg = w.sdfg.clone();
     apply_first(&mut gpu_sdfg, &GpuTransform, &Params::new()).expect("gpu transform");
-    let syms: Vec<(&str, i64)> = w.symbols.iter().map(|(s, v)| (s.as_str(), *v)).collect();
-    let mut gpu_arrays: HashMap<String, Vec<f64>> = w.arrays.clone();
-    let rep = run_gpu(&gpu_sdfg, &p100(), &syms, &mut gpu_arrays).expect("gpu model");
-    assert_eq!(gpu_arrays["A"], cpu_out["A"], "GPU results match CPU");
+    let (rep, gpu_out) = run_gpu(&gpu_sdfg, &p100(), w.bindings()).expect("gpu model");
+    assert_eq!(
+        gpu_out.array("A").unwrap(),
+        cpu_out["A"],
+        "GPU results match CPU"
+    );
     println!(
         "GPU P100: {:>9.2} ms modeled  (kernels {}, copies {:.2} ms, {:.1}% peak)",
         rep.time_s * 1e3,
@@ -47,18 +48,15 @@ fn main() {
     // FPGA: FPGATransform + the VCU1525 model, pipelined vs naive HLS.
     let mut fpga_sdfg = w.sdfg.clone();
     apply_first(&mut fpga_sdfg, &FpgaTransform, &Params::new()).expect("fpga transform");
-    let mut fa = w.arrays.clone();
-    let pipe =
-        run_fpga(&fpga_sdfg, &vcu1525(), FpgaMode::Pipelined, &syms, &mut fa).expect("fpga model");
-    assert_eq!(fa["A"], cpu_out["A"], "FPGA results match CPU");
-    let naive = run_fpga(
-        &fpga_sdfg,
-        &vcu1525(),
-        FpgaMode::NaiveHls,
-        &syms,
-        &mut w.arrays.clone(),
-    )
-    .expect("fpga model");
+    let (pipe, fpga_out) =
+        run_fpga(&fpga_sdfg, &vcu1525(), FpgaMode::Pipelined, w.bindings()).expect("fpga model");
+    assert_eq!(
+        fpga_out.array("A").unwrap(),
+        cpu_out["A"],
+        "FPGA results match CPU"
+    );
+    let (naive, _) =
+        run_fpga(&fpga_sdfg, &vcu1525(), FpgaMode::NaiveHls, w.bindings()).expect("fpga model");
     println!(
         "FPGA    : {:>9.2} ms modeled pipelined vs {:.2} ms naive HLS ({:.0}× from dataflow)",
         pipe.time_s * 1e3,

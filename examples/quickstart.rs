@@ -6,7 +6,7 @@
 //! ```
 
 use dace::core::DType;
-use dace::exec::Executor;
+use dace::exec::{Bindings, Session};
 use dace::frontend::parse_program;
 use dace::interp::Interpreter;
 use dace::transforms::{apply_first, Chain, MapTiling, Params};
@@ -41,18 +41,20 @@ def saxpy(X: dace.float64[N], Y: dace.float64[N]):
     interp.set_array("Y", y.clone());
     interp.run().expect("interpreter runs");
 
-    let mut exec = Executor::new(&sdfg);
-    exec.set_symbol("N", n as i64);
-    exec.set_array("X", x);
-    exec.set_array("Y", y);
-    let stats = exec.run().expect("executor runs");
+    let session = Session::builder(sdfg.clone()).build().expect("valid SDFG");
+    let inputs = Bindings::new()
+        .symbol("N", n as i64)
+        .array_vec("X", x)
+        .array_vec("Y", y);
+    let out = session.run(inputs).expect("executor runs");
+    let (got, stats) = (out.array("Y").expect("Y is bound"), out.stats());
 
-    assert_eq!(interp.array("Y"), exec.array("Y"), "engines agree");
+    assert_eq!(interp.array("Y"), got, "engines agree");
     println!(
         "ran {} map points ({} through compiled tiers); Y[7] = {}",
         stats.tasklet_points,
         stats.native_points + stats.jit_points,
-        exec.array("Y")[7]
+        got[7]
     );
     let _ = DType::F64;
 }

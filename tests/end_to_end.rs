@@ -3,11 +3,17 @@
 //! execution engines, and the accelerator models.
 
 use dace::core::{DType, Wcr};
-use dace::exec::Executor;
+use dace::exec::{Bindings, Session};
 use dace::frontend::{parse_program, SdfgBuilder};
 use dace::interp::Interpreter;
 use dace::transforms::{apply_first, apply_strict, Chain, Params};
-use std::collections::HashMap;
+
+/// Runs `sdfg` once on a fresh session and returns array `name`.
+fn run(sdfg: &dace::core::Sdfg, bindings: Bindings, name: &str) -> Vec<f64> {
+    let session = Session::builder(sdfg.clone()).build().expect("valid SDFG");
+    let mut out = session.run(bindings).expect("exec");
+    out.take_array(name).expect("output bound")
+}
 
 /// The paper's Fig. 2 program end to end: frontend → validation →
 /// interpreter and executor agreement → CPU code generation.
@@ -36,11 +42,15 @@ def laplace(A: dace.float64[2, N], T: dace.int64):
     interp.set_symbol("N", n).set_symbol("T", t);
     interp.set_array("A", a.clone());
     interp.run().expect("interp");
-    let mut exec = Executor::new(&sdfg);
-    exec.set_symbol("N", n).set_symbol("T", t);
-    exec.set_array("A", a);
-    exec.run().expect("exec");
-    assert_eq!(interp.array("A"), exec.array("A"));
+    let got = run(
+        &sdfg,
+        Bindings::new()
+            .symbol("N", n)
+            .symbol("T", t)
+            .array_vec("A", a),
+        "A",
+    );
+    assert_eq!(interp.array("A"), got);
     // Code generation produces a structured time loop.
     let code = dace::codegen::generate_cpu(&sdfg);
     assert!(code.contains("for (t = 0; t < T; t = t + 1)"));
@@ -51,23 +61,24 @@ def laplace(A: dace.float64[2, N], T: dace.int64):
 #[test]
 fn paper_fig11a_mapreduce_fusion() {
     let mut sdfg = dace::workloads::mm_chain::build_mapreduce_mm();
-    let run = |sdfg: &dace::core::Sdfg| {
-        let mut ex = Executor::new(sdfg);
-        ex.set_symbol("M", 9).set_symbol("K", 7).set_symbol("N", 8);
-        ex.set_array("A", (0..63).map(|x| (x % 5) as f64).collect());
-        ex.set_array("B", (0..56).map(|x| (x % 3) as f64).collect());
-        ex.set_array("C", vec![0.0; 72]);
-        ex.run().unwrap();
-        ex.arrays.remove("C").unwrap()
+    let run_c = |sdfg: &dace::core::Sdfg| {
+        let inputs = Bindings::new()
+            .symbol("M", 9)
+            .symbol("K", 7)
+            .symbol("N", 8)
+            .array_vec("A", (0..63).map(|x| (x % 5) as f64).collect())
+            .array_vec("B", (0..56).map(|x| (x % 3) as f64).collect())
+            .array_vec("C", vec![0.0; 72]);
+        run(sdfg, inputs, "C")
     };
-    let before = run(&sdfg);
+    let before = run_c(&sdfg);
     apply_first(
         &mut sdfg,
         &dace::transforms::MapReduceFusion,
         &Params::new(),
     )
     .unwrap();
-    assert_eq!(run(&sdfg), before);
+    assert_eq!(run_c(&sdfg), before);
 }
 
 /// The strict-transformation pass (RedundantArray + StateFusion) matches
@@ -96,12 +107,11 @@ fn strict_pass_cleans_and_preserves() {
     let applied = apply_strict(&mut sdfg).unwrap();
     assert!(applied >= 1);
     assert!(sdfg.graph.node_count() <= states_before);
-    let mut ex = Executor::new(&sdfg);
-    ex.set_symbol("N", 6);
-    ex.set_array("A", vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-    ex.set_array("B", vec![0.0; 6]);
-    ex.run().unwrap();
-    assert_eq!(ex.array("B"), &[4.0, 7.0, 10.0, 13.0, 16.0, 19.0]);
+    let inputs = Bindings::new()
+        .symbol("N", 6)
+        .array_vec("A", vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        .array_vec("B", vec![0.0; 6]);
+    assert_eq!(run(&sdfg, inputs, "B"), &[4.0, 7.0, 10.0, 13.0, 16.0, 19.0]);
 }
 
 /// One SDFG, three targets: CPU executor, GPU model, FPGA model all
@@ -110,7 +120,6 @@ fn strict_pass_cleans_and_preserves() {
 fn one_source_three_targets() {
     let w = dace::workloads::kernels::mm(24);
     let (cpu, _, _) = w.run_exec().unwrap();
-    let syms: Vec<(&str, i64)> = w.symbols.iter().map(|(s, v)| (s.as_str(), *v)).collect();
 
     let mut gpu_sdfg = w.sdfg.clone();
     apply_first(
@@ -119,9 +128,8 @@ fn one_source_three_targets() {
         &Params::new(),
     )
     .unwrap();
-    let mut gpu_arrays: HashMap<String, Vec<f64>> = w.arrays.clone();
-    dace::gpu_sim::run_gpu(&gpu_sdfg, &dace::gpu_sim::p100(), &syms, &mut gpu_arrays).unwrap();
-    assert_eq!(gpu_arrays["C"], cpu["C"]);
+    let (_, gpu) = dace::gpu_sim::run_gpu(&gpu_sdfg, &dace::gpu_sim::p100(), w.bindings()).unwrap();
+    assert_eq!(gpu.array("C").unwrap(), cpu["C"]);
 
     let mut fpga_sdfg = w.sdfg.clone();
     apply_first(
@@ -130,16 +138,14 @@ fn one_source_three_targets() {
         &Params::new(),
     )
     .unwrap();
-    let mut fpga_arrays = w.arrays.clone();
-    dace::fpga_sim::run_fpga(
+    let (_, fpga) = dace::fpga_sim::run_fpga(
         &fpga_sdfg,
         &dace::fpga_sim::vcu1525(),
         dace::fpga_sim::FpgaMode::Pipelined,
-        &syms,
-        &mut fpga_arrays,
+        w.bindings(),
     )
     .unwrap();
-    assert_eq!(fpga_arrays["C"], cpu["C"]);
+    assert_eq!(fpga.array("C").unwrap(), cpu["C"]);
 }
 
 /// Chains serialize, replay, and diverge from mid-points (the DIODE
@@ -169,11 +175,10 @@ fn chain_version_control_workflow() {
     chain.apply_prefix(&mut prefix, 1).unwrap();
     // Both still compute the same thing.
     for sdfg in [&full, &prefix] {
-        let mut ex = Executor::new(sdfg);
-        ex.set_symbol("N", 33);
-        ex.set_array("A", vec![1.0; 33]);
-        ex.run().unwrap();
-        assert!(ex.array("A").iter().all(|&v| v == 2.0));
+        let inputs = Bindings::new()
+            .symbol("N", 33)
+            .array_vec("A", vec![1.0; 33]);
+        assert!(run(sdfg, inputs, "A").iter().all(|&v| v == 2.0));
     }
 }
 
@@ -251,11 +256,10 @@ fn paper_fig8_fibonacci_consume() {
         );
     }
     sdfg.validate().expect("valid");
-    let mut ex = Executor::new(&sdfg);
-    ex.set_array("Nv", vec![12.0]);
-    ex.set_array("out", vec![0.0]);
-    ex.run().unwrap();
-    assert_eq!(ex.array("out"), &[144.0]); // fib(12)
+    let inputs = Bindings::new()
+        .array_vec("Nv", vec![12.0])
+        .array_vec("out", vec![0.0]);
+    assert_eq!(run(&sdfg, inputs, "out"), &[144.0]); // fib(12)
 }
 
 /// All three code generators produce output for a GPU- and FPGA-mapped
