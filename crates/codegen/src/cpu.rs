@@ -1,7 +1,11 @@
-//! CPU dispatcher: C with OpenMP-style pragmas.
+//! CPU dispatcher: C with OpenMP-style pragmas. The state machine renders
+//! from [`structure`]'s region tree as `for`/`if` C, with labeled gotos
+//! only for a graph it reports unstructured; tasklets render through
+//! [`vm_expr_to_c`](crate::c_expr::vm_expr_to_c), so the source computes
+//! the interpreter's arithmetic.
 
-use crate::c_expr::{sym_to_c, tasklet_to_c};
-use crate::statemachine::{detect_branch, detect_loop};
+use crate::c_expr::{cond_to_c, emit_preamble, emit_tasklet, map_for, sym_to_c, wcr_to_c, Sink};
+use crate::statemachine::{structure, Assigns, Region};
 use sdfg_core::desc::DataDesc;
 use sdfg_core::scope::scope_tree;
 use sdfg_core::{Node, Schedule, Sdfg, StateId, Wcr};
@@ -14,13 +18,8 @@ pub fn generate_cpu(sdfg: &Sdfg) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "// Generated by sdfg-codegen (CPU dispatcher)");
     let _ = writeln!(out, "// SDFG: {}", sdfg.name);
-    out.push_str("#include <math.h>\n#include <stdlib.h>\n#include <string.h>\n");
-    out.push_str("#define min(a, b) (((a) < (b)) ? (a) : (b))\n");
-    out.push_str("#define max(a, b) (((a) > (b)) ? (a) : (b))\n");
-    out.push_str(
-        "static double fmod_floor(double a, double b) { double r = fmod(a, b); \
-         return (r != 0 && ((r < 0) != (b < 0))) ? r + b : r; }\n\n",
-    );
+    out.push_str("#include <stdlib.h>\n#include <string.h>\n");
+    emit_preamble(&mut out);
     // Nested SDFGs become separate functions, emitted first.
     for sid in sdfg.graph.node_ids() {
         let st = sdfg.graph.node(sid);
@@ -95,8 +94,9 @@ fn generate_function(sdfg: &Sdfg) -> String {
         let _ = writeln!(out, "    long long {v};");
     }
     // State machine.
-    if let Some(start) = sdfg.start {
-        emit_statemachine(sdfg, start, &mut out);
+    match structure(sdfg) {
+        Ok(tree) => emit_regions(sdfg, &tree, &mut out, 1),
+        Err(at) => emit_gotos(sdfg, at, &mut out),
     }
     // Free transients.
     for (name, desc) in &sdfg.data {
@@ -108,111 +108,90 @@ fn generate_function(sdfg: &Sdfg) -> String {
     out
 }
 
-/// Structured emission with loop/branch detection; falls back to labeled
-/// gotos when the graph shape is not recognized.
-fn emit_statemachine(sdfg: &Sdfg, start: StateId, out: &mut String) {
-    if structured(sdfg, start, None, out, 0).is_none() {
-        // Goto fallback.
-        let _ = writeln!(out, "    // unstructured control flow: goto fallback");
-        for sid in sdfg.graph.node_ids() {
-            let _ = writeln!(out, "  __state_{}:", sid.index());
-            emit_state_body(sdfg, sid, out, 1);
-            let mut terminal = true;
-            for e in sdfg.graph.out_edges(sid) {
-                let t = sdfg.graph.edge(e);
-                terminal = false;
-                for (v, x) in &t.assignments {
-                    let _ = writeln!(out, "    {v} = {x};");
-                }
-                if t.condition.is_always() {
-                    let _ = writeln!(out, "    goto __state_{};", sdfg.graph.edge_dst(e).index());
-                    break;
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "    if ({}) goto __state_{};",
-                        t.condition,
-                        sdfg.graph.edge_dst(e).index()
-                    );
-                }
-            }
-            if terminal {
-                let _ = writeln!(out, "    goto __end;");
-            }
-        }
-        let _ = writeln!(out, "  __end: ;");
+fn emit_assigns(assigns: &Assigns, out: &mut String, depth: usize) {
+    let ind = "    ".repeat(depth);
+    for (v, x) in assigns {
+        let _ = writeln!(out, "{ind}{v} = {};", sym_to_c(x));
     }
 }
 
-/// Structured walk; returns `None` if an unsupported shape is found, in
-/// which case the caller rewinds to the goto fallback. (The probe runs on a
-/// scratch buffer first.)
-fn structured(
-    sdfg: &Sdfg,
-    start: StateId,
-    stop: Option<StateId>,
-    out: &mut String,
-    depth: usize,
-) -> Option<()> {
-    // Probe into a scratch string; commit only on success.
-    let mut buf = String::new();
-    let mut cur = start;
-    loop {
-        if Some(cur) == stop {
-            break;
-        }
-        if let Some(l) = detect_loop(sdfg, cur) {
-            let ind = "    ".repeat(depth + 1);
-            let _ = writeln!(
-                buf,
-                "{ind}for ({var} = {init}; {cond}; {var} = {update}) {{",
-                var = l.var,
-                init = l.init,
-                cond = l.cond,
-                update = l.update
-            );
-            for b in &l.body {
-                emit_state_body(sdfg, *b, &mut buf, depth + 2);
+/// Renders a region tree as structured C.
+fn emit_regions(sdfg: &Sdfg, regions: &[Region], out: &mut String, depth: usize) {
+    let ind = "    ".repeat(depth);
+    for r in regions {
+        match r {
+            Region::State(id, assigns) => {
+                emit_state_body(sdfg, *id, out, depth);
+                emit_assigns(assigns, out, depth);
             }
-            let _ = writeln!(buf, "{ind}}}");
-            cur = l.exit;
-            continue;
-        }
-        if let Some(b) = detect_branch(sdfg, cur) {
-            emit_state_body(sdfg, cur, &mut buf, depth + 1);
-            let ind = "    ".repeat(depth + 1);
-            let _ = writeln!(buf, "{ind}if ({}) {{", b.cond);
-            for s in &b.then {
-                emit_state_body(sdfg, *s, &mut buf, depth + 2);
+            Region::Loop(l) => {
+                let init = l
+                    .init
+                    .as_ref()
+                    .map(|x| format!("{} = {}", l.var, sym_to_c(x)));
+                let _ = writeln!(
+                    out,
+                    "{ind}for ({}; {}; {} = {}) {{",
+                    init.unwrap_or_default(),
+                    cond_to_c(&l.cond),
+                    l.var,
+                    sym_to_c(&l.update)
+                );
+                emit_regions(sdfg, &l.body, out, depth + 1);
+                let _ = writeln!(out, "{ind}}}");
+                emit_assigns(&l.exit_assigns, out, depth);
             }
-            if b.els.is_empty() {
-                let _ = writeln!(buf, "{ind}}}");
-            } else {
-                let _ = writeln!(buf, "{ind}}} else {{");
-                for s in &b.els {
-                    emit_state_body(sdfg, *s, &mut buf, depth + 2);
+            Region::Branch(b) => {
+                emit_state_body(sdfg, b.state, out, depth);
+                let _ = writeln!(out, "{ind}if ({}) {{", cond_to_c(&b.cond));
+                emit_assigns(&b.then.0, out, depth + 1);
+                emit_regions(sdfg, &b.then.1, out, depth + 1);
+                if !b.els.0.is_empty() || !b.els.1.is_empty() {
+                    let _ = writeln!(out, "{ind}}} else {{");
+                    emit_assigns(&b.els.0, out, depth + 1);
+                    emit_regions(sdfg, &b.els.1, out, depth + 1);
                 }
-                let _ = writeln!(buf, "{ind}}}");
+                let _ = writeln!(out, "{ind}}}");
             }
-            cur = b.merge;
-            continue;
-        }
-        emit_state_body(sdfg, cur, &mut buf, depth + 1);
-        let outs: Vec<_> = sdfg.graph.out_edges(cur).collect();
-        match outs.len() {
-            0 => break,
-            1 if sdfg.graph.edge(outs[0]).condition.is_always() => {
-                for (v, x) in &sdfg.graph.edge(outs[0]).assignments {
-                    let ind = "    ".repeat(depth + 1);
-                    let _ = writeln!(buf, "{ind}{v} = {x};");
-                }
-                cur = sdfg.graph.edge_dst(outs[0]);
-            }
-            _ => return None,
         }
     }
-    out.push_str(&buf);
-    Some(())
+}
+
+/// The fallback for a state machine [`structure`] rejects: one label per
+/// state, entered at `sdfg.start`, each followed by its out edges in the
+/// interpreter's order (the first edge whose condition holds is taken,
+/// and none ends the program).
+fn emit_gotos(sdfg: &Sdfg, at: StateId, out: &mut String) {
+    let _ = writeln!(
+        out,
+        "    // unstructured control flow at state `{}`: goto fallback",
+        sdfg.state(at).label
+    );
+    if let Some(start) = sdfg.start {
+        let _ = writeln!(out, "    goto __state_{};", start.index());
+    }
+    for sid in sdfg.graph.node_ids() {
+        let _ = writeln!(out, "  __state_{}: ;", sid.index());
+        emit_state_body(sdfg, sid, out, 1);
+        let mut ends = true;
+        for e in sdfg.graph.out_edges(sid) {
+            let t = sdfg.graph.edge(e);
+            let dst = sdfg.graph.edge_dst(e).index();
+            if t.condition.is_always() {
+                emit_assigns(&t.assignments, out, 1);
+                let _ = writeln!(out, "    goto __state_{dst};");
+                ends = false;
+                break;
+            }
+            let _ = writeln!(out, "    if ({}) {{", cond_to_c(&t.condition));
+            emit_assigns(&t.assignments, out, 2);
+            let _ = writeln!(out, "        goto __state_{dst};\n    }}");
+        }
+        if ends {
+            let _ = writeln!(out, "    goto __end;");
+        }
+    }
+    let _ = writeln!(out, "  __end: ;");
 }
 
 /// Emits one state's dataflow.
@@ -285,14 +264,7 @@ fn emit_node(
                         let _ = writeln!(out, "{ind2}#pragma omp simd simdlen({w})");
                     }
                 }
-                let ind2 = "    ".repeat(d);
-                let _ = writeln!(
-                    out,
-                    "{ind2}for (long long {p} = {}; {p} < {}; {p} += {}) {{",
-                    sym_to_c(&r.start),
-                    sym_to_c(&r.end),
-                    sym_to_c(&r.step)
-                );
+                let _ = writeln!(out, "{}{}", "    ".repeat(d), map_for(p, r));
                 d += 1;
             }
             // Scope contents.
@@ -322,93 +294,7 @@ fn emit_node(
             }
             let _ = writeln!(out, "{ind}}}");
         }
-        Node::Tasklet {
-            name,
-            code,
-            lang,
-            inputs,
-            outputs,
-        } => {
-            let _ = writeln!(out, "{ind}{{  // tasklet: {name}");
-            let ind2 = format!("{ind}    ");
-            // Input connector declarations.
-            for e in st.graph.in_edges(n) {
-                let df = st.graph.edge(e);
-                let Some(conn) = &df.dst_conn else { continue };
-                if df.memlet.is_empty() {
-                    continue;
-                }
-                let data = df.memlet.data_name();
-                let dtype = sdfg
-                    .desc(data)
-                    .map(|d| d.dtype().ctype())
-                    .unwrap_or("double");
-                let flat = flat_index(sdfg, data, &df.memlet.subset);
-                if df.memlet.subset.volume().is_one() {
-                    let _ = writeln!(out, "{ind2}const {dtype} {conn} = {data}[{flat}];");
-                } else {
-                    let _ = writeln!(out, "{ind2}const {dtype} *{conn} = &{data}[{flat}];");
-                }
-            }
-            // Output declarations.
-            for o in outputs {
-                let dtype = st
-                    .graph
-                    .out_edges(n)
-                    .find(|&e| st.graph.edge(e).src_conn.as_deref() == Some(o.as_str()))
-                    .and_then(|e| sdfg.desc(st.graph.edge(e).memlet.data_name()))
-                    .map(|d| d.dtype().ctype())
-                    .unwrap_or("double");
-                let _ = writeln!(out, "{ind2}{dtype} {o};");
-            }
-            // Body.
-            match lang {
-                sdfg_core::TaskletLang::Python => match sdfg_lang::parse_tasklet(code) {
-                    Ok(body) => out.push_str(&tasklet_to_c(&body, &ind2)),
-                    Err(e) => {
-                        let _ = writeln!(out, "{ind2}// tasklet parse error: {e}");
-                    }
-                },
-                sdfg_core::TaskletLang::Cpp => {
-                    // External code emitted verbatim (paper Fig. 5).
-                    for line in code.lines() {
-                        let _ = writeln!(out, "{ind2}{line}");
-                    }
-                }
-            }
-            // Write-outs.
-            for e in st.graph.out_edges(n) {
-                let df = st.graph.edge(e);
-                let Some(conn) = &df.src_conn else { continue };
-                if df.memlet.is_empty() {
-                    continue;
-                }
-                let data = df.memlet.data_name();
-                let flat = flat_index(sdfg, data, &df.memlet.subset);
-                match &df.memlet.wcr {
-                    None => {
-                        let _ = writeln!(out, "{ind2}{data}[{flat}] = {conn};");
-                    }
-                    Some(Wcr::Sum) => {
-                        let _ = writeln!(out, "{ind2}#pragma omp atomic");
-                        let _ = writeln!(out, "{ind2}{data}[{flat}] += {conn};");
-                    }
-                    Some(Wcr::Product) => {
-                        let _ = writeln!(out, "{ind2}#pragma omp atomic");
-                        let _ = writeln!(out, "{ind2}{data}[{flat}] *= {conn};");
-                    }
-                    Some(w) => {
-                        let _ = writeln!(out, "{ind2}#pragma omp critical");
-                        let _ = writeln!(
-                            out,
-                            "{ind2}{data}[{flat}] = wcr_{w:?}({data}[{flat}], {conn});",
-                        );
-                    }
-                }
-            }
-            let _ = writeln!(out, "{ind}}}");
-            let _ = inputs;
-        }
+        Node::Tasklet { .. } => emit_tasklet(sdfg, st, n, &ind, out, cpu_store),
         Node::Reduce { wcr, axes, .. } => {
             let _ = writeln!(out, "{ind}// reduce ({wcr}, axes {axes:?})");
             let _ = writeln!(out, "{ind}reduce_{wcr}(/* memlets define operands */);");
@@ -423,37 +309,30 @@ fn emit_node(
     }
 }
 
-/// Flattened C index expression for a subset's origin.
-pub(crate) fn flat_index(sdfg: &Sdfg, data: &str, subset: &sdfg_symbolic::Subset) -> String {
-    let strides = match sdfg.desc(data) {
-        Some(DataDesc::Array(a)) => a.strides.clone(),
-        _ => vec![],
-    };
-    if subset.dims.is_empty() {
-        return "0".into();
-    }
-    let mut terms = Vec::new();
-    for (d, r) in subset.dims.iter().enumerate() {
-        let stride = strides
-            .get(d)
-            .cloned()
-            .unwrap_or_else(sdfg_symbolic::Expr::one);
-        let term = r.start.clone() * stride;
-        if !term.is_zero() {
-            terms.push(sym_to_c(&term));
+/// Writes one tasklet output: atomics for sums and products, a critical
+/// section for any other combine.
+fn cpu_store(out: &mut String, ind: &str, sink: &Sink, conn: &str) {
+    let _ = match sink {
+        Sink::Stream(data) => writeln!(out, "{ind}{data}.push({conn});"),
+        Sink::Elem(elem, None) => writeln!(out, "{ind}{elem} = {conn};"),
+        Sink::Elem(elem, Some(Wcr::Sum)) => {
+            writeln!(out, "{ind}#pragma omp atomic\n{ind}{elem} += {conn};")
         }
-    }
-    if terms.is_empty() {
-        "0".into()
-    } else {
-        terms.join(" + ")
-    }
+        Sink::Elem(elem, Some(Wcr::Product)) => {
+            writeln!(out, "{ind}#pragma omp atomic\n{ind}{elem} *= {conn};")
+        }
+        Sink::Elem(elem, Some(w)) => writeln!(
+            out,
+            "{ind}#pragma omp critical\n{ind}{elem} = {};",
+            wcr_to_c(w, elem, conn)
+        ),
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdfg_core::DType;
+    use sdfg_core::{DType, InterstateEdge};
     use sdfg_frontend::{parse_program, SdfgBuilder};
 
     #[test]
@@ -576,5 +455,86 @@ def f(A: dace.float64[4], C: dace.int64):
         let code = generate_cpu(&sdfg);
         assert!(code.contains("if (C < 5) {"), "missing branch:\n{code}");
         assert!(code.contains("} else {"));
+    }
+
+    /// A loop over `i` whose body `s1 -(edge)-> s2` and exit edge are
+    /// given; the loop starts at a state other than state 0.
+    fn probe(body_edge: InterstateEdge, second_exit: Option<&str>) -> Sdfg {
+        let mut b = SdfgBuilder::new("probe");
+        b.array("B", &["8"], DType::F64);
+        let s2 = b.state("s2");
+        let (init, guard) = (b.state("init"), b.state("guard"));
+        let (s1, exit) = (b.state("s1"), b.state("exit"));
+        b.sdfg.start = Some(init);
+        b.mapped_tasklet(s2, "w", &[("j", "0:1")], &[], "o = i", &[("o", "B", "k")]);
+        let mut edge = |src, dst, e| {
+            b.sdfg.add_transition(src, dst, e);
+        };
+        edge(init, guard, InterstateEdge::always().assign("i", "0"));
+        edge(guard, s1, InterstateEdge::when("i < 4"));
+        edge(guard, exit, InterstateEdge::when("not (i < 4)"));
+        edge(s1, s2, body_edge);
+        if let Some(c) = second_exit {
+            edge(s2, exit, InterstateEdge::when(c));
+        }
+        edge(s2, guard, InterstateEdge::always().assign("i", "i + 1"));
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn interior_edge_assignments_are_emitted() {
+        let code = generate_cpu(&probe(InterstateEdge::always().assign("k", "2*i"), None));
+        let (k, s2) = (code.find("k = 2 * i;"), code.find("// state: s2"));
+        assert!(k.is_some() && k < s2, "`k` not assigned before s2:\n{code}");
+        assert!(code.contains("for (i = 0; i < 4; i = i + 1) {"), "{code}");
+        assert!(!code.contains("goto"), "{code}");
+    }
+
+    #[test]
+    fn goto_fallback_enters_at_the_start_state() {
+        let body = InterstateEdge::always().assign("k", "i");
+        let code = generate_cpu(&probe(body, Some("i == 2 or not (i < 3)")));
+        let first_label = code.find("  __state_").unwrap();
+        assert!(
+            code.find("    goto __state_1;") < Some(first_label),
+            "{code}"
+        );
+        assert!(code.contains("if ((i == 2) || (!(i < 3))) {"), "{code}");
+        assert!(code.contains("if (!(i < 4)) {"), "{code}");
+    }
+
+    #[test]
+    fn windows_point_into_their_container_only_when_dense() {
+        let window = |subset: &str, wcr: Option<Wcr>| {
+            let mut b = SdfgBuilder::new("w");
+            b.array("A", &["4", "4"], DType::F64);
+            b.array("B", &["4"], DType::F64);
+            let st = b.state("main");
+            b.mapped_tasklet_wcr(
+                st,
+                "t",
+                &[("i", "0:4")],
+                &[("a", "A", subset)],
+                "o = a[1] + a",
+                &[("o", "B", "i", wcr)],
+                Schedule::Sequential,
+            );
+            generate_cpu(&b.build().unwrap())
+        };
+        let row = window("i, 0:4", None);
+        assert!(row.contains("const double *a = &A[4 * i];"), "{row}");
+        assert!(row.contains("o = (a[sdfg_i64(1.0)] + a[0]);"), "{row}");
+        assert!(row.contains("B[i] = o;"), "{row}");
+        let col = window("0:4, i", None);
+        assert!(
+            col.contains("#error \"tasklet `t` not rendered: window `a` is not dense in `A`\""),
+            "{col}"
+        );
+        assert!(!col.contains("B[i] = o;"), "{col}");
+        let sum = window("i, 0:4", Some(Wcr::Sum));
+        assert!(
+            sum.contains("double o = 0.0;") && sum.contains("B[i] += o;"),
+            "{sum}"
+        );
     }
 }

@@ -8,7 +8,7 @@
 //! arrays), declares `hls::stream` channels for stream containers, and a
 //! top module wiring everything together.
 
-use crate::c_expr::{sym_to_c, tasklet_to_c};
+use crate::c_expr::{emit_preamble, emit_tasklet, map_for, pointer_args, sym_to_c, wcr_to_c, Sink};
 use sdfg_core::desc::DataDesc;
 use sdfg_core::scope::scope_tree;
 use sdfg_core::{Node, Schedule, Sdfg, StateId};
@@ -20,7 +20,8 @@ pub fn generate_fpga(sdfg: &Sdfg) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "// Generated by sdfg-codegen (FPGA dispatcher)");
     let _ = writeln!(out, "// SDFG: {}", sdfg.name);
-    out.push_str("#include <hls_stream.h>\n#include <math.h>\n\n");
+    out.push_str("#include <hls_stream.h>\n");
+    emit_preamble(&mut out);
     // Stream channel declarations.
     for (name, desc) in &sdfg.data {
         if let DataDesc::Stream(s) = desc {
@@ -40,18 +41,7 @@ pub fn generate_fpga(sdfg: &Sdfg) -> String {
     out.push('\n');
     let mut modules = String::new();
     let mut top = String::new();
-    let (arrays, symbols) = sdfg.arglist();
-    let mut args: Vec<String> = arrays
-        .iter()
-        .map(|a| {
-            format!(
-                "{} *{a}",
-                sdfg.desc(a).map(|d| d.dtype().ctype()).unwrap_or("double")
-            )
-        })
-        .collect();
-    args.extend(symbols.iter().map(|s| format!("long long {s}")));
-    let _ = writeln!(top, "void {}_top({}) {{", sdfg.name, args.join(", "));
+    let _ = writeln!(top, "void {}_top({}) {{", sdfg.name, pointer_args(sdfg));
     let _ = writeln!(top, "#pragma HLS DATAFLOW");
     let mut pe_idx = 0usize;
     for sid in sdfg.graph.node_ids() {
@@ -132,13 +122,7 @@ fn emit_module(
         if scope.unroll {
             let _ = writeln!(out, "{ind}#pragma HLS UNROLL");
         }
-        let _ = writeln!(
-            out,
-            "{ind}for (long long {p} = {}; {p} < {}; {p} += {}) {{",
-            sym_to_c(&r.start),
-            sym_to_c(&r.end),
-            sym_to_c(&r.step)
-        );
+        let _ = writeln!(out, "{ind}{}", map_for(p, r));
         d += 1;
         if k + 1 == ndims {
             let ind = "    ".repeat(d);
@@ -184,67 +168,26 @@ fn emit_module_node(
                 }
             }
         }
-        Node::Tasklet { name, code, .. } => {
-            let _ = writeln!(out, "{ind}{{  // PE compute: {name}");
-            let ind2 = format!("{ind}    ");
-            for e in st.graph.in_edges(n) {
-                let df = st.graph.edge(e);
-                let Some(conn) = &df.dst_conn else { continue };
-                if df.memlet.is_empty() {
-                    continue;
-                }
-                let data = df.memlet.data_name();
-                if matches!(sdfg.desc(data), Some(DataDesc::Stream(_))) {
-                    let _ = writeln!(out, "{ind2}double {conn} = {data}.read();");
-                } else {
-                    let flat = crate::cpu_flat_index(sdfg, data, &df.memlet.subset);
-                    let _ = writeln!(out, "{ind2}const double {conn} = {data}[{flat}];");
-                }
-            }
-            for e in st.graph.out_edges(n) {
-                let df = st.graph.edge(e);
-                if let Some(conn) = &df.src_conn {
-                    if !df.memlet.is_empty()
-                        && !matches!(sdfg.desc(df.memlet.data_name()), Some(DataDesc::Stream(_)))
-                    {
-                        let _ = writeln!(out, "{ind2}double {conn};");
-                    }
-                }
-            }
-            if let Ok(body) = sdfg_lang::parse_tasklet(code) {
-                out.push_str(&tasklet_to_c(&body, &ind2));
-            }
-            for e in st.graph.out_edges(n) {
-                let df = st.graph.edge(e);
-                let Some(conn) = &df.src_conn else { continue };
-                if df.memlet.is_empty() {
-                    continue;
-                }
-                let data = df.memlet.data_name();
-                if matches!(sdfg.desc(data), Some(DataDesc::Stream(_))) {
-                    let _ = writeln!(out, "{ind2}{data}.write({conn});");
-                } else {
-                    let flat = crate::cpu_flat_index(sdfg, data, &df.memlet.subset);
-                    match &df.memlet.wcr {
-                        None => {
-                            let _ = writeln!(out, "{ind2}{data}[{flat}] = {conn};");
-                        }
-                        Some(w) => {
-                            let _ = writeln!(
-                                out,
-                                "{ind2}{data}[{flat}] = accumulate_{w}({data}[{flat}], {conn});  // accumulator module"
-                            );
-                        }
-                    }
-                }
-            }
-            let _ = writeln!(out, "{ind}}}");
-        }
+        Node::Tasklet { .. } => emit_tasklet(sdfg, st, n, &ind, out, fpga_store),
         Node::Access { data } => {
             let _ = writeln!(out, "{ind}// on-chip buffer `{data}` (BRAM)");
         }
         _ => {}
     }
+}
+
+/// Writes one tasklet output: FIFO writes for streams, an accumulator
+/// module for a combine.
+fn fpga_store(out: &mut String, ind: &str, sink: &Sink, conn: &str) {
+    let _ = match sink {
+        Sink::Stream(data) => writeln!(out, "{ind}{data}.write({conn});"),
+        Sink::Elem(elem, None) => writeln!(out, "{ind}{elem} = {conn};"),
+        Sink::Elem(elem, Some(w)) => writeln!(
+            out,
+            "{ind}{elem} = {};  // accumulator module",
+            wcr_to_c(w, elem, conn)
+        ),
+    };
 }
 
 #[cfg(test)]
@@ -294,7 +237,7 @@ mod tests {
         sc.schedule = Schedule::FpgaDevice;
         sc.unroll = true;
         let (me, mx) = st.add_map(sc);
-        let t = st.add_tasklet("pe", &["v"], &["w", "o"], "w = v + 1\no = v");
+        let t = st.add_tasklet("pe", &["v"], &["w", "o"], "w.push(v + 1)\no = v");
         let out_acc = st.add_access("out");
         st.add_edge(
             s_in,
@@ -329,7 +272,7 @@ mod tests {
         let code = generate_fpga(&sdfg);
         assert!(code.contains("hls::stream<double> pipes"), "{code}");
         assert!(code.contains("pipes.read()"));
-        assert!(code.contains("pipes.write("));
+        assert!(code.contains("pipes.write((v + 1.0));"), "{code}");
         assert!(code.contains("#pragma HLS UNROLL"));
     }
 

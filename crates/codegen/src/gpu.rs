@@ -8,7 +8,7 @@
 //! (§3.3: "different connected components ... are mapped to ... different
 //! CUDA streams on GPUs").
 
-use crate::c_expr::{sym_to_c, tasklet_to_c};
+use crate::c_expr::{emit_preamble, emit_tasklet, map_for, pointer_args, sym_to_c, Sink};
 use sdfg_core::desc::DataDesc;
 use sdfg_core::scope::scope_tree;
 use sdfg_core::{Node, Schedule, Sdfg, StateId, Storage, Wcr};
@@ -20,21 +20,11 @@ pub fn generate_gpu(sdfg: &Sdfg) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "// Generated by sdfg-codegen (GPU dispatcher)");
     let _ = writeln!(out, "// SDFG: {}", sdfg.name);
-    out.push_str("#include <cuda_runtime.h>\n#include <math.h>\n\n");
+    out.push_str("#include <cuda_runtime.h>\n");
+    emit_preamble(&mut out);
     let mut kernels = String::new();
     let mut host = String::new();
-    let (arrays, symbols) = sdfg.arglist();
-    let mut args: Vec<String> = arrays
-        .iter()
-        .map(|a| {
-            format!(
-                "{} *{a}",
-                sdfg.desc(a).map(|d| d.dtype().ctype()).unwrap_or("double")
-            )
-        })
-        .collect();
-    args.extend(symbols.iter().map(|s| format!("long long {s}")));
-    let _ = writeln!(host, "void {}({}) {{", sdfg.name, args.join(", "));
+    let _ = writeln!(host, "void {}({}) {{", sdfg.name, pointer_args(sdfg));
     // Device allocations for device-storage transients.
     for (name, desc) in &sdfg.data {
         if desc.transient() && desc.storage() == Storage::GpuGlobal {
@@ -154,18 +144,7 @@ fn emit_kernel(
     let Node::MapEntry(scope) = st.graph.node(entry) else {
         return;
     };
-    let (arrays, symbols) = sdfg.arglist();
-    let mut args: Vec<String> = arrays
-        .iter()
-        .map(|a| {
-            format!(
-                "{} *{a}",
-                sdfg.desc(a).map(|d| d.dtype().ctype()).unwrap_or("double")
-            )
-        })
-        .collect();
-    args.extend(symbols.iter().map(|s| format!("long long {s}")));
-    let _ = writeln!(out, "__global__ void {kname}({}) {{", args.join(", "));
+    let _ = writeln!(out, "__global__ void {kname}({}) {{", pointer_args(sdfg));
     // Map range → thread indices.
     let axes = ["x", "y", "z"];
     for (k, (p, r)) in scope.iter_dims().enumerate().take(3) {
@@ -187,13 +166,7 @@ fn emit_kernel(
     }
     // Remaining dims become sequential loops inside the kernel.
     for (p, r) in scope.iter_dims().skip(3) {
-        let _ = writeln!(
-            out,
-            "    for (long long {p} = {}; {p} < {}; {p} += {}) {{",
-            sym_to_c(&r.start),
-            sym_to_c(&r.end),
-            sym_to_c(&r.step)
-        );
+        let _ = writeln!(out, "    {}", map_for(p, r));
     }
     // Body.
     let exit = st.exit_of(entry);
@@ -231,13 +204,7 @@ fn emit_kernel_node(
                         sym_to_c(&r.start)
                     );
                 } else {
-                    let _ = writeln!(
-                        out,
-                        "{ind2}for (long long {p} = {}; {p} < {}; {p} += {}) {{",
-                        sym_to_c(&r.start),
-                        sym_to_c(&r.end),
-                        sym_to_c(&r.step)
-                    );
+                    let _ = writeln!(out, "{ind2}{}", map_for(p, r));
                     d += 1;
                 }
             }
@@ -255,64 +222,29 @@ fn emit_kernel_node(
                 let _ = writeln!(out, "{ind}__syncthreads();");
             }
         }
-        Node::Tasklet { name, code, .. } => {
-            let _ = writeln!(out, "{ind}{{  // tasklet: {name}");
-            let ind2 = format!("{ind}    ");
-            for e in st.graph.in_edges(n) {
-                let df = st.graph.edge(e);
-                let Some(conn) = &df.dst_conn else { continue };
-                if df.memlet.is_empty() {
-                    continue;
-                }
-                let data = df.memlet.data_name();
-                let flat = crate::cpu_flat_index(sdfg, data, &df.memlet.subset);
-                let _ = writeln!(out, "{ind2}const double {conn} = {data}[{flat}];");
-            }
-            for e in st.graph.out_edges(n) {
-                let df = st.graph.edge(e);
-                if let Some(conn) = &df.src_conn {
-                    if !df.memlet.is_empty() {
-                        let _ = writeln!(out, "{ind2}double {conn};");
-                    }
-                }
-            }
-            if let Ok(body) = sdfg_lang::parse_tasklet(code) {
-                out.push_str(&tasklet_to_c(&body, &ind2));
-            }
-            for e in st.graph.out_edges(n) {
-                let df = st.graph.edge(e);
-                let Some(conn) = &df.src_conn else { continue };
-                if df.memlet.is_empty() {
-                    continue;
-                }
-                let data = df.memlet.data_name();
-                let flat = crate::cpu_flat_index(sdfg, data, &df.memlet.subset);
-                match &df.memlet.wcr {
-                    None => {
-                        let _ = writeln!(out, "{ind2}{data}[{flat}] = {conn};");
-                    }
-                    Some(Wcr::Sum) => {
-                        let _ = writeln!(out, "{ind2}atomicAdd(&{data}[{flat}], {conn});");
-                    }
-                    Some(Wcr::Min) => {
-                        let _ = writeln!(out, "{ind2}atomicMin_f64(&{data}[{flat}], {conn});");
-                    }
-                    Some(Wcr::Max) => {
-                        let _ = writeln!(out, "{ind2}atomicMax_f64(&{data}[{flat}], {conn});");
-                    }
-                    Some(w) => {
-                        let _ =
-                            writeln!(out, "{ind2}atomic_wcr(/* {w} */ &{data}[{flat}], {conn});");
-                    }
-                }
-            }
-            let _ = writeln!(out, "{ind}}}");
-        }
+        Node::Tasklet { .. } => emit_tasklet(sdfg, st, n, &ind, out, gpu_store),
         Node::Access { .. } => {
             let _ = writeln!(out, "{ind}// in-kernel local buffer ({:?})", n);
         }
         _ => {}
     }
+}
+
+/// Writes one tasklet output: device atomics for every combine.
+fn gpu_store(out: &mut String, ind: &str, sink: &Sink, conn: &str) {
+    let _ = match sink {
+        Sink::Stream(data) => writeln!(out, "{ind}{data}.push({conn});"),
+        Sink::Elem(elem, None) => writeln!(out, "{ind}{elem} = {conn};"),
+        Sink::Elem(elem, Some(w)) => {
+            let f = match w {
+                Wcr::Sum => "atomicAdd",
+                Wcr::Min => "atomicMin_f64",
+                Wcr::Max => "atomicMax_f64",
+                _ => "atomic_wcr",
+            };
+            writeln!(out, "{ind}{f}(&{elem}, {conn});  // WCR {w}")
+        }
+    };
 }
 
 #[cfg(test)]

@@ -113,7 +113,7 @@
 //! `Err(reason)`; the executor records the reason and falls back to the
 //! next tier, which is always correct.
 
-use crate::c_expr::vm_expr_to_c;
+use crate::c_expr::{collect_locals, vm_bin_to_c, vm_expr_to_c, VmName, VmScope};
 use sdfg_lang::ast::{BinOp, ExprAst, Stmt};
 use sdfg_lang::recognize::sole_assignment;
 use sdfg_lang::TaskletProgram;
@@ -161,7 +161,7 @@ pub enum JitWcrOp {
 }
 
 impl JitWcrOp {
-    fn combine(&self, old: &str, new: &str) -> String {
+    pub(crate) fn combine(&self, old: &str, new: &str) -> String {
         match self {
             JitWcrOp::Sum => format!("({old} + {new})"),
             JitWcrOp::Product => format!("({old} * {new})"),
@@ -205,7 +205,7 @@ pub enum JitOutMode {
 
 /// Shared C preamble: includes and the helper functions mirroring the
 /// bytecode VM's non-trivial binary operators.
-fn emit_preamble(src: &mut String) {
+pub(crate) fn emit_preamble(src: &mut String) {
     src.push_str("#include <math.h>\n\n");
     src.push_str(
         "static double sdfg_mod(double a, double b) { return a - floor(a / b) * b; }\n\
@@ -216,7 +216,7 @@ fn emit_preamble(src: &mut String) {
 
 /// Rust's saturating `f64 as i64`: truncation toward zero, NaN → 0,
 /// out-of-range values clamp to the extremes.
-const SDFG_I64: &str = "static long long sdfg_i64(double x) {\n\
+pub(crate) const SDFG_I64: &str = "static long long sdfg_i64(double x) {\n\
     \x20 if (x != x) return 0;\n\
     \x20 if (x >= 9223372036854775807.0) return 9223372036854775807LL;\n\
     \x20 if (x <= -9223372036854775808.0) return -9223372036854775807LL - 1;\n\
@@ -865,7 +865,7 @@ impl Emitter<'_, '_> {
         // is only observable where the VM would also observe a fresh zero
         // register.
         let mut all_locals: Vec<String> = Vec::new();
-        collect_locals(&prog.body, prog, &mut all_locals);
+        collect_locals(&prog.body, &prog.inputs, &prog.outputs, &mut all_locals);
         for l in &all_locals {
             let _ = writeln!(self.src, "{ind}double l_{l} = 0.0;");
         }
@@ -874,8 +874,7 @@ impl Emitter<'_, '_> {
             t,
             prog,
             scope,
-            declared: Vec::new(),
-            definite: Vec::new(),
+            names: VmScope::new(&prog.inputs, &prog.outputs),
         };
         for s in &prog.body {
             st.emit_stmt(s, ind)?;
@@ -913,40 +912,15 @@ impl Emitter<'_, '_> {
 
 // --- VM-mirror body emission --------------------------------------------------
 
-/// Collects every local name the body defines (assignment targets that are
-/// not output connectors), in first-definition order.
-fn collect_locals(body: &[Stmt], prog: &TaskletProgram, acc: &mut Vec<String>) {
-    for s in body {
-        match s {
-            Stmt::Assign { target, .. } => {
-                if !prog.outputs.contains(target)
-                    && !prog.inputs.contains(target)
-                    && !acc.contains(target)
-                {
-                    acc.push(target.clone());
-                }
-            }
-            Stmt::If { then, els, .. } => {
-                collect_locals(then, prog, acc);
-                collect_locals(els, prog, acc);
-            }
-            Stmt::Push { .. } => {}
-        }
-    }
-}
-
 /// Walks the body in the same textual order as the bytecode compiler,
-/// tracking which locals exist (`declared`, governing name resolution) and
-/// which are definitely assigned on every path (`definite`, guarding
-/// against the VM's cross-point register persistence).
+/// resolving names through [`VmScope`].
 struct VmEmitState<'e, 's, 'a, 'p> {
     em: &'e mut Emitter<'s, 'a>,
     /// The call being emitted.
     t: usize,
     prog: &'p TaskletProgram,
     scope: &'p [usize],
-    declared: Vec<String>,
-    definite: Vec<String>,
+    names: VmScope<'p>,
 }
 
 /// Prefix of the names hoisted loads take in rewritten expressions (no
@@ -972,33 +946,24 @@ impl VmEmitState<'_, '_, '_, '_> {
         self.tasklet().outs[j].mode
     }
 
-    /// Resolution order must match the bytecode compiler: inputs, then
-    /// locals declared so far, then outputs, then SDFG symbols.
     fn resolve_read(&self, n: &str) -> Result<String, String> {
         if let Some(ld) = n.strip_prefix(HOISTED) {
             return Ok(ld.to_string());
         }
-        if let Some(i) = self.prog.inputs.iter().position(|x| x == n) {
-            return Ok(format!("v{i}"));
+        match self.names.read(n)? {
+            VmName::Input(i) => Ok(format!("v{i}")),
+            VmName::Local => Ok(format!("l_{n}")),
+            VmName::Output(j) => match self.mode_of(j) {
+                JitOutMode::Log(_) | JitOutMode::Stream => {
+                    Err(format!("read of write-only connector `{n}`"))
+                }
+                _ => Ok(format!("o{j}")),
+            },
+            VmName::Symbol => match self.prog.symbols.iter().position(|x| x == n) {
+                Some(s) => Ok(format!("syms[{s}]")),
+                None => Err(format!("unresolved name `{n}`")),
+            },
         }
-        if self.declared.iter().any(|l| l == n) {
-            if !self.definite.iter().any(|l| l == n) {
-                return Err(format!(
-                    "local `{n}` may be read unassigned (stale VM register)"
-                ));
-            }
-            return Ok(format!("l_{n}"));
-        }
-        if let Some(j) = self.prog.outputs.iter().position(|x| x == n) {
-            if matches!(self.mode_of(j), JitOutMode::Log(_) | JitOutMode::Stream) {
-                return Err(format!("read of write-only connector `{n}`"));
-            }
-            return Ok(format!("o{j}"));
-        }
-        if let Some(s) = self.prog.symbols.iter().position(|x| x == n) {
-            return Ok(format!("syms[{s}]"));
-        }
-        Err(format!("unresolved name `{n}`"))
     }
 
     /// Whether evaluating `e` reads a whole-container connector.
@@ -1150,21 +1115,9 @@ impl VmEmitState<'_, '_, '_, '_> {
                 // The compiler resolves the RHS before defining the target
                 // local, so emit it under the current scope first.
                 let rhs = self.expr(value, ind)?;
-                let lhs = if let Some(j) = out {
-                    format!("o{j}")
-                } else if self.prog.inputs.contains(target) {
-                    return Err(format!("assignment to input `{target}`"));
-                } else {
-                    if !self.declared.contains(target) {
-                        if op.is_some() {
-                            return Err(format!("augmented assignment to undefined `{target}`"));
-                        }
-                        self.declared.push(target.clone());
-                    }
-                    if !self.definite.contains(target) {
-                        self.definite.push(target.clone());
-                    }
-                    format!("l_{target}")
+                let lhs = match self.names.assign(target, op.is_some())? {
+                    VmName::Output(j) => format!("o{j}"),
+                    _ => format!("l_{target}"),
                 };
                 let src = &mut self.em.src;
                 match op {
@@ -1173,16 +1126,7 @@ impl VmEmitState<'_, '_, '_, '_> {
                     }
                     Some(op) => {
                         // `t op= v` runs as `t = apply_bin(op, t, v)`.
-                        let e = match op {
-                            BinOp::Add => format!("({lhs} + {rhs})"),
-                            BinOp::Sub => format!("({lhs} - {rhs})"),
-                            BinOp::Mul => format!("({lhs} * {rhs})"),
-                            BinOp::Div => format!("({lhs} / {rhs})"),
-                            BinOp::FloorDiv => format!("floor({lhs} / {rhs})"),
-                            BinOp::Mod => format!("sdfg_mod({lhs}, {rhs})"),
-                            BinOp::Pow => format!("pow({lhs}, {rhs})"),
-                        };
-                        let _ = writeln!(src, "{ind}{lhs} = {e};");
+                        let _ = writeln!(src, "{ind}{lhs} = {};", vm_bin_to_c(*op, &lhs, &rhs));
                     }
                 }
                 Ok(())
@@ -1190,25 +1134,17 @@ impl VmEmitState<'_, '_, '_, '_> {
             Stmt::If { cond, then, els } => {
                 let c = self.expr(cond, ind)?;
                 let _ = writeln!(self.em.src, "{ind}if (({c}) != 0.0) {{");
-                let outer_definite = self.definite.clone();
+                let fork = self.names.fork();
                 let inner = format!("{ind}  ");
                 for s in then {
                     self.emit_stmt(s, &inner)?;
                 }
-                let then_definite = std::mem::replace(&mut self.definite, outer_definite.clone());
+                let then = self.names.next_arm(fork);
                 let _ = writeln!(self.em.src, "{ind}}} else {{");
                 for s in els {
                     self.emit_stmt(s, &inner)?;
                 }
-                let els_definite = std::mem::take(&mut self.definite);
-                // Only locals assigned on *both* paths are definite after
-                // the branch.
-                self.definite = outer_definite;
-                for l in &then_definite {
-                    if els_definite.contains(l) && !self.definite.contains(l) {
-                        self.definite.push(l.clone());
-                    }
-                }
+                self.names.join(&then);
                 let _ = writeln!(self.em.src, "{ind}}}");
                 Ok(())
             }

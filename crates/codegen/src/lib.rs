@@ -9,10 +9,12 @@
 //! This crate emits human-readable source text for three dispatchers:
 //!
 //! * [`cpu`] — C-like code with OpenMP-style pragmas: maps become parallel
-//!   loop nests, WCR memlets become `#pragma omp atomic`, the state machine
-//!   becomes `for`/`if` structures where detected (guarded-loop pattern)
-//!   with a `goto` fallback (§4.3: "emitting for-loops and branches when
-//!   detected, or using conditional goto statements as a fallback").
+//!   loop nests, WCR memlets become `#pragma omp atomic`, and the state
+//!   machine becomes `for`/`if` structures rendered from the
+//!   [`statemachine`] region tree, with a `goto` fallback only for a graph
+//!   the structurer reports unstructured (§4.3: "emitting for-loops and
+//!   branches when detected, or using conditional goto statements as a
+//!   fallback").
 //! * [`gpu`] — CUDA-style kernels for `GpuDevice` maps (grid from the map
 //!   range, `__syncthreads()` on thread-block scopes, `cudaMemcpy` for
 //!   host↔device copy states, atomics for WCR).
@@ -20,9 +22,18 @@
 //!   (processing elements, `hls::stream` FIFOs, pipeline pragmas, unrolled
 //!   PE arrays).
 //!
-//! The generated sources are for inspection and testing — execution in this
-//! repository goes through `sdfg-exec` (CPU) and the `gpu-sim`/`fpga-sim`
-//! crates, which play the role of the "compiler invocation" step ❸.
+//! The three dispatchers share one control-flow structurer
+//! ([`statemachine`], which the executor's loop collapse also consumes)
+//! and one tasklet-to-C emitter: every tasklet renders through
+//! [`c_expr::vm_expr_to_c`], the VM-exact emitter the JIT's kernels use,
+//! with the JIT's helper preamble and the JIT's name resolution
+//! (`c_expr::VmScope`); a body the VM would run differently is emitted
+//! as an `#error` naming the reason. Compiled with `-ffp-contract=off`,
+//! the CPU source of the programs `tests/emitted_c.rs` runs reproduces the
+//! interpreter bit for bit. Execution in this repository still goes
+//! through `sdfg-exec` (CPU, whose JIT tier compiles [`jit`]'s kernels)
+//! and the `gpu-sim`/`fpga-sim` crates, which play the role of the
+//! "compiler invocation" step ❸.
 
 pub mod c_expr;
 pub mod cpu;
@@ -31,7 +42,6 @@ pub mod gpu;
 pub mod jit;
 pub mod statemachine;
 
-pub(crate) use cpu::flat_index as cpu_flat_index;
 pub use cpu::generate_cpu;
 pub use fpga::generate_fpga;
 pub use gpu::generate_gpu;

@@ -3,9 +3,10 @@
 //! Everything that runs natively is a *nest* handed to `codegen::jit`'s
 //! emitter and called through one ABI. Two sites build and launch nests:
 //!
-//! * **State-machine loops** (`try_collapse_loop`): a guard state with a
-//!   `var < end` / `!(var < end)` edge pair whose body is a straight
-//!   chain of single-map or point-tasklet states stepping `var` by one.
+//! * **State-machine loops** (`try_collapse_loop`): a loop that
+//!   `sdfg_codegen::statemachine::loop_at` recognizes at a guard state,
+//!   admitted when its guard is `var < end`, its body a straight chain of
+//!   single-map or point-tasklet states, and its step `var` by one.
 //!   The whole loop — all iterations, all body states — collapses into
 //!   one native call (sliced only when a run deadline is set), turning
 //!   cholesky's ~253k interpreted transitions into a handful of calls.
@@ -67,14 +68,15 @@ use sdfg_codegen::jit::{
     decode_fault, emit_nest_kernel, pushes_to, JitOutMode, JitWcrOp, LoadedBound, NestItem,
     NestOut, NestSpec, NestTasklet, STATUS_FAULT, STATUS_INDEX, STATUS_STREAMS,
 };
+use sdfg_codegen::statemachine::{loop_at, Region};
 use sdfg_core::cond::{BoolExpr, CmpOp};
-use sdfg_core::{InterstateEdge, Node, Schedule, State, StateId, Wcr};
-use sdfg_graph::{EdgeId, NodeId};
+use sdfg_core::{Node, Schedule, State, StateId, Wcr};
+use sdfg_graph::NodeId;
 use sdfg_lang::recognize::sole_assignment;
 use sdfg_lang::RuntimeError;
 use sdfg_profile::Tier;
 use sdfg_symbolic::{Env, Expr, SymRange};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -1093,94 +1095,71 @@ fn point_modes(bt: &BodyTasklet) -> Result<Vec<JitOutMode>, Decline> {
 
 // --- state-machine loop recognition ------------------------------------------
 
-fn loop_edge(e: &InterstateEdge) -> Option<(String, Expr)> {
-    if !e.assignments.is_empty() {
-        return None;
-    }
-    if let BoolExpr::Cmp(CmpOp::Lt, Expr::Sym(v), end) = &e.condition {
-        return Some((v.clone(), end.clone()));
-    }
-    None
-}
-
+/// The collapsible loop at `guard`: `codegen::statemachine` recognizes the
+/// loop, and the JIT admits a `var < end` guard over hygienic names, a
+/// straight body of at most 8 plain states with no interior assignments,
+/// and a unit step.
 fn build_loop_nest(ctx: &Ctx, guard: StateId, label: String) -> Result<LoopNestPlan, Decline> {
     let sdfg = ctx.sdfg;
-    let edges: Vec<EdgeId> = sdfg.graph.out_edges(guard).collect();
-    let [e0, e1] = edges[..] else {
-        return Err(structure("guard state needs exactly two out edges"));
+    let l = loop_at(sdfg, guard).map_err(structure)?;
+    let end = match &l.cond {
+        BoolExpr::Cmp(CmpOp::Lt, Expr::Sym(v), end) if *v == l.var => end,
+        BoolExpr::Cmp(CmpOp::Lt, Expr::Sym(_), _) => {
+            return Err(structure("back edge steps a different symbol"))
+        }
+        _ => return Err(structure("guard edges are not a `var < end` pair")),
     };
-    let (body_e, exit_e, var, end) = match (loop_edge(sdfg.graph.edge(e0)), sdfg.graph.edge(e1)) {
-        (Some((v, end)), _) => (e0, e1, v, end),
-        _ => match loop_edge(sdfg.graph.edge(e1)) {
-            Some((v, end)) => (e1, e0, v, end),
-            None => return Err(structure("guard edges are not a `var < end` pair")),
-        },
-    };
-    let body_cond = sdfg.graph.edge(body_e).condition.clone();
-    if sdfg.graph.edge(exit_e).condition != BoolExpr::Not(Box::new(body_cond)) {
-        return Err(structure("exit edge is not the guard's negation"));
-    }
     // The guard must read pure interstate symbols: container-backed or
     // stream-length names would make the collapsed trip count diverge
     // from the interpreter's per-iteration re-evaluation.
     let hygienic = |s: &str| -> bool { !sdfg.data.contains_key(s) && !s.starts_with("len_") };
-    if !hygienic(&var) {
+    if !hygienic(&l.var) {
         return Err(structure("loop variable shadows a container"));
     }
     let mut free = BTreeSet::new();
     end.collect_symbols(&mut free);
-    if free.iter().any(|s| s == &var || !hygienic(s)) {
+    if free.iter().any(|s| s == &l.var || !hygienic(s)) {
         return Err(nonaffine(
             "loop bound reads a container or the loop variable",
         ));
     }
-    // Walk the body: a straight chain of states returning to the guard,
-    // whose back edge steps `var` by exactly one.
+    // The body's regions in order, each checked as a walk of the chain
+    // from the body edge meets it.
     let mut body_states = Vec::new();
-    let mut seen: HashSet<u32> = HashSet::from([guard.0]);
-    let mut cur = sdfg.graph.edge_dst(body_e);
-    let back_edge = loop {
-        if !seen.insert(cur.0) {
-            return Err(structure("loop body revisits a state"));
-        }
-        body_states.push(cur);
-        if body_states.len() > 8 {
-            return Err(structure("loop body chain too long"));
-        }
-        let outs: Vec<EdgeId> = sdfg.graph.out_edges(cur).collect();
-        let [e] = outs[..] else {
-            return Err(structure("loop body state branches"));
+    for (k, r) in l.body.iter().enumerate() {
+        let last = k + 1 == l.body.len();
+        let why = match r {
+            // The edge into a nested loop assigned its variable.
+            Region::Loop(inner) if inner.init.is_some() => "assignment on interior loop edge",
+            _ if k == 8 => "loop body chain too long",
+            Region::State(id, assigns) if assigns.is_empty() => {
+                body_states.push(*id);
+                continue;
+            }
+            Region::State(..) if last => "back edge must step exactly the loop variable",
+            Region::State(..) => "assignment on interior loop edge",
+            _ => "loop body state branches",
         };
-        let ie = sdfg.graph.edge(e);
-        if !ie.condition.is_always() {
-            return Err(structure("conditional edge inside loop body"));
-        }
-        if sdfg.graph.edge_dst(e) == guard {
-            break e;
-        }
-        if !ie.assignments.is_empty() {
-            return Err(structure("assignment on interior loop edge"));
-        }
-        cur = sdfg.graph.edge_dst(e);
-    };
-    let back = sdfg.graph.edge(back_edge);
-    let [(avar, aexpr)] = &back.assignments[..] else {
-        return Err(structure("back edge must step exactly the loop variable"));
-    };
-    if avar != &var {
-        return Err(structure("back edge steps a different symbol"));
+        return Err(structure(why));
     }
-    if aexpr.affine_in(std::slice::from_ref(&var), &Env::new()) != Ok((1, vec![1])) {
+    if l.update
+        .affine_in(std::slice::from_ref(&l.var), &Env::new())
+        != Ok((1, vec![1]))
+    {
         return Err(nonaffine("non-unit loop increment"));
     }
     let mut b = NestBuilder::over_interstate(ctx, true);
-    b.alloc_dim(&var)?;
+    b.alloc_dim(&l.var)?;
     b.outer = vec![0];
     for sid in body_states {
         b.add_state(sid)?;
     }
     let core = b.finish(label)?;
-    Ok(LoopNestPlan { var, end, core })
+    Ok(LoopNestPlan {
+        var: l.var,
+        end: end.clone(),
+        core,
+    })
 }
 
 /// Collapse hook, called by the drive loop after executing `cur` (when
@@ -1203,7 +1182,7 @@ pub(crate) fn try_collapse_loop(
     // Loop guards are empty states with exactly two successors (body and
     // exit); everything else leaves immediately — without recording a
     // fallback, so init/exit glue states do not pollute the ledger.
-    if ctx.sdfg.state(cur).graph.node_count() != 0 || ctx.sdfg.graph.out_edges(cur).count() != 2 {
+    if ctx.sdfg.state(cur).graph.node_count() != 0 || ctx.sdfg.graph.out_degree(cur) != 2 {
         return Ok(None);
     }
     let cached = ctx.plan.loop_nest(cur.0);
