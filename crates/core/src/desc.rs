@@ -178,14 +178,6 @@ impl DataDesc {
         }
     }
 
-    /// Convenience accessor for arrays.
-    pub fn as_array(&self) -> Option<&ArrayDesc> {
-        match self {
-            DataDesc::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
     /// Convenience accessor for streams.
     pub fn as_stream(&self) -> Option<&StreamDesc> {
         match self {

@@ -127,14 +127,6 @@ impl State {
             .find(|&n| self.graph.node(n).exit_entry() == Some(entry))
     }
 
-    /// All access nodes referring to `data`.
-    pub fn accesses_of(&self, data: &str) -> Vec<NodeId> {
-        self.graph
-            .node_ids()
-            .filter(|&n| self.graph.node(n).access_data() == Some(data))
-            .collect()
-    }
-
     /// Nodes in deterministic topological order. Panics on cyclic states
     /// (validation rejects them first).
     pub fn topological_order(&self) -> Vec<NodeId> {

@@ -324,20 +324,7 @@ impl NestAffine {
     /// `[min, max]` over the per-dim iteration intervals `ivals`, from a
     /// launch's resolved `base`.
     pub(crate) fn interval(&self, base: i128, ivals: &[(i128, i128)]) -> (i128, i128) {
-        let mut lo = base;
-        let mut hi = base;
-        for &(d, c) in &self.dims {
-            let c = c as i128;
-            let (x, y) = ivals[d];
-            if c >= 0 {
-                lo += c * x;
-                hi += c * y;
-            } else {
-                lo += c * y;
-                hi += c * x;
-            }
-        }
-        (lo, hi)
+        sdfg_symbolic::dependence::interval(base, self.dims.iter().copied(), ivals)
     }
 }
 

@@ -1,7 +1,6 @@
 //! The CPU backend: map/consume scope execution on the thread pool,
 //! reduce and nested-SDFG nodes.
 
-use crate::affine::{NestAffine, Site};
 use crate::buffer::SharedBuffer;
 use crate::copy::{exec_access, gather_symbolic, scatter_symbolic, scope_owns_container, wcr_fn};
 use crate::engine::{bind, unbind, Ctx, ExecError, Executor, RunConfig, Worker};
@@ -13,6 +12,7 @@ use sdfg_core::scope::ScopeTree;
 use sdfg_core::{Node, Schedule, StateId, Subset, Wcr};
 use sdfg_graph::{EdgeId, NodeId};
 use sdfg_profile::{Mode as ProfMode, Span, SpanKey, Tier};
+use sdfg_symbolic::dependence::Overlap;
 use sdfg_symbolic::Env;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -50,12 +50,10 @@ pub(crate) struct MapPlan {
     pub(crate) label: String,
     pub(crate) params: Vec<String>,
     pub(crate) ranges: Vec<sdfg_symbolic::SymRange>,
-    #[allow(dead_code)] // kept for diagnostics/debug printing
-    pub(crate) schedule: Schedule,
     /// Dynamic-range connectors (gathered per launch).
     pub(crate) dyn_edges: Vec<DynEdge>,
-    /// Static iteration counts for the race analysis: the trip count of a
-    /// launch-invariant range, `i64::MAX/4` for anything else.
+    /// Static iteration counts for atomic elision: the trip count of a
+    /// launch-invariant unit-step range, `i64::MAX/4` for anything else.
     pub(crate) pcounts: Vec<i64>,
     /// Dimensions whose extent reads launch-time constants and nothing
     /// else that varies: each launch measures them for the scheduler's
@@ -64,7 +62,7 @@ pub(crate) struct MapPlan {
     pub(crate) body: MapBody,
     /// Reads of containers the body also writes, checked per parallel
     /// launch; `None` when the body has none.
-    race: Option<RaceCheck>,
+    race: Option<Overlap>,
     /// Whether the run that built the plan had the JIT tier on.
     jit: bool,
 }
@@ -138,7 +136,6 @@ pub(crate) fn build_map_plan(
     };
     let params = scope.params.clone();
     let ranges = scope.ranges.clone();
-    let schedule = scope.schedule;
     let inv = &*ctx.inv;
     let mut pcounts = Vec::with_capacity(ranges.len());
     let mut per_launch = Vec::new();
@@ -147,8 +144,10 @@ pub(crate) fn build_map_plan(
         r.collect_symbols(&mut syms);
         // Launch-invariant ranges must evaluate: a failure here is a real
         // error (malformed bound), not a reason to silently treat the
-        // dimension as unbounded and flip scheduling decisions.
-        if syms.iter().all(|s| inv.env0.contains_key(s)) {
+        // dimension as unbounded and flip scheduling decisions. A count
+        // spans the values atomic elision reads only at unit step; a
+        // strided dimension is measured per launch.
+        if syms.iter().all(|s| inv.env0.contains_key(s)) && r.step.is_one() {
             pcounts.push(r.eval_len(&inv.env0)?);
             continue;
         }
@@ -186,9 +185,17 @@ pub(crate) fn build_map_plan(
     // Constants folded into the body's tasklets gate this plan as well.
     let mut folded: Vec<(usize, i64)> = Vec::new();
     let body = if all_tasklets && !children.is_empty() {
+        // The tasklets' atomic elision spans the map's own trip counts too
+        // (a launch pushes them again for its points).
+        let at = worker.pcounts.len();
+        worker.pcounts.extend_from_slice(&pcounts);
+        let compiled: Result<Vec<_>, _> = children
+            .iter()
+            .map(|&c| worker.tasklet_cached(sid, c))
+            .collect();
+        worker.pcounts.truncate(at);
         let mut ts = Vec::new();
-        for &c in &children {
-            let (cctx, bt) = worker.tasklet_cached(sid, c)?;
+        for (&c, (cctx, bt)) in children.iter().zip(compiled?) {
             folded.extend(&cctx.folded);
             ts.push((c, bt));
         }
@@ -230,14 +237,13 @@ pub(crate) fn build_map_plan(
         }
     };
     let race = match &body {
-        MapBody::Tasklets(ts, _) => RaceCheck::build(ctx, state, ts, &params, &ranges),
+        MapBody::Tasklets(ts, _) => race_check(ctx, state, ts, &params, &ranges),
         MapBody::Generic { .. } => None,
     };
     let plan = std::sync::Arc::new(MapPlan {
         label: scope.label.clone(),
         params,
         ranges,
-        schedule,
         dyn_edges,
         pcounts,
         per_launch,
@@ -307,37 +313,28 @@ pub(crate) fn exec_map(
             }
         }
     };
-    let state = ctx.sdfg.state(sid);
-    // Parallelism decision (made before compiling bodies so the WCR race
-    // analysis knows the chunked parameter). NOTE: compile caching means
-    // the decision must be stable per (worker, map) — it is, since it
-    // depends only on schedule/nesting.
-    let schedule = match state.graph.node(entry) {
-        Node::MapEntry(m) => m.schedule,
-        _ => unreachable!(),
-    };
-    let nparams = match state.graph.node(entry) {
-        Node::MapEntry(m) => m.params.len(),
-        _ => unreachable!(),
+    let Node::MapEntry(m) = ctx.sdfg.state(sid).graph.node(entry) else {
+        unreachable!()
     };
     let base = worker.pstack.len();
-    // Eligibility for parallel execution, decided BEFORE compiling bodies
-    // so the WCR race analysis knows the chunked parameter. The adaptive
-    // tuner may later downgrade an eligible launch to serial (atomic WCR
-    // in a serial run is merely conservative), but never the reverse —
-    // plain writes racing would be unsound. Under the work-stealing
-    // scheduler, nested maps are eligible too when the enclosing context
-    // is provably safe: no active parallel region (a second concurrent
-    // chunk axis would break the single-chunk race analysis), no
-    // thread-local transient overlays (stealing workers could not see
-    // them), and not already inside a pool tile.
+    // Eligibility for parallel execution, decided before compiling bodies
+    // so the WCR race analysis knows the chunked parameter (compile caching
+    // needs the decision stable per (worker, map): it depends only on
+    // schedule and nesting). The adaptive tuner may later downgrade an
+    // eligible launch to serial (atomic WCR in a serial run is merely
+    // conservative), but never the reverse — plain writes racing would be
+    // unsound. Under the work-stealing scheduler, nested maps are eligible
+    // too when the enclosing context is provably safe: no active parallel
+    // region (a second concurrent chunk axis would break the single-chunk
+    // race analysis), no thread-local transient overlays (stealing workers
+    // could not see them), and not already inside a pool tile.
     let nested_ok =
         ctx.cfg.sched.is_some() && worker.chunk_param.is_none() && worker.locals.is_empty();
     let eligible = matches!(
-        schedule,
+        m.schedule,
         Schedule::CpuMulticore | Schedule::GpuDevice | Schedule::Mpi
     ) && ctx.cfg.nthreads > 1
-        && nparams > 0
+        && !m.params.is_empty()
         && (!worker.nested || nested_ok)
         && !crate::sched::in_pool_worker();
     let saved_chunk = worker.chunk_param;
@@ -346,13 +343,8 @@ pub(crate) fn exec_map(
     }
     // Parameters must be on the stack BEFORE compiling the body: tasklet
     // windows are solved as affine functions of the full parameter stack.
-    {
-        let Node::MapEntry(m) = state.graph.node(entry) else {
-            unreachable!()
-        };
-        worker.pstack.extend(m.params.iter().cloned());
-        worker.point.resize(base + m.params.len(), 0);
-    }
+    worker.pstack.extend(m.params.iter().cloned());
+    worker.point.resize(base + m.params.len(), 0);
     let plan = build_map_plan(ctx, sid, tree, entry, worker)?;
     let params = &plan.params;
     let ranges = &plan.ranges;
@@ -419,7 +411,7 @@ pub(crate) fn exec_map(
         let race_free = || {
             plan.race
                 .as_ref()
-                .is_none_or(|r| r.admits(worker, (d0s, d0e)))
+                .is_none_or(|r| r.disjoint(&worker.env, (d0s, d0e)))
         };
         if !(decision.parallel && steal_deterministic(&plan.body) && race_free()) {
             return None;
@@ -524,123 +516,26 @@ fn steal_deterministic(body: &MapBody) -> bool {
     }
 }
 
-/// `[start, end)` of one subset dimension as launch-time affine forms.
-type DimRange = (NestAffine, NestAffine);
-
-/// The race predicate of one map: tiles run a map's points in any order
-/// across workers, which a body that reads elements other points write
-/// would observe. Built per plan from the body's (read, write) pairs on a
-/// shared container; a pair is harmless when the read is of exactly the
-/// element its own point writes (identical index), or when, at this
-/// launch, read and written regions are disjoint in some subset
-/// dimension. Any other pair makes the launch run serially.
-struct RaceCheck {
-    /// `[lo, hi)` of dims `1..` over the dims before them; `None` where a
-    /// bound is not affine (the dim is then unbounded).
-    bounds: Vec<Option<DimRange>>,
-    /// Per pair, per subset dimension: the read's and the write's range
-    /// (`None` where not affine — such a dimension proves nothing).
-    pairs: Vec<Vec<(Option<DimRange>, Option<DimRange>)>>,
-}
-
-impl RaceCheck {
-    fn build(
-        ctx: &Ctx,
-        state: &sdfg_core::State,
-        ts: &[(NodeId, std::sync::Arc<BodyTasklet>)],
-        params: &[String],
-        ranges: &[sdfg_symbolic::SymRange],
-    ) -> Option<RaceCheck> {
-        let (mut reads, mut writes) = (Vec::new(), Vec::new());
-        let access = |e: EdgeId| {
-            let m = &state.graph.edge(e).memlet;
-            (!m.is_empty()).then(|| (m.data_name(), &m.subset))
-        };
-        for &(t, _) in ts {
-            reads.extend(state.graph.in_edges(t).filter_map(access));
-            writes.extend(state.graph.out_edges(t).filter_map(access));
-        }
-        let mut shared = Vec::new();
-        for &(rd, rs) in &reads {
-            for &(wd, ws) in &writes {
-                let own_element = rs == ws && crate::tasklet::is_element(rs);
-                if rd == wd && !own_element {
-                    shared.push((rs, ws));
-                }
-            }
-        }
-        if shared.is_empty() {
-            return None;
-        }
-        // Every name but the map's own parameters is fixed for a launch.
-        let env0 = &ctx.inv.env0;
-        let mut consts = std::collections::BTreeSet::new();
-        for r in ranges {
-            r.collect_symbols(&mut consts);
-        }
-        for (rs, ws) in &shared {
-            for r in rs.dims.iter().chain(&ws.dims) {
-                r.collect_symbols(&mut consts);
-            }
-        }
-        let mut names = params.to_vec();
-        let mut dim_of: Vec<Option<usize>> = (0..params.len()).map(Some).collect();
-        for c in consts {
-            if !params.contains(&c) && !env0.contains_key(&c) {
-                names.push(c);
-                dim_of.push(None);
-            }
-        }
-        let site = Site { names, dim_of };
-        let form = |e: &sdfg_symbolic::Expr| NestAffine::from_expr(e, &site, env0, true).ok();
-        let range = |r: &sdfg_symbolic::SymRange| Some((form(&r.start)?, form(&r.end)?));
-        let bounds = ranges.iter().skip(1).map(range).collect();
-        // Subsets of differing rank share no dimension to prove anything in.
-        let pairs = shared
-            .iter()
-            .map(|(rs, ws)| match rs.dims.len() == ws.dims.len() {
-                true => rs
-                    .dims
-                    .iter()
-                    .zip(&ws.dims)
-                    .map(|(r, w)| (range(r), range(w)))
-                    .collect(),
-                false => Vec::new(),
-            })
-            .collect();
-        Some(RaceCheck { bounds, pairs })
+/// The race predicate of one map (see [`Overlap`]): tiles run a map's
+/// points in any order across workers, which a body that reads elements
+/// other points write would observe.
+fn race_check(
+    ctx: &Ctx,
+    state: &sdfg_core::State,
+    ts: &[(NodeId, std::sync::Arc<BodyTasklet>)],
+    params: &[String],
+    ranges: &[sdfg_symbolic::SymRange],
+) -> Option<Overlap> {
+    let (mut reads, mut writes) = (Vec::new(), Vec::new());
+    let access = |e: EdgeId| {
+        let m = &state.graph.edge(e).memlet;
+        (!m.is_empty()).then(|| (m.data_name(), &m.subset))
+    };
+    for &(t, _) in ts {
+        reads.extend(state.graph.in_edges(t).filter_map(access));
+        writes.extend(state.graph.out_edges(t).filter_map(access));
     }
-
-    /// Whether tiles of the launch over dim-0 values `[d0.0, d0.1)` are
-    /// race-free.
-    fn admits(&self, worker: &Worker, d0: (i64, i64)) -> bool {
-        const FAR: i128 = 1 << 62;
-        let consts = |n: &str| worker.env.get(n).copied();
-        let set = |r: &DimRange, ivals: &[(i128, i128)]| -> Option<(i128, i128)> {
-            let (lo, hi) = r;
-            let (l, _) = lo.interval(lo.base_at(&consts, &worker.env)? as i128, ivals);
-            let (_, h) = hi.interval(hi.base_at(&consts, &worker.env)? as i128, ivals);
-            Some((l, h - 1))
-        };
-        let mut ivals = vec![(d0.0 as i128, d0.1 as i128 - 1)];
-        for b in &self.bounds {
-            let iv = b
-                .as_ref()
-                .and_then(|b| set(b, &ivals))
-                .unwrap_or((-FAR, FAR));
-            if iv.0 > iv.1 {
-                return true; // no points
-            }
-            ivals.push(iv);
-        }
-        self.pairs.iter().all(|dims| {
-            dims.iter().any(|(r, w)| {
-                let r = r.as_ref().and_then(|r| set(r, &ivals));
-                let w = w.as_ref().and_then(|w| set(w, &ivals));
-                matches!((r, w), (Some((rl, rh)), Some((wl, wh))) if rh < wl || wh < rl)
-            })
-        })
-    }
+    Overlap::new(&reads, &writes, params, ranges, &ctx.inv.env0)
 }
 
 /// The tiles of one parallel launch: contiguous pieces of the iteration

@@ -253,11 +253,6 @@ impl RunCtx<'_, '_, '_> {
     pub fn run_functional(&mut self, sid: StateId) -> Result<(), ExecError> {
         exec_state(self.worker.ctx, sid, self.worker)
     }
-
-    /// Element count of a bound container, if present.
-    pub fn container_len(&self, name: &str) -> Option<usize> {
-        self.worker.ctx.buf(name).ok().map(|b| b.len())
-    }
 }
 
 /// What one backend did for one state execution. Sums across visits;

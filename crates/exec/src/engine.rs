@@ -1,7 +1,7 @@
 //! The execution engine: state machine driver, map compilation, parallel
 //! loop nests, native kernels.
 
-use crate::affine::Solver;
+use crate::affine::{Solved, Solver};
 use crate::buffer::SharedBuffer;
 use crate::cpu::MapPlan;
 use crate::dispatch::exec_state;
@@ -12,7 +12,7 @@ use crate::plan::{
 use crate::pool::BufferPool;
 use crate::sched::SchedPool;
 use crate::stats::{AtomicStats, Stats};
-use crate::tasklet::{compile_body_tasklet, BodyTasklet, OutPortPlan, WindowPlan};
+use crate::tasklet::{compile_body_tasklet, BodyTasklet, WindowPlan};
 use parking_lot::Mutex;
 use sdfg_core::desc::DataDesc;
 use sdfg_core::{Instrument, Node, Sdfg, StateId};
@@ -22,6 +22,7 @@ use sdfg_profile::{
     InstrumentationReport, Mode as ProfMode, ProfileCollector, Profiling, SpanKey, Tier,
     WorkerProfile,
 };
+use sdfg_symbolic::dependence::distinct_along;
 use sdfg_symbolic::{Env, EvalError};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -572,8 +573,21 @@ impl<'c, 's> Worker<'c, 's> {
                 solver.fold = &self.point[..self.nconst];
                 let mut bt = compile_body_tasklet(ctx, sid, n, &mut solver)?;
                 let folded = solver.folded;
+                // A combine is atomic where another worker may combine into
+                // the same element: inside a parallel region, into a shared
+                // container, at an offset not provably distinct along the
+                // chunk parameter over the static trip counts.
+                let span =
+                    |d: usize| self.pcounts.get(d).map_or(i64::MAX / 4, |&n| n.max(1)) as i128 - 1;
                 for o in bt.outs.iter_mut() {
-                    o.atomic = self.needs_atomic(o);
+                    o.atomic = o.wcr.is_some()
+                        && !self.locals.contains_key(&o.data)
+                        && self.chunk_param.is_some_and(|k| match &o.window {
+                            WindowPlan::Scalar(Solved::Affine { coeffs, .. }) => {
+                                !distinct_along(k, coeffs.iter().copied().enumerate(), span)
+                            }
+                            _ => true,
+                        });
                 }
                 ctx.cfg.plan_cache.note_point_compile();
                 let cctx = self.compile_ctx(folded);
@@ -608,53 +622,6 @@ impl<'c, 's> Worker<'c, 's> {
             jit: self.ctx.cfg.jit,
             folded,
         }
-    }
-
-    /// Race analysis for a WCR output port: atomic hardware is required
-    /// only when another worker may combine into the same element. Writes
-    /// are provably private when (a) no parallel region is active, (b) the
-    /// target is a thread-local transient, or (c) the flat offset is affine
-    /// with a chunk-parameter coefficient that dominates the combined span
-    /// of every other parameter (so different chunks write disjoint
-    /// elements) — the same analysis DaCe's code generator uses to elide
-    /// `#pragma omp atomic`.
-    fn needs_atomic(&self, o: &OutPortPlan) -> bool {
-        if o.wcr.is_none() {
-            return false;
-        }
-        if self.locals.contains_key(&o.data) {
-            return false; // thread-local
-        }
-        let Some(chunk) = self.chunk_param else {
-            return false; // no concurrent writers
-        };
-        let WindowPlan::Scalar(solved) = &o.window else {
-            return true;
-        };
-        let Some(cp) = solved.coeff(chunk) else {
-            return true;
-        };
-        if cp == 0 {
-            return true;
-        }
-        let mut span: i64 = 0;
-        for d in 0..self.pstack.len() {
-            if d == chunk {
-                continue;
-            }
-            let Some(c) = solved.coeff(d) else {
-                return true;
-            };
-            let n = self.pcounts.get(d).copied().unwrap_or(i64::MAX / 4);
-            span = span.saturating_add(
-                (c.unsigned_abs().min(i64::MAX as u64 / 4) as i64)
-                    .saturating_mul((n.max(1) - 1).min(i64::MAX / 8)),
-            );
-            if span < 0 {
-                return true;
-            }
-        }
-        cp.unsigned_abs() as i64 > span
     }
 
     /// Resolves a container, preferring thread-local overlays.

@@ -62,7 +62,7 @@ use crate::jit::{Decline, DeclineKind, JitKernel, KernelHandle, NestFn};
 use crate::lower::{MapLowering, JIT_MIN_POINTS};
 use crate::plan::StatePlan;
 use crate::sched::SchedPool;
-use crate::tasklet::{compile_body_tasklet, is_element, plan_window, BodyTasklet, WindowPlan};
+use crate::tasklet::{compile_body_tasklet, plan_window, BodyTasklet, WindowPlan};
 use parking_lot::Mutex;
 use sdfg_codegen::jit::{
     decode_fault, emit_nest_kernel, pushes_to, JitOutMode, JitWcrOp, LoadedBound, NestItem,
@@ -75,6 +75,7 @@ use sdfg_graph::NodeId;
 use sdfg_lang::recognize::sole_assignment;
 use sdfg_lang::RuntimeError;
 use sdfg_profile::Tier;
+use sdfg_symbolic::dependence::{distinct_along, element};
 use sdfg_symbolic::{Env, Expr, SymRange};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -454,7 +455,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
             // One element at an index that is not affine in the site's
             // names: the sum of its dims' forms, each admitted with
             // launch-evaluated terms where the site allows them.
-            WindowPlan::Dynamic(subset) if is_element(subset) => {
+            WindowPlan::Dynamic(subset) if element(subset) => {
                 let strides = crate::copy::desc_strides(self.ctx, data, self.env0)
                     .map_err(|_| nonaffine("symbolic strides"))?;
                 if strides.len() != subset.dims.len() {
@@ -1740,24 +1741,14 @@ fn marshal<'a>(
             }
         }
     }
-    // Tiles are write-disjoint when, for every output, one dim-0 step
-    // moves the offset further than the whole reach of the inner dims:
-    // |c0| > Σ |c_d|·span_d implies two different i0 values can never
-    // alias, so tile execution order is unobservable.
+    // Dim-0 tiles are write-disjoint, so their order is unobservable, when
+    // every output is distinct along dim 0 over the launch's intervals.
+    let span = |d: usize| ivals.get(d).map_or(i128::MAX, |&(x, y)| y - x);
     let parallel_ok = core.loaded_dims.is_empty()
         && core.calls.iter().all(|c| {
-            c.outs.iter().all(|&p| {
-                let a = &core.ports[p].addr;
-                let c0 = (a.coeff(0) as i128).abs();
-                if c0 == 0 {
-                    return false;
-                }
-                let mut reach: i128 = 0;
-                for (d, &(x, y)) in ivals.iter().enumerate().take(ndims).skip(1) {
-                    reach += (a.coeff(d) as i128).abs() * (y - x).max(0);
-                }
-                c0 > reach
-            })
+            c.outs
+                .iter()
+                .all(|&p| distinct_along(0, core.ports[p].addr.dims.iter().copied(), span))
         });
     Some(NestArgs {
         func,

@@ -75,11 +75,6 @@ impl Bindings {
         self
     }
 
-    /// The bound array names (useful for diagnostics).
-    pub fn array_names(&self) -> impl Iterator<Item = &str> {
-        self.arrays.keys().map(String::as_str)
-    }
-
     /// The bound arrays, by name.
     pub fn arrays(&self) -> &HashMap<String, Vec<f64>> {
         &self.arrays

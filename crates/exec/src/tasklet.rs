@@ -10,6 +10,7 @@ use sdfg_core::{Node, StateId, Subset, Wcr};
 use sdfg_graph::NodeId;
 use sdfg_lang::recognize::{apply_binop_kind, Operand, Pattern};
 use sdfg_lang::{OutPort, TaskletProgram};
+use sdfg_symbolic::dependence::element;
 use sdfg_symbolic::Env;
 use sdfg_symbolic::EvalError;
 
@@ -214,18 +215,6 @@ pub(crate) fn plan_native(
 }
 
 /// Pre-solves a memlet subset. Streams use a scalar placeholder.
-/// Whether every dim of `subset` is a single index (`end = start + 1`,
-/// unit step and tile).
-pub(crate) fn is_element(subset: &Subset) -> bool {
-    let assume = sdfg_symbolic::expr::Assumptions::default();
-    subset.dims.iter().all(|r| {
-        r.tile.is_one()
-            && r.step.is_one()
-            && (r.end.clone() - r.start.clone()).sym_cmp(&sdfg_symbolic::Expr::one(), &assume)
-                == Some(std::cmp::Ordering::Equal)
-    })
-}
-
 pub(crate) fn plan_window(
     ctx: &Ctx,
     data: &str,
@@ -253,7 +242,7 @@ pub(crate) fn plan_window(
         }
     }
     // Scalar case: every dim is an index (end = start + 1) and tile 1.
-    if is_element(subset) && subset.dims.len() == strides.len() {
+    if element(subset) && subset.dims.len() == strides.len() {
         // flat = Σ start_d * stride_d — combine solved starts.
         let mut base = 0i64;
         let mut coeffs = vec![0i64; solver.names.len()];

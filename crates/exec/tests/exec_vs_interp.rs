@@ -241,6 +241,61 @@ fn strided_map() {
     );
 }
 
+/// A WCR output that other chunks of a parallel launch also combine into
+/// must stay atomic (or the launch serial): `B[i + j]` meets itself across
+/// rows, and so does `B[2*i + j]` once `j` steps by 1024, which its trip
+/// count of 2 does not show. Repeated runs at 2 and 8 threads must
+/// all equal the interpreter bit for bit.
+#[test]
+fn wcr_other_chunks_combine_into_stays_atomic() {
+    for (src, n, k, m) in [
+        (
+            "for i, j in dace.map[0:N, 0:N]:\n        B[i + j] += A[i, j]",
+            512,
+            512,
+            1024,
+        ),
+        (
+            "for i, j in dace.map[0:N, 0:2048:1024]:\n        B[2 * i + j] += A[i, 0]",
+            8192,
+            1,
+            17408,
+        ),
+    ] {
+        let src = format!("def p(A: dace.float64[N, K], B: dace.float64[M]):\n    {src}\n");
+        let sdfg = parse_program(&src).unwrap();
+        let a: Vec<f64> = (0..n * k)
+            .map(|k| ((k * 7919) % 1013) as f64 - 500.0)
+            .collect();
+        let mut it = Interpreter::new(&sdfg);
+        it.set_symbol("N", n as i64);
+        it.set_symbol("K", k as i64);
+        it.set_symbol("M", m as i64);
+        it.set_array("A", a.clone());
+        it.set_array("B", vec![0.0; m]);
+        it.run().unwrap();
+        for jit in [false, true] {
+            for threads in [1, 2, 8] {
+                let session = Session::builder(sdfg.clone())
+                    .jit(jit)
+                    .nthreads(threads)
+                    .build();
+                let session = session.unwrap();
+                for _ in 0..3 {
+                    let inputs = Bindings::new().symbol("N", n as i64).symbol("K", k as i64);
+                    let inputs = inputs.symbol("M", m as i64);
+                    let inputs = inputs.array("A", &a).array("B", &vec![0.0; m]);
+                    let out = session.run(inputs).unwrap();
+                    let got = out.array("B").unwrap();
+                    let wrong =
+                        (it.array("B").iter().zip(got)).filter(|(g, o)| g.to_bits() != o.to_bits());
+                    assert_eq!(wrong.count(), 0, "{src} jit={jit} at {threads} threads");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn stats_report_native_points() {
     let mut b = SdfgBuilder::new("native");

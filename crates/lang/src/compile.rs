@@ -212,11 +212,6 @@ impl TaskletProgram {
     pub fn input_slot(&self, name: &str) -> Option<usize> {
         self.inputs.iter().position(|n| n == name)
     }
-
-    /// Output slot by connector name.
-    pub fn output_slot(&self, name: &str) -> Option<usize> {
-        self.outputs.iter().position(|n| n == name)
-    }
 }
 
 struct Compiler<'a> {

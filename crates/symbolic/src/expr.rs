@@ -102,14 +102,6 @@ impl Assumptions {
         }
     }
 
-    /// Assumptions where every symbol is strictly positive (≥ 1).
-    pub fn positive_all() -> Self {
-        Assumptions {
-            all_positive: true,
-            ..Default::default()
-        }
-    }
-
     fn sym_lower_bound(&self, name: &str) -> Option<i64> {
         if self.all_positive || self.positive.contains(name) {
             Some(1)

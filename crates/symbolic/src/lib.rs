@@ -15,10 +15,14 @@
 //! * Propagation algebra — the image of a subset under a map parameter
 //!   sweeping its range (paper §4.3 step ❶), used to derive the overall data
 //!   requirements of scopes.
+//! * [`dependence`] — whether two accesses can touch the same element: the
+//!   one analysis behind atomic elision, parallel tiles and the legality of
+//!   the transformations that move data.
 //!
 //! Everything is deterministic and hash/equality-canonical after
 //! [`Expr::simplify`], which the constructors apply eagerly.
 
+pub mod dependence;
 pub mod expr;
 pub mod parse;
 pub mod range;

@@ -153,20 +153,6 @@ impl SymRange {
         }
     }
 
-    /// Conservative containment: does `self` cover every index of `other`?
-    pub fn covers(&self, other: &SymRange, assumptions: &Assumptions) -> bool {
-        use std::cmp::Ordering::*;
-        let start_ok = matches!(
-            self.start.sym_cmp(&other.start, assumptions),
-            Some(Less) | Some(Equal)
-        );
-        let end_ok = matches!(
-            other.end.sym_cmp(&self.end, assumptions),
-            Some(Less) | Some(Equal)
-        );
-        start_ok && end_ok && self.step.is_one()
-    }
-
     /// Shifts the range down by `offset` (used by reindexing: expressing a
     /// subset relative to the start of a containing window).
     pub fn offset_by(&self, offset: &Expr) -> SymRange {
@@ -179,7 +165,7 @@ impl SymRange {
     }
 
     /// Folds decidable `min`/`max` under assumptions (see [`Expr::refine`]).
-    pub fn refine(&self, assumptions: &crate::expr::Assumptions) -> SymRange {
+    pub fn refine(&self, assumptions: &Assumptions) -> SymRange {
         SymRange {
             start: self.start.refine(assumptions),
             end: self.end.refine(assumptions),
@@ -345,16 +331,6 @@ impl Subset {
         }
     }
 
-    /// Conservative containment test, dimension-wise.
-    pub fn covers(&self, other: &Subset, assumptions: &Assumptions) -> bool {
-        self.rank() == other.rank()
-            && self
-                .dims
-                .iter()
-                .zip(&other.dims)
-                .all(|(a, b)| a.covers(b, assumptions))
-    }
-
     /// Expresses this subset relative to the origin of `window` (reindexing
     /// through a local-storage transient, Fig. 11b).
     pub fn offset_by(&self, window: &Subset) -> Subset {
@@ -370,7 +346,7 @@ impl Subset {
     }
 
     /// Folds decidable `min`/`max` under assumptions, dimension-wise.
-    pub fn refine(&self, assumptions: &crate::expr::Assumptions) -> Subset {
+    pub fn refine(&self, assumptions: &Assumptions) -> Subset {
         Subset {
             dims: self.dims.iter().map(|r| r.refine(assumptions)).collect(),
         }
@@ -385,16 +361,6 @@ impl Subset {
                 .map(|r| r.image_under(param, param_range))
                 .collect(),
         }
-    }
-
-    /// Image under several parameters at once (innermost last in `params`;
-    /// swept in reverse so ranges may reference earlier parameters).
-    pub fn image_under_all(&self, params: &[(String, SymRange)]) -> Subset {
-        let mut cur = self.clone();
-        for (p, r) in params.iter().rev() {
-            cur = cur.image_under(p, r);
-        }
-        cur
     }
 
     /// Evaluates every dimension to concrete bounds.
@@ -485,15 +451,6 @@ mod tests {
         let b = Subset::parse("8:16").unwrap();
         let u = a.union(&b);
         assert_eq!(u, Subset::parse("0:16").unwrap());
-    }
-
-    #[test]
-    fn covers_conservative() {
-        let assume = Assumptions::nonnegative();
-        let big = Subset::parse("0:N").unwrap();
-        let small = Subset::parse("1:N - 1").unwrap();
-        assert!(big.covers(&small, &assume));
-        assert!(!small.covers(&big, &assume));
     }
 
     #[test]

@@ -176,3 +176,141 @@ proptest! {
         }
     }
 }
+
+// --- the dependence analysis --------------------------------------------------
+
+use sdfg_symbolic::dependence::{distinct_along, element, same, Overlap};
+
+/// `c_i*i + c_j*j + c_t*t + c` with small coefficients: an affine index
+/// over the map parameters `i`, `j` and the launch-time constant `t`.
+fn affine_index() -> impl Strategy<Value = Expr> {
+    (-3i64..4, -3i64..4, -2i64..3, -4i64..5).prop_map(|(ci, cj, ct, c)| {
+        Expr::Int(ci) * Expr::sym("i")
+            + Expr::Int(cj) * Expr::sym("j")
+            + Expr::Int(ct) * Expr::sym("t")
+            + Expr::Int(c)
+    })
+}
+
+/// A 2-D subset `s0:s0+l0, s1:s1+l1` over affine starts.
+fn affine_subset() -> impl Strategy<Value = Subset> {
+    (affine_index(), 1i64..3, affine_index(), 1i64..3).prop_map(|(s0, l0, s1, l1)| {
+        Subset::new(vec![
+            SymRange::new(s0.clone(), s0 + Expr::Int(l0)),
+            SymRange::new(s1.clone(), s1 + Expr::Int(l1)),
+        ])
+    })
+}
+
+/// Every dimension's concrete `[start, end)` of `s` at `env`.
+fn boxes(s: &Subset, env: &Env) -> Vec<(i64, i64)> {
+    s.dims
+        .iter()
+        .map(|r| (r.start.eval(env).unwrap(), r.end.eval(env).unwrap()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `same` and `element` are never contradicted by evaluation.
+    #[test]
+    fn same_agrees_with_eval(
+        e in ring_expr(),
+        other in ring_expr(),
+        twin in 0usize..3,
+        len in 1i64..3,
+        env in env_strategy(),
+    ) {
+        // The twin is the same expression rebuilt, the same plus a
+        // cancelling term, or an unrelated one.
+        let e2 = match twin {
+            0 => e.simplify(),
+            1 => Expr::add([e.clone(), Expr::sym("d"), Expr::Int(-1) * Expr::sym("d")]),
+            _ => other,
+        };
+        let a = Subset::new(vec![SymRange::new(e.clone(), e.clone() + Expr::Int(len))]);
+        let b = Subset::new(vec![SymRange::new(e2.clone(), e2 + Expr::Int(len))]);
+        if same(&a, &b).is_ok() {
+            prop_assert_eq!(boxes(&a, &env), boxes(&b, &env), "`{}` vs `{}`", a, b);
+        }
+        if element(&a) {
+            let (s, t) = boxes(&a, &env)[0];
+            prop_assert_eq!(t - s, 1, "`{}` is no single element", a);
+        }
+    }
+
+    /// `distinct_along` is never contradicted on a box of small spans.
+    #[test]
+    fn distinct_along_agrees_with_eval(
+        coeffs in prop::collection::vec(-4i64..5, 3),
+        spans in prop::collection::vec(0i64..4, 3),
+        k in 0usize..3,
+    ) {
+        if !distinct_along(k, coeffs.iter().copied().enumerate(), |d| spans[d] as i128) {
+            return;
+        }
+        let mut points = Vec::new();
+        for x in 0..=spans[0] {
+            for y in 0..=spans[1] {
+                points.extend((0..=spans[2]).map(|z| [x, y, z]));
+            }
+        }
+        let offset = |p: &[i64; 3]| p.iter().zip(&coeffs).map(|(x, c)| x * c).sum::<i64>();
+        for p in &points {
+            for q in points.iter().filter(|q| q[k] != p[k]) {
+                prop_assert!(offset(p) != offset(q), "{:?} over {:?}: {:?} and {:?} meet", coeffs, spans, p, q);
+            }
+        }
+    }
+
+    /// `Overlap::disjoint` never clears a launch in which some point reads
+    /// an element another point writes.
+    #[test]
+    fn overlap_agrees_with_eval(
+        read in affine_subset(),
+        write in affine_subset(),
+        j_start in affine_index(),
+        j_len in 0i64..4,
+        d0 in (-2i64..3, 1i64..4),
+        t in -2i64..3,
+    ) {
+        // `j` sweeps `[j_start, j_start + j_len)` over `i` (its own term dropped).
+        let j_start = j_start.subs("j", &Expr::Int(0));
+        let params = ["i".to_string(), "j".to_string()];
+        let ranges = [
+            SymRange::new(d0.0, d0.0 + d0.1),
+            SymRange::new(j_start.clone(), j_start + Expr::Int(j_len)),
+        ];
+        let pairs = Overlap::new(&[("A", &read)], &[("A", &write)], &params, &ranges, &Env::new());
+        let env = sdfg_symbolic::env(&[("t", t)]);
+        let Some(o) = pairs else {
+            // Dropped only as a read of the element its own point writes.
+            prop_assert!(element(&read) && same(&read, &write).is_ok());
+            return;
+        };
+        if !o.disjoint(&env, (d0.0, d0.0 + d0.1)) {
+            return;
+        }
+        let mut points = Vec::new();
+        for i in d0.0..d0.0 + d0.1 {
+            let mut at = env.clone();
+            at.insert("i".into(), i);
+            let (lo, hi, _, _) = ranges[1].eval(&at).unwrap();
+            for j in lo..hi {
+                let mut at = at.clone();
+                at.insert("j".into(), j);
+                points.push(at);
+            }
+        }
+        for p in &points {
+            for q in &points {
+                let meet = boxes(&read, p)
+                    .iter()
+                    .zip(boxes(&write, q))
+                    .all(|(&(rs, re), (ws, we))| rs < we && ws < re);
+                prop_assert!(!meet, "`{}` at {:?} reads what `{}` writes at {:?}", read, p, write, q);
+            }
+        }
+    }
+}

@@ -6,6 +6,7 @@ use crate::helpers::{find_pattern, is_access, is_map_entry, is_transient_access,
 use sdfg_core::desc::{ArrayDesc, DataDesc, StreamDesc};
 use sdfg_core::{Memlet, Node, Sdfg, SdfgError, Subset, SymRange};
 use sdfg_graph::EdgeId;
+use sdfg_symbolic::dependence::same;
 use sdfg_symbolic::{Env, Expr};
 
 /// `LocalStorage` — introduces a transient for caching data between two
@@ -617,8 +618,17 @@ impl Transformation for RedundantArray {
         true
     }
 
+    /// Matches a transient `in_array` accessed nowhere else whose only
+    /// out-edge copies it into `out_array` of the same storage and shape.
+    /// Legal when the copy is the identity over both whole containers: its
+    /// source and destination subsets are the [`same`] elements, each is
+    /// the [`same`] as its container's full shape, and it has no WCR.
     fn find(&self, sdfg: &Sdfg) -> Vec<TMatch> {
         let mut out = Vec::new();
+        let whole = |d: &DataDesc| match d.shape() {
+            [] => Subset::index([Expr::zero()]),
+            shape => Subset::full(shape),
+        };
         for sid in sdfg.graph.node_ids() {
             let pattern = Pattern {
                 roles: vec![("in_array", is_transient_access), ("out_array", is_access)],
@@ -644,6 +654,21 @@ impl Transformation for RedundantArray {
                 // Same storage and shape (strict mode of Appendix D).
                 let (da, db) = (sdfg.desc(a_data).unwrap(), sdfg.desc(b_data).unwrap());
                 if da.storage() != db.storage() || da.shape() != db.shape() {
+                    continue;
+                }
+                let Some(e) = st.graph.out_edges(a).next() else {
+                    continue;
+                };
+                let mm = &st.graph.edge(e).memlet;
+                let other = mm.other_subset.as_ref().unwrap_or(&mm.subset);
+                let (src, dst) = match mm.data.as_deref() == Some(a_data) {
+                    true => (&mm.subset, other),
+                    false => (other, &mm.subset),
+                };
+                let identity = same(src, dst).is_ok()
+                    && same(src, &whole(da)).is_ok()
+                    && same(dst, &whole(db)).is_ok();
+                if !identity || mm.wcr.is_some() {
                     continue;
                 }
                 out.push(TMatch {

@@ -45,12 +45,6 @@ impl TMatch {
                 role: role.to_string(),
             })
     }
-
-    /// Looks up a role, panicking when absent. For tests and call sites
-    /// that just built the match themselves.
-    pub fn expect_node(&self, role: &str) -> NodeId {
-        self.nodes[role]
-    }
 }
 
 /// A typed transformation parameter value.
@@ -231,19 +225,6 @@ impl Params {
         }
     }
 
-    /// A flag parameter with a default for when it is unset.
-    pub fn bool_or(&self, name: &str, default: bool) -> Result<bool, SdfgError> {
-        match self.entries.get(name) {
-            None => Ok(default),
-            Some(ParamValue::Bool(b)) => Ok(*b),
-            Some(other) => Err(SdfgError::ParamType {
-                param: name.to_string(),
-                expected: "bool",
-                got: other.describe(),
-            }),
-        }
-    }
-
     /// A string parameter, or `None` when unset.
     pub fn str(&self, name: &str) -> Result<Option<&str>, SdfgError> {
         match self.entries.get(name) {
@@ -255,14 +236,6 @@ impl Params {
                 got: other.describe(),
             }),
         }
-    }
-
-    /// A required string parameter.
-    pub fn require_str(&self, name: &str) -> Result<&str, SdfgError> {
-        self.str(name)?.ok_or_else(|| SdfgError::ParamParse {
-            param: name.to_string(),
-            text: "<missing>".to_string(),
-        })
     }
 }
 
@@ -288,6 +261,13 @@ pub trait Transformation {
 
     /// Finds all occurrences of the pattern in the SDFG.
     fn find(&self, sdfg: &Sdfg) -> Vec<TMatch>;
+
+    /// Why each occurrence of the pattern that [`Transformation::find`]
+    /// leaves out as not legal is not; the pipeline reports them as
+    /// skipped.
+    fn declined(&self, _sdfg: &Sdfg) -> Vec<String> {
+        Vec::new()
+    }
 
     /// Applies the rewrite at a match, with parameters.
     fn apply(&self, sdfg: &mut Sdfg, m: &TMatch, params: &Params) -> Result<(), SdfgError>;

@@ -144,16 +144,6 @@ pub fn access_count(sdfg: &Sdfg, data: &str) -> usize {
         .sum()
 }
 
-/// Renames the data container referenced by all memlets on a path of edges.
-pub fn rename_memlet_data(state: &mut State, edges: &[EdgeId], from: &str, to: &str) {
-    for &e in edges {
-        let df = state.graph.edge_mut(e);
-        if df.memlet.data.as_deref() == Some(from) {
-            df.memlet.data = Some(to.to_string());
-        }
-    }
-}
-
 /// Finds a read access node (in-degree 0) for `data`, creating one if
 /// absent.
 pub fn find_read_access(state: &mut State, data: &str) -> NodeId {

@@ -7,8 +7,10 @@ use crate::helpers::{
 };
 use sdfg_core::sdfg::InterstateEdge;
 use sdfg_core::{Memlet, Node, Sdfg, SdfgError, StateId, Subset, SymRange, Wcr};
-use sdfg_graph::EdgeId;
+use sdfg_graph::{EdgeId, NodeId};
+use sdfg_symbolic::dependence::same;
 use sdfg_symbolic::{Env, Expr};
+use std::collections::BTreeMap;
 
 /// `MapTiling` — applies orthogonal tiling to a map.
 ///
@@ -605,12 +607,19 @@ impl TransitionExt for sdfg_graph::MultiGraph<sdfg_core::State, InterstateEdge> 
 /// a scalar transient inside the fused scope.
 pub struct MapFusion;
 
-impl Transformation for MapFusion {
-    fn name(&self) -> &'static str {
-        "MapFusion"
-    }
+/// Map 2's parameters renamed to map 1's, all at once.
+fn renaming(st: &sdfg_core::State, entry1: NodeId, entry2: NodeId) -> BTreeMap<String, Expr> {
+    let (p1, p2) = (&scope_of(st, entry1).params, &scope_of(st, entry2).params);
+    p2.iter()
+        .cloned()
+        .zip(p1.iter().map(|p| Expr::sym(p.clone())))
+        .collect()
+}
 
-    fn find(&self, sdfg: &Sdfg) -> Vec<TMatch> {
+impl MapFusion {
+    /// Every `exit1 → tmp → entry2` candidate, or the reason it is not
+    /// legal (see [`MapFusion::find`]).
+    fn candidates(&self, sdfg: &Sdfg) -> Vec<Result<TMatch, String>> {
         let mut out = Vec::new();
         for sid in sdfg.graph.node_ids() {
             let pattern = Pattern {
@@ -626,27 +635,14 @@ impl Transformation for MapFusion {
                 let exit1 = m["exit1"];
                 let entry1 = st.graph.node(exit1).exit_entry().unwrap();
                 let entry2 = m["entry2"];
-                let (r1, r2) = (
-                    scope_of(st, entry1).ranges.clone(),
-                    scope_of(st, entry2).ranges.clone(),
-                );
-                let p1 = scope_of(st, entry1).params.clone();
-                let p2 = scope_of(st, entry2).params.clone();
-                if r1.len() != r2.len() {
+                let (s1, s2) = (scope_of(st, entry1), scope_of(st, entry2));
+                if s1.ranges.len() != s2.ranges.len() {
                     continue;
                 }
-                // Ranges must match after renaming map2 params to map1's.
-                let renamed: Vec<SymRange> = r2
-                    .iter()
-                    .map(|r| {
-                        let mut rr = r.clone();
-                        for (a, b) in p2.iter().zip(&p1) {
-                            rr = rr.subs(a, &Expr::sym(b.clone()));
-                        }
-                        rr
-                    })
-                    .collect();
-                if renamed != r1 {
+                let rename = renaming(st, entry1, entry2);
+                let renamed: Vec<SymRange> =
+                    s2.ranges.iter().map(|r| r.subs_map(&rename)).collect();
+                if renamed != s1.ranges {
                     continue;
                 }
                 let data = st.graph.node(m["tmp"]).access_data().unwrap();
@@ -656,28 +652,58 @@ impl Transformation for MapFusion {
                 if st.graph.in_degree(m["tmp"]) != 1 || st.graph.out_degree(m["tmp"]) != 1 {
                     continue;
                 }
+                let on_tmp = |e: EdgeId| {
+                    let mm = &st.graph.edge(e).memlet;
+                    (mm.data.as_deref() == Some(data)).then_some(mm)
+                };
+                let writes: Vec<&Memlet> = st.graph.in_edges(exit1).filter_map(on_tmp).collect();
                 // A WCR write into the intermediate means each element
                 // accumulates across iterations of the first map and must
                 // be complete before the second map reads it — fusing
                 // per-point would read partial sums. Reject.
-                let wcr_write = st.graph.in_edges(exit1).any(|e| {
-                    let mm = &st.graph.edge(e).memlet;
-                    mm.data.as_deref() == Some(data) && mm.wcr.is_some()
-                }) || st
-                    .graph
-                    .in_edges(m["tmp"])
-                    .any(|e| st.graph.edge(e).memlet.wcr.is_some());
-                if wcr_write {
+                let tmp_in = st.graph.in_edges(m["tmp"]).next().expect("in-degree 1");
+                let wcr = st.graph.edge(tmp_in).memlet.wcr.is_some();
+                if wcr || writes.iter().any(|w| w.wcr.is_some()) {
                     continue;
                 }
-                out.push(TMatch {
+                let why = st.graph.out_edges(entry2).filter_map(on_tmp).find_map(|r| {
+                    let r = r.subset.subs_map(&rename);
+                    let w = &writes.iter().find(|w| same(&r, &w.subset).is_err())?.subset;
+                    Some(format!(
+                        "consumer reads {data}[{r}], producer writes {data}[{w}]"
+                    ))
+                });
+                let m = TMatch {
                     state: sid,
                     nodes: m,
                     states: Default::default(),
-                });
+                };
+                out.push(why.map_or(Ok(m), Err));
             }
         }
         out
+    }
+}
+
+impl Transformation for MapFusion {
+    fn name(&self) -> &'static str {
+        "MapFusion"
+    }
+
+    /// Matches `exit1 → tmp → entry2`: two maps over the same ranges (map
+    /// 2's parameters renamed to map 1's) through a transient accessed
+    /// nowhere else and written without conflict resolution. Legal when
+    /// every memlet out of the intermediate, renamed likewise, names the
+    /// [`same`] element map 1 writes at that point: the fused scope hands
+    /// each point's value over in a scalar. A candidate that is not legal
+    /// is [`declined`](Transformation::declined).
+    fn find(&self, sdfg: &Sdfg) -> Vec<TMatch> {
+        self.candidates(sdfg).into_iter().flatten().collect()
+    }
+
+    fn declined(&self, sdfg: &Sdfg) -> Vec<String> {
+        let candidates = self.candidates(sdfg).into_iter();
+        candidates.filter_map(Result::err).collect()
     }
 
     fn apply(&self, sdfg: &mut Sdfg, m: &TMatch, _params: &Params) -> Result<(), SdfgError> {
@@ -687,7 +713,7 @@ impl Transformation for MapFusion {
             m.try_node("entry2")?,
         );
         let sid = m.state;
-        let (entry1, exit2, tmp_data, p1, p2) = {
+        let (entry1, exit2, tmp_data, rename) = {
             let st = sdfg.state(sid);
             let entry1 = st.graph.node(exit1).exit_entry().unwrap();
             let exit2 = st
@@ -697,8 +723,7 @@ impl Transformation for MapFusion {
                 entry1,
                 exit2,
                 st.graph.node(tmp).access_data().unwrap().to_string(),
-                scope_of(st, entry1).params.clone(),
-                scope_of(st, entry2).params.clone(),
+                renaming(st, entry1, entry2),
             )
         };
         // Scalar replacement for the intermediate.
@@ -716,22 +741,16 @@ impl Transformation for MapFusion {
         edges_to_rename.sort_unstable();
         edges_to_rename.dedup();
         for e in edges_to_rename {
-            let df = state.graph.edge_mut(e);
-            for (a, b) in p2.iter().zip(&p1) {
-                df.memlet.subset = df.memlet.subset.subs(a, &Expr::sym(b.clone()));
-                if let Some(os) = &df.memlet.other_subset {
-                    df.memlet.other_subset = Some(os.subs(a, &Expr::sym(b.clone())));
-                }
-                df.memlet.volume = df.memlet.volume.subs(a, &Expr::sym(b.clone()));
-            }
+            let mm = &mut state.graph.edge_mut(e).memlet;
+            mm.subset = mm.subset.subs_map(&rename);
+            mm.other_subset = mm.other_subset.as_ref().map(|os| os.subs_map(&rename));
+            mm.volume = mm.volume.subs_map(&rename);
         }
         // Rename params in any nested scopes of scope 2.
         for &n in &members2 {
             if let Node::MapEntry(msc) = state.graph.node_mut(n) {
                 for r in msc.ranges.iter_mut() {
-                    for (a, b) in p2.iter().zip(&p1) {
-                        *r = r.subs(a, &Expr::sym(b.clone()));
-                    }
+                    *r = r.subs_map(&rename);
                 }
             }
         }

@@ -84,8 +84,8 @@ impl OptLevel {
     }
 }
 
-/// A candidate the heuristic phase declined, with the reason (cost hint or
-/// rolled-back failure) and how many matches it covered.
+/// A candidate the heuristic phase declined, with the reason (cost hint,
+/// legality or rolled-back failure) and how many matches it covered.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SkippedMatch {
     /// Transformation name.
@@ -343,6 +343,9 @@ pub fn optimize_with_env(
                 if !fired_this_pass {
                     break;
                 }
+            }
+            for why in t.declined(sdfg) {
+                record_skip(&mut report.skipped, name, why);
             }
         }
     }

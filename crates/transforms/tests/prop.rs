@@ -3,21 +3,23 @@
 //!
 //! Random restricted-Python programs are generated, a golden output is
 //! computed with the reference interpreter on the untransformed SDFG, and
-//! then each transformation that matches (first match, default parameters)
-//! is applied to a fresh clone. The transformed SDFG must still validate
-//! and must produce the golden output on **both** engines. A second
-//! property applies random transformation *sequences*, since rewrites must
-//! compose (that is how the Fig. 15 chain uses them).
+//! then each transformation is applied at every site it matches (default
+//! parameters), each on a fresh clone. The transformed SDFG must still
+//! validate and must produce the golden output on **both** engines. A
+//! second property applies random transformation *sequences*, since
+//! rewrites must compose (that is how the Fig. 15 chain uses them), and a
+//! third runs the whole `Aggressive` pipeline.
 //!
 //! Inputs are integer-valued f64 and the expression grammar excludes
-//! division, so results are exact and comparisons can be strict.
+//! division, so results are exact and comparisons are bitwise.
 
 use proptest::prelude::*;
+use sdfg_core::propagate::propagate_sdfg;
 use sdfg_core::{validate, Sdfg};
 use sdfg_exec::{Bindings, Session};
 use sdfg_frontend::parse_program;
 use sdfg_interp::Interpreter;
-use sdfg_transforms::{apply_first, apply_strict, registry, Params};
+use sdfg_transforms::{apply_first, apply_strict, optimize, registry, OptLevel, Params};
 
 // --- random programs -------------------------------------------------------
 
@@ -73,9 +75,18 @@ fn p_map1d() -> impl Strategy<Value = Program> {
 }
 
 /// Two maps chained through a transient — gives MapFusion, RedundantArray,
-/// and StateFusion something to match.
+/// and StateFusion something to match. The consumer reads the transient at
+/// the element the producer wrote and at shifted, reversed and clamped
+/// ones, which MapFusion must not fuse.
 fn p_chain() -> impl Strategy<Value = Program> {
-    (expr(&["A[i]", "B[i]"]), expr(&["D[i]", "A[i]"])).prop_map(|(e1, e2)| Program {
+    const READS: [&str; 5] = [
+        "D[i]",
+        "A[i]",
+        "D[N - 1 - i]",
+        "D[min(i + 1, N - 1)]",
+        "D[max(i - 1, 0)]",
+    ];
+    (expr(&["A[i]", "B[i]"]), expr(&READS)).prop_map(|(e1, e2)| Program {
         src: format!(
             "def p(A: dace.float64[N], B: dace.float64[N], C: dace.float64[N],\n\
              \x20     D: dace.float64[N]):\n\
@@ -212,11 +223,26 @@ fn default_params(name: &str, p: &Program) -> Params {
 fn assert_same(label: &str, golden: &[f64], got: &[f64]) {
     assert_eq!(golden.len(), got.len(), "{label}: output length");
     for (i, (g, o)) in golden.iter().zip(got).enumerate() {
-        assert!(
-            (g - o).abs() <= 1e-12 * (1.0 + g.abs()),
+        assert_eq!(
+            g.to_bits(),
+            o.to_bits(),
             "{label}: element {i}: golden={g} got={o}"
         );
     }
+}
+
+/// Validates `s` and checks it against `golden` on both engines.
+fn assert_preserves(
+    label: &str,
+    p: &Program,
+    s: &Sdfg,
+    n: usize,
+    ins: &[(String, Vec<f64>)],
+    golden: &[f64],
+) {
+    validate(s).unwrap_or_else(|e| panic!("{label}: validation {e:?}"));
+    assert_same(label, golden, &run_interp(s, n, ins, p.check));
+    assert_same(label, golden, &run_exec(s, n, ins, p.check));
 }
 
 // --- properties ------------------------------------------------------------
@@ -224,8 +250,9 @@ fn assert_same(label: &str, golden: &[f64], got: &[f64]) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-    /// Each registry transformation, applied alone wherever it matches,
-    /// preserves semantics on both engines and keeps the SDFG valid.
+    /// Each registry transformation, applied alone at each site it
+    /// matches, preserves semantics on both engines and keeps the SDFG
+    /// valid.
     #[test]
     fn single_transformation_preserves_semantics(
         p in program(),
@@ -238,19 +265,36 @@ proptest! {
         prop_assert_eq!(golden.len(), (p.check_len)(n));
 
         for t in registry() {
-            let mut s = base.clone();
-            // A no-match, or a precondition rejected at apply time
-            // (e.g. Vectorization on a non-contiguous access), is a
-            // legitimate skip — `s` is a clone, so nothing leaks.
-            if let Ok(true) = apply_first(&mut s, t.as_ref(), &default_params(t.name(), &p)) {
-                validate(&s).unwrap_or_else(|e| {
-                    panic!("{} broke validation: {e:?}\n{}", t.name(), p.src)
-                });
-                let label = format!("{} on\n{}", t.name(), p.src);
-                assert_same(&label, &golden, &run_interp(&s, n, &ins, p.check));
-                assert_same(&label, &golden, &run_exec(&s, n, &ins, p.check));
+            let params = default_params(t.name(), &p);
+            for (k, m) in t.find(&base).iter().enumerate() {
+                let mut s = base.clone();
+                // A precondition rejected at apply time (e.g.
+                // Vectorization on a non-contiguous access) is a
+                // legitimate skip — `s` is a clone, so nothing leaks.
+                if t.apply(&mut s, m, &params).is_err() {
+                    continue;
+                }
+                propagate_sdfg(&mut s);
+                let label = format!("{} at match {k} on\n{}", t.name(), p.src);
+                assert_preserves(&label, &p, &s, n, &ins, &golden);
             }
         }
+    }
+
+    /// The whole `Aggressive` pipeline, as every benchmark workload and
+    /// the server run it, preserves semantics on both engines.
+    #[test]
+    fn aggressive_pipeline_preserves_semantics(
+        p in program(),
+        n in 1usize..10,
+        seed in 0i64..16,
+    ) {
+        let mut s = build(&p);
+        let ins = inputs(&p, n, seed);
+        let golden = run_interp(&s, n, &ins, p.check);
+        let report = optimize(&mut s, OptLevel::Aggressive).expect("pipeline runs");
+        let label = format!("Aggressive ({report}) on\n{}", p.src);
+        assert_preserves(&label, &p, &s, n, &ins, &golden);
     }
 
     /// Random transformation *sequences* compose soundly (the chain /
@@ -272,12 +316,8 @@ proptest! {
             let t = &reg[idx % reg.len()];
             if let Ok(true) = apply_first(&mut s, t.as_ref(), &default_params(t.name(), &p)) {
                 applied.push(t.name());
-                validate(&s).unwrap_or_else(|e| {
-                    panic!("after {applied:?}: validation {e:?}\n{}", p.src)
-                });
                 let label = format!("chain {applied:?} on\n{}", p.src);
-                assert_same(&label, &golden, &run_interp(&s, n, &ins, p.check));
-                assert_same(&label, &golden, &run_exec(&s, n, &ins, p.check));
+                assert_preserves(&label, &p, &s, n, &ins, &golden);
             }
         }
     }
@@ -294,9 +334,7 @@ proptest! {
         let ins = inputs(&p, n, seed);
         let golden = run_interp(&s, n, &ins, p.check);
         apply_strict(&mut s).expect("strict pass applies");
-        validate(&s).expect("strict pass keeps SDFG valid");
-        assert_same("strict pass", &golden, &run_interp(&s, n, &ins, p.check));
-        assert_same("strict pass", &golden, &run_exec(&s, n, &ins, p.check));
+        assert_preserves(&format!("strict pass on\n{}", p.src), &p, &s, n, &ins, &golden);
     }
 }
 
