@@ -5,9 +5,9 @@
 //! decisions the pipeline makes on the kernels CI reports.
 
 use sdfg_exec::{OptLevel, PlanCache};
-use sdfg_transforms::{optimize_with_env, SkippedMatch};
-use sdfg_workloads::polybench;
+use sdfg_transforms::{optimize_with_env, MapCollapse, SkippedMatch, Transformation};
 use sdfg_workloads::workload::assert_allclose;
+use sdfg_workloads::{kernels, polybench};
 use std::collections::HashMap;
 
 const SCALE: usize = 8;
@@ -187,4 +187,18 @@ fn aggressive_report_on_atax_and_bicg_is_exact() {
             "{name}: {report}"
         );
     }
+}
+
+/// `MapCollapse` matches only a map whose body is exactly the inner map.
+/// Histogram's tile map writes its local histogram back between the two
+/// exits, so it finds no match there, and the pipeline has no rollback
+/// to report.
+#[test]
+fn map_collapse_declines_a_body_between_the_exits() {
+    let w = kernels::histogram(24);
+    assert!(MapCollapse.find(&w.sdfg).is_empty());
+    let mut sdfg = w.sdfg.clone();
+    let report = optimize_with_env(&mut sdfg, OptLevel::Aggressive, &env_of(&w)).unwrap();
+    let text = report.to_string();
+    assert!(!text.contains("rolled back"), "{text}");
 }

@@ -190,7 +190,9 @@ pub enum JitOutMode {
     /// folds every iteration's value into it and stores it back once after
     /// the loop. Only valid for a body that is one plain assignment to its
     /// sole output, read through no whole-container port, whose call is the
-    /// loop's whole body, and with no input in the output's container.
+    /// loop's whole body, and with no input that reads the output element
+    /// during the loop (the executor proves that every input in the
+    /// output's container misses it).
     Accumulate(JitWcrOp),
     /// Write-conflict-resolved write log into a whole container (the VM's
     /// log port): every store to the connector, at an index the body

@@ -1,7 +1,7 @@
 //! The execution engine: state machine driver, map compilation, parallel
 //! loop nests, native kernels.
 
-use crate::affine::{Solved, Solver};
+use crate::affine::{solve, Solved, Solver};
 use crate::buffer::SharedBuffer;
 use crate::cpu::MapPlan;
 use crate::dispatch::exec_state;
@@ -575,19 +575,27 @@ impl<'c, 's> Worker<'c, 's> {
                 let folded = solver.folded;
                 // A combine is atomic where another worker may combine into
                 // the same element: inside a parallel region, into a shared
-                // container, at an offset not provably distinct along the
-                // chunk parameter over the static trip counts.
+                // container, at an element whose offset and every subset
+                // dimension may repeat across values of the chunk parameter
+                // (see `distinct_along`) over the static trip counts.
                 let span =
                     |d: usize| self.pcounts.get(d).map_or(i64::MAX / 4, |&n| n.max(1)) as i128 - 1;
+                let distinct = |k: usize, index: &Solved| {
+                    matches!(index, Solved::Affine { coeffs, .. }
+                        if distinct_along(k, coeffs.iter().copied().enumerate(), span))
+                };
+                let index =
+                    |r: &sdfg_symbolic::SymRange| solve(&r.start, &self.pstack, &ctx.inv.env0);
                 for o in bt.outs.iter_mut() {
-                    o.atomic = o.wcr.is_some()
-                        && !self.locals.contains_key(&o.data)
-                        && self.chunk_param.is_some_and(|k| match &o.window {
-                            WindowPlan::Scalar(Solved::Affine { coeffs, .. }) => {
-                                !distinct_along(k, coeffs.iter().copied().enumerate(), span)
-                            }
-                            _ => true,
-                        });
+                    let shared = o.wcr.is_some() && !self.locals.contains_key(&o.data);
+                    let private = |k| match &o.window {
+                        WindowPlan::Scalar(offset) => {
+                            distinct(k, offset)
+                                || o.subset.dims.iter().any(|r| distinct(k, &index(r)))
+                        }
+                        _ => false,
+                    };
+                    o.atomic = shared && self.chunk_param.is_some_and(|k| !private(k));
                 }
                 ctx.cfg.plan_cache.note_point_compile();
                 let cctx = self.compile_ctx(folded);

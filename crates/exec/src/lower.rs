@@ -19,13 +19,16 @@
 //! through to tier N+1 at run time (a window that fails to resolve for a
 //! particular launch, an out-of-bounds offset the legacy tiers clamp), so
 //! the chosen tier is a ceiling, never a promise that skips correctness
-//! checks. The static tier is decided at plan time from the body alone;
-//! whether a launch is hot enough for the JIT tier is decided per launch
-//! from the launch's actual extents (`Worker::volume`), so a map whose
-//! range follows a loop symbol (`0:k`) shares one plan across the loop and
-//! still crosses the gate exactly where a plan per iteration would have.
-//! The kernel is requested by the first hot launch; launches run on the
-//! static tier until its compile finishes.
+//! checks. The static tier is decided at plan time from the body alone.
+//! The hotness gate (`JIT_MIN_POINTS`) decides compiles, not calls: the
+//! first launch whose actual extents (`Worker::volume`) reach it requests
+//! the map's kernel, and once that kernel has loaded every launch asks it,
+//! the cold ones included, so a map whose range follows a loop symbol
+//! (`0:k`) shares one plan and one kernel across the whole loop. Whether a
+//! launch runs on the kernel is then the kernel's own admission
+//! (`MapNestPlan::takes`, and `marshal` on the launch's values); until its
+//! compile finishes, and wherever it declines, launches run on the static
+//! tier.
 //!
 //! Bitwise discipline: every tier computes the interpreter's arithmetic,
 //! so any of them may run any launch. The micro-kernels only take forms
@@ -46,8 +49,10 @@ use sdfg_profile::Tier;
 use std::sync::Arc;
 
 /// Launches whose trip count (enclosing scopes included) is below this are
-/// not worth a compiler invocation: they run on the static tier. Extents
-/// that depend on a map parameter or a connector count as hot.
+/// not worth a compiler invocation: they request no kernel. Once a hotter
+/// launch's kernel has loaded, they call it like any other launch it
+/// admits. Extents that depend on a map parameter or a connector count as
+/// hot.
 pub(crate) const JIT_MIN_POINTS: i64 = 256;
 
 /// The execution tier a map body was lowered to.

@@ -75,7 +75,7 @@ use sdfg_graph::NodeId;
 use sdfg_lang::recognize::sole_assignment;
 use sdfg_lang::RuntimeError;
 use sdfg_profile::Tier;
-use sdfg_symbolic::dependence::{distinct_along, element};
+use sdfg_symbolic::dependence::{distinct_along, element, misses};
 use sdfg_symbolic::{Env, Expr, SymRange};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -767,7 +767,10 @@ impl<'c, 's> NestBuilder<'c, 's> {
         let mut items = Vec::new();
         if bts.len() == 1 {
             let bt = bts.into_iter().next().expect("one tasklet");
-            let modes = innermost_modes(&bt, innermost_pos)?;
+            let last = scope.params.len() - 1;
+            let inner = (scope.params[last].as_str(), &scope.ranges[last]);
+            let modes =
+                innermost_modes(&bt, innermost_pos, self.loaded.is_empty().then_some(inner))?;
             items.push(NestItem::Call(self.push_call(bt, modes, &site)?));
         } else {
             for bt in bts {
@@ -1032,13 +1035,20 @@ fn staged_mode(o: &crate::tasklet::OutPortPlan) -> Result<Option<JitOutMode>, De
 /// Output modes for the sole tasklet of a map scope. Every mode computes
 /// the interpreter's bits, so the choice is for speed: a body that is one
 /// assignment of a value computed without reading its output stores
-/// plainly, and folds a WCR output invariant in the innermost dimension in
-/// a register when no input reads the output's container (a point would
-/// miss what the earlier ones combined) or a whole container (whose
-/// self-checked reads could leave the loop early). Whether a combine may
-/// run non-atomically is the launch's call (see
-/// `NestCore::launch_exclusive`).
-fn innermost_modes(bt: &BodyTasklet, innermost_pos: usize) -> Result<Vec<JitOutMode>, Decline> {
+/// plainly, and folds a WCR output invariant in the innermost dimension
+/// (at `innermost_pos`) in a register when no input reads a whole
+/// container (whose self-checked reads could leave the loop early) and
+/// every read of the output's container [`misses`] the written element
+/// while the innermost parameter sweeps its range (else a point would not
+/// see what the earlier ones combined). `inner` is that parameter and its
+/// range, `None` where a read may be clamped (a loaded bound), which admits
+/// no read of the output's container. Whether a combine may run
+/// non-atomically is the launch's call (see `NestCore::launch_exclusive`).
+fn innermost_modes(
+    bt: &BodyTasklet,
+    innermost_pos: usize,
+    inner: Option<(&str, &SymRange)>,
+) -> Result<Vec<JitOutMode>, Decline> {
     if bt.outs.is_empty() {
         return Err(body("no output ports"));
     }
@@ -1059,10 +1069,11 @@ fn innermost_modes(bt: &BodyTasklet, innermost_pos: usize) -> Result<Vec<JitOutM
                     WindowPlan::Scalar(sv) => sv.coeff(innermost_pos),
                     _ => None,
                 };
-                let private = bt
-                    .ins
-                    .iter()
-                    .all(|p| p.data != o.data && !matches!(p.window, WindowPlan::Full));
+                let private = bt.ins.iter().all(|p| {
+                    let unseen = p.data != o.data
+                        || inner.is_some_and(|(param, r)| misses(&p.subset, &o.subset, param, r));
+                    unseen && !matches!(p.window, WindowPlan::Full)
+                });
                 if sole && coeff == Some(0) && private {
                     JitOutMode::Accumulate(op)
                 } else {
@@ -1341,7 +1352,8 @@ fn build_tasklet_nest(
     // Staging holds one call's pushes only when a call runs one point per
     // dim-0 index.
     b.streams_ok = nd == 1;
-    let modes = innermost_modes(&bt, nd - 1)?;
+    let last = plan.params.len() - 1;
+    let modes = innermost_modes(&bt, nd - 1, Some((&plan.params[last], &plan.ranges[last])))?;
     let idx = b.push_call(Arc::new(bt), modes, &site)?;
     b.body = vec![NestItem::Call(idx)];
     b.finish_map(pkey, &plan.label, nd)
@@ -1397,9 +1409,12 @@ fn build_map_nest(
 }
 
 /// The kernel of the map a worker is launching, `base` entries into its
-/// parameter stack, built (or its decline recorded) by the first launch
-/// that may use one: a hot or `ungated` launch of a single-tasklet map,
-/// or a top-level launch of a generic body.
+/// parameter stack: a single-tasklet map's, or a generic body's on a
+/// top-level launch. It is built (or its decline recorded) by the first
+/// launch that requests a compile — a hot or `ungated` launch of a
+/// single-tasklet map, any such launch of a generic body — and from then
+/// on every launch asks it, the cold ones included: [`MapNestPlan::takes`]
+/// and [`marshal`] decide each.
 pub(crate) fn map_nest(
     ctx: &Ctx,
     plan: &MapPlan,
@@ -1408,15 +1423,16 @@ pub(crate) fn map_nest(
     base: usize,
     ungated: bool,
 ) -> Option<Arc<MapNestPlan>> {
-    let wanted = match &plan.body {
-        MapBody::Tasklets(ts, _) => ts.len() == 1 && (ungated || worker.volume >= JIT_MIN_POINTS),
-        MapBody::Generic { .. } => base == worker.nconst && plan.dyn_edges.is_empty(),
+    let (wanted, requests) = match &plan.body {
+        MapBody::Tasklets(ts, _) => (ts.len() == 1, ungated || worker.volume >= JIT_MIN_POINTS),
+        MapBody::Generic { .. } => (base == worker.nconst && plan.dyn_edges.is_empty(), true),
     };
     if !ctx.cfg.jit || !wanted {
         return None;
     }
     match ctx.plan.map_nest(pkey) {
         Some(res) => res.ok(),
+        None if !requests => None,
         None => {
             let res = build_map_nest(ctx, pkey, plan, worker, base).map(Arc::new);
             if let Err(d) = &res {
@@ -1506,6 +1522,7 @@ pub(crate) fn launch_map_nest(
         return None;
     }
     let (d0s, d0e, d0st) = d0;
+    let t0 = worker.tier_clock();
     let consts = stack_consts(worker, base);
     let launch = Launch {
         consts: &consts,
@@ -1535,8 +1552,9 @@ pub(crate) fn launch_map_nest(
         }
     };
     pool.run(ranges.len(), &tile_fn, &ctx.stats);
+    drop(args);
     let n = total.load(Ordering::Relaxed) as u64;
-    count_calls(ctx, n, calls.load(Ordering::Relaxed));
+    count_on(worker, t0, n, calls.load(Ordering::Relaxed));
     Some(first_err.into_inner().map_or(Ok(()), Err))
 }
 
@@ -1594,14 +1612,24 @@ fn run_serial(
         Ok(r) => r,
         Err(e) => return Some(Err(e)),
     };
-    worker.st_points += npts as u64;
-    worker.st_jit += npts as u64;
-    worker.st_nest_calls += calls;
-    worker.tier_record(t0, Tier::Jit);
+    drop(args);
+    count_on(worker, t0, npts as u64, calls);
     Some(Ok(()))
 }
 
-/// Counts `n` native points in `calls` calls on the run's counters.
+/// Counts `n` native points in `calls` calls on the launching worker and
+/// attributes them, with the time since `t0`, to the JIT tier of the map
+/// it stands in — the tiles of a parallel launch included, whose pool
+/// threads keep no profile of their own.
+fn count_on(worker: &mut Worker, t0: Option<(u64, u64)>, n: u64, calls: u64) {
+    worker.st_points += n;
+    worker.st_jit += n;
+    worker.st_nest_calls += calls;
+    worker.tier_record(t0, Tier::Jit);
+}
+
+/// Counts `n` native points in `calls` calls on the run's counters (a
+/// collapsed loop, which no map's profile covers).
 fn count_calls(ctx: &Ctx, n: u64, calls: u64) {
     let st = &ctx.stats;
     st.tasklet_points.fetch_add(n, Ordering::Relaxed);

@@ -49,6 +49,8 @@ pub(crate) struct InPort {
     pub(crate) slot: Option<usize>,
     pub(crate) stream: bool,
     pub(crate) window: WindowPlan,
+    /// The memlet subset the window was planned from.
+    pub(crate) subset: Subset,
 }
 
 #[derive(Clone, Debug)]
@@ -59,6 +61,8 @@ pub(crate) struct OutPortPlan {
     pub(crate) stream: bool,
     pub(crate) wcr: Option<Wcr>,
     pub(crate) window: WindowPlan,
+    /// The memlet subset the window was planned from.
+    pub(crate) subset: Subset,
     /// Use the write-log port: sparse WCR writes into a larger window.
     pub(crate) log: bool,
     /// Whether WCR writes must be atomic (set by the worker's race
@@ -136,6 +140,7 @@ pub(crate) fn compile_body_tasklet(
             slot,
             stream,
             window,
+            subset: df.memlet.subset.clone(),
         });
     }
     let mut out_conns: Vec<String> = Vec::new();
@@ -165,6 +170,7 @@ pub(crate) fn compile_body_tasklet(
             stream,
             wcr: df.memlet.wcr.clone(),
             window,
+            subset: df.memlet.subset.clone(),
             log,
             atomic: true,
         });

@@ -690,3 +690,120 @@ fn deep_parameter_stacks() {
         &["C", "D", "E"],
     );
 }
+
+fn jit_available() -> bool {
+    sdfg_exec::jit::env_enabled() && sdfg_exec::jit::cc().is_some()
+}
+
+/// Runs `w` with the JIT warm — once, then again after
+/// `jit::wait_idle()` — at 1, 2 and 8 threads, compares every checked
+/// array bit for bit with the interpreter, and returns the warm runs'
+/// stats.
+fn assert_warm_bitwise(w: &sdfg_workloads::Workload) -> Vec<sdfg_exec::Stats> {
+    let want = w.run_interp().expect("interp runs");
+    let mut stats = Vec::new();
+    for threads in [1, 2, 8] {
+        let session = w.session().jit(true).nthreads(threads).build().unwrap();
+        session.run(w.bindings()).unwrap();
+        sdfg_exec::jit::wait_idle();
+        let out = session.run(w.bindings()).unwrap();
+        for name in &w.check {
+            let got = out.array(name).unwrap();
+            let bad = (want[name].iter().zip(got)).filter(|(g, o)| g.to_bits() != o.to_bits());
+            assert_eq!(bad.count(), 0, "{}: `{name}` at {threads} threads", w.name);
+        }
+        stats.push(out.stats().clone());
+    }
+    stats
+}
+
+/// Reductions that read their own container fold in a register where
+/// every such read misses the written element over the reduction's range
+/// (cholesky's `A[i, j] += -A[i, k] * A[j, k]` over `0:j`, the triangular
+/// solves' `x[i] += -L[i, j] * x[j]` over `0:i`), and combine per point
+/// where one may not: with the JIT warm, every one stays bitwise equal to
+/// the interpreter. So does the near miss `x[i] += x[k]` over `0:i + 1`,
+/// whose last point reads what the earlier ones combined.
+#[test]
+fn self_reading_reductions_match_the_interpreter_warm() {
+    use sdfg_workloads::polybench::by_name;
+    for (name, n) in [
+        ("cholesky", 40),
+        ("trisolv", 64),
+        ("lu", 40),
+        ("ludcmp", 40),
+        ("nussinov", 30),
+    ] {
+        assert_warm_bitwise(&(by_name(name).unwrap().build)(n));
+    }
+    let src = "def p(x: dace.float64[N]):\n    for i in range(N):\n        \
+               for k in dace.map[0:i + 1]:\n            x[i] += x[k]\n";
+    let n = 40;
+    let x: Vec<f64> = (0..n)
+        .map(|i| ((i * 7919) % 13) as f64 * 0.1 - 0.6)
+        .collect();
+    let w = sdfg_workloads::Workload::new("near_miss", parse_program(src).unwrap())
+        .symbol("N", n as i64)
+        .array("x", x)
+        .check("x");
+    let stats = assert_warm_bitwise(&w);
+    if jit_available() {
+        assert!(stats[0].jit_points > 0, "the near miss runs on its kernel");
+    }
+}
+
+/// ludcmp's update `A[i, j] += -A[i, k] * A[k, j]` over `[k + 1, N)²`:
+/// the write's dimension 0 is `i` alone, so rows of a parallel launch
+/// never combine into one element and its combines need not be atomic,
+/// though `j`'s span is only known per launch. Repeated runs at 2 and 8
+/// threads equal the interpreter bit for bit.
+#[test]
+fn wcr_rows_distinct_in_one_dimension_match_the_interpreter() {
+    let src = "def p(A: dace.float64[N, N]):\n    for k in range(N):\n        \
+               for i, j in dace.map[k + 1:N, k + 1:N]:\n            \
+               A[i, j] += -A[i, k] * A[k, j]\n";
+    let sdfg = parse_program(src).unwrap();
+    let n = 48usize;
+    let a: Vec<f64> = (0..n * n)
+        .map(|k| ((k * 7919) % 1013) as f64 / 4096.0 - 0.125)
+        .collect();
+    let mut it = Interpreter::new(&sdfg);
+    it.set_symbol("N", n as i64);
+    it.set_array("A", a.clone());
+    it.run().unwrap();
+    for jit in [false, true] {
+        for threads in [2, 8] {
+            let session = Session::builder(sdfg.clone())
+                .jit(jit)
+                .nthreads(threads)
+                .build()
+                .unwrap();
+            for _ in 0..3 {
+                let out = session
+                    .run(Bindings::new().symbol("N", n as i64).array("A", &a))
+                    .unwrap();
+                let got = out.array("A").unwrap();
+                let wrong =
+                    (it.array("A").iter().zip(got)).filter(|(g, o)| g.to_bits() != o.to_bits());
+                assert_eq!(wrong.count(), 0, "jit={jit} at {threads} threads");
+                sdfg_exec::jit::wait_idle();
+            }
+        }
+    }
+}
+
+/// durbin's three `0:k` maps share one plan across the `k` loop. Once a
+/// hot launch has loaded a map's kernel, the cold launches call it too:
+/// a warm run puts every map point on the JIT and none on the
+/// micro-kernels.
+#[test]
+fn a_loaded_kernel_serves_the_cold_launches() {
+    let n = 300;
+    let w = (sdfg_workloads::polybench::by_name("durbin").unwrap().build)(n);
+    for s in assert_warm_bitwise(&w) {
+        if jit_available() {
+            assert_eq!(s.native_points, 0);
+            assert_eq!(s.jit_points, 3 * (n as u64 - 1) * n as u64 / 2);
+        }
+    }
+}

@@ -50,7 +50,7 @@ const STEADY: [Steady; 5] = [
     Steady {
         name: "durbin",
         scale: 300,
-        serial: (36630, 132, 135749),
+        serial: (134550, 897, 135749),
         tiled: false,
     },
     Steady {
@@ -68,7 +68,7 @@ const STEADY: [Steady; 5] = [
     Steady {
         name: "ludcmp",
         scale: 24,
-        serial: (3384, 9, 5224),
+        serial: (4624, 24, 5224),
         tiled: false,
     },
 ];

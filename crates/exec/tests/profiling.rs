@@ -105,6 +105,39 @@ fn force_timers_produces_full_report() {
     assert!(report.map_coverage() > 0.0);
 }
 
+/// The tier breakdown accounts for every point when the map's kernel runs
+/// the tiles of a parallel launch too: the launching worker records them,
+/// as it does a serial call's.
+#[test]
+fn kernel_tiles_count_in_the_tier_breakdown() {
+    let n = 1 << 16;
+    let session = Session::builder(looped_kernel())
+        .profiling(Profiling::ForceTimers)
+        .jit(true)
+        .nthreads(2)
+        .build()
+        .expect("valid SDFG");
+    let inputs = || {
+        Bindings::new()
+            .symbol("N", n)
+            .symbol("T", 16)
+            .array_vec("A", vec![1.0; n as usize])
+    };
+    session.run(inputs()).expect("exec runs");
+    sdfg_exec::jit::wait_idle();
+    for _ in 0..4 {
+        let ex = session.run(inputs()).expect("exec runs");
+        let report = ex.report().expect("report present");
+        let tier_points: u64 = report
+            .tiers
+            .values()
+            .map(|t| t.points.iter().sum::<u64>())
+            .sum();
+        assert_eq!(tier_points, ex.stats().tasklet_points);
+        assert_eq!(ex.stats().tasklet_points, 16 * n as u64);
+    }
+}
+
 #[test]
 fn report_counts_are_deterministic_across_runs() {
     let sdfg = looped_kernel();

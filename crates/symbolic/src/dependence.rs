@@ -7,7 +7,11 @@
 //!   affine equality (MapFusion, RedundantArray, and a read of the element
 //!   its own point writes);
 //! * [`distinct_along`]: disjoint across distinct values of one parameter,
-//!   by dominance (atomic elision, the tile proof of a native nest);
+//!   by dominance (atomic elision, per subset dimension, and the tile
+//!   proof of a native nest);
+//! * [`misses`]: one element never the element another access writes
+//!   while one parameter sweeps its range (register accumulation of a
+//!   reduction that reads its own container);
 //! * [`Overlap`]: disjoint in some dimension over a launch box, as a
 //!   predicate over launch-time constants (the race check of a tiled
 //!   launch).
@@ -37,15 +41,22 @@ pub fn same(a: &Subset, b: &Subset) -> Result<(), Option<Expr>> {
     };
     let pairs = a.dims.iter().zip(&b.dims);
     for (p, q) in pairs.flat_map(|(x, y)| parts(x).into_iter().zip(parts(y))) {
-        let diff = p - q;
-        let names: Vec<String> = diff.free_symbols().into_iter().collect();
-        match diff.affine_in(&names, &Env::new()) {
-            Ok((0, cs)) if cs.iter().all(|&c| c == 0) => {}
+        match constant(&(p - q)) {
+            Ok(Some(0)) => {}
             Ok(_) => return Err(None),
             Err(t) => return Err(Some(t)),
         }
     }
     Ok(())
+}
+
+/// The value of `e` when its exact affine decomposition over its own
+/// symbols has no symbol left; `Ok(None)` for a nonconstant affine form,
+/// `Err(t)` for the sub-term `t` the decomposition stopped at.
+fn constant(e: &Expr) -> Result<Option<i64>, Expr> {
+    let names: Vec<String> = e.free_symbols().into_iter().collect();
+    let (base, cs) = e.affine_in(&names, &Env::new())?;
+    Ok(cs.iter().all(|&c| c == 0).then_some(base))
 }
 
 /// Whether every dimension of `s` is a single index: the [`same`] as
@@ -73,6 +84,42 @@ pub fn distinct_along(
         }
     }
     ck > reach
+}
+
+/// Whether the single element `read` is never the single element `write`
+/// while `param` sweeps `range` (positive constant step), whatever values
+/// every other symbol takes. It is when, in some dimension, `read − write`
+/// is a nonzero constant, or is affine in `param` with coefficient `c ≠ 0`
+/// and a constant of strict sign where the range bounds it: negative at
+/// the end where it is largest (`end − 1` when `c > 0`, else `start`), or
+/// positive at the end where it is smallest. Like [`Overlap`], it reads
+/// each dimension on its own, so indices are taken to lie within their
+/// dimensions.
+pub fn misses(read: &Subset, write: &Subset, param: &str, range: &SymRange) -> bool {
+    let swept = |e: &Expr| e.has_symbol(param);
+    if !(element(read) && element(write) && read.dims.len() == write.dims.len())
+        || swept(&range.start)
+        || swept(&range.end)
+        || !matches!(constant(&range.step), Ok(Some(s)) if s > 0)
+    {
+        return false;
+    }
+    let (first, last) = (range.start.clone(), range.end.clone() - Expr::int(1));
+    read.dims.iter().zip(&write.dims).any(|(r, w)| {
+        let diff = r.start.clone() - w.start.clone();
+        let c = match diff.stride_in(param) {
+            Ok(0) => return matches!(constant(&diff), Ok(Some(d)) if d != 0),
+            Ok(c) => c,
+            Err(_) => return false,
+        };
+        let (top, bottom) = if c > 0 {
+            (&last, &first)
+        } else {
+            (&first, &last)
+        };
+        let at = |v: &Expr| constant(&diff.subs(param, v)).ok().flatten();
+        at(top).is_some_and(|d| d < 0) || at(bottom).is_some_and(|d| d > 0)
+    })
 }
 
 /// `[min, max]` of `base + Σ c·x_d` over the `(d, c)` pairs `coeffs`,
@@ -231,6 +278,27 @@ mod tests {
         assert!(distinct_along(0, [(0, 8), (1, 1)], span));
         assert!(!distinct_along(0, [(0, 7), (1, 1)], span));
         assert!(!distinct_along(0, [(1, 1)], span));
+    }
+
+    #[test]
+    fn misses_needs_a_constant_of_strict_sign_at_the_bounding_end() {
+        let r = |s: &str| subset(s).dims[0].clone();
+        // cholesky: `A[i, j] += -A[i, k] * A[j, k]` over `k` in `0:j`.
+        let w = subset("i, j");
+        assert!(misses(&subset("i, k"), &w, "k", &r("0:j")));
+        assert!(misses(&subset("j, k"), &w, "k", &r("0:j")));
+        // One step further, `k` reaches `j`.
+        assert!(!misses(&subset("i, k"), &w, "k", &r("0:j + 1")));
+        // ludcmp's backward solve: `x[ii] += -A[ii, j] * x[j]` over `ii + 1:N`.
+        assert!(misses(&subset("j"), &subset("ii"), "j", &r("ii + 1:N")));
+        // nussinov: `table[k + 1, j]` against `table[i, j]` over `i + 1:j`.
+        assert!(misses(&subset("k + 1, j"), &w, "k", &r("i + 1:j")));
+        // A nonzero constant in some dimension; none in any.
+        assert!(misses(&subset("i - 1, j"), &w, "k", &r("0:N")));
+        assert!(!misses(&subset("j, i"), &w, "k", &r("0:N")));
+        // A range over a window, or a clamp of the swept parameter.
+        assert!(!misses(&subset("i, 0:N"), &w, "k", &r("0:j")));
+        assert!(!misses(&subset("i, min(k, j - 1)"), &w, "k", &r("0:j")));
     }
 
     #[test]

@@ -179,7 +179,7 @@ proptest! {
 
 // --- the dependence analysis --------------------------------------------------
 
-use sdfg_symbolic::dependence::{distinct_along, element, same, Overlap};
+use sdfg_symbolic::dependence::{distinct_along, element, misses, same, Overlap};
 
 /// `c_i*i + c_j*j + c_t*t + c` with small coefficients: an affine index
 /// over the map parameters `i`, `j` and the launch-time constant `t`.
@@ -200,6 +200,23 @@ fn affine_subset() -> impl Strategy<Value = Subset> {
             SymRange::new(s1.clone(), s1 + Expr::Int(l1)),
         ])
     })
+}
+
+/// `c_i*i + c_j*j + c_k*k + c` with coefficients in `-1..=1`, so that
+/// differences cancel to constants often; `k` only where `swept`.
+fn unit_index(swept: bool) -> impl Strategy<Value = Expr> {
+    let ck = if swept { -1i64..2 } else { 0i64..1 };
+    (-1i64..2, -1i64..2, ck, -2i64..3).prop_map(|(ci, cj, ck, c)| {
+        Expr::Int(ci) * Expr::sym("i")
+            + Expr::Int(cj) * Expr::sym("j")
+            + Expr::Int(ck) * Expr::sym("k")
+            + Expr::Int(c)
+    })
+}
+
+/// A 2-D single element at `unit_index` starts.
+fn unit_element(swept: bool) -> impl Strategy<Value = Subset> {
+    (unit_index(swept), unit_index(swept)).prop_map(|(a, b)| Subset::index([a, b]))
 }
 
 /// Every dimension's concrete `[start, end)` of `s` at `env`.
@@ -310,6 +327,50 @@ proptest! {
                     .zip(boxes(&write, q))
                     .all(|(&(rs, re), (ws, we))| rs < we && ws < re);
                 prop_assert!(!meet, "`{}` at {:?} reads what `{}` writes at {:?}", read, p, write, q);
+            }
+        }
+    }
+
+    /// `misses` never clears a read that evaluation finds at the written
+    /// element for some `k` of the range, over a box of `i` and `j`. The
+    /// read is the write with one dimension shifted by `s*(k - x) + c` (or
+    /// `s*k + t*x + c` for any `t`), and each end of the range is `x + c`
+    /// or `c`, for one `x` of `i` and `j`: differences cancel at the range's
+    /// ends as often as not.
+    #[test]
+    fn misses_agrees_with_eval(
+        write in unit_element(false),
+        swept_write in unit_element(true),
+        pick in 0usize..4,
+        x in 0usize..2,
+        (dim, s, t, c) in (0usize..2, -1i64..2, -1i64..2, -2i64..3),
+        ends in ((0i64..2, -2i64..3), (0i64..2, -2i64..3)),
+    ) {
+        // Mostly a write invariant in `k`, as register accumulation asks.
+        let write = if pick == 0 { swept_write } else { write };
+        let t = if t == 0 { -s } else { t };
+        let x = Expr::sym(["i", "j"][x]);
+        let shift = Expr::Int(s) * Expr::sym("k") + Expr::Int(t) * x.clone() + Expr::Int(c);
+        let mut read = write.clone();
+        read.dims[dim] = SymRange::index(write.dims[dim].start.clone() + shift);
+        let end = |(u, c): (i64, i64)| Expr::Int(u) * x.clone() + Expr::Int(c);
+        let (start, end) = (end(ends.0), end(ends.1));
+        let range = SymRange::new(start, end);
+        if !misses(&read, &write, "k", &range) {
+            return;
+        }
+        for i in -3..=3 {
+            for j in -3..=3 {
+                let at = sdfg_symbolic::env(&[("i", i), ("j", j)]);
+                let (lo, hi, _, _) = range.eval(&at).unwrap();
+                for k in lo..hi {
+                    let mut at = at.clone();
+                    at.insert("k".into(), k);
+                    prop_assert!(
+                        boxes(&read, &at) != boxes(&write, &at),
+                        "`{}` meets `{}` at i={} j={} k={} of {}", read, write, i, j, k, range
+                    );
+                }
             }
         }
     }

@@ -299,6 +299,14 @@ impl Transformation for MapCollapse {
         "MapCollapse"
     }
 
+    /// Legality: the outer map's body is exactly the inner map. Every
+    /// out-edge of the outer entry enters the inner entry and every in-edge
+    /// of the outer exit leaves the inner exit, so nothing runs between the
+    /// two scopes on either side (histogram's per-tile write-back of its
+    /// local histogram, between the exits, is not collapsed). An inner
+    /// range may read the outer parameters: the collapsed map keeps the
+    /// outer dimensions first, and a later dimension's range may read the
+    /// earlier ones.
     fn find(&self, sdfg: &Sdfg) -> Vec<TMatch> {
         let mut out = Vec::new();
         for sid in sdfg.graph.node_ids() {
@@ -310,12 +318,17 @@ impl Transformation for MapCollapse {
             for m in find_pattern(sdfg, sid, &pattern) {
                 let outer = m["outer"];
                 let inner = m["inner"];
-                // Inner must be the only successor scope: every outer
-                // out-edge leads to the inner entry.
-                let ok = st
-                    .graph
-                    .out_edges(outer)
-                    .all(|e| st.graph.edge_dst(e) == inner);
+                let mirrored = match (st.exit_of(outer), st.exit_of(inner)) {
+                    (Some(ox), Some(ix)) => {
+                        st.graph.in_edges(ox).all(|e| st.graph.edge_src(e) == ix)
+                    }
+                    _ => false,
+                };
+                let ok = mirrored
+                    && st
+                        .graph
+                        .out_edges(outer)
+                        .all(|e| st.graph.edge_dst(e) == inner);
                 if ok {
                     out.push(
                         TMatch::in_state(sid)
