@@ -4,12 +4,12 @@
 use crate::buffer::SharedBuffer;
 use crate::copy::{exec_access, gather_symbolic, scatter_symbolic, scope_owns_container, wcr_fn};
 use crate::engine::{bind, unbind, Ctx, ExecError, Executor, RunConfig, Worker};
-use crate::lower::{run_inner_span, LowerTier};
-use crate::tasklet::{run_tasklet_point, BodyTasklet, WindowPlan};
+use crate::lower::run_inner_span;
+use crate::tasklet::{run_tasklet_point, BodyTasklet};
 use parking_lot::Mutex;
 use sdfg_core::desc::DataDesc;
 use sdfg_core::scope::ScopeTree;
-use sdfg_core::{Node, Schedule, StateId, Subset, Wcr};
+use sdfg_core::{Node, Schedule, StateId, Subset};
 use sdfg_graph::{EdgeId, NodeId};
 use sdfg_profile::{Mode as ProfMode, Span, SpanKey, Tier};
 use sdfg_symbolic::dependence::Overlap;
@@ -24,7 +24,7 @@ use std::sync::atomic::Ordering;
 pub(crate) enum MapBody {
     /// Straight-line tasklets plus the static tier chosen for them at
     /// plan-build time (see [`crate::lower`]).
-    Tasklets(Vec<(NodeId, std::sync::Arc<BodyTasklet>)>, LowerTier),
+    Tasklets(Vec<(NodeId, std::sync::Arc<BodyTasklet>)>, Tier),
     Generic {
         children: Vec<NodeId>,
         /// Transients local to this scope → zeroed per iteration, allocated
@@ -76,7 +76,7 @@ impl MapPlan {
         use crate::lower::{cold_map, GENERIC_BODY, JIT_OFF, MULTI_TASKLET};
         let tier = match &self.body {
             MapBody::Tasklets(_, tier) => *tier,
-            MapBody::Generic { .. } => LowerTier::Symbolic,
+            MapBody::Generic { .. } => Tier::Symbolic,
         };
         let why = match &self.body {
             _ if !self.jit => JIT_OFF.to_string(),
@@ -346,9 +346,7 @@ pub(crate) fn exec_map(
     worker.pstack.extend(m.params.iter().cloned());
     worker.point.resize(base + m.params.len(), 0);
     let plan = build_map_plan(ctx, sid, tree, entry, worker)?;
-    let params = &plan.params;
     let ranges = &plan.ranges;
-    let body = &plan.body;
     worker.pcounts.extend(plan.pcounts.iter().copied());
     // Dynamic-range connectors (per launch), bound over whatever they
     // shadow until the launch ends.
@@ -418,16 +416,11 @@ pub(crate) fn exec_map(
         }
         // A tiled launch of more than one dim takes the kernel below the
         // hotness gate too. A 1-D one keeps the gate: whether a launch tiles
-        // hangs on the tuner's timing. The kernel takes dim-0 tiles only, so
-        // a launch it takes does not collapse dims 0 and 1.
+        // hangs on the tuner's timing.
         let nest = nest.clone().or_else(|| {
             crate::nest::map_nest(ctx, &plan, pkey, worker, base, plan.params.len() > 1)
         });
-        let takes = || {
-            nest.as_ref()
-                .is_some_and(|n| n.start == 0 && n.takes(&plan, true))
-        };
-        let ts = build_tiles(&plan, worker, d0, n0, decision.tiles, || !takes())?;
+        let ts = build_tiles(d0, n0, decision.tiles)?;
         ctx.stats.parallel_regions.fetch_add(1, Ordering::Relaxed);
         Some((ts, pool, nest))
     });
@@ -448,23 +441,15 @@ pub(crate) fn exec_map(
             (tiles.is_some() || n.start > 0 || n.core.ndims > 1) && n.takes(&plan, in_tile)
         });
         let saved = std::mem::replace(&mut worker.row_nest, rows);
+        // Each tile, or the whole dim-0 range of a serial launch, walks
+        // the map's dims with `run_dim_span`.
         let r = match tiles {
             Some((ts, pool)) => {
                 run_map_steal(ctx, sid, tree, &plan, worker, base, ts, pool, pmode, pkey)
             }
             None => {
                 let was_nested = std::mem::replace(&mut worker.nested, true);
-                // The env-free fast nest (constant bounds + fully-affine
-                // tasklet body: the whole iteration space runs on integer
-                // loops without symbolic evaluation or environment updates
-                // per point) where no row calls the kernel, else the rows
-                // of the symbolic path.
-                let r = match env_free_bounds(&plan, worker).filter(|_| worker.row_nest.is_none()) {
-                    Some(bounds) => run_map_fast(ctx, sid, &plan, worker, base, &bounds),
-                    None => run_map_serial(
-                        ctx, sid, tree, params, ranges, body, worker, base, d0s, d0e, d0st,
-                    ),
-                };
+                let r = run_map_serial(ctx, sid, tree, &plan, worker, base, d0);
                 worker.nested = was_nested;
                 r
             }
@@ -538,41 +523,15 @@ fn race_check(
     Overlap::new(&reads, &writes, params, ranges, &ctx.inv.env0)
 }
 
-/// The tiles of one parallel launch: contiguous pieces of the iteration
-/// space, executed by pool workers in work-stealing order.
-pub(crate) enum TileSet {
-    /// Dim-0 tiling: each tile is a `[lo, hi)` value range on the map's
-    /// own step grid. The general case — any body, WCR included, since
-    /// disjoint dim-0 ranges preserve the chunk-dominance race analysis.
-    Dim0 {
-        /// Dim-0 step.
-        step: i64,
-        /// Per-tile `[lo, hi)` value ranges.
-        ranges: Vec<(i64, i64)>,
-    },
-    /// Collapsed (dim0 × dim1) tiling for short outer dimensions
-    /// (`n0 < tile target`): tiles are ranges of the flattened index
-    /// space. Restricted to WCR-free tasklet bodies, because two flat
-    /// tiles can share a dim-0 value — which would break the
-    /// single-chunk-parameter privacy analysis conflict resolution
-    /// relies on.
-    Flat {
-        /// Dim-0 (start, step): value = start + index·step.
-        d0: (i64, i64),
-        /// Dim-1 (start, step, count).
-        d1: (i64, i64, u64),
-        /// Per-tile `[lo, hi)` ranges of flat indices (`i0·count + i1`).
-        ranges: Vec<(u64, u64)>,
-    },
-}
-
-impl TileSet {
-    fn len(&self) -> usize {
-        match self {
-            TileSet::Dim0 { ranges, .. } => ranges.len(),
-            TileSet::Flat { ranges, .. } => ranges.len(),
-        }
-    }
+/// The tiles of one parallel launch: `[lo, hi)` value ranges of dim 0 on
+/// the map's own step grid, executed by pool workers in work-stealing
+/// order. Any body may tile, WCR included, since disjoint dim-0 ranges
+/// preserve the chunk-dominance race analysis.
+pub(crate) struct TileSet {
+    /// Dim-0 step.
+    step: i64,
+    /// Per-tile `[lo, hi)` value ranges.
+    pub(crate) ranges: Vec<(i64, i64)>,
 }
 
 /// Splits `[0, n)` into at most `want` near-equal contiguous ranges.
@@ -590,77 +549,16 @@ fn split_even(n: u64, want: usize) -> Vec<(u64, u64)> {
     out
 }
 
-/// Builds the tile set for a parallel launch, collapsing dims 0 and 1 (if
-/// `collapse` allows) when the outer dimension alone cannot produce the
-/// requested tile count. Returns `None` when no parallel decomposition
-/// exists (single-point outer dimension and no legal collapse).
-fn build_tiles(
-    plan: &MapPlan,
-    worker: &Worker,
-    d0: (i64, i64, i64),
-    n0: usize,
-    want: usize,
-    collapse: impl FnOnce() -> bool,
-) -> Option<TileSet> {
-    if n0 < want && collapse() {
-        if let Some(ts) = try_collapse(plan, worker, d0, n0, want) {
-            return Some(ts);
-        }
-    }
-    if n0 > 1 {
-        let (d0s, _, d0st) = d0;
-        let ranges = split_even(n0 as u64, want)
+/// The tiles of a parallel launch over the `n0` values of dim 0 `d0`, at
+/// most `want` of them. `None` when dim 0 has a single value.
+fn build_tiles(d0: (i64, i64, i64), n0: usize, want: usize) -> Option<TileSet> {
+    let (d0s, _, d0st) = d0;
+    (n0 > 1).then(|| TileSet {
+        step: d0st,
+        ranges: split_even(n0 as u64, want)
             .into_iter()
             .map(|(a, b)| (d0s + a as i64 * d0st, d0s + b as i64 * d0st))
-            .collect();
-        Some(TileSet::Dim0 { step: d0st, ranges })
-    } else {
-        None
-    }
-}
-
-/// Attempts the dim-0/dim-1 collapse (see [`TileSet::Flat`] for why it is
-/// restricted to WCR-free tasklet bodies with launch-invariant dim-1
-/// bounds).
-fn try_collapse(
-    plan: &MapPlan,
-    worker: &Worker,
-    d0: (i64, i64, i64),
-    n0: usize,
-    want: usize,
-) -> Option<TileSet> {
-    if plan.params.len() < 2 {
-        return None;
-    }
-    let MapBody::Tasklets(ts, _) = &plan.body else {
-        return None;
-    };
-    if ts
-        .iter()
-        .any(|(_, bt)| bt.outs.iter().any(|o| o.wcr.is_some()))
-    {
-        return None;
-    }
-    // Dim 1 must not depend on any of the map's own parameters (so its
-    // bounds are launch-invariant) and must evaluate now.
-    let mut syms = std::collections::BTreeSet::new();
-    plan.ranges[1].collect_symbols(&mut syms);
-    if syms.iter().any(|s| plan.params.contains(s)) {
-        return None;
-    }
-    let (s1, e1, st1, _) = plan.ranges[1].eval(&worker.env).ok()?;
-    if st1 <= 0 {
-        return None;
-    }
-    let n1 = ((e1 - s1) + st1 - 1).div_euclid(st1).max(0) as u64;
-    if n1 <= 1 {
-        return None;
-    }
-    let total = (n0 as u64).saturating_mul(n1);
-    Some(TileSet::Flat {
-        d0: (d0.0, d0.2),
-        d1: (s1, st1, n1),
-        ranges: split_even(total, want),
+            .collect(),
     })
 }
 
@@ -717,14 +615,16 @@ fn run_map_steal(
             };
             SlotState { w, start_ns }
         });
-        if let Err(e) = exec_tile(ctx, sid, tree, plan, &mut st.w, base, tiles, t) {
+        let (lo, hi) = tiles.ranges[t];
+        let span = (lo, hi, tiles.step);
+        if let Err(e) = run_map_serial(ctx, sid, tree, plan, &mut st.w, base, span) {
             let mut first = first_err.lock();
             if first.is_none() {
                 *first = Some(e);
             }
         }
     };
-    pool.run(tiles.len(), &tile_fn, &ctx.stats);
+    pool.run(tiles.ranges.len(), &tile_fn, &ctx.stats);
     // Merge: close timeline spans, flush stats, park VM/env for reuse.
     for (i, cell) in slots.into_iter().enumerate() {
         let Some(mut st) = cell.into_inner() else {
@@ -753,207 +653,19 @@ fn run_map_steal(
     first_err.into_inner().map_or(Ok(()), Err)
 }
 
-/// Executes one tile on a resident worker.
-#[allow(clippy::too_many_arguments)]
-fn exec_tile(
+/// Runs a map's points with dim 0 over the `(lo, hi, step)` span `d0`:
+/// a serial launch's whole range, or one tile.
+fn run_map_serial(
     ctx: &Ctx,
     sid: StateId,
     tree: &ScopeTree,
     plan: &MapPlan,
-    w: &mut Worker,
-    base: usize,
-    tiles: &TileSet,
-    t: usize,
-) -> Result<(), ExecError> {
-    match tiles {
-        TileSet::Dim0 { step, ranges } => {
-            let (lo, hi) = ranges[t];
-            run_map_serial(
-                ctx,
-                sid,
-                tree,
-                &plan.params,
-                &plan.ranges,
-                &plan.body,
-                w,
-                base,
-                lo,
-                hi,
-                *step,
-            )
-        }
-        TileSet::Flat { d0, d1, ranges } => {
-            let (flo, fhi) = ranges[t];
-            let (d0s, d0st) = *d0;
-            let (d1s, d1st, n1) = *d1;
-            // A flat tile may span several dim-0 rows: decode each row
-            // segment and run its dim-1 sub-range through the same loop
-            // nest the serial path uses.
-            let mut f = flo;
-            while f < fhi {
-                let i0 = f / n1;
-                let j0 = f % n1;
-                let jend = n1.min(j0 + (fhi - f));
-                let v0 = d0s + i0 as i64 * d0st;
-                w.point[base] = v0;
-                bind(&mut w.env, &plan.params[0], v0);
-                run_dim_span(
-                    ctx,
-                    sid,
-                    tree,
-                    &plan.params,
-                    &plan.ranges,
-                    &plan.body,
-                    w,
-                    base,
-                    1,
-                    d1s + j0 as i64 * d1st,
-                    d1s + jend as i64 * d1st,
-                    d1st,
-                )?;
-                f += jend - j0;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Checks whether a map can run entirely without per-iteration symbolic
-/// evaluation: every range bound evaluates now (no dependence on this
-/// map's own parameters) and every tasklet port/body is parameter-affine.
-pub(crate) fn env_free_bounds(plan: &MapPlan, worker: &Worker) -> Option<Vec<(i64, i64, i64)>> {
-    let MapBody::Tasklets(ts, _) = &plan.body else {
-        return None;
-    };
-    for (_, bt) in ts {
-        if !bt.prog.symbols.is_empty() {
-            return None;
-        }
-        let fast = |w: &WindowPlan| {
-            matches!(w, WindowPlan::Scalar(sv) if sv.is_fast()) || matches!(w, WindowPlan::Full)
-        };
-        if !bt.ins.iter().all(|p| !p.stream && fast(&p.window)) {
-            return None;
-        }
-        if !bt
-            .outs
-            .iter()
-            .all(|o| (fast(&o.window) || o.stream) && !matches!(o.wcr, Some(Wcr::Custom(_))))
-        {
-            return None;
-        }
-        // Full-window log outputs are fine; scalar ones handled above.
-        for o in &bt.outs {
-            if o.log && !matches!(o.window, WindowPlan::Full) {
-                return None;
-            }
-        }
-    }
-    // Range bounds must not reference this map's own parameters.
-    let own: std::collections::BTreeSet<&String> = plan.params.iter().collect();
-    let mut bounds = Vec::with_capacity(plan.ranges.len());
-    for r in &plan.ranges {
-        let mut syms = std::collections::BTreeSet::new();
-        r.collect_symbols(&mut syms);
-        if syms.iter().any(|s| own.contains(s)) {
-            return None;
-        }
-        let (s, e, st, _) = r.eval(&worker.env).ok()?;
-        if st <= 0 {
-            return None;
-        }
-        bounds.push((s, e, st));
-    }
-    Some(bounds)
-}
-
-/// Integer loop nest over constant bounds: the innermost dimension runs
-/// through the native/VM loops; middle dimensions update only the point
-/// vector.
-pub(crate) fn run_map_fast(
-    ctx: &Ctx,
-    sid: StateId,
-    plan: &MapPlan,
     worker: &mut Worker,
     base: usize,
-    bounds: &[(i64, i64, i64)],
+    d0: (i64, i64, i64),
 ) -> Result<(), ExecError> {
-    let MapBody::Tasklets(ts, tier) = &plan.body else {
-        unreachable!()
-    };
-    let nd = bounds.len();
-    if bounds.iter().any(|&(s, e, _)| s >= e) {
-        return Ok(());
-    }
-    // Initialize the point.
-    for (d, &(s, _, _)) in bounds.iter().enumerate() {
-        worker.point[base + d] = s;
-    }
-    let (is_, ie_, ist) = bounds[nd - 1];
-    let single = if ts.len() == 1 {
-        Some(ts[0].1.clone())
-    } else {
-        None
-    };
-    loop {
-        // Innermost dimension through the fast loops; fall back to
-        // per-point execution (still env-light: env only consulted by
-        // Symbolic plans, which env_free_bounds excluded).
-        let handled = match &single {
-            Some(t) => run_inner_span(ctx, *tier, t, worker, base + nd - 1, is_, ie_, ist)?,
-            None => false,
-        };
-        if !handled {
-            let t0 = worker.tier_clock();
-            let mut v = is_;
-            while v < ie_ {
-                worker.point[base + nd - 1] = v;
-                for (_, bt) in ts {
-                    run_tasklet_point(ctx, sid, bt, worker, None)?;
-                }
-                v += ist;
-            }
-            worker.tier_record(t0, Tier::Symbolic);
-        }
-        // Odometer over the outer dims.
-        if nd == 1 {
-            return Ok(());
-        }
-        let mut d = nd - 1;
-        loop {
-            if d == 0 {
-                return Ok(());
-            }
-            d -= 1;
-            let (s, e, st) = bounds[d];
-            worker.point[base + d] += st;
-            if worker.point[base + d] < e {
-                break;
-            }
-            worker.point[base + d] = s;
-        }
-    }
-}
-
-/// Serial execution of dim 0 over `[lo, hi)`; inner dims recurse lazily.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_map_serial(
-    ctx: &Ctx,
-    sid: StateId,
-    tree: &ScopeTree,
-    params: &[String],
-    ranges: &[sdfg_symbolic::SymRange],
-    body: &MapBody,
-    worker: &mut Worker,
-    base: usize,
-    lo: i64,
-    hi: i64,
-    step: i64,
-) -> Result<(), ExecError> {
-    alloc_locals(ctx, body, worker)?;
-    run_dim_span(
-        ctx, sid, tree, params, ranges, body, worker, base, 0, lo, hi, step,
-    )
+    alloc_locals(ctx, &plan.body, worker)?;
+    run_dim_span(ctx, sid, tree, plan, worker, base, 0, d0)
 }
 
 /// Allocates a generic body's thread-local transients on the worker (once;
@@ -982,49 +694,23 @@ pub(crate) fn alloc_locals(
     Ok(())
 }
 
+/// Executes dimension `dim` of a map over the `[lo, hi)` values of `span`
+/// on its `step` grid, recursing into the remaining dims. This is the one
+/// way the interpreted tiers walk a map: a serial launch calls it with dim
+/// 0's whole range, a scheduler tile with its sub-range.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn map_inner_dims(
+fn run_dim_span(
     ctx: &Ctx,
     sid: StateId,
     tree: &ScopeTree,
-    params: &[String],
-    ranges: &[sdfg_symbolic::SymRange],
-    body: &MapBody,
+    plan: &MapPlan,
     worker: &mut Worker,
     base: usize,
     dim: usize,
+    span: (i64, i64, i64),
 ) -> Result<(), ExecError> {
-    if dim == params.len() {
-        return run_map_body(ctx, sid, tree, body, worker);
-    }
-    let (s, e, st, _) = ranges[dim].eval(&worker.env)?;
-    if st <= 0 {
-        return Err(ExecError::BadGraph("map step must be positive".into()));
-    }
-    run_dim_span(
-        ctx, sid, tree, params, ranges, body, worker, base, dim, s, e, st,
-    )
-}
-
-/// Executes dimension `dim` of a map over an explicit `[lo, hi)` value
-/// span on a `step` grid, recursing into the remaining dims. This is the
-/// loop body of [`map_inner_dims`] with the bounds supplied by the caller,
-/// so scheduler tiles can run sub-ranges of a dimension.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_dim_span(
-    ctx: &Ctx,
-    sid: StateId,
-    tree: &ScopeTree,
-    params: &[String],
-    ranges: &[sdfg_symbolic::SymRange],
-    body: &MapBody,
-    worker: &mut Worker,
-    base: usize,
-    dim: usize,
-    lo: i64,
-    hi: i64,
-    step: i64,
-) -> Result<(), ExecError> {
+    let (params, body) = (&plan.params, &plan.body);
+    let (lo, hi, step) = span;
     // A single-tasklet body runs the span on the map's kernel where it
     // starts (a whole-map kernel of more than one dim one dim-0 value at a
     // time, below, so a row it declines declines alone), and its innermost
@@ -1069,7 +755,16 @@ pub(crate) fn run_dim_span(
         }
         worker.point[base + dim] = v;
         bind(&mut worker.env, &params[dim], v);
-        map_inner_dims(ctx, sid, tree, params, ranges, body, worker, base, dim + 1)?;
+        match plan.ranges.get(dim + 1) {
+            None => run_map_body(ctx, sid, tree, body, worker)?,
+            Some(r) => {
+                let (s, e, st, _) = r.eval(&worker.env)?;
+                if st <= 0 {
+                    return Err(ExecError::BadGraph("map step must be positive".into()));
+                }
+                run_dim_span(ctx, sid, tree, plan, worker, base, dim + 1, (s, e, st))?;
+            }
+        }
         v += step;
     }
     unbind(&mut worker.env, &params[dim], shadowed);
@@ -1077,7 +772,7 @@ pub(crate) fn run_dim_span(
     Ok(())
 }
 
-pub(crate) fn run_map_body(
+fn run_map_body(
     ctx: &Ctx,
     sid: StateId,
     tree: &ScopeTree,

@@ -700,7 +700,12 @@ impl<'s> Executor<'s> {
         // The run's own counters: every event below is counted here.
         let stats = AtomicStats::default();
         self.prepare(&stats)?;
-        let key = PlanKey::new(self.chash, &self.symbols).with_target(target_tag);
+        // Buffers take slots in sorted-name order, so the layout is
+        // deterministic for one set of containers; the set is part of the
+        // plan key, since compiled artifacts index buffers by slot.
+        let mut names: Vec<String> = self.arrays.keys().cloned().collect();
+        names.sort_unstable();
+        let key = PlanKey::new(self.chash, &self.symbols, names.clone()).with_target(target_tag);
         let (plan, hit) = self.cfg.plan_cache.lookup(key);
         let lookups = if hit {
             &stats.plan_cache_hits
@@ -711,12 +716,6 @@ impl<'s> Executor<'s> {
         self.plan = Some(plan.clone());
         let sdfg = self.sdfg;
         // Move arrays into shared buffers (slot-indexed for hot paths).
-        // Slots are assigned in sorted-name order so they are deterministic
-        // run to run; `ensure_layout` drops slot-dependent plan artifacts
-        // if the bound-array set ever changes.
-        let mut names: Vec<String> = self.arrays.keys().cloned().collect();
-        names.sort_unstable();
-        plan.ensure_layout(&names);
         let mut bufs = Vec::with_capacity(names.len());
         let mut buf_index = HashMap::with_capacity(names.len());
         for (i, k) in names.iter().enumerate() {
@@ -917,11 +916,11 @@ mod tests {
     use sdfg_core::DType;
     use sdfg_frontend::SdfgBuilder;
 
-    /// Two runs sharing one plan whose bound-array sets differ shift the
-    /// slot indices; the plan must drop slot-dependent artifacts and still
-    /// be correct.
+    /// Two array sets of one program lay their buffers out in different
+    /// slots, so each gets its own plan; a repeated set hits its plan, and
+    /// every run is bitwise the interpreter's.
     #[test]
-    fn rebinding_an_array_set_recompiles_safely() {
+    fn each_array_set_gets_its_own_plan() {
         let mut b = SdfgBuilder::new("ew");
         b.symbol("N");
         b.array("A", &["N"], DType::F64);
@@ -940,9 +939,18 @@ mod tests {
         let chash = sdfg_core::serialize::content_hash(&sdfg);
         let cfg = RunConfig::private(1);
         let n = 16usize;
-        let a: Vec<f64> = (0..n).map(|x| x as f64).collect();
+        let a: Vec<f64> = (0..n).map(|x| x as f64 / 3.0).collect();
         let b: Vec<f64> = (0..n).map(|x| (x * 3 % 7) as f64).collect();
-        let run = |extra: Option<&str>| {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut interp = sdfg_interp::Interpreter::new(&sdfg);
+        interp.set_symbol("N", n as i64);
+        interp.set_array("A", a.clone());
+        interp.set_array("B", b.clone());
+        interp.set_array("C", vec![0.0; n]);
+        interp.run().expect("interp");
+        let want = bits(interp.array("C"));
+        // "Aux" is bound but unused: it sorts first, so every slot shifts.
+        for extra in [None, Some("Aux"), None, Some("Aux")] {
             let mut arrays = HashMap::from([
                 ("A".to_string(), a.clone()),
                 ("B".to_string(), b.clone()),
@@ -954,17 +962,10 @@ mod tests {
             let symbols = Env::from([("N".to_string(), n as i64)]);
             let mut ex = Executor::new(&sdfg, chash, cfg.clone(), symbols, arrays);
             ex.run().expect("run");
-            ex.take_outputs().remove("C").unwrap()
-        };
-        run(None);
-        // Bind an extra (unused) array: the sorted layout changes.
-        let got = run(Some("Aux"));
-        assert_eq!(
-            cfg.plan_cache.stats().hits,
-            1,
-            "the second run shares the plan"
-        );
-        let want: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x * 2.0 + y).collect();
-        assert_eq!(got, want);
+            assert_eq!(bits(&ex.take_outputs()["C"]), want, "extra {extra:?}");
+        }
+        let s = cfg.plan_cache.stats();
+        assert_eq!((s.misses, s.hits), (2, 2), "one plan per array set");
+        assert_eq!(cfg.plan_cache.len(), 2);
     }
 }

@@ -60,7 +60,7 @@ mod tasklet;
 pub use cpu::CpuBackend;
 pub use dispatch::{Backend, BackendStats, RunCtx, ScopeStats};
 pub use engine::ExecError;
-pub use lower::{LowerTier, MapLowering};
+pub use lower::MapLowering;
 pub use plan::{CacheStats, PlanCache};
 pub use pool::{BufferPool, PoolStats};
 pub use sched::{SchedPool, SchedStats};

@@ -19,7 +19,9 @@
 //! through to tier N+1 at run time (a window that fails to resolve for a
 //! particular launch, an out-of-bounds offset the legacy tiers clamp), so
 //! the chosen tier is a ceiling, never a promise that skips correctness
-//! checks. The static tier is decided at plan time from the body alone.
+//! checks. The static tier is decided at plan time from the body alone,
+//! and is the [`sdfg_profile::Tier`] the profile and the lowering report
+//! name it by (never [`Tier::Jit`], which is the map's kernel).
 //! The hotness gate (`JIT_MIN_POINTS`) decides compiles, not calls: the
 //! first launch whose actual extents (`Worker::volume`) reach it requests
 //! the map's kernel, and once that kernel has loaded every launch asks it,
@@ -42,8 +44,7 @@
 //! with a recorded reason.
 
 use crate::engine::{Ctx, ExecError, Worker};
-use crate::tasklet::{try_native_loop, try_vm_loop, BodyTasklet, InPort, WindowPlan};
-use sdfg_core::Wcr;
+use crate::tasklet::{try_native_loop, try_vm_loop, vm_eligible, BodyTasklet};
 use sdfg_graph::NodeId;
 use sdfg_profile::Tier;
 use std::sync::Arc;
@@ -54,31 +55,6 @@ use std::sync::Arc;
 /// admits. Extents that depend on a map parameter or a connector count as
 /// hot.
 pub(crate) const JIT_MIN_POINTS: i64 = 256;
-
-/// The execution tier a map body was lowered to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LowerTier {
-    /// JIT-compiled native code.
-    Jit,
-    /// Hand-written Rust micro-kernel for a recognized pattern.
-    MicroKernel,
-    /// Affine VM loop (bytecode per point, O(1) offsets).
-    AffineVm,
-    /// Symbolic per-point fallback.
-    Symbolic,
-}
-
-impl LowerTier {
-    /// Short name for reports (`jit`, `native`, `affine-vm`, `symbolic`).
-    pub fn name(self) -> &'static str {
-        match self {
-            LowerTier::Jit => "jit",
-            LowerTier::MicroKernel => "native",
-            LowerTier::AffineVm => "affine-vm",
-            LowerTier::Symbolic => "symbolic",
-        }
-    }
-}
 
 /// One map's lowering decision, as surfaced by
 /// [`crate::Outputs::lowering_report`].
@@ -96,44 +72,15 @@ pub struct MapLowering {
     pub jit_reason: Option<String>,
 }
 
-/// Static mirror of `try_vm_loop`'s eligibility gate.
-fn vm_eligible(bt: &BodyTasklet, innermost: Option<&String>) -> bool {
-    const MAX_PORTS: usize = 12;
-    if bt.ins.len() > MAX_PORTS || bt.outs.len() > MAX_PORTS || bt.outs.is_empty() {
-        return false;
-    }
-    if bt.prog.symbols.iter().any(|s| Some(s) == innermost) {
-        return false;
-    }
-    let in_ok = |p: &InPort| {
-        !p.stream && (p.window.is_scalar_fast() || matches!(p.window, WindowPlan::Full))
-    };
-    if !bt.ins.iter().all(in_ok) {
-        return false;
-    }
-    bt.outs.iter().all(|o| {
-        if matches!(o.wcr, Some(Wcr::Custom(_))) {
-            return false;
-        }
-        if o.stream {
-            return true;
-        }
-        if o.log {
-            return matches!(o.window, WindowPlan::Full);
-        }
-        o.window.is_scalar_fast()
-    })
-}
-
 /// Decides the static (pre-JIT) tier of a map body at plan-build time: the
 /// tier the try-in-order dispatch reaches when every window resolves.
 /// Multi-tasklet bodies run per point; each tasklet may still use its own
 /// fast path inside `run_tasklet_point`.
-pub(crate) fn decide_lowering(worker: &Worker, ts: &[(NodeId, Arc<BodyTasklet>)]) -> LowerTier {
+pub(crate) fn decide_lowering(worker: &Worker, ts: &[(NodeId, Arc<BodyTasklet>)]) -> Tier {
     match ts {
-        [(_, bt)] if bt.native.is_some() => LowerTier::MicroKernel,
-        [(_, bt)] if vm_eligible(bt, worker.pstack.last()) => LowerTier::AffineVm,
-        _ => LowerTier::Symbolic,
+        [(_, bt)] if bt.native.is_some() => Tier::NativeKernel,
+        [(_, bt)] if vm_eligible(bt, worker.pstack.last()) => Tier::AffineVm,
+        _ => Tier::Symbolic,
     }
 }
 
@@ -162,7 +109,7 @@ pub(crate) const GENERIC_BODY: &str =
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_inner_span(
     ctx: &Ctx,
-    mut tier: LowerTier,
+    mut tier: Tier,
     bt: &BodyTasklet,
     worker: &mut Worker,
     dim: usize,
@@ -172,22 +119,17 @@ pub(crate) fn run_inner_span(
 ) -> Result<bool, ExecError> {
     let t0 = worker.tier_clock();
     loop {
-        let (ran, prof, next) = match tier {
-            // `Jit` is never a static tier.
-            LowerTier::Jit | LowerTier::MicroKernel => (
+        let (ran, next) = match tier {
+            Tier::NativeKernel => (
                 try_native_loop(ctx, bt, worker, dim, s, e, st)?,
-                Tier::NativeKernel,
-                LowerTier::AffineVm,
-            ),
-            LowerTier::AffineVm => (
-                try_vm_loop(ctx, bt, worker, dim, s, e, st)?,
                 Tier::AffineVm,
-                LowerTier::Symbolic,
             ),
-            LowerTier::Symbolic => return Ok(false),
+            Tier::AffineVm => (try_vm_loop(ctx, bt, worker, dim, s, e, st)?, Tier::Symbolic),
+            // `Jit` is never a static tier.
+            Tier::Symbolic | Tier::Jit => return Ok(false),
         };
         if ran.is_some() {
-            worker.tier_record(t0, prof);
+            worker.tier_record(t0, tier);
             return Ok(true);
         }
         tier = next;

@@ -1515,9 +1515,7 @@ pub(crate) fn launch_map_nest(
     };
     // Tiles run concurrently: the kernel may not combine where another
     // tile does, and its dim-0 tiles must be write-disjoint.
-    let TileSet::Dim0 { ranges, .. } = tiles else {
-        return None;
-    };
+    let ranges = &tiles.ranges;
     if !core.launch_exclusive(ctx.chash, atomic, true) {
         return None;
     }

@@ -4,8 +4,9 @@
 //! paid when an SDFG is first seen, and subsequent invocations dispatch a
 //! cached executable. This module gives the executor the same shape. A
 //! [`PlanCache`] maps a [`PlanKey`] — the stable content hash of the SDFG
-//! (`sdfg_core::serialize::content_hash`) plus the initial symbol
-//! bindings — to an `ExecutionPlan` holding everything lowering produces:
+//! (`sdfg_core::serialize::content_hash`), the initial symbol bindings and
+//! the names of the containers the run binds — to an `ExecutionPlan`
+//! holding everything lowering produces:
 //! per-state scope trees and topological orders, compiled tasklet bodies,
 //! and map plans.
 //!
@@ -17,7 +18,11 @@
 //!   serialized edit (node added, memlet changed) yields a different key,
 //!   so a mutated SDFG can never alias a stale plan. Symbol bindings are
 //!   part of the key because lowering constant-folds them into window
-//!   offsets and iteration counts.
+//!   offsets and iteration counts. So is the container layout: a run's
+//!   buffers take slots in sorted-name order, and compiled artifacts
+//!   index buffers by slot, so a run binding another set of containers
+//!   gets its own plan. The key holds the names themselves, compared for
+//!   equality, so no collision can alias two layouts.
 //! * **The compile context.** Tasklet and map compilation additionally
 //!   read per-worker state that is not part of the key: the parameter
 //!   stack (launch-time constants first, then the enclosing map
@@ -36,10 +41,6 @@
 //! affine in such a symbol folds its value, and the context then records
 //! `(symbol, value)` — the point gets a second variant when, and only
 //! when, that symbol takes a second value there.
-//!
-//! Plans also record the deterministic container→slot layout of the run
-//! that populated them; if a later run binds a different set of arrays,
-//! slot-dependent artifacts are dropped (see `ExecutionPlan::ensure_layout`).
 
 use crate::cpu::MapPlan;
 use crate::engine::Worker;
@@ -73,8 +74,9 @@ pub(crate) fn record_variant_cap(chash: u64, label: &str) {
     crate::jit::record_fallback(chash, label, "plan-variant-cap", &detail);
 }
 
-/// Identity of a lowered plan: program content hash + initial symbol
-/// bindings (sorted for a canonical representation).
+/// Identity of a lowered plan: program content hash, initial symbol
+/// bindings and bound containers (each sorted for a canonical
+/// representation).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// `sdfg_core::serialize::content_hash` of the program.
@@ -86,11 +88,15 @@ pub struct PlanKey {
     /// lowers scopes differently per target, so plans must not alias
     /// across assignments.
     pub target: u64,
+    /// Names of the containers the run binds, sorted: buffer slot `i` is
+    /// container `containers[i]`, and compiled artifacts index by slot.
+    pub containers: Vec<String>,
 }
 
 impl PlanKey {
-    /// Builds a key from a content hash and an environment (CPU target).
-    pub fn new(sdfg_hash: u64, symbols: &Env) -> PlanKey {
+    /// Builds a key from a content hash, an environment and the sorted
+    /// names of the bound containers (CPU target).
+    pub fn new(sdfg_hash: u64, symbols: &Env, containers: Vec<String>) -> PlanKey {
         let mut symbols: Vec<(String, i64)> =
             symbols.iter().map(|(k, &v)| (k.clone(), v)).collect();
         symbols.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -98,6 +104,7 @@ impl PlanKey {
             sdfg_hash,
             symbols,
             target: 0,
+            containers,
         }
     }
 
@@ -387,8 +394,6 @@ type NestCache<K, P> = Mutex<HashMap<K, NestResult<P>>>;
 /// The cached lowering of one (SDFG, symbol bindings) pair.
 #[derive(Default)]
 pub(crate) struct ExecutionPlan {
-    /// Container→slot layout (sorted names) of the populating run.
-    layout: Mutex<Option<Vec<String>>>,
     /// See [`Invariants`].
     invariants: OnceLock<Arc<Invariants>>,
     /// Per-state structural plans, keyed by state id.
@@ -414,26 +419,6 @@ pub(crate) struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Validates the run's slot layout against the plan's. On first use the
-    /// layout is recorded; on a mismatch (the bound-array set changed
-    /// between runs) every slot-dependent artifact is dropped so stale
-    /// slots can never be dereferenced. State plans survive — they are
-    /// layout-independent.
-    pub fn ensure_layout(&self, names: &[String]) {
-        let mut layout = self.layout.lock();
-        match layout.as_deref() {
-            Some(l) if l == names => {}
-            Some(_) => {
-                self.tasklets.lock().clear();
-                self.maps.lock().clear();
-                self.loop_nests.lock().clear();
-                self.map_nests.lock().clear();
-                *layout = Some(names.to_vec());
-            }
-            None => *layout = Some(names.to_vec()),
-        }
-    }
-
     /// The plan's invariants, derived on first use. `symbols` are the
     /// initial bindings of the run — the same for every run this plan
     /// serves, since they are part of its key.
@@ -584,7 +569,7 @@ mod tests {
         for (k, v) in syms {
             env.insert((*k).to_string(), *v);
         }
-        PlanKey::new(h, &env)
+        PlanKey::new(h, &env, Vec::new())
     }
 
     #[test]
@@ -620,48 +605,5 @@ mod tests {
         let a = key(7, &[("A", 1), ("B", 2)]);
         let b = key(7, &[("B", 2), ("A", 1)]);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn layout_change_drops_compiled_artifacts() {
-        let plan = ExecutionPlan::default();
-        let names = vec!["A".to_string(), "B".to_string()];
-        plan.ensure_layout(&names);
-        plan.insert_state(
-            0,
-            StatePlan {
-                tree: ScopeTree::default(),
-                order: Vec::new(),
-                muts: Vec::new(),
-            },
-        );
-        let ctx = CompileCtx {
-            pstack: Vec::new(),
-            pcounts: Vec::new(),
-            chunk: None,
-            locals: Vec::new(),
-            jit: false,
-            folded: Vec::new(),
-        };
-        plan.insert_tasklet(
-            (0, 1),
-            ctx,
-            Arc::new(crate::tasklet::BodyTasklet::test_dummy()),
-        );
-        let cached = |plan: &ExecutionPlan| {
-            plan.tasklets
-                .lock()
-                .get(&(0, 1))
-                .map_or(0, |v| v.list.len())
-        };
-        assert_eq!(cached(&plan), 1);
-        // Same layout: artifacts survive.
-        plan.ensure_layout(&names);
-        assert_eq!(cached(&plan), 1);
-        // New array bound → slots shift → compiled artifacts are dropped,
-        // structural state plans survive.
-        plan.ensure_layout(&["A".to_string(), "B".to_string(), "C".to_string()]);
-        assert_eq!(cached(&plan), 0);
-        assert!(plan.state(0).is_some());
     }
 }

@@ -89,20 +89,6 @@ pub(crate) struct BodyTasklet {
     pub(crate) native: Option<NativePlan>,
 }
 
-#[cfg(test)]
-impl BodyTasklet {
-    /// Minimal instance for plan-cache unit tests.
-    pub(crate) fn test_dummy() -> BodyTasklet {
-        BodyTasklet {
-            prog: TaskletProgram::compile("o = 1", &[], &["o".to_string()])
-                .expect("trivial tasklet compiles"),
-            ins: Vec::new(),
-            outs: Vec::new(),
-            native: None,
-        }
-    }
-}
-
 /// Compiles a tasklet node's ports at a compile site: windows become
 /// affine functions of the solver's names, over its launch-invariant
 /// bindings.
@@ -788,24 +774,14 @@ pub(crate) fn try_native_loop(
     // the parameter point — this path runs once per inner-loop launch).
     worker.point[dim] = s;
     let snap = PointSnapshot::of(&worker.point);
-    let point = snap.as_slice();
-    let resolve = |w: &WindowPlan, point: &[i64]| -> Option<(i64, i64)> {
-        match w {
-            WindowPlan::Scalar(sv) => {
-                let base = sv.eval(point, &Env::new()).ok()?;
-                let coeff = sv.coeff(dim)?;
-                Some((base, coeff * st))
-            }
-            _ => None,
-        }
-    };
+    let resolve = |w: &WindowPlan| span_offsets(w, snap.as_slice(), dim, st);
     let out = &bt.outs[0];
-    let Some((out_base, out_step)) = resolve(&out.window, point) else {
+    let Some((out_base, out_step)) = resolve(&out.window) else {
         return Ok(None);
     };
     let mut in_bases = Vec::with_capacity(bt.ins.len());
     for p in &bt.ins {
-        let Some(b) = resolve(&p.window, point) else {
+        let Some(b) = resolve(&p.window) else {
             return Ok(None);
         };
         in_bases.push(b);
@@ -963,6 +939,56 @@ pub(crate) fn try_native_loop(
     Ok(Some(()))
 }
 
+/// A scalar window's offset at the span's first point `point`, and its
+/// stride per step `st` of parameter `dim`; `None` for any other window
+/// or one not affine in `dim`.
+fn span_offsets(w: &WindowPlan, point: &[i64], dim: usize, st: i64) -> Option<(i64, i64)> {
+    match w {
+        WindowPlan::Scalar(sv) => {
+            let base = sv.eval(point, &Env::new()).ok()?;
+            let coeff = sv.coeff(dim)?;
+            Some((base, coeff * st))
+        }
+        _ => None,
+    }
+}
+
+/// Most input or output ports the VM loop takes.
+const MAX_PORTS: usize = 12;
+
+/// The VM loop's static gate, which the lowering decision reads too: at
+/// most [`MAX_PORTS`] ports each way and at least one output; no read of
+/// the innermost parameter `innermost` as a symbol (this loop does not
+/// rebind it per point); inputs are affine scalars or whole containers;
+/// outputs are affine scalars, streams or whole-container logs, with no
+/// custom WCR.
+pub(crate) fn vm_eligible(bt: &BodyTasklet, innermost: Option<&String>) -> bool {
+    if bt.ins.len() > MAX_PORTS || bt.outs.len() > MAX_PORTS || bt.outs.is_empty() {
+        return false;
+    }
+    if bt.prog.symbols.iter().any(|s| Some(s) == innermost) {
+        return false;
+    }
+    let in_ok = |p: &InPort| {
+        !p.stream && (p.window.is_scalar_fast() || matches!(p.window, WindowPlan::Full))
+    };
+    if !bt.ins.iter().all(in_ok) {
+        return false;
+    }
+    bt.outs.iter().all(|o| {
+        if matches!(o.wcr, Some(Wcr::Custom(_))) {
+            return false;
+        }
+        if o.stream {
+            return true;
+        }
+        if o.log {
+            return matches!(o.window, WindowPlan::Full);
+        }
+        o.window.is_scalar_fast()
+    })
+}
+
 /// Allocation-free inner loop for unrecognized tasklets whose ports are all
 /// affine scalars: the bytecode VM runs per point with stack-resident
 /// buffers and pre-resolved offset strides.
@@ -976,19 +1002,7 @@ pub(crate) fn try_vm_loop(
     e: i64,
     st: i64,
 ) -> Result<Option<()>, ExecError> {
-    const MAX_PORTS: usize = 12;
-    if bt.ins.len() > MAX_PORTS || bt.outs.len() > MAX_PORTS || bt.outs.is_empty() {
-        return Ok(None);
-    }
-    // Symbol-reading bodies: values must be loop-invariant here (the
-    // innermost parameter is not re-inserted into the env by this loop).
-    let innermost_name = worker.pstack.get(dim).cloned();
-    if bt
-        .prog
-        .symbols
-        .iter()
-        .any(|s| Some(s) == innermost_name.as_ref())
-    {
+    if !vm_eligible(bt, worker.pstack.get(dim)) {
         return Ok(None);
     }
     let mut symvals = Vec::with_capacity(bt.prog.symbols.len());
@@ -1003,51 +1017,20 @@ pub(crate) fn try_vm_loop(
     if st <= 0 || s >= e {
         return Ok(if s >= e { Some(()) } else { None });
     }
-    // Inputs: affine scalars or full-container passthroughs (no streams).
-    for p in &bt.ins {
-        if p.stream {
-            return Ok(None);
-        }
-        let ok = p.window.is_scalar_fast()
-            || (matches!(p.window, WindowPlan::Full) && !worker.locals.contains_key(&p.data));
-        if !ok {
-            return Ok(None);
-        }
-    }
-    // Outputs: affine scalars, streams (flushed per chunk), or contiguous
-    // write-log ports; no custom WCR.
-    for o in &bt.outs {
-        if matches!(o.wcr, Some(Wcr::Custom(_))) {
-            return Ok(None);
-        }
-        if o.stream {
-            continue;
-        }
-        if o.log {
-            // Only whole-container logs (contiguous, base 0).
-            if !matches!(o.window, WindowPlan::Full) {
-                return Ok(None);
-            }
-            continue;
-        }
-        if !o.window.is_scalar_fast() {
-            return Ok(None);
-        }
+    // A whole-container input is passed by reference from the shared
+    // buffer, so it may not be a thread-local overlay.
+    let full = |p: &InPort| matches!(p.window, WindowPlan::Full);
+    if bt
+        .ins
+        .iter()
+        .any(|p| full(p) && worker.locals.contains_key(&p.data))
+    {
+        return Ok(None);
     }
     let n = (((e - s) + st - 1) / st) as usize;
     worker.point[dim] = s;
     let snap = PointSnapshot::of(&worker.point);
-    let point = snap.as_slice();
-    let resolve = |w: &WindowPlan| -> Option<(i64, i64)> {
-        match w {
-            WindowPlan::Scalar(sv) => {
-                let base = sv.eval(point, &Env::new()).ok()?;
-                let coeff = sv.coeff(dim)?;
-                Some((base, coeff * st))
-            }
-            _ => None,
-        }
-    };
+    let resolve = |w: &WindowPlan| span_offsets(w, snap.as_slice(), dim, st);
     let mut in_off = [(0i64, 0i64); MAX_PORTS];
     let mut in_full = [false; MAX_PORTS];
     for (k, p) in bt.ins.iter().enumerate() {

@@ -18,6 +18,22 @@
 //!
 //! Otherwise the answer is unknown, with the sub-term [`Expr::affine_in`]
 //! stopped at when there is one.
+//!
+//! # What this module does not answer
+//!
+//! Some gates near these questions ask no element-overlap question, so
+//! they stay with their callers:
+//!
+//! * the scheduler's determinism gate (`steal_deterministic` in
+//!   `sdfg-exec`) asks how an output combines (atomic, stream push, log
+//!   append), that is, whether the combine order follows steal timing;
+//! * the `Vectorization` pass and the `gpu-sim` coalescing model ask how
+//!   far one access moves per step of the innermost parameter
+//!   ([`Expr::stride_in`]), a memory-layout question;
+//! * the serial-collapse gate of a loop nest (`sdfg-exec`'s nest builder)
+//!   asks whether a WCR output's coefficient on the chunk parameter is
+//!   zero, which is the interpreter's own serial-launch condition, not
+//!   whether two accesses meet.
 
 use crate::{Env, Expr, Subset, SymRange};
 
