@@ -548,15 +548,16 @@ fn lowering_table(lowerings: &[sdfg_exec::MapLowering]) -> String {
     }
     let mut out = String::from("lowering decisions\n");
     out.push_str(&format!(
-        "{:<32} {:>10}  {}\n",
-        "map", "tier", "jit fallback reason"
+        "{:<32} {:>10}  {:<44}  {}\n",
+        "map", "tier", "jit fallback reason", "ran serially because"
     ));
     for l in lowerings {
         out.push_str(&format!(
-            "{:<32} {:>10}  {}\n",
+            "{:<32} {:>10}  {:<44}  {}\n",
             format!("s{}/n{} {}", l.state, l.node, l.label),
             l.tier,
-            l.jit_reason.as_deref().unwrap_or("-")
+            l.jit_reason.as_deref().unwrap_or("-"),
+            l.serial_reason.as_deref().unwrap_or("-")
         ));
     }
     out

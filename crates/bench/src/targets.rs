@@ -19,7 +19,6 @@ use sdfg_exec::{BackendStats, Session};
 use sdfg_fpga_sim::{vcu1525, FpgaMode, FpgaSimBackend};
 use sdfg_gpu_sim::{p100, GpuSimBackend};
 use sdfg_transforms::{apply_first, FpgaTransform, GpuTransform, Params};
-use sdfg_workloads::polybench;
 use sdfg_workloads::workload::Workload;
 
 /// Where `--target` sends a kernel's device-scheduled scopes.
@@ -235,12 +234,12 @@ pub fn targeted(only: &[String], scale: usize, target: Target, json: bool) {
             ""
         );
     }
-    for k in polybench::all() {
-        if !only.is_empty() && !only.iter().any(|n| n == k.name) {
+    for (name, build) in crate::experiments::profiled_kernels() {
+        if !only.is_empty() && !only.iter().any(|n| n == name) {
             continue;
         }
         matched = true;
-        let w = (k.build)(scale);
+        let w = build(scale);
         match run_workload_targeted(&w, target) {
             Ok(run) => {
                 if !run.verified() {
@@ -264,7 +263,7 @@ pub fn targeted(only: &[String], scale: usize, target: Target, json: bool) {
                 };
                 println!(
                     "{:<16} {:>9} {:>12.4} {:>12} {:>12} {:<8} {}",
-                    k.name,
+                    name,
                     if run.verified() { "yes" } else { "NO" },
                     modeled_s * 1e3,
                     h2d,
@@ -273,10 +272,10 @@ pub fn targeted(only: &[String], scale: usize, target: Target, json: bool) {
                     names.join(" ")
                 );
                 if json {
-                    let path = format!("BENCH_{}.json", k.name);
+                    let path = format!("BENCH_{name}.json");
                     let body = format!(
                         "{{\n  \"kernel\": \"{}\",\n  \"scale\": {},\n  {}\n}}\n",
-                        k.name,
+                        name,
                         scale,
                         target_json_fields(&run)
                     );
@@ -286,12 +285,15 @@ pub fn targeted(only: &[String], scale: usize, target: Target, json: bool) {
             }
             Err(e) => {
                 failed = true;
-                println!("{:<16} error: {e}", k.name);
+                println!("{name:<16} error: {e}");
             }
         }
     }
     if !matched {
-        let names: Vec<&str> = polybench::all().iter().map(|k| k.name).collect();
+        let names: Vec<&str> = crate::experiments::profiled_kernels()
+            .iter()
+            .map(|k| k.0)
+            .collect();
         eprintln!("no kernel matched; known kernels: {}", names.join(", "));
         std::process::exit(2);
     }

@@ -202,3 +202,22 @@ fn map_collapse_declines_a_body_between_the_exits() {
     let text = report.to_string();
     assert!(!text.contains("rolled back"), "{text}");
 }
+
+/// MapToForLoop's volume hint counts the points of the maps nested in a
+/// map's body: histogram's 10 tiles at 640 each sweep 64×640 pixels, so
+/// the tile map stays parallel, while at 32 one tile of 32×32 pixels is
+/// too small to amortize a parallel launch.
+#[test]
+fn map_to_for_loop_counts_nested_points() {
+    for (n, fires) in [(640, false), (32, true)] {
+        let w = kernels::histogram(n);
+        let mut sdfg = w.sdfg.clone();
+        let report = optimize_with_env(&mut sdfg, OptLevel::Aggressive, &env_of(&w)).unwrap();
+        let fired = report
+            .applied
+            .steps
+            .iter()
+            .any(|s| s.transform == "MapToForLoop");
+        assert_eq!(fired, fires, "histogram@{n}: {report}");
+    }
+}

@@ -75,7 +75,26 @@
 //! * **Write logs** ([`JitOutMode::Log`]): stores at a computed index are
 //!   staged per point (a negative index or one past `u32::MAX` faults, as
 //!   in the VM) and combined into the container once the body completes;
-//!   an index past the container's end is ignored.
+//!   an index past the container's end is ignored. A log whose stores all
+//!   use one constant index, whose port address reads no kernel dim and
+//!   whose container no other port of the kernel addresses (query's
+//!   match count) is *register-folded*: the element is loaded into a
+//!   register once, each point folds its stores into a copy of it in
+//!   store order, the copy becomes the register where the staged log
+//!   would have been combined, and the register is stored back past the
+//!   `sdfg_done` label — on both exits, so a fault leaves the element
+//!   holding the completed points' combines, as the VM does.
+//! * **Stream pushes** ([`JitOutMode::Stream`]): values are appended to a
+//!   staging port the executor sizes for [`pushes_to`] pushes per point.
+//!   A push that is the only one to its stream in an `if` arm, whose
+//!   value reads nothing the arm assigns and no indexed port, under a
+//!   condition that reads no indexed port, stores speculatively before
+//!   the branch (`stage[ns] = v`) and leaves the arm only `++ns`: a slot
+//!   past the count is never appended, and the slot lies inside the
+//!   staging because `pushes_to` counts the push. When both arms consist
+//!   of such pushes and single stores to register-folded logs, the
+//!   branch becomes selects: `ns += taken` and a bitwise `sdfg_sel` of
+//!   the arms' values, with no data-dependent jump.
 //! * **Clamped ports** ([`NestSpec::clamped`]): a port addressed through
 //!   a loaded-bound dimension reads `0.0` past the end and clamps negative
 //!   offsets to element 0, and its stores are dropped past the end — the
@@ -103,11 +122,17 @@
 //!   output element and stored back once, so the element folds its terms
 //!   in the interpreter's order from the interpreter's seed — in the strip
 //!   form too, one register per element;
+//! * a register-folded log combines the same values into the same element
+//!   in the same order as the staged log it replaces, and a speculative
+//!   staging store or a select computes only values that cannot fault and
+//!   appends only what the taken arm pushes: both change when memory is
+//!   written, never what it holds once a launch returns;
 //! * WCR combines are plain read-modify-writes. The executor only calls a
 //!   kernel whose combines its race analysis marked atomic (or which has
 //!   write logs or streams) from a launch that runs serially outside any
-//!   parallel tile, where an uncontended compare-and-swap and a plain
-//!   combine produce the same bits.
+//!   parallel tile, or from inside one when every container the kernel
+//!   combines into is private to the tile, where an uncontended
+//!   compare-and-swap and a plain combine produce the same bits.
 //!
 //! Anything this module cannot prove bitwise-equivalent yields
 //! `Err(reason)`; the executor records the reason and falls back to the
@@ -115,7 +140,7 @@
 
 use crate::c_expr::{collect_locals, vm_bin_to_c, vm_expr_to_c, VmName, VmScope};
 use sdfg_lang::ast::{BinOp, ExprAst, Stmt};
-use sdfg_lang::recognize::sole_assignment;
+use sdfg_lang::recognize::{reads, sole_assignment};
 use sdfg_lang::TaskletProgram;
 use std::fmt::Write as _;
 
@@ -232,6 +257,15 @@ const SDFG_RD: &str = "static double sdfg_rd(const double *p, long long n, long 
     \x20 return o < n ? p[o] : 0.0;\n\
     }\n";
 
+/// A branch-free choice between two doubles, bit for bit: `a` when `c`
+/// is nonzero, else `b`.
+const SDFG_SEL: &str = "static double sdfg_sel(int c, double a, double b) {\n\
+    \x20 union { double d; unsigned long long u; } x = {a}, y = {b};\n\
+    \x20 const unsigned long long m = -(unsigned long long)(c != 0);\n\
+    \x20 x.u = (x.u & m) | (y.u & ~m);\n\
+    \x20 return x.d;\n\
+    }\n";
+
 // --- nest specification --------------------------------------------------------
 
 /// One output binding of a nest tasklet: which global port it writes and
@@ -312,6 +346,11 @@ pub struct NestSpec<'a> {
     /// the nest was built with). Only the strip form (see
     /// [`STRIP`]) consults it, and an empty table disables that form.
     pub reads: Vec<Vec<usize>>,
+    /// Per port, an identifier of the container it addresses: ports with
+    /// equal identifiers may alias. Only the register-folded write log
+    /// (see [`JitOutMode::Log`]) consults it, and an empty table disables
+    /// that form.
+    pub containers: Vec<usize>,
 }
 
 /// Points per strip of the strip-accumulated reduction form: a loop whose
@@ -388,14 +427,22 @@ pub fn emit_nest_kernel(spec: &NestSpec<'_>) -> Result<String, String> {
         acc: "acc",
         uses_i64: false,
         uses_rd: false,
+        uses_sel: false,
         fallible: false,
         streams: Vec::new(),
+        regs: Vec::new(),
         tmp: 0,
     };
     for (t, tk) in spec.tasklets.iter().enumerate() {
         for (j, o) in tk.outs.iter().enumerate() {
-            if o.mode == JitOutMode::Stream {
-                em.streams.push((t, j));
+            match o.mode {
+                JitOutMode::Stream => em.streams.push((t, j)),
+                JitOutMode::Log(_) => {
+                    if let Some(at) = register_log(spec, t, j) {
+                        em.regs.push(((t, j), at));
+                    }
+                }
+                _ => {}
             }
         }
     }
@@ -408,7 +455,10 @@ pub fn emit_nest_kernel(spec: &NestSpec<'_>) -> Result<String, String> {
     if em.uses_rd {
         src.push_str(SDFG_RD);
     }
-    if em.uses_i64 || em.uses_rd {
+    if em.uses_sel {
+        src.push_str(SDFG_SEL);
+    }
+    if em.uses_i64 || em.uses_rd || em.uses_sel {
         src.push('\n');
     }
     let _ = writeln!(
@@ -422,9 +472,22 @@ pub fn emit_nest_kernel(spec: &NestSpec<'_>) -> Result<String, String> {
     for k in 0..em.streams.len() {
         let _ = writeln!(src, "  long long ns{k} = 0;");
     }
+    // A register-folded log's element, seeded once; an element past the
+    // container's end takes no combine, so its register is never stored.
+    for (k, &((t, j), at)) in em.regs.iter().enumerate() {
+        let (ptr, q, len) = em.reg_element(t, j, at);
+        let _ = writeln!(src, "  const long long lq{k} = {q};");
+        let _ = writeln!(src, "  double lr{k} = lq{k} < {len} ? {ptr}[lq{k}] : 0.0;");
+    }
     src.push_str(&em.src);
     if em.fallible {
         src.push_str("sdfg_done:\n");
+    }
+    // Both exits store the registers back: on a fault, the element holds
+    // the combines of the points that completed.
+    for (k, &((t, j), at)) in em.regs.iter().enumerate() {
+        let (ptr, _, len) = em.reg_element(t, j, at);
+        let _ = writeln!(src, "  if (lq{k} < {len}) {ptr}[lq{k}] = lr{k};");
     }
     for k in 0..em.streams.len() {
         let _ = writeln!(src, "  npts[{}] = ns{k};", STATUS_STREAMS + k);
@@ -490,6 +553,59 @@ pub fn pushes_to(body: &[Stmt], name: &str) -> usize {
         .sum()
 }
 
+/// The index every store to write-log output `name` makes, when each one
+/// stores at the same constant index the VM's log accepts (no index is
+/// index 0) and there is at least one.
+fn constant_log_index(body: &[Stmt], name: &str) -> Option<u32> {
+    fn walk(body: &[Stmt], name: &str, at: &mut Option<u32>) -> bool {
+        body.iter().all(|s| match s {
+            Stmt::Assign { target, .. } if target != name => true,
+            Stmt::Assign {
+                index, op: None, ..
+            } => {
+                let k = match index.as_deref() {
+                    None => 0,
+                    Some([ExprAst::Num(v)])
+                        if v.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(v) =>
+                    {
+                        *v as u32
+                    }
+                    _ => return false,
+                };
+                *at.get_or_insert(k) == k
+            }
+            Stmt::Assign { .. } => false,
+            Stmt::If { then, els, .. } => walk(then, name, at) && walk(els, name, at),
+            Stmt::Push { .. } => true,
+        })
+    }
+    let mut at = None;
+    walk(body, name, &mut at).then_some(at).flatten()
+}
+
+/// Whether write-log output `j` of call `t` folds into a register: every
+/// store to it is at one constant index, its port's address reads no
+/// kernel dim (so that index names one element for the whole call), and
+/// no other binding or port of the kernel addresses its container (so
+/// nothing reads the element between the combines). Returns the index.
+fn register_log(spec: &NestSpec<'_>, t: usize, j: usize) -> Option<u32> {
+    let tk = &spec.tasklets[t];
+    let p = tk.outs[j].port;
+    let tables = spec.reads.len() == spec.nports && spec.containers.len() == spec.nports;
+    let bindings = spec.tasklets.iter().flat_map(|c| {
+        let outs = c.outs.iter().map(|o| o.port);
+        c.ins.iter().copied().chain(outs)
+    });
+    let sole = tables
+        && spec.reads[p].is_empty()
+        && bindings.filter(|&q| q == p).count() == 1
+        && (0..spec.nports).all(|q| q == p || spec.containers[q] != spec.containers[p]);
+    if !sole || !spec.whole.contains(&p) {
+        return None;
+    }
+    constant_log_index(&tk.prog.body, &tk.prog.outputs[j])
+}
+
 /// Per-kernel emission state: the body text, plus what it turned out to
 /// need (helpers, the fault exit, stream counters).
 struct Emitter<'s, 'a> {
@@ -501,11 +617,17 @@ struct Emitter<'s, 'a> {
     uses_i64: bool,
     /// The body references `sdfg_rd`.
     uses_rd: bool,
+    /// The body references `sdfg_sel`.
+    uses_sel: bool,
     /// Some access can fail: the kernel needs the `sdfg_done` exit.
     fallible: bool,
     /// `(call, output slot)` of each stream output, in call then slot
     /// order: stream `k` counts its pushes in `ns{k}`.
     streams: Vec<(usize, usize)>,
+    /// `((call, output slot), index)` of each register-folded write log
+    /// (see [`register_log`]): log `k` folds into `lr{k}`, the element at
+    /// offset `lq{k}`.
+    regs: Vec<((usize, usize), u32)>,
     /// Counter for hoisted temporaries.
     tmp: usize,
 }
@@ -518,6 +640,19 @@ impl Emitter<'_, '_> {
 
     fn clamped(&self, p: usize) -> bool {
         self.spec.clamped.contains(&p)
+    }
+
+    /// The register a write log of call `t`, slot `j` folds into, if any.
+    fn reg(&self, t: usize, j: usize) -> Option<usize> {
+        self.regs.iter().position(|&(tj, _)| tj == (t, j))
+    }
+
+    /// `(base pointer, offset, length)` C expressions of the element a
+    /// register-folded log at index `at` combines into.
+    fn reg_element(&self, t: usize, j: usize, at: u32) -> (String, String, String) {
+        let p = self.spec.tasklets[t].outs[j].port;
+        let (ptr, off) = nest_port_ref(self.spec.ndims, p, &[]);
+        (ptr, format!("{off} + {at}"), self.len_ref(p))
     }
 
     /// C expression reading port `p` at the point spanned by `scope`.
@@ -853,6 +988,12 @@ impl Emitter<'_, '_> {
                     if !self.spec.whole.contains(&o.port) {
                         return Err("write log into a partial window".into());
                     }
+                    if let Some(r) = self.reg(t, j) {
+                        // The point folds into a copy, which becomes the
+                        // register only once the body has completed.
+                        let _ = writeln!(self.src, "{ind}double lp{j} = lr{r};");
+                        continue;
+                    }
                     let k = stores_to(&prog.body, &prog.outputs[j]).max(1);
                     let _ = writeln!(
                         self.src,
@@ -885,6 +1026,10 @@ impl Emitter<'_, '_> {
         for (j, o) in tk.outs.iter().enumerate() {
             match o.mode {
                 JitOutMode::Log(op) => {
+                    if let Some(r) = self.reg(t, j) {
+                        let _ = writeln!(self.src, "{ind}lr{r} = lp{j};");
+                        continue;
+                    }
                     let (ptr, off) = nest_port_ref(self.spec.ndims, o.port, scope);
                     let len = self.len_ref(o.port);
                     let _ = writeln!(
@@ -1081,17 +1226,11 @@ impl VmEmitState<'_, '_, '_, '_> {
     fn emit_stmt(&mut self, s: &Stmt, ind: &str) -> Result<(), String> {
         match s {
             Stmt::Push { stream, value } => {
-                let j = self.prog.outputs.iter().position(|x| x == stream);
-                let k = j.and_then(|j| self.em.streams.iter().position(|&s| s == (self.t, j)));
-                let (Some(j), Some(k)) = (j, k) else {
-                    return Err(format!("push to non-stream connector `{stream}`"));
-                };
+                let (slot, k) = self.stream_slot(stream)?;
                 let v = self.expr(value, ind)?;
-                let p = self.tasklet().outs[j].port;
-                let (ptr, off) = nest_port_ref(self.em.spec.ndims, p, &[]);
                 let _ = writeln!(
                     self.em.src,
-                    "{ind}{{ const double pv = {v}; {ptr}[{off} + ns{k}] = pv; ++ns{k}; }}"
+                    "{ind}{{ const double pv = {v}; {slot} = pv; ++ns{k}; }}"
                 );
                 Ok(())
             }
@@ -1133,24 +1272,178 @@ impl VmEmitState<'_, '_, '_, '_> {
                 }
                 Ok(())
             }
+            Stmt::If { cond, then, els } if self.selects(cond, then, els) => {
+                self.emit_select(cond, then, els, ind)
+            }
             Stmt::If { cond, then, els } => {
                 let c = self.expr(cond, ind)?;
+                // Speculative staging stores, ahead of the branch.
+                let pure = !self.reads_whole(cond);
+                let mut early = [Vec::new(), Vec::new()];
+                for (arm, (a, b)) in [(then, els), (els, then)].into_iter().enumerate() {
+                    for (i, s) in a.iter().enumerate() {
+                        if let Some((stream, value)) = self.speculates(s, a, b).filter(|_| pure) {
+                            let (slot, _) = self.stream_slot(stream)?;
+                            let v = self.expr(value, ind)?;
+                            let _ = writeln!(self.em.src, "{ind}{slot} = {v};");
+                            early[arm].push(i);
+                        }
+                    }
+                }
                 let _ = writeln!(self.em.src, "{ind}if (({c}) != 0.0) {{");
                 let fork = self.names.fork();
                 let inner = format!("{ind}  ");
-                for s in then {
-                    self.emit_stmt(s, &inner)?;
-                }
+                self.emit_arm(then, &early[0], &inner)?;
                 let then = self.names.next_arm(fork);
                 let _ = writeln!(self.em.src, "{ind}}} else {{");
-                for s in els {
-                    self.emit_stmt(s, &inner)?;
-                }
+                self.emit_arm(els, &early[1], &inner)?;
                 self.names.join(&then);
                 let _ = writeln!(self.em.src, "{ind}}}");
                 Ok(())
             }
         }
+    }
+
+    /// The staging slot C lvalue the next push to `stream` fills, and the
+    /// stream's counter index.
+    fn stream_slot(&self, stream: &str) -> Result<(String, usize), String> {
+        let j = self.prog.outputs.iter().position(|x| x == stream);
+        let k = j.and_then(|j| self.em.streams.iter().position(|&s| s == (self.t, j)));
+        let (Some(j), Some(k)) = (j, k) else {
+            return Err(format!("push to non-stream connector `{stream}`"));
+        };
+        let p = self.tasklet().outs[j].port;
+        let (ptr, off) = nest_port_ref(self.em.spec.ndims, p, &[]);
+        Ok((format!("{ptr}[{off} + ns{k}]"), k))
+    }
+
+    /// The stream and value of statement `s` of a branch arm `arm` (whose
+    /// sibling arm is `other`) when it is a push whose staging store may
+    /// run before the branch, leaving the arm only the count: the arm's
+    /// one push to its stream, none in the sibling (so the slot is this
+    /// push's whichever arm runs), and a value that reads nothing the arm
+    /// assigns and no checked load (so it is the same value, computed
+    /// without a fault, ahead of the branch). Slots past the count are
+    /// never appended, and [`pushes_to`] counts this push, so the slot
+    /// lies inside the staging the executor sizes.
+    fn speculates<'x>(
+        &self,
+        s: &'x Stmt,
+        arm: &[Stmt],
+        other: &[Stmt],
+    ) -> Option<(&'x str, &'x ExprAst)> {
+        let Stmt::Push { stream, value } = s else {
+            return None;
+        };
+        let mut assigned = Vec::new();
+        collect_locals(arm, &[], &[], &mut assigned);
+        let ok = pushes_to(arm, stream) == 1
+            && pushes_to(other, stream) == 0
+            && !assigned.iter().any(|n| reads(value, n))
+            && !self.reads_whole(value);
+        ok.then_some((stream, value))
+    }
+
+    /// Whether statement `s` of arm `arm` stores to a register-folded log
+    /// in the select form: the arm's one store to it, of a value with no
+    /// checked load.
+    fn selected_store(&self, s: &Stmt, arm: &[Stmt]) -> bool {
+        let Stmt::Assign { target, value, .. } = s else {
+            return false;
+        };
+        let Some(j) = self.prog.outputs.iter().position(|x| x == target) else {
+            return false;
+        };
+        self.em.reg(self.t, j).is_some() && stores_to(arm, target) == 1 && !self.reads_whole(value)
+    }
+
+    /// Whether a branch runs as selects instead: a condition with no
+    /// checked load, and arms made only of speculative pushes (see
+    /// [`Self::speculates`]) and single stores to register-folded logs.
+    /// The arms then assign no name, and every value they compute reads
+    /// only what holds before the branch and cannot fault, so computing
+    /// both arms' values and keeping the taken arm's is the VM's result.
+    fn selects(&self, cond: &ExprAst, then: &[Stmt], els: &[Stmt]) -> bool {
+        !self.reads_whole(cond)
+            && [(then, els), (els, then)].iter().all(|&(arm, other)| {
+                arm.iter().all(|s| {
+                    self.speculates(s, arm, other).is_some() || self.selected_store(s, arm)
+                })
+            })
+    }
+
+    /// Emits a branch in the select form (see [`Self::selects`]): each
+    /// push stages its value and counts when its arm is taken, and each
+    /// log combines the taken arm's value into the point's copy of its
+    /// register (or keeps it, when that arm does not store).
+    fn emit_select(
+        &mut self,
+        cond: &ExprAst,
+        then: &[Stmt],
+        els: &[Stmt],
+        ind: &str,
+    ) -> Result<(), String> {
+        let c = self.expr(cond, ind)?;
+        let b = format!("b{}", self.em.tmp);
+        self.em.tmp += 1;
+        self.em.uses_sel = true;
+        let _ = writeln!(self.em.src, "{ind}const int {b} = ({c}) != 0.0;");
+        let mut logs: Vec<(usize, [Option<String>; 2])> = Vec::new();
+        let arms = [(then, b.clone()), (els, format!("!{b}"))];
+        for (a, (arm, taken)) in arms.iter().enumerate() {
+            for s in arm.iter() {
+                match s {
+                    Stmt::Push { stream, value } => {
+                        let (slot, k) = self.stream_slot(stream)?;
+                        let v = self.expr(value, ind)?;
+                        let _ = writeln!(self.em.src, "{ind}{slot} = {v};\n{ind}ns{k} += {taken};");
+                    }
+                    Stmt::Assign { target, value, .. } => {
+                        let j = self.prog.outputs.iter().position(|x| x == target);
+                        let j = j.ok_or_else(|| format!("store to `{target}`"))?;
+                        let v = self.expr(value, ind)?;
+                        match logs.iter_mut().find(|(o, _)| *o == j) {
+                            Some((_, vs)) => vs[a] = Some(v),
+                            None => {
+                                let mut vs = [None, None];
+                                vs[a] = Some(v);
+                                logs.push((j, vs));
+                            }
+                        }
+                    }
+                    Stmt::If { .. } => return Err("branch in a selected arm".into()),
+                }
+            }
+        }
+        for (j, [vt, ve]) in logs {
+            let JitOutMode::Log(op) = self.mode_of(j) else {
+                return Err("selected store to a connector that is not a log".into());
+            };
+            let lp = format!("lp{j}");
+            let next = match (vt, ve) {
+                (Some(a), Some(e)) => op.combine(&lp, &format!("sdfg_sel({b}, {a}, {e})")),
+                (Some(a), None) => format!("sdfg_sel({b}, {}, {lp})", op.combine(&lp, &a)),
+                (None, Some(e)) => format!("sdfg_sel({b}, {lp}, {})", op.combine(&lp, &e)),
+                (None, None) => continue,
+            };
+            let _ = writeln!(self.em.src, "{ind}{lp} = {next};");
+        }
+        Ok(())
+    }
+
+    /// Emits one branch arm; the pushes at `early` staged their value
+    /// ahead of the branch and only count here.
+    fn emit_arm(&mut self, arm: &[Stmt], early: &[usize], ind: &str) -> Result<(), String> {
+        for (i, s) in arm.iter().enumerate() {
+            match s {
+                Stmt::Push { stream, .. } if early.contains(&i) => {
+                    let (_, k) = self.stream_slot(stream)?;
+                    let _ = writeln!(self.em.src, "{ind}++ns{k};");
+                }
+                _ => self.emit_stmt(s, ind)?,
+            }
+        }
+        Ok(())
     }
 
     /// A store to write-log output `j`: the VM computes the index, then the
@@ -1167,6 +1460,14 @@ impl VmEmitState<'_, '_, '_, '_> {
         if op.is_some() {
             // Augmented stores read the log port, which the VM refuses.
             return Err("augmented store to a write log".into());
+        }
+        if let (Some(_), JitOutMode::Log(op)) = (self.em.reg(self.t, j), self.mode_of(j)) {
+            // A constant index the VM's log accepts: the value combines
+            // into the point's copy of the register, in store order.
+            let v = self.expr(value, ind)?;
+            let lp = format!("lp{j}");
+            let _ = writeln!(self.em.src, "{ind}{lp} = {};", op.combine(&lp, &v));
+            return Ok(());
         }
         let idx = match index.as_deref() {
             None => None,
@@ -1603,6 +1904,128 @@ mod tests {
         assert!(src.contains("{ const double pv = l_v; bufs[geo[9]][geo[10] + ns0] = pv; ++ns0; }"));
         assert!(src.contains("sdfg_done:\n  npts[3] = ns0;\n  *npts = cnt;\n}"));
         assert_eq!(decode_fault(fault_code(3, true, 7)), (3, true, 7));
+    }
+
+    /// A 1-D kernel of one call of `p` (inputs `x`, optionally the whole
+    /// `xv`; outputs the stream `S` and `out`, in `mode`): port 0 is `x`,
+    /// read through dim 0, then `xv` when present, then `S`'s staging and
+    /// `out`. `containers` names each port's container.
+    fn one_call_spec<'a>(
+        p: &'a TaskletProgram,
+        mode: JitOutMode,
+        containers: Vec<usize>,
+    ) -> NestSpec<'a> {
+        let nin = p.inputs.len();
+        let mut reads = vec![vec![0]];
+        reads.resize(nin + 2, Vec::new());
+        NestSpec {
+            ndims: 1,
+            nports: nin + 2,
+            tasklets: vec![NestTasklet {
+                prog: p,
+                ins: (0..nin).collect(),
+                outs: vec![
+                    NestOut {
+                        port: nin,
+                        mode: JitOutMode::Stream,
+                    },
+                    NestOut {
+                        port: nin + 1,
+                        mode,
+                    },
+                ],
+            }],
+            body: vec![NestItem::Call(0)],
+            whole: (1..nin).chain([nin + 1]).collect(),
+            reads,
+            containers,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn a_push_the_arm_does_not_compute_stores_before_its_branch() {
+        let p = prog(
+            "if x > 0:\n    S.push(x)\n    y = x * 2\nelse:\n    y = 0\nout = y",
+            &["x"],
+            &["S", "out"],
+        );
+        let src = emit_nest_kernel(&one_call_spec(&p, JitOutMode::Write, vec![0, 1, 2])).unwrap();
+        // The staging store precedes the branch; the arm only counts.
+        assert!(
+            src.contains(
+                "      bufs[geo[3]][geo[4] + ns0] = v0;\n      \
+                 if ((((v0 > 0.0) ? 1.0 : 0.0)) != 0.0) {\n        ++ns0;\n        l_y = "
+            ),
+            "{src}"
+        );
+        assert!(!src.contains("pv"), "{src}");
+        // The value the arm computes keeps its push in the arm.
+        let p = prog(
+            "if x > 0:\n    y = x * 2\n    S.push(y)\nelse:\n    y = 0\nout = y",
+            &["x"],
+            &["S", "out"],
+        );
+        let src = emit_nest_kernel(&one_call_spec(&p, JitOutMode::Write, vec![0, 1, 2])).unwrap();
+        assert!(
+            src.contains(
+                "        l_y = (v0 * 2.0);\n        \
+                 { const double pv = l_y; bufs[geo[3]][geo[4] + ns0] = pv; ++ns0; }"
+            ),
+            "{src}"
+        );
+    }
+
+    #[test]
+    fn query_folds_its_count_into_a_register_and_selects() {
+        let query = "if x > 0:\n    S_out.push(x)\n    c = 1\nelse:\n    c = 0";
+        let p = prog(query, &["x"], &["S_out", "c"]);
+        let log = JitOutMode::Log(JitWcrOp::Sum);
+        let src = emit_nest_kernel(&one_call_spec(&p, log, vec![0, 1, 2])).unwrap();
+        // No staged log, no branch: the count folds into `lr0`, seeded
+        // once and stored back after the loop.
+        assert!(!src.contains("lgi") && !src.contains("lgv"), "{src}");
+        assert!(!src.contains("if (("), "{src}");
+        assert!(
+            src.contains("  const long long lq0 = geo[7] + 0;\n"),
+            "{src}"
+        );
+        assert!(src.contains("  double lr0 = lq0 < geo[11] ? bufs[geo[6]][lq0] : 0.0;\n"));
+        assert!(src.contains(
+            "      bufs[geo[3]][geo[4] + ns0] = v0;\n      ns0 += b0;\n      \
+             lp1 = (lp1 + sdfg_sel(b0, 1.0, 0.0));\n      lr0 = lp1;\n"
+        ));
+        assert!(
+            src.contains("  }\n  if (lq0 < geo[11]) bufs[geo[6]][lq0] = lr0;\n  npts[3] = ns0;")
+        );
+        // A kernel whose other port addresses the count's container keeps
+        // the staged log.
+        let src = emit_nest_kernel(&one_call_spec(&p, log, vec![0, 1, 0])).unwrap();
+        assert!(
+            src.contains("lgi1[lgn1] = x0; lgv1[lgn1] = 1.0; ++lgn1;"),
+            "{src}"
+        );
+        assert!(!src.contains("lr0"), "{src}");
+    }
+
+    #[test]
+    fn a_folded_register_is_stored_back_on_both_exits() {
+        // An indexed read gives the kernel its fault exit.
+        let p = prog(
+            "v = xv[int(x)]\nif v > 0:\n    S.push(v)\n    c = 1\nelse:\n    c = 0",
+            &["x", "xv"],
+            &["S", "c"],
+        );
+        let log = JitOutMode::Log(JitWcrOp::Sum);
+        let src = emit_nest_kernel(&one_call_spec(&p, log, vec![0, 1, 2, 3])).unwrap();
+        assert!(!src.contains("lgi"), "{src}");
+        // The fault jumps to `sdfg_done`, which the loop's end falls into:
+        // the store-back follows the label.
+        assert!(src.contains("goto sdfg_done;"), "{src}");
+        assert!(
+            src.contains("sdfg_done:\n  if (lq0 < geo[15]) bufs[geo[9]][lq0] = lr0;\n"),
+            "{src}"
+        );
     }
 
     #[test]

@@ -75,6 +75,20 @@ impl SharedBuffer {
         }
     }
 
+    /// Writes `src` to the elements starting at `start`, which must lie
+    /// in bounds.
+    ///
+    /// Caller must guarantee no concurrent access to those elements (see
+    /// the type's safety contract).
+    #[inline]
+    pub fn write_slice(&self, start: usize, src: &[f64]) {
+        unsafe {
+            let vec: &mut Vec<f64> = &mut *self.data.get();
+            assert!(start <= vec.len() && src.len() <= vec.len() - start);
+            std::ptr::copy_nonoverlapping(src.as_ptr(), vec.as_mut_ptr().add(start), src.len());
+        }
+    }
+
     /// Raw slice view. Caller must guarantee the usual aliasing contract.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {

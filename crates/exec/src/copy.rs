@@ -78,33 +78,13 @@ pub(crate) fn exec_access(
                     .extend(window);
             }
             (true, false) => {
-                let dst_subset = m.other_subset.clone().unwrap_or_else(|| m.subset.clone());
-                let dims = dst_subset.eval(&worker.env)?;
-                let capacity = count_elems(&dims);
-                let mut window;
-                {
-                    let mut q = ctx
-                        .streams
-                        .get(&dst_name)
-                        .ok_or_else(|| ExecError::MissingArray(dst_name.clone()))?
-                        .lock();
-                    let count = if m.dynamic {
-                        capacity.min(q.len())
-                    } else {
-                        capacity
-                    };
-                    window = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        window.push(q.pop_front().unwrap_or(0.0));
-                    }
-                }
-                if m.dynamic && window.len() < capacity {
-                    let prefix =
-                        Subset::new(vec![sdfg_symbolic::SymRange::new(0, window.len() as i64)]);
-                    scatter_symbolic(worker, &dst_data, &prefix, &window, None)?;
-                } else {
-                    scatter_symbolic(worker, &dst_data, &dst_subset, &window, None)?;
-                }
+                let dst_subset = m.other_subset.as_ref().unwrap_or(&m.subset);
+                let mut q = ctx
+                    .streams
+                    .get(&dst_name)
+                    .ok_or_else(|| ExecError::MissingArray(dst_name.clone()))?
+                    .lock();
+                drain_stream(worker, &mut q, &dst_data, dst_subset, m.dynamic)?;
             }
             (true, true) => {
                 // Stream → stream: drain-append (LocalStream flushes).
@@ -124,6 +104,50 @@ pub(crate) fn exec_access(
                         .extend(drained);
                 }
             }
+        }
+    }
+    Ok(())
+}
+
+/// Drains stream queue `q` into subset `subset` of `data`: the subset's
+/// first `count` elements in its iteration order take the queue's first
+/// `count` values, where `count` is the subset's size, or, for a
+/// `dynamic` memlet, as much of it as the queue holds (a non-dynamic
+/// drain past the queue's end writes zeros). Values the drain does not
+/// take stay queued. A destination whose elements are contiguous in
+/// memory is filled straight from the queue's slices.
+fn drain_stream(
+    worker: &Worker,
+    q: &mut std::collections::VecDeque<f64>,
+    data: &str,
+    subset: &Subset,
+    dynamic: bool,
+) -> Result<(), ExecError> {
+    let strides = desc_strides(worker.ctx, data, &worker.env)?;
+    let dims = subset.eval(&worker.env)?;
+    let capacity = count_elems(&dims);
+    let count = if dynamic {
+        capacity.min(q.len())
+    } else {
+        capacity
+    };
+    let taken = count.min(q.len());
+    let buf = worker.buf(data)?;
+    match crate::tasklet::is_contiguous(&dims, &strides) {
+        Some(start) if start.checked_add(count).is_some_and(|end| end <= buf.len()) => {
+            let (a, b) = q.as_slices();
+            let na = a.len().min(taken);
+            buf.write_slice(start, &a[..na]);
+            buf.write_slice(start + na, &b[..taken - na]);
+            for off in start + taken..start + count {
+                buf.write(off, 0.0);
+            }
+            q.drain(..taken);
+        }
+        _ => {
+            let zeros = std::iter::repeat_n(0.0, count - taken);
+            let window: Vec<f64> = q.drain(..taken).chain(zeros).collect();
+            scatter_symbolic(worker, data, subset, &window, None)?;
         }
     }
     Ok(())
@@ -191,6 +215,9 @@ pub(crate) fn gather_symbolic(
     Ok(out)
 }
 
+/// Writes (or, under `wcr`, combines) `window` into the first
+/// `window.len()` elements of `subset` in its iteration order (all of
+/// them, for a full window).
 pub(crate) fn scatter_symbolic(
     worker: &Worker,
     data: &str,
@@ -201,17 +228,19 @@ pub(crate) fn scatter_symbolic(
     let strides = desc_strides(worker.ctx, data, &worker.env)?;
     let dims = subset.eval(&worker.env)?;
     let buf = worker.buf(data)?;
-    let mut i = 0usize;
+    let mut vals = window.iter();
     match wcr {
         None => for_each_offset(&dims, &strides, |off| {
-            buf.write(off, window[i]);
-            i += 1;
+            if let Some(&v) = vals.next() {
+                buf.write(off, v);
+            }
         }),
         Some(w) => {
             let f = wcr_fn(w)?;
             for_each_offset(&dims, &strides, |off| {
-                buf.atomic_combine(off, window[i], f);
-                i += 1;
+                if let Some(&v) = vals.next() {
+                    buf.atomic_combine(off, v, f);
+                }
             });
         }
     }

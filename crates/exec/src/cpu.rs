@@ -2,7 +2,10 @@
 //! reduce and nested-SDFG nodes.
 
 use crate::buffer::SharedBuffer;
-use crate::copy::{exec_access, gather_symbolic, scatter_symbolic, scope_owns_container, wcr_fn};
+use crate::copy::{
+    desc_strides, exec_access, for_each_offset, gather_symbolic, scatter_symbolic,
+    scope_owns_container, wcr_fn,
+};
 use crate::engine::{bind, unbind, Ctx, ExecError, Executor, RunConfig, Worker};
 use crate::lower::run_inner_span;
 use crate::tasklet::{run_tasklet_point, BodyTasklet};
@@ -32,6 +35,10 @@ pub(crate) enum MapBody {
         local_transients: Vec<String>,
         /// Access→exit write-back edges processed at iteration end.
         writebacks: Vec<EdgeId>,
+        /// The body writes nothing outside its scope-local transients but
+        /// WCR write-backs into containers no member reads (see
+        /// [`replayable`]): its tiles may run in parallel.
+        replayable: bool,
     },
 }
 
@@ -65,13 +72,16 @@ pub(crate) struct MapPlan {
     race: Option<Overlap>,
     /// Whether the run that built the plan had the JIT tier on.
     jit: bool,
+    /// Why the determinism gate or the race check first kept a parallel
+    /// launch of this map serial.
+    pub(crate) serial_reason: std::sync::OnceLock<&'static str>,
 }
 
 impl MapPlan {
     /// The lowering-report row for this plan, before any kernel: its
     /// static tier and why no kernel has run (the execution plan overlays
     /// the rows of maps whose kernel compiled, and the decline of those
-    /// whose kernel did not).
+    /// whose kernel did not, and why any variant's launch ran serially).
     pub(crate) fn lowering_entry(&self, sid: u32, nid: u32) -> crate::lower::MapLowering {
         use crate::lower::{cold_map, GENERIC_BODY, JIT_OFF, MULTI_TASKLET};
         let tier = match &self.body {
@@ -90,6 +100,7 @@ impl MapPlan {
             label: self.label.clone(),
             tier: tier.name(),
             jit_reason: Some(why),
+            serial_reason: None,
         }
     }
 
@@ -230,10 +241,12 @@ pub(crate) fn build_map_plan(
                 }
             }
         }
+        let replayable = replayable(ctx, state, entry, &members, &local_transients, &writebacks);
         MapBody::Generic {
             children,
             local_transients,
             writebacks,
+            replayable,
         }
     };
     let race = match &body {
@@ -250,6 +263,7 @@ pub(crate) fn build_map_plan(
         body,
         race,
         jit: ctx.cfg.jit,
+        serial_reason: std::sync::OnceLock::new(),
     });
     ctx.cfg.plan_cache.note_point_compile();
     let (cached, capped) = ctx
@@ -406,12 +420,18 @@ pub(crate) fn exec_map(
     });
     let tiled = pool.zip(sample).and_then(|(pool, (volume, _))| {
         let decision = ctx.plan.tuning.decide(pkey, volume, pool.nworkers());
+        if !decision.parallel {
+            return None;
+        }
         let race_free = || {
-            plan.race
-                .as_ref()
+            let disjoint = plan.race.as_ref();
+            disjoint
                 .is_none_or(|r| r.disjoint(&worker.env, (d0s, d0e)))
+                .then_some(())
+                .ok_or("reads what other points write")
         };
-        if !(decision.parallel && steal_deterministic(&plan.body) && race_free()) {
+        if let Err(why) = steal_deterministic(&plan.body).and_then(|()| race_free()) {
+            let _ = plan.serial_reason.set(why);
             return None;
         }
         // A tiled launch of more than one dim takes the kernel below the
@@ -437,8 +457,11 @@ pub(crate) fn exec_map(
         // whole-map kernel's dim-0 values (the one row of a serial 1-D
         // launch is the launch that declined).
         let in_tile = tiles.is_some() || crate::sched::in_pool_worker();
+        // The rows of a tiled launch run on the tile workers, whose
+        // overlays the launch does not see.
+        let locals = tiles.is_none().then_some(&worker.locals);
         let rows = nest.filter(|n| {
-            (tiles.is_some() || n.start > 0 || n.core.ndims > 1) && n.takes(&plan, in_tile)
+            (tiles.is_some() || n.start > 0 || n.core.ndims > 1) && n.takes(&plan, in_tile, locals)
         });
         let saved = std::mem::replace(&mut worker.row_nest, rows);
         // Each tile, or the whole dim-0 range of a serial launch, walks
@@ -488,17 +511,85 @@ fn inner_extent_estimate(c: i64, n0: usize) -> u64 {
 /// combines across tiles: elided-atomic WCR writes are proven disjoint
 /// per dim-0 value (each element sees a single tile's serial order), but
 /// atomic WCR, shared stream pushes, and log appends all combine in
-/// arrival order. Generic subgraph bodies can lazily compile atomic
-/// tasklets inside a tile, so they are excluded wholesale. Launches that
-/// fail the gate run serially, keeping repeated runs bitwise identical
-/// regardless of steal timing.
-fn steal_deterministic(body: &MapBody) -> bool {
+/// arrival order. A generic subgraph body tiles when it is
+/// [`replayable`]: everything it writes but its WCR write-backs is
+/// tile-private, and each tile logs its write-backs instead of combining
+/// them, which `run_map_steal` replays in tile order once every tile has
+/// run — the serial combine sequence, since the tiles are contiguous
+/// dim-0 ranges each walked in order. Launches that fail the gate run
+/// serially, keeping repeated runs bitwise identical regardless of steal
+/// timing; the error names the output that kept them serial.
+fn steal_deterministic(body: &MapBody) -> Result<(), &'static str> {
     match body {
-        MapBody::Tasklets(ts, _) => ts
-            .iter()
-            .all(|(_, bt)| bt.outs.iter().all(|o| !o.atomic && !o.stream && !o.log)),
-        MapBody::Generic { .. } => false,
+        MapBody::Tasklets(ts, _) => {
+            for o in ts.iter().flat_map(|(_, bt)| &bt.outs) {
+                if o.stream {
+                    return Err("stream output");
+                }
+                if o.log {
+                    return Err("write log");
+                }
+                if o.atomic {
+                    return Err("atomic WCR");
+                }
+            }
+            Ok(())
+        }
+        MapBody::Generic {
+            replayable: true, ..
+        } => Ok(()),
+        MapBody::Generic { .. } => Err("generic body with a shared write"),
     }
+}
+
+/// Whether the tiles of a generic body (map `entry`, members `members`)
+/// may run in parallel with their write-backs logged and replayed in
+/// order: its members are tasklets, maps and access nodes; every
+/// container they write is one of its `locals` (none a stream, whose
+/// queue the run shares), except through `writebacks`, each of which
+/// carries a WCR and flushes an array; and no member reads a container a
+/// write-back writes.
+fn replayable(
+    ctx: &Ctx,
+    state: &sdfg_core::State,
+    entry: NodeId,
+    members: &[NodeId],
+    locals: &[String],
+    writebacks: &[EdgeId],
+) -> bool {
+    let g = &state.graph;
+    let is_stream = |d: &str| matches!(ctx.sdfg.desc(d), Some(DataDesc::Stream(_)));
+    let local = |d: &str| locals.iter().any(|l| l == d) && !is_stream(d);
+    let targets: Vec<&str> = writebacks
+        .iter()
+        .map(|&e| g.edge(e).memlet.data_name())
+        .collect();
+    members.iter().all(|&m| {
+        let kind_ok = matches!(
+            g.node(m),
+            Node::Tasklet { .. } | Node::Access { .. } | Node::MapEntry(_) | Node::MapExit { .. }
+        );
+        let reads_ok = g.in_edges(m).all(|e| {
+            let mm = &g.edge(e).memlet;
+            mm.is_empty() || !targets.contains(&mm.data_name())
+        });
+        let writes_ok = g.out_edges(m).all(|e| {
+            let mm = &g.edge(e).memlet;
+            if mm.is_empty() {
+                return true;
+            }
+            if writebacks.contains(&e) {
+                return mm.wcr.is_some() && g.node(m).access_data().is_some_and(|d| !is_stream(d));
+            }
+            let dst = g.edge_dst(e);
+            match g.node(dst) {
+                Node::Access { data, .. } => local(data),
+                n if n.exit_entry() == Some(entry) => local(mm.data_name()),
+                _ => true,
+            }
+        });
+        kind_ok && reads_ok && writes_ok
+    })
 }
 
 /// The race predicate of one map (see [`Overlap`]): tiles run a map's
@@ -588,10 +679,18 @@ fn run_map_steal(
     let nslots = pool.nworkers();
     let slots: Vec<Mutex<Option<SlotState>>> = (0..nslots).map(|_| Mutex::new(None)).collect();
     let first_err: Mutex<Option<ExecError>> = Mutex::new(None);
+    // A generic body's tiles log their write-backs (see
+    // `steal_deterministic`): per tile, the log and how the tile ended.
+    let replay = matches!(plan.body, MapBody::Generic { .. });
+    let logs: Vec<Mutex<Option<TileLog>>> = match replay {
+        true => (0..tiles.ranges.len()).map(|_| Mutex::new(None)).collect(),
+        false => Vec::new(),
+    };
     let tile_fn = |slot: usize, t: usize| {
         // A failed tile poisons the launch: remaining tiles drain without
-        // executing so the pool's completion protocol still runs.
-        if first_err.lock().is_some() {
+        // executing so the pool's completion protocol still runs. Logged
+        // tiles all run, so the replay has every tile before a failure.
+        if !replay && first_err.lock().is_some() {
             return;
         }
         let mut guard = slots[slot].lock();
@@ -617,7 +716,13 @@ fn run_map_steal(
         });
         let (lo, hi) = tiles.ranges[t];
         let span = (lo, hi, tiles.step);
-        if let Err(e) = run_map_serial(ctx, sid, tree, plan, &mut st.w, base, span) {
+        if replay {
+            st.w.wb_log = Some((base, Vec::new()));
+        }
+        let r = run_map_serial(ctx, sid, tree, plan, &mut st.w, base, span);
+        if let Some((_, log)) = st.w.wb_log.take() {
+            *logs[t].lock() = Some((log, r.err()));
+        } else if let Err(e) = r {
             let mut first = first_err.lock();
             if first.is_none() {
                 *first = Some(e);
@@ -650,7 +755,56 @@ fn run_map_steal(
         res.vm = Some(vm);
         res.env = env;
     }
+    if replay {
+        return replay_writebacks(ctx, sid, plan, worker, logs);
+    }
     first_err.into_inner().map_or(Ok(()), Err)
+}
+
+/// One tile's write-backs of a generic body, `(write-back, offset,
+/// value)` in the order the tile made them (see `steal_deterministic`).
+pub(crate) type WriteBackLog = Vec<(u32, usize, f64)>;
+
+/// A tile's write-back log, and the error that ended the tile, if any.
+type TileLog = (WriteBackLog, Option<ExecError>);
+
+/// Combines the tiles' logged write-backs (`(write-back, offset, value)`)
+/// into their targets in tile order, up to and including the first tile
+/// that failed, whose error it returns: the combines a serial launch
+/// makes before the same failure.
+fn replay_writebacks(
+    ctx: &Ctx,
+    sid: StateId,
+    plan: &MapPlan,
+    worker: &Worker,
+    logs: Vec<Mutex<Option<TileLog>>>,
+) -> Result<(), ExecError> {
+    let MapBody::Generic { writebacks, .. } = &plan.body else {
+        return Ok(());
+    };
+    let state = ctx.sdfg.state(sid);
+    let mut targets = Vec::with_capacity(writebacks.len());
+    for &e in writebacks {
+        let m = &state.graph.edge(e).memlet;
+        let wcr = m
+            .wcr
+            .as_ref()
+            .ok_or_else(|| ExecError::BadGraph("logged write-back without a WCR".into()))?;
+        targets.push((worker.buf(m.data_name())?, wcr_fn(wcr)?));
+    }
+    for cell in logs {
+        let Some((log, err)) = cell.into_inner() else {
+            continue;
+        };
+        for (k, off, v) in log {
+            let (buf, f) = targets[k as usize];
+            buf.combine_plain(off, v, f);
+        }
+        if let Some(e) = err {
+            return Err(e);
+        }
+    }
+    Ok(())
 }
 
 /// Runs a map's points with dim 0 over the `(lo, hi, step)` span `d0`:
@@ -756,7 +910,7 @@ fn run_dim_span(
         worker.point[base + dim] = v;
         bind(&mut worker.env, &params[dim], v);
         match plan.ranges.get(dim + 1) {
-            None => run_map_body(ctx, sid, tree, body, worker)?,
+            None => run_map_body(ctx, sid, tree, body, worker, base)?,
             Some(r) => {
                 let (s, e, st, _) = r.eval(&worker.env)?;
                 if st <= 0 {
@@ -772,12 +926,15 @@ fn run_dim_span(
     Ok(())
 }
 
+/// Runs one point of a map body; `base` is where the map's parameters
+/// start in the worker's parameter stack.
 fn run_map_body(
     ctx: &Ctx,
     sid: StateId,
     tree: &ScopeTree,
     body: &MapBody,
     worker: &mut Worker,
+    base: usize,
 ) -> Result<(), ExecError> {
     match body {
         MapBody::Tasklets(ts, _) => {
@@ -790,6 +947,7 @@ fn run_map_body(
             children,
             local_transients,
             writebacks,
+            ..
         } => {
             // Fresh scope-local transients per iteration.
             for name in local_transients {
@@ -803,7 +961,7 @@ fn run_map_body(
                 exec_scope_child(ctx, sid, tree, c, worker)?;
             }
             // Write-backs: local → global along access→exit edges.
-            for &e in writebacks {
+            for (k, &e) in writebacks.iter().enumerate() {
                 let state = ctx.sdfg.state(sid);
                 let src = state.graph.edge_src(e);
                 let local_name = state.graph.node(src).access_data().unwrap().to_string();
@@ -839,6 +997,19 @@ fn run_map_body(
                     .fetch_add(window.len() as u64, Ordering::Relaxed);
                 if let Some(wp) = worker.prof.as_mut() {
                     wp.bytes_moved += window.len() as u64 * std::mem::size_of::<f64>() as u64;
+                }
+                // Inside a tile of this map, the combines are logged for
+                // the launch to replay in order.
+                if let Some((_, log)) = worker.wb_log.as_mut().filter(|(at, _)| *at == base) {
+                    let strides = desc_strides(ctx, &global, &worker.env)?;
+                    let dims = m.subset.eval(&worker.env)?;
+                    let mut vals = window.iter();
+                    for_each_offset(&dims, &strides, |off| {
+                        if let Some(&v) = vals.next() {
+                            log.push((k as u32, off, v));
+                        }
+                    });
+                    continue;
                 }
                 scatter_symbolic(worker, &global, &m.subset, &window, m.wcr.as_ref())?;
             }

@@ -328,6 +328,11 @@ pub(crate) struct Worker<'c, 's> {
     pub(crate) env: Env,
     pub(crate) locals: HashMap<String, SharedBuffer>,
     pub(crate) log: Vec<(u32, f64)>,
+    /// Inside a tile of a generic body that tiles (see
+    /// `cpu::steal_deterministic`): where that map's parameters start in
+    /// `pstack`, and the tile's write-backs `(write-back, offset, value)`
+    /// in the order the body made them, for the launch to replay.
+    pub(crate) wb_log: Option<(usize, crate::cpu::WriteBackLog)>,
     /// True when executing inside a map body. Nested maps run serially
     /// unless the work-stealing scheduler is active and the enclosing
     /// context is provably safe (serial outer region, no thread-local
@@ -394,6 +399,7 @@ impl<'c, 's> Worker<'c, 's> {
             env,
             locals: HashMap::new(),
             log: Vec::new(),
+            wb_log: None,
             nested: false,
             pstack: Vec::new(),
             point: Vec::new(),

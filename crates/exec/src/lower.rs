@@ -70,6 +70,12 @@ pub struct MapLowering {
     pub tier: &'static str,
     /// Why the JIT tier was declined, when it was.
     pub jit_reason: Option<String>,
+    /// Why a parallel-scheduled launch of the map ran serially, when the
+    /// determinism gate or the race check first kept one serial: the
+    /// output kind that would combine in arrival order (`stream output`,
+    /// `write log`, `atomic WCR`, `generic body with a shared write`) or
+    /// a read of what other points write.
+    pub serial_reason: Option<String>,
 }
 
 /// Decides the static (pre-JIT) tier of a map body at plan-build time: the

@@ -46,7 +46,10 @@
 //! error. Their combines, like any combine the race analysis marked
 //! atomic, are plain read-modify-writes in C, so such a kernel or launch
 //! is *exclusive*: `marshal` only admits it on a launch that runs serially
-//! outside any parallel tile.
+//! outside any parallel tile, or inside one when every container it
+//! stages or combines into is *tile-private* — a scope-local container in
+//! the launching worker's own `locals` (histogram's per-tile bins), which
+//! no other worker can touch.
 //!
 //! That discipline is also what lets a run switch tiers between any two
 //! launches: kernels compile in the background (`crate::jit`), `marshal`
@@ -154,8 +157,11 @@ pub(crate) struct NestCore {
     streams: Vec<usize>,
     /// The kernel combines plainly where the interpreter would combine
     /// atomically, or stages logs and streams: only a launch running
-    /// serially outside any parallel tile may call it.
+    /// serially outside any parallel tile may call it, or one inside a
+    /// tile whose `combined` ports are all tile-private.
     exclusive: bool,
+    /// Ports a log, a stream or a WCR combine writes.
+    combined: Vec<usize>,
     /// Common symbol table of every body that reads symbols, resolved per
     /// launch.
     syms: Vec<String>,
@@ -201,16 +207,29 @@ impl NestCore {
     /// Whether a launch may call the kernel when it is exclusive, or when
     /// the launch's interpreted tiers would combine `atomic`ally: not from
     /// inside a parallel tile (`in_tile`), where another worker may
-    /// combine into the same element. The first launch that may not
-    /// records the decline.
-    fn launch_exclusive(&self, chash: u64, atomic: bool, in_tile: bool) -> bool {
-        if !(self.exclusive || atomic) || !in_tile {
+    /// combine into the same element — unless every combined port
+    /// resolves to the launching worker's `locals`. The first launch that
+    /// may not records the decline.
+    fn launch_exclusive(&self, chash: u64, atomic: bool, in_tile: bool, locals: Locals) -> bool {
+        if !(self.exclusive || atomic) || !in_tile || self.tile_private(locals) {
             return true;
         }
         if !self.shared_declined.swap(true, Ordering::Relaxed) {
             structure("atomic combine inside a parallel tile").record(chash, &self.label);
         }
         false
+    }
+
+    /// Whether every port the kernel stages or combines into is a
+    /// container in `locals` (streams never are: their queues belong to
+    /// the run).
+    fn tile_private(&self, locals: Locals) -> bool {
+        locals.is_some_and(|l| {
+            self.combined.iter().all(|&p| {
+                let port = &self.ports[p];
+                !matches!(port.kind, PortKind::Stream { .. }) && l.contains_key(&port.data)
+            })
+        })
     }
 
     /// The interpreter's error for a kernel fault (see
@@ -247,6 +266,9 @@ pub(crate) struct MapNestPlan {
     pub(crate) start: usize,
 }
 
+/// A worker's thread-local transient overlays, when a launch has them.
+type Locals<'a> = Option<&'a HashMap<String, SharedBuffer>>;
+
 /// What one launch supplies besides the plan.
 struct Launch<'a> {
     /// Launch-time constants by name (see [`NestAffine`]).
@@ -254,7 +276,7 @@ struct Launch<'a> {
     /// Environment the bodies' symbols resolve in.
     env: &'a Env,
     /// Thread-local transient overlays, resolved before `Ctx::bufs`.
-    locals: Option<&'a HashMap<String, SharedBuffer>>,
+    locals: Locals<'a>,
     /// Kernel index `k` of dim 0 stands for the iteration value
     /// `origin + k·step`, so launches and rows on any step grid run the
     /// unit-step kernel loop.
@@ -329,6 +351,8 @@ struct NestBuilder<'c, 's> {
     streams_ok: bool,
     /// See [`NestCore::exclusive`].
     exclusive: bool,
+    /// See [`NestCore::combined`].
+    combined: Vec<usize>,
     /// Scope-local scalars of a generic map body, and which of them a
     /// point tasklet has written so far (see `add_generic_body`).
     locals: Vec<String>,
@@ -367,6 +391,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
             serial_gate,
             streams_ok: false,
             exclusive: false,
+            combined: Vec::new(),
             locals: Vec::new(),
             written: Vec::new(),
             dyn_conns: Vec::new(),
@@ -579,6 +604,9 @@ impl<'c, 's> NestBuilder<'c, 's> {
             };
             if matches!(mode, JitOutMode::Log(_) | JitOutMode::Stream) {
                 self.exclusive = true;
+            }
+            if o.wcr.is_some() || *mode == JitOutMode::Stream {
+                self.combined.push(port);
             }
             outs.push(port);
         }
@@ -795,6 +823,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
             label: scope.label.clone(),
             tier: "jit",
             jit_reason: None,
+            serial_reason: None,
         });
         Ok(())
     }
@@ -895,6 +924,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
             syms,
             rows,
             exclusive,
+            combined,
             ..
         } = self;
         if calls.is_empty() {
@@ -942,6 +972,10 @@ impl<'c, 's> NestBuilder<'c, 's> {
                 .iter()
                 .map(|p| p.addr.dims.iter().map(|&(d, _)| d).collect())
                 .collect(),
+            containers: ports
+                .iter()
+                .map(|p| ports.iter().position(|q| q.data == p.data).unwrap_or(0))
+                .collect(),
         };
         let src = emit_nest_kernel(&spec).map_err(body)?;
         drop(spec);
@@ -954,6 +988,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
             calls,
             streams,
             exclusive,
+            combined,
             syms: syms.unwrap_or_default(),
             kernel,
             label,
@@ -1316,6 +1351,7 @@ impl NestBuilder<'_, '_> {
             label: label.to_string(),
             tier: "jit",
             jit_reason: None,
+            serial_reason: None,
         });
         self.finish(label.to_string())
     }
@@ -1391,6 +1427,7 @@ fn build_map_nest(
             children,
             local_transients,
             writebacks,
+            ..
         } => (children, local_transients, writebacks),
     };
     let mut b = NestBuilder::over_interstate(ctx, false);
@@ -1453,14 +1490,16 @@ fn atomic_in(bt: &BodyTasklet) -> bool {
 impl MapNestPlan {
     /// Whether a launch of `plan` may call this kernel wherever the
     /// kernel itself admits it: it has compiled and may run inside a
-    /// parallel tile if `in_tile` (see [`NestCore::launch_exclusive`]).
-    /// Only the checks of [`marshal`] on the launch's own values are left.
-    pub(crate) fn takes(&self, plan: &MapPlan, in_tile: bool) -> bool {
+    /// parallel tile if `in_tile`, from a worker with `locals` (see
+    /// [`NestCore::launch_exclusive`]). Only the checks of [`marshal`] on
+    /// the launch's own values are left.
+    pub(crate) fn takes(&self, plan: &MapPlan, in_tile: bool, locals: Locals) -> bool {
         let MapBody::Tasklets(ts, _) = &plan.body else {
             return false;
         };
+        let shared = self.core.exclusive || atomic_in(&ts[0].1);
         matches!(self.core.compiled(), Some(Ok(_)))
-            && (!(self.core.exclusive || atomic_in(&ts[0].1)) || !in_tile)
+            && (!shared || !in_tile || self.core.tile_private(locals))
     }
 }
 
@@ -1516,7 +1555,7 @@ pub(crate) fn launch_map_nest(
     // Tiles run concurrently: the kernel may not combine where another
     // tile does, and its dim-0 tiles must be write-disjoint.
     let ranges = &tiles.ranges;
-    if !core.launch_exclusive(ctx.chash, atomic, true) {
+    if !core.launch_exclusive(ctx.chash, atomic, true, None) {
         return None;
     }
     let (d0s, d0e, d0st) = d0;
@@ -1639,7 +1678,8 @@ fn count_calls(ctx: &Ctx, n: u64, calls: u64) {
 
 /// Resolves launch-time constants and validates the launch over kernel
 /// indices `[lo0, hi0)` of dim 0: the kernel must have finished compiling
-/// (and, if exclusive, the launch must run outside any parallel tile),
+/// (and, if exclusive, the launch must run outside any parallel tile or
+/// combine only into tile-private containers),
 /// every affine port offset must stay in bounds over a conservative
 /// superset of the iteration space (so the interpreter's defensive clamps
 /// can never fire on an admitted launch), every symbol must be bound, and
@@ -1654,7 +1694,8 @@ fn marshal<'a>(
     hi0: i64,
 ) -> Option<NestArgs<'a>> {
     let func = core.kernel(ctx.chash)?.func();
-    if !core.launch_exclusive(ctx.chash, launch.atomic, crate::sched::in_pool_worker()) {
+    let in_tile = crate::sched::in_pool_worker();
+    if !core.launch_exclusive(ctx.chash, launch.atomic, in_tile, launch.locals) {
         return None;
     }
     let ndims = core.ndims;
@@ -1879,49 +1920,88 @@ mod tests {
         b
     }
 
-    /// A write-log kernel — histogram's bins, combined atomically by every
-    /// interpreted tier — runs native when its launch is serial, and from
-    /// inside a parallel tile declines with a ledger record, leaving the
-    /// interpreted tiers to produce the same bits.
+    /// `hist[bin[i]] += 1` over an 8-bin histogram every point combines
+    /// into: a write log into a container no worker owns.
+    fn scatter(n: usize) -> Workload {
+        let mut sdfg = Sdfg::new("scatter");
+        sdfg.add_symbol("N");
+        sdfg.add_array("bin", &["N"], DType::F64);
+        sdfg.add_array("hist", &["8"], DType::F64);
+        let sid = sdfg.add_state("main");
+        let st = sdfg.state_mut(sid);
+        let (src, dst) = (st.add_access("bin"), st.add_access("hist"));
+        let mut m = MapScope::new("scan", vec!["i".into()], vec![SymRange::new(0, "N")]);
+        m.schedule = Schedule::CpuMulticore;
+        let (me, mx) = st.add_map(m);
+        let t = st.add_tasklet("put", &["b"], &["out"], "out[int(b)] = 1");
+        st.add_edge(src, None, me, Some("IN_bin"), Memlet::parse("bin", "0:N"));
+        st.add_edge(me, Some("OUT_bin"), t, Some("b"), Memlet::parse("bin", "i"));
+        let all = || Memlet::parse("hist", "0:8").with_wcr(Wcr::Sum);
+        st.add_edge(t, Some("out"), mx, Some("IN_hist"), all().dynamic());
+        st.add_edge(mx, Some("OUT_hist"), dst, None, all());
+        sdfg.validate().expect("valid scatter sdfg");
+        Workload::new("scatter", sdfg)
+            .symbol("N", n as i64)
+            .array("bin", (0..n).map(|i| (i % 8) as f64).collect())
+            .array("hist", vec![0.0; 8])
+            .check("hist")
+    }
+
+    /// A write-log kernel runs native when its launch is serial. From
+    /// inside a parallel tile it runs when its log combines into a
+    /// tile-private container (histogram's per-tile bins, in the tile
+    /// worker's own `locals`), and declines with a ledger record when the
+    /// log combines into a container another worker may combine into too
+    /// (the scatter's bins), leaving the interpreted tiers to produce the
+    /// same bits.
     #[test]
-    fn exclusive_kernel_declines_inside_a_parallel_tile() {
+    fn exclusive_kernel_runs_in_a_tile_only_on_tile_private_targets() {
         if !crate::jit::env_enabled() || crate::jit::cc().is_none() {
             return;
         }
-        let w = sdfg_workloads::kernels::histogram(64);
-        let run = |in_tile: bool| {
-            let mut ex = executor(&w, 1);
+        let run = |w: &Workload, in_tile: bool| {
+            let mut ex = executor(w, 1);
             let stats = if in_tile {
                 crate::sched::as_pool_worker(|| ex.run())
             } else {
                 ex.run()
             }
-            .expect("histogram runs");
+            .expect("program runs");
             (stats, ex.arrays["hist"].clone())
         };
-        // Compile first, so the second pair of runs sees the kernel.
-        run(false);
+        let (hist, scat) = (sdfg_workloads::kernels::histogram(64), scatter(4096));
+        // Compile first, so the later runs see the kernels.
+        run(&hist, false);
+        run(&scat, false);
         crate::jit::wait_idle();
         let dir = std::env::temp_dir().join(format!("sdfg-exclusive-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ledger = dir.join("ledger.jsonl");
         sdfg_profile::ledger::set_path(Some(&ledger));
-        let (serial, want) = run(false);
-        let (tiled, got) = run(true);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (w, private) in [(&hist, true), (&scat, false)] {
+            let (serial, want) = run(w, false);
+            let (tiled, got) = run(w, true);
+            assert!(
+                serial.jit_points > 0,
+                "{}: serial launch stayed interpreted",
+                w.name
+            );
+            assert_eq!(tiled.jit_points > 0, private, "{}: in-tile kernel", w.name);
+            assert_eq!(bits(&got), bits(&want), "{}", w.name);
+        }
         sdfg_profile::ledger::set_path(None);
         let text = std::fs::read_to_string(&ledger).unwrap_or_default();
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(serial.jit_points > 0, "serial launch stayed interpreted");
-        assert_eq!(tiled.jit_points, 0, "exclusive kernel ran inside a tile");
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got), bits(&want));
-        assert!(
-            text.lines()
-                .any(|l| l.contains("\"record\":\"jit_fallback\"")
-                    && l.contains("\"map\":\"pixels\"")
-                    && l.contains("inside a parallel tile")),
-            "no decline recorded:\n{text}"
-        );
+        let declined = |map: &str| {
+            text.lines().any(|l| {
+                l.contains("\"record\":\"jit_fallback\"")
+                    && l.contains(&format!("\"map\":\"{map}\""))
+                    && l.contains("inside a parallel tile")
+            })
+        };
+        assert!(declined("scan"), "no decline recorded:\n{text}");
+        assert!(!declined("pixels"), "tile-private log declined:\n{text}");
     }
 
     /// A run's outcome as the caller sees it: the checked arrays' bits, or

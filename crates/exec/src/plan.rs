@@ -525,6 +525,14 @@ impl ExecutionPlan {
                 Some(((sid, nid), plan.lowering_entry(sid, nid)))
             })
             .collect();
+        // Any variant's launches may have been kept serial.
+        let serial: Vec<((u32, u32), &'static str)> = map
+            .iter()
+            .filter_map(|(&key, variants)| {
+                let mut whys = variants.list.iter().rev();
+                Some((key, *whys.find_map(|(_, p)| p.serial_reason.get())?))
+            })
+            .collect();
         drop(map);
         type Rows = HashMap<(u32, u32), crate::lower::MapLowering>;
         let absorb = |rows: &mut Rows, core: &crate::nest::NestCore| {
@@ -552,6 +560,11 @@ impl ExecutionPlan {
             };
             if let Some(row) = rows.get_mut(key).filter(|r| r.tier != "jit") {
                 row.jit_reason = Some(why);
+            }
+        }
+        for (key, why) in serial {
+            if let Some(row) = rows.get_mut(&key) {
+                row.serial_reason = Some(why.to_string());
             }
         }
         let mut out: Vec<crate::lower::MapLowering> = rows.into_values().collect();

@@ -554,6 +554,128 @@ fn filter_stream_sdfg(thresh: f64) -> sdfg_core::Sdfg {
     sdfg
 }
 
+/// Pushes the positive elements of an 8-element `col` into stream `S`,
+/// then drains `S` state by state, one drain per entry of `drains`: into
+/// `(container, window, dynamic)`. `out` is 1-D and `grid` is 4×4.
+fn stream_drains_sdfg(drains: &[(&str, &str, bool)]) -> sdfg_core::Sdfg {
+    use sdfg_core::node::MapScope;
+    use sdfg_core::{Memlet, Sdfg, Subset};
+    use sdfg_symbolic::SymRange;
+
+    let mut sdfg = Sdfg::new("drains");
+    sdfg.add_symbol("N");
+    sdfg.add_array("col", &["N"], DType::F64);
+    sdfg.add_stream("S", DType::F64);
+    sdfg.add_array("out", &["N"], DType::F64);
+    sdfg.add_array("grid", &["4", "4"], DType::F64);
+    let mut prev = sdfg.add_state("filter");
+    {
+        let st = sdfg.state_mut(prev);
+        let col = st.add_access("col");
+        let s_acc = st.add_access("S");
+        let (me, mx) = st.add_map(MapScope::new(
+            "scan",
+            vec!["i".into()],
+            vec![SymRange::new(0, "N")],
+        ));
+        let t = st.add_tasklet("pred", &["x"], &["S_out"], "if x > 0:\n    S_out.push(x)");
+        st.add_edge(col, None, me, Some("IN_col"), Memlet::parse("col", "0:N"));
+        st.add_edge(me, Some("OUT_col"), t, Some("x"), Memlet::parse("col", "i"));
+        let push = || Memlet::parse("S", "0").dynamic();
+        st.add_edge(t, Some("S_out"), mx, Some("IN_S"), push());
+        st.add_edge(mx, Some("OUT_S"), s_acc, None, push());
+    }
+    for (k, &(dst, window, dynamic)) in drains.iter().enumerate() {
+        let next = sdfg.add_state(format!("drain{k}"));
+        sdfg.add_transition(prev, next, sdfg_core::sdfg::InterstateEdge::always());
+        let st = sdfg.state_mut(next);
+        let s_acc = st.add_access("S");
+        let to = st.add_access(dst);
+        let mut m = Memlet::parse("S", "0").with_other_subset(Subset::parse(window).unwrap());
+        if dynamic {
+            m = m.dynamic();
+        }
+        st.add_plain_edge(s_acc, to, m);
+        prev = next;
+    }
+    sdfg.validate().expect("valid drain sdfg");
+    sdfg
+}
+
+/// A drain that finds fewer values than its window fills the window's
+/// first elements in its iteration order, wherever the window starts and
+/// whatever its rank; values a drain does not take stay queued for the
+/// next. The interpreter gives the expected values, and the executor its
+/// bits. `col` matches 1, 2, 3 and 4; -9 marks an untouched element.
+#[test]
+fn partial_drains_fill_the_window_in_order() {
+    let col = [1.0, -1.0, 2.0, -1.0, 3.0, -1.0, 4.0, -1.0];
+    let u = -9.0;
+    type Case = (
+        &'static str,
+        Vec<(&'static str, &'static str, bool)>,
+        [f64; 8],
+        [f64; 16],
+    );
+    let cases: Vec<Case> = vec![
+        (
+            "offset window",
+            vec![("out", "2:N", true)],
+            [u, u, 1.0, 2.0, 3.0, 4.0, u, u],
+            [u; 16],
+        ),
+        (
+            "2-D window",
+            vec![("grid", "1:3, 1:4", true)],
+            [u; 8],
+            [u, u, u, u, u, 1.0, 2.0, 3.0, u, 4.0, u, u, u, u, u, u],
+        ),
+        (
+            "full drain",
+            vec![("out", "3:7", true)],
+            [u, u, u, 1.0, 2.0, 3.0, 4.0, u],
+            [u; 16],
+        ),
+        (
+            "non-dynamic underflow",
+            vec![("out", "2:N", false)],
+            [u, u, 1.0, 2.0, 3.0, 4.0, 0.0, 0.0],
+            [u; 16],
+        ),
+        (
+            "leftovers stay queued",
+            vec![("out", "1:3", true), ("grid", "2, 0:4", true)],
+            [u, 1.0, 2.0, u, u, u, u, u],
+            [u, u, u, u, u, u, u, u, 3.0, 4.0, u, u, u, u, u, u],
+        ),
+    ];
+    for (what, drains, want_out, want_grid) in cases {
+        let sdfg = stream_drains_sdfg(&drains);
+        let mut it = Interpreter::new(&sdfg);
+        it.set_symbol("N", 8);
+        it.set_array("col", col.to_vec());
+        it.set_array("out", vec![u; 8]);
+        it.set_array("grid", vec![u; 16]);
+        it.run().expect("interp runs");
+        assert_eq!(it.array("out"), &want_out[..], "{what}: interpreter `out`");
+        assert_eq!(
+            it.array("grid"),
+            &want_grid[..],
+            "{what}: interpreter `grid`"
+        );
+        assert_equivalent(
+            &sdfg,
+            &[("N", 8)],
+            &[
+                ("col", col.to_vec()),
+                ("out", vec![u; 8]),
+                ("grid", vec![u; 16]),
+            ],
+            &["out", "grid"],
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

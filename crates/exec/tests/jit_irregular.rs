@@ -11,7 +11,7 @@
 #![cfg(unix)]
 
 use sdfg_core::node::MapScope;
-use sdfg_core::{DType, Memlet, Schedule, Sdfg, SymRange, Wcr};
+use sdfg_core::{DType, Memlet, Schedule, Sdfg, Subset, SymRange, Wcr};
 use sdfg_exec::{jit, Outputs, Session};
 use sdfg_workloads::kernels;
 use sdfg_workloads::workload::Workload;
@@ -100,6 +100,34 @@ fn programs_match_interpreted_tiers() {
 fn irregular_kernels_run_native_and_bitwise() {
     if std::env::var(CHILD_ENV).is_err() && jit_available() {
         programs_match_interpreted_tiers();
+    }
+}
+
+/// At 2 threads in steady state, each map the determinism gate keeps
+/// serial says which of its outputs would combine in arrival order:
+/// query's stream and spmv's row body, whose nonzero loop combines into
+/// `b` directly. Histogram's tiles run in parallel and name nothing. The
+/// sizes make every launch worth tiling to the scheduler.
+#[test]
+fn serial_launches_say_why() {
+    if std::env::var(CHILD_ENV).is_ok() {
+        return;
+    }
+    let shared = Some("generic body with a shared write");
+    for (w, label, why) in [
+        (kernels::histogram(256), "tiles", None),
+        (kernels::query(20_000), "scan", Some("stream output")),
+        (kernels::spmv(2000, 64), "rows", shared),
+    ] {
+        let s = session(&w, jit_available(), 2);
+        s.run(w.bindings()).expect("run");
+        jit::wait_idle();
+        let out = s.run(w.bindings()).expect("steady run");
+        let rows = out.lowering_report();
+        let row = rows.iter().find(|r| r.label == label).expect("map row");
+        assert_eq!(row.serial_reason.as_deref(), why, "{}", w.name);
+        let tiled = u64::from(why.is_none());
+        assert_eq!(out.stats().parallel_regions, tiled, "{}", w.name);
     }
 }
 
@@ -310,6 +338,226 @@ fn loaded_row_bounds_convert_as_interpreted() {
             "loaded_row_bounds_convert_as_interpreted",
             &[],
             Duration::from_secs(120),
+        );
+    }
+}
+
+// --- ordered write-back replay -------------------------------------------------
+
+/// What [`tiled_sum`] builds: histogram's shape, or one of its near misses
+/// that must keep its tiles serial.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum TiledSum {
+    /// Tile-private bins, written back by WCR: the tiles run in parallel.
+    Replayable,
+    /// The write-back carries no WCR.
+    PlainWriteBack,
+    /// The tasklet also reads the write-back's target.
+    ReadsTarget,
+    /// The tasklet also combines into a container outside the tile.
+    SharedWrite,
+    /// Replayable, with a log index read straight from `img`: a negative
+    /// pixel fails its tile.
+    Faulting,
+}
+
+/// Histogram with order-sensitive sums: 40 tiles (dim-0 values), each
+/// sweeping its row of `img` into 16 tile-private bins as `a * 0.1`, then
+/// combining the bins into `hist` with one WCR write-back per tile.
+fn tiled_sum(variant: TiledSum) -> Workload {
+    const ROWS: usize = 40;
+    const COLS: usize = 256;
+    let mut sdfg = Sdfg::new("tiled_sum");
+    sdfg.add_array("img", &[&ROWS.to_string(), &COLS.to_string()], DType::F64);
+    sdfg.add_array("hist", &["16"], DType::F64);
+    sdfg.add_array("rows", &[&ROWS.to_string()], DType::F64);
+    sdfg.add_transient("lhist", &["16"], DType::F64);
+    let st = sdfg.add_state("main");
+    let st = sdfg.state_mut(st);
+    let img = st.add_access("img");
+    let hist = st.add_access("hist");
+    let mut outer = MapScope::new(
+        "tiles",
+        vec!["ti".into()],
+        vec![SymRange::new(0, ROWS as i64)],
+    );
+    outer.schedule = Schedule::CpuMulticore;
+    let (oe, ox) = st.add_map(outer);
+    let (ie, ix) = st.add_map(MapScope::new(
+        "pixels",
+        vec!["j".into()],
+        vec![SymRange::new(0, COLS as i64)],
+    ));
+    let (ins, outs, code): (&[&str], &[&str], &str) = match variant {
+        TiledSum::ReadsTarget => (
+            &["a", "h"],
+            &["out"],
+            "b = int(abs(a)) % 16\nout[int(b)] = a * 0.1 + h",
+        ),
+        TiledSum::SharedWrite => (
+            &["a"],
+            &["out", "r"],
+            "b = int(abs(a)) % 16\nout[int(b)] = a * 0.1\nr = a * 0.1",
+        ),
+        TiledSum::Faulting => (&["a"], &["out"], "out[int(a)] = a * 0.1"),
+        _ => (
+            &["a"],
+            &["out"],
+            "b = int(abs(a)) % 16\nout[int(b)] = a * 0.1",
+        ),
+    };
+    let t = st.add_tasklet("bin", ins, outs, code);
+    let lh = st.add_access("lhist");
+    let all_img = format!("0:{ROWS}, 0:{COLS}");
+    st.add_edge(
+        img,
+        None,
+        oe,
+        Some("IN_img"),
+        Memlet::parse("img", &all_img),
+    );
+    let row = format!("ti, 0:{COLS}");
+    st.add_edge(
+        oe,
+        Some("OUT_img"),
+        ie,
+        Some("IN_img"),
+        Memlet::parse("img", &row),
+    );
+    st.add_edge(
+        ie,
+        Some("OUT_img"),
+        t,
+        Some("a"),
+        Memlet::parse("img", "ti, j"),
+    );
+    let bins = || Memlet::parse("lhist", "0:16").with_wcr(Wcr::Sum);
+    st.add_edge(t, Some("out"), ix, Some("IN_lhist"), bins().dynamic());
+    st.add_edge(ix, Some("OUT_lhist"), lh, None, bins());
+    let wcr = |m: Memlet| match variant {
+        TiledSum::PlainWriteBack => m,
+        _ => m.with_wcr(Wcr::Sum),
+    };
+    let back = Memlet::parse("hist", "0:16").with_other_subset(Subset::parse("0:16").unwrap());
+    st.add_edge(lh, None, ox, Some("IN_hist"), wcr(back));
+    st.add_edge(
+        ox,
+        Some("OUT_hist"),
+        hist,
+        None,
+        wcr(Memlet::parse("hist", "0:16")),
+    );
+    match variant {
+        TiledSum::ReadsTarget => {
+            let src = st.add_access("hist");
+            let h = || Memlet::parse("hist", "0");
+            st.add_edge(src, None, oe, Some("IN_hist"), h());
+            st.add_edge(oe, Some("OUT_hist"), ie, Some("IN_hist"), h());
+            st.add_edge(ie, Some("OUT_hist"), t, Some("h"), h());
+        }
+        TiledSum::SharedWrite => {
+            let dst = st.add_access("rows");
+            let r = |s: &str| Memlet::parse("rows", s).with_wcr(Wcr::Sum);
+            st.add_edge(t, Some("r"), ix, Some("IN_rows"), r("ti"));
+            st.add_edge(ix, Some("OUT_rows"), ox, Some("IN_rows"), r("ti"));
+            st.add_edge(ox, Some("OUT_rows"), dst, None, r(&format!("0:{ROWS}")));
+        }
+        _ => {}
+    }
+    sdfg.validate().expect("valid tiled-sum sdfg");
+    let img: Vec<f64> = (0..ROWS * COLS)
+        .map(|i| ((i * 7919) % 4096) as f64 * 0.0371 + 0.013)
+        .collect();
+    Workload::new("tiled_sum", sdfg)
+        .array("img", img)
+        .array("hist", vec![0.0; 16])
+        .array("rows", vec![0.0; ROWS])
+        .check("hist")
+        .check("rows")
+}
+
+/// A generic tile body whose only shared writes are WCR write-backs runs
+/// its tiles in parallel, and replaying the tiles' write-backs in dim-0
+/// order gives the interpreter's bits for sums whose order shows: at 1, 2
+/// and 8 threads, and on 20 repeated runs at 8. Its near misses stay
+/// serial and say why. Each session's first run times the launch for the
+/// scheduler (the tuner starts a map of 40 points serial).
+#[test]
+fn tiled_write_backs_replay_in_order() {
+    if std::env::var(CHILD_ENV).is_ok() {
+        return;
+    }
+    let jit = jit_available();
+    for variant in [
+        TiledSum::Replayable,
+        TiledSum::PlainWriteBack,
+        TiledSum::ReadsTarget,
+        TiledSum::SharedWrite,
+    ] {
+        let w = tiled_sum(variant);
+        let want = w.run_interp().expect("interpreter runs");
+        let parallel = variant == TiledSum::Replayable;
+        for (nthreads, runs) in [(1, 2), (2, 2), (8, 21)] {
+            let s = session(&w, jit, nthreads);
+            for k in 0..runs {
+                let what = format!("{variant:?}, {nthreads} threads, run {k}");
+                let out = s.run(w.bindings()).expect("run");
+                for name in &w.check {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let got = bits(out.array(name).unwrap());
+                    assert_eq!(got, bits(&want[name]), "{what}: `{name}`");
+                }
+                jit::wait_idle();
+                if k == 0 {
+                    continue;
+                }
+                let tiled = parallel && nthreads > 1;
+                assert_eq!(out.stats().parallel_regions, u64::from(tiled), "{what}");
+                if jit && parallel {
+                    // The tile-private bins let the in-tile kernel run.
+                    assert_eq!(out.stats().jit_points, 40 * 256, "{what}");
+                }
+                let rows = out.lowering_report();
+                let tiles = rows.iter().find(|r| r.label == "tiles").expect("tiles row");
+                let why = (!parallel && nthreads > 1).then_some("generic body with a shared write");
+                assert_eq!(tiles.serial_reason.as_deref(), why, "{what}");
+            }
+        }
+    }
+}
+
+/// A launch whose tiles fail ends with the error a serial launch meets
+/// first, the failing point with the lowest dim-0 value, however the
+/// tiles ran.
+#[test]
+fn a_failed_tile_reports_the_serial_error() {
+    if std::env::var(CHILD_ENV).is_ok() {
+        return;
+    }
+    let jit = jit_available();
+    let mut w = tiled_sum(TiledSum::Faulting);
+    let s = session(&w, jit, 8);
+    // The first run times the launch; the second tiles it.
+    s.run(w.bindings()).expect("clean run");
+    jit::wait_idle();
+    let clean = s.run(w.bindings()).expect("clean run");
+    assert_eq!(clean.stats().parallel_regions, 1);
+    let img = w.arrays.get_mut("img").unwrap();
+    img[5 * 256 + 3] = -3.0;
+    img[30 * 256 + 7] = -7.0;
+    let serial = session(&w, jit, 1)
+        .run(w.bindings())
+        .err()
+        .expect("the run fails")
+        .to_string();
+    assert!(serial.contains("index -3 out of bounds"), "{serial}");
+    for _ in 0..5 {
+        assert_eq!(
+            s.run(w.bindings())
+                .err()
+                .expect("the run fails")
+                .to_string(),
+            serial
         );
     }
 }

@@ -536,17 +536,9 @@ impl<'s> Interpreter<'s> {
                     for _ in 0..count {
                         window.push(q.pop_front().unwrap_or(0.0));
                     }
-                    // Partial drains scatter only the drained prefix.
-                    let prefix = sdfg_symbolic::Subset::new(vec![sdfg_symbolic::SymRange::new(
-                        0,
-                        count as i64,
-                    )]);
-                    let target = if memlet.dynamic && count < capacity {
-                        &prefix
-                    } else {
-                        &dst_subset
-                    };
-                    self.scatter_plain(&dst_data, target, env, &window)?;
+                    // A partial drain fills the first `count` elements of
+                    // the destination subset, in its iteration order.
+                    self.scatter_plain(&dst_data, &dst_subset, env, &window)?;
                 }
                 (true, true) => {
                     // Stream → stream: drain-append (LocalStream flushes).
@@ -1125,6 +1117,8 @@ impl<'s> Interpreter<'s> {
         Ok(out)
     }
 
+    /// Writes `window` to the first `window.len()` elements of `subset`
+    /// in its iteration order (all of them, for a full window).
     fn scatter_plain(
         &mut self,
         data: &str,
@@ -1140,8 +1134,8 @@ impl<'s> Interpreter<'s> {
             .ok_or_else(|| InterpError::MissingArray(data.to_string()))?;
         let mut i = 0usize;
         for_each_offset(&dims, &strides, |off| {
-            if let Some(slot) = arr.get_mut(off) {
-                *slot = window[i];
+            if let (Some(slot), Some(&v)) = (arr.get_mut(off), window.get(i)) {
+                *slot = v;
             }
             i += 1;
         });

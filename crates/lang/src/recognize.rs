@@ -106,7 +106,7 @@ pub fn sole_assignment<'b>(body: &'b [Stmt], outputs: &[String]) -> Option<&'b E
 }
 
 /// Whether evaluating `e` reads the connector or local `name`.
-fn reads(e: &ExprAst, name: &str) -> bool {
+pub fn reads(e: &ExprAst, name: &str) -> bool {
     match e {
         ExprAst::Num(_) => false,
         ExprAst::Name(n) => n == name,

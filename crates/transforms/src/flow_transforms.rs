@@ -64,20 +64,58 @@ impl Transformation for MapToForLoop {
             return CostHint::Unprofitable;
         }
         // With concrete symbol bindings, a small iteration space means the
-        // thread-scope spawn dominates the per-point work.
+        // thread-scope spawn dominates the per-point work. The space counts
+        // the points of the maps nested in the body too: a few tiles that
+        // each sweep a large inner map are not a small map.
         let mut points: i64 = 1;
-        for r in &sc.ranges {
+        let mut at_start = env.clone();
+        for (p, r) in sc.params.iter().zip(&sc.ranges) {
             match r.eval_len(env) {
                 Ok(l) => points = points.saturating_mul(l.max(0)),
                 Err(_) => return CostHint::Unknown,
             }
+            if let Ok(first) = r.start.eval(env) {
+                at_start.insert(p.clone(), first);
+            }
         }
+        points = points.saturating_mul(nested_points(st, &tree, entry, &at_start));
         if points < SEQUENTIALIZE_BELOW_POINTS {
             CostHint::Beneficial
         } else {
             CostHint::Unprofitable
         }
     }
+}
+
+/// Points per iteration of map `entry` spent in the maps nested in its
+/// scope: the largest product of trip counts along a chain of nested
+/// maps, each evaluated with the enclosing parameters (bound in `env`) at
+/// their first value. A nested range that does not evaluate counts one.
+fn nested_points(
+    st: &sdfg_core::State,
+    tree: &sdfg_core::scope::ScopeTree,
+    entry: NodeId,
+    env: &Env,
+) -> i64 {
+    let mut most = 1i64;
+    for n in crate::helpers::map_entries(st) {
+        if tree.scope_of(n) != Some(entry) {
+            continue;
+        }
+        let sc = crate::helpers::scope_of(st, n);
+        let mut inner = env.clone();
+        let mut points = 1i64;
+        for (p, r) in sc.params.iter().zip(&sc.ranges) {
+            let (Ok(l), Ok(first)) = (r.eval_len(&inner), r.start.eval(&inner)) else {
+                points = 1;
+                break;
+            };
+            points = points.saturating_mul(l.max(0));
+            inner.insert(p.clone(), first);
+        }
+        most = most.max(points.saturating_mul(nested_points(st, tree, n, &inner)));
+    }
+    most
 }
 
 /// `StateFusion` — fuses two states connected by an unconditional,
