@@ -31,7 +31,11 @@
 //!   with unit step. Dimension 0 ignores its `bnd` rows: its range is the
 //!   `[lo0, hi0)` arguments, which is how one artifact serves a whole
 //!   collapsed loop, one scheduler tile, or one deadline slice. A bound
-//!   listed in [`NestSpec::loaded`] is read from memory instead.
+//!   listed in [`NestSpec::loaded`] is read from memory instead. A loop
+//!   with a constant non-unit step ([`NestItem::Loop`]) runs from its lower
+//!   row while short of the upper one, downwards for a negative step.
+//!   Condition rows follow the `2·D` bound rows, in the same layout: an
+//!   [`NestItem::If`] compares row `2·D + k` with zero.
 //! * `npts` — status slots. `npts[0]` returns the number of tasklet
 //!   executions performed, for the caller's instrumentation counters. A
 //!   kernel with self-checked accesses reports the first failing one in
@@ -40,8 +44,8 @@
 //!   stream output `k` returns its push count in
 //!   `npts[`[`STATUS_STREAMS`]` + k]`.
 //!
-//! The body is a [`NestSpec`] tree of loops and tasklet calls emitted in
-//! dependency order; inner bounds may be affine in outer iteration
+//! The body is a [`NestSpec`] tree of loops, branches and tasklet calls
+//! emitted in dependency order; inner bounds may be affine in outer iteration
 //! variables (triangular, banded, trapezoidal) or loaded from a port
 //! (a CSR row pointer). A one-dimensional nest whose body is a single call
 //! is the innermost-dimension kernel.
@@ -139,6 +143,7 @@
 //! next tier, which is always correct.
 
 use crate::c_expr::{collect_locals, vm_bin_to_c, vm_expr_to_c, VmName, VmScope};
+use sdfg_core::cond::CmpOp;
 use sdfg_lang::ast::{BinOp, ExprAst, Stmt};
 use sdfg_lang::recognize::{reads, sole_assignment};
 use sdfg_lang::TaskletProgram;
@@ -293,19 +298,43 @@ pub struct NestTasklet<'a> {
 /// recognizer only builds specs whose textual order is a valid topological
 /// order of the intra-nest dependencies).
 pub enum NestItem {
-    /// `for (i{dim} = lo_d; i{dim} < hi_d; ++i{dim}) { body }` with the
-    /// bounds taken from the kernel's `bnd` rows (affine in enclosing
-    /// iteration variables) or loaded (see [`NestSpec::loaded`]). `dim` 0
-    /// is reserved for the outermost loop, whose range is the `[lo0, hi0)`
-    /// arguments.
+    /// `for (i{dim} = lo_d; i{dim} < hi_d; i{dim} += step) { body }` (`>`
+    /// for a negative step) with the bounds taken from the kernel's `bnd`
+    /// rows (affine in enclosing iteration variables) or loaded (see
+    /// [`NestSpec::loaded`]). `dim` 0 is reserved for the outermost loop,
+    /// whose range is the `[lo0, hi0)` arguments.
     Loop {
         /// Nest dimension this loop iterates.
         dim: usize,
+        /// Constant step, never 0. Only unit-step loops take the
+        /// reduction and strip forms.
+        step: i64,
         /// Loop body.
         body: Vec<NestItem>,
     },
     /// Execute `tasklets[idx]` at the current iteration point.
     Call(usize),
+    /// `if (cond) { then } else { els }` at the current iteration point.
+    If {
+        /// The condition, a `bnd` row compared with zero.
+        cond: NestCond,
+        /// Items run when the condition holds.
+        then: Vec<NestItem>,
+        /// Items run otherwise.
+        els: Vec<NestItem>,
+    },
+}
+
+/// A branch condition `row op 0`, where `row` is condition row `row` of
+/// the kernel's `bnd` table: the rows after the dimensions' bound rows,
+/// each `[const, k0 … k_{D-1}]` and affine in the enclosing iteration
+/// variables like a bound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NestCond {
+    /// Condition row index (0 = the first row after the bound rows).
+    pub row: usize,
+    /// Comparison of the row's value with zero.
+    pub op: CmpOp,
 }
 
 /// A loop bound read from memory when its loop is entered: the element
@@ -385,7 +414,12 @@ fn nest_port_ref(ndims: usize, p: usize, scope: &[usize]) -> (String, String) {
 /// C expression for the lower (`hi = false`) or upper (`hi = true`) bound
 /// of dimension `d`, affine in the enclosing iteration variables.
 fn nest_bound_expr(ndims: usize, d: usize, hi: bool, scope: &[usize]) -> String {
-    let row = (2 * d + hi as usize) * (1 + ndims);
+    nest_row_expr(ndims, 2 * d + hi as usize, scope)
+}
+
+/// C expression for `bnd` row `row` at the point spanned by `scope`.
+fn nest_row_expr(ndims: usize, row: usize, scope: &[usize]) -> String {
+    let row = row * (1 + ndims);
     let mut e = format!("bnd[{row}]");
     for &s in scope {
         let _ = write!(e, " + i{s} * bnd[{}]", row + 1 + s);
@@ -446,7 +480,7 @@ pub fn emit_nest_kernel(spec: &NestSpec<'_>) -> Result<String, String> {
             }
         }
     }
-    em.emit_loop(0, &spec.body, &mut Vec::new(), "  ")?;
+    em.emit_loop(0, 1, &spec.body, &mut Vec::new(), "  ")?;
     let mut src = String::new();
     emit_preamble(&mut src);
     if em.uses_i64 {
@@ -517,7 +551,7 @@ fn accumulate_form(spec: &NestSpec<'_>, body: &[NestItem]) -> Option<usize> {
 /// returns `(reduction dim, call)`: the enclosing loop may take the strip
 /// form (see [`STRIP`]).
 fn strip_form(spec: &NestSpec<'_>, body: &[NestItem]) -> Option<(usize, usize)> {
-    let [NestItem::Loop { dim, body }] = body else {
+    let [NestItem::Loop { dim, step: 1, body }] = body else {
         return None;
     };
     let t = accumulate_form(spec, body)?;
@@ -722,23 +756,28 @@ impl Emitter<'_, '_> {
     /// Emits the loop over dimension `d` — whose `[lo{d}, hi{d})` bounds
     /// are already C variables in scope (the entry point's arguments for
     /// the tile dimension) — either as a plain `for` around `body` or,
-    /// when `body` is a single accumulating call, as a reduction loop.
+    /// when the step is one and `body` is a single accumulating call, as a
+    /// reduction loop.
     fn emit_loop(
         &mut self,
         d: usize,
+        step: i64,
         body: &[NestItem],
         scope: &mut Vec<usize>,
         ind: &str,
     ) -> Result<(), String> {
         let spec = self.spec;
-        if let Some((r, t)) = strip_form(spec, body) {
+        let unit = step == 1;
+        if let Some((r, t)) = strip_form(spec, body).filter(|_| unit) {
             return self.emit_strip(d, r, t, body, scope, ind);
         }
-        let Some(t) = accumulate_form(spec, body) else {
-            let _ = writeln!(
-                self.src,
-                "{ind}for (long long i{d} = lo{d}; i{d} < hi{d}; ++i{d}) {{"
-            );
+        let Some(t) = accumulate_form(spec, body).filter(|_| unit) else {
+            let head = match step {
+                1 => format!("i{d} < hi{d}; ++i{d}"),
+                s if s > 0 => format!("i{d} < hi{d}; i{d} += {s}"),
+                s => format!("i{d} > hi{d}; i{d} -= {}", s.unsigned_abs()),
+            };
+            let _ = writeln!(self.src, "{ind}for (long long i{d} = lo{d}; {head}) {{");
             scope.push(d);
             self.emit_items(body, scope, &format!("{ind}  "))?;
             scope.pop();
@@ -898,7 +937,7 @@ impl Emitter<'_, '_> {
         for item in items {
             match item {
                 NestItem::Call(t) => self.emit_call(*t, scope, ind)?,
-                NestItem::Loop { dim, body } => {
+                NestItem::Loop { dim, step, body } => {
                     let d = *dim;
                     if d == 0 || d >= self.spec.ndims {
                         return Err(format!("bad nest dimension {d}"));
@@ -906,12 +945,26 @@ impl Emitter<'_, '_> {
                     if scope.contains(&d) {
                         return Err(format!("nest dimension {d} reused"));
                     }
+                    if *step == 0 {
+                        return Err(format!("nest dimension {d} steps by zero"));
+                    }
                     let lo = self.bound(d, false, scope);
                     let hi = self.bound(d, true, scope);
                     let _ = writeln!(self.src, "{ind}{{");
                     let _ = writeln!(self.src, "{ind}  const long long lo{d} = {lo};");
                     let _ = writeln!(self.src, "{ind}  const long long hi{d} = {hi};");
-                    self.emit_loop(d, body, scope, &format!("{ind}  "))?;
+                    self.emit_loop(d, *step, body, scope, &format!("{ind}  "))?;
+                    let _ = writeln!(self.src, "{ind}}}");
+                }
+                NestItem::If { cond, then, els } => {
+                    let row = nest_row_expr(self.spec.ndims, 2 * self.spec.ndims + cond.row, scope);
+                    let op = cond.op.symbol();
+                    let _ = writeln!(self.src, "{ind}if ({row} {op} 0) {{");
+                    self.emit_items(then, scope, &format!("{ind}  "))?;
+                    if !els.is_empty() {
+                        let _ = writeln!(self.src, "{ind}}} else {{");
+                        self.emit_items(els, scope, &format!("{ind}  "))?;
+                    }
                     let _ = writeln!(self.src, "{ind}}}");
                 }
             }
@@ -1669,9 +1722,11 @@ mod tests {
             ],
             body: vec![NestItem::Loop {
                 dim: 1,
+                step: 1,
                 body: vec![
                     NestItem::Loop {
                         dim: 2,
+                        step: 1,
                         body: vec![NestItem::Call(0)],
                     },
                     NestItem::Call(1),
@@ -1717,6 +1772,7 @@ mod tests {
             }],
             body: vec![NestItem::Loop {
                 dim: 1,
+                step: 1,
                 body: vec![NestItem::Call(0)],
             }],
             ..Default::default()
@@ -1748,12 +1804,14 @@ mod tests {
         // Dimension 0 is the tile loop; reusing it is a bug.
         assert!(emit_nest_kernel(&mk(vec![NestItem::Loop {
             dim: 0,
+            step: 1,
             body: vec![NestItem::Call(0)],
         }]))
         .is_err());
         // Out-of-range dimension.
         assert!(emit_nest_kernel(&mk(vec![NestItem::Loop {
             dim: 2,
+            step: 1,
             body: vec![NestItem::Call(0)],
         }]))
         .is_err());
@@ -1775,8 +1833,10 @@ mod tests {
             }],
             body: vec![NestItem::Loop {
                 dim: 1,
+                step: 1,
                 body: vec![NestItem::Loop {
                     dim: 2,
+                    step: 1,
                     body: vec![NestItem::Call(0)],
                 }],
             }],
@@ -2046,6 +2106,7 @@ mod tests {
             }],
             body: vec![NestItem::Loop {
                 dim: 1,
+                step: 1,
                 body: vec![NestItem::Call(0)],
             }],
             clamped: vec![0],

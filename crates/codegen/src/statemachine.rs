@@ -48,6 +48,8 @@ pub enum Region {
 /// `Not(cond)`.
 #[derive(Clone, Debug)]
 pub struct Loop {
+    /// The guard state.
+    pub guard: StateId,
     /// Loop variable (assigned last on the back edge).
     pub var: String,
     /// The entry edge's final assignment of `var`, when [`structure`]
@@ -106,6 +108,10 @@ pub fn structure(sdfg: &Sdfg) -> Result<Vec<Region>, StateId> {
 pub fn loop_at(sdfg: &Sdfg, guard: StateId) -> Result<Loop, &'static str> {
     Walk::new(sdfg).try_loop(guard)
 }
+
+/// Why [`loop_at`] refuses an empty state with a guard's edge pair but
+/// no back edge: the state heads a two-way branch, not a loop.
+pub const NO_BACK_EDGE: &str = "guard has no back edge";
 
 /// Where a region sequence ends.
 #[derive(Clone, Copy, PartialEq)]
@@ -240,7 +246,7 @@ impl<'a> Walk<'a> {
             .in_edges(guard)
             .any(|e| dominates(&self.idom, guard, g.edge_src(e)))
         {
-            return Err("guard has no back edge");
+            return Err(NO_BACK_EDGE);
         }
         let saved = self.seen.clone();
         self.seen.insert(guard);
@@ -259,6 +265,7 @@ impl<'a> Walk<'a> {
             return Err("back edge must step exactly the loop variable");
         };
         Ok(Loop {
+            guard,
             var,
             init: None,
             cond: self.edge(body_e).condition.clone(),

@@ -152,7 +152,7 @@ pub fn solve(expr: &Expr, params: &[String], env: &Env) -> Solved {
 /// but is not affine in them (`t % 2`): it is evaluated whole, once per
 /// launch, which is sound only where every constant it reads is fixed for
 /// everything the launch runs.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct NestAffine {
     pub(crate) base: i64,
     /// `(global dim index, coefficient)`, ascending by dim.

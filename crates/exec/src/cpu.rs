@@ -396,7 +396,7 @@ pub(crate) fn exec_map(
     // What this launch really iterates: the JIT hotness gate (which a
     // body of this map reads off the worker) and the scheduler's estimate
     // of points per dim-0 iteration.
-    let mut inner_points = 1u64;
+    let mut inner_points = nested_points(ctx, sid, &plan, worker, d0s);
     for d in 0..ranges.len() {
         let c = plan.extent(worker, d, n0);
         worker.volume = worker.volume.saturating_mul(c.max(1));
@@ -504,6 +504,32 @@ fn inner_extent_estimate(c: i64, n0: usize) -> u64 {
     } else {
         c.max(1) as u64
     }
+}
+
+/// Points one iteration of a generic body runs in its inner maps, at the
+/// launch's first point (dim 0 at `d0s`, the other dims at their starts):
+/// a tile map whose work is in a nested map (histogram's `tiles`, each
+/// sweeping a block of pixels) weighs what that map sweeps, not one point.
+/// 1 for a tasklet body, and for an extent that does not evaluate.
+fn nested_points(ctx: &Ctx, sid: StateId, plan: &MapPlan, worker: &Worker, d0s: i64) -> u64 {
+    let MapBody::Generic { children, .. } = &plan.body else {
+        return 1;
+    };
+    let graph = &ctx.sdfg.state(sid).graph;
+    let mut env = worker.env.clone();
+    for (d, (p, r)) in plan.params.iter().zip(&plan.ranges).enumerate() {
+        let at = if d == 0 { Ok(d0s) } else { r.start.eval(&env) };
+        bind(&mut env, p, at.unwrap_or(0));
+    }
+    let extent = |r: &sdfg_symbolic::SymRange| r.eval_len(&env).map_or(1, |n| n.max(1) as u64);
+    children
+        .iter()
+        .filter_map(|&c| match graph.node(c) {
+            Node::MapEntry(m) => Some(m.ranges.iter().map(extent).product::<u64>()),
+            _ => None,
+        })
+        .sum::<u64>()
+        .max(1)
 }
 
 /// Bitwise-determinism gate for the work-stealing path. Tiling reorders

@@ -187,7 +187,8 @@ fn drive_states(
         // loop, run every remaining iteration as one native call and let
         // the normal edge scan below take the exit edge.
         if collapse && ctx.cfg.jit {
-            if let Some(ran) = crate::nest::try_collapse_loop(ctx, cur, &mut worker.env)? {
+            let revisit = counts.visits[slot] > 1;
+            if let Some(ran) = crate::nest::try_collapse_loop(ctx, cur, worker, revisit)? {
                 if let Some(env) = overlaid.as_mut() {
                     // A collapsible loop's variable is never overlaid.
                     bind(env, &ran.var, worker.env[&ran.var]);

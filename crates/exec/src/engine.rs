@@ -384,6 +384,14 @@ pub(crate) struct Worker<'c, 's> {
     pub(crate) prof: Option<Box<WorkerProfile>>,
     /// Innermost enclosing Timer-mode map: tier attribution target.
     pub(crate) cur_map: Option<(u32, u32)>,
+    /// The guard of a collapsible loop whose kernel is still compiling,
+    /// while the drive runs its iterations: the map launches inside it
+    /// request no kernel of their own, since the loop's covers them (see
+    /// `nest::try_collapse_loop`).
+    pub(crate) pending_loop: Option<StateId>,
+    /// The guards of the loops inside each loop that has no plan yet, by
+    /// its guard: a loop builds once those have built theirs.
+    pub(crate) inner_loops: HashMap<StateId, Vec<StateId>>,
 }
 
 impl<'c, 's> Worker<'c, 's> {
@@ -419,6 +427,8 @@ impl<'c, 's> Worker<'c, 's> {
             st_nest_calls: 0,
             prof,
             cur_map: None,
+            pending_loop: None,
+            inner_loops: HashMap::new(),
         }
     }
 

@@ -1014,6 +1014,7 @@ mod tests {
             }],
             body: vec![NestItem::Loop {
                 dim: 1,
+                step: 1,
                 body: vec![NestItem::Call(0)],
             }],
             ..Default::default()

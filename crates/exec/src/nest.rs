@@ -4,12 +4,29 @@
 //! emitter and called through one ABI. Two sites build and launch nests:
 //!
 //! * **State-machine loops** (`try_collapse_loop`): a loop that
-//!   `sdfg_codegen::statemachine::loop_at` recognizes at a guard state,
-//!   admitted when its guard is `var < end`, its body a straight chain of
-//!   single-map or point-tasklet states, and its step `var` by one.
-//!   The whole loop — all iterations, all body states — collapses into
-//!   one native call (sliced only when a run deadline is set), turning
-//!   cholesky's ~253k interpreted transitions into a handful of calls.
+//!   `sdfg_codegen::statemachine::loop_at` recognizes at a guard state
+//!   collapses — all iterations, all body states — into one native call
+//!   (sliced only when a run deadline is set), turning a solver's
+//!   thousands of interpreted transitions into one call per run. The
+//!   structured body is the nest, region for region:
+//!   - the guard compares the variable with a bound it does not assign
+//!     (`<`, `<=` on a positive constant step, `>`, `>=` on a negative
+//!     one), and the host writes back the interpreter's exit value;
+//!   - a state is its top-level point tasklets and all-tasklet maps, in
+//!     the order `exec_state` runs them;
+//!   - an inner loop with an init assignment is a dim from its init to its
+//!     bound on its constant step, both affine in the enclosing dims;
+//!   - a two-way branch is an `if` on one comparison affine in the
+//!     enclosing dims, its arms' states and edge assignments inside;
+//!   - an edge assignment affine in the same terms binds a C local (a dim
+//!     that iterates once) over what follows it in its sequence.
+//!
+//!   Every name a bound, index or condition reads is a dim in scope, a
+//!   launch-time constant, or launch-invariant — never a container or a
+//!   stream length — and a symbol the loop assigns is read after it only
+//!   if it is the loop variable. A map the interpreter could run in
+//!   parallel (no WCR output) is admitted only on a call whose largest
+//!   launch of it the scheduler would keep serial.
 //! * **Map launches** (`map_nest` / `launch_map_nest`): every map has at
 //!   most one kernel, cached per `(state, node)` in the execution plan. A
 //!   single-tasklet map's kernel covers the longest suffix of its dims the
@@ -68,16 +85,16 @@ use crate::sched::SchedPool;
 use crate::tasklet::{compile_body_tasklet, plan_window, BodyTasklet, WindowPlan};
 use parking_lot::Mutex;
 use sdfg_codegen::jit::{
-    decode_fault, emit_nest_kernel, pushes_to, JitOutMode, JitWcrOp, LoadedBound, NestItem,
-    NestOut, NestSpec, NestTasklet, STATUS_FAULT, STATUS_INDEX, STATUS_STREAMS,
+    decode_fault, emit_nest_kernel, pushes_to, JitOutMode, JitWcrOp, LoadedBound, NestCond,
+    NestItem, NestOut, NestSpec, NestTasklet, STATUS_FAULT, STATUS_INDEX, STATUS_STREAMS,
 };
-use sdfg_codegen::statemachine::{loop_at, Region};
+use sdfg_codegen::statemachine::{loop_at, Arm, Branch, Loop, Region, NO_BACK_EDGE};
 use sdfg_core::cond::{BoolExpr, CmpOp};
-use sdfg_core::{Node, Schedule, State, StateId, Wcr};
+use sdfg_core::{Node, Schedule, Sdfg, State, StateId, Wcr};
 use sdfg_graph::NodeId;
 use sdfg_lang::recognize::sole_assignment;
 use sdfg_lang::RuntimeError;
-use sdfg_profile::Tier;
+use sdfg_profile::{Mode as ProfMode, Span, SpanKey, Tier};
 use sdfg_symbolic::dependence::{distinct_along, element, misses};
 use sdfg_symbolic::{Env, Expr, SymRange};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -94,6 +111,12 @@ fn nonaffine(detail: impl Into<String>) -> Decline {
 
 fn body(detail: impl Into<String>) -> Decline {
     Decline::new(DeclineKind::Body, detail)
+}
+
+fn parallel_profitable(map: &str) -> Decline {
+    structure(format!(
+        "parallel-profitable map `{map}` (left on the steal scheduler)"
+    ))
 }
 
 /// Staging slots per stream output and call: a launch with stream outputs
@@ -150,6 +173,11 @@ pub(crate) struct NestCore {
     /// `(lo, hi)` per dim `1..ndims` (index `d - 1`); dim 0 is the range
     /// passed per call. A loaded bound's entry is a placeholder.
     bounds: Vec<(NestAffine, NestAffine)>,
+    /// Constant step per dim (dim 0's is the launch's, see [`Launch`]): a
+    /// negative one runs from `lo` down to just above `hi`.
+    steps: Vec<i64>,
+    /// Branch condition rows, each compared with zero.
+    conds: Vec<NestAffine>,
     /// Dims with a bound the kernel loads (see [`NestPort::clamped`]).
     loaded_dims: Vec<usize>,
     calls: Vec<NestCall>,
@@ -249,11 +277,22 @@ impl NestCore {
     }
 }
 
-/// A collapsible state-machine loop: guard state, loop variable, end
-/// expression, compiled nest.
+/// A collapsible state-machine loop: its variable and the range it walks,
+/// and the compiled nest, whose dim-0 kernel index `k` is the iteration
+/// where the variable is `v0 + k·step` (`v0` its value at the call).
 pub(crate) struct LoopNestPlan {
     pub(crate) var: String,
-    pub(crate) end: Expr,
+    /// Constant step, never 0.
+    step: i64,
+    /// Exclusive end in the step's direction (see [`loop_range`]).
+    end: Expr,
+    /// Dims of each map with no WCR output the scheduler could tile: the
+    /// loop collapses only on a call where every launch such a map would
+    /// make stays below the scheduler's parallel threshold, which decides
+    /// per call, as the launches would.
+    gated: Vec<(String, Vec<usize>)>,
+    /// Set once a call has recorded a launch above the threshold.
+    gate_declined: AtomicBool,
     pub(crate) core: NestCore,
 }
 
@@ -285,6 +324,26 @@ struct Launch<'a> {
     /// The launch's interpreted tiers combine atomically where the kernel
     /// combines plainly (see [`NestCore::launch_exclusive`]).
     atomic: bool,
+}
+
+impl<'a> Launch<'a> {
+    /// A collapsed loop's launch: kernel index `k` is the iteration where
+    /// the variable is `v0 + k·step`, and the symbols are the constants.
+    fn of_loop(
+        consts: &'a dyn Fn(&str) -> Option<i64>,
+        symbols: &'a Env,
+        v0: i64,
+        step: i64,
+    ) -> Launch<'a> {
+        Launch {
+            consts,
+            env: symbols,
+            locals: None,
+            origin: v0,
+            step,
+            atomic: false,
+        }
+    }
 }
 
 /// Where one stream output's staged pushes go.
@@ -332,10 +391,22 @@ struct NestBuilder<'c, 's> {
     muts: &'c BTreeSet<String>,
     /// Global dim names, outermost first (`dims[0]` = tile dimension).
     dims: Vec<String>,
-    /// Dims enclosing every body state (the loop variable for collapsed
-    /// loops; empty for standalone maps, whose dims are all their own).
+    /// Dims enclosing the body element being added, outermost first (a
+    /// collapsed loop's variable, its inner loops' and the symbols its
+    /// edges assign in scope; empty for standalone maps, whose dims are
+    /// all their own).
     outer: Vec<usize>,
     bounds: Vec<(NestAffine, NestAffine)>,
+    /// See [`NestCore::steps`].
+    steps: Vec<i64>,
+    /// See [`NestCore::conds`].
+    conds: Vec<NestAffine>,
+    /// Dims of each map a collapsed loop absorbs although the scheduler
+    /// could run it in parallel (see [`LoopNestPlan::gated`]).
+    gated: Vec<(String, Vec<usize>)>,
+    /// Symbols a collapsed loop's edges assign: no body reads one as a
+    /// symbol, and no bound or index reads one outside its scope.
+    assigned: BTreeSet<String>,
     loaded: Vec<LoadedBound>,
     ports: Vec<NestPort>,
     calls: Vec<NestCall>,
@@ -382,6 +453,10 @@ impl<'c, 's> NestBuilder<'c, 's> {
             dims: Vec::new(),
             outer: Vec::new(),
             bounds: Vec::new(),
+            steps: Vec::new(),
+            conds: Vec::new(),
+            gated: Vec::new(),
+            assigned: BTreeSet::new(),
             loaded: Vec::new(),
             ports: Vec::new(),
             calls: Vec::new(),
@@ -399,11 +474,19 @@ impl<'c, 's> NestBuilder<'c, 's> {
         }
     }
 
-    fn alloc_dim(&mut self, name: &str) -> Result<usize, Decline> {
-        if self.dims.iter().any(|d| d == name) {
+    /// Whether the builder builds a collapsed loop, whose edges assign at
+    /// least its variable.
+    fn collapsing(&self) -> bool {
+        !self.assigned.is_empty()
+    }
+
+    /// A new dim named `name`, which no dim of `scope` may already name.
+    fn alloc_dim(&mut self, name: &str, scope: &[usize]) -> Result<usize, Decline> {
+        if scope.iter().any(|&d| self.dims[d] == name) {
             return Err(structure(format!("shadowed iteration variable `{name}`")));
         }
         self.dims.push(name.to_string());
+        self.steps.push(1);
         Ok(self.dims.len() - 1)
     }
 
@@ -543,7 +626,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
                 .iter()
                 .zip(&site.dim_of)
                 .any(|(n, d)| d.is_some() && n == s);
-            if is_dim || self.dyn_conns.contains(s) {
+            if is_dim || self.dyn_conns.contains(s) || self.assigned.contains(s) {
                 return Err(body(format!(
                     "body reads iteration variable `{s}` as a symbol"
                 )));
@@ -619,35 +702,25 @@ impl<'c, 's> NestBuilder<'c, 's> {
         Ok(self.calls.len() - 1)
     }
 
-    /// Adds one state of a collapsed loop body: a chain of point tasklets
-    /// or a single all-tasklet map scope.
+    /// Adds one state of a collapsed loop body: its top-level point
+    /// tasklets and all-tasklet map scopes, in `StatePlan::order`, the
+    /// order `exec_state` runs them in.
     fn add_state(&mut self, sid: StateId) -> Result<(), Decline> {
         let state = self.ctx.sdfg.state(sid);
         let splan = state_plan(self.ctx, sid)?;
-        let mut tasklets = Vec::new();
-        let mut entries = Vec::new();
         for &n in &splan.order {
             if splan.tree.scope_of(n).is_some() {
                 continue;
             }
             match state.graph.node(n) {
                 Node::Access { .. } => check_access(state, n)?,
-                Node::Tasklet { .. } => tasklets.push(n),
-                Node::MapEntry(_) => entries.push(n),
+                Node::Tasklet { .. } => self.add_point_tasklet(sid, n)?,
+                Node::MapEntry(_) => self.add_map(sid, n, state, &splan, &HashMap::new())?,
                 Node::MapExit { .. } => {}
                 _ => return Err(structure("unsupported node kind in loop body")),
             }
         }
-        match (tasklets.len(), entries.len()) {
-            (_, 0) => {
-                for t in tasklets {
-                    self.add_point_tasklet(sid, t)?;
-                }
-                Ok(())
-            }
-            (0, 1) => self.add_map(sid, entries[0], state, &splan, &HashMap::new()),
-            _ => Err(structure("state mixes maps and point tasklets")),
-        }
+        Ok(())
     }
 
     /// A top-level tasklet executed once per dim-0 iteration.
@@ -719,8 +792,9 @@ impl<'c, 's> NestBuilder<'c, 's> {
             return Err(body("map body is not straight-line tasklets"));
         }
         let d_base = self.dims.len();
+        let mut sc = self.outer.clone();
         for p in &scope.params {
-            self.alloc_dim(p)?;
+            sc.push(self.alloc_dim(p, &sc)?);
         }
         for (m, r) in scope.ranges.iter().enumerate() {
             let d = d_base + m;
@@ -773,22 +847,26 @@ impl<'c, 's> NestBuilder<'c, 's> {
         if self.serial_gate {
             // Collapse absorbs the map into one serial native call, so it
             // is only admissible when the interpreter would also have run
-            // it serially: Sequential schedule, or a loop-invariant WCR
-            // output over the chunk dimension — the exact condition that
-            // makes the write atomic and fails the scheduler's
-            // determinism gate, forcing the serial path.
+            // it serially: Sequential schedule, or a WCR output that is not
+            // an affine element moving with the chunk dimension — the
+            // condition that makes the write atomic and fails the
+            // scheduler's determinism gate, forcing the serial path. A map
+            // with no WCR output is admitted too, gated per launch on its
+            // size (see [`LoopNestPlan::gated`]); serial, it writes what
+            // its tiles would.
             let p0 = self.outer.len();
+            let wcr = |bt: &Arc<BodyTasklet>| bt.outs.iter().any(|o| o.wcr.is_some());
+            let moves = |w: &WindowPlan| matches!(w, WindowPlan::Scalar(sv) if sv.coeff(p0).is_some_and(|c| c != 0));
             let serial = scope.schedule == Schedule::Sequential
-                || bts.iter().any(|bt| {
-                    bt.outs.iter().any(|o| {
-                    o.wcr.is_some()
-                        && matches!(&o.window, WindowPlan::Scalar(sv) if sv.coeff(p0) == Some(0))
-                })
-                });
+                || bts
+                    .iter()
+                    .any(|bt| bt.outs.iter().any(|o| o.wcr.is_some() && !moves(&o.window)));
+            if !serial && (!self.collapsing() || bts.iter().any(wcr)) {
+                return Err(parallel_profitable(&scope.label));
+            }
             if !serial {
-                return Err(structure(
-                    "parallel-profitable map (left on the steal scheduler)",
-                ));
+                let dims = (d_base..d_base + scope.params.len()).collect();
+                self.gated.push((scope.label.clone(), dims));
             }
         }
         let innermost_pos = self.outer.len() + scope.params.len() - 1;
@@ -813,6 +891,7 @@ impl<'c, 's> NestBuilder<'c, 's> {
             }
             items = vec![NestItem::Loop {
                 dim: d,
+                step: 1,
                 body: items,
             }];
         }
@@ -917,6 +996,8 @@ impl<'c, 's> NestBuilder<'c, 's> {
         let NestBuilder {
             dims,
             bounds,
+            steps,
+            conds,
             loaded,
             ports,
             calls,
@@ -984,6 +1065,8 @@ impl<'c, 's> NestBuilder<'c, 's> {
             ndims,
             ports,
             bounds,
+            steps,
+            conds,
             loaded_dims,
             calls,
             streams,
@@ -1142,89 +1225,470 @@ fn point_modes(bt: &BodyTasklet) -> Result<Vec<JitOutMode>, Decline> {
 
 // --- state-machine loop recognition ------------------------------------------
 
-/// The collapsible loop at `guard`: `codegen::statemachine` recognizes the
-/// loop, and the JIT admits a `var < end` guard over hygienic names, a
-/// straight body of at most 8 plain states with no interior assignments,
-/// and a unit step.
-fn build_loop_nest(ctx: &Ctx, guard: StateId, label: String) -> Result<LoopNestPlan, Decline> {
+/// Whether an interstate name is a pure symbol: a container-backed or
+/// stream-length name would make a collapsed loop's decisions diverge from
+/// the interpreter's per-iteration re-evaluation.
+fn hygienic(sdfg: &Sdfg, s: &str) -> bool {
+    !sdfg.data.contains_key(s) && !s.starts_with("len_")
+}
+
+/// The constant step of loop `l`, and the bound its guard compares the
+/// variable with as an exclusive end in the step's direction: the loop runs
+/// while `var < end` for a positive step and while `var > end` for a
+/// negative one (`var <= e` is `var < e + 1`, `var >= e` is `var > e - 1`).
+fn loop_range(l: &Loop) -> Result<(i64, Expr), Decline> {
+    let (op, e) = match &l.cond {
+        BoolExpr::Cmp(op, Expr::Sym(v), e) if *v == l.var => (*op, e),
+        BoolExpr::Cmp(op, e, Expr::Sym(v)) if *v == l.var => (flip(*op), e),
+        BoolExpr::Cmp(..) => return Err(structure("back edge steps a different symbol")),
+        _ => return Err(structure("guard is not a comparison of the loop variable")),
+    };
+    let step = match l
+        .update
+        .affine_in(std::slice::from_ref(&l.var), &Env::new())
+    {
+        Ok((s, c)) if c == [1] && s != 0 => s,
+        _ => {
+            return Err(nonaffine(format!(
+                "non-unit loop increment `{}` is not a constant step",
+                l.update
+            )))
+        }
+    };
+    let end = match (op, step > 0) {
+        (CmpOp::Lt, true) | (CmpOp::Gt, false) => e.clone(),
+        (CmpOp::Le, true) => e.clone() + Expr::int(1),
+        (CmpOp::Ge, false) => e.clone() - Expr::int(1),
+        _ => {
+            return Err(structure(format!(
+                "guard `{}` does not bound a step of {step}",
+                l.cond
+            )))
+        }
+    };
+    Ok((step, end))
+}
+
+/// `b op a` as `a op' b`.
+fn flip(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
+        eq_or_ne => eq_or_ne,
+    }
+}
+
+/// `!(a op b)` as `a op' b`.
+fn negate(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Ge,
+        CmpOp::Le => CmpOp::Gt,
+        CmpOp::Gt => CmpOp::Le,
+        CmpOp::Ge => CmpOp::Lt,
+        CmpOp::Eq => CmpOp::Ne,
+        CmpOp::Ne => CmpOp::Eq,
+    }
+}
+
+/// Adds every symbol the edges inside `regions` assign to `out`: edge
+/// assignments, inner loop variables and exit assignments.
+fn collect_assigned(regions: &[Region], out: &mut BTreeSet<String>) {
+    let names = |a: &[(String, Expr)]| a.iter().map(|(v, _)| v.clone()).collect::<Vec<_>>();
+    for r in regions {
+        match r {
+            Region::State(_, a) => out.extend(names(a)),
+            Region::Loop(l) => {
+                out.insert(l.var.clone());
+                out.extend(names(&l.exit_assigns));
+                collect_assigned(&l.body, out);
+            }
+            Region::Branch(b) => {
+                for Arm(a, body) in [&b.then, &b.els] {
+                    out.extend(names(a));
+                    collect_assigned(body, out);
+                }
+            }
+        }
+    }
+}
+
+/// In order: `Some(true)` when one of `assigns` reads `sym` before any
+/// assigns it, `Some(false)` when one assigns it first, `None` otherwise.
+fn assigns_read(assigns: &[(String, Expr)], sym: &str) -> Option<bool> {
+    assigns.iter().find_map(|(v, e)| {
+        if e.has_symbol(sym) {
+            Some(true)
+        } else {
+            (v == sym).then_some(false)
+        }
+    })
+}
+
+/// Whether a state may read `sym`: in a memlet, a scope's range, a nested
+/// SDFG's symbol mapping, or — by name, conservatively — a tasklet's code.
+fn state_reads(state: &State, sym: &str) -> bool {
+    let mut read = BTreeSet::new();
+    for n in state.graph.node_ids() {
+        match state.graph.node(n) {
+            Node::MapEntry(m) => m.ranges.iter().for_each(|r| r.collect_symbols(&mut read)),
+            Node::ConsumeEntry(c) => c.num_pes.collect_symbols(&mut read),
+            Node::NestedSdfg { symbol_mapping, .. } => symbol_mapping
+                .values()
+                .for_each(|e| e.collect_symbols(&mut read)),
+            Node::Tasklet { code, .. } => {
+                let mut words = code.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+                if words.any(|w| w == sym) {
+                    return true;
+                }
+            }
+            _ => {}
+        }
+    }
+    for e in state.graph.edge_ids() {
+        let m = &state.graph.edge(e).memlet;
+        for s in std::iter::once(&m.subset).chain(&m.other_subset) {
+            s.dims.iter().for_each(|r| r.collect_symbols(&mut read));
+        }
+        m.volume.collect_symbols(&mut read);
+    }
+    read.contains(sym)
+}
+
+/// Whether `sym` may be read after loop `l` exits before an edge assigns
+/// it: on the exit edge, in a state reachable from the exit, or on an edge
+/// between them.
+fn read_after(sdfg: &Sdfg, l: &Loop, sym: &str) -> bool {
+    if let Some(read) = assigns_read(&l.exit_assigns, sym) {
+        return read;
+    }
+    let mut seen = BTreeSet::new();
+    let mut todo = vec![l.exit];
+    while let Some(sid) = todo.pop() {
+        if !seen.insert(sid.0) {
+            continue;
+        }
+        if state_reads(sdfg.state(sid), sym) {
+            return true;
+        }
+        for e in sdfg.graph.out_edges(sid) {
+            let edge = sdfg.graph.edge(e);
+            if edge.condition.free_symbols().contains(sym) {
+                return true;
+            }
+            match assigns_read(&edge.assignments, sym) {
+                Some(true) => return true,
+                Some(false) => {}
+                None => todo.push(sdfg.graph.edge_dst(e)),
+            }
+        }
+    }
+    false
+}
+
+impl NestBuilder<'_, '_> {
+    /// The items `f` adds, which go into a loop or branch arm rather than
+    /// the current body.
+    fn nested(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<(), Decline>,
+    ) -> Result<Vec<NestItem>, Decline> {
+        let outer = std::mem::take(&mut self.body);
+        let r = f(self);
+        let items = std::mem::replace(&mut self.body, outer);
+        r.map(|()| items)
+    }
+
+    /// `e` as an affine form in the dims in scope and launch-time
+    /// constants, reading no container or stream length.
+    fn affine_at(&self, e: &Expr, what: &str) -> Result<NestAffine, Decline> {
+        if let Some(s) = e
+            .free_symbols()
+            .iter()
+            .find(|s| !hygienic(self.ctx.sdfg, s))
+        {
+            return Err(nonaffine(format!(
+                "{what} `{e}` reads container or stream length `{s}`"
+            )));
+        }
+        let site = self.site(&self.outer);
+        NestAffine::from_solved(&solve(e, &site.names, self.env0), &site)
+            .ok_or_else(|| nonaffine(format!("{what} `{e}` is not affine in the loop's symbols")))
+    }
+
+    /// Opens dim `name` over `[lo, hi)` on `step` in the current scope.
+    fn open_dim(
+        &mut self,
+        name: &str,
+        lo: NestAffine,
+        hi: NestAffine,
+        step: i64,
+    ) -> Result<usize, Decline> {
+        let d = self.alloc_dim(name, &self.outer.clone())?;
+        self.bounds.push((lo, hi));
+        self.steps[d] = step;
+        self.outer.push(d);
+        Ok(d)
+    }
+
+    /// Closes dim `d`, opened by [`NestBuilder::open_dim`], around `body`.
+    fn close_dim(&mut self, d: usize, body: Vec<NestItem>) {
+        self.outer.pop();
+        let step = self.steps[d];
+        self.body.push(NestItem::Loop { dim: d, step, body });
+    }
+
+    /// Adds `regions` — a collapsed loop's body, or part of it — in order.
+    /// The assignments on a region's out edge bind over the regions after
+    /// it (see [`NestBuilder::bind_then`]).
+    fn add_regions(&mut self, regions: &[Region]) -> Result<(), Decline> {
+        let Some((first, rest)) = regions.split_first() else {
+            return Ok(());
+        };
+        let assigns: &[(String, Expr)] = match first {
+            Region::State(sid, assigns) => {
+                self.add_state(*sid)?;
+                assigns
+            }
+            Region::Loop(l) => {
+                self.add_loop(l)?;
+                &l.exit_assigns
+            }
+            Region::Branch(b) => {
+                self.add_branch(b)?;
+                &[]
+            }
+        };
+        self.bind_then(assigns, |b| b.add_regions(rest))
+    }
+
+    /// Binds each of `assigns` in turn, then adds what `rest` adds. An
+    /// assigned symbol becomes a C local: a dim of its own that iterates
+    /// once, at its value — affine in the dims in scope and launch-time
+    /// constants — around everything after the edge that assigned it.
+    fn bind_then(
+        &mut self,
+        assigns: &[(String, Expr)],
+        rest: impl FnOnce(&mut Self) -> Result<(), Decline>,
+    ) -> Result<(), Decline> {
+        let Some(((sym, e), more)) = assigns.split_first() else {
+            return rest(self);
+        };
+        let value = self.affine_at(e, "assignment")?;
+        let mut next = value.clone();
+        next.base = value
+            .base
+            .checked_add(1)
+            .ok_or_else(|| nonaffine("assignment overflows"))?;
+        let d = self.open_dim(sym, value, next, 1)?;
+        let body = self.nested(|b| b.bind_then(more, rest))?;
+        self.close_dim(d, body);
+        Ok(())
+    }
+
+    /// Adds an inner loop as a dim from its init to its bound, on its
+    /// constant step.
+    fn add_loop(&mut self, l: &Loop) -> Result<(), Decline> {
+        let init = l
+            .init
+            .as_ref()
+            .ok_or_else(|| structure(format!("inner loop `{}` has no init assignment", l.var)))?;
+        let (step, end) = loop_range(l)?;
+        // The C loop reads its bound once; the interpreter re-reads the
+        // guard every iteration.
+        let mut inner = BTreeSet::from([l.var.clone()]);
+        collect_assigned(&l.body, &mut inner);
+        if let Some(s) = end.free_symbols().into_iter().find(|s| inner.contains(s)) {
+            return Err(nonaffine(format!(
+                "loop bound `{end}` reads `{s}`, which its loop assigns"
+            )));
+        }
+        let lo = self.affine_at(init, "loop start")?;
+        let hi = self.affine_at(&end, "loop bound")?;
+        let d = self.open_dim(&l.var, lo, hi, step)?;
+        let body = self.nested(|b| b.add_regions(&l.body))?;
+        self.close_dim(d, body);
+        Ok(())
+    }
+
+    /// Adds a two-way branch: its state, then `if` around the arms, each
+    /// arm's edge assignments binding over its regions.
+    fn add_branch(&mut self, br: &Branch) -> Result<(), Decline> {
+        self.add_state(br.state)?;
+        let cond = self.cond(&br.cond)?;
+        let arm = |b: &mut Self, Arm(assigns, regions): &Arm| {
+            b.nested(|b| b.bind_then(assigns, |b| b.add_regions(regions)))
+        };
+        let then = arm(self, &br.then)?;
+        let els = arm(self, &br.els)?;
+        self.body.push(NestItem::If { cond, then, els });
+        Ok(())
+    }
+
+    /// A branch condition as a condition row compared with zero: one
+    /// comparison, or its negation, of expressions affine in the dims in
+    /// scope and launch-time constants.
+    fn cond(&mut self, c: &BoolExpr) -> Result<NestCond, Decline> {
+        let (op, lhs, rhs) = match c {
+            BoolExpr::Cmp(op, l, r) => (*op, l, r),
+            BoolExpr::Not(inner) => match &**inner {
+                BoolExpr::Cmp(op, l, r) => (negate(*op), l, r),
+                _ => {
+                    return Err(structure(format!(
+                        "branch condition `{c}` is not one comparison"
+                    )))
+                }
+            },
+            _ => {
+                return Err(structure(format!(
+                    "branch condition `{c}` is not one comparison"
+                )))
+            }
+        };
+        let mut row = self.affine_at(lhs, "branch condition")?;
+        row.add_scaled(&self.affine_at(rhs, "branch condition")?, -1)
+            .ok_or_else(|| nonaffine("branch condition overflows"))?;
+        self.conds.push(row);
+        Ok(NestCond {
+            row: self.conds.len() - 1,
+            op,
+        })
+    }
+}
+
+/// The collapsible loop at `guard` (see the module doc for the shapes it
+/// admits), built at a visit of its guard (see [`inner_loops_settled`])
+/// whose `symbols` decide whether a map the scheduler could run in
+/// parallel is small enough (see [`LoopNestPlan::gated`]): one that is
+/// not declines the loop before its kernel is requested.
+fn build_loop_nest(
+    ctx: &Ctx,
+    guard: StateId,
+    label: String,
+    symbols: &Env,
+) -> Result<LoopNestPlan, Decline> {
     let sdfg = ctx.sdfg;
     let l = loop_at(sdfg, guard).map_err(structure)?;
-    let end = match &l.cond {
-        BoolExpr::Cmp(CmpOp::Lt, Expr::Sym(v), end) if *v == l.var => end,
-        BoolExpr::Cmp(CmpOp::Lt, Expr::Sym(_), _) => {
-            return Err(structure("back edge steps a different symbol"))
-        }
-        _ => return Err(structure("guard edges are not a `var < end` pair")),
-    };
-    // The guard must read pure interstate symbols: container-backed or
-    // stream-length names would make the collapsed trip count diverge
-    // from the interpreter's per-iteration re-evaluation.
-    let hygienic = |s: &str| -> bool { !sdfg.data.contains_key(s) && !s.starts_with("len_") };
-    if !hygienic(&l.var) {
+    let (step, end) = loop_range(&l)?;
+    if !hygienic(sdfg, &l.var) {
         return Err(structure("loop variable shadows a container"));
     }
-    let mut free = BTreeSet::new();
-    end.collect_symbols(&mut free);
-    if free.iter().any(|s| s == &l.var || !hygienic(s)) {
+    let mut assigned = BTreeSet::from([l.var.clone()]);
+    collect_assigned(&l.body, &mut assigned);
+    if end
+        .free_symbols()
+        .iter()
+        .any(|s| assigned.contains(s) || !hygienic(sdfg, s))
+    {
         return Err(nonaffine(
-            "loop bound reads a container or the loop variable",
+            "loop bound reads a container or a symbol the loop assigns",
         ));
     }
-    // The body's regions in order, each checked as a walk of the chain
-    // from the body edge meets it.
-    let mut body_states = Vec::new();
-    for (k, r) in l.body.iter().enumerate() {
-        let last = k + 1 == l.body.len();
-        let why = match r {
-            // The edge into a nested loop assigned its variable.
-            Region::Loop(inner) if inner.init.is_some() => "assignment on interior loop edge",
-            _ if k == 8 => "loop body chain too long",
-            Region::State(id, assigns) if assigns.is_empty() => {
-                body_states.push(*id);
-                continue;
-            }
-            Region::State(..) if last => "back edge must step exactly the loop variable",
-            Region::State(..) => "assignment on interior loop edge",
-            _ => "loop body state branches",
-        };
-        return Err(structure(why));
-    }
-    if l.update
-        .affine_in(std::slice::from_ref(&l.var), &Env::new())
-        != Ok((1, vec![1]))
+    // The host writes back only the loop variable.
+    if let Some(s) = assigned
+        .iter()
+        .find(|s| **s != l.var && read_after(sdfg, &l, s))
     {
-        return Err(nonaffine("non-unit loop increment"));
+        return Err(structure(format!(
+            "symbol `{s}` assigned in the loop is read after it"
+        )));
     }
-    let mut b = NestBuilder::over_interstate(ctx, true);
-    b.alloc_dim(&l.var)?;
-    b.outer = vec![0];
-    for sid in body_states {
-        b.add_state(sid)?;
+    let muts: BTreeSet<String> = ctx.inv.muts.difference(&assigned).cloned().collect();
+    let mut b = NestBuilder::new(ctx, &ctx.inv.env0, &muts, true);
+    b.assigned = assigned;
+    let d0 = b.alloc_dim(&l.var, &[])?;
+    b.steps[d0] = step;
+    b.outer = vec![d0];
+    b.add_regions(&l.body)?;
+    let gated = std::mem::take(&mut b.gated);
+    if let Some((v0, n)) = remaining(&l.var, step, &end, symbols) {
+        let consts = |name: &str| symbols.get(name).copied();
+        let launch = Launch::of_loop(&consts, symbols, v0, step);
+        if let Some(map) = parallel_launch(&gated, &b.bounds, &b.steps, &[], &launch, n) {
+            return Err(parallel_profitable(map));
+        }
     }
     let core = b.finish(label)?;
     Ok(LoopNestPlan {
         var: l.var,
-        end: end.clone(),
+        step,
+        end,
+        gated,
+        gate_declined: AtomicBool::new(false),
         core,
     })
+}
+
+/// The value `var` has at this visit and the iterations left from it, when
+/// the loop's exit value stays representable.
+fn remaining(var: &str, step: i64, end: &Expr, symbols: &Env) -> Option<(i64, i64)> {
+    let v0 = *symbols.get(var)?;
+    let end = end.eval(symbols).ok()?;
+    let (span, s) = if step > 0 {
+        (end as i128 - v0 as i128, step as i128)
+    } else {
+        (v0 as i128 - end as i128, -(step as i128))
+    };
+    let n = i64::try_from((span.max(0) + s - 1) / s).ok()?;
+    v0.checked_add(n.checked_mul(step)?)?;
+    Some((v0, n))
+}
+
+/// The first map in `gated` (label, dims) the steal scheduler could run
+/// in parallel on a call of `n` iterations of a nest with these `bounds`,
+/// `steps` and `loaded` dims: one whose largest launch, every dim counted
+/// over the call's intervals, is not below the parallel threshold at the
+/// tuner's default per-point cost. Without intervals, the first map.
+fn parallel_launch<'g>(
+    gated: &'g [(String, Vec<usize>)],
+    bounds: &[(NestAffine, NestAffine)],
+    steps: &[i64],
+    loaded: &[usize],
+    launch: &Launch,
+    n: i64,
+) -> Option<&'g str> {
+    if gated.is_empty() {
+        return None;
+    }
+    let ivals = intervals(bounds, steps, loaded, launch, 0, n);
+    let serial = |dims: &[usize]| {
+        ivals.as_deref().is_some_and(|iv| {
+            let points = dims.iter().fold(1u128, |acc, &d| {
+                let (a, b) = iv[d];
+                acc.saturating_mul((b - a + 1).max(1) as u128)
+            });
+            crate::sched::below_parallel_threshold(points.min(u64::MAX as u128) as u64)
+        })
+    };
+    gated
+        .iter()
+        .find(|(_, dims)| !serial(dims))
+        .map(|(label, _)| label.as_str())
 }
 
 /// Collapse hook, called by the drive loop after executing `cur` (when
 /// the JIT tier is enabled): if `cur` is the guard of a recognized loop,
 /// run every remaining iteration as one native call and advance the loop
-/// variable to its exit value, returning the loop it ran. On any decline —
-/// structural, compile, or launch-time, including a kernel still compiling
-/// — it returns `None` and the interpreter path proceeds unchanged; a loop
-/// whose kernel arrives mid-run collapses from its next guard visit on.
+/// variable to its exit value, `v0 + trips·step` as the interpreter leaves
+/// it, returning the loop it ran. On any decline — structural, compile, or
+/// launch-time, including a kernel still compiling or a map grown past the
+/// serial bound — it returns `None` and the interpreter path proceeds
+/// unchanged; a loop whose kernel arrives mid-run collapses from its next
+/// guard visit on. A two-way branch's empty state, which has a guard's
+/// edge pair, is no loop and records nothing.
 ///
 /// Under a run deadline the loop runs as consecutive `[lo0, hi0)` slices
 /// of the same kernel — bitwise the same execution order — with the
 /// deadline checked between slices, so a collapsed loop cannot outlive
-/// its budget by more than one slice.
+/// its budget by more than one slice. When profiling times the guard
+/// state, each call records a `loop <var> [jit]` span with its points and
+/// native calls.
 pub(crate) fn try_collapse_loop(
     ctx: &Ctx,
     cur: StateId,
-    symbols: &mut Env,
+    worker: &mut Worker,
+    revisit: bool,
 ) -> Result<Option<Arc<LoopNestPlan>>, ExecError> {
     // Loop guards are empty states with exactly two successors (body and
     // exit); everything else leaves immediately — without recording a
@@ -1232,15 +1696,22 @@ pub(crate) fn try_collapse_loop(
     if ctx.sdfg.state(cur).graph.node_count() != 0 || ctx.sdfg.graph.out_degree(cur) != 2 {
         return Ok(None);
     }
+    // A pending loop re-decides at each visit of its guard.
+    if worker.pending_loop == Some(cur) {
+        worker.pending_loop = None;
+    }
     let cached = ctx.plan.loop_nest(cur.0);
     let plan = match cached {
         Some(Ok(p)) => p,
         Some(Err(_)) => return Ok(None),
+        None if !inner_loops_settled(ctx, cur, worker, revisit) => return Ok(None),
         None => {
             let label = format!("loop@{}", ctx.sdfg.state(cur).label);
-            let res = build_loop_nest(ctx, cur, label.clone()).map(Arc::new);
-            if let Err(d) = &res {
-                d.record(ctx.chash, &label);
+            let res = build_loop_nest(ctx, cur, label.clone(), &worker.env).map(Arc::new);
+            match &res {
+                Err(d) if d.detail == NO_BACK_EDGE => {}
+                Err(d) => d.record(ctx.chash, &label),
+                Ok(_) => {}
             }
             match ctx.plan.insert_loop_nest(cur.0, res) {
                 Ok(p) => p,
@@ -1248,33 +1719,36 @@ pub(crate) fn try_collapse_loop(
             }
         }
     };
-    let Some(&lo0) = symbols.get(&plan.var) else {
+    let symbols = &worker.env;
+    let Some((v0, n)) = remaining(&plan.var, plan.step, &plan.end, symbols) else {
         return Ok(None);
     };
-    let Ok(hi0) = plan.end.eval(symbols) else {
-        return Ok(None);
-    };
-    if lo0 >= hi0 {
+    if n == 0 {
         return Ok(None);
     }
-    let launch = Launch {
-        consts: &|name| symbols.get(name).copied(),
-        env: symbols,
-        locals: None,
-        origin: 0,
-        step: 1,
-        atomic: false,
-    };
-    let Some(args) = marshal(ctx, &plan.core, &launch, lo0, hi0) else {
+    let consts = |name: &str| symbols.get(name).copied();
+    let launch = Launch::of_loop(&consts, symbols, v0, plan.step);
+    if !plan.serial_at(ctx, &launch, n) {
+        return Ok(None);
+    }
+    let Some(args) = marshal(ctx, &plan.core, &launch, 0, n) else {
+        if plan.core.compiled().is_none() {
+            worker.pending_loop = Some(cur);
+        }
         return Ok(None);
     };
+    let timed = ctx.prof.as_ref().map(|p| (p, p.state_mode(cur.0)));
+    let t0 = match timed {
+        Some((p, ProfMode::Timer)) => Some(p.collector.now_ns()),
+        _ => None,
+    };
     let (mut npts, mut calls) = (0i64, 0u64);
-    let mut done = lo0;
+    let mut done = 0;
     let mut ran = Ok(());
     match ctx.cfg.deadline {
         None => {
-            ran = run_nest(&plan.core, &args, lo0, hi0).map(|(n, c)| {
-                (npts, calls, done) = (n, c, hi0);
+            ran = run_nest(&plan.core, &args, 0, n).map(|(p, c)| {
+                (npts, calls, done) = (p, c, n);
             });
         }
         Some(deadline) => {
@@ -1282,17 +1756,17 @@ pub(crate) fn try_collapse_loop(
             // enough to honour millisecond budgets, long enough that the
             // clock reads vanish next to the kernel.
             let mut len = 1i64;
-            while done < hi0 && std::time::Instant::now() < deadline {
-                let hi = done.saturating_add(len).min(hi0);
+            while done < n && std::time::Instant::now() < deadline {
+                let hi = done.saturating_add(len).min(n);
                 let t0 = std::time::Instant::now();
-                let (n, c) = match run_nest(&plan.core, &args, done, hi) {
+                let (p, c) = match run_nest(&plan.core, &args, done, hi) {
                     Ok(r) => r,
                     Err(e) => {
                         ran = Err(e);
                         break;
                     }
                 };
-                npts += n;
+                npts += p;
                 calls += c;
                 done = hi;
                 let us = t0.elapsed().as_micros();
@@ -1304,15 +1778,88 @@ pub(crate) fn try_collapse_loop(
             }
         }
     }
+    drop(args);
     count_calls(ctx, npts as u64, calls);
+    if let Some((p, mode)) = timed.filter(|&(_, m)| m != ProfMode::Off) {
+        let key = SpanKey::Loop(cur.0);
+        p.collector
+            .register_label(key, format!("{} [jit]", plan.var));
+        let dur = t0.map(|t| p.collector.now_ns().saturating_sub(t));
+        if let Some(wp) = worker.prof.as_mut() {
+            wp.loops
+                .entry(cur.0)
+                .or_default()
+                .add(dur, npts as u64, calls);
+            if let (Some(start_ns), Some(dur_ns), ProfMode::Timer) = (t0, dur, mode) {
+                wp.timeline.push(Span {
+                    key,
+                    worker: wp.worker,
+                    start_ns,
+                    dur_ns,
+                });
+            }
+        }
+    }
     ran?;
-    // A unit-step loop exits with `var == hi0`; the normal edge scan then
-    // takes the exit edge and applies its assignments.
-    symbols.insert(plan.var.clone(), done);
-    if done < hi0 {
+    // The interpreter leaves the variable one step past its last
+    // iteration; the normal edge scan then takes the exit edge and applies
+    // its assignments.
+    worker.env.insert(plan.var.clone(), v0 + done * plan.step);
+    if done < n {
         return Err(ExecError::Timeout(ctx.cfg.deadline_ms));
     }
     Ok(Some(plan))
+}
+
+/// Whether the loop at `guard`, which has no plan yet, may build one: once
+/// every loop inside it has built its own, or the guard's first visit in
+/// the run is over (`revisit`: a loop the first iteration did not reach
+/// may be one no run reaches). Plans build inside out, and the compile
+/// queue runs in request order, so a cold run collapses the inner loops
+/// while the outer kernel compiles.
+fn inner_loops_settled(ctx: &Ctx, guard: StateId, worker: &mut Worker, revisit: bool) -> bool {
+    let inner = worker.inner_loops.entry(guard).or_insert_with(|| {
+        let mut inner = Vec::new();
+        if let Ok(l) = loop_at(ctx.sdfg, guard) {
+            inner_guards(&l.body, &mut inner);
+        }
+        inner
+    });
+    revisit || inner.iter().all(|g| ctx.plan.loop_nest(g.0).is_some())
+}
+
+/// Adds the guards of the loops in `regions`, at any depth, to `out`.
+fn inner_guards(regions: &[Region], out: &mut Vec<StateId>) {
+    for r in regions {
+        match r {
+            Region::State(..) => {}
+            Region::Loop(l) => {
+                out.push(l.guard);
+                inner_guards(&l.body, out);
+            }
+            Region::Branch(b) => {
+                inner_guards(&b.then.1, out);
+                inner_guards(&b.els.1, out);
+            }
+        }
+    }
+}
+
+impl LoopNestPlan {
+    /// Whether this call may run the maps the plan gates (see
+    /// [`LoopNestPlan::gated`]) serially; the first call that may not
+    /// records the decline.
+    fn serial_at(&self, ctx: &Ctx, launch: &Launch, n: i64) -> bool {
+        let core = &self.core;
+        let (bounds, steps, loaded) = (&core.bounds, &core.steps, &core.loaded_dims);
+        let Some(map) = parallel_launch(&self.gated, bounds, steps, loaded, launch, n) else {
+            return true;
+        };
+        if !self.gate_declined.swap(true, Ordering::Relaxed) {
+            parallel_profitable(map).record(ctx.chash, &core.label);
+        }
+        false
+    }
 }
 
 // --- map kernels -------------------------------------------------------------
@@ -1323,7 +1870,8 @@ impl NestBuilder<'_, '_> {
     /// between bounds affine in the dims before it.
     fn add_map_dims(&mut self, params: &[String], ranges: &[SymRange]) -> Result<(), Decline> {
         for p in params {
-            self.alloc_dim(p)?;
+            let own: Vec<usize> = (0..self.dims.len()).collect();
+            self.alloc_dim(p, &own)?;
         }
         for (d, r) in ranges.iter().enumerate().skip(1) {
             let site = self.site(&(0..d).collect::<Vec<_>>());
@@ -1341,6 +1889,7 @@ impl NestBuilder<'_, '_> {
         for d in (1..nd).rev() {
             items = vec![NestItem::Loop {
                 dim: d,
+                step: 1,
                 body: items,
             }];
         }
@@ -1464,6 +2013,9 @@ pub(crate) fn map_nest(
         MapBody::Tasklets(ts, _) => (ts.len() == 1, ungated || worker.volume >= JIT_MIN_POINTS),
         MapBody::Generic { .. } => (base == worker.nconst && plan.dyn_edges.is_empty(), true),
     };
+    // The kernel of a loop being compiled will run this map (see
+    // `Worker::pending_loop`).
+    let requests = requests && worker.pending_loop.is_none();
     if !ctx.cfg.jit || !wanted {
         return None;
     }
@@ -1676,6 +2228,110 @@ fn count_calls(ctx: &Ctx, n: u64, calls: u64) {
 
 // --- launch marshalling ------------------------------------------------------
 
+/// An affine form with a resolved constant part: `(base, [(dim, coeff)])`.
+type Lin = (i128, Vec<(usize, i128)>);
+
+/// A launch's iteration space as the rows that bound each dim's values,
+/// which [`Reach::extent`] substitutes innermost first.
+struct Reach {
+    /// Per dim `1..` (index `d - 1`), the forms of its lowest and highest
+    /// value; `None` for a loaded dim.
+    rows: Vec<Option<[Lin; 2]>>,
+    /// Dim 0's lowest and highest value.
+    first: (i128, i128),
+}
+
+impl Reach {
+    fn new(core: &NestCore, launch: &Launch, first: (i128, i128)) -> Option<Reach> {
+        let lin = |a: &NestAffine, shift: i128| -> Option<Lin> {
+            let base = a.base_at(launch.consts, launch.env)? as i128 + shift;
+            Some((base, a.dims.iter().map(|&(d, c)| (d, c as i128)).collect()))
+        };
+        let mut rows = Vec::with_capacity(core.bounds.len());
+        for (d, (lo, hi)) in core.bounds.iter().enumerate().map(|(i, b)| (i + 1, b)) {
+            rows.push(match core.loaded_dims.contains(&d) {
+                true => None,
+                false if core.steps[d] > 0 => Some([lin(lo, 0)?, lin(hi, -1)?]),
+                false => Some([lin(hi, 1)?, lin(lo, 0)?]),
+            });
+        }
+        Some(Reach { rows, first })
+    }
+
+    /// `[min, max]` of `form` (constant part `base`) over the launch's
+    /// points. Each dim, innermost first, is replaced by the row of its
+    /// lowest or highest value, whichever moves the form that way, and dim
+    /// 0 ranges over its values: every point's value lies within, and a
+    /// bound that reads an outer dim (`y[k - i - 1]` over `i < k`) keeps
+    /// the range as tight as the points, where the per-dim box of
+    /// [`intervals`] would not.
+    fn extent(&self, form: &NestAffine, base: i128) -> (i128, i128) {
+        let side = |high: bool| -> i128 {
+            let mut f: Lin = (
+                base,
+                form.dims.iter().map(|&(d, c)| (d, c as i128)).collect(),
+            );
+            while let Some(&(d, c)) = f.1.iter().filter(|&&(d, _)| d > 0).max_by_key(|e| e.0) {
+                f.1.retain(|&(e, _)| e != d);
+                let Some(rows) = &self.rows[d - 1] else {
+                    return if high { i128::MAX } else { i128::MIN };
+                };
+                let (b, dims) = &rows[usize::from((c > 0) == high)];
+                f.0 = f.0.saturating_add(c.saturating_mul(*b));
+                for &(e, k) in dims {
+                    match f.1.iter_mut().find(|(x, _)| *x == e) {
+                        Some((_, cc)) => *cc = cc.saturating_add(c.saturating_mul(k)),
+                        None => f.1.push((e, c.saturating_mul(k))),
+                    }
+                }
+            }
+            let c0 = f.1.iter().map(|&(_, c)| c).sum::<i128>();
+            let (a, b) = (
+                c0.saturating_mul(self.first.0),
+                c0.saturating_mul(self.first.1),
+            );
+            f.0.saturating_add(if high { a.max(b) } else { a.min(b) })
+        };
+        (side(false), side(true))
+    }
+}
+
+/// Per-dim intervals `(min, max)` of iteration *values* over kernel indices
+/// `[lo0, hi0)` of dim 0: dim d's bounds only read dims < d, so each
+/// interval closes over the previous ones, and a dim on a negative step
+/// runs from its lower row down to just above its upper one. A loaded
+/// dim's interval is unknown; only clamped ports read it. `None` on an
+/// unbound launch-time constant.
+fn intervals(
+    bounds: &[(NestAffine, NestAffine)],
+    steps: &[i64],
+    loaded: &[usize],
+    launch: &Launch,
+    lo0: i64,
+    hi0: i64,
+) -> Option<Vec<(i128, i128)>> {
+    let value0 = |k: i64| launch.origin as i128 + k as i128 * launch.step as i128;
+    let (first, last) = (value0(lo0), value0(hi0 - 1));
+    let mut ivals = Vec::with_capacity(bounds.len() + 1);
+    ivals.push((first.min(last), first.max(last)));
+    for (d, (lo, hi)) in bounds.iter().enumerate().map(|(i, b)| (i + 1, b)) {
+        if loaded.contains(&d) {
+            ivals.push((0, 0));
+            continue;
+        }
+        let lo_b = lo.base_at(launch.consts, launch.env)? as i128;
+        let hi_b = hi.base_at(launch.consts, launch.env)? as i128;
+        let (lo_min, lo_max) = lo.interval(lo_b, &ivals);
+        let (hi_min, hi_max) = hi.interval(hi_b, &ivals);
+        ivals.push(if steps[d] > 0 {
+            (lo_min, (hi_max - 1).max(lo_min))
+        } else {
+            ((hi_min + 1).min(lo_max), lo_max)
+        });
+    }
+    Some(ivals)
+}
+
 /// Resolves launch-time constants and validates the launch over kernel
 /// indices `[lo0, hi0)` of dim 0: the kernel must have finished compiling
 /// (and, if exclusive, the launch must run outside any parallel tile or
@@ -1700,25 +2356,15 @@ fn marshal<'a>(
     }
     let ndims = core.ndims;
     let Launch { origin, step, .. } = *launch;
-    // Per-dim intervals of iteration *values*, ascending: dim d's bounds
-    // only read dims < d, so each interval closes over the previous ones.
-    // A loaded dim's interval is unknown; only clamped ports read it.
-    let value0 = |k: i64| origin as i128 + k as i128 * step as i128;
-    let mut ivals: Vec<(i128, i128)> = Vec::with_capacity(ndims);
-    ivals.push((value0(lo0), value0(hi0 - 1)));
-    for d in 1..ndims {
-        if core.loaded_dims.contains(&d) {
-            ivals.push((0, 0));
-            continue;
-        }
-        let (lo, hi) = &core.bounds[d - 1];
-        let lo_b = lo.base_at(launch.consts, launch.env)? as i128;
-        let hi_b = hi.base_at(launch.consts, launch.env)? as i128;
-        let (lo_min, _) = lo.interval(lo_b, &ivals);
-        let (_, hi_max) = hi.interval(hi_b, &ivals);
-        let a = lo_min;
-        ivals.push((a, (hi_max - 1).max(a)));
-    }
+    let ivals = intervals(
+        &core.bounds,
+        &core.steps,
+        &core.loaded_dims,
+        launch,
+        lo0,
+        hi0,
+    )?;
+    let reach = Reach::new(core, launch, ivals[0])?;
     let mut syms = Vec::with_capacity(core.syms.len());
     for s in &core.syms {
         syms.push((launch.consts)(s)? as f64);
@@ -1769,7 +2415,7 @@ fn marshal<'a>(
         lens.push(buf.len() as i64);
         let base = port.addr.base_at(launch.consts, launch.env)?;
         if port.kind == PortKind::Affine && !port.clamped {
-            let (omin, omax) = port.addr.interval(base as i128, &ivals);
+            let (omin, omax) = reach.extent(&port.addr, base as i128);
             if omin < 0 || omax >= buf.len() as i128 {
                 return None;
             }
@@ -1794,18 +2440,24 @@ fn marshal<'a>(
     {
         geo.extend(lens);
     }
-    let mut bnd = vec![0i64; 2 * ndims * (1 + ndims)];
-    for d in 1..ndims {
-        if core.loaded_dims.contains(&d) {
-            continue;
-        }
-        let (lo, hi) = &core.bounds[d - 1];
-        for (row, a) in [(2 * d, lo), (2 * d + 1, hi)] {
-            let r = row * (1 + ndims);
-            (bnd[r], bnd[r + 1]) = rebase(a.base_at(launch.consts, launch.env)?, a.coeff(0))?;
-            for k in 1..ndims {
-                bnd[r + 1 + k] = a.coeff(k);
-            }
+    // Bound rows per dim, then the condition rows.
+    let mut bnd = vec![0i64; (2 * ndims + core.conds.len()) * (1 + ndims)];
+    let bound_rows = (1..ndims)
+        .filter(|d| !core.loaded_dims.contains(d))
+        .flat_map(|d| {
+            let (lo, hi) = &core.bounds[d - 1];
+            [(2 * d, lo), (2 * d + 1, hi)]
+        });
+    let cond_rows = core
+        .conds
+        .iter()
+        .enumerate()
+        .map(|(c, a)| (2 * ndims + c, a));
+    for (row, a) in bound_rows.chain(cond_rows) {
+        let r = row * (1 + ndims);
+        (bnd[r], bnd[r + 1]) = rebase(a.base_at(launch.consts, launch.env)?, a.coeff(0))?;
+        for k in 1..ndims {
+            bnd[r + 1 + k] = a.coeff(k);
         }
     }
     // Dim-0 tiles are write-disjoint, so their order is unobservable, when

@@ -498,6 +498,13 @@ const OVERSUB: usize = 4;
 /// EWMA weight for new per-point cost samples.
 const EWMA: f64 = 0.4;
 
+/// Whether a launch of `points` points, at the per-point cost the tuner
+/// assumes before it has timed a map, stays below the threshold above which
+/// [`Tuning::decide`] runs a launch in parallel.
+pub(crate) fn below_parallel_threshold(points: u64) -> bool {
+    (points as f64) * DEFAULT_POINT_NS < PAR_MIN_NS
+}
+
 #[derive(Clone, Copy)]
 struct TuneState {
     point_ns: f64,

@@ -40,17 +40,17 @@ struct Steady {
     tiled: bool,
 }
 
-const STEADY: [Steady; 5] = [
+const STEADY: [Steady; 6] = [
     Steady {
         name: "cholesky",
         scale: 24,
-        serial: (2300, 23, 2600),
+        serial: (2600, 1, 2600),
         tiled: false,
     },
     Steady {
         name: "durbin",
         scale: 300,
-        serial: (134550, 897, 135749),
+        serial: (135746, 1, 135749),
         tiled: false,
     },
     Steady {
@@ -62,13 +62,19 @@ const STEADY: [Steady; 5] = [
     Steady {
         name: "jacobi-2d",
         scale: 24,
-        serial: (3872, 8, 3872),
+        serial: (3872, 1, 3872),
         tiled: false,
     },
     Steady {
         name: "ludcmp",
         scale: 24,
-        serial: (4624, 24, 5224),
+        serial: (4948, 25, 5224),
+        tiled: false,
+    },
+    Steady {
+        name: "nussinov",
+        scale: 24,
+        serial: (2829, 1, 2829),
         tiled: false,
     },
 ];

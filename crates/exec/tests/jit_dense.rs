@@ -10,7 +10,7 @@
 use sdfg_codegen::jit::{
     emit_nest_kernel, JitOutMode, JitWcrOp, NestItem, NestOut, NestSpec, NestTasklet,
 };
-use sdfg_core::{DType, Schedule, Sdfg, Wcr};
+use sdfg_core::{DType, Memlet, Schedule, Sdfg, Wcr};
 use sdfg_exec::{Bindings, OptLevel, Outputs, Session, Stats};
 use sdfg_frontend::{parse_program, SdfgBuilder};
 use sdfg_interp::Interpreter;
@@ -266,8 +266,10 @@ fn gemm_spec(body: &TaskletProgram) -> NestSpec<'_> {
         }],
         body: vec![NestItem::Loop {
             dim: 1,
+            step: 1,
             body: vec![NestItem::Loop {
                 dim: 2,
+                step: 1,
                 body: vec![NestItem::Call(0)],
             }],
         }],
@@ -421,6 +423,290 @@ fn collapsed_loop_declines_a_step_that_is_not_one() {
                 && l.contains("non-unit loop increment")),
             "no decline recorded:\n{text}"
         );
+    }
+}
+
+// --- collapsed loop shapes -----------------------------------------------------
+
+/// Runs `case` bitwise (see [`Case::assert_bitwise`]) and asserts its
+/// steady runs execute the whole loop — every tasklet point — in one
+/// native call, at every thread count.
+fn assert_collapses(case: &Case) {
+    for (nthreads, _, steady) in case.assert_bitwise() {
+        if jit_available() {
+            let st = steady.stats();
+            let what = format!("{} at {nthreads} threads", case.sdfg.name);
+            assert_eq!(st.nest_calls, 1, "{what}: the loop collapses");
+            assert_eq!(
+                st.jit_points, st.tasklet_points,
+                "{what}: every point native"
+            );
+            assert_eq!(st.parallel_regions, 0, "{what}");
+        }
+    }
+}
+
+/// Runs `case` bitwise and asserts the ledger records the decline of the
+/// loop headed by `guard` with a detail containing `why`. Returns the
+/// per-thread-count runs.
+fn assert_loop_declines(case: &Case, guard: &str, why: &str) -> Vec<(usize, Stats, Outputs)> {
+    let mut runs = Vec::new();
+    let text = ledger_of(|| runs = case.assert_bitwise());
+    if jit_available() {
+        let map = format!("\"map\":\"loop@{guard}\"");
+        assert!(
+            text.lines().any(|l| l.contains(&map) && l.contains(why)),
+            "{}: no `{why}` decline of {guard}:\n{text}",
+            case.sdfg.name
+        );
+    }
+    runs
+}
+
+/// A backward substitution `x[i] = (x[i] − Σ_{j>i} L[i, j]·x[j]) / L[i, i]`
+/// over `i` from `N − 1` down to 0 on `step`.
+fn backward(step: i64) -> Case {
+    let src = format!(
+        "def backward(L: dace.float64[N, N], x: dace.float64[N]):\n    \
+         for i in range(N - 1, -1, {step}):\n        \
+         for j in dace.map[i + 1:N]:\n            \
+         x[i] += -L[i, j] * x[j]\n        \
+         x[i] = x[i] / L[i, i]\n"
+    );
+    let n = 96;
+    let l = data(n * n, 3).iter().map(|v| v + 4.0).collect();
+    Case::new(parse_program(&src).unwrap(), &[("N", n as i64)], &["x"])
+        .array("L", l)
+        .array("x", data(n, 4))
+}
+
+#[test]
+fn downward_loops_collapse() {
+    // Iterations read what the later indices wrote: only the downward
+    // order gives the interpreter's bits.
+    assert_collapses(&backward(-1));
+    assert_collapses(&backward(-3));
+}
+
+#[test]
+fn a_branch_with_two_arms_collapses() {
+    let src = r#"
+def branchy(A: dace.float64[N], B: dace.float64[N]):
+    for i in range(N):
+        if 2 * i < N:
+            B[i] = A[i] * 2.0
+        else:
+            B[i] = B[i] + A[N - 1 - i]
+"#;
+    let n = 77;
+    let case = Case::new(parse_program(src).unwrap(), &[("N", n)], &["B"])
+        .array("A", data(n as usize, 5))
+        .array("B", data(n as usize, 6));
+    assert_collapses(&case);
+}
+
+#[test]
+fn a_nested_triangular_loop_collapses() {
+    let src = r#"
+def tri(A: dace.float64[N, N], s: dace.float64[N]):
+    for i in range(N):
+        for j in range(i + 1):
+            s[i] = s[i] * 0.5 + A[i, j]
+"#;
+    let n = 64;
+    let case = Case::new(parse_program(src).unwrap(), &[("N", n)], &["s"])
+        .array("A", data((n * n) as usize, 7))
+        .array("s", data(n as usize, 8));
+    assert_collapses(&case);
+}
+
+/// One state per iteration of `t`: a map `B[i] += A[i]` over `0:N`, then
+/// a point tasklet `C[t] = B[t] * 0.5` reading what the map wrote.
+fn map_then_point(schedule: Schedule, n: i64, t: i64) -> Case {
+    let mut b = SdfgBuilder::new("map_then_point");
+    b.symbol("N");
+    b.symbol("T");
+    b.array("A", &["N"], DType::F64);
+    b.array("B", &["N"], DType::F64);
+    b.array("C", &["T"], DType::F64);
+    let st = b.state("step");
+    b.mapped_tasklet_wcr(
+        st,
+        "bump",
+        &[("i", "0:N")],
+        &[("a", "A", "i"), ("bi", "B", "i")],
+        "o = bi + a",
+        &[("o", "B", "i", None)],
+        schedule,
+    );
+    b.add_loop(st, "t", "0", "t < T", "1");
+    let mut sdfg = b.build().expect("valid");
+    let state = sdfg.state_mut(st);
+    let written = sdfg_frontend::builder::get_or_add_read(state, "B");
+    let pt = state.add_tasklet("half", &["b"], &["c"], "c = b * 0.5");
+    let c = state.add_access("C");
+    state.add_edge(written, None, pt, Some("b"), Memlet::parse("B", "t"));
+    state.add_edge(pt, Some("c"), c, None, Memlet::parse("C", "t"));
+    sdfg.validate().expect("valid");
+    Case::new(sdfg, &[("N", n), ("T", t)], &["B", "C"])
+        .array("A", data(n as usize, 9))
+        .array("B", data(n as usize, 10))
+        .array("C", vec![0.0; t as usize])
+}
+
+#[test]
+fn a_point_tasklet_after_a_map_in_one_state_collapses() {
+    assert_collapses(&map_then_point(Schedule::CpuMulticore, 200, 40));
+}
+
+#[test]
+fn a_step_that_reads_a_symbol_declines() {
+    let mut b = SdfgBuilder::new("strided");
+    b.symbol("N");
+    b.symbol("T");
+    b.symbol("S");
+    b.array("A", &["N"], DType::F64);
+    b.array("B", &["T"], DType::F64);
+    let st = b.state("sweep");
+    b.mapped_tasklet_wcr(
+        st,
+        "rowsum",
+        &[("i", "0:N")],
+        &[("a", "A", "i")],
+        "b = a",
+        &[("b", "B", "t", Some(Wcr::Sum))],
+        Schedule::Sequential,
+    );
+    b.add_loop(st, "t", "0", "t < T", "S");
+    let case = Case::new(
+        b.build().expect("valid"),
+        &[("N", 64), ("T", 40), ("S", 3)],
+        &["B"],
+    )
+    .array("A", data(64, 11))
+    .array("B", vec![0.0; 40]);
+    assert_loop_declines(&case, "t_guard", "non-unit loop increment `S + t`");
+}
+
+#[test]
+fn a_branch_on_a_container_declines() {
+    // `for t in range(T)`: `B[t] = A[t]`, then `B[t] *= 2` when the
+    // one-element container `c` is positive; `c` flips sign each step.
+    let mut b = SdfgBuilder::new("branch_on_data");
+    b.symbol("T");
+    b.array("A", &["T"], DType::F64);
+    b.array("B", &["T"], DType::F64);
+    b.array("c", &["1"], DType::F64);
+    let head = b.state("head");
+    let arm = b.state("arm");
+    let merge = b.state("merge");
+    let mut sdfg = b.build_unvalidated();
+    let st = sdfg.state_mut(head);
+    let (a, bb, c_in, c_out) = (
+        st.add_access("A"),
+        st.add_access("B"),
+        st.add_access("c"),
+        st.add_access("c"),
+    );
+    let t = st.add_tasklet("copy", &["x", "ci"], &["y", "co"], "y = x\nco = -ci");
+    st.add_edge(a, None, t, Some("x"), Memlet::parse("A", "t"));
+    st.add_edge(c_in, None, t, Some("ci"), Memlet::parse("c", "0"));
+    st.add_edge(t, Some("y"), bb, None, Memlet::parse("B", "t"));
+    st.add_edge(t, Some("co"), c_out, None, Memlet::parse("c", "0"));
+    let st = sdfg.state_mut(arm);
+    let (src, dst) = (st.add_access("B"), st.add_access("B"));
+    let t = st.add_tasklet("twice", &["x"], &["y"], "y = x * 2.0");
+    st.add_edge(src, None, t, Some("x"), Memlet::parse("B", "t"));
+    st.add_edge(t, Some("y"), dst, None, Memlet::parse("B", "t"));
+    let init = sdfg.add_state("t_init");
+    let guard = sdfg.add_state("t_guard");
+    let exit = sdfg.add_state("t_exit");
+    let edge = sdfg_core::InterstateEdge::when;
+    sdfg.add_transition(
+        init,
+        guard,
+        sdfg_core::InterstateEdge::always().assign("t", "0"),
+    );
+    sdfg.add_transition(guard, head, edge("t < T"));
+    sdfg.add_transition(guard, exit, edge("not (t < T)"));
+    sdfg.add_transition(head, arm, edge("c > 0"));
+    sdfg.add_transition(head, merge, edge("not (c > 0)"));
+    sdfg.add_transition(arm, merge, sdfg_core::InterstateEdge::always());
+    sdfg.add_transition(
+        merge,
+        guard,
+        sdfg_core::InterstateEdge::always().assign("t", "t + 1"),
+    );
+    sdfg.start = Some(init);
+    sdfg.validate().expect("valid");
+    let n = 30;
+    let case = Case::new(sdfg, &[("T", n)], &["B", "c"])
+        .array("A", data(n as usize, 12))
+        .array("B", vec![0.0; n as usize])
+        .array("c", vec![1.0]);
+    assert_loop_declines(&case, "t_guard", "reads container or stream length `c`");
+}
+
+#[test]
+fn an_inner_variable_read_after_the_loop_declines() {
+    // `j` leaves the nest at `N − 1`, which `B[j]` reads.
+    let src = r#"
+def after(A: dace.float64[N], B: dace.float64[N]):
+    for i in range(N):
+        for j in range(i):
+            A[j] = A[j] * 0.5 + 1.0
+    B[j] = 1.0
+"#;
+    let n = 40;
+    let case = Case::new(parse_program(src).unwrap(), &[("N", n)], &["A", "B"])
+        .array("A", data(n as usize, 13))
+        .array("B", data(n as usize, 14));
+    assert_loop_declines(
+        &case,
+        "i_guard",
+        "symbol `j` assigned in the loop is read after it",
+    );
+}
+
+#[test]
+fn a_map_above_the_serial_bound_stays_on_the_scheduler() {
+    // 2^17 points are above the tuner's 60 µs parallel threshold at its
+    // default 50 ns each, and at the native kernel's cost too.
+    let case = map_then_point(Schedule::CpuMulticore, 1 << 17, 3);
+    let runs = assert_loop_declines(&case, "t_guard", "parallel-profitable map `bump`");
+    let (_, off, steady) = &runs[1];
+    assert!(off.parallel_regions > 0, "jit(false) at 2 threads");
+    assert!(steady.stats().parallel_regions > 0, "steady at 2 threads");
+}
+
+/// Every loop of the three solvers collapses, unoptimized and at
+/// `Aggressive`: the ledger records no loop decline (a kernel still
+/// compiling is none), and a steady run makes one native call and executes
+/// only the few states around its outermost loop.
+#[test]
+fn solver_loops_collapse_whole() {
+    if !jit_available() {
+        return;
+    }
+    for name in ["cholesky", "durbin", "nussinov"] {
+        let w = (sdfg_workloads::polybench::by_name(name).unwrap().build)(24);
+        for opt in [OptLevel::None, OptLevel::Aggressive] {
+            let mut steady = None;
+            let text = ledger_of(|| {
+                let s = w.session().opt_level(opt).nthreads(2).build().unwrap();
+                s.run(w.bindings()).unwrap();
+                sdfg_exec::jit::wait_idle();
+                steady = Some(s.run(w.bindings()).unwrap().stats().clone());
+            });
+            let declines: Vec<&str> = text
+                .lines()
+                .filter(|l| l.contains("\"map\":\"loop@") && !l.contains("jit-compile-pending"))
+                .collect();
+            assert!(declines.is_empty(), "{name} at {opt:?}: {declines:?}");
+            let st = steady.expect("ran");
+            assert_eq!(st.nest_calls, 1, "{name} at {opt:?}");
+            assert!(st.states_executed <= 6, "{name} at {opt:?}: {st:?}");
+        }
     }
 }
 

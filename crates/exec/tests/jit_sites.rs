@@ -419,13 +419,26 @@ fn deadline_bounds_a_collapsed_loop() {
         return; // no native loop to overrun the budget
     }
     // Cholesky-shaped: a triangular reduction map under a state-machine
-    // loop. The whole loop collapses into one native call.
-    let src = r#"
-def tri(A: dace.float64[N], acc: dace.float64[N]):
-    for j in range(N):
-        for k in dace.map[0:j]:
-            acc[j] += A[k] * A[k]
-"#;
+    // loop, walked upwards, downwards, and as the body of an inner loop.
+    // Each whole loop collapses into one native call.
+    let reduce = "for k in dace.map[0:j]:\n            acc[j] += A[k] * A[k]";
+    let head = "def tri(A: dace.float64[N], acc: dace.float64[N]):";
+    for src in [
+        format!("{head}\n    for j in range(N):\n        {reduce}\n"),
+        format!("{head}\n    for j in range(N - 1, -1, -1):\n        {reduce}\n"),
+        format!(
+            "{head}\n    for j in range(N):\n        for r in range(2):\n            {}\n",
+            reduce.replace("\n", "\n    ")
+        ),
+    ] {
+        deadline_bounds(&src);
+    }
+}
+
+/// Runs `src` (over `A` and `acc` of length `N`) with a budget of a
+/// twentieth of its warm run time, which must cancel it well before the
+/// loop could finish.
+fn deadline_bounds(src: &str) {
     let session = Session::builder(parse_program(src).unwrap())
         .nthreads(1)
         .build()
@@ -437,7 +450,9 @@ def tri(A: dace.float64[N], acc: dace.float64[N]):
     session.run(bindings_small).unwrap();
     sdfg_exec::jit::wait_idle();
     // Self-calibrating: grow the problem until one warm, un-deadlined run
-    // is long enough that a twentieth of it is still a sane budget.
+    // is long enough that a twentieth of it is still a sane budget. Each
+    // size has a plan of its own, whose first run builds it (an outer
+    // loop once the loops inside have built theirs).
     let mut n = 8192usize;
     let bindings = |n: usize| {
         Bindings::new()
@@ -446,11 +461,11 @@ def tri(A: dace.float64[N], acc: dace.float64[N]):
             .array_vec("acc", vec![0.0; n])
     };
     let full = loop {
-        let warm = session.run(bindings(n)).unwrap();
-        assert_eq!(warm.stats().nest_calls, 1, "the loop must collapse");
-        let t0 = Instant::now();
         session.run(bindings(n)).unwrap();
+        let t0 = Instant::now();
+        let warm = session.run(bindings(n)).unwrap();
         let full = t0.elapsed();
+        assert_eq!(warm.stats().nest_calls, 1, "the loop must collapse:\n{src}");
         if full >= Duration::from_millis(40) || n >= 1 << 17 {
             break full;
         }
@@ -465,7 +480,7 @@ def tri(A: dace.float64[N], acc: dace.float64[N]):
     assert_eq!(err.code(), "SDFG-X004", "{err}");
     assert!(
         took < full / 2,
-        "deadline {:?} overran: returned after {took:?} of a {full:?} run",
+        "deadline {:?} overran: returned after {took:?} of a {full:?} run:\n{src}",
         full / 20
     );
 }

@@ -42,9 +42,14 @@ fn annotate(sdfg: &mut Sdfg, ins: Instrument) {
     }
 }
 
+/// A run of the interpreted drive: with the JIT on, `looped_kernel`'s
+/// loop collapses into one native call, which records one loop span
+/// instead of its states and map launches (see
+/// `a_collapsed_loop_records_one_span`).
 fn run(sdfg: &Sdfg, profiling: Profiling, nthreads: usize) -> Outputs {
     let session = Session::builder(sdfg.clone())
         .profiling(profiling)
+        .jit(false)
         .nthreads(nthreads)
         .build()
         .expect("valid SDFG");
@@ -158,6 +163,59 @@ fn report_counts_are_deterministic_across_runs() {
         )
     };
     assert_eq!(counts(ra), counts(rb));
+}
+
+/// A collapsed loop's call is one `loop <var> [jit]` scope with its points
+/// and native calls, in the hot-path table and the trace. Under a counter
+/// annotation it is counted without a clock read; unprofiled, it records
+/// nothing.
+#[test]
+fn a_collapsed_loop_records_one_span() {
+    if !sdfg_exec::jit::env_enabled() || sdfg_exec::jit::cc().is_none() {
+        return;
+    }
+    let steady = |sdfg: Sdfg, profiling: Profiling| {
+        let session = Session::builder(sdfg)
+            .profiling(profiling)
+            .jit(true)
+            .nthreads(1)
+            .build()
+            .expect("valid SDFG");
+        let inputs = || {
+            Bindings::new()
+                .symbol("N", 64)
+                .symbol("T", 5)
+                .array_vec("A", vec![1.0; 64])
+        };
+        session.run(inputs()).expect("exec runs");
+        sdfg_exec::jit::wait_idle();
+        session.run(inputs()).expect("exec runs")
+    };
+    let ex = steady(looped_kernel(), Profiling::ForceTimers);
+    assert_eq!(ex.stats().nest_calls, 1, "the loop collapses");
+    let report = ex.report().expect("report present");
+    let (&guard, l) = report.loops.iter().next().expect("loop stat");
+    assert_eq!(report.loops.len(), 1);
+    assert_eq!((l.scope.count, l.points, l.calls), (1, 5 * 64, 1));
+    assert!(l.scope.total_ns > 0, "timed loop has wall time");
+    assert!(report.maps.is_empty(), "no map launched");
+    let table = report.hot_path_table();
+    assert!(table.contains("loop t [jit]"), "{table}");
+    assert!(table.contains("    jit: 320 pts in 1 calls\n"), "{table}");
+    let key = sdfg_profile::SpanKey::Loop(guard);
+    assert_eq!(report.timeline.iter().filter(|s| s.key == key).count(), 1);
+    assert!(report
+        .chrome_trace()
+        .contains("\"name\":\"t [jit]\",\"cat\":\"loop\""));
+
+    let mut counted = looped_kernel();
+    annotate(&mut counted, Instrument::Counter);
+    let ex = steady(counted, Profiling::Annotated);
+    let report = ex.report().expect("report present");
+    let l = report.loops.values().next().expect("loop stat");
+    assert_eq!((l.scope.count, l.scope.total_ns, l.points), (1, 0, 5 * 64));
+    assert!(report.timeline.is_empty(), "counter mode records no spans");
+    assert!(steady(looped_kernel(), Profiling::Off).report().is_none());
 }
 
 #[test]

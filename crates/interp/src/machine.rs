@@ -410,6 +410,7 @@ impl<'s> Interpreter<'s> {
                 let stat = match key {
                     SpanKey::State(s) => p.wp.states.entry(s).or_default(),
                     SpanKey::Map { state, node } => p.wp.maps.entry((state, node)).or_default(),
+                    SpanKey::Loop(g) => &mut p.wp.loops.entry(g).or_default().scope,
                 };
                 stat.bump();
             }
@@ -419,6 +420,7 @@ impl<'s> Interpreter<'s> {
                 let stat = match key {
                     SpanKey::State(st) => p.wp.states.entry(st).or_default(),
                     SpanKey::Map { state, node } => p.wp.maps.entry((state, node)).or_default(),
+                    SpanKey::Loop(g) => &mut p.wp.loops.entry(g).or_default().scope,
                 };
                 stat.record(dur);
                 p.wp.timeline.push(Span {

@@ -140,6 +140,8 @@ pub enum SpanKey {
         /// Map-entry node id within the state.
         node: u32,
     },
+    /// A state-machine loop run as native calls, by its guard state id.
+    Loop(u32),
 }
 
 /// Aggregated statistics for one scope.
@@ -192,6 +194,38 @@ impl ScopeStat {
     /// Mean nanoseconds per entry (0 when untimed).
     pub fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
+    }
+}
+
+/// One collapsed state-machine loop: its timed entries (one per collapse),
+/// and the tasklet executions and native calls they made.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LoopStat {
+    /// Timed entries.
+    pub scope: ScopeStat,
+    /// Tasklet executions the native calls made.
+    pub points: u64,
+    /// Native calls (one per collapse, one per slice under a deadline).
+    pub calls: u64,
+}
+
+impl LoopStat {
+    /// Records one collapse that made `calls` calls running `points`
+    /// tasklet executions and took `ns` (`None` under `Mode::Counter`).
+    pub fn add(&mut self, ns: Option<u64>, points: u64, calls: u64) {
+        match ns {
+            Some(ns) => self.scope.record(ns),
+            None => self.scope.bump(),
+        }
+        self.points += points;
+        self.calls += calls;
+    }
+
+    /// Merges another loop's statistics into this one.
+    pub fn merge(&mut self, other: &LoopStat) {
+        self.scope.merge(&other.scope);
+        self.points += other.points;
+        self.calls += other.calls;
     }
 }
 
@@ -249,6 +283,8 @@ pub struct WorkerProfile {
     pub maps: HashMap<(u32, u32), ScopeStat>,
     /// Per-map tier breakdowns.
     pub tiers: HashMap<(u32, u32), TierBreakdown>,
+    /// Per-loop statistics of collapsed loops, keyed by guard state.
+    pub loops: HashMap<u32, LoopStat>,
     /// Timeline spans (Timer-mode scopes only).
     pub timeline: Vec<Span>,
     /// Bytes moved by copies/writebacks observed by this worker.
@@ -269,6 +305,7 @@ impl WorkerProfile {
         self.states.is_empty()
             && self.maps.is_empty()
             && self.tiers.is_empty()
+            && self.loops.is_empty()
             && self.timeline.is_empty()
             && self.bytes_moved == 0
     }
@@ -298,6 +335,7 @@ struct Merged {
     states: HashMap<u32, ScopeStat>,
     maps: HashMap<(u32, u32), ScopeStat>,
     tiers: HashMap<(u32, u32), TierBreakdown>,
+    loops: HashMap<u32, LoopStat>,
     timeline: Vec<Span>,
     bytes_moved: u64,
     workers: u32,
@@ -368,6 +406,9 @@ impl ProfileCollector {
         for (k, v) in &wp.tiers {
             m.tiers.entry(*k).or_default().merge(v);
         }
+        for (k, v) in &wp.loops {
+            m.loops.entry(*k).or_default().merge(v);
+        }
         m.timeline.extend_from_slice(&wp.timeline);
         m.bytes_moved += wp.bytes_moved;
     }
@@ -394,6 +435,7 @@ impl ProfileCollector {
             states: m.states.into_iter().collect(),
             maps: m.maps.into_iter().collect(),
             tiers: m.tiers.into_iter().collect(),
+            loops: m.loops.into_iter().collect(),
             timeline,
             bytes_moved: m.bytes_moved,
             workers: m.workers,
@@ -475,6 +517,8 @@ pub struct InstrumentationReport {
     pub maps: BTreeMap<(u32, u32), ScopeStat>,
     /// Per-map tier breakdowns.
     pub tiers: BTreeMap<(u32, u32), TierBreakdown>,
+    /// Collapsed loops, sorted by guard state id.
+    pub loops: BTreeMap<u32, LoopStat>,
     /// All timeline spans, sorted by start time.
     pub timeline: Vec<Span>,
     /// Total bytes moved by copies and writebacks.
@@ -542,6 +586,7 @@ impl InstrumentationReport {
         match key {
             SpanKey::State(s) => format!("state#{s}"),
             SpanKey::Map { state, node } => format!("map#{state}.{node}"),
+            SpanKey::Loop(g) => format!("loop#{g}"),
         }
     }
 
@@ -599,6 +644,11 @@ impl InstrumentationReport {
                     s,
                 )
             }))
+            .chain(
+                self.loops
+                    .iter()
+                    .map(|(k, l)| (SpanKey::Loop(*k), &l.scope)),
+            )
             .collect();
         rows.sort_by(|a, b| b.1.total_ns.cmp(&a.1.total_ns).then(a.0.cmp(&b.0)));
 
@@ -618,6 +668,7 @@ impl InstrumentationReport {
             let kind = match key {
                 SpanKey::State(_) => "state",
                 SpanKey::Map { .. } => "map",
+                SpanKey::Loop(_) => "loop",
             };
             let label = format!("{kind} {}", self.label(*key));
             let timed = s.total_ns > 0;
@@ -672,6 +723,11 @@ impl InstrumentationReport {
                         }
                         out.push_str(&format!("    tiers: {}\n", parts.join(", ")));
                     }
+                }
+            }
+            if let SpanKey::Loop(g) = key {
+                if let Some(l) = self.loops.get(g) {
+                    out.push_str(&format!("    jit: {} pts in {} calls\n", l.points, l.calls));
                 }
             }
         }
@@ -730,6 +786,7 @@ impl InstrumentationReport {
             let cat = match span.key {
                 SpanKey::State(_) => "state",
                 SpanKey::Map { .. } => "map",
+                SpanKey::Loop(_) => "loop",
             };
             push_event(
                 out,
